@@ -8,9 +8,12 @@ merely in magnitude.
 
 from qualint.inference import (
     EstimatePair,
+    KappaMaxBatch,
     KappaMaxResult,
     LocalAlternative,
+    PairBatch,
     SubgroupEstimate,
+    TestBatch,
     TestResult,
     gail_simon_test,
     kappa_max,
@@ -43,12 +46,15 @@ __all__ = [
     "EmpiricalTail",
     "EstimatePair",
     "EstimationError",
+    "KappaMaxBatch",
     "KappaMaxResult",
     "LocalAlternative",
+    "PairBatch",
     "Sample2D",
     "SimulationConfig",
     "StudyResult",
     "SubgroupEstimate",
+    "TestBatch",
     "TestResult",
     "gail_simon_test",
     "generate_dataset",

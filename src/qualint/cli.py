@@ -33,6 +33,8 @@ import numpy as np
 from qualint.estimators import EstimationError, Sample2D, pearson
 from qualint.inference import (
     EstimatePair,
+    LocalAlternative,
+    PairBatch,
     SubgroupEstimate,
     gail_simon_test,
     kappa_max,
@@ -40,7 +42,6 @@ from qualint.inference import (
     omnibus_test,
     rd_local_power,
     rd_test,
-    LocalAlternative,
 )
 from qualint.simulation import SimulationConfig, run_rejection_study
 
@@ -142,11 +143,9 @@ class PairRecord:
         if self.se1 <= 0.0 or self.se2 <= 0.0:
             raise ValueError("standard errors must be positive")
 
-    def to_pair(self) -> EstimatePair:
-        return EstimatePair(
-            SubgroupEstimate(self.est1, self.se1),
-            SubgroupEstimate(self.est2, self.se2),
-        )
+
+def _pair_batch(records: list[PairRecord]) -> PairBatch:
+    return PairBatch.from_rows((r.est1, r.se1, r.est2, r.se2) for r in records)
 
 
 @dataclass(frozen=True)
@@ -210,7 +209,7 @@ def _read_pair_records(path: str, strict: bool) -> list[PairRecord]:
 # ---------------------------------------------------------------------------
 
 
-def _run_pair_test(pair: EstimatePair, kind: str, kappa: float, alpha: float):
+def _run_pair_test(pair: EstimatePair | PairBatch, kind: str, kappa: float, alpha: float):
     if kind == "rd":
         return rd_test(pair, kappa, alpha)
     if kind == "omnibus":
@@ -248,17 +247,22 @@ def _scan_records(
     records: list[PairRecord], kind: str, kappa: float, alpha: float, adjust: str
 ) -> list[ScanResult]:
     m = len(records)
+    batch = _pair_batch(records)
+    outcome = _run_pair_test(batch, kind, kappa, alpha)
+    if kind == "rd":
+        bounds = [_g10(k) for k in kappa_max(batch, alpha).kappa_max.tolist()]
+    else:
+        bounds = [None] * m
     results = []
-    for record in records:
-        pair = record.to_pair()
-        outcome = _run_pair_test(pair, kind, kappa, alpha)
-        p_raw = _g10(outcome.p_value)
+    for record, statistic, p_value, km in zip(
+        records, outcome.statistic.tolist(), outcome.p_value.tolist(), bounds
+    ):
+        p_raw = _g10(p_value)
         p_adj = _g10(min(1.0, m * p_raw)) if adjust == "bonferroni" else p_raw
-        km = _g10(kappa_max(pair, alpha).kappa_max) if kind == "rd" else None
         results.append(
             ScanResult(
                 id=record.id,
-                statistic=_g10(outcome.statistic),
+                statistic=_g10(statistic),
                 p_raw=p_raw,
                 p_adjusted=p_adj,
                 kappa_max=km,
@@ -343,7 +347,7 @@ def _cmd_network(args) -> int:
     p = len(features)
     total_pairs = p * (p - 1) // 2
 
-    edges = []  # (p_adjusted placeholder slot filled after m is known)
+    edges = []
     tested = []
     skipped = 0
     for i in range(p):
@@ -355,13 +359,21 @@ def _cmd_network(args) -> int:
                 skipped += 1
                 _warn(f"skipping pair ({features[i]}, {features[j]}): {exc}")
                 continue
-            outcome = rd_test(EstimatePair(est1, est2), args.kappa, args.alpha)
-            tested.append((features[i], features[j], est1, est2, outcome))
+            tested.append((features[i], features[j], est1, est2))
 
     m = len(tested)
+    outcome = rd_test(
+        PairBatch.from_rows(
+            (e1.estimate, e1.std_error, e2.estimate, e2.std_error) for _, _, e1, e2 in tested
+        ),
+        args.kappa,
+        args.alpha,
+    )
     rejected_count = 0
-    for feat_a, feat_b, est1, est2, outcome in tested:
-        p_raw = _g10(outcome.p_value)
+    for (feat_a, feat_b, est1, est2), statistic, p_value in zip(
+        tested, outcome.statistic.tolist(), outcome.p_value.tolist()
+    ):
+        p_raw = _g10(p_value)
         p_adj = _g10(min(1.0, m * p_raw)) if args.adjust == "bonferroni" else p_raw
         if p_adj < args.alpha:
             rejected_count += 1
@@ -377,7 +389,7 @@ def _cmd_network(args) -> int:
                 "feature_b": feat_b,
                 "r1": _g10(est1.estimate),
                 "r2": _g10(est2.estimate),
-                "statistic": _g10(outcome.statistic),
+                "statistic": _g10(statistic),
                 "p_raw": p_raw,
                 "p_adjusted": p_adj,
                 "stronger_group": stronger,
@@ -425,19 +437,15 @@ def _cmd_power(args) -> int:
     c1_grid = np.linspace(args.c1_min, args.c1_max, args.c1_steps)
     c2_grid = np.linspace(args.c2_min, args.c2_max, args.c2_steps)
     power_fn = rd_local_power if args.kind == "rd" else omnibus_local_power
-    rows = []
-    for c1 in c1_grid:
-        for c2 in c2_grid:
-            alt = LocalAlternative(
-                float(c1), float(c2), args.sigma1, args.sigma2, args.lam
-            )
-            rows.append(
-                {
-                    "c1": _g10(float(c1)),
-                    "c2": _g10(float(c2)),
-                    "power": _g10(power_fn(alt, args.kappa, args.alpha)),
-                }
-            )
+    # every (c1, c2) cell, c1 varying slowest
+    c1 = np.repeat(c1_grid, c2_grid.size)
+    c2 = np.tile(c2_grid, c1_grid.size)
+    alt = LocalAlternative(c1, c2, args.sigma1, args.sigma2, args.lam)
+    powers = power_fn(alt, args.kappa, args.alpha)
+    rows = [
+        {"c1": _g10(a), "c2": _g10(b), "power": _g10(value)}
+        for a, b, value in zip(c1.tolist(), c2.tolist(), powers.tolist())
+    ]
     with _Output(args.output) as out:
         if args.format == "json":
             _emit_json(out, rows)
@@ -524,24 +532,30 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _kappa_max_payload(pair: EstimatePair, alpha: float) -> dict:
-    summary = kappa_max(pair, alpha)
-    roots = None
-    if summary.roots is not None:
-        pi1, pi2 = summary.roots
-        roots = {
-            "normal_boundary": _g10(pi1),
-            "zero_point": None if math.isinf(pi2) else _g10(pi2),
-        }
-    return {
-        "kappa_max": _g10(summary.kappa_max),
-        "alpha": _g10(alpha),
-        "binding_root": summary.binding_root,
-        "roots": roots,
-        "p_values": {
-            _num(k): _g10(rd_test(pair, k, alpha).p_value) for k in _CONTEXT_KAPPAS
-        },
-    }
+def _kappa_max_payloads(batch: PairBatch, alpha: float) -> list[dict]:
+    """The kappa-max JSON payload of every row of the batch."""
+    summaries = kappa_max(batch, alpha)
+    context = {_num(k): rd_test(batch, k, alpha).p_value.tolist() for k in _CONTEXT_KAPPAS}
+    payloads = []
+    for i in range(len(batch)):
+        summary = summaries[i]
+        roots = None
+        if summary.roots is not None:
+            pi1, pi2 = summary.roots
+            roots = {
+                "normal_boundary": _g10(pi1),
+                "zero_point": None if math.isinf(pi2) else _g10(pi2),
+            }
+        payloads.append(
+            {
+                "kappa_max": _g10(summary.kappa_max),
+                "alpha": _g10(alpha),
+                "binding_root": summary.binding_root,
+                "roots": roots,
+                "p_values": {k: _g10(p[i]) for k, p in context.items()},
+            }
+        )
+    return payloads
 
 
 def _cmd_kappa_max(args) -> int:
@@ -551,19 +565,16 @@ def _cmd_kappa_max(args) -> int:
                 "kappa-max needs either an input CSV or all of "
                 "--est1/--se1/--est2/--se2"
             )
-        pair = EstimatePair(
-            SubgroupEstimate(args.est1, args.se1),
-            SubgroupEstimate(args.est2, args.se2),
-        )
+        batch = PairBatch.from_rows([(args.est1, args.se1, args.est2, args.se2)])
+        (payload,) = _kappa_max_payloads(batch, args.alpha)
         with _Output(args.output) as out:
-            json.dump(_kappa_max_payload(pair, args.alpha), out, indent=2, sort_keys=True)
+            json.dump(payload, out, indent=2, sort_keys=True)
             out.write("\n")
         return 0
 
     records = _read_pair_records(args.input, args.strict)
     rows = []
-    for record in records:
-        payload = _kappa_max_payload(record.to_pair(), args.alpha)
+    for record, payload in zip(records, _kappa_max_payloads(_pair_batch(records), args.alpha)):
         rows.append(
             {
                 "id": record.id,
@@ -697,9 +708,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (None, 0) else int(exc.code)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -33,29 +33,46 @@ Conventions (uniform across the module):
   (estimate, std_error) pairs; sample sizes are carried as optional
   metadata.
 
+Array-first core: every test, statistic and kappa_max accepts either one
+EstimatePair or a PairBatch of many rows, and a batch call returns arrays
+(TestBatch, KappaMaxBatch).  The single-pair call is the size-1 batch, so
+both go through the same code and row i of a batch result equals the
+single-pair result for row i.  The core evaluates every formula on rows
+rescaled by the power of two that puts the larger standard error in
+[0.5, 1), and with kappa split into a power of two times a mantissa in
+[0.5, 1).  Both rescalings are exact in binary floating point and every
+formula is a ratio invariant under them, so ordinary inputs give the same
+bits as the plain formulas, while standard errors near 1e-300 or kappa
+near 1e300 no longer underflow or overflow.
+
 All operations are pure functions; nothing retains state between calls.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, NamedTuple
+
+import numpy as np
+from scipy.special import ndtr
 
 from qualint.distributions import (
-    Bracket,
     bvn_upper_tail,
     chi2_1_tail,
-    find_root_monotone,
-    std_normal_cdf,
+    first_crossing,
     std_normal_quantile,
 )
 
 __all__ = [
     "EstimatePair",
+    "KappaMaxBatch",
     "KappaMaxResult",
     "LocalAlternative",
+    "PairBatch",
     "SubgroupEstimate",
+    "TestBatch",
     "TestResult",
     "gail_simon_test",
     "kappa_max",
@@ -83,8 +100,14 @@ _SE_FLOOR = 1e-300
 _KAPPA_EPS = 1e-9
 _KAPPA_CAP = 1e9
 _KAPPA_TOL = 1e-6
+# The inversion roots are solved this much tighter than _KAPPA_TOL, so they
+# stay within _KAPPA_TOL of any solver that meets _KAPPA_TOL.
+_KAPPA_SOLVER_TOL = 1e-3 * _KAPPA_TOL
+# Zero-point quantile searches start just above t = 0 and double from 1.
+_QUANTILE_LO = 1e-12
 
 _BINDING_ROOTS = ("normal_boundary", "zero_point", "none")
+_BATCH_FIELDS = ("est1", "se1", "est2", "se2")
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +160,77 @@ class EstimatePair:
             object.__setattr__(self, "labels", labels)
 
 
+class _Rows(NamedTuple):
+    """Batch rows rescaled so the larger standard error lies in [0.5, 1)."""
+
+    x1: np.ndarray  # estimates
+    x2: np.ndarray
+    se1: np.ndarray
+    se2: np.ndarray
+    v1: np.ndarray  # squared standard errors
+    v2: np.ndarray
+
+    def take(self, index) -> "_Rows":
+        return _Rows(*(column[index] for column in self))
+
+
+def _variances(se1, se2):
+    """(scale, v1, v2): scale is the power of two that puts max(se1, se2) in
+    [0.5, 1), and v1, v2 are the rescaled standard errors squared."""
+    scale = np.ldexp(1.0, -np.frexp(np.maximum(se1, se2))[1])
+    s1, s2 = se1 * scale, se2 * scale
+    return scale, s1 * s1, s2 * s2
+
+
+@dataclass(frozen=True, eq=False)
+class PairBatch:
+    """Many two-group inputs as columns: the batch form of EstimatePair.
+
+    ``est1``, ``se1``, ``est2`` and ``se2`` are equal-length 1-D float
+    arrays (scalars broadcast), validated row by row exactly as
+    SubgroupEstimate validates one group.  Every test, statistic and
+    kappa_max accepts a PairBatch wherever it accepts an EstimatePair and
+    then returns arrays, one entry per row.
+    """
+
+    est1: np.ndarray
+    se1: np.ndarray
+    est2: np.ndarray
+    se2: np.ndarray
+    scaled: _Rows = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        columns = [np.array(getattr(self, name), dtype=float) for name in _BATCH_FIELDS]
+        shape = np.broadcast_shapes(*(column.shape for column in columns))
+        if len(shape) != 1:
+            raise ValueError("PairBatch columns must be one-dimensional")
+        for name, column in zip(_BATCH_FIELDS, columns):
+            if column.shape != shape:
+                column = np.full(shape, column)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+            valid = np.isfinite(column)
+            if name.startswith("se"):
+                valid &= column > _SE_FLOOR
+            if not valid.all():
+                row = int(np.argmin(valid))
+                rule = "finite and > 1e-300" if name.startswith("se") else "finite"
+                raise ValueError(f"{name}[{row}] must be {rule}, got {float(column[row])!r}")
+        scale, v1, v2 = _variances(self.se1, self.se2)
+        scaled = _Rows(
+            self.est1 * scale, self.est2 * scale, self.se1 * scale, self.se2 * scale, v1, v2
+        )
+        object.__setattr__(self, "scaled", scaled)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple[float, float, float, float]]) -> "PairBatch":
+        """Batch of (est1, se1, est2, se2) rows."""
+        return cls(*np.array(list(rows), dtype=float).reshape(-1, 4).T)
+
+    def __len__(self) -> int:
+        return int(self.est1.shape[0])
+
+
 @dataclass(frozen=True)
 class TestResult:
     """Outcome of one test: statistic, component tails, supremum p-value.
@@ -165,6 +259,35 @@ class TestResult:
             raise ValueError("rejected flag inconsistent with p_value and alpha")
 
 
+@dataclass(frozen=True, eq=False)
+class TestBatch:
+    """Outcomes of one test on every row of a PairBatch, as arrays.
+
+    p_value is the elementwise maximum of the components and rejected is
+    p_value < alpha.  ``batch[i]`` is the TestResult of row i.
+    """
+
+    statistic: np.ndarray
+    p_value: np.ndarray
+    components: Mapping[str, np.ndarray]
+    rejected: np.ndarray
+    alpha: float
+
+    __test__ = False
+
+    def __len__(self) -> int:
+        return int(self.statistic.shape[0])
+
+    def __getitem__(self, index: int) -> TestResult:
+        return TestResult(
+            statistic=float(self.statistic[index]),
+            p_value=float(self.p_value[index]),
+            components={k: float(v[index]) for k, v in self.components.items()},
+            rejected=bool(self.rejected[index]),
+            alpha=self.alpha,
+        )
+
+
 @dataclass(frozen=True)
 class KappaMaxResult:
     """Inverted-test summary: the largest kappa at which rejection holds.
@@ -190,6 +313,30 @@ class KappaMaxResult:
             raise ValueError("kappa_max must equal min(roots) when roots are present")
 
 
+@dataclass(frozen=True, eq=False)
+class KappaMaxBatch:
+    """kappa_max of every row of a PairBatch, as arrays.
+
+    ``roots`` has one (pi_1, pi_2) row per input row, NaN where no search
+    ran (binding_root "none").  ``batch[i]`` is the KappaMaxResult of row i.
+    """
+
+    kappa_max: np.ndarray
+    alpha: float
+    binding_root: np.ndarray
+    roots: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.kappa_max.shape[0])
+
+    def __getitem__(self, index: int) -> KappaMaxResult:
+        binding = str(self.binding_root[index])
+        roots = None
+        if binding != "none":
+            roots = (float(self.roots[index, 0]), float(self.roots[index, 1]))
+        return KappaMaxResult(float(self.kappa_max[index]), self.alpha, binding, roots)
+
+
 @dataclass(frozen=True)
 class LocalAlternative:
     """A sqrt(n)-scaled local alternative (c1, c2) with nuisance parameters.
@@ -197,7 +344,9 @@ class LocalAlternative:
     ``lam`` is the limiting fraction of observations in group 1's complement,
     i.e. lam = lim n_1 / N, so group 1's effective standard error scales with
     sqrt(1 - lam) * sigma1 and group 2's with sqrt(lam) * sigma2.  (The name
-    avoids the reserved word ``lambda``.)
+    avoids the reserved word ``lambda``.)  c1 and c2 may be equal-shape
+    arrays: a grid of alternatives sharing the nuisance parameters, whose
+    power functions then return one value per grid point.
     """
 
     c1: float
@@ -207,7 +356,7 @@ class LocalAlternative:
     lam: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.c1) and math.isfinite(self.c2)):
+        if not (np.isfinite(self.c1).all() and np.isfinite(self.c2).all()):
             raise ValueError("local effects c1, c2 must be finite")
         if not (self.sigma1 > 0.0 and math.isfinite(self.sigma1)):
             raise ValueError(f"sigma1 must be positive, got {self.sigma1!r}")
@@ -218,7 +367,7 @@ class LocalAlternative:
 
 
 # ---------------------------------------------------------------------------
-# validation helpers
+# validation and batch helpers
 # ---------------------------------------------------------------------------
 
 
@@ -240,15 +389,127 @@ def _check_se(se: float, name: str) -> None:
         raise ValueError(f"{name} must be finite and positive, got {se!r}")
 
 
-def _result(statistic: float, components: dict[str, float], alpha: float) -> TestResult:
-    p_value = max(components.values())
-    return TestResult(
-        statistic=float(statistic),
-        p_value=float(p_value),
-        components=components,
-        rejected=bool(p_value < alpha),
-        alpha=float(alpha),
+def _as_batch(pair: EstimatePair | PairBatch) -> PairBatch:
+    if isinstance(pair, PairBatch):
+        return pair
+    if isinstance(pair, EstimatePair):
+        g1, g2 = pair.group1, pair.group2
+        return PairBatch([g1.estimate], [g1.std_error], [g2.estimate], [g2.std_error])
+    raise TypeError(f"expected an EstimatePair or a PairBatch, got {type(pair).__name__}")
+
+
+def _per_row(pair, values: np.ndarray):
+    """A float for a single pair, the array for a batch."""
+    return values if isinstance(pair, PairBatch) else values[0].item()
+
+
+def _tested(pair, statistic, components: dict[str, np.ndarray], alpha: float):
+    p_value = functools.reduce(np.maximum, components.values())
+    batch = TestBatch(statistic, p_value, components, p_value < alpha, float(alpha))
+    return batch if isinstance(pair, PairBatch) else batch[0]
+
+
+def _kappa_split(kappa):
+    """(m, s) with kappa = m / s, m in [0.5, 1) and s a power of two.
+
+    Formulas below multiply through by s: with kappa written as m / s,
+    x1 - kappa x2 becomes x1 s - m x2 and v1 + kappa^2 v2 becomes
+    v1 s^2 + m^2 v2.  The scaling is exact, so each ratio keeps the bits of
+    the plain formula, and no term overflows however large kappa is.
+    """
+    m, exponent = np.frexp(kappa)
+    return m, np.ldexp(1.0, -exponent)
+
+
+# ---------------------------------------------------------------------------
+# core algebra (rescaled rows, kappa split by _kappa_split)
+# ---------------------------------------------------------------------------
+
+
+def _contrast(x1, x2, v1, v2, m, s):
+    """(x1 - kappa x2) / sqrt(v1 + kappa^2 v2): a standardized contrast."""
+    return (x1 * s - m * x2) / np.sqrt(v1 * (s * s) + (m * m) * v2)
+
+
+def _rd_stat(a1, a2, v1, v2, m, s):
+    """Relative-difference statistic from absolute estimates a1, a2."""
+    t_1max = _contrast(a1, a2, v1, v2, m, s)
+    t_2max = _contrast(a2, a1, v2, v1, m, s)
+    return np.where(a1 > a2, t_1max, np.where(a2 > a1, t_2max, np.minimum(t_1max, t_2max)))
+
+
+def _rd_nu(v1, v2, m, s):
+    s2 = s * s
+    k2v1 = (m * m) * v1
+    k2v2 = (m * m) * v2
+    nu1 = (v1 * s2 - k2v2) / (v1 * s2 + k2v2)
+    nu2 = (v2 * s2 - k2v1) / (k2v1 + v2 * s2)
+    return np.maximum(-1.0, np.minimum(1.0, nu1)), np.maximum(-1.0, np.minimum(1.0, nu2))
+
+
+def _rd_zero_tail(t, nu1, nu2):
+    both = bvn_upper_tail(t, t, np.stack([nu1, nu2]))  # one call for both pairs
+    return np.minimum(1.0, 2.0 * (both[0] + both[1]))
+
+
+def _rd_zero_tail_limit(nu1, nu2):
+    """Continuous t -> 0+ limit of the zero-point tail: 1 + (asin nu1 + asin nu2)/pi."""
+    return np.minimum(1.0, np.maximum(0.0, 1.0 + (np.arcsin(nu1) + np.arcsin(nu2)) / np.pi))
+
+
+def _rd_components(rows: _Rows, kappa):
+    """(statistic, normal_boundary, zero_point) of the rd test per row."""
+    m, s = _kappa_split(kappa)
+    t = _rd_stat(np.abs(rows.x1), np.abs(rows.x2), rows.v1, rows.v2, m, s)
+    nu1, nu2 = _rd_nu(rows.v1, rows.v2, m, s)
+    outside = t > 0.0
+    boundary = np.where(outside, np.minimum(1.0, 2.0 * ndtr(-t)), 1.0)
+    zero_point = np.ones_like(t)
+    zero_point[outside] = _rd_zero_tail(t[outside], nu1[outside], nu2[outside])
+    return t, boundary, zero_point
+
+
+def _omnibus_region(x1, x2, m, s):
+    s1, s2 = x1 * s, x2 * s
+    k1, k2 = m * x1, m * x2  # kappa x scaled by s, like s1 and s2
+    return (
+        ((s1 > k2) & (x1 > 0.0))
+        | ((-s1 > -k2) & (x1 < 0.0))
+        | ((s2 > k1) & (x2 > 0.0))
+        | ((-s2 > -k1) & (x2 < 0.0))
     )
+
+
+def _omnibus_stat(rows: _Rows, m, s):
+    x1, x2, v1, v2 = rows.x1, rows.x2, rows.v1, rows.v2
+    s2, m2 = s * s, m * m
+    d1 = x1 * s - m * x2
+    d2 = m * x1 - x2 * s
+    q1 = d1 * d1 / (v1 * s2 + m2 * v2)
+    q2 = d2 * d2 / (m2 * v1 + v2 * s2)
+    return np.where(_omnibus_region(x1, x2, m, s), np.minimum(q1, q2), 0.0)
+
+
+def _omnibus_nu(v1, v2, m, s):
+    """Correlation of the omnibus zero-point limit pair; always in (0, 1]."""
+    s2, m2 = s * s, m * m
+    nu = m * ((v1 + v2) * s) / np.sqrt((v1 * s2 + m2 * v2) * (m2 * v1 + v2 * s2))
+    return np.maximum(0.0, np.minimum(1.0, nu))
+
+
+def _zero_point_quantile(tail, alpha: float) -> float:
+    """Root q > 0 of tail(q) = alpha for a decreasing tail of shape (1,).
+
+    0.0 when the mass just above zero, tail(1e-12), is already <= alpha.
+    """
+    excess = lambda q, rows: alpha - tail(q)
+    at_lo = excess(_QUANTILE_LO, None)
+    if at_lo[0] >= 0.0:
+        return 0.0
+    root = first_crossing(excess, _QUANTILE_LO, at_lo, 1.0, _KAPPA_CAP)[0]
+    if math.isinf(root):  # pragma: no cover - tails decay like a Gaussian
+        raise ArithmeticError("zero-point quantile search failed to bracket")
+    return float(root)
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +517,22 @@ def _result(statistic: float, components: dict[str, float], alpha: float) -> Tes
 # ---------------------------------------------------------------------------
 
 
-def pn_region_contains_alternative(pair: EstimatePair) -> bool:
+def _opposite_signs(x1, x2):
+    return ((x1 > 0.0) & (x2 < 0.0)) | ((x1 < 0.0) & (x2 > 0.0))
+
+
+def pn_region_contains_alternative(pair: EstimatePair | PairBatch):
     """True iff the two estimates have strictly opposite signs.
 
     Zero lies in the null region, so a zero estimate never lands in the
-    crossover alternative.
+    crossover alternative.  A batch gives one flag per row.
     """
-    t1 = pair.group1.estimate
-    t2 = pair.group2.estimate
-    return (t1 > 0.0 and t2 < 0.0) or (t1 < 0.0 and t2 > 0.0)
+    batch = _as_batch(pair)
+    inside = _opposite_signs(batch.est1, batch.est2)
+    return inside if isinstance(pair, PairBatch) else bool(inside[0])
 
 
-def gail_simon_test(pair: EstimatePair, alpha: float) -> TestResult:
+def gail_simon_test(pair: EstimatePair | PairBatch, alpha: float):
     """Crossover likelihood-ratio test (Gail & Simon).
 
     The statistic is the smaller squared standardized estimate when the
@@ -275,14 +540,12 @@ def gail_simon_test(pair: EstimatePair, alpha: float) -> TestResult:
     (1/2) P(chi-squared_1 > t) for t > 0 and 1 at t = 0.
     """
     _check_alpha(alpha)
-    if pn_region_contains_alternative(pair):
-        z1 = pair.group1.estimate / pair.group1.std_error
-        z2 = pair.group2.estimate / pair.group2.std_error
-        statistic = min(z1 * z1, z2 * z2)
-    else:
-        statistic = 0.0
-    p = 0.5 * chi2_1_tail(statistic) if statistic > 0.0 else 1.0
-    return _result(statistic, {"half_chi2": p}, alpha)
+    rows = _as_batch(pair).scaled
+    z1 = rows.x1 / rows.se1
+    z2 = rows.x2 / rows.se2
+    statistic = np.where(_opposite_signs(rows.x1, rows.x2), np.minimum(z1 * z1, z2 * z2), 0.0)
+    p = np.where(statistic > 0.0, 0.5 * chi2_1_tail(statistic), 1.0)
+    return _tested(pair, statistic, {"half_chi2": p}, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +553,7 @@ def gail_simon_test(pair: EstimatePair, alpha: float) -> TestResult:
 # ---------------------------------------------------------------------------
 
 
-def rd_statistic(pair: EstimatePair, kappa: float) -> float:
+def rd_statistic(pair: EstimatePair | PairBatch, kappa: float):
     """Signed root statistic for the bounded-ratio null max|th| <= kappa*min|th|.
 
     With theta_hat_max / theta_hat_min the larger / smaller absolute
@@ -302,18 +565,9 @@ def rd_statistic(pair: EstimatePair, kappa: float) -> float:
     event has measure zero).
     """
     _check_kappa(kappa, minimum=1.0)
-    a1 = abs(pair.group1.estimate)
-    a2 = abs(pair.group2.estimate)
-    v1 = pair.group1.std_error ** 2
-    v2 = pair.group2.std_error ** 2
-    k2 = kappa * kappa
-    t_1max = (a1 - kappa * a2) / math.sqrt(v1 + k2 * v2)
-    t_2max = (a2 - kappa * a1) / math.sqrt(v2 + k2 * v1)
-    if a1 > a2:
-        return t_1max
-    if a2 > a1:
-        return t_2max
-    return min(t_1max, t_2max)
+    rows = _as_batch(pair).scaled
+    t = _rd_stat(np.abs(rows.x1), np.abs(rows.x2), rows.v1, rows.v2, *_kappa_split(kappa))
+    return _per_row(pair, t)
 
 
 def rd_null_nu(kappa: float, se1: float, se2: float) -> tuple[float, float]:
@@ -327,13 +581,9 @@ def rd_null_nu(kappa: float, se1: float, se2: float) -> tuple[float, float]:
     _check_kappa(kappa, minimum=1.0)
     _check_se(se1, "se1")
     _check_se(se2, "se2")
-    v1 = se1 * se1
-    v2 = se2 * se2
-    k2 = kappa * kappa
-    nu1 = (v1 - k2 * v2) / (v1 + k2 * v2)
-    nu2 = (v2 - k2 * v1) / (k2 * v1 + v2)
-    clamp = lambda x: max(-1.0, min(1.0, x))
-    return (clamp(nu1), clamp(nu2))
+    _, v1, v2 = _variances(se1, se2)
+    nu1, nu2 = _rd_nu(v1, v2, *_kappa_split(kappa))
+    return (float(nu1), float(nu2))
 
 
 def rd_null_tail(t: float, kappa: float, se1: float, se2: float) -> float:
@@ -347,17 +597,10 @@ def rd_null_tail(t: float, kappa: float, se1: float, se2: float) -> float:
     if not t > 0.0:
         raise ValueError(f"tail characterized for t > 0 only, got t={t!r}")
     nu1, nu2 = rd_null_nu(kappa, se1, se2)
-    tail = 2.0 * (bvn_upper_tail(t, t, nu1) + bvn_upper_tail(t, t, nu2))
-    return min(1.0, tail)
+    return float(_rd_zero_tail(t, nu1, nu2))
 
 
-def _rd_zero_tail_limit(kappa: float, se1: float, se2: float) -> float:
-    """Continuous t -> 0+ limit of rd_null_tail: 1 + (asin nu1 + asin nu2)/pi."""
-    nu1, nu2 = rd_null_nu(kappa, se1, se2)
-    return min(1.0, max(0.0, 1.0 + (math.asin(nu1) + math.asin(nu2)) / math.pi))
-
-
-def rd_test(pair: EstimatePair, kappa: float, alpha: float) -> TestResult:
+def rd_test(pair: EstimatePair | PairBatch, kappa: float, alpha: float):
     """Relative-difference test of max|theta| <= kappa * min|theta|.
 
     The supremum p-value is the larger of two components, both recorded:
@@ -368,21 +611,12 @@ def rd_test(pair: EstimatePair, kappa: float, alpha: float) -> TestResult:
       (rd_null_tail).
 
     A statistic t <= 0 places the estimates inside the null region and the
-    p-value is 1.
+    p-value is 1.  A PairBatch gives a TestBatch.
     """
     _check_kappa(kappa, minimum=1.0, strict=True)
     _check_alpha(alpha)
-    t = rd_statistic(pair, kappa)
-    if t <= 0.0:
-        components = {"normal_boundary": 1.0, "zero_point": 1.0}
-    else:
-        components = {
-            "normal_boundary": min(1.0, 2.0 * std_normal_cdf(-t)),
-            "zero_point": rd_null_tail(
-                t, kappa, pair.group1.std_error, pair.group2.std_error
-            ),
-        }
-    return _result(t, components, alpha)
+    t, boundary, zero_point = _rd_components(_as_batch(pair).scaled, kappa)
+    return _tested(pair, t, {"normal_boundary": boundary, "zero_point": zero_point}, alpha)
 
 
 def _rd_zero_point_quantile(
@@ -393,17 +627,8 @@ def _rd_zero_point_quantile(
     The zero-point tail is strictly decreasing in t, so the root is unique
     whenever the limiting mass at the origin exceeds alpha.
     """
-    f = lambda q: rd_null_tail(q, kappa, se1, se2) - alpha
-    lo = 1e-12
-    if f(lo) <= 0.0:
-        return 0.0
-    hi = 1.0
-    while f(hi) > 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e9:  # pragma: no cover - tail decays like a Gaussian
-            raise ArithmeticError("zero-point quantile search failed to bracket")
-    return find_root_monotone(f, Bracket.from_function(f, lo, hi), tol=1e-10)
+    nu1, nu2 = (np.array([nu]) for nu in rd_null_nu(kappa, se1, se2))
+    return _zero_point_quantile(lambda q: _rd_zero_tail(q, nu1, nu2), alpha)
 
 
 def rd_null_quantile(kappa: float, se1: float, se2: float, alpha: float) -> float:
@@ -420,56 +645,49 @@ def rd_null_quantile(kappa: float, se1: float, se2: float, alpha: float) -> floa
     return max(z, q)
 
 
-def _rd_power_from_se(
-    theta1: float,
-    theta2: float,
-    se1: float,
-    se2: float,
-    kappa: float,
-    alpha: float,
-) -> float:
+def _rd_power_from_se(theta1, theta2, se1: float, se2: float, kappa: float, alpha: float):
     """Four-orthant rejection probability of the relative-difference test.
 
     Under an alternative with true effects (theta1, theta2) and per-group
     standard errors, the statistic exceeds the null quantile t* exactly when
     one of four bivariate-normal pairs lands beyond (t*, t*) or beyond
     (-t*, -t*); the lower quadrants reduce to upper tails with negated
-    means.
+    means.  The effects may be arrays (one alternative per element).
     """
     t_star = rd_null_quantile(kappa, se1, se2, alpha)
-    v1 = se1 * se1
-    v2 = se2 * se2
-    k2 = kappa * kappa
-    d1 = math.sqrt(v1 + k2 * v2)
-    d2 = math.sqrt(k2 * v1 + v2)
-    c11 = (theta1 - kappa * theta2) / d1
-    c12 = (theta1 + kappa * theta2) / d1
-    c21 = (theta2 - kappa * theta1) / d2
-    c22 = (theta2 + kappa * theta1) / d2
-    nu1, nu2 = rd_null_nu(kappa, se1, se2)
+    scale, v1, v2 = _variances(se1, se2)
+    x1, x2 = np.multiply(theta1, scale), np.multiply(theta2, scale)
+    m, s = _kappa_split(kappa)
+    c11 = _contrast(x1, x2, v1, v2, m, s)
+    c12 = _contrast(x1, -x2, v1, v2, m, s)
+    c21 = _contrast(x2, x1, v2, v1, m, s)
+    c22 = _contrast(x2, -x1, v2, v1, m, s)
+    nu1, nu2 = _rd_nu(v1, v2, m, s)
     power = (
         bvn_upper_tail(t_star - c11, t_star - c12, nu1)
         + bvn_upper_tail(t_star + c11, t_star + c12, nu1)
         + bvn_upper_tail(t_star - c21, t_star - c22, nu2)
         + bvn_upper_tail(t_star + c21, t_star + c22, nu2)
     )
-    return min(1.0, power)
+    power = np.minimum(1.0, power)
+    return power if power.ndim else float(power)
 
 
-def rd_local_power(alt: LocalAlternative, kappa: float, alpha: float) -> float:
+def rd_local_power(alt: LocalAlternative, kappa: float, alpha: float):
     """Local asymptotic power of the relative-difference test at (c1, c2).
 
     The sqrt(n)-scaled alternative enters only through the effective
     quantities sqrt(1-lam)*c1, sqrt(lam)*c2 and matching effective standard
     errors, so this delegates to the same shifted-orthant sum used by
-    rd_power_approx.
+    rd_power_approx.  A grid of alternatives shares one null quantile.
     """
     _check_kappa(kappa, minimum=1.0, strict=True)
     _check_alpha(alpha, upper=0.5)
     w1 = math.sqrt(1.0 - alt.lam)
     w2 = math.sqrt(alt.lam)
     return _rd_power_from_se(
-        w1 * alt.c1, w2 * alt.c2, w1 * alt.sigma1, w2 * alt.sigma2, kappa, alpha
+        np.multiply(w1, alt.c1), np.multiply(w2, alt.c2),
+        w1 * alt.sigma1, w2 * alt.sigma2, kappa, alpha,
     )
 
 
@@ -497,26 +715,21 @@ def rd_power_approx(pair_truth: EstimatePair, kappa: float, alpha: float) -> flo
 # ---------------------------------------------------------------------------
 
 
-def omnibus_region_contains_alternative(pair: EstimatePair, kappa: float) -> bool:
+def omnibus_region_contains_alternative(pair: EstimatePair | PairBatch, kappa: float):
     """True iff the estimates land in the omnibus alternative region.
 
     The region unions four cones: the larger effect is positive and more
     than kappa times the other, or negative and more than kappa times in the
     negative direction, for either group.  Opposite-sign pairs always
-    qualify.
+    qualify.  A batch gives one flag per row.
     """
     _check_kappa(kappa, minimum=1.0)
-    t1 = pair.group1.estimate
-    t2 = pair.group2.estimate
-    return (
-        (t1 > kappa * t2 and t1 > 0.0)
-        or (-t1 > -kappa * t2 and t1 < 0.0)
-        or (t2 > kappa * t1 and t2 > 0.0)
-        or (-t2 > -kappa * t1 and t2 < 0.0)
-    )
+    rows = _as_batch(pair).scaled
+    inside = _omnibus_region(rows.x1, rows.x2, *_kappa_split(kappa))
+    return inside if isinstance(pair, PairBatch) else bool(inside[0])
 
 
-def omnibus_statistic(pair: EstimatePair, kappa: float) -> float:
+def omnibus_statistic(pair: EstimatePair | PairBatch, kappa: float):
     """Omnibus likelihood-ratio statistic.
 
     min{ (th1 - kappa*th2)^2 / (se1^2 + kappa^2 se2^2),
@@ -524,25 +737,11 @@ def omnibus_statistic(pair: EstimatePair, kappa: float) -> float:
     alternative region, 0 outside.
     """
     _check_kappa(kappa, minimum=1.0)
-    if not omnibus_region_contains_alternative(pair, kappa):
-        return 0.0
-    t1 = pair.group1.estimate
-    t2 = pair.group2.estimate
-    v1 = pair.group1.std_error ** 2
-    v2 = pair.group2.std_error ** 2
-    k2 = kappa * kappa
-    q1 = (t1 - kappa * t2) ** 2 / (v1 + k2 * v2)
-    q2 = (kappa * t1 - t2) ** 2 / (k2 * v1 + v2)
-    return min(q1, q2)
+    return _per_row(pair, _omnibus_stat(_as_batch(pair).scaled, *_kappa_split(kappa)))
 
 
-def _omnibus_nu(kappa: float, se1: float, se2: float) -> float:
-    """Correlation of the omnibus zero-point limit pair; always in (0, 1]."""
-    v1 = se1 * se1
-    v2 = se2 * se2
-    k2 = kappa * kappa
-    nu = kappa * (v1 + v2) / math.sqrt((v1 + k2 * v2) * (k2 * v1 + v2))
-    return max(0.0, min(1.0, nu))
+def _omnibus_zero_tail(root_t, nu):
+    return np.minimum(1.0, 2.0 * bvn_upper_tail(root_t, root_t, nu))
 
 
 def omnibus_null_tail(t: float, kappa: float, se1: float, se2: float) -> float:
@@ -558,12 +757,12 @@ def omnibus_null_tail(t: float, kappa: float, se1: float, se2: float) -> float:
     _check_kappa(kappa, minimum=1.0)
     _check_se(se1, "se1")
     _check_se(se2, "se2")
-    s = math.sqrt(t)
-    nu = _omnibus_nu(kappa, se1, se2)
-    return min(1.0, 2.0 * bvn_upper_tail(s, s, nu))
+    _, v1, v2 = _variances(se1, se2)
+    nu = _omnibus_nu(v1, v2, *_kappa_split(kappa))
+    return float(_omnibus_zero_tail(math.sqrt(t), nu))
 
 
-def omnibus_test(pair: EstimatePair, kappa: float, alpha: float) -> TestResult:
+def omnibus_test(pair: EstimatePair | PairBatch, kappa: float, alpha: float):
     """Omnibus test: crossover or same-sign ratio beyond kappa.
 
     Components recorded on the result:
@@ -574,21 +773,20 @@ def omnibus_test(pair: EstimatePair, kappa: float, alpha: float) -> TestResult:
 
     A zero statistic (estimates outside the alternative region) yields
     p-value 1.  For very large kappa the p-value converges to the
-    Gail-Simon p-value.
+    Gail-Simon p-value.  A PairBatch gives a TestBatch.
     """
     _check_kappa(kappa, minimum=1.0, strict=True)
     _check_alpha(alpha)
-    t = omnibus_statistic(pair, kappa)
-    if t <= 0.0:
-        components = {"normal_boundary": 1.0, "zero_point": 1.0}
-    else:
-        components = {
-            "normal_boundary": 0.5 * chi2_1_tail(t),
-            "zero_point": omnibus_null_tail(
-                t, kappa, pair.group1.std_error, pair.group2.std_error
-            ),
-        }
-    return _result(t, components, alpha)
+    rows = _as_batch(pair).scaled
+    m, s = _kappa_split(kappa)
+    t = _omnibus_stat(rows, m, s)
+    outside = t > 0.0
+    boundary = np.where(outside, 0.5 * chi2_1_tail(t), 1.0)
+    zero_point = np.ones_like(t)
+    root_t = np.sqrt(t[outside])
+    nu = _omnibus_nu(rows.v1[outside], rows.v2[outside], m, s)
+    zero_point[outside] = _omnibus_zero_tail(root_t, nu)
+    return _tested(pair, t, {"normal_boundary": boundary, "zero_point": zero_point}, alpha)
 
 
 def _omnibus_zero_point_quantile(
@@ -599,50 +797,41 @@ def _omnibus_zero_point_quantile(
     The limit as s -> 0+ is 1/2 + asin(nu)/pi > 1/2 > alpha, so a positive
     root always exists.
     """
-    nu = _omnibus_nu(kappa, se1, se2)
-    f = lambda s: 2.0 * bvn_upper_tail(s, s, nu) - alpha
-    lo = 1e-12
-    if f(lo) <= 0.0:  # pragma: no cover - the s -> 0+ mass is always > 1/2
-        return 0.0
-    hi = 1.0
-    while f(hi) > 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e9:  # pragma: no cover - tail decays like a Gaussian
-            raise ArithmeticError("zero-point quantile search failed to bracket")
-    return find_root_monotone(f, Bracket.from_function(f, lo, hi), tol=1e-10)
+    _, v1, v2 = _variances(se1, se2)
+    nu = np.array([_omnibus_nu(v1, v2, *_kappa_split(kappa))])
+    return _zero_point_quantile(lambda s: 2.0 * bvn_upper_tail(s, s, nu), alpha)
 
 
-def omnibus_local_power(alt: LocalAlternative, kappa: float, alpha: float) -> float:
+def omnibus_local_power(alt: LocalAlternative, kappa: float, alpha: float):
     """Local asymptotic power of the omnibus test at (c1, c2).
 
     The rejection threshold on the sqrt-statistic scale is the larger of the
     one-sided normal point Phi^{-1}(1 - alpha) and the zero-point root; the
     power is the two-term shifted orthant sum P(V1>s*, V2>s*) +
-    P(V1<-s*, V2<-s*).
+    P(V1<-s*, V2<-s*).  A grid of alternatives shares one threshold.
     """
     _check_kappa(kappa, minimum=1.0, strict=True)
     _check_alpha(alpha, upper=0.5)
     w1 = math.sqrt(1.0 - alt.lam)
     w2 = math.sqrt(alt.lam)
-    th1 = w1 * alt.c1
-    th2 = w2 * alt.c2
     se1 = w1 * alt.sigma1
     se2 = w2 * alt.sigma2
-    v1 = se1 * se1
-    v2 = se2 * se2
-    k2 = kappa * kappa
     s_star = max(
         std_normal_quantile(1.0 - alpha),
         _omnibus_zero_point_quantile(kappa, se1, se2, alpha),
     )
-    nu = _omnibus_nu(kappa, se1, se2)
-    c1 = (th1 - kappa * th2) / math.sqrt(v1 + k2 * v2)
-    c2 = (kappa * th1 - th2) / math.sqrt(k2 * v1 + v2)
+    scale, v1, v2 = _variances(se1, se2)
+    x1 = np.multiply(w1, alt.c1) * scale
+    x2 = np.multiply(w2, alt.c2) * scale
+    m, s = _kappa_split(kappa)
+    nu = _omnibus_nu(v1, v2, m, s)
+    c1 = _contrast(x1, x2, v1, v2, m, s)
+    c2 = -_contrast(x2, x1, v2, v1, m, s)
     power = bvn_upper_tail(s_star - c1, s_star - c2, nu) + bvn_upper_tail(
         s_star + c1, s_star + c2, nu
     )
-    return min(1.0, power)
+    power = np.minimum(1.0, power)
+    return power if power.ndim else float(power)
 
 
 # ---------------------------------------------------------------------------
@@ -650,29 +839,7 @@ def omnibus_local_power(alt: LocalAlternative, kappa: float, alpha: float) -> fl
 # ---------------------------------------------------------------------------
 
 
-def _first_crossing_root(f, lo: float, f_lo: float, tol: float) -> float:
-    """First root of f past lo, with f(lo) < 0, by doubling then Brent.
-
-    The upper bracket starts at 2 and doubles until f changes sign; returns
-    +inf when no crossing appears by the cap (the objective stays below
-    zero for every reachable kappa).
-    """
-    prev, f_prev = lo, f_lo
-    hi = 2.0
-    while hi <= _KAPPA_CAP:
-        f_hi = f(hi)
-        if f_hi == 0.0:
-            return hi
-        if f_hi > 0.0:
-            return find_root_monotone(
-                f, Bracket(prev, hi, f_prev, f_hi), tol=tol
-            )
-        prev, f_prev = hi, f_hi
-        hi *= 2.0
-    return math.inf
-
-
-def kappa_max(pair: EstimatePair, alpha: float) -> KappaMaxResult:
+def kappa_max(pair: EstimatePair | PairBatch, alpha: float):
     """Largest kappa > 1 at which the relative-difference test rejects.
 
     Test inversion: the rejection set in kappa is the interval up to the
@@ -680,44 +847,54 @@ def kappa_max(pair: EstimatePair, alpha: float) -> KappaMaxResult:
     alpha, and pi_2 where the zero-point tail does.  When even kappa = 1 +
     1e-9 fails to reject, kappa_max is 1 by convention and no root binds.
     Roots are located by doubling the upper bracket from 2 (cap 1e9) and
-    Brent refinement to 1e-6 in kappa; a pi_2 that never crosses is
+    refining it well inside 1e-6 in kappa; a pi_2 that never crosses is
     reported as +inf (the zero-point tail sinks with growing kappa and can
-    stay below alpha forever).
+    stay below alpha forever).  A PairBatch gives a KappaMaxBatch, with all
+    rows searched together; if any row's boundary tail never reaches alpha
+    below the cap, the whole call raises ArithmeticError.
     """
     _check_alpha(alpha, upper=0.5)
+    batch = _as_batch(pair)
+    n = len(batch)
     lo = 1.0 + _KAPPA_EPS
-    probe = rd_test(pair, lo, alpha)
-    if probe.p_value >= alpha:
-        return KappaMaxResult(kappa_max=1.0, alpha=alpha, binding_root="none")
+    _, boundary, zero_point = _rd_components(batch.scaled, lo)
+    search = np.flatnonzero(np.maximum(boundary, zero_point) < alpha)
+    found = batch.scaled.take(search)
+    a1, a2, v1, v2 = np.abs(found.x1), np.abs(found.x2), found.v1, found.v2
 
-    se1 = pair.group1.std_error
-    se2 = pair.group2.std_error
+    def boundary_excess(kappa, rows):
+        t = _rd_stat(a1[rows], a2[rows], v1[rows], v2[rows], *_kappa_split(kappa))
+        return np.minimum(1.0, 2.0 * ndtr(-t)) - alpha
 
-    def boundary_objective(kappa: float) -> float:
-        t = rd_statistic(pair, kappa)
-        return min(1.0, 2.0 * std_normal_cdf(-t)) - alpha
-
-    def zero_point_objective(kappa: float) -> float:
-        t = rd_statistic(pair, kappa)
-        if t <= 0.0:
-            tail = _rd_zero_tail_limit(kappa, se1, se2)
-        else:
-            tail = rd_null_tail(t, kappa, se1, se2)
+    def zero_point_excess(kappa, rows):
+        m, s = _kappa_split(kappa)
+        t = _rd_stat(a1[rows], a2[rows], v1[rows], v2[rows], m, s)
+        nu1, nu2 = _rd_nu(v1[rows], v2[rows], m, s)
+        tail = _rd_zero_tail_limit(nu1, nu2)
+        folded = t > 0.0
+        tail[folded] = _rd_zero_tail(t[folded], nu1[folded], nu2[folded])
         return tail - alpha
 
-    pi1 = _first_crossing_root(
-        boundary_objective, lo, probe.components["normal_boundary"] - alpha, _KAPPA_TOL
+    pi1 = first_crossing(
+        boundary_excess, lo, boundary[search] - alpha, 2.0, _KAPPA_CAP, _KAPPA_SOLVER_TOL
     )
-    if math.isinf(pi1):
+    if np.isinf(pi1).any():
+        row = int(search[np.argmax(np.isinf(pi1))])
         raise ArithmeticError(
             "kappa_max: boundary tail never reached alpha below the 1e9 cap "
-            f"(estimates {pair.group1.estimate!r}, {pair.group2.estimate!r}; "
+            f"(estimates {float(batch.est1[row])!r}, {float(batch.est2[row])!r}; "
             f"alpha={alpha!r})"
         )
-    pi2 = _first_crossing_root(
-        zero_point_objective, lo, probe.components["zero_point"] - alpha, _KAPPA_TOL
+    pi2 = first_crossing(
+        zero_point_excess, lo, zero_point[search] - alpha, 2.0, _KAPPA_CAP,
+        _KAPPA_SOLVER_TOL,
     )
-    binding = "normal_boundary" if pi1 <= pi2 else "zero_point"
-    return KappaMaxResult(
-        kappa_max=min(pi1, pi2), alpha=alpha, binding_root=binding, roots=(pi1, pi2)
-    )
+    kmax = np.ones(n)
+    kmax[search] = np.minimum(pi1, pi2)
+    binding = np.full(n, "none", dtype="<U15")
+    binding[search] = np.where(pi1 <= pi2, "normal_boundary", "zero_point")
+    roots = np.full((n, 2), math.nan)
+    roots[search, 0] = pi1
+    roots[search, 1] = pi2
+    result = KappaMaxBatch(kmax, float(alpha), binding, roots)
+    return result if isinstance(pair, PairBatch) else result[0]

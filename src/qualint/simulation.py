@@ -4,7 +4,9 @@ The synthetic model is linear: X ~ N(0, 1), Y = theta * X + eps with
 eps ~ N(0, 1).  A study draws, for every (theta2 grid point, replicate),
 one sample per group (group 1 at theta1, group 2 at theta2), estimates the
 slopes by OLS, and runs the relative-difference and omnibus tests at each
-configured kappa, plus the kappa_max inversion.
+configured kappa, plus the kappa_max inversion.  Estimation runs replicate
+by replicate; the tests and the inversion then run once per kappa on the
+whole study's estimates as one batch.
 
 Reproducibility contract: the stream for replicate r of grid point g is
 ``numpy.random.default_rng([seed, g, r])``; the group-1 sample is drawn
@@ -19,8 +21,8 @@ rather than silently resampled.
 
 ``mc_null_oracle`` is the validation oracle for the analytic null tails:
 it samples estimate pairs from the limiting normal at theta = 0,
-recomputes the chosen statistic in bulk, and returns an immutable
-empirical exceedance function.
+computes the chosen statistic for all of them in one batch, and returns an
+immutable empirical exceedance function.
 """
 
 from __future__ import annotations
@@ -34,9 +36,11 @@ import numpy as np
 
 from qualint.estimators import EstimationError, Sample2D, ols_slope
 from qualint.inference import (
-    EstimatePair,
+    PairBatch,
     kappa_max,
+    omnibus_statistic,
     omnibus_test,
+    rd_statistic,
     rd_test,
 )
 
@@ -211,60 +215,25 @@ def _replicate_stream(seed: int, grid_index: int, replicate: int) -> np.random.G
     return np.random.default_rng([seed, grid_index, replicate])
 
 
-def _run_grid_point(
-    config: SimulationConfig,
-    grid_index: int,
-    want_rates: bool,
-    want_kmax: bool,
-) -> tuple[list[RateCell], dict[float, float] | None, int]:
+def _estimate_grid_point(
+    config: SimulationConfig, grid_index: int
+) -> tuple[list[tuple[float, float, float, float]], int]:
+    """(est1, se1, est2, se2) of every valid replicate at one grid point,
+    and the number of replicates dropped for degenerate estimation."""
     theta2 = config.theta2_grid[grid_index]
-    reject_counts = {
-        (kappa, test): 0 for kappa in config.kappas for test in _TEST_KINDS
-    }
-    kmax_values: list[float] = []
+    rows = []
     dropped = 0
-    valid = 0
     for replicate in range(config.replications):
         rng = _replicate_stream(config.seed, grid_index, replicate)
         try:
             sample1 = generate_dataset(config.theta1, config.n, rng)
             sample2 = generate_dataset(theta2, config.n, rng)
-            pair = EstimatePair(ols_slope(sample1), ols_slope(sample2))
+            fit1, fit2 = ols_slope(sample1), ols_slope(sample2)
         except EstimationError:
             dropped += 1
             continue
-        valid += 1
-        if want_rates:
-            for kappa in config.kappas:
-                if rd_test(pair, kappa, config.alpha).rejected:
-                    reject_counts[(kappa, "rd")] += 1
-                if omnibus_test(pair, kappa, config.alpha).rejected:
-                    reject_counts[(kappa, "omnibus")] += 1
-        if want_kmax:
-            kmax_values.append(kappa_max(pair, config.alpha).kappa_max)
-
-    cells: list[RateCell] = []
-    if want_rates and valid > 0:
-        for kappa in config.kappas:
-            for test in _TEST_KINDS:
-                p_hat = reject_counts[(kappa, test)] / valid
-                cells.append(
-                    RateCell(
-                        theta2=theta2,
-                        kappa=kappa,
-                        test=test,
-                        rejection_rate=p_hat,
-                        mc_std_error=math.sqrt(p_hat * (1.0 - p_hat) / valid),
-                        replicates=valid,
-                    )
-                )
-    quantiles = None
-    if want_kmax and kmax_values:
-        values = np.asarray(kmax_values)
-        quantiles = {
-            q: float(np.quantile(values, q)) for q in _KMAX_QUANTILES
-        }
-    return cells, quantiles, dropped
+        rows.append((fit1.estimate, fit1.std_error, fit2.estimate, fit2.std_error))
+    return rows, dropped
 
 
 def _run_study(
@@ -274,23 +243,51 @@ def _run_study(
     # at larger alpha simply skip the inversion summaries
     want_kmax = want_kmax and config.alpha < 0.5
     indices = range(len(config.theta2_grid))
-    task = lambda gi: _run_grid_point(config, gi, want_rates, want_kmax)
+    task = lambda gi: _estimate_grid_point(config, gi)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(task, indices))
     else:
         outcomes = [task(gi) for gi in indices]
 
+    # the whole study is tested in one batch per kappa; replicates of grid
+    # point gi are rows bounds[gi]:bounds[gi + 1]
+    batch = PairBatch.from_rows(row for rows, _ in outcomes for row in rows)
+    bounds = np.cumsum([0] + [len(rows) for rows, _ in outcomes]).tolist()
+    rejected = {}
+    if want_rates:
+        for kappa in config.kappas:
+            rejected[(kappa, "rd")] = rd_test(batch, kappa, config.alpha).rejected
+            rejected[(kappa, "omnibus")] = omnibus_test(batch, kappa, config.alpha).rejected
+    kmax = kappa_max(batch, config.alpha).kappa_max if want_kmax else None
+
     rates: list[RateCell] = []
     quantile_map: dict[float, dict[float, float]] = {}
     dropped: dict[float, int] = {}
-    for gi, (cells, quantiles, n_dropped) in zip(indices, outcomes):
-        rates.extend(cells)
+    for gi in indices:
         theta2 = config.theta2_grid[gi]
-        if quantiles is not None:
-            quantile_map[theta2] = quantiles
-        if n_dropped:
-            dropped[theta2] = n_dropped
+        lo, hi = bounds[gi], bounds[gi + 1]
+        valid = hi - lo
+        if outcomes[gi][1]:
+            dropped[theta2] = outcomes[gi][1]
+        if valid == 0:
+            continue
+        for (kappa, test), flags in rejected.items():
+            p_hat = int(flags[lo:hi].sum()) / valid
+            rates.append(
+                RateCell(
+                    theta2=theta2,
+                    kappa=kappa,
+                    test=test,
+                    rejection_rate=p_hat,
+                    mc_std_error=math.sqrt(p_hat * (1.0 - p_hat) / valid),
+                    replicates=valid,
+                )
+            )
+        if kmax is not None:
+            quantile_map[theta2] = {
+                q: float(np.quantile(kmax[lo:hi], q)) for q in _KMAX_QUANTILES
+            }
     return StudyResult(
         config=config,
         rates=tuple(rates),
@@ -305,7 +302,7 @@ def run_rejection_study(config: SimulationConfig, workers: int = 1) -> StudyResu
     Also accumulates kappa_max values per replicate (when alpha < 1/2, the
     inversion's domain), so the result carries quantile summaries alongside
     the rates.  Deterministic in config alone; ``workers`` only parallelizes
-    grid points.
+    the estimation of grid points.
     """
     return _run_study(config, want_rates=True, want_kmax=True, workers=workers)
 
@@ -354,38 +351,6 @@ class EmpiricalTail:
         return f"EmpiricalTail(draws={self.draws})"
 
 
-def _rd_statistic_bulk(
-    th1: np.ndarray, th2: np.ndarray, kappa: float, se1: float, se2: float
-) -> np.ndarray:
-    a1 = np.abs(th1)
-    a2 = np.abs(th2)
-    k2 = kappa * kappa
-    v1 = se1 * se1
-    v2 = se2 * se2
-    t_1max = (a1 - kappa * a2) / math.sqrt(v1 + k2 * v2)
-    t_2max = (a2 - kappa * a1) / math.sqrt(v2 + k2 * v1)
-    return np.where(
-        a1 > a2, t_1max, np.where(a2 > a1, t_2max, np.minimum(t_1max, t_2max))
-    )
-
-
-def _omnibus_statistic_bulk(
-    th1: np.ndarray, th2: np.ndarray, kappa: float, se1: float, se2: float
-) -> np.ndarray:
-    k2 = kappa * kappa
-    v1 = se1 * se1
-    v2 = se2 * se2
-    region = (
-        ((th1 > kappa * th2) & (th1 > 0.0))
-        | ((-th1 > -kappa * th2) & (th1 < 0.0))
-        | ((th2 > kappa * th1) & (th2 > 0.0))
-        | ((-th2 > -kappa * th1) & (th2 < 0.0))
-    )
-    q1 = (th1 - kappa * th2) ** 2 / (v1 + k2 * v2)
-    q2 = (kappa * th1 - th2) ** 2 / (k2 * v1 + v2)
-    return np.where(region, np.minimum(q1, q2), 0.0)
-
-
 def mc_null_oracle(
     kappa: float,
     se1: float,
@@ -397,8 +362,8 @@ def mc_null_oracle(
     """Sample the chosen statistic's null distribution at theta = (0, 0).
 
     Estimate pairs come straight from the limiting normal N(0, se1^2) x
-    N(0, se2^2); the statistic is recomputed in bulk with the same algebra
-    the tests use on scalars.  At least 10^4 draws are required for the
+    N(0, se2^2); the statistic is computed in one batch by the same code
+    the tests use.  At least 10^4 draws are required for the
     tail to be worth querying.
     """
     if draws < 10_000:
@@ -411,8 +376,5 @@ def mc_null_oracle(
         raise ValueError("standard errors must be positive")
     th1 = rng_stream.normal(0.0, se1, size=draws)
     th2 = rng_stream.normal(0.0, se2, size=draws)
-    if test_kind == "rd":
-        stats = _rd_statistic_bulk(th1, th2, kappa, se1, se2)
-    else:
-        stats = _omnibus_statistic_bulk(th1, th2, kappa, se1, se2)
-    return EmpiricalTail(stats)
+    statistic = rd_statistic if test_kind == "rd" else omnibus_statistic
+    return EmpiricalTail(statistic(PairBatch(th1, se1, th2, se2), kappa))

@@ -1,0 +1,154 @@
+"""Golden-output pin for the command-line interface.
+
+Every subcommand runs on the small fixed inputs in tests/golden/ (a pair
+CSV and two sample-by-feature matrices) and each output file is compared
+with its copy in tests/golden/expected/.  Outputs must match byte for byte,
+except the kappa_max-valued columns, which may move by up to 1e-6 (the
+inversion's root tolerance) when the root solver changes.  The pair rows
+have no kappa_max near-ties, so the row order of sorted outputs is stable.
+
+Regenerate the expected files only for an intended change of output:
+
+    PYTHONPATH=src python3 tests/test_golden_cli.py
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from qualint.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+EXPECTED = GOLDEN / "expected"
+KAPPA_TOL = 1e-6
+
+PAIRS = "{golden}/pairs.csv"
+SIMULATE = [
+    "simulate", "--theta1", "1", "--theta2-min", "-0.5", "--theta2-max", "0.5",
+    "--theta2-step", "0.5", "--n", "30", "--reps", "12", "--kappas", "2", "4",
+    "--alpha", "0.05", "--seed", "3", "--threads", "1", "--output", "{out}/study",
+]
+
+# (argv, output files); "{golden}" is the input directory and "{out}" the
+# output directory.  A single-output command writes to "{out}/<file>".
+CASES = {
+    "test_rd": (["test", "--kind", "rd", "--est1", "1.3", "--se1", "0.4", "--est2", "0.2",
+                 "--se2", "0.3", "--kappa", "2", "--alpha", "0.05"], ["test_rd.json"]),
+    "test_omnibus": (["test", "--kind", "omnibus", "--est1", "1.1", "--se1", "0.3",
+                      "--est2", "-0.4", "--se2", "0.35", "--kappa", "1.5"],
+                     ["test_omnibus.json"]),
+    "test_gs": (["test", "--kind", "gs", "--est1", "0.9", "--se1", "0.3", "--est2", "-0.7",
+                 "--se2", "0.25"], ["test_gs.json"]),
+    **{
+        f"scan_{kind}_{fmt}": (["scan", PAIRS, "--kind", kind, "--kappa", "1.5", "--alpha", "0.1",
+                                "--format", fmt], [f"scan_{kind}.{fmt}"])
+        for kind in ("rd", "omnibus", "gs")
+        for fmt in ("csv", "json")
+    },
+    "network": (["network", "{golden}/matrix1.csv", "{golden}/matrix2.csv", "--kappa", "1.5",
+                 "--alpha", "0.05"], ["network.csv"]),
+    "power_rd": (["power", "--kind", "rd", "--kappa", "2", "--c1-min", "-4", "--c1-max", "4",
+                  "--c1-steps", "7", "--c2-min", "-4", "--c2-max", "4", "--c2-steps", "7"],
+                 ["power_rd.csv"]),
+    "power_rd_unbalanced": (["power", "--kind", "rd", "--kappa", "1.2", "--sigma1", "4",
+                             "--sigma2", "0.5", "--lambda", "0.3", "--c1-steps", "5",
+                             "--c2-steps", "5"], ["power_rd_unbalanced.csv"]),
+    "power_omnibus": (["power", "--kind", "omnibus", "--kappa", "2", "--c1-steps", "7",
+                       "--c2-steps", "7"], ["power_omnibus.csv"]),
+    # at kappa = 1.1 the omnibus zero-point quantile, a root search, binds
+    "power_omnibus_k11": (["power", "--kind", "omnibus", "--kappa", "1.1", "--c1-steps", "5",
+                           "--c2-steps", "5"], ["power_omnibus_k11.csv"]),
+    "kappa_max": (["kappa-max", PAIRS, "--alpha", "0.1"], ["kappa_max.csv"]),
+    "simulate": (SIMULATE, ["study_n30_rates.csv", "study_n30_kappa_max.csv",
+                            "study_config.json"]),
+}
+
+# output file -> columns holding kappa_max values (compared to KAPPA_TOL)
+KAPPA_COLUMNS = {
+    "scan_rd.csv": {"kappa_max"},
+    "scan_rd.json": {"kappa_max"},
+    "kappa_max.csv": {"kappa_max"},
+    "study_n30_kappa_max.csv": {"q10", "q50", "q90"},
+}
+
+
+def run_case(name: str, out_dir: Path) -> None:
+    argv, outputs = CASES[name]
+    argv = [a.format(golden=GOLDEN, out=out_dir) for a in argv]
+    if "--output" not in argv:
+        argv += ["--output", str(out_dir / outputs[0])]
+    code = main(argv)
+    assert code == 0, f"{name}: exit {code}"
+
+
+def _close(got: str, want: str) -> bool:
+    if got == want:
+        return True
+    try:
+        return abs(float(got) - float(want)) <= KAPPA_TOL
+    except ValueError:
+        return False
+
+
+def _compare_csv(got: str, want: str, columns: set[str]) -> list[str]:
+    got_rows = list(csv.reader(io.StringIO(got)))
+    want_rows = list(csv.reader(io.StringIO(want)))
+    if len(got_rows) != len(want_rows) or got_rows[:1] != want_rows[:1]:
+        return [f"shape or header differs: {got_rows[:1]} vs {want_rows[:1]}"]
+    header = want_rows[0]
+    problems = []
+    for line, (g, w) in enumerate(zip(got_rows[1:], want_rows[1:]), start=2):
+        for name, gv, wv in zip(header, g, w):
+            ok = _close(gv, wv) if name in columns else gv == wv
+            if not ok or len(g) != len(w):
+                problems.append(f"line {line} {name}: {gv!r} != {wv!r}")
+    return problems
+
+
+def _compare_json(got: str, want: str, columns: set[str]) -> list[str]:
+    g, w = json.loads(got), json.loads(want)
+    problems = []
+    if {k: v for k, v in g.items() if k != "results"} != {
+        k: v for k, v in w.items() if k != "results"
+    }:
+        problems.append("summary differs")
+    if len(g["results"]) != len(w["results"]):
+        return problems + ["result count differs"]
+    for i, (gr, wr) in enumerate(zip(g["results"], w["results"])):
+        if set(gr) != set(wr):
+            problems.append(f"result {i}: keys differ")
+            continue
+        for key in wr:
+            ok = _close(repr(gr[key]), repr(wr[key])) if key in columns else gr[key] == wr[key]
+            if not ok:
+                problems.append(f"result {i} {key}: {gr[key]!r} != {wr[key]!r}")
+    return problems
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, tmp_path):
+    run_case(name, tmp_path)
+    for output in CASES[name][1]:
+        got = (tmp_path / output).read_bytes()
+        want = (EXPECTED / output).read_bytes()
+        columns = KAPPA_COLUMNS.get(output)
+        if columns is None:
+            assert got == want, f"{output} differs from the golden copy"
+            continue
+        compare = _compare_json if output.endswith(".json") else _compare_csv
+        problems = compare(got.decode("utf-8"), want.decode("utf-8"), columns)
+        assert not problems, f"{output}: " + "; ".join(problems[:5])
+
+
+if __name__ == "__main__":
+    EXPECTED.mkdir(exist_ok=True)
+    for case in sorted(CASES):
+        run_case(case, EXPECTED)
+    print(f"wrote {sum(len(outputs) for _, outputs in CASES.values())} files to {EXPECTED}",
+          file=sys.stderr)

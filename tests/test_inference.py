@@ -658,3 +658,64 @@ class TestKappaMax:
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
             kappa_max(pair(1, 1, -1, 1), 0.5)
+
+
+# ---------------------------------------------------------------------------
+# extreme scales of the standard errors and of kappa
+# ---------------------------------------------------------------------------
+
+FLOAT_RANGE_PAIRS = [
+    (1.3, 0.4, -0.2, 0.3),
+    (0.9, 0.05, 0.02, 0.6),
+    (-2.0, 0.7, -1.9, 0.5),
+    (0.0, 0.2, 1.1, 0.3),
+    (-0.06, 0.31, -1.66, 0.68),
+]
+OPPOSITE_SIGN_PAIRS = [
+    (1.2, 0.3, -0.7, 0.5),
+    (-0.3, 0.2, 2.0, 0.9),
+    (0.05, 0.1, -0.08, 0.04),
+    (2.5, 1.0, -2.5, 1.0),
+]
+
+
+@pytest.mark.filterwarnings("error")
+class TestFloatRange:
+    def test_power_of_two_rescaling_is_exact(self):
+        # se**2 underflowed to zero here and the tests divided by it
+        f = 2.0**-830
+        for e1, s1, e2, s2 in FLOAT_RANGE_PAIRS:
+            base = pair(e1, s1, e2, s2)
+            tiny = pair(e1 * f, s1 * f, e2 * f, s2 * f)
+            for kappa in (1.5, 4.0):
+                assert rd_test(tiny, kappa, 0.05) == rd_test(base, kappa, 0.05)
+                assert omnibus_test(tiny, kappa, 0.05) == omnibus_test(base, kappa, 0.05)
+            assert gail_simon_test(tiny, 0.05) == gail_simon_test(base, 0.05)
+            assert kappa_max(tiny, 0.10) == kappa_max(base, 0.10)
+
+    def test_tiny_standard_errors_match_unit_scale(self):
+        c = 1e-250
+        for e1, s1, e2, s2 in FLOAT_RANGE_PAIRS:
+            base = pair(e1, s1, e2, s2)
+            tiny = pair(e1 * c, s1 * c, e2 * c, s2 * c)
+            for test in (rd_test, omnibus_test):
+                assert test(tiny, 2.0, 0.05).p_value == pytest.approx(
+                    test(base, 2.0, 0.05).p_value, abs=1e-12
+                )
+            assert kappa_max(tiny, 0.10).kappa_max == pytest.approx(
+                kappa_max(base, 0.10).kappa_max, abs=1e-6
+            )
+
+    def test_omnibus_collapses_to_gail_simon_at_huge_kappa(self):
+        for e1, s1, e2, s2 in OPPOSITE_SIGN_PAIRS:
+            p = pair(e1, s1, e2, s2)
+            gs = gail_simon_test(p, 0.05).p_value
+            assert abs(omnibus_test(p, 1e200, 0.05).p_value - gs) <= 1e-12
+            # (t1 - kappa t2) ** 2 overflowed here
+            assert abs(omnibus_test(p, 1e160, 0.05).p_value - gs) <= 1e-12
+
+    def test_huge_kappa_relative_difference(self):
+        for e1, s1, e2, s2 in FLOAT_RANGE_PAIRS:
+            res = rd_test(pair(e1, s1, e2, s2), 1e200, 0.05)
+            assert 0.0 <= res.p_value <= 1.0
+            assert res.statistic <= 0.0 or min(abs(e1), abs(e2)) == 0.0
