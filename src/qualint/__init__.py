@@ -31,7 +31,15 @@ from qualint.inference import (
     rd_statistic,
     rd_test,
 )
-from qualint.estimators import EstimationError, Sample2D, ols_slope, pearson
+from qualint.estimators import (
+    EstimateBatch,
+    EstimationError,
+    FeatureMatrix,
+    Sample2D,
+    SampleBatch,
+    ols_slope,
+    pearson,
+)
 from qualint.simulation import (
     EmpiricalTail,
     SimulationConfig,
@@ -44,13 +52,16 @@ from qualint.simulation import (
 
 __all__ = [
     "EmpiricalTail",
+    "EstimateBatch",
     "EstimatePair",
     "EstimationError",
+    "FeatureMatrix",
     "KappaMaxBatch",
     "KappaMaxResult",
     "LocalAlternative",
     "PairBatch",
     "Sample2D",
+    "SampleBatch",
     "SimulationConfig",
     "StudyResult",
     "SubgroupEstimate",

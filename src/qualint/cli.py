@@ -24,13 +24,12 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from qualint.estimators import EstimationError, Sample2D, pearson
+from qualint.estimators import EstimationError, FeatureMatrix, pearson
 from qualint.inference import (
     EstimatePair,
     LocalAlternative,
@@ -347,48 +346,48 @@ def _cmd_network(args) -> int:
     p = len(features)
     total_pairs = p * (p - 1) // 2
 
-    edges = []
-    tested = []
-    skipped = 0
-    for i in range(p):
-        for j in range(i + 1, p):
-            try:
-                est1 = pearson(Sample2D(data1[:, i], data1[:, j]))
-                est2 = pearson(Sample2D(data2[:, i], data2[:, j]))
-            except EstimationError as exc:
-                skipped += 1
-                _warn(f"skipping pair ({features[i]}, {features[j]}): {exc}")
-                continue
-            tested.append((features[i], features[j], est1, est2))
+    matrix1, matrix2 = FeatureMatrix(data1), FeatureMatrix(data2)
+    fit1, fit2 = pearson(matrix1), pearson(matrix2)
+    first, second = matrix1.pairs()
+    ok1 = fit1.ok
+    kept = ok1 & fit2.ok
+    # per-pair order and wording: group 1 is checked before group 2
+    for k in np.flatnonzero(~kept).tolist():
+        reason = fit1.reason(k) if not ok1[k] else fit2.reason(k)
+        _warn(f"skipping pair ({features[first[k]]}, {features[second[k]]}): {reason}")
+    skipped = total_pairs - int(kept.sum())
 
-    m = len(tested)
+    r1, r2 = fit1.estimate[kept], fit2.estimate[kept]
+    m = len(r1)
     outcome = rd_test(
-        PairBatch.from_rows(
-            (e1.estimate, e1.std_error, e2.estimate, e2.std_error) for _, _, e1, e2 in tested
-        ),
-        args.kappa,
-        args.alpha,
+        PairBatch(r1, fit1.std_error[kept], r2, fit2.std_error[kept]), args.kappa, args.alpha
     )
+    edges = []
     rejected_count = 0
-    for (feat_a, feat_b, est1, est2), statistic, p_value in zip(
-        tested, outcome.statistic.tolist(), outcome.p_value.tolist()
+    for a, b, est1, est2, statistic, p_value in zip(
+        first[kept].tolist(),
+        second[kept].tolist(),
+        r1.tolist(),
+        r2.tolist(),
+        outcome.statistic.tolist(),
+        outcome.p_value.tolist(),
     ):
         p_raw = _g10(p_value)
         p_adj = _g10(min(1.0, m * p_raw)) if args.adjust == "bonferroni" else p_raw
         if p_adj < args.alpha:
             rejected_count += 1
-        if abs(est1.estimate) > abs(est2.estimate):
+        if abs(est1) > abs(est2):
             stronger = 1
-        elif abs(est2.estimate) > abs(est1.estimate):
+        elif abs(est2) > abs(est1):
             stronger = 2
         else:
             stronger = 0  # exact tie: neither group dominates
         edges.append(
             {
-                "feature_a": feat_a,
-                "feature_b": feat_b,
-                "r1": _g10(est1.estimate),
-                "r2": _g10(est2.estimate),
+                "feature_a": features[a],
+                "feature_b": features[b],
+                "r1": _g10(est1),
+                "r2": _g10(est2),
                 "statistic": _g10(statistic),
                 "p_raw": p_raw,
                 "p_adjusted": p_adj,
@@ -480,7 +479,7 @@ def _cmd_simulate(args) -> int:
             alpha=args.alpha,
             seed=args.seed,
         )
-        result = run_rejection_study(config, workers=args.threads)
+        result = run_rejection_study(config)
         rates_path = f"{prefix}_n{n}_rates.csv"
         with open(rates_path, "w", encoding="utf-8", newline="") as out:
             _emit_csv(
@@ -605,12 +604,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--alpha", type=float, default=0.05, help="test level")
     common.add_argument("--kappa", type=float, default=2.0, help="ratio bound > 1")
     common.add_argument("--seed", type=int, default=0, help="RNG seed (simulate)")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker threads for grid-parallel work",
-    )
     common.add_argument("--output", help="output path (default: stdout)")
     common.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="tabular output format"

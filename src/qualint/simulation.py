@@ -4,15 +4,16 @@ The synthetic model is linear: X ~ N(0, 1), Y = theta * X + eps with
 eps ~ N(0, 1).  A study draws, for every (theta2 grid point, replicate),
 one sample per group (group 1 at theta1, group 2 at theta2), estimates the
 slopes by OLS, and runs the relative-difference and omnibus tests at each
-configured kappa, plus the kappa_max inversion.  Estimation runs replicate
-by replicate; the tests and the inversion then run once per kappa on the
-whole study's estimates as one batch.
+configured kappa, plus the kappa_max inversion.  Each grid point's
+replicates are drawn into one block and all their slopes fitted in one
+call; the tests and the inversion then run once per kappa on the whole
+study's estimates as one batch.
 
 Reproducibility contract: the stream for replicate r of grid point g is
 ``numpy.random.default_rng([seed, g, r])``; the group-1 sample is drawn
-before the group-2 sample from that stream.  Results are therefore
-bit-identical for a given config regardless of how many workers execute
-the replicates.
+before the group-2 sample from that stream, each exactly as
+``generate_dataset`` draws it.  Results are therefore bit-identical for a
+given config.
 
 Replicates whose estimation degenerates (an event with probability zero
 under the model, but possible with adversarial configs) are dropped and
@@ -28,13 +29,12 @@ immutable empirical exceedance function.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from qualint.estimators import EstimationError, Sample2D, ols_slope
+from qualint.estimators import Sample2D, SampleBatch, ols_slope
 from qualint.inference import (
     PairBatch,
     kappa_max,
@@ -201,9 +201,17 @@ def generate_dataset(theta: float, n: int, rng_stream: np.random.Generator) -> S
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    x = rng_stream.standard_normal(n)
-    y = theta * x + rng_stream.standard_normal(n)
+    x, y = np.empty(n), np.empty(n)
+    _draw(theta, rng_stream, x, y)
     return Sample2D(x, y)
+
+
+def _draw(theta: float, rng_stream: np.random.Generator, x: np.ndarray, y: np.ndarray) -> None:
+    """Fill the 1-D arrays x and y with one sample of the model: the x block
+    is drawn first, then the noise block."""
+    rng_stream.standard_normal(out=x)
+    rng_stream.standard_normal(out=y)
+    y += theta * x  # y = theta x + eps
 
 
 # ---------------------------------------------------------------------------
@@ -217,43 +225,35 @@ def _replicate_stream(seed: int, grid_index: int, replicate: int) -> np.random.G
 
 def _estimate_grid_point(
     config: SimulationConfig, grid_index: int
-) -> tuple[list[tuple[float, float, float, float]], int]:
-    """(est1, se1, est2, se2) of every valid replicate at one grid point,
-    and the number of replicates dropped for degenerate estimation."""
-    theta2 = config.theta2_grid[grid_index]
-    rows = []
-    dropped = 0
-    for replicate in range(config.replications):
+) -> tuple[tuple[np.ndarray, ...], int]:
+    """(est1, se1, est2, se2) arrays over the valid replicates at one grid
+    point, in replicate order, and the number of replicates dropped for
+    degenerate estimation."""
+    reps, n = config.replications, config.n
+    thetas = (config.theta1, config.theta2_grid[grid_index])
+    x, y = np.empty((reps, 2, n)), np.empty((reps, 2, n))
+    for replicate in range(reps):
         rng = _replicate_stream(config.seed, grid_index, replicate)
-        try:
-            sample1 = generate_dataset(config.theta1, config.n, rng)
-            sample2 = generate_dataset(theta2, config.n, rng)
-            fit1, fit2 = ols_slope(sample1), ols_slope(sample2)
-        except EstimationError:
-            dropped += 1
-            continue
-        rows.append((fit1.estimate, fit1.std_error, fit2.estimate, fit2.std_error))
-    return rows, dropped
+        for group, theta in enumerate(thetas):
+            _draw(theta, rng, x[replicate, group], y[replicate, group])
+    fit = ols_slope(SampleBatch(x.reshape(-1, n), y.reshape(-1, n)))
+    valid = fit.ok.reshape(reps, 2).all(axis=1)
+    est = fit.estimate.reshape(reps, 2)[valid]
+    se = fit.std_error.reshape(reps, 2)[valid]
+    return (est[:, 0], se[:, 0], est[:, 1], se[:, 1]), reps - int(valid.sum())
 
 
-def _run_study(
-    config: SimulationConfig, want_rates: bool, want_kmax: bool, workers: int
-) -> StudyResult:
+def _run_study(config: SimulationConfig, want_rates: bool, want_kmax: bool) -> StudyResult:
     # kappa_max inversion is defined for alpha < 1/2 only; rate-only studies
     # at larger alpha simply skip the inversion summaries
     want_kmax = want_kmax and config.alpha < 0.5
     indices = range(len(config.theta2_grid))
-    task = lambda gi: _estimate_grid_point(config, gi)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(task, indices))
-    else:
-        outcomes = [task(gi) for gi in indices]
+    estimates, drops = zip(*(_estimate_grid_point(config, gi) for gi in indices))
 
     # the whole study is tested in one batch per kappa; replicates of grid
     # point gi are rows bounds[gi]:bounds[gi + 1]
-    batch = PairBatch.from_rows(row for rows, _ in outcomes for row in rows)
-    bounds = np.cumsum([0] + [len(rows) for rows, _ in outcomes]).tolist()
+    batch = PairBatch(*(np.concatenate(column) for column in zip(*estimates)))
+    bounds = np.cumsum([0] + [len(est1) for est1, *_ in estimates]).tolist()
     rejected = {}
     if want_rates:
         for kappa in config.kappas:
@@ -268,8 +268,8 @@ def _run_study(
         theta2 = config.theta2_grid[gi]
         lo, hi = bounds[gi], bounds[gi + 1]
         valid = hi - lo
-        if outcomes[gi][1]:
-            dropped[theta2] = outcomes[gi][1]
+        if drops[gi]:
+            dropped[theta2] = drops[gi]
         if valid == 0:
             continue
         for (kappa, test), flags in rejected.items():
@@ -296,22 +296,21 @@ def _run_study(
     )
 
 
-def run_rejection_study(config: SimulationConfig, workers: int = 1) -> StudyResult:
+def run_rejection_study(config: SimulationConfig) -> StudyResult:
     """Rejection-rate curves for both tests at every configured kappa.
 
     Also accumulates kappa_max values per replicate (when alpha < 1/2, the
     inversion's domain), so the result carries quantile summaries alongside
-    the rates.  Deterministic in config alone; ``workers`` only parallelizes
-    the estimation of grid points.
+    the rates.  Deterministic in config alone.
     """
-    return _run_study(config, want_rates=True, want_kmax=True, workers=workers)
+    return _run_study(config, want_rates=True, want_kmax=True)
 
 
-def run_kappa_max_study(config: SimulationConfig, workers: int = 1) -> StudyResult:
+def run_kappa_max_study(config: SimulationConfig) -> StudyResult:
     """Empirical 0.10/0.50/0.90 quantiles of kappa_max per theta2 grid point."""
     if not config.alpha < 0.5:
         raise ValueError("kappa_max studies require alpha < 0.5")
-    return _run_study(config, want_rates=False, want_kmax=True, workers=workers)
+    return _run_study(config, want_rates=False, want_kmax=True)
 
 
 # ---------------------------------------------------------------------------

@@ -359,7 +359,7 @@ def test_criterion_8_property_suites():
         if abs(bvn_upper_tail(0.0, 0.0, rho) - orthant) > 1e-13:
             failures.append("bvn orthant formula")
 
-    # seeded determinism of simulation outputs, independent of worker count
+    # seeded determinism of simulation outputs
     config = SimulationConfig(
         theta1=1.0,
         theta2_grid=(0.0, 0.5),
@@ -369,7 +369,7 @@ def test_criterion_8_property_suites():
         alpha=ALPHA,
         seed=SEED,
     )
-    runs = [run_rejection_study(config, workers=w) for w in (1, 1, 3)]
+    runs = [run_rejection_study(config) for _ in range(3)]
     if not (runs[0] == runs[1] == runs[2]):
         failures.append("seeded determinism")
 

@@ -403,6 +403,68 @@ class TestNetworkCommand:
         assert captured.err.count("skipping pair") == 2
         assert len(parse_csv(captured.out)) == 1
 
+    @pytest.mark.parametrize(
+        "group, make_k, reasons",
+        [
+            # a duplicated column correlates exactly: r = 1
+            (1, lambda d: d[:, 0], {("a", "k"): "|r| = 1 leaves a degenerate standard error"}),
+            (1, lambda d: -d[:, 0], {("a", "k"): "|r| = 1 leaves a degenerate standard error"}),
+            # constant in group 2 only: k is y in (a, k) and x in (k, b)
+            (2, lambda d: np.full(d.shape[0], 7.0), {
+                ("a", "k"): "y is constant; correlation is undefined",
+                ("k", "b"): "x is constant; no slope or correlation exists",
+            }),
+        ],
+        ids=["duplicate", "negated-duplicate", "constant-in-group-2"],
+    )
+    def test_degenerate_pairs_skipped(self, tmp_path, capsys, group, make_k, reasons):
+        rng = np.random.default_rng(15)
+        data = [rng.standard_normal((25, 3)), rng.standard_normal((25, 3))]
+        data[group - 1][:, 1] = make_k(data[group - 1])
+        m1, m2 = tmp_path / "g1.csv", tmp_path / "g2.csv"
+        write_matrix(m1, ["a", "k", "b"], data[0])
+        write_matrix(m2, ["a", "k", "b"], data[1])
+        code = main(["network", str(m1), str(m2), "--alpha", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 0
+        tested = 3 - len(reasons)
+        footer = parse_footer(captured.out)
+        assert footer == {
+            "features": 3,
+            "pairs": 3,
+            "tested": tested,
+            "skipped": len(reasons),
+            "rejected": footer["rejected"],
+        }
+        assert captured.err.splitlines() == [
+            f"warning: skipping pair ({a}, {b}): {reason}" for (a, b), reason in reasons.items()
+        ]
+        rows = parse_csv(captured.out)
+        assert {(row["feature_a"], row["feature_b"]) for row in rows}.isdisjoint(reasons)
+        for row in rows:  # Bonferroni over the tested pairs only
+            p_raw = float(row["p_raw"])
+            assert float(row["p_adjusted"]) == float(f"{min(1.0, tested * p_raw):.10g}")
+
+    @pytest.mark.parametrize("exponent", [-565, 565])
+    def test_column_scale_does_not_change_output(self, tmp_path, capsys, exponent):
+        # the squares of such a column underflow or overflow unless each
+        # column is rescaled before its sums are formed
+        rng = np.random.default_rng(16)
+        data1, data2 = rng.standard_normal((30, 4)), rng.standard_normal((30, 4))
+        outputs = []
+        for name, scale in (("plain", 0), ("scaled", exponent)):
+            m1, m2 = tmp_path / f"{name}1.csv", tmp_path / f"{name}2.csv"
+            scaled = data1.copy()
+            scaled[:, 1] = np.ldexp(scaled[:, 1], scale)
+            with open(m1, "w", newline="") as fh:  # repr round-trips exactly
+                csv.writer(fh).writerows([["a", "b", "c", "d"], *scaled.tolist()])
+            write_matrix(m2, ["a", "b", "c", "d"], data2)
+            code = main(["network", str(m1), str(m2)])
+            captured = capsys.readouterr()
+            assert code == 0 and captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+
     def test_too_few_rows_is_usage_error(self, tmp_path, capsys):
         m1, m2 = tmp_path / "g1.csv", tmp_path / "g2.csv"
         write_matrix(m1, ["a", "b"], np.ones((2, 2)))
@@ -547,13 +609,6 @@ class TestSimulateCommand:
             first = (tmp_path / ("one" + suffix)).read_bytes()
             second = (tmp_path / ("two" + suffix)).read_bytes()
             assert first == second, suffix
-
-    def test_thread_count_does_not_change_output(self, tmp_path, capsys):
-        self.run(capsys, tmp_path / "serial", ("--threads", "1"))
-        self.run(capsys, tmp_path / "pooled", ("--threads", "3"))
-        assert (tmp_path / "serial_n20_rates.csv").read_bytes() == (
-            tmp_path / "pooled_n20_rates.csv"
-        ).read_bytes()
 
     def test_seed_changes_rates(self, tmp_path, capsys):
         self.run(capsys, tmp_path / "a")

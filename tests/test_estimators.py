@@ -11,7 +11,14 @@ import math
 import numpy as np
 import pytest
 
-from qualint.estimators import EstimationError, Sample2D, ols_slope, pearson
+from qualint.estimators import (
+    EstimationError,
+    FeatureMatrix,
+    Sample2D,
+    SampleBatch,
+    ols_slope,
+    pearson,
+)
 
 
 class TestSample2D:
@@ -153,3 +160,93 @@ class TestPearson:
             assert est.std_error == pytest.approx(
                 (1 - r_ref * r_ref) / math.sqrt(n), abs=1e-12
             )
+
+
+class TestExtremeScales:
+    """Rows are scaled by powers of two before centering, so sums of squares
+    neither overflow nor underflow and results scale exactly."""
+
+    X = [-1.0, 0.0, 1.0, 3.0, 0.5]
+    Y = [-1.0, 0.0, 2.0, 2.5, 0.25]
+
+    @pytest.mark.parametrize(
+        "ex, ey", [(560, 560), (-560, -560), (560, 0), (0, 560), (-560, 0), (0, -560)]
+    )
+    def test_ols_slope_scales_exactly(self, ex, ey):
+        base = ols_slope(Sample2D(self.X, self.Y))
+        est = ols_slope(Sample2D(np.ldexp(self.X, ex), np.ldexp(self.Y, ey)))
+        assert est.estimate == math.ldexp(base.estimate, ey - ex)
+        assert est.std_error == math.ldexp(base.std_error, ey - ex)
+
+    @pytest.mark.parametrize("ex, ey", [(560, 560), (-560, -560), (560, -560), (-560, 0)])
+    def test_pearson_is_scale_free(self, ex, ey):
+        base = pearson(Sample2D(self.X, self.Y))
+        est = pearson(Sample2D(np.ldexp(self.X, ex), np.ldexp(self.Y, ey)))
+        assert (est.estimate, est.std_error) == (base.estimate, base.std_error)
+
+
+class TestBatches:
+    """Row i of a batch is exactly the single-sample call on sample i."""
+
+    @staticmethod
+    def single(estimator, x, y):
+        try:
+            fit = estimator(Sample2D(x, y))
+        except EstimationError as exc:
+            return str(exc)
+        return fit.estimate, fit.std_error
+
+    @staticmethod
+    def row(batch, i):
+        return batch.reason(i) or (batch.estimate[i], batch.std_error[i])
+
+    @pytest.mark.parametrize("estimator", [ols_slope, pearson])
+    def test_sample_batch_rows_match_single_samples(self, estimator):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(6, 9))
+        y = 0.3 * x + rng.normal(size=(6, 9))
+        x[1] = 4.0  # constant x
+        y[2] = 1.5 * x[2]  # perfect fit, |r| = 1
+        y[3] = -2.0  # constant y
+        x[4] *= 2.0**-600
+        batch = estimator(SampleBatch(x, y))
+        assert len(batch) == 6 and batch.sample_size == 9
+        for i in range(6):
+            assert self.row(batch, i) == self.single(estimator, x[i], y[i])
+        # constant y is a perfect fit for the slope
+        assert batch.ok.tolist() == [True, False, False, False, True, True]
+
+    def test_sample_batch_reports_non_finite_rows(self):
+        x = np.ones((2, 4)) * [0.0, 1.0, 2.0, 3.0]
+        y = x.copy()
+        y[0, 1] = math.nan
+        y[1, 0] += 1.0
+        batch = ols_slope(SampleBatch(x, y))
+        assert batch.reason(0) == "sample contains non-finite values"
+        assert batch.ok.tolist() == [False, True]
+
+    @pytest.mark.parametrize("estimator", [ols_slope, pearson])
+    def test_feature_matrix_pairs_match_single_samples(self, estimator):
+        rng = np.random.default_rng(12)
+        data = rng.normal(size=(15, 6))
+        data[:, 2] = 7.0
+        data[:, 4] = -data[:, 0]
+        data[:, 5] *= 2.0**600
+        matrix = FeatureMatrix(data)
+        batch = estimator(matrix)
+        first, second = matrix.pairs()
+        assert len(batch) == len(matrix) == 15
+        pairs = list(zip(first.tolist(), second.tolist()))
+        assert pairs == [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        for k, (i, j) in enumerate(pairs):
+            assert self.row(batch, k) == self.single(estimator, data[:, i], data[:, j])
+
+    def test_batch_shapes_are_validated(self):
+        with pytest.raises(EstimationError):
+            SampleBatch(np.zeros((2, 5)), np.zeros((2, 4)))
+        with pytest.raises(EstimationError):
+            SampleBatch(np.zeros((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(EstimationError):
+            FeatureMatrix(np.zeros((5, 1)))
+        with pytest.raises(EstimationError):
+            FeatureMatrix(np.zeros((2, 3)))

@@ -32,7 +32,7 @@ PAIRS = "{golden}/pairs.csv"
 SIMULATE = [
     "simulate", "--theta1", "1", "--theta2-min", "-0.5", "--theta2-max", "0.5",
     "--theta2-step", "0.5", "--n", "30", "--reps", "12", "--kappas", "2", "4",
-    "--alpha", "0.05", "--seed", "3", "--threads", "1", "--output", "{out}/study",
+    "--alpha", "0.05", "--seed", "3", "--output", "{out}/study",
 ]
 
 # (argv, output files); "{golden}" is the input directory and "{out}" the

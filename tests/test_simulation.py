@@ -15,6 +15,7 @@ from qualint.inference import rd_null_tail
 from qualint.simulation import (
     EmpiricalTail,
     SimulationConfig,
+    _estimate_grid_point,
     generate_dataset,
     mc_null_oracle,
     run_kappa_max_study,
@@ -66,6 +67,11 @@ class TestGenerateDataset:
         a = generate_dataset(0.7, 50, np.random.default_rng(99))
         b = generate_dataset(0.7, 50, np.random.default_rng(99))
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+        # the x block is drawn first, then the noise block
+        rng = np.random.default_rng(99)
+        x = rng.standard_normal(50)
+        assert np.array_equal(a.x, x)
+        assert np.array_equal(a.y, 0.7 * x + rng.standard_normal(50))
 
     def test_null_model_has_no_correlation(self):
         ds = generate_dataset(0.0, 100_000, np.random.default_rng(1))
@@ -143,12 +149,23 @@ class TestMcNullOracle:
 
 
 class TestRejectionStudy:
-    def test_bit_reproducible_across_worker_counts(self):
+    def test_bit_reproducible_across_runs(self):
         cfg = small_config()
-        serial = run_rejection_study(cfg)
-        threaded = run_rejection_study(cfg, workers=4)
-        again = run_rejection_study(cfg)
-        assert serial == threaded == again
+        assert run_rejection_study(cfg) == run_rejection_study(cfg) == run_rejection_study(cfg)
+
+    def test_replicates_follow_the_stream_contract(self):
+        # replicate r of grid point g is ols_slope(generate_dataset(...)) on
+        # default_rng([seed, g, r]), group 1 drawn before group 2
+        cfg = small_config(theta2_grid=(0.0, -0.7), n=20, replications=7)
+        for g, theta2 in enumerate(cfg.theta2_grid):
+            (est1, se1, est2, se2), dropped = _estimate_grid_point(cfg, g)
+            assert dropped == 0
+            for r in range(cfg.replications):
+                rng = np.random.default_rng([cfg.seed, g, r])
+                fit1 = ols_slope(generate_dataset(cfg.theta1, cfg.n, rng))
+                fit2 = ols_slope(generate_dataset(theta2, cfg.n, rng))
+                assert (est1[r], se1[r]) == (fit1.estimate, fit1.std_error)
+                assert (est2[r], se2[r]) == (fit2.estimate, fit2.std_error)
 
     def test_single_replicate_rates_are_indicator(self):
         res = run_rejection_study(small_config(replications=1))
@@ -212,9 +229,7 @@ class TestRejectionStudy:
 class TestKappaMaxStudy:
     def test_deterministic(self):
         cfg = small_config(theta2_grid=(0.5,), replications=60)
-        a = run_kappa_max_study(cfg)
-        b = run_kappa_max_study(cfg, workers=3)
-        assert a == b
+        assert run_kappa_max_study(cfg) == run_kappa_max_study(cfg)
 
     def test_rates_left_empty(self):
         res = run_kappa_max_study(small_config(replications=20))
