@@ -3,11 +3,16 @@
 Subcommands
 -----------
 test       one estimate pair -> JSON verdict
-scan       PairRecord CSV -> ScanResult CSV/JSON with multiplicity adjustment
+scan       pair CSV (id,est1,se1,est2,se2) -> CSV/JSON with multiplicity adjustment
 network    two sample-by-feature matrices -> differential-correlation edges
 power      local asymptotic power over a (c1, c2) grid -> CSV/JSON
 simulate   seeded Monte Carlo study -> rate and quantile files + config echo
 kappa-max  effect-ratio summary for a pair or a CSV of pairs
+
+This module parses arguments and input files and formats results; every
+computation, input validation included, belongs to the numeric core.  Each
+subcommand accepts only the flags it reads, so any other flag is a usage
+error.
 
 Conventions shared by every command: numeric output is serialized with 10
 significant digits, and downstream decisions (Bonferroni adjustment,
@@ -25,16 +30,17 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from qualint.estimators import EstimationError, FeatureMatrix, pearson
+from qualint.estimators import FeatureMatrix, pearson
 from qualint.inference import (
     EstimatePair,
     LocalAlternative,
     PairBatch,
     SubgroupEstimate,
+    _rule_violation,
+    _valid,
     gail_simon_test,
     kappa_max,
     omnibus_local_power,
@@ -44,7 +50,7 @@ from qualint.inference import (
 )
 from qualint.simulation import SimulationConfig, run_rejection_study
 
-__all__ = ["PairRecord", "ScanResult", "main"]
+__all__ = ["main"]
 
 _CONTEXT_KAPPAS = (1.5, 2.0, 4.0)
 _PAIR_FIELDS = ("id", "est1", "se1", "est2", "se2")
@@ -62,6 +68,10 @@ class UsageError(ValueError):
 def _g10(value: float) -> float:
     """Round to the 10-significant-digit float every output column carries."""
     return float(f"{value:.10g}")
+
+
+def _g10s(values: np.ndarray) -> list[float]:
+    return [_g10(value) for value in values.tolist()]
 
 
 def _num(value: float) -> str:
@@ -97,110 +107,109 @@ class _Output:
             self._handle.close()
 
 
-def _emit_csv(out, fieldnames, rows, footer: str | None = None) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow([_cell(row[name]) for name in fieldnames])
-    if footer is not None:
-        out.write(footer + "\n")
-
-
-def _emit_json(out, rows, summary: dict | None = None) -> None:
-    payload: dict = {"results": rows}
-    if summary is not None:
-        payload["summary"] = summary
+def _write_json(out, payload: dict) -> None:
     json.dump(payload, out, indent=2, sort_keys=True)
     out.write("\n")
+
+
+def _write_table(
+    out, fmt: str, fieldnames, rows, summary: dict | None = None, footer: str | None = None
+) -> None:
+    """Rows (values in fieldnames order) as CSV with an optional footer line,
+    or as JSON {"results": [...], "summary": summary}."""
+    if fmt == "json":
+        payload: dict = {"results": [dict(zip(fieldnames, row)) for row in rows]}
+        if summary is not None:
+            payload["summary"] = summary
+        _write_json(out, payload)
+        return
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(fieldnames)
+    writer.writerows([_cell(value) for value in row] for row in rows)
+    if footer is not None:
+        out.write(footer + "\n")
 
 
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _bonferroni(p_raw: list[float], adjust: str) -> list[float]:
+    """Adjusted p-values from the serialized raw ones; m counts the tested rows."""
+    if adjust == "none":
+        return p_raw
+    m = len(p_raw)
+    return [_g10(min(1.0, m * p)) for p in p_raw]
+
+
 # ---------------------------------------------------------------------------
-# records
+# pair CSV input
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairRecord:
-    """One row of a pair-scan input file."""
+def _read_pairs(path: str, strict: bool) -> tuple[list[str], PairBatch]:
+    """The ids and the batch of the valid rows of a pair CSV, in file order.
 
-    id: str
-    est1: float
-    se1: float
-    est2: float
-    se2: float
-
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("id must be nonempty")
-        for name in ("est1", "se1", "est2", "se2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.se1 <= 0.0 or self.se2 <= 0.0:
-            raise ValueError("standard errors must be positive")
-
-
-def _pair_batch(records: list[PairRecord]) -> PairBatch:
-    return PairBatch.from_rows((r.est1, r.se1, r.est2, r.se2) for r in records)
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    """One adjusted scan row; p_adjusted is never below p_raw."""
-
-    id: str
-    statistic: float
-    p_raw: float
-    p_adjusted: float
-    kappa_max: float | None
-    rejected: bool
-
-    def __post_init__(self) -> None:
-        if self.p_adjusted < self.p_raw or self.p_adjusted > 1.0:
-            raise ValueError("p_adjusted must lie in [p_raw, 1]")
-
-
-def _read_pair_records(path: str, strict: bool) -> list[PairRecord]:
+    A row is invalid when a cell does not parse, its id is empty, a value
+    breaks the core's input rule, or its id repeats that of an earlier
+    valid row.  Invalid rows are skipped with one warning each, in line
+    order; in strict mode they fail the run, every bad line listed.
+    """
     try:
         handle = open(path, encoding="utf-8", newline="")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    problems: list[str] = []
-    records: list[PairRecord] = []
-    seen: set[str] = set()
+    problems: list[tuple[int, str]] = []
+    ids: list[str] = []
+    lines: list[int] = []
+    values: list[list[float]] = []
     with handle:
-        reader = csv.DictReader(handle)
-        header = tuple(reader.fieldnames or ())
+        reader = csv.reader(handle)
+        header = tuple(next(reader, ()))
         if header != _PAIR_FIELDS:
             raise UsageError(
                 f"{path}: expected header {','.join(_PAIR_FIELDS)}, "
                 f"got {','.join(header) if header else '(none)'}"
             )
-        for line_no, row in enumerate(reader, start=2):
+        # blank lines are not rows and take no line number
+        for line_no, row in enumerate(filter(None, reader), start=2):
             try:
-                record = PairRecord(
-                    id=(row["id"] or "").strip(),
-                    est1=float(row["est1"]),
-                    se1=float(row["se1"]),
-                    est2=float(row["est2"]),
-                    se2=float(row["se2"]),
-                )
-                if record.id in seen:
-                    raise ValueError(f"duplicate id {record.id!r}")
-            except (TypeError, ValueError) as exc:
-                problems.append(f"{path}:{line_no}: {exc}")
+                if len(row) < len(_PAIR_FIELDS):
+                    raise ValueError(f"expected {len(_PAIR_FIELDS)} cells, got {len(row)}")
+                parsed = [float(cell) for cell in row[1 : len(_PAIR_FIELDS)]]
+                if not row[0].strip():
+                    raise ValueError("id must be nonempty")
+            except ValueError as exc:
+                problems.append((line_no, str(exc)))
                 continue
-            seen.add(record.id)
-            records.append(record)
+            ids.append(row[0].strip())
+            lines.append(line_no)
+            values.append(parsed)
+
+    columns = np.array(values, dtype=float).reshape(-1, 4).T
+    is_se = [name.startswith("se") for name in _PAIR_FIELDS[1:]]
+    bad = np.array([~_valid(column, se) for column, se in zip(columns, is_se)])
+    invalid = bad.any(axis=0)
+    for i in np.flatnonzero(invalid).tolist():
+        c = int(np.argmax(bad[:, i]))  # the first bad value names the problem
+        problems.append((lines[i], _rule_violation(_PAIR_FIELDS[1 + c], columns[c, i], is_se[c])))
+    keep: list[int] = []
+    seen: set[str] = set()
+    for i in np.flatnonzero(~invalid).tolist():
+        if ids[i] in seen:
+            problems.append((lines[i], f"duplicate id {ids[i]!r}"))
+        else:
+            seen.add(ids[i])
+            keep.append(i)
+
     if problems:
+        problems.sort(key=lambda problem: problem[0])
+        listed = [f"{path}:{line_no}: {text}" for line_no, text in problems]
         if strict:
-            raise UsageError("invalid rows:\n  " + "\n  ".join(problems))
-        for problem in problems:
+            raise UsageError("invalid rows:\n  " + "\n  ".join(listed))
+        for problem in listed:
             _warn(f"skipping {problem}")
-    return records
+    return [ids[i] for i in keep], PairBatch(*columns[:, keep])
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +241,7 @@ def _cmd_test(args) -> int:
     if args.kind != "gs":
         payload["kappa"] = _g10(args.kappa)
     with _Output(args.output) as out:
-        json.dump(payload, out, indent=2, sort_keys=True)
-        out.write("\n")
+        _write_json(out, payload)
     return 0
 
 
@@ -242,58 +250,25 @@ def _cmd_test(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _scan_records(
-    records: list[PairRecord], kind: str, kappa: float, alpha: float, adjust: str
-) -> list[ScanResult]:
-    m = len(records)
-    batch = _pair_batch(records)
-    outcome = _run_pair_test(batch, kind, kappa, alpha)
-    if kind == "rd":
-        bounds = [_g10(k) for k in kappa_max(batch, alpha).kappa_max.tolist()]
-    else:
-        bounds = [None] * m
-    results = []
-    for record, statistic, p_value, km in zip(
-        records, outcome.statistic.tolist(), outcome.p_value.tolist(), bounds
-    ):
-        p_raw = _g10(p_value)
-        p_adj = _g10(min(1.0, m * p_raw)) if adjust == "bonferroni" else p_raw
-        results.append(
-            ScanResult(
-                id=record.id,
-                statistic=_g10(statistic),
-                p_raw=p_raw,
-                p_adjusted=p_adj,
-                kappa_max=km,
-                rejected=bool(p_adj < alpha),
-            )
-        )
-    results.sort(key=lambda r: (r.p_adjusted, r.id))
-    return results
-
-
 def _cmd_scan(args) -> int:
     if args.kind == "rd" and not args.alpha < 0.5:
         raise UsageError("rd scans report kappa_max, which requires --alpha < 0.5")
-    records = _read_pair_records(args.input, args.strict)
-    results = _scan_records(records, args.kind, args.kappa, args.alpha, args.adjust)
+    ids, batch = _read_pairs(args.input, args.strict)
+    outcome = _run_pair_test(batch, args.kind, args.kappa, args.alpha)
+    p_raw = _g10s(outcome.p_value)
+    p_adjusted = _bonferroni(p_raw, args.adjust)
+    if args.kind == "rd":
+        bounds = _g10s(kappa_max(batch, args.alpha).kappa_max)
+    else:
+        bounds = [None] * len(ids)
+    rejected = [p < args.alpha for p in p_adjusted]
+    rows = sorted(
+        zip(ids, _g10s(outcome.statistic), p_raw, p_adjusted, bounds, rejected),
+        key=lambda row: (row[3], row[0]),
+    )
     fieldnames = ("id", "statistic", "p_raw", "p_adjusted", "kappa_max", "rejected")
-    rows = [
-        {
-            "id": r.id,
-            "statistic": r.statistic,
-            "p_raw": r.p_raw,
-            "p_adjusted": r.p_adjusted,
-            "kappa_max": r.kappa_max,
-            "rejected": r.rejected,
-        }
-        for r in results
-    ]
     with _Output(args.output) as out:
-        if args.format == "json":
-            _emit_json(out, rows, summary={"tested": len(records)})
-        else:
-            _emit_csv(out, fieldnames, rows)
+        _write_table(out, args.format, fieldnames, rows, summary={"tested": len(ids)})
     return 0
 
 
@@ -362,46 +337,31 @@ def _cmd_network(args) -> int:
     outcome = rd_test(
         PairBatch(r1, fit1.std_error[kept], r2, fit2.std_error[kept]), args.kappa, args.alpha
     )
-    edges = []
-    rejected_count = 0
-    for a, b, est1, est2, statistic, p_value in zip(
-        first[kept].tolist(),
-        second[kept].tolist(),
-        r1.tolist(),
-        r2.tolist(),
-        outcome.statistic.tolist(),
-        outcome.p_value.tolist(),
-    ):
-        p_raw = _g10(p_value)
-        p_adj = _g10(min(1.0, m * p_raw)) if args.adjust == "bonferroni" else p_raw
-        if p_adj < args.alpha:
-            rejected_count += 1
-        if abs(est1) > abs(est2):
-            stronger = 1
-        elif abs(est2) > abs(est1):
-            stronger = 2
-        else:
-            stronger = 0  # exact tie: neither group dominates
-        edges.append(
-            {
-                "feature_a": features[a],
-                "feature_b": features[b],
-                "r1": _g10(est1),
-                "r2": _g10(est2),
-                "statistic": _g10(statistic),
-                "p_raw": p_raw,
-                "p_adjusted": p_adj,
-                "stronger_group": stronger,
-            }
-        )
-    edges.sort(key=lambda e: (e["p_adjusted"], e["feature_a"], e["feature_b"]))
+    p_raw = _g10s(outcome.p_value)
+    p_adjusted = _bonferroni(p_raw, args.adjust)
+    rejected = sum(p < args.alpha for p in p_adjusted)
+    # the group with the larger |r|; 0 on an exact tie
+    stronger = np.select([np.abs(r1) > np.abs(r2), np.abs(r2) > np.abs(r1)], [1, 2], 0)
+    edges = sorted(
+        zip(
+            [features[a] for a in first[kept].tolist()],
+            [features[b] for b in second[kept].tolist()],
+            _g10s(r1),
+            _g10s(r2),
+            _g10s(outcome.statistic),
+            p_raw,
+            p_adjusted,
+            stronger.tolist(),
+        ),
+        key=lambda edge: (edge[6], edge[0], edge[1]),
+    )
 
     summary = {
         "features": p,
         "pairs": total_pairs,
         "tested": m,
         "skipped": skipped,
-        "rejected": rejected_count,
+        "rejected": rejected,
     }
     fieldnames = (
         "feature_a",
@@ -415,13 +375,10 @@ def _cmd_network(args) -> int:
     )
     footer = (
         f"# features={p} pairs={total_pairs} tested={m} "
-        f"skipped={skipped} rejected={rejected_count}"
+        f"skipped={skipped} rejected={rejected}"
     )
     with _Output(args.output) as out:
-        if args.format == "json":
-            _emit_json(out, edges, summary=summary)
-        else:
-            _emit_csv(out, fieldnames, edges, footer=footer)
+        _write_table(out, args.format, fieldnames, edges, summary=summary, footer=footer)
     return 0
 
 
@@ -441,15 +398,9 @@ def _cmd_power(args) -> int:
     c2 = np.tile(c2_grid, c1_grid.size)
     alt = LocalAlternative(c1, c2, args.sigma1, args.sigma2, args.lam)
     powers = power_fn(alt, args.kappa, args.alpha)
-    rows = [
-        {"c1": _g10(a), "c2": _g10(b), "power": _g10(value)}
-        for a, b, value in zip(c1.tolist(), c2.tolist(), powers.tolist())
-    ]
+    rows = zip(_g10s(c1), _g10s(c2), _g10s(powers))
     with _Output(args.output) as out:
-        if args.format == "json":
-            _emit_json(out, rows)
-        else:
-            _emit_csv(out, ("c1", "c2", "power"), rows)
+        _write_table(out, args.format, ("c1", "c2", "power"), rows)
     return 0
 
 
@@ -463,6 +414,11 @@ def _theta2_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
         raise UsageError("need --theta2-max >= --theta2-min and --theta2-step > 0")
     count = int(round((hi - lo) / step)) + 1
     return tuple(round(lo + k * step, 10) for k in range(count))
+
+
+def _write_rows_csv(path: str, fieldnames, rows: list[dict]) -> None:
+    with _Output(path) as out:
+        _write_table(out, "csv", fieldnames, ([row[k] for k in fieldnames] for row in rows))
 
 
 def _cmd_simulate(args) -> int:
@@ -480,32 +436,19 @@ def _cmd_simulate(args) -> int:
             seed=args.seed,
         )
         result = run_rejection_study(config)
-        rates_path = f"{prefix}_n{n}_rates.csv"
-        with open(rates_path, "w", encoding="utf-8", newline="") as out:
-            _emit_csv(
-                out,
-                ("theta2", "kappa", "test", "rejection_rate", "mc_se"),
-                [
-                    {key: _g10(v) if isinstance(v, float) else v for key, v in row.items()}
-                    for row in result.rate_rows()
-                ],
-            )
-        written.append(rates_path)
+        written.append(f"{prefix}_n{n}_rates.csv")
+        _write_rows_csv(
+            written[-1],
+            ("theta2", "kappa", "test", "rejection_rate", "mc_se"),
+            result.rate_rows(),
+        )
         if result.kappa_max_quantiles:
-            quant_path = f"{prefix}_n{n}_kappa_max.csv"
-            with open(quant_path, "w", encoding="utf-8", newline="") as out:
-                _emit_csv(
-                    out,
-                    ("theta2", "q10", "q50", "q90"),
-                    [
-                        {k: _g10(v) for k, v in row.items()}
-                        for row in result.quantile_rows()
-                    ],
-                )
-            written.append(quant_path)
-    config_path = f"{prefix}_config.json"
-    with open(config_path, "w", encoding="utf-8", newline="") as out:
-        json.dump(
+            written.append(f"{prefix}_n{n}_kappa_max.csv")
+            _write_rows_csv(written[-1], ("theta2", "q10", "q50", "q90"), result.quantile_rows())
+    written.append(f"{prefix}_config.json")
+    with _Output(written[-1]) as out:
+        _write_json(
+            out,
             {
                 "theta1": args.theta1,
                 "theta2_grid": list(grid),
@@ -515,12 +458,7 @@ def _cmd_simulate(args) -> int:
                 "alpha": args.alpha,
                 "seed": args.seed,
             },
-            out,
-            indent=2,
-            sort_keys=True,
         )
-        out.write("\n")
-    written.append(config_path)
     for path in written:
         print(path)
     return 0
@@ -531,30 +469,9 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _kappa_max_payloads(batch: PairBatch, alpha: float) -> list[dict]:
-    """The kappa-max JSON payload of every row of the batch."""
-    summaries = kappa_max(batch, alpha)
-    context = {_num(k): rd_test(batch, k, alpha).p_value.tolist() for k in _CONTEXT_KAPPAS}
-    payloads = []
-    for i in range(len(batch)):
-        summary = summaries[i]
-        roots = None
-        if summary.roots is not None:
-            pi1, pi2 = summary.roots
-            roots = {
-                "normal_boundary": _g10(pi1),
-                "zero_point": None if math.isinf(pi2) else _g10(pi2),
-            }
-        payloads.append(
-            {
-                "kappa_max": _g10(summary.kappa_max),
-                "alpha": _g10(alpha),
-                "binding_root": summary.binding_root,
-                "roots": roots,
-                "p_values": {k: _g10(p[i]) for k, p in context.items()},
-            }
-        )
-    return payloads
+def _context_p_values(batch: PairBatch, alpha: float) -> dict[str, list[float]]:
+    """Every row's rd p-value at each context kappa, keyed by the kappa as printed."""
+    return {_num(k): _g10s(rd_test(batch, k, alpha).p_value) for k in _CONTEXT_KAPPAS}
 
 
 def _cmd_kappa_max(args) -> int:
@@ -565,32 +482,36 @@ def _cmd_kappa_max(args) -> int:
                 "--est1/--se1/--est2/--se2"
             )
         batch = PairBatch.from_rows([(args.est1, args.se1, args.est2, args.se2)])
-        (payload,) = _kappa_max_payloads(batch, args.alpha)
+        summary = kappa_max(batch, args.alpha)[0]
+        roots = None
+        if summary.roots is not None:
+            pi1, pi2 = summary.roots
+            roots = {
+                "normal_boundary": _g10(pi1),
+                "zero_point": None if math.isinf(pi2) else _g10(pi2),
+            }
+        context = _context_p_values(batch, args.alpha)
+        payload = {
+            "kappa_max": _g10(summary.kappa_max),
+            "alpha": _g10(args.alpha),
+            "binding_root": summary.binding_root,
+            "roots": roots,
+            "p_values": {k: p for k, (p,) in context.items()},
+        }
         with _Output(args.output) as out:
-            json.dump(payload, out, indent=2, sort_keys=True)
-            out.write("\n")
+            _write_json(out, payload)
         return 0
 
-    records = _read_pair_records(args.input, args.strict)
-    rows = []
-    for record, payload in zip(records, _kappa_max_payloads(_pair_batch(records), args.alpha)):
-        rows.append(
-            {
-                "id": record.id,
-                "kappa_max": payload["kappa_max"],
-                "binding_root": payload["binding_root"],
-                "p_rd_1.5": payload["p_values"]["1.5"],
-                "p_rd_2": payload["p_values"]["2"],
-                "p_rd_4": payload["p_values"]["4"],
-            }
-        )
-    rows.sort(key=lambda r: (-r["kappa_max"], r["id"]))
-    fieldnames = ("id", "kappa_max", "binding_root", "p_rd_1.5", "p_rd_2", "p_rd_4")
+    ids, batch = _read_pairs(args.input, args.strict)
+    summaries = kappa_max(batch, args.alpha)
+    context = _context_p_values(batch, args.alpha)
+    rows = sorted(
+        zip(ids, _g10s(summaries.kappa_max), summaries.binding_root.tolist(), *context.values()),
+        key=lambda row: (-row[1], row[0]),
+    )
+    fieldnames = ("id", "kappa_max", "binding_root", *(f"p_rd_{k}" for k in context))
     with _Output(args.output) as out:
-        if args.format == "json":
-            _emit_json(out, rows)
-        else:
-            _emit_csv(out, fieldnames, rows)
+        _write_table(out, args.format, fieldnames, rows)
     return 0
 
 
@@ -598,22 +519,24 @@ def _cmd_kappa_max(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+# flags that several subcommands take; each subcommand names the ones it reads
+_SHARED_FLAGS = {
+    "--alpha": {"type": float, "default": 0.05, "help": "test level"},
+    "--kappa": {"type": float, "default": 2.0, "help": "ratio bound > 1"},
+    "--output": {"help": "output path (default: stdout)"},
+    "--format": {
+        "choices": ("csv", "json"),
+        "default": "csv",
+        "help": "tabular output format",
+    },
+    "--strict": {
+        "action": "store_true",
+        "help": "fail on invalid input rows instead of skipping with a warning",
+    },
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--alpha", type=float, default=0.05, help="test level")
-    common.add_argument("--kappa", type=float, default=2.0, help="ratio bound > 1")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (simulate)")
-    common.add_argument("--output", help="output path (default: stdout)")
-    common.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="tabular output format"
-    )
-    common.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail on invalid input rows instead of skipping with a warning",
-    )
-
     parser = argparse.ArgumentParser(
         prog="qualint",
         description="Tests and summaries for qualitative interactions "
@@ -621,34 +544,44 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_test = sub.add_parser("test", parents=[common], help="test one estimate pair")
+    def command(name: str, handler, help: str, *flags: str) -> argparse.ArgumentParser:
+        # no abbreviations: simulate would take --kappa for --kappas
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        p.set_defaults(handler=handler)
+        return p
+
+    p_test = command("test", _cmd_test, "test one estimate pair", "--alpha", "--kappa", "--output")
     p_test.add_argument("--kind", choices=("rd", "omnibus", "gs"), default="rd")
     p_test.add_argument("--est1", type=float, required=True)
     p_test.add_argument("--se1", type=float, required=True)
     p_test.add_argument("--est2", type=float, required=True)
     p_test.add_argument("--se2", type=float, required=True)
-    p_test.set_defaults(handler=_cmd_test)
 
-    p_scan = sub.add_parser("scan", parents=[common], help="scan a PairRecord CSV")
+    p_scan = command(
+        "scan", _cmd_scan, "scan a CSV of estimate pairs",
+        "--alpha", "--kappa", "--output", "--format", "--strict",
+    )
     p_scan.add_argument("input", help="CSV with header id,est1,se1,est2,se2")
     p_scan.add_argument("--kind", choices=("rd", "omnibus", "gs"), default="rd")
     p_scan.add_argument(
         "--adjust", choices=("bonferroni", "none"), default="bonferroni"
     )
-    p_scan.set_defaults(handler=_cmd_scan)
 
-    p_net = sub.add_parser(
-        "network", parents=[common], help="differential-correlation edge scan"
+    p_net = command(
+        "network", _cmd_network, "differential-correlation edge scan",
+        "--alpha", "--kappa", "--output", "--format",
     )
     p_net.add_argument("matrix1", help="group-1 matrix CSV (features in header)")
     p_net.add_argument("matrix2", help="group-2 matrix CSV (same features)")
     p_net.add_argument(
         "--adjust", choices=("bonferroni", "none"), default="bonferroni"
     )
-    p_net.set_defaults(handler=_cmd_network)
 
-    p_power = sub.add_parser(
-        "power", parents=[common], help="local asymptotic power grid"
+    p_power = command(
+        "power", _cmd_power, "local asymptotic power grid",
+        "--alpha", "--kappa", "--output", "--format",
     )
     p_power.add_argument("--kind", choices=("rd", "omnibus"), default="rd")
     p_power.add_argument("--c1-min", type=float, default=-6.0)
@@ -662,11 +595,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_power.add_argument(
         "--lambda", dest="lam", type=float, default=0.5, help="group-size fraction"
     )
-    p_power.set_defaults(handler=_cmd_power)
 
-    p_sim = sub.add_parser(
-        "simulate", parents=[common], help="seeded Monte Carlo study"
-    )
+    p_sim = command("simulate", _cmd_simulate, "seeded Monte Carlo study", "--alpha")
+    p_sim.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p_sim.add_argument("--output", help="prefix of the output files (default: study)")
     p_sim.add_argument("--theta1", type=float, default=1.0)
     p_sim.add_argument("--theta2-min", type=float, default=-1.0)
     p_sim.add_argument("--theta2-max", type=float, default=1.0)
@@ -678,17 +610,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--kappas", type=float, nargs="+", default=[2.0, 4.0], help="ratio bounds"
     )
-    p_sim.set_defaults(handler=_cmd_simulate)
 
-    p_km = sub.add_parser(
-        "kappa-max", parents=[common], help="largest kappa still rejected"
+    p_km = command(
+        "kappa-max", _cmd_kappa_max, "largest kappa still rejected",
+        "--alpha", "--output", "--format", "--strict",
     )
-    p_km.add_argument("input", nargs="?", help="optional PairRecord CSV")
+    p_km.add_argument("input", nargs="?", help="optional CSV of estimate pairs")
     p_km.add_argument("--est1", type=float)
     p_km.add_argument("--se1", type=float)
     p_km.add_argument("--est2", type=float)
     p_km.add_argument("--se2", type=float)
-    p_km.set_defaults(handler=_cmd_kappa_max)
 
     return parser
 
@@ -701,7 +632,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (None, 0) else int(exc.code)
     try:
         return args.handler(args)
-    except (ValueError, EstimationError) as exc:
+    except ValueError as exc:  # UsageError and EstimationError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

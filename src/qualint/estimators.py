@@ -204,6 +204,7 @@ class _Sums(NamedTuple):
     syy: np.ndarray
     shift: np.ndarray  # the slope and its SE are 2**shift times their scaled values
     code: np.ndarray  # _OK, _NON_FINITE or _X_CONSTANT
+    y_constant: np.ndarray  # by range, as for x: an inexact mean leaves Syy > 0
 
 
 def _scaled_deviations(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,7 +243,8 @@ def _sums(sample: Sample2D | SampleBatch | FeatureMatrix) -> _Sums:
             cross = np.concatenate([_dot(dev[i + 1 :], dev[i]) for i in range(len(dev) - 1)])
             first, second = sample.pairs()
             finite = np.isfinite(columns).all(axis=1)
-            code = _data_codes(finite[first] & finite[second], _is_constant(columns)[first])
+            constant = _is_constant(columns)
+            code = _data_codes(finite[first] & finite[second], constant[first])
             return _Sums(
                 columns.shape[1],
                 squares[first],
@@ -250,13 +252,16 @@ def _sums(sample: Sample2D | SampleBatch | FeatureMatrix) -> _Sums:
                 squares[second],
                 exponent[second] - exponent[first],
                 code,
+                constant[second],
             )
         x, y = np.atleast_2d(sample.x), np.atleast_2d(sample.y)
         dx, ex = _scaled_deviations(x)
         dy, ey = _scaled_deviations(y)
         finite = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
         code = _data_codes(finite, _is_constant(x))
-        return _Sums(x.shape[1], _dot(dx, dx), _dot(dx, dy), _dot(dy, dy), ey - ex, code)
+        return _Sums(
+            x.shape[1], _dot(dx, dx), _dot(dx, dy), _dot(dy, dy), ey - ex, code, _is_constant(y)
+        )
 
 
 def _result(sample, batch: EstimateBatch) -> SubgroupEstimate | EstimateBatch:
@@ -310,6 +315,6 @@ def pearson(
         r = s.sxy / np.sqrt(s.sxx * s.syy)
         se = (1.0 - r * r) / math.sqrt(s.n)
         code = np.select(
-            [s.code != _OK, s.syy <= 0.0, np.abs(r) >= 1.0], [s.code, _Y_CONSTANT, _R_ONE], _OK
+            [s.code != _OK, s.y_constant, np.abs(r) >= 1.0], [s.code, _Y_CONSTANT, _R_ONE], _OK
         )
     return _result(sample, EstimateBatch(r, se, s.n, code))

@@ -111,6 +111,30 @@ _BATCH_FIELDS = ("est1", "se1", "est2", "se2")
 
 
 # ---------------------------------------------------------------------------
+# the input rule
+# ---------------------------------------------------------------------------
+
+
+def _valid(values, se: bool) -> np.ndarray:
+    """The one rule for valid inputs, entry by entry: an estimate must be
+    finite, a standard error (``se``) finite and > _SE_FLOOR."""
+    values = np.asarray(values, dtype=float)
+    valid = np.isfinite(values)
+    return valid & (values > _SE_FLOOR) if se else valid
+
+
+def _rule_violation(name: str, value: float, se: bool) -> str:
+    """What a value that breaks the input rule is told, naming it ``name``."""
+    rule = f"finite and > {_SE_FLOOR:g}" if se else "finite"
+    return f"{name} must be {rule}, got {float(value)!r}"
+
+
+def _check_input(name: str, value: float, se: bool) -> None:
+    if not _valid(value, se):
+        raise ValueError(_rule_violation(name, value, se))
+
+
+# ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
 
@@ -131,12 +155,8 @@ class SubgroupEstimate:
     def __post_init__(self) -> None:
         object.__setattr__(self, "estimate", float(self.estimate))
         object.__setattr__(self, "std_error", float(self.std_error))
-        if not math.isfinite(self.estimate):
-            raise ValueError(f"estimate must be finite, got {self.estimate!r}")
-        if not (math.isfinite(self.std_error) and self.std_error > _SE_FLOOR):
-            raise ValueError(
-                f"std_error must be finite and > {_SE_FLOOR:g}, got {self.std_error!r}"
-            )
+        _check_input("estimate", self.estimate, se=False)
+        _check_input("std_error", self.std_error, se=True)
         if self.sample_size is not None and int(self.sample_size) < 1:
             raise ValueError(f"sample_size must be positive, got {self.sample_size!r}")
 
@@ -209,13 +229,11 @@ class PairBatch:
                 column = np.full(shape, column)
             column.setflags(write=False)
             object.__setattr__(self, name, column)
-            valid = np.isfinite(column)
-            if name.startswith("se"):
-                valid &= column > _SE_FLOOR
+            se = name.startswith("se")
+            valid = _valid(column, se)
             if not valid.all():
                 row = int(np.argmin(valid))
-                rule = "finite and > 1e-300" if name.startswith("se") else "finite"
-                raise ValueError(f"{name}[{row}] must be {rule}, got {float(column[row])!r}")
+                raise ValueError(_rule_violation(f"{name}[{row}]", column[row], se))
         scale, v1, v2 = _variances(self.se1, self.se2)
         scaled = _Rows(
             self.est1 * scale, self.est2 * scale, self.se1 * scale, self.se2 * scale, v1, v2
@@ -382,11 +400,6 @@ def _check_kappa(kappa: float, minimum: float = 1.0, strict: bool = False) -> No
     if (strict and not kappa > minimum) or (not strict and not kappa >= minimum):
         op = ">" if strict else ">="
         raise ValueError(f"kappa must be {op} {minimum:g}, got {kappa!r}")
-
-
-def _check_se(se: float, name: str) -> None:
-    if not (math.isfinite(se) and se > _SE_FLOOR):
-        raise ValueError(f"{name} must be finite and positive, got {se!r}")
 
 
 def _as_batch(pair: EstimatePair | PairBatch) -> PairBatch:
@@ -579,8 +592,8 @@ def rd_null_nu(kappa: float, se1: float, se2: float) -> tuple[float, float]:
     two can be positive.
     """
     _check_kappa(kappa, minimum=1.0)
-    _check_se(se1, "se1")
-    _check_se(se2, "se2")
+    _check_input("se1", se1, se=True)
+    _check_input("se2", se2, se=True)
     _, v1, v2 = _variances(se1, se2)
     nu1, nu2 = _rd_nu(v1, v2, *_kappa_split(kappa))
     return (float(nu1), float(nu2))
@@ -755,8 +768,8 @@ def omnibus_null_tail(t: float, kappa: float, se1: float, se2: float) -> float:
     if not t > 0.0:
         raise ValueError(f"tail characterized for t > 0 only, got t={t!r}")
     _check_kappa(kappa, minimum=1.0)
-    _check_se(se1, "se1")
-    _check_se(se2, "se2")
+    _check_input("se1", se1, se=True)
+    _check_input("se2", se2, se=True)
     _, v1, v2 = _variances(se1, se2)
     nu = _omnibus_nu(v1, v2, *_kappa_split(kappa))
     return float(_omnibus_zero_tail(math.sqrt(t), nu))

@@ -37,6 +37,8 @@ import numpy as np
 from qualint.estimators import Sample2D, SampleBatch, ols_slope
 from qualint.inference import (
     PairBatch,
+    _check_input,
+    _check_kappa,
     kappa_max,
     omnibus_statistic,
     omnibus_test,
@@ -369,10 +371,9 @@ def mc_null_oracle(
         raise ValueError(f"draws must be >= 10000, got {draws}")
     if test_kind not in _TEST_KINDS:
         raise ValueError(f"test_kind must be one of {_TEST_KINDS}, got {test_kind!r}")
-    if not (kappa >= 1.0 and math.isfinite(kappa)):
-        raise ValueError(f"kappa must be >= 1, got {kappa!r}")
-    if not (se1 > 0.0 and se2 > 0.0):
-        raise ValueError("standard errors must be positive")
+    _check_kappa(kappa, minimum=1.0)
+    _check_input("se1", se1, se=True)
+    _check_input("se2", se2, se=True)
     th1 = rng_stream.normal(0.0, se1, size=draws)
     th2 = rng_stream.normal(0.0, se2, size=draws)
     statistic = rd_statistic if test_kind == "rd" else omnibus_statistic

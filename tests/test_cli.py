@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from qualint.cli import PairRecord, ScanResult, main
+from qualint.cli import main
 
 # Reference panel of two-group estimates with published ratio bounds; the
 # same rows back the library-level checks in test_inference.py.
@@ -63,28 +63,6 @@ def parse_footer(text):
         key: int(value)
         for key, value in (item.split("=") for item in footers[0][1:].split())
     }
-
-
-# ---------------------------------------------------------------------------
-# record types
-# ---------------------------------------------------------------------------
-
-
-class TestRecordTypes:
-    def test_pair_record_validates_se(self):
-        with pytest.raises(ValueError):
-            PairRecord("x", 1.0, 0.0, 2.0, 0.5)
-        with pytest.raises(ValueError):
-            PairRecord("", 1.0, 0.5, 2.0, 0.5)
-        with pytest.raises(ValueError):
-            PairRecord("x", math.nan, 0.5, 2.0, 0.5)
-
-    def test_scan_result_orders_p_values(self):
-        with pytest.raises(ValueError):
-            ScanResult("x", 1.0, 0.5, 0.4, None, False)
-        with pytest.raises(ValueError):
-            ScanResult("x", 1.0, 0.5, 1.5, None, False)
-        ScanResult("x", 1.0, 0.5, 1.0, 2.0, False)  # boundary values are fine
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +237,21 @@ class TestScanCommand:
 
     def test_lenient_skips_bad_rows_and_shrinks_m(self, tmp_path, capsys):
         pairs = tmp_path / "mixed.csv"
-        rows = list(TABLE_ROWS[:2]) + [("BROKEN", 1.0, -0.5, 2.0, 0.1, None)]
+        rows = list(TABLE_ROWS[:2]) + [
+            ("BROKEN", 1.0, -0.5, 2.0, 0.1),
+            ("ZERO_SE", 1.0, 0.0, 2.0, 0.5),
+            ("", 1.0, 0.5, 2.0, 0.5),
+            ("NAN_EST", math.nan, 0.5, 2.0, 0.5),
+        ]
         write_pairs(pairs, rows)
         code, out, err = self.scan(capsys, ["scan", str(pairs), "--alpha", "0.10"])
         assert code == 0
-        assert "skipping" in err
+        assert err.splitlines() == [
+            f"warning: skipping {pairs}:4: se1 must be finite and > 1e-300, got -0.5",
+            f"warning: skipping {pairs}:5: se1 must be finite and > 1e-300, got 0.0",
+            f"warning: skipping {pairs}:6: id must be nonempty",
+            f"warning: skipping {pairs}:7: est1 must be finite, got nan",
+        ]
         parsed = parse_csv(out)
         assert {row["id"] for row in parsed} == {"GRB2", "APC"}
         for row in parsed:  # m counts only the two rows actually tested
@@ -310,6 +298,40 @@ class TestScanCommand:
         assert payload["summary"]["tested"] == 2
         assert len(payload["results"]) == 2
         assert all("kappa_max" in row for row in payload["results"])
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["scan", "--kind", "rd"], ["scan", "--kind", "omnibus"], ["scan", "--kind", "gs"],
+     ["kappa-max"]],
+    ids=["scan-rd", "scan-omnibus", "scan-gs", "kappa-max"],
+)
+def test_subnormal_se_row_is_skipped_not_fatal(tmp_path, capsys, command):
+    # 1e-310 > 0, but below the core's 1e-300 floor: the reader must apply
+    # the core's rule and skip the row instead of failing the whole batch
+    pairs = tmp_path / "subnormal.csv"
+    write_pairs(pairs, [TABLE_ROWS[0], ("TINY", 1.0, 1e-310, 0.5, 0.2), *TABLE_ROWS[1:3]])
+    argv = [command[0], str(pairs), *command[1:], "--alpha", "0.1"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err.splitlines() == [
+        f"warning: skipping {pairs}:3: se1 must be finite and > 1e-300, got 1e-310"
+    ]
+    rows = parse_csv(captured.out)
+    assert sorted(row["id"] for row in rows) == ["APC", "BAX", "GRB2"]
+    if command[0] == "scan":  # Bonferroni m counts the three tested rows
+        for row in rows:
+            expected = float(f"{min(1.0, 3 * float(row['p_raw'])):.10g}")
+            assert float(row["p_adjusted"]) == expected
+
+    code = main([*argv, "--strict"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [
+        "error: invalid rows:",
+        f"  {pairs}:3: se1 must be finite and > 1e-300, got 1e-310",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +436,13 @@ class TestNetworkCommand:
                 ("a", "k"): "y is constant; correlation is undefined",
                 ("k", "b"): "x is constant; no slope or correlation exists",
             }),
+            # a constant whose mean is inexact is skipped in both positions too
+            (1, lambda d: np.full(d.shape[0], 0.1), {
+                ("a", "k"): "y is constant; correlation is undefined",
+                ("k", "b"): "x is constant; no slope or correlation exists",
+            }),
         ],
-        ids=["duplicate", "negated-duplicate", "constant-in-group-2"],
+        ids=["duplicate", "negated-duplicate", "constant-in-group-2", "inexact-constant"],
     )
     def test_degenerate_pairs_skipped(self, tmp_path, capsys, group, make_k, reasons):
         rng = np.random.default_rng(15)
@@ -791,3 +818,44 @@ class TestMain:
         out = capsys.readouterr().out
         assert code == 0
         assert "kappa-max" in out
+
+    @pytest.mark.parametrize(
+        "command", ["test", "scan", "network", "power", "simulate", "kappa-max"]
+    )
+    def test_subcommand_help_exits_cleanly(self, capsys, command):
+        code = main([command, "--help"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.startswith(f"usage: qualint {command}")
+
+    SIMULATE = ["simulate", "--n", "10", "--reps", "2", "--theta2-step", "1", "--output"]
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["scan", "{pairs}"], ["--seed", "1"]),
+            (["network", "{matrix}", "{matrix}"], ["--strict"]),
+            (["power", "--c1-steps", "1", "--c2-steps", "1"], ["--seed", "1"]),
+            # --kappa must not pass for an abbreviation of --kappas
+            ([*SIMULATE, "{tmp}/study"], ["--kappa", "3"]),
+            ([*SIMULATE, "{tmp}/study"], ["--format", "json"]),
+            (["kappa-max", "{pairs}"], ["--kappa", "3"]),
+            (["test", "--est1", "1", "--se1", "0.2", "--est2", "0", "--se2", "0.2"],
+             ["--format", "json"]),
+        ],
+        ids=lambda value: value[0],
+    )
+    def test_flag_the_subcommand_does_not_read_is_usage_error(
+        self, tmp_path, capsys, argv, flag
+    ):
+        # without the flag each command line is valid and succeeds
+        pairs, matrix = tmp_path / "pairs.csv", tmp_path / "matrix.csv"
+        write_pairs(pairs, TABLE_ROWS[:2])
+        write_matrix(matrix, ["a", "b", "c"], np.random.default_rng(8).normal(size=(10, 3)))
+        argv = [arg.format(pairs=pairs, matrix=matrix, tmp=tmp_path) for arg in argv]
+        assert main(argv) == 0
+        capsys.readouterr()
+        code = main([*argv, *flag])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in err

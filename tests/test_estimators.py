@@ -142,6 +142,13 @@ class TestPearson:
         with pytest.raises(EstimationError):
             pearson(Sample2D([1, 2, 3], [4, 4, 4]))
 
+    @pytest.mark.parametrize("value", [0.1, -0.1])
+    def test_constant_y_is_degenerate_whatever_its_mean_rounds_to(self, value):
+        # y is constant by its range, as x is, not by a centered sum of
+        # squares that an inexact mean leaves tiny but positive
+        with pytest.raises(EstimationError, match="y is constant"):
+            pearson(Sample2D(np.arange(25.0), np.full(25, value)))
+
     def test_perfect_correlation_is_degenerate(self):
         with pytest.raises(EstimationError):
             pearson(Sample2D([1, 2, 3, 4], [4, 7, 10, 13]))
@@ -183,6 +190,11 @@ class TestExtremeScales:
         base = pearson(Sample2D(self.X, self.Y))
         est = pearson(Sample2D(np.ldexp(self.X, ex), np.ldexp(self.Y, ey)))
         assert (est.estimate, est.std_error) == (base.estimate, base.std_error)
+
+    @pytest.mark.parametrize("ey", [560, -560])
+    def test_constant_y_is_degenerate_at_any_scale(self, ey):
+        with pytest.raises(EstimationError, match="y is constant"):
+            pearson(Sample2D(np.arange(25.0), np.full(25, math.ldexp(0.1, ey))))
 
 
 class TestBatches:
@@ -240,6 +252,19 @@ class TestBatches:
         assert pairs == [(i, j) for i in range(6) for j in range(i + 1, 6)]
         for k, (i, j) in enumerate(pairs):
             assert self.row(batch, k) == self.single(estimator, data[:, i], data[:, j])
+
+    def test_constant_column_is_degenerate_in_both_positions(self):
+        rng = np.random.default_rng(13)
+        data = rng.normal(size=(25, 3))
+        data[:, 1] = 0.1  # its mean is not exactly 0.1
+        batch = pearson(FeatureMatrix(data))
+        assert [batch.reason(k) for k in range(3)] == [
+            "y is constant; correlation is undefined",
+            None,
+            "x is constant; no slope or correlation exists",
+        ]
+        y_batch = pearson(SampleBatch(data[:, [0]].T, data[:, [1]].T))
+        assert y_batch.reason(0) == "y is constant; correlation is undefined"
 
     def test_batch_shapes_are_validated(self):
         with pytest.raises(EstimationError):
