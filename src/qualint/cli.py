@@ -25,8 +25,8 @@ comma-separated UTF-8 with a mandatory header row.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import sys
@@ -88,23 +88,11 @@ def _cell(value) -> str:
     return str(value)
 
 
-class _Output:
-    """Write to --output PATH or stdout; newline-stable for byte-identical runs."""
-
-    def __init__(self, path: str | None):
-        self.path = path
-        self._handle = None
-
-    def __enter__(self) -> io.TextIOBase:
-        if self.path is None:
-            self._handle = sys.stdout
-        else:
-            self._handle = open(self.path, "w", encoding="utf-8", newline="")
-        return self._handle
-
-    def __exit__(self, *exc_info) -> None:
-        if self._handle is not None and self._handle is not sys.stdout:
-            self._handle.close()
+def _output(path: str | None):
+    """--output PATH, or stdout (left open); newline-stable for byte-identical runs."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _write_json(out, payload: dict) -> None:
@@ -171,8 +159,10 @@ def _read_pairs(path: str, strict: bool) -> tuple[list[str], PairBatch]:
                 f"{path}: expected header {','.join(_PAIR_FIELDS)}, "
                 f"got {','.join(header) if header else '(none)'}"
             )
-        # blank lines are not rows and take no line number
-        for line_no, row in enumerate(filter(None, reader), start=2):
+        for row in reader:
+            if not row:  # a blank line
+                continue
+            line_no = reader.line_num
             try:
                 if len(row) < len(_PAIR_FIELDS):
                     raise ValueError(f"expected {len(_PAIR_FIELDS)} cells, got {len(row)}")
@@ -240,7 +230,7 @@ def _cmd_test(args) -> int:
     }
     if args.kind != "gs":
         payload["kappa"] = _g10(args.kappa)
-    with _Output(args.output) as out:
+    with _output(args.output) as out:
         _write_json(out, payload)
     return 0
 
@@ -267,7 +257,7 @@ def _cmd_scan(args) -> int:
         key=lambda row: (row[3], row[0]),
     )
     fieldnames = ("id", "statistic", "p_raw", "p_adjusted", "kappa_max", "rejected")
-    with _Output(args.output) as out:
+    with _output(args.output) as out:
         _write_table(out, args.format, fieldnames, rows, summary={"tested": len(ids)})
     return 0
 
@@ -293,7 +283,8 @@ def _read_matrix(path: str) -> tuple[tuple[str, ...], np.ndarray]:
         if len(set(header)) != len(header):
             raise UsageError(f"{path}: duplicate feature names")
         rows = []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num
             if len(row) != len(header):
                 raise UsageError(
                     f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
@@ -377,7 +368,7 @@ def _cmd_network(args) -> int:
         f"# features={p} pairs={total_pairs} tested={m} "
         f"skipped={skipped} rejected={rejected}"
     )
-    with _Output(args.output) as out:
+    with _output(args.output) as out:
         _write_table(out, args.format, fieldnames, edges, summary=summary, footer=footer)
     return 0
 
@@ -399,7 +390,7 @@ def _cmd_power(args) -> int:
     alt = LocalAlternative(c1, c2, args.sigma1, args.sigma2, args.lam)
     powers = power_fn(alt, args.kappa, args.alpha)
     rows = zip(_g10s(c1), _g10s(c2), _g10s(powers))
-    with _Output(args.output) as out:
+    with _output(args.output) as out:
         _write_table(out, args.format, ("c1", "c2", "power"), rows)
     return 0
 
@@ -414,11 +405,6 @@ def _theta2_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
         raise UsageError("need --theta2-max >= --theta2-min and --theta2-step > 0")
     count = int(round((hi - lo) / step)) + 1
     return tuple(round(lo + k * step, 10) for k in range(count))
-
-
-def _write_rows_csv(path: str, fieldnames, rows: list[dict]) -> None:
-    with _Output(path) as out:
-        _write_table(out, "csv", fieldnames, ([row[k] for k in fieldnames] for row in rows))
 
 
 def _cmd_simulate(args) -> int:
@@ -436,17 +422,23 @@ def _cmd_simulate(args) -> int:
             seed=args.seed,
         )
         result = run_rejection_study(config)
-        written.append(f"{prefix}_n{n}_rates.csv")
-        _write_rows_csv(
-            written[-1],
-            ("theta2", "kappa", "test", "rejection_rate", "mc_se"),
-            result.rate_rows(),
-        )
+        rates = [
+            (cell.theta2, cell.kappa, cell.test, cell.rejection_rate, cell.mc_std_error)
+            for cell in result.rates
+        ]
+        tables = [("rates", ("theta2", "kappa", "test", "rejection_rate", "mc_se"), rates)]
         if result.kappa_max_quantiles:
-            written.append(f"{prefix}_n{n}_kappa_max.csv")
-            _write_rows_csv(written[-1], ("theta2", "q10", "q50", "q90"), result.quantile_rows())
+            quantiles = [
+                (theta2, qs[0.10], qs[0.50], qs[0.90])
+                for theta2, qs in result.kappa_max_quantiles.items()
+            ]
+            tables.append(("kappa_max", ("theta2", "q10", "q50", "q90"), quantiles))
+        for name, fieldnames, rows in tables:
+            written.append(f"{prefix}_n{n}_{name}.csv")
+            with _output(written[-1]) as out:
+                _write_table(out, "csv", fieldnames, rows)
     written.append(f"{prefix}_config.json")
-    with _Output(written[-1]) as out:
+    with _output(written[-1]) as out:
         _write_json(
             out,
             {
@@ -498,7 +490,7 @@ def _cmd_kappa_max(args) -> int:
             "roots": roots,
             "p_values": {k: p for k, (p,) in context.items()},
         }
-        with _Output(args.output) as out:
+        with _output(args.output) as out:
             _write_json(out, payload)
         return 0
 
@@ -510,7 +502,7 @@ def _cmd_kappa_max(args) -> int:
         key=lambda row: (-row[1], row[0]),
     )
     fieldnames = ("id", "kappa_max", "binding_root", *(f"p_rd_{k}" for k in context))
-    with _Output(args.output) as out:
+    with _output(args.output) as out:
         _write_table(out, args.format, fieldnames, rows)
     return 0
 

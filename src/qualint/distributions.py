@@ -1,4 +1,4 @@
-"""Normal / bivariate-normal tail kernels and root finders, array-first.
+"""Normal / bivariate-normal tail kernels and a batched root finder, array-first.
 
 Every routine here is a pure function of its arguments, so the module is
 safe under unrestricted concurrent use.  The inference layer builds all of
@@ -16,18 +16,14 @@ batch rather than once per element.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
 
 __all__ = [
-    "Bracket",
-    "BracketError",
     "bvn_upper_tail",
     "chi2_1_tail",
-    "find_root_monotone",
     "first_crossing",
     "std_normal_cdf",
     "std_normal_quantile",
@@ -46,47 +42,6 @@ _ULPS = 4.0 * np.finfo(float).eps
 # (at most 2^28 wide) reaches a few ulps within about 160 steps.
 _BISECT_WINDOW = 3
 _MAX_SOLVER_STEPS = 200
-
-
-class BracketError(ValueError):
-    """A root bracket whose endpoints do not straddle a sign change."""
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """A sign-changing interval [lo, hi] with the function values at its ends.
-
-    Invariants (checked at construction): lo < hi, both finite, and f_lo /
-    f_hi carry strictly opposite signs.
-    """
-
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise BracketError("bracket endpoints must be finite")
-        if not self.lo < self.hi:
-            raise BracketError(
-                f"bracket endpoints must satisfy lo < hi, got [{self.lo}, {self.hi}]"
-            )
-        if (
-            self.f_lo == 0.0
-            or self.f_hi == 0.0
-            or (self.f_lo < 0.0) == (self.f_hi < 0.0)
-        ):
-            raise BracketError(
-                f"no sign change on bracket: f(lo)={self.f_lo}, f(hi)={self.f_hi}"
-            )
-
-    @classmethod
-    def from_function(
-        cls, f: Callable[[float], float], lo: float, hi: float
-    ) -> "Bracket":
-        """Evaluate f at the endpoints and build a validated bracket."""
-        return cls(lo, hi, f(lo), f(hi))
 
 
 def std_normal_cdf(x: float) -> float:
@@ -192,32 +147,6 @@ def bvn_upper_tail(a, b, rho):
         p = np.where(positive, ndtr(-np.maximum(a, b)), p)
         p = np.where(negative, np.maximum(0.0, ndtr(-b) - ndtr(a)), p)
     return p if p.ndim else float(p)
-
-
-def find_root_monotone(
-    f: Callable[[float], float], bracket: Bracket, tol: float = 1e-9
-) -> float:
-    """Root of a continuous monotone function inside a validated bracket.
-
-    The one-row case of the bracketed solver behind ``first_crossing``:
-    Illinois (modified regula falsi) steps with a bisection safeguard, so
-    convergence is guaranteed whenever the bracket invariant holds.  The
-    result is deterministic and lies in an enclosing interval of width at
-    most ``tol`` (plus a few ulps when ``tol`` is below the float spacing).
-    """
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
-    sign = 1.0 if bracket.f_lo < 0.0 else -1.0  # the solver expects f increasing
-    root = _illinois(
-        lambda x, rows: np.array([sign * f(float(x[0]))]),
-        np.arange(1),
-        np.array([bracket.lo]),
-        np.array([bracket.hi]),
-        np.array([sign * bracket.f_lo]),
-        np.array([sign * bracket.f_hi]),
-        tol,
-    )
-    return float(root[0])
 
 
 def first_crossing(

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qualint.inference import SubgroupEstimate
+from qualint.inference import SubgroupEstimate, _rule_violation, _valid
 
 __all__ = [
     "EstimateBatch",
@@ -48,8 +48,9 @@ __all__ = [
     "pearson",
 ]
 
-# degeneracy codes of EstimateBatch.code, indexing _REASONS
-_OK, _NON_FINITE, _X_CONSTANT, _Y_CONSTANT, _R_ONE, _PERFECT_FIT = range(6)
+# degeneracy codes of EstimateBatch.code, indexing _REASONS; _SE_RULE marks
+# a standard error that is positive but breaks the core's input rule
+_OK, _NON_FINITE, _X_CONSTANT, _Y_CONSTANT, _R_ONE, _PERFECT_FIT, _SE_RULE = range(7)
 _REASONS = (
     None,
     "sample contains non-finite values",
@@ -57,6 +58,7 @@ _REASONS = (
     "y is constant; correlation is undefined",
     "|r| = {:g} leaves a degenerate standard error",
     "residuals have zero variance (perfect fit); slope standard error is degenerate",
+    None,  # the core's wording, from _rule_violation
 )
 
 
@@ -184,6 +186,8 @@ class EstimateBatch:
         code = int(self.code[row])
         if code == _R_ONE:
             return _REASONS[code].format(abs(float(self.estimate[row])))
+        if code == _SE_RULE:
+            return _rule_violation("std_error", self.std_error[row], se=True)
         return _REASONS[code]
 
     def __len__(self) -> int:
@@ -285,8 +289,9 @@ def ols_slope(
 
     slope = Sxy / Sxx; se = sqrt((RSS / (n - 2)) / Sxx) with
     RSS = Syy - Sxy^2 / Sxx.  A perfect fit (zero residual variance) leaves
-    nothing to standardize against: EstimationError for a Sample2D, a
-    degenerate row in the EstimateBatch of a batch.
+    nothing to standardize against, and a standard error the tests do not
+    accept (finite and > 1e-300) is no better: EstimationError for a
+    Sample2D, a degenerate row in the EstimateBatch of a batch.
     """
     s = _sums(sample)
     # degenerate rows are flagged by code, not by floating-point warnings
@@ -296,7 +301,8 @@ def ols_slope(
         se = np.sqrt(np.maximum(rss, 0.0) / (s.n - 2) / s.sxx)
         slope, se = np.ldexp(slope, s.shift), np.ldexp(se, s.shift)
         fit = np.isfinite(se) & (se > 0.0)
-    code = np.where(s.code != _OK, s.code, np.where(fit, _OK, _PERFECT_FIT))
+    usable = np.where(_valid(se, se=True), _OK, _SE_RULE)
+    code = np.where(s.code != _OK, s.code, np.where(fit, usable, _PERFECT_FIT))
     return _result(sample, EstimateBatch(slope, se, s.n, code))
 
 

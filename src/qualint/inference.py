@@ -194,12 +194,12 @@ class _Rows(NamedTuple):
         return _Rows(*(column[index] for column in self))
 
 
-def _variances(se1, se2):
-    """(scale, v1, v2): scale is the power of two that puts max(se1, se2) in
-    [0.5, 1), and v1, v2 are the rescaled standard errors squared."""
+def _rows(x1, se1, x2, se2) -> _Rows:
+    """Estimates and standard errors rescaled together, exactly, by the power
+    of two that puts max(se1, se2) in [0.5, 1)."""
     scale = np.ldexp(1.0, -np.frexp(np.maximum(se1, se2))[1])
     s1, s2 = se1 * scale, se2 * scale
-    return scale, s1 * s1, s2 * s2
+    return _Rows(x1 * scale, x2 * scale, s1, s2, s1 * s1, s2 * s2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,11 +234,7 @@ class PairBatch:
             if not valid.all():
                 row = int(np.argmin(valid))
                 raise ValueError(_rule_violation(f"{name}[{row}]", column[row], se))
-        scale, v1, v2 = _variances(self.se1, self.se2)
-        scaled = _Rows(
-            self.est1 * scale, self.est2 * scale, self.se1 * scale, self.se2 * scale, v1, v2
-        )
-        object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "scaled", _rows(self.est1, self.se1, self.est2, self.se2))
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[float, float, float, float]]) -> "PairBatch":
@@ -394,12 +390,11 @@ def _check_alpha(alpha: float, upper: float = 1.0) -> None:
         raise ValueError(f"alpha must lie in (0, {upper:g}), got {alpha!r}")
 
 
-def _check_kappa(kappa: float, minimum: float = 1.0, strict: bool = False) -> None:
+def _check_kappa(kappa: float, strict: bool = False) -> None:
     if not math.isfinite(kappa):
         raise ValueError(f"kappa must be finite, got {kappa!r}")
-    if (strict and not kappa > minimum) or (not strict and not kappa >= minimum):
-        op = ">" if strict else ">="
-        raise ValueError(f"kappa must be {op} {minimum:g}, got {kappa!r}")
+    if not (kappa > 1.0 if strict else kappa >= 1.0):
+        raise ValueError(f"kappa must be {'>' if strict else '>='} 1, got {kappa!r}")
 
 
 def _as_batch(pair: EstimatePair | PairBatch) -> PairBatch:
@@ -432,6 +427,17 @@ def _kappa_split(kappa):
     """
     m, exponent = np.frexp(kappa)
     return m, np.ldexp(1.0, -exponent)
+
+
+def _local_rows(alt: LocalAlternative) -> _Rows:
+    """The sqrt(n)-scaled alternative as rescaled rows: effects
+    sqrt(1-lam) c1 and sqrt(lam) c2, with standard errors sqrt(1-lam) sigma1
+    and sqrt(lam) sigma2."""
+    w1 = math.sqrt(1.0 - alt.lam)
+    w2 = math.sqrt(alt.lam)
+    return _rows(
+        np.multiply(w1, alt.c1), w1 * alt.sigma1, np.multiply(w2, alt.c2), w2 * alt.sigma2
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +517,11 @@ def _omnibus_nu(v1, v2, m, s):
 
 
 def _zero_point_quantile(tail, alpha: float) -> float:
-    """Root q > 0 of tail(q) = alpha for a decreasing tail of shape (1,).
+    """Root q > 0 of tail(q) = alpha for one decreasing tail.
 
     0.0 when the mass just above zero, tail(1e-12), is already <= alpha.
     """
-    excess = lambda q, rows: alpha - tail(q)
+    excess = lambda q, rows: np.reshape(alpha - tail(q), 1)  # one row for first_crossing
     at_lo = excess(_QUANTILE_LO, None)
     if at_lo[0] >= 0.0:
         return 0.0
@@ -541,8 +547,7 @@ def pn_region_contains_alternative(pair: EstimatePair | PairBatch):
     crossover alternative.  A batch gives one flag per row.
     """
     batch = _as_batch(pair)
-    inside = _opposite_signs(batch.est1, batch.est2)
-    return inside if isinstance(pair, PairBatch) else bool(inside[0])
+    return _per_row(pair, _opposite_signs(batch.est1, batch.est2))
 
 
 def gail_simon_test(pair: EstimatePair | PairBatch, alpha: float):
@@ -577,7 +582,7 @@ def rd_statistic(pair: EstimatePair | PairBatch, kappa: float):
     returned (the minimum-distance completion; deterministic even though the
     event has measure zero).
     """
-    _check_kappa(kappa, minimum=1.0)
+    _check_kappa(kappa)
     rows = _as_batch(pair).scaled
     t = _rd_stat(np.abs(rows.x1), np.abs(rows.x2), rows.v1, rows.v2, *_kappa_split(kappa))
     return _per_row(pair, t)
@@ -591,11 +596,11 @@ def rd_null_nu(kappa: float, se1: float, se2: float) -> tuple[float, float]:
     matters, so any common scale cancels.  For kappa > 1 at most one of the
     two can be positive.
     """
-    _check_kappa(kappa, minimum=1.0)
+    _check_kappa(kappa)
     _check_input("se1", se1, se=True)
     _check_input("se2", se2, se=True)
-    _, v1, v2 = _variances(se1, se2)
-    nu1, nu2 = _rd_nu(v1, v2, *_kappa_split(kappa))
+    rows = _rows(0.0, se1, 0.0, se2)
+    nu1, nu2 = _rd_nu(rows.v1, rows.v2, *_kappa_split(kappa))
     return (float(nu1), float(nu2))
 
 
@@ -626,21 +631,19 @@ def rd_test(pair: EstimatePair | PairBatch, kappa: float, alpha: float):
     A statistic t <= 0 places the estimates inside the null region and the
     p-value is 1.  A PairBatch gives a TestBatch.
     """
-    _check_kappa(kappa, minimum=1.0, strict=True)
+    _check_kappa(kappa, strict=True)
     _check_alpha(alpha)
     t, boundary, zero_point = _rd_components(_as_batch(pair).scaled, kappa)
     return _tested(pair, t, {"normal_boundary": boundary, "zero_point": zero_point}, alpha)
 
 
-def _rd_zero_point_quantile(
-    kappa: float, se1: float, se2: float, alpha: float
-) -> float:
-    """Root of rd_null_tail(q) = alpha, or 0.0 when the t->0+ mass is <= alpha.
+def _rd_zero_point_quantile(nu1, nu2, alpha: float) -> float:
+    """Root of the zero-point tail at alpha for correlations (nu1, nu2), or
+    0.0 when the t->0+ mass is <= alpha.
 
     The zero-point tail is strictly decreasing in t, so the root is unique
     whenever the limiting mass at the origin exceeds alpha.
     """
-    nu1, nu2 = (np.array([nu]) for nu in rd_null_nu(kappa, se1, se2))
     return _zero_point_quantile(lambda q: _rd_zero_tail(q, nu1, nu2), alpha)
 
 
@@ -651,31 +654,29 @@ def rd_null_quantile(kappa: float, se1: float, se2: float, alpha: float) -> floa
     Phi^{-1}(1 - alpha/2) and the root of the zero-point tail at alpha.  The
     result never falls below the normal point.
     """
-    _check_kappa(kappa, minimum=1.0, strict=True)
+    _check_kappa(kappa, strict=True)
     _check_alpha(alpha, upper=0.5)
     z = std_normal_quantile(1.0 - alpha / 2.0)
-    q = _rd_zero_point_quantile(kappa, se1, se2, alpha)
-    return max(z, q)
+    return max(z, _rd_zero_point_quantile(*rd_null_nu(kappa, se1, se2), alpha))
 
 
-def _rd_power_from_se(theta1, theta2, se1: float, se2: float, kappa: float, alpha: float):
+def _rd_power(rows: _Rows, kappa: float, alpha: float):
     """Four-orthant rejection probability of the relative-difference test.
 
-    Under an alternative with true effects (theta1, theta2) and per-group
-    standard errors, the statistic exceeds the null quantile t* exactly when
-    one of four bivariate-normal pairs lands beyond (t*, t*) or beyond
+    Under an alternative with true effects (x1, x2) and per-group standard
+    errors (se1, se2), the statistic exceeds the null quantile t* exactly
+    when one of four bivariate-normal pairs lands beyond (t*, t*) or beyond
     (-t*, -t*); the lower quadrants reduce to upper tails with negated
     means.  The effects may be arrays (one alternative per element).
     """
-    t_star = rd_null_quantile(kappa, se1, se2, alpha)
-    scale, v1, v2 = _variances(se1, se2)
-    x1, x2 = np.multiply(theta1, scale), np.multiply(theta2, scale)
+    x1, x2, v1, v2 = rows.x1, rows.x2, rows.v1, rows.v2
     m, s = _kappa_split(kappa)
+    nu1, nu2 = _rd_nu(v1, v2, m, s)
+    t_star = max(std_normal_quantile(1.0 - alpha / 2.0), _rd_zero_point_quantile(nu1, nu2, alpha))
     c11 = _contrast(x1, x2, v1, v2, m, s)
     c12 = _contrast(x1, -x2, v1, v2, m, s)
     c21 = _contrast(x2, x1, v2, v1, m, s)
     c22 = _contrast(x2, -x1, v2, v1, m, s)
-    nu1, nu2 = _rd_nu(v1, v2, m, s)
     power = (
         bvn_upper_tail(t_star - c11, t_star - c12, nu1)
         + bvn_upper_tail(t_star + c11, t_star + c12, nu1)
@@ -694,14 +695,9 @@ def rd_local_power(alt: LocalAlternative, kappa: float, alpha: float):
     errors, so this delegates to the same shifted-orthant sum used by
     rd_power_approx.  A grid of alternatives shares one null quantile.
     """
-    _check_kappa(kappa, minimum=1.0, strict=True)
+    _check_kappa(kappa, strict=True)
     _check_alpha(alpha, upper=0.5)
-    w1 = math.sqrt(1.0 - alt.lam)
-    w2 = math.sqrt(alt.lam)
-    return _rd_power_from_se(
-        np.multiply(w1, alt.c1), np.multiply(w2, alt.c2),
-        w1 * alt.sigma1, w2 * alt.sigma2, kappa, alpha,
-    )
+    return _rd_power(_local_rows(alt), kappa, alpha)
 
 
 def rd_power_approx(pair_truth: EstimatePair, kappa: float, alpha: float) -> float:
@@ -711,16 +707,10 @@ def rd_power_approx(pair_truth: EstimatePair, kappa: float, alpha: float) -> flo
     slots their anticipated standard errors; scaling all four numbers by a
     common positive constant leaves the result unchanged.
     """
-    _check_kappa(kappa, minimum=1.0, strict=True)
+    _check_kappa(kappa, strict=True)
     _check_alpha(alpha, upper=0.5)
-    return _rd_power_from_se(
-        pair_truth.group1.estimate,
-        pair_truth.group2.estimate,
-        pair_truth.group1.std_error,
-        pair_truth.group2.std_error,
-        kappa,
-        alpha,
-    )
+    g1, g2 = pair_truth.group1, pair_truth.group2
+    return _rd_power(_rows(g1.estimate, g1.std_error, g2.estimate, g2.std_error), kappa, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -736,10 +726,9 @@ def omnibus_region_contains_alternative(pair: EstimatePair | PairBatch, kappa: f
     negative direction, for either group.  Opposite-sign pairs always
     qualify.  A batch gives one flag per row.
     """
-    _check_kappa(kappa, minimum=1.0)
+    _check_kappa(kappa)
     rows = _as_batch(pair).scaled
-    inside = _omnibus_region(rows.x1, rows.x2, *_kappa_split(kappa))
-    return inside if isinstance(pair, PairBatch) else bool(inside[0])
+    return _per_row(pair, _omnibus_region(rows.x1, rows.x2, *_kappa_split(kappa)))
 
 
 def omnibus_statistic(pair: EstimatePair | PairBatch, kappa: float):
@@ -749,7 +738,7 @@ def omnibus_statistic(pair: EstimatePair | PairBatch, kappa: float):
          (kappa*th1 - th2)^2 / (kappa^2 se1^2 + se2^2) } inside the
     alternative region, 0 outside.
     """
-    _check_kappa(kappa, minimum=1.0)
+    _check_kappa(kappa)
     return _per_row(pair, _omnibus_stat(_as_batch(pair).scaled, *_kappa_split(kappa)))
 
 
@@ -767,11 +756,11 @@ def omnibus_null_tail(t: float, kappa: float, se1: float, se2: float) -> float:
     """
     if not t > 0.0:
         raise ValueError(f"tail characterized for t > 0 only, got t={t!r}")
-    _check_kappa(kappa, minimum=1.0)
+    _check_kappa(kappa)
     _check_input("se1", se1, se=True)
     _check_input("se2", se2, se=True)
-    _, v1, v2 = _variances(se1, se2)
-    nu = _omnibus_nu(v1, v2, *_kappa_split(kappa))
+    rows = _rows(0.0, se1, 0.0, se2)
+    nu = _omnibus_nu(rows.v1, rows.v2, *_kappa_split(kappa))
     return float(_omnibus_zero_tail(math.sqrt(t), nu))
 
 
@@ -788,7 +777,7 @@ def omnibus_test(pair: EstimatePair | PairBatch, kappa: float, alpha: float):
     p-value 1.  For very large kappa the p-value converges to the
     Gail-Simon p-value.  A PairBatch gives a TestBatch.
     """
-    _check_kappa(kappa, minimum=1.0, strict=True)
+    _check_kappa(kappa, strict=True)
     _check_alpha(alpha)
     rows = _as_batch(pair).scaled
     m, s = _kappa_split(kappa)
@@ -802,17 +791,14 @@ def omnibus_test(pair: EstimatePair | PairBatch, kappa: float, alpha: float):
     return _tested(pair, t, {"normal_boundary": boundary, "zero_point": zero_point}, alpha)
 
 
-def _omnibus_zero_point_quantile(
-    kappa: float, se1: float, se2: float, alpha: float
-) -> float:
-    """Root s of 2 P(V1>s, V2>s) = alpha on the sqrt-statistic scale.
+def _omnibus_zero_point_quantile(nu, alpha: float) -> float:
+    """Root s of 2 P(V1>s, V2>s) = alpha on the sqrt-statistic scale, for
+    the zero-point correlation nu.
 
     The limit as s -> 0+ is 1/2 + asin(nu)/pi > 1/2 > alpha, so a positive
     root always exists.
     """
-    _, v1, v2 = _variances(se1, se2)
-    nu = np.array([_omnibus_nu(v1, v2, *_kappa_split(kappa))])
-    return _zero_point_quantile(lambda s: 2.0 * bvn_upper_tail(s, s, nu), alpha)
+    return _zero_point_quantile(lambda s: _omnibus_zero_tail(s, nu), alpha)
 
 
 def omnibus_local_power(alt: LocalAlternative, kappa: float, alpha: float):
@@ -823,21 +809,12 @@ def omnibus_local_power(alt: LocalAlternative, kappa: float, alpha: float):
     power is the two-term shifted orthant sum P(V1>s*, V2>s*) +
     P(V1<-s*, V2<-s*).  A grid of alternatives shares one threshold.
     """
-    _check_kappa(kappa, minimum=1.0, strict=True)
+    _check_kappa(kappa, strict=True)
     _check_alpha(alpha, upper=0.5)
-    w1 = math.sqrt(1.0 - alt.lam)
-    w2 = math.sqrt(alt.lam)
-    se1 = w1 * alt.sigma1
-    se2 = w2 * alt.sigma2
-    s_star = max(
-        std_normal_quantile(1.0 - alpha),
-        _omnibus_zero_point_quantile(kappa, se1, se2, alpha),
-    )
-    scale, v1, v2 = _variances(se1, se2)
-    x1 = np.multiply(w1, alt.c1) * scale
-    x2 = np.multiply(w2, alt.c2) * scale
+    x1, x2, _, _, v1, v2 = _local_rows(alt)
     m, s = _kappa_split(kappa)
     nu = _omnibus_nu(v1, v2, m, s)
+    s_star = max(std_normal_quantile(1.0 - alpha), _omnibus_zero_point_quantile(nu, alpha))
     c1 = _contrast(x1, x2, v1, v2, m, s)
     c2 = -_contrast(x2, x1, v2, v1, m, s)
     power = bvn_upper_tail(s_star - c1, s_star - c2, nu) + bvn_upper_tail(

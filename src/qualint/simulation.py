@@ -145,50 +145,6 @@ class StudyResult:
                 return cell
         raise KeyError(f"no rate cell for theta2={theta2}, kappa={kappa}, {test!r}")
 
-    def rate_rows(self) -> list[dict]:
-        """Long-format rows (theta2, kappa, test, rejection_rate, mc_se)."""
-        return [
-            {
-                "theta2": c.theta2,
-                "kappa": c.kappa,
-                "test": c.test,
-                "rejection_rate": c.rejection_rate,
-                "mc_se": c.mc_std_error,
-            }
-            for c in self.rates
-        ]
-
-    def quantile_rows(self) -> list[dict]:
-        """One row per theta2 with the 0.10/0.50/0.90 kappa_max quantiles."""
-        return [
-            {
-                "theta2": theta2,
-                "q10": qs[0.10],
-                "q50": qs[0.50],
-                "q90": qs[0.90],
-            }
-            for theta2, qs in self.kappa_max_quantiles.items()
-        ]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "config": {
-                "theta1": self.config.theta1,
-                "theta2_grid": list(self.config.theta2_grid),
-                "n": self.config.n,
-                "replications": self.config.replications,
-                "kappas": list(self.config.kappas),
-                "alpha": self.config.alpha,
-                "seed": self.config.seed,
-            },
-            "rates": self.rate_rows(),
-            "kappa_max_quantiles": [
-                {"theta2": t, **{f"q{int(q * 100)}": v for q, v in qs.items()}}
-                for t, qs in self.kappa_max_quantiles.items()
-            ],
-            "dropped": {str(t): c for t, c in self.dropped.items()},
-        }
-
 
 # ---------------------------------------------------------------------------
 # data generation
@@ -371,7 +327,7 @@ def mc_null_oracle(
         raise ValueError(f"draws must be >= 10000, got {draws}")
     if test_kind not in _TEST_KINDS:
         raise ValueError(f"test_kind must be one of {_TEST_KINDS}, got {test_kind!r}")
-    _check_kappa(kappa, minimum=1.0)
+    _check_kappa(kappa)
     _check_input("se1", se1, se=True)
     _check_input("se2", se2, se=True)
     th1 = rng_stream.normal(0.0, se1, size=draws)

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from qualint.distributions import first_crossing
 from qualint.inference import (
@@ -192,12 +193,20 @@ def linear_rows(targets):
 
 def test_first_crossing_roots_and_cap():
     targets = [1.5, 3.7, 4.0, 1.25e8, 3e9]
-    f = linear_rows(targets)
-    roots = first_crossing(f, 1.0, np.array(targets) * -1 + 1.0, 2.0, 1e9, tol=1e-9)
+    linear = linear_rows(targets)
+    quantile = len(targets)  # one more row: Phi(x) = 0.975, by inverting ndtr
+
+    def f(x, rows):
+        x = np.broadcast_to(x, rows.shape)
+        linear_values = linear(x, np.minimum(rows, quantile - 1))
+        return np.where(rows == quantile, ndtr(x) - 0.975, linear_values)
+
+    roots = first_crossing(f, 1.0, f(1.0, np.arange(quantile + 1)), 2.0, 1e9, tol=1e-9)
     assert roots[2] == 4.0  # a doubling point that is an exact root is returned as is
     assert math.isinf(roots[4])  # no crossing at any doubling point <= cap
     for got, want in zip(roots[:4], targets[:4]):
         assert abs(got - want) <= 1e-9 + 8 * np.finfo(float).eps * want
+    assert roots[quantile] == pytest.approx(1.959964, abs=1e-6)
 
 
 def test_first_crossing_rows_are_independent():

@@ -258,6 +258,22 @@ class TestScanCommand:
             expected = float(f"{min(1.0, 2 * float(row['p_raw'])):.10g}")
             assert float(row["p_adjusted"]) == expected
 
+    def test_warnings_name_the_file_line_after_a_blank_line(self, tmp_path, capsys):
+        pairs = tmp_path / "blank.csv"
+        pairs.write_text(
+            "id,est1,se1,est2,se2\n"
+            "GRB2,-0.06,0.31,-1.66,0.68\n"
+            "APC,1.34,0.32,-0.09,0.33\n"
+            "\n"
+            "NAN_EST,nan,0.5,2.0,0.5\n"
+        )
+        code, out, err = self.scan(capsys, ["scan", str(pairs), "--alpha", "0.10"])
+        assert code == 0
+        assert err.splitlines() == [
+            f"warning: skipping {pairs}:5: est1 must be finite, got nan"
+        ]
+        assert {row["id"] for row in parse_csv(out)} == {"GRB2", "APC"}
+
     def test_strict_mode_rejects_bad_rows(self, tmp_path, capsys):
         pairs = tmp_path / "mixed.csv"
         write_pairs(pairs, list(TABLE_ROWS[:2]) + [("BROKEN", 1.0, -0.5, 2.0, 0.1, None)])

@@ -16,11 +16,8 @@ import numpy as np
 import pytest
 
 from qualint.distributions import (
-    Bracket,
-    BracketError,
     bvn_upper_tail,
     chi2_1_tail,
-    find_root_monotone,
     std_normal_cdf,
     std_normal_quantile,
 )
@@ -204,39 +201,3 @@ class TestBvnUpperTail:
             bvn_upper_tail(0.0, math.inf, 0.5)
         with pytest.raises(ValueError):
             bvn_upper_tail(0.0, 0.0, 1.5)
-
-
-class TestRootFinder:
-    def test_linear(self):
-        bracket = Bracket.from_function(lambda x: x - 2.0, 0.0, 5.0)
-        assert find_root_monotone(lambda x: x - 2.0, bracket, tol=1e-10) == pytest.approx(
-            2.0, abs=1e-10
-        )
-
-    def test_normal_quantile_by_inversion(self):
-        f = lambda x: std_normal_cdf(x) - 0.975
-        root = find_root_monotone(f, Bracket.from_function(f, 0.0, 10.0))
-        assert root == pytest.approx(1.959964, abs=1e-6)
-
-    def test_cube_root(self):
-        f = lambda x: x**3 - 8.0
-        root = find_root_monotone(f, Bracket.from_function(f, 1.0, 3.0), tol=1e-12)
-        assert root == pytest.approx(2.0, abs=1e-9)
-
-    def test_deterministic(self):
-        f = lambda x: math.tanh(x) - 0.3
-        b = Bracket.from_function(f, -2.0, 2.0)
-        assert find_root_monotone(f, b) == find_root_monotone(f, b)
-
-    def test_invalid_bracket(self):
-        with pytest.raises(BracketError):
-            Bracket(0.0, 1.0, 1.0, 2.0)  # no sign change
-        with pytest.raises(BracketError):
-            Bracket(1.0, 0.0, -1.0, 1.0)  # reversed endpoints
-        with pytest.raises(BracketError):
-            Bracket(0.0, 1.0, 0.0, 1.0)  # zero endpoint value is not a sign change
-
-    def test_bad_tolerance(self):
-        b = Bracket(0.0, 1.0, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            find_root_monotone(lambda x: x - 0.5, b, tol=0.0)

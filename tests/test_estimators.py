@@ -197,6 +197,18 @@ class TestExtremeScales:
             pearson(Sample2D(np.arange(25.0), np.full(25, math.ldexp(0.1, ey))))
 
 
+    def test_slope_se_below_the_core_floor_is_degenerate(self):
+        # the SE is positive but below 1e-300, which the tests refuse
+        x = np.arange(10.0)
+        y = np.sin(x) * 1e-310
+        rule = "std_error must be finite and > 1e-300, got "
+        with pytest.raises(EstimationError, match=rule):
+            ols_slope(Sample2D(x, y))
+        batch = ols_slope(SampleBatch(np.stack([x, x]), np.stack([y, np.sin(x)])))
+        assert batch.ok.tolist() == [False, True]
+        assert batch.reason(0) == rule + repr(float(batch.std_error[0]))
+
+
 class TestBatches:
     """Row i of a batch is exactly the single-sample call on sample i."""
 

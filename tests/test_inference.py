@@ -335,14 +335,14 @@ class TestRdNullQuantile:
         assert q == pytest.approx(Z975, abs=1e-9)
 
     def test_zero_point_root_self_consistent(self):
-        root = _rd_zero_point_quantile(2.0, 1.0, 1.0, 0.05)
+        root = _rd_zero_point_quantile(*rd_null_nu(2.0, 1.0, 1.0), 0.05)
         assert root == pytest.approx(RD_ZERO_QUANTILE_K2, abs=1e-8)
         assert rd_null_tail(root, 2.0, 1.0, 1.0) == pytest.approx(0.05, abs=1e-8)
 
     def test_zero_point_root_degenerate_when_mass_small(self):
         # huge kappa: both correlations approach -1 and the 0+ mass
         # collapses below alpha, so the zero-point quantile is 0
-        assert _rd_zero_point_quantile(1e8, 1.0, 1.0, 0.05) == 0.0
+        assert _rd_zero_point_quantile(*rd_null_nu(1e8, 1.0, 1.0), 0.05) == 0.0
         assert rd_null_quantile(1e8, 1.0, 1.0, 0.05) == pytest.approx(Z975, abs=1e-9)
 
     def test_never_below_normal_point(self):
@@ -527,7 +527,8 @@ class TestOmnibusPower:
         )
 
     def test_zero_point_quantile_binds_near_kappa_one(self):
-        root = _omnibus_zero_point_quantile(1.1, 1.0, 1.0, 0.05)
+        # at equal standard errors the zero-point correlation is 2 kappa / (1 + kappa^2)
+        root = _omnibus_zero_point_quantile(2.2 / 2.21, 0.05)
         assert root == pytest.approx(OMNI_ZERO_QUANTILE_K110, abs=1e-8)
         assert root > Z95
         # when the zero-point root binds, size at the origin is exactly alpha
@@ -705,6 +706,17 @@ class TestFloatRange:
             assert kappa_max(tiny, 0.10).kappa_max == pytest.approx(
                 kappa_max(base, 0.10).kappa_max, abs=1e-6
             )
+
+    def test_local_power_is_exact_under_power_of_two_sigma_scaling(self):
+        # sqrt(lam) sigma below 1e-300 used to fail the rd null quantile's
+        # input check, while the omnibus power had no such check
+        f = 2.0**-1000
+        c1 = np.linspace(-6.0, 6.0, 7)
+        c2 = -0.5 * c1
+        for power in (rd_local_power, omnibus_local_power):
+            base = power(LocalAlternative(c1, c2, 0.7, 1.3, 0.4), 2.0, 0.05)
+            tiny = power(LocalAlternative(c1 * f, c2 * f, 0.7 * f, 1.3 * f, 0.4), 2.0, 0.05)
+            assert tiny.tolist() == base.tolist()
 
     def test_omnibus_collapses_to_gail_simon_at_huge_kappa(self):
         for e1, s1, e2, s2 in OPPOSITE_SIGN_PAIRS:

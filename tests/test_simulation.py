@@ -214,17 +214,6 @@ class TestRejectionStudy:
         with pytest.raises(KeyError):
             res.rate(0.0, 3.0, "rd")
 
-    def test_row_helpers(self):
-        res = run_rejection_study(small_config(replications=10))
-        rows = res.rate_rows()
-        assert len(rows) == len(res.rates)
-        assert set(rows[0]) == {"theta2", "kappa", "test", "rejection_rate", "mc_se"}
-        qrows = res.quantile_rows()
-        assert {row["theta2"] for row in qrows} == {0.0, 0.5}
-        payload = res.to_json_dict()
-        assert payload["config"]["seed"] == 1234
-        assert payload["dropped"] == {}
-
 
 class TestKappaMaxStudy:
     def test_deterministic(self):
