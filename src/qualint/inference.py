@@ -95,18 +95,18 @@ __all__ = [
 # (zero-variance) estimate; every formula divides by se-derived quantities.
 _SE_FLOOR = 1e-300
 
-# kappa = 1 + _KAPPA_EPS is the probe point deciding whether any kappa > 1
-# rejects; _KAPPA_CAP bounds the doubling search for inversion roots.
-_KAPPA_EPS = 1e-9
+# _KAPPA_PROBE is the point deciding whether any kappa > 1 rejects;
+# _KAPPA_CAP bounds the doubling searches for zero-point roots.
+_KAPPA_PROBE = 1.0 + 1e-9
 _KAPPA_CAP = 1e9
 _KAPPA_TOL = 1e-6
-# The inversion roots are solved this much tighter than _KAPPA_TOL, so they
-# stay within _KAPPA_TOL of any solver that meets _KAPPA_TOL.
+# pi_2 is solved this much tighter than _KAPPA_TOL, so it stays within
+# _KAPPA_TOL of any solver that meets _KAPPA_TOL.
 _KAPPA_SOLVER_TOL = 1e-3 * _KAPPA_TOL
-# Zero-point quantile searches start just above t = 0 and double from 1.
+# The omnibus zero-point quantile search starts just above 0 and doubles from 1.
 _QUANTILE_LO = 1e-12
 
-_BINDING_ROOTS = ("normal_boundary", "zero_point", "none")
+_BINDING_ROOTS = ("normal_boundary", "none")
 _BATCH_FIELDS = ("est1", "se1", "est2", "se2")
 
 
@@ -306,11 +306,11 @@ class TestBatch:
 class KappaMaxResult:
     """Inverted-test summary: the largest kappa at which rejection holds.
 
-    ``binding_root`` names which tail's inversion root bound the minimum:
-    ``normal_boundary`` (pi_1), ``zero_point`` (pi_2), or ``none`` when no
-    kappa > 1 rejects (then kappa_max = 1 by convention).  ``roots`` holds
-    (pi_1, pi_2) when a search ran; pi_2 is +inf when the zero-point tail
-    never climbs back to alpha.
+    ``binding_root`` is ``normal_boundary`` when kappa_max is pi_1, the
+    boundary tail's root (the zero-point root pi_2 never binds; see
+    kappa_max), or ``none`` when no kappa > 1 rejects (then kappa_max = 1 by
+    convention).  ``roots`` holds (pi_1, pi_2) when some kappa > 1 rejects;
+    pi_2 is +inf when the zero-point tail never climbs back to alpha.
     """
 
     kappa_max: float
@@ -331,14 +331,26 @@ class KappaMaxResult:
 class KappaMaxBatch:
     """kappa_max of every row of a PairBatch, as arrays.
 
-    ``roots`` has one (pi_1, pi_2) row per input row, NaN where no search
-    ran (binding_root "none").  ``batch[i]`` is the KappaMaxResult of row i.
+    ``roots`` has one (pi_1, pi_2) row per input row, NaN where binding_root
+    is "none"; its pi_2 search runs on the first read.  ``batch[i]`` is the
+    KappaMaxResult of row i.
     """
 
     kappa_max: np.ndarray
     alpha: float
     binding_root: np.ndarray
-    roots: np.ndarray
+    _rejecting: _Rows = field(repr=False)  # rows rejecting at the probe, rescaled
+
+    @functools.cached_property
+    def roots(self) -> np.ndarray:
+        rejecting = self.binding_root != "none"
+        pi1 = self.kappa_max[rejecting]
+        roots = np.full((len(self), 2), math.nan)
+        roots[rejecting, 0] = pi1
+        # pi_2 >= pi_1, but where nu1 or nu2 rounds to 1 the tails coincide
+        # and the search can land a rounding error below the closed form
+        roots[rejecting, 1] = np.maximum(pi1, _zero_point_root(self._rejecting, self.alpha))
+        return roots
 
     def __len__(self) -> int:
         return int(self.kappa_max.shape[0])
@@ -451,10 +463,19 @@ def _contrast(x1, x2, v1, v2, m, s):
 
 
 def _rd_stat(a1, a2, v1, v2, m, s):
-    """Relative-difference statistic from absolute estimates a1, a2."""
-    t_1max = _contrast(a1, a2, v1, v2, m, s)
-    t_2max = _contrast(a2, a1, v2, v1, m, s)
-    return np.where(a1 > a2, t_1max, np.where(a2 > a1, t_2max, np.minimum(t_1max, t_2max)))
+    """Relative-difference statistic from absolute estimates a1, a2: the
+    contrast of the larger against the smaller, or on exact ties the smaller
+    of both assignments' contrasts.  Only these are evaluated, so the
+    discarded assignment of a lopsided row cannot overflow."""
+    first = a1 >= a2
+    a_max, a_min = np.where(first, a1, a2), np.where(first, a2, a1)
+    v_max, v_min = np.where(first, v1, v2), np.where(first, v2, v1)
+    t = _contrast(a_max, a_min, v_max, v_min, m, s)
+    tie = a1 == a2
+    if tie.any():  # a tie's other assignment only swaps the variances
+        t = np.minimum(t, _contrast(a_max, a_min, np.where(tie, v_min, v_max),
+                                    np.where(tie, v_max, v_min), m, s))
+    return t
 
 
 def _rd_nu(v1, v2, m, s):
@@ -514,21 +535,6 @@ def _omnibus_nu(v1, v2, m, s):
     s2, m2 = s * s, m * m
     nu = m * ((v1 + v2) * s) / np.sqrt((v1 * s2 + m2 * v2) * (m2 * v1 + v2 * s2))
     return np.maximum(0.0, np.minimum(1.0, nu))
-
-
-def _zero_point_quantile(tail, alpha: float) -> float:
-    """Root q > 0 of tail(q) = alpha for one decreasing tail.
-
-    0.0 when the mass just above zero, tail(1e-12), is already <= alpha.
-    """
-    excess = lambda q, rows: np.reshape(alpha - tail(q), 1)  # one row for first_crossing
-    at_lo = excess(_QUANTILE_LO, None)
-    if at_lo[0] >= 0.0:
-        return 0.0
-    root = first_crossing(excess, _QUANTILE_LO, at_lo, 1.0, _KAPPA_CAP)[0]
-    if math.isinf(root):  # pragma: no cover - tails decay like a Gaussian
-        raise ArithmeticError("zero-point quantile search failed to bracket")
-    return float(root)
 
 
 # ---------------------------------------------------------------------------
@@ -637,27 +643,18 @@ def rd_test(pair: EstimatePair | PairBatch, kappa: float, alpha: float):
     return _tested(pair, t, {"normal_boundary": boundary, "zero_point": zero_point}, alpha)
 
 
-def _rd_zero_point_quantile(nu1, nu2, alpha: float) -> float:
-    """Root of the zero-point tail at alpha for correlations (nu1, nu2), or
-    0.0 when the t->0+ mass is <= alpha.
-
-    The zero-point tail is strictly decreasing in t, so the root is unique
-    whenever the limiting mass at the origin exceeds alpha.
-    """
-    return _zero_point_quantile(lambda q: _rd_zero_tail(q, nu1, nu2), alpha)
-
-
 def rd_null_quantile(kappa: float, se1: float, se2: float, alpha: float) -> float:
     """1 - alpha null quantile of the relative-difference statistic.
 
-    The maximum of the two component quantiles: the two-sided normal point
-    Phi^{-1}(1 - alpha/2) and the root of the zero-point tail at alpha.  The
-    result never falls below the normal point.
+    The larger of the two component quantiles, which is always the normal
+    point Phi^{-1}(1 - alpha/2): the zero-point tail never exceeds the
+    boundary tail (see kappa_max).  The standard errors are only checked.
     """
     _check_kappa(kappa, strict=True)
     _check_alpha(alpha, upper=0.5)
-    z = std_normal_quantile(1.0 - alpha / 2.0)
-    return max(z, _rd_zero_point_quantile(*rd_null_nu(kappa, se1, se2), alpha))
+    _check_input("se1", se1, se=True)
+    _check_input("se2", se2, se=True)
+    return std_normal_quantile(1.0 - alpha / 2.0)
 
 
 def _rd_power(rows: _Rows, kappa: float, alpha: float):
@@ -667,12 +664,13 @@ def _rd_power(rows: _Rows, kappa: float, alpha: float):
     errors (se1, se2), the statistic exceeds the null quantile t* exactly
     when one of four bivariate-normal pairs lands beyond (t*, t*) or beyond
     (-t*, -t*); the lower quadrants reduce to upper tails with negated
-    means.  The effects may be arrays (one alternative per element).
+    means.  t* is rd_null_quantile, the normal point Phi^{-1}(1 - alpha/2).
+    The effects may be arrays (one alternative per element).
     """
     x1, x2, v1, v2 = rows.x1, rows.x2, rows.v1, rows.v2
     m, s = _kappa_split(kappa)
     nu1, nu2 = _rd_nu(v1, v2, m, s)
-    t_star = max(std_normal_quantile(1.0 - alpha / 2.0), _rd_zero_point_quantile(nu1, nu2, alpha))
+    t_star = std_normal_quantile(1.0 - alpha / 2.0)
     c11 = _contrast(x1, x2, v1, v2, m, s)
     c12 = _contrast(x1, -x2, v1, v2, m, s)
     c21 = _contrast(x2, x1, v2, v1, m, s)
@@ -795,10 +793,17 @@ def _omnibus_zero_point_quantile(nu, alpha: float) -> float:
     """Root s of 2 P(V1>s, V2>s) = alpha on the sqrt-statistic scale, for
     the zero-point correlation nu.
 
-    The limit as s -> 0+ is 1/2 + asin(nu)/pi > 1/2 > alpha, so a positive
-    root always exists.
+    The limit as s -> 0+ is 1/2 + asin(nu)/pi >= 1/2 > alpha, so a positive
+    root exists; 0.0 when the tail at s = 1e-12 is already <= alpha.
     """
-    return _zero_point_quantile(lambda s: _omnibus_zero_tail(s, nu), alpha)
+    excess = lambda q, rows: np.reshape(alpha - _omnibus_zero_tail(q, nu), 1)  # one row
+    at_lo = excess(_QUANTILE_LO, None)
+    if at_lo[0] >= 0.0:
+        return 0.0
+    root = first_crossing(excess, _QUANTILE_LO, at_lo, 1.0, _KAPPA_CAP)[0]
+    if math.isinf(root):  # pragma: no cover - tails decay like a Gaussian
+        raise ArithmeticError("zero-point quantile search failed to bracket")
+    return float(root)
 
 
 def omnibus_local_power(alt: LocalAlternative, kappa: float, alpha: float):
@@ -832,59 +837,52 @@ def omnibus_local_power(alt: LocalAlternative, kappa: float, alpha: float):
 def kappa_max(pair: EstimatePair | PairBatch, alpha: float):
     """Largest kappa > 1 at which the relative-difference test rejects.
 
-    Test inversion: the rejection set in kappa is the interval up to the
-    smaller of two roots - pi_1 where the two-sided boundary tail climbs to
-    alpha, and pi_2 where the zero-point tail does.  When even kappa = 1 +
-    1e-9 fails to reject, kappa_max is 1 by convention and no root binds.
-    Roots are located by doubling the upper bracket from 2 (cap 1e9) and
-    refining it well inside 1e-6 in kappa; a pi_2 that never crosses is
-    reported as +inf (the zero-point tail sinks with growing kappa and can
-    stay below alpha forever).  A PairBatch gives a KappaMaxBatch, with all
-    rows searched together; if any row's boundary tail never reaches alpha
-    below the cap, the whole call raises ArithmeticError.
+    The test rejects until its boundary tail climbs to alpha at pi_1 or its
+    zero-point tail does at pi_2.  For kappa >= 1 and t > 0, nu1 <= -nu2
+    (rd_null_nu) and P(X > t, Y > t; rho) grows with rho (Slepian), so the
+    zero-point tail is at most the boundary tail min(1, 2 Phi(-t)) and
+    kappa_max = pi_1 <= pi_2.  pi_1 solves t(kappa) = z = Phi^{-1}(1 - alpha/2):
+    with a, s_a the larger |estimate| and its standard error and b, s_b the
+    other's, pi_1 = k / (r + hypot(z (s_b/a) sqrt(k), r e)) for r = b/a,
+    e = z s_a/a and k = (1 - e)(1 + e).  Rejecting at kappa = 1 keeps r, e
+    and z s_b/a below 1, so no term is negative, and hypot does not
+    underflow where s_b^2 would.  No cap: pi_1 is +inf only past the float
+    range.  If kappa = 1 + 1e-9 does not reject, kappa_max is 1 and no root
+    binds.  pi_2 is searched for (doubling from 2 to a cap of 1e9, +inf
+    past it) only when ``roots`` is read.  A PairBatch gives a KappaMaxBatch.
     """
     _check_alpha(alpha, upper=0.5)
     batch = _as_batch(pair)
-    n = len(batch)
-    lo = 1.0 + _KAPPA_EPS
-    _, boundary, zero_point = _rd_components(batch.scaled, lo)
-    search = np.flatnonzero(np.maximum(boundary, zero_point) < alpha)
-    found = batch.scaled.take(search)
-    a1, a2, v1, v2 = np.abs(found.x1), np.abs(found.x2), found.v1, found.v2
+    _, boundary, zero_point = _rd_components(batch.scaled, _KAPPA_PROBE)
+    rejecting = np.maximum(boundary, zero_point) < alpha
+    rows = batch.scaled.take(rejecting)
+    z = std_normal_quantile(1.0 - alpha / 2.0)
+    first = np.abs(rows.x1) >= np.abs(rows.x2)
+    a = np.abs(np.where(first, rows.x1, rows.x2))
+    r = np.abs(np.where(first, rows.x2, rows.x1)) / a
+    e = z * (np.where(first, rows.se1, rows.se2) / a)
+    k = (1.0 - e) * (1.0 + e)
+    f = z * (np.where(first, rows.se2, rows.se1) / a)
+    kmax = np.ones(len(batch))
+    with np.errstate(divide="ignore", over="ignore"):  # +inf past the float range
+        kmax[rejecting] = k / (r + np.hypot(f * np.sqrt(k), r * e))
+    binding = np.where(rejecting, "normal_boundary", "none")
+    result = KappaMaxBatch(kmax, float(alpha), binding, rows)
+    return result if isinstance(pair, PairBatch) else result[0]
 
-    def boundary_excess(kappa, rows):
-        t = _rd_stat(a1[rows], a2[rows], v1[rows], v2[rows], *_kappa_split(kappa))
-        return np.minimum(1.0, 2.0 * ndtr(-t)) - alpha
 
-    def zero_point_excess(kappa, rows):
+def _zero_point_root(rows: _Rows, alpha: float) -> np.ndarray:
+    """pi_2 of rows that reject at the probe kappa."""
+    a1, a2, v1, v2 = np.abs(rows.x1), np.abs(rows.x2), rows.v1, rows.v2
+
+    def excess(kappa, sel):
         m, s = _kappa_split(kappa)
-        t = _rd_stat(a1[rows], a2[rows], v1[rows], v2[rows], m, s)
-        nu1, nu2 = _rd_nu(v1[rows], v2[rows], m, s)
+        t = _rd_stat(a1[sel], a2[sel], v1[sel], v2[sel], m, s)
+        nu1, nu2 = _rd_nu(v1[sel], v2[sel], m, s)
         tail = _rd_zero_tail_limit(nu1, nu2)
         folded = t > 0.0
         tail[folded] = _rd_zero_tail(t[folded], nu1[folded], nu2[folded])
         return tail - alpha
 
-    pi1 = first_crossing(
-        boundary_excess, lo, boundary[search] - alpha, 2.0, _KAPPA_CAP, _KAPPA_SOLVER_TOL
-    )
-    if np.isinf(pi1).any():
-        row = int(search[np.argmax(np.isinf(pi1))])
-        raise ArithmeticError(
-            "kappa_max: boundary tail never reached alpha below the 1e9 cap "
-            f"(estimates {float(batch.est1[row])!r}, {float(batch.est2[row])!r}; "
-            f"alpha={alpha!r})"
-        )
-    pi2 = first_crossing(
-        zero_point_excess, lo, zero_point[search] - alpha, 2.0, _KAPPA_CAP,
-        _KAPPA_SOLVER_TOL,
-    )
-    kmax = np.ones(n)
-    kmax[search] = np.minimum(pi1, pi2)
-    binding = np.full(n, "none", dtype="<U15")
-    binding[search] = np.where(pi1 <= pi2, "normal_boundary", "zero_point")
-    roots = np.full((n, 2), math.nan)
-    roots[search, 0] = pi1
-    roots[search, 1] = pi2
-    result = KappaMaxBatch(kmax, float(alpha), binding, roots)
-    return result if isinstance(pair, PairBatch) else result[0]
+    at_probe = _rd_components(rows, _KAPPA_PROBE)[2] - alpha
+    return first_crossing(excess, _KAPPA_PROBE, at_probe, 2.0, _KAPPA_CAP, _KAPPA_SOLVER_TOL)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from qualint.distributions import first_crossing
 from qualint.inference import (
@@ -80,7 +80,8 @@ PANEL = [
     (1.34, 0.32, -0.09, 0.33, 1.9193816381641948, math.inf),
 ]
 
-# the boundary tail of this row never reaches alpha below the 1e9 cap
+# the boundary tail of this row reaches alpha only past kappa = 1e9, the cap
+# of the zero-point search: at 1e9 sqrt((10 / z)^2 - 1), z = Phi^-1(0.95)
 NEVER_REACHES_ALPHA = (10.0, 1.0, 0.0, 1e-9)
 
 
@@ -160,12 +161,40 @@ def test_rd_test_rejects_exactly_below_kappa_max(bounds):
         assert not rd_test(pair(*row[:4]), bound * (1 + 1e-5), ALPHA).rejected, row
 
 
-def test_boundary_never_reaching_alpha_raises_on_both_paths():
-    with pytest.raises(ArithmeticError):
-        kappa_max(pair(*NEVER_REACHES_ALPHA), ALPHA)
+def test_boundary_root_past_the_cap_is_finite_on_both_paths(bounds):
+    z = float(ndtri(1.0 - ALPHA / 2.0))
+    expected = 1e9 * math.sqrt((10.0 / z) ** 2 - 1.0)
+    single = kappa_max(pair(*NEVER_REACHES_ALPHA), ALPHA)
+    assert single.kappa_max == pytest.approx(expected, rel=1e-12)
+    assert single.binding_root == "normal_boundary"
+    assert single.roots == (single.kappa_max, math.inf)
+    assert rd_test(pair(*NEVER_REACHES_ALPHA), expected * (1 - 1e-6), ALPHA).rejected
+    assert not rd_test(pair(*NEVER_REACHES_ALPHA), expected * (1 + 1e-6), ALPHA).rejected
     rows = [row[:4] for row in PANEL[:5]] + [NEVER_REACHES_ALPHA]
-    with pytest.raises(ArithmeticError):
-        kappa_max(PairBatch.from_rows(rows), ALPHA)
+    whole = kappa_max(PairBatch.from_rows(rows), ALPHA)
+    assert whole[5] == single
+    assert whole.kappa_max[:5].tolist() == bounds.kappa_max[:5].tolist()
+
+
+def test_closed_form_matches_a_search_of_the_boundary_tail(batch, bounds):
+    # the bracket-doubling Illinois search of the boundary tail that the
+    # closed form replaced, as the reference
+    rows = np.flatnonzero(bounds.binding_root != "none")
+    a1, a2 = np.abs(batch.est1[rows]), np.abs(batch.est2[rows])
+    first = a1 >= a2  # no ties among rows that reject
+    big, small = np.where(first, a1, a2), np.where(first, a2, a1)
+    v1, v2 = batch.se1[rows] ** 2, batch.se2[rows] ** 2
+    v_big, v_small = np.where(first, v1, v2), np.where(first, v2, v1)
+
+    def boundary_excess(kappa, sel):
+        t = (big[sel] - kappa * small[sel]) / np.sqrt(v_big[sel] + kappa**2 * v_small[sel])
+        return 2.0 * ndtr(-t) - ALPHA
+
+    lo = 1.0 + 1e-9
+    searched = first_crossing(
+        boundary_excess, lo, boundary_excess(lo, np.arange(rows.size)), 2.0, 1e9, 1e-12
+    )
+    assert np.all(np.abs(bounds.kappa_max[rows] - searched) <= 1e-11 * searched)
 
 
 def test_empty_batch():
@@ -239,3 +268,11 @@ def test_first_crossing_stays_in_bracket_on_a_near_step():
     iterates = seen[2:]  # after the start and the doubling points 2 and 4
     assert all(2.0 <= x <= 4.0 for x in iterates)
     assert len(seen) < 150
+
+
+def test_coinciding_tails_report_pi_2_equal_to_pi_1():
+    # se2 is so small that nu1 rounds to 1 and nu2 to -1, where the
+    # zero-point tail equals the boundary tail; the pi_2 search then lands a
+    # rounding error below the closed-form pi_1 on this row
+    res = kappa_max(pair(3.0, 1.0, 1.0, 1e-8), ALPHA)
+    assert res.roots == (res.kappa_max, res.kappa_max)

@@ -350,6 +350,25 @@ def test_subnormal_se_row_is_skipped_not_fatal(tmp_path, capsys, command):
     ]
 
 
+@pytest.mark.parametrize(
+    "command", [["scan", "--kind", "rd"], ["kappa-max"]], ids=["scan-rd", "kappa-max"]
+)
+def test_kappa_max_past_1e9_is_written_not_fatal(tmp_path, capsys, command):
+    # row b's kappa_max is about 6.1e9; a root search capped at 1e9 used to
+    # abort the whole batch
+    pairs = tmp_path / "far.csv"
+    pairs.write_text(
+        "id,est1,se1,est2,se2\na,1.34,0.32,-0.09,0.33\nb,1e10,1,1e-3,1\nc,0.5,1,0.4,1\n"
+    )
+    code = main([command[0], str(pairs), *command[1:], "--alpha", "0.1"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    rows = {row["id"]: row for row in parse_csv(captured.out)}
+    assert sorted(rows) == ["a", "b", "c"]
+    assert float(rows["b"]["kappa_max"]) == pytest.approx(6.08e9, rel=1e-3)
+    assert float(rows["c"]["kappa_max"]) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # network subcommand
 # ---------------------------------------------------------------------------

@@ -12,7 +12,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.special import ndtr
 
+from qualint.distributions import std_normal_quantile
 from qualint.inference import (
     EstimatePair,
     KappaMaxResult,
@@ -20,7 +24,6 @@ from qualint.inference import (
     SubgroupEstimate,
     TestResult,
     _omnibus_zero_point_quantile,
-    _rd_zero_point_quantile,
     gail_simon_test,
     kappa_max,
     omnibus_local_power,
@@ -54,6 +57,7 @@ OMNI_EXAMPLE_ZERO_TAIL = 0.002340445124580732098325
 OMNI_ZERO_QUANTILE_K110 = 1.920589407282249775454
 Z95 = 1.644853626951472714864
 Z975 = 1.959963984540054235525
+Z95_FLOAT = std_normal_quantile(0.95)
 RD_LOCAL_POWER_PIN = 0.5391436796729353847474
 RD_POWER_APPROX_PIN = 0.9880009406182866028285
 OMNI_LOCAL_POWER_PIN = 0.9999999998518088611076
@@ -335,14 +339,19 @@ class TestRdNullQuantile:
         assert q == pytest.approx(Z975, abs=1e-9)
 
     def test_zero_point_root_self_consistent(self):
-        root = _rd_zero_point_quantile(*rd_null_nu(2.0, 1.0, 1.0), 0.05)
-        assert root == pytest.approx(RD_ZERO_QUANTILE_K2, abs=1e-8)
-        assert rd_null_tail(root, 2.0, 1.0, 1.0) == pytest.approx(0.05, abs=1e-8)
+        # the oracle's zero-point root is where the tail falls to alpha, and
+        # it lies below the normal point, which is therefore the quantile
+        assert rd_null_tail(RD_ZERO_QUANTILE_K2, 2.0, 1.0, 1.0) == pytest.approx(
+            0.05, abs=1e-8
+        )
+        assert RD_ZERO_QUANTILE_K2 < Z975
+        assert rd_null_quantile(2.0, 1.0, 1.0, 0.05) == std_normal_quantile(0.975)
 
     def test_zero_point_root_degenerate_when_mass_small(self):
         # huge kappa: both correlations approach -1 and the 0+ mass
-        # collapses below alpha, so the zero-point quantile is 0
-        assert _rd_zero_point_quantile(*rd_null_nu(1e8, 1.0, 1.0), 0.05) == 0.0
+        # collapses below alpha; the quantile is the normal point
+        assert rd_null_tail(1e-12, 1e8, 1.0, 1.0) < 0.05
+        assert rd_null_quantile(1e8, 1.0, 1.0, 0.05) == std_normal_quantile(0.975)
         assert rd_null_quantile(1e8, 1.0, 1.0, 0.05) == pytest.approx(Z975, abs=1e-9)
 
     def test_never_below_normal_point(self):
@@ -358,6 +367,10 @@ class TestRdNullQuantile:
             rd_null_quantile(2.0, 1.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             rd_null_quantile(1.0, 1.0, 1.0, 0.05)
+        with pytest.raises(ValueError):
+            rd_null_quantile(2.0, 0.0, 1.0, 0.05)
+        with pytest.raises(ValueError):
+            rd_null_quantile(2.0, 1.0, math.inf, 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -661,6 +674,40 @@ class TestKappaMax:
             kappa_max(pair(1, 1, -1, 1), 0.5)
 
 
+def log_uniform(lo_exp, hi_exp, **kwargs):
+    return st.floats(lo_exp, hi_exp, **kwargs).map(lambda x: 10.0**x)
+
+
+class TestZeroPointTailNeverBinds:
+    """For kappa >= 1 and t > 0 the zero-point tail is at most the boundary
+    tail min(1, 2 Phi(-t)), so pi_2 >= pi_1, kappa_max = pi_1 and the rd
+    null quantile is the normal point."""
+
+    @given(t=st.floats(0.0, 40.0, exclude_min=True), kappa=log_uniform(0.0, 12.0),
+           ratio=log_uniform(-150.0, 150.0))
+    def test_zero_point_tail_below_boundary_tail(self, t, kappa, ratio):
+        boundary = min(1.0, 2.0 * float(ndtr(-t)))
+        assert rd_null_tail(t, kappa, 1.0, ratio) <= boundary + 1e-14
+        if kappa > 1.0:
+            assert rd_null_quantile(kappa, 1.0, ratio, 0.10) == Z95_FLOAT
+
+    @given(kappa=log_uniform(0.0, 12.0), ratio=log_uniform(-150.0, 150.0))
+    def test_kappa_max_is_the_boundary_root(self, kappa, ratio):
+        # a pair whose statistic is exactly z at kappa, scaled to keep the
+        # oracle's squares in range: |est1| - kappa |est2| = z hypot(se1, kappa se2)
+        d = math.hypot(1.0, kappa * ratio)
+        e1, s1, e2, s2 = 1.0 + Z95_FLOAT, 1.0 / d, 1.0 / kappa, ratio / d
+        res = kappa_max(pair(e1, s1, e2, s2), 0.10)
+        if res.binding_root == "none":  # the root sits at the probe kappa = 1 + 1e-9
+            assert kappa <= 1.0 + 1e-8
+            return
+        pi1, pi2 = res.roots
+        assert res.binding_root == "normal_boundary" and res.kappa_max == pi1
+        assert pi2 >= pi1
+        assert pi1 == pytest.approx(boundary_root_quadratic(e1, s1, e2, s2, 0.10), rel=1e-9)
+        assert pi1 == pytest.approx(kappa, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # extreme scales of the standard errors and of kappa
 # ---------------------------------------------------------------------------
@@ -725,6 +772,20 @@ class TestFloatRange:
             assert abs(omnibus_test(p, 1e200, 0.05).p_value - gs) <= 1e-12
             # (t1 - kappa t2) ** 2 overflowed here
             assert abs(omnibus_test(p, 1e160, 0.05).p_value - gs) <= 1e-12
+
+    def test_lopsided_pair_evaluates_only_its_own_contrast(self):
+        # the discarded assignment's contrast overflowed in a divide here
+        p = pair(1e300, 1e-10, 1.0, 1.0)
+        assert rd_statistic(p, 1e9) == pytest.approx(1e291, rel=1e-12)
+        assert rd_test(p, 1e9, 0.05).rejected
+        res = kappa_max(p, 0.10)
+        assert res.kappa_max == pytest.approx(1e300 / (1.0 + Z95), rel=1e-12)
+        assert res.roots == (res.kappa_max, math.inf)
+
+    def test_kappa_max_past_the_float_range_is_inf(self):
+        # the root is about 6e598; se2 underflows when rescaled to se1's scale
+        res = kappa_max(pair(1e300, 1e299, 0.0, 1e-299), 0.10)
+        assert res.kappa_max == math.inf and res.binding_root == "normal_boundary"
 
     def test_huge_kappa_relative_difference(self):
         for e1, s1, e2, s2 in FLOAT_RANGE_PAIRS:
