@@ -15,11 +15,12 @@ subcommand accepts only the flags it reads, so any other flag is a usage
 error.
 
 Conventions shared by every command: numeric output is serialized with 10
-significant digits, and downstream decisions (Bonferroni adjustment,
-rejection flags) are computed from the serialized values so that re-parsing
-our own output reproduces them exactly.  Exit codes: 0 success, 1
-runtime/numerical failure, 2 usage or validation failure.  Input CSV is
-comma-separated UTF-8 with a mandatory header row.
+significant digits by the table writer, which formats each value once, and
+decisions (Bonferroni adjustment, rejection flags, sort order) read columns
+the command rounded to those digits first (_g10s), so re-parsing our own
+output reproduces them exactly.  Exit codes: 0 success, 1 runtime/numerical
+failure, 2 usage or validation failure.  Input CSV is comma-separated UTF-8
+with a mandatory header row.
 """
 
 from __future__ import annotations
@@ -74,18 +75,16 @@ def _g10s(values: np.ndarray) -> list[float]:
     return [_g10(value) for value in values.tolist()]
 
 
-def _num(value: float) -> str:
-    return f"{value:.10g}"
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _num(value)
-    return str(value)
+def _serialized(column: tuple, fmt: str):
+    """One table column under the 10-digit rule, typed by its first value:
+    floats become .10g text in CSV and the float that text reads back as in
+    JSON, bools true/false in CSV; str, int and None pass through."""
+    kind = type(column[0])
+    if kind is float:
+        return [f"{v:.10g}" for v in column] if fmt == "csv" else [_g10(v) for v in column]
+    if kind is bool and fmt == "csv":
+        return ["true" if v else "false" for v in column]
+    return column
 
 
 def _output(path: str | None):
@@ -103,8 +102,9 @@ def _write_json(out, payload: dict) -> None:
 def _write_table(
     out, fmt: str, fieldnames, rows, summary: dict | None = None, footer: str | None = None
 ) -> None:
-    """Rows (values in fieldnames order) as CSV with an optional footer line,
-    or as JSON {"results": [...], "summary": summary}."""
+    """Rows (values in fieldnames order), each column serialized once, as CSV
+    with an optional footer line or as JSON {"results": [...], "summary": ...}."""
+    rows = zip(*(_serialized(column, fmt) for column in zip(*rows)))
     if fmt == "json":
         payload: dict = {"results": [dict(zip(fieldnames, row)) for row in rows]}
         if summary is not None:
@@ -113,7 +113,7 @@ def _write_table(
         return
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(fieldnames)
-    writer.writerows([_cell(value) for value in row] for row in rows)
+    writer.writerows(rows)
     if footer is not None:
         out.write(footer + "\n")
 
@@ -248,12 +248,12 @@ def _cmd_scan(args) -> int:
     p_raw = _g10s(outcome.p_value)
     p_adjusted = _bonferroni(p_raw, args.adjust)
     if args.kind == "rd":
-        bounds = _g10s(kappa_max(batch, args.alpha).kappa_max)
+        bounds = kappa_max(batch, args.alpha).kappa_max.tolist()
     else:
         bounds = [None] * len(ids)
     rejected = [p < args.alpha for p in p_adjusted]
     rows = sorted(
-        zip(ids, _g10s(outcome.statistic), p_raw, p_adjusted, bounds, rejected),
+        zip(ids, outcome.statistic.tolist(), p_raw, p_adjusted, bounds, rejected),
         key=lambda row: (row[3], row[0]),
     )
     fieldnames = ("id", "statistic", "p_raw", "p_adjusted", "kappa_max", "rejected")
@@ -337,9 +337,9 @@ def _cmd_network(args) -> int:
         zip(
             [features[a] for a in first[kept].tolist()],
             [features[b] for b in second[kept].tolist()],
-            _g10s(r1),
-            _g10s(r2),
-            _g10s(outcome.statistic),
+            r1.tolist(),
+            r2.tolist(),
+            outcome.statistic.tolist(),
             p_raw,
             p_adjusted,
             stronger.tolist(),
@@ -389,7 +389,7 @@ def _cmd_power(args) -> int:
     c2 = np.tile(c2_grid, c1_grid.size)
     alt = LocalAlternative(c1, c2, args.sigma1, args.sigma2, args.lam)
     powers = power_fn(alt, args.kappa, args.alpha)
-    rows = zip(_g10s(c1), _g10s(c2), _g10s(powers))
+    rows = zip(c1.tolist(), c2.tolist(), powers.tolist())
     with _output(args.output) as out:
         _write_table(out, args.format, ("c1", "c2", "power"), rows)
     return 0
@@ -463,7 +463,7 @@ def _cmd_simulate(args) -> int:
 
 def _context_p_values(batch: PairBatch, alpha: float) -> dict[str, list[float]]:
     """Every row's rd p-value at each context kappa, keyed by the kappa as printed."""
-    return {_num(k): _g10s(rd_test(batch, k, alpha).p_value) for k in _CONTEXT_KAPPAS}
+    return {f"{k:.10g}": _g10s(rd_test(batch, k, alpha).p_value) for k in _CONTEXT_KAPPAS}
 
 
 def _cmd_kappa_max(args) -> int:

@@ -196,10 +196,13 @@ class _Rows(NamedTuple):
 
 def _rows(x1, se1, x2, se2) -> _Rows:
     """Estimates and standard errors rescaled together, exactly, by the power
-    of two that puts max(se1, se2) in [0.5, 1)."""
+    of two that puts max(se1, se2) in [0.5, 1).  An estimate more than about
+    1e308 times that standard error rescales to its limit, +-inf."""
     scale = np.ldexp(1.0, -np.frexp(np.maximum(se1, se2))[1])
     s1, s2 = se1 * scale, se2 * scale
-    return _Rows(x1 * scale, x2 * scale, s1, s2, s1 * s1, s2 * s2)
+    with np.errstate(over="ignore"):
+        x1, x2 = x1 * scale, x2 * scale
+    return _Rows(x1, x2, s1, s2, s1 * s1, s2 * s2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -487,8 +490,16 @@ def _rd_nu(v1, v2, m, s):
     return np.maximum(-1.0, np.minimum(1.0, nu1)), np.maximum(-1.0, np.minimum(1.0, nu2))
 
 
+def _diagonal_tail(t, rho):
+    """P(X > t, Y > t) for unit normals with correlation rho; 0 at t = +inf,
+    a statistic past the float range."""
+    infinite = t == math.inf
+    t = np.where(infinite, 0.0, t)
+    return np.where(infinite, 0.0, bvn_upper_tail(t, t, rho))
+
+
 def _rd_zero_tail(t, nu1, nu2):
-    both = bvn_upper_tail(t, t, np.stack([nu1, nu2]))  # one call for both pairs
+    both = _diagonal_tail(t, np.stack([nu1, nu2]))  # one call for both pairs
     return np.minimum(1.0, 2.0 * (both[0] + both[1]))
 
 
@@ -497,13 +508,18 @@ def _rd_zero_tail_limit(nu1, nu2):
     return np.minimum(1.0, np.maximum(0.0, 1.0 + (np.arcsin(nu1) + np.arcsin(nu2)) / np.pi))
 
 
-def _rd_components(rows: _Rows, kappa):
-    """(statistic, normal_boundary, zero_point) of the rd test per row."""
+def _rd_boundary(rows: _Rows, kappa):
+    """(statistic, normal_boundary) of the rd test per row."""
     m, s = _kappa_split(kappa)
     t = _rd_stat(np.abs(rows.x1), np.abs(rows.x2), rows.v1, rows.v2, m, s)
-    nu1, nu2 = _rd_nu(rows.v1, rows.v2, m, s)
+    return t, np.where(t > 0.0, np.minimum(1.0, 2.0 * ndtr(-t)), 1.0)
+
+
+def _rd_components(rows: _Rows, kappa):
+    """(statistic, normal_boundary, zero_point) of the rd test per row."""
+    t, boundary = _rd_boundary(rows, kappa)
+    nu1, nu2 = _rd_nu(rows.v1, rows.v2, *_kappa_split(kappa))
     outside = t > 0.0
-    boundary = np.where(outside, np.minimum(1.0, 2.0 * ndtr(-t)), 1.0)
     zero_point = np.ones_like(t)
     zero_point[outside] = _rd_zero_tail(t[outside], nu1[outside], nu2[outside])
     return t, boundary, zero_point
@@ -525,8 +541,9 @@ def _omnibus_stat(rows: _Rows, m, s):
     s2, m2 = s * s, m * m
     d1 = x1 * s - m * x2
     d2 = m * x1 - x2 * s
-    q1 = d1 * d1 / (v1 * s2 + m2 * v2)
-    q2 = d2 * d2 / (m2 * v1 + v2 * s2)
+    with np.errstate(over="ignore"):  # +inf past the float range
+        q1 = d1 * d1 / (v1 * s2 + m2 * v2)
+        q2 = d2 * d2 / (m2 * v1 + v2 * s2)
     return np.where(_omnibus_region(x1, x2, m, s), np.minimum(q1, q2), 0.0)
 
 
@@ -565,9 +582,11 @@ def gail_simon_test(pair: EstimatePair | PairBatch, alpha: float):
     """
     _check_alpha(alpha)
     rows = _as_batch(pair).scaled
-    z1 = rows.x1 / rows.se1
-    z2 = rows.x2 / rows.se2
-    statistic = np.where(_opposite_signs(rows.x1, rows.x2), np.minimum(z1 * z1, z2 * z2), 0.0)
+    with np.errstate(over="ignore"):  # +inf past the float range
+        z1 = rows.x1 / rows.se1
+        z2 = rows.x2 / rows.se2
+        squares = np.minimum(z1 * z1, z2 * z2)
+    statistic = np.where(_opposite_signs(rows.x1, rows.x2), squares, 0.0)
     p = np.where(statistic > 0.0, 0.5 * chi2_1_tail(statistic), 1.0)
     return _tested(pair, statistic, {"half_chi2": p}, alpha)
 
@@ -741,7 +760,7 @@ def omnibus_statistic(pair: EstimatePair | PairBatch, kappa: float):
 
 
 def _omnibus_zero_tail(root_t, nu):
-    return np.minimum(1.0, 2.0 * bvn_upper_tail(root_t, root_t, nu))
+    return np.minimum(1.0, 2.0 * _diagonal_tail(root_t, nu))
 
 
 def omnibus_null_tail(t: float, kappa: float, se1: float, se2: float) -> float:
@@ -846,28 +865,30 @@ def kappa_max(pair: EstimatePair | PairBatch, alpha: float):
     other's, pi_1 = k / (r + hypot(z (s_b/a) sqrt(k), r e)) for r = b/a,
     e = z s_a/a and k = (1 - e)(1 + e).  Rejecting at kappa = 1 keeps r, e
     and z s_b/a below 1, so no term is negative, and hypot does not
-    underflow where s_b^2 would.  No cap: pi_1 is +inf only past the float
-    range.  If kappa = 1 + 1e-9 does not reject, kappa_max is 1 and no root
-    binds.  pi_2 is searched for (doubling from 2 to a cap of 1e9, +inf
-    past it) only when ``roots`` is read.  A PairBatch gives a KappaMaxBatch.
+    underflow where s_b^2 would.  The ratios are taken on the unscaled
+    columns, where no estimate overflows.  No cap: pi_1 is +inf only past
+    the float range.  If kappa = 1 + 1e-9 does not reject, kappa_max is 1
+    and no root binds; the boundary tail alone decides this, since the
+    zero-point tail never exceeds it.  pi_2 is searched for (doubling from 2
+    to a cap of 1e9, +inf past it) only when ``roots`` is read.  A PairBatch
+    gives a KappaMaxBatch.
     """
     _check_alpha(alpha, upper=0.5)
     batch = _as_batch(pair)
-    _, boundary, zero_point = _rd_components(batch.scaled, _KAPPA_PROBE)
-    rejecting = np.maximum(boundary, zero_point) < alpha
-    rows = batch.scaled.take(rejecting)
+    rejecting = _rd_boundary(batch.scaled, _KAPPA_PROBE)[1] < alpha
+    x1, se1, x2, se2 = (getattr(batch, name)[rejecting] for name in _BATCH_FIELDS)
     z = std_normal_quantile(1.0 - alpha / 2.0)
-    first = np.abs(rows.x1) >= np.abs(rows.x2)
-    a = np.abs(np.where(first, rows.x1, rows.x2))
-    r = np.abs(np.where(first, rows.x2, rows.x1)) / a
-    e = z * (np.where(first, rows.se1, rows.se2) / a)
+    first = np.abs(x1) >= np.abs(x2)
+    a = np.abs(np.where(first, x1, x2))
+    r = np.abs(np.where(first, x2, x1)) / a
+    e = z * (np.where(first, se1, se2) / a)
     k = (1.0 - e) * (1.0 + e)
-    f = z * (np.where(first, rows.se2, rows.se1) / a)
+    f = z * (np.where(first, se2, se1) / a)
     kmax = np.ones(len(batch))
     with np.errstate(divide="ignore", over="ignore"):  # +inf past the float range
         kmax[rejecting] = k / (r + np.hypot(f * np.sqrt(k), r * e))
     binding = np.where(rejecting, "normal_boundary", "none")
-    result = KappaMaxBatch(kmax, float(alpha), binding, rows)
+    result = KappaMaxBatch(kmax, float(alpha), binding, batch.scaled.take(rejecting))
     return result if isinstance(pair, PairBatch) else result[0]
 
 

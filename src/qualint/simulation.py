@@ -201,10 +201,10 @@ def _estimate_grid_point(
     return (est[:, 0], se[:, 0], est[:, 1], se[:, 1]), reps - int(valid.sum())
 
 
-def _run_study(config: SimulationConfig, want_rates: bool, want_kmax: bool) -> StudyResult:
+def _run_study(config: SimulationConfig, want_rates: bool) -> StudyResult:
     # kappa_max inversion is defined for alpha < 1/2 only; rate-only studies
     # at larger alpha simply skip the inversion summaries
-    want_kmax = want_kmax and config.alpha < 0.5
+    want_kmax = config.alpha < 0.5
     indices = range(len(config.theta2_grid))
     estimates, drops = zip(*(_estimate_grid_point(config, gi) for gi in indices))
 
@@ -261,14 +261,14 @@ def run_rejection_study(config: SimulationConfig) -> StudyResult:
     inversion's domain), so the result carries quantile summaries alongside
     the rates.  Deterministic in config alone.
     """
-    return _run_study(config, want_rates=True, want_kmax=True)
+    return _run_study(config, want_rates=True)
 
 
 def run_kappa_max_study(config: SimulationConfig) -> StudyResult:
     """Empirical 0.10/0.50/0.90 quantiles of kappa_max per theta2 grid point."""
     if not config.alpha < 0.5:
         raise ValueError("kappa_max studies require alpha < 0.5")
-    return _run_study(config, want_rates=False, want_kmax=True)
+    return _run_study(config, want_rates=False)
 
 
 # ---------------------------------------------------------------------------

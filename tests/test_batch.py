@@ -176,6 +176,18 @@ def test_boundary_root_past_the_cap_is_finite_on_both_paths(bounds):
     assert whole.kappa_max[:5].tolist() == bounds.kappa_max[:5].tolist()
 
 
+def test_kappa_max_evaluates_no_bivariate_tail_unless_roots_are_read(batch, bounds, monkeypatch):
+    # the zero-point tail never exceeds the boundary tail, so the boundary
+    # tail alone decides which rows reject at the probe kappa
+    def refuse(*args):
+        raise AssertionError("bvn_upper_tail evaluated")
+
+    monkeypatch.setattr("qualint.inference.bvn_upper_tail", refuse)
+    fresh = kappa_max(batch, ALPHA)
+    assert fresh.kappa_max.tolist() == bounds.kappa_max.tolist()
+    assert fresh.binding_root.tolist() == bounds.binding_root.tolist()
+
+
 def test_closed_form_matches_a_search_of_the_boundary_tail(batch, bounds):
     # the bracket-doubling Illinois search of the boundary tail that the
     # closed form replaced, as the reference

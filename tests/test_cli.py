@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from qualint.cli import main
 
@@ -367,6 +368,49 @@ def test_kappa_max_past_1e9_is_written_not_fatal(tmp_path, capsys, command):
     assert sorted(rows) == ["a", "b", "c"]
     assert float(rows["b"]["kappa_max"]) == pytest.approx(6.08e9, rel=1e-3)
     assert float(rows["c"]["kappa_max"]) == 1.0
+
+
+def test_estimate_past_the_float_range_is_written_not_fatal(tmp_path, capsys):
+    # est1 / se1 of row b is 1e599; the rescaled estimate overflowed and the
+    # run exited 2 with "bvn_upper_tail requires finite thresholds"
+    pairs = tmp_path / "wide.csv"
+    pairs.write_text("id,est1,se1,est2,se2\nb,1e300,1e-299,1.0,1e-299\na,1.34,0.32,-0.09,0.33\n")
+    code = main(["scan", str(pairs), "--kind", "rd", "--alpha", "0.1"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    rows = {row["id"]: row for row in parse_csv(captured.out)}
+    assert sorted(rows) == ["a", "b"]
+    assert rows["b"]["statistic"] == "inf" and rows["b"]["p_raw"] == "0"
+    assert float(rows["b"]["kappa_max"]) == pytest.approx(1e300, rel=1e-9)
+    assert rows["b"]["rejected"] == "true"
+
+
+def test_sort_keys_read_the_rounded_column(tmp_path, capsys):
+    # b's raw p-value is below a's only past the 10th significant digit, so
+    # the rounded values tie and the id decides: a before b
+    pairs = tmp_path / "tie.csv"
+    pairs.write_text("id,est1,se1,est2,se2\nb,2.000000000001,1,-10,1\na,2,1,-10,1\n")
+    p_b, p_a = (ndtr(-z) for z in (2.000000000001, 2.0))
+    assert p_b < p_a and f"{p_b:.10g}" == f"{p_a:.10g}"
+    code = main(["scan", str(pairs), "--kind", "gs", "--adjust", "none"])
+    rows = parse_csv(capsys.readouterr().out)
+    assert code == 0
+    assert [row["id"] for row in rows] == ["a", "b"]
+    assert rows[0]["p_raw"] == rows[1]["p_raw"] == f"{p_a:.10g}"
+
+
+def test_column_no_decision_reads_keeps_its_digits_past_the_rounded_range(tmp_path, capsys):
+    # kappa_max = 1.7976931346e308 is finite but its 10-digit text reads back
+    # as inf: scan's kappa_max column, read by no decision, prints the text
+    # in CSV; JSON carries the float the text reads back as
+    pairs = tmp_path / "edge.csv"
+    pairs.write_text("id,est1,se1,est2,se2\nc,1.7976931346e300,1e-299,1e-8,1e-299\n")
+    code = main(["scan", str(pairs), "--kind", "rd", "--alpha", "0.1"])
+    (row,) = parse_csv(capsys.readouterr().out)
+    assert code == 0 and row["kappa_max"] == "1.797693135e+308"
+    code = main(["scan", str(pairs), "--kind", "rd", "--alpha", "0.1", "--format", "json"])
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    assert code == 0 and result["kappa_max"] == math.inf
 
 
 # ---------------------------------------------------------------------------

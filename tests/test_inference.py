@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from qualint.distributions import std_normal_quantile
+from qualint.distributions import chi2_1_tail, std_normal_quantile
 from qualint.inference import (
     EstimatePair,
     KappaMaxResult,
@@ -792,3 +792,29 @@ class TestFloatRange:
             res = rd_test(pair(e1, s1, e2, s2), 1e200, 0.05)
             assert 0.0 <= res.p_value <= 1.0
             assert res.statistic <= 0.0 or min(abs(e1), abs(e2)) == 0.0
+
+    def test_estimate_past_the_float_range_of_its_standard_error(self):
+        # est1 / se1 is 1e599: the rescaled estimate overflowed and the
+        # zero-point tails refused the infinite statistic
+        p = pair(1e300, 1e-299, 1.0, 1e-299)
+        for test in (rd_test, omnibus_test):
+            res = test(p, 1.5, 0.05)
+            assert res.statistic == math.inf and res.p_value == 0.0
+            assert res.components == {"normal_boundary": 0.0, "zero_point": 0.0}
+        assert gail_simon_test(p, 0.05).statistic == 0.0  # same signs
+        res = kappa_max(p, 0.10)
+        assert res.kappa_max == pytest.approx(1e300, rel=1e-9)
+        assert res.roots == (res.kappa_max, math.inf)
+
+    def test_squared_statistics_past_the_float_range_are_inf(self):
+        # the squares overflowed in a multiply
+        res = omnibus_test(pair(1e300, 1e-10, 1.0, 1.0), 2.0, 0.05)
+        assert res.statistic == math.inf and res.p_value == 0.0
+        res = gail_simon_test(pair(1e200, 1.0, -1.0, 1.0), 0.05)
+        assert res.statistic == 1.0 and res.p_value == 0.5 * chi2_1_tail(1.0)
+        res = gail_simon_test(pair(1e200, 1.0, -1e200, 1.0), 0.05)
+        assert res.statistic == math.inf and res.p_value == 0.0
+
+    def test_zero_point_tails_vanish_at_infinity(self):
+        assert rd_null_tail(math.inf, 2.0, 0.3, 0.7) == 0.0
+        assert omnibus_null_tail(math.inf, 2.0, 0.3, 0.7) == 0.0
