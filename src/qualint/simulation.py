@@ -15,6 +15,16 @@ before the group-2 sample from that stream, each exactly as
 ``generate_dataset`` draws it.  Results are therefore bit-identical for a
 given config.
 
+The streams are not built by ``default_rng``, whose SeedSequence hashing
+costs more than a replicate's draws.  One vectorised pass of numpy's
+SeedSequence algorithm computes the seed-sequence words of every
+(g, r) of the study at once; numpy's own PCG64 seeding turns each
+replicate's words into its generator; one call draws the replicate's
+x, noise, x, noise blocks.  The contract is unchanged, and
+``test_stream_states_equal_default_rng`` (tests/test_simulation.py)
+checks the generator states against ``default_rng``'s, so a numpy that
+hashes differently fails loudly rather than drifting silently.
+
 Replicates whose estimation degenerates (an event with probability zero
 under the model, but possible with adversarial configs) are dropped and
 counted per grid point; rates are computed over the surviving replicates
@@ -30,9 +40,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from qualint.estimators import Sample2D, SampleBatch, ols_slope
 from qualint.inference import (
@@ -98,6 +109,9 @@ class SimulationConfig:
             raise ValueError(f"n must be >= 3, got {self.n}")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
+        # a stream's grid and replicate indices are one 32-bit seed word each
+        if self.replications >= 2**32 or len(self.theta2_grid) >= 2**32:
+            raise ValueError("replications and the theta2 grid length must be < 2**32")
         if not self.kappas or not all(
             math.isfinite(k) and k > 1.0 for k in self.kappas
         ):
@@ -177,28 +191,99 @@ def _draw(theta: float, rng_stream: np.random.Generator, x: np.ndarray, y: np.nd
 # ---------------------------------------------------------------------------
 
 
-def _replicate_stream(seed: int, grid_index: int, replicate: int) -> np.random.Generator:
-    return np.random.default_rng([seed, grid_index, replicate])
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
+# 32-bit words mixed by hashmix/mix, then generate_state's output hash
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_XSHIFT = 16
 
 
-def _estimate_grid_point(
-    config: SimulationConfig, grid_index: int
-) -> tuple[tuple[np.ndarray, ...], int]:
-    """(est1, se1, est2, se2) arrays over the valid replicates at one grid
-    point, in replicate order, and the number of replicates dropped for
-    degenerate estimation."""
+def _hash_steps(init: int, mult: int, count: int) -> list[tuple[np.uint64, np.uint64]]:
+    """(xor, multiplier) constants of count consecutive hash steps: a step
+    xors with the hash constant, advances it by mult, multiplies by it."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return [(np.uint64(c), np.uint64(d)) for c, d in zip(consts, consts[1:])]
+
+
+_MIX_STEPS = _hash_steps(_INIT_A, _MULT_A, _POOL_SIZE**2)
+_OUTPUT_STEPS = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _hash(value: np.ndarray, xor_const: np.uint64, mult_const: np.uint64) -> np.ndarray:
+    value = (value ^ xor_const) * mult_const & _MASK32
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = (np.uint64(_MIX_MULT_L) * x - np.uint64(_MIX_MULT_R) * y) & _MASK32
+    return result ^ (result >> _XSHIFT)
+
+
+def _stream_words(config: SimulationConfig) -> np.ndarray:
+    """(grid points, replications, 4) uint64 array whose [g, r] row is
+    ``SeedSequence([seed, g, r]).generate_state(4, np.uint64)``.
+
+    The entropy words are the seed's 32-bit words, least significant first
+    (one word for seed 0), then g, then r: at most four, one pool's worth,
+    since the seed has at most two and the config keeps both indices below
+    2**32.
+    """
+    seed = config.seed
+    seed_words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    g, r = np.ogrid[: len(config.theta2_grid), : config.replications]
+    entropy = [*seed_words, g, r] + [0] * (_POOL_SIZE - len(seed_words) - 2)
+    # arrays throughout: uint64 arithmetic wraps silently on arrays only
+    entropy = np.broadcast_arrays(*(np.asarray(word, dtype=np.uint64) for word in entropy))
+
+    steps = iter(_MIX_STEPS)
+    pool = [_hash(word, *next(steps)) for word in entropy]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(steps)))
+    state = [_hash(pool[i % _POOL_SIZE], *step) for i, step in enumerate(_OUTPUT_STEPS)]
+    # generate_state reads consecutive 32-bit words as little-endian uint64s
+    words = [state[i] | state[i + 1] << np.uint64(32) for i in range(0, len(state), 2)]
+    return np.stack(words, axis=-1)
+
+
+class _StateWords(ISeedSequence):
+    """Hands a PCG64 its precomputed ``generate_state(4, np.uint64)``
+    words, so that numpy's own seeding turns them into the state."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _grid_point_estimates(
+    config: SimulationConfig,
+) -> Iterator[tuple[tuple[np.ndarray, ...], int]]:
+    """For each grid point in grid order: (est1, se1, est2, se2) arrays over
+    its valid replicates, in replicate order, and the number of replicates
+    dropped for degenerate estimation."""
     reps, n = config.replications, config.n
-    thetas = (config.theta1, config.theta2_grid[grid_index])
-    x, y = np.empty((reps, 2, n)), np.empty((reps, 2, n))
-    for replicate in range(reps):
-        rng = _replicate_stream(config.seed, grid_index, replicate)
-        for group, theta in enumerate(thetas):
-            _draw(theta, rng, x[replicate, group], y[replicate, group])
-    fit = ols_slope(SampleBatch(x.reshape(-1, n), y.reshape(-1, n)))
-    valid = fit.ok.reshape(reps, 2).all(axis=1)
-    est = fit.estimate.reshape(reps, 2)[valid]
-    se = fit.std_error.reshape(reps, 2)[valid]
-    return (est[:, 0], se[:, 0], est[:, 1], se[:, 1]), reps - int(valid.sum())
+    words = _stream_words(config)
+    # per replicate: group-1 x, group-1 noise, group-2 x, group-2 noise;
+    # reused across grid points, since the fit keeps no view of it
+    block = np.empty((reps, 4, n))
+    x, y = block[:, 0::2], block[:, 1::2]
+    for grid_index, theta2 in enumerate(config.theta2_grid):
+        for draws, state in zip(block, words[grid_index]):
+            np.random.Generator(np.random.PCG64(_StateWords(state))).standard_normal(out=draws)
+        y += np.array([[config.theta1], [theta2]]) * x  # y = theta x + eps
+        fit = ols_slope(SampleBatch(x.reshape(-1, n), y.reshape(-1, n)))
+        valid = fit.ok.reshape(reps, 2).all(axis=1)
+        est = fit.estimate.reshape(reps, 2)[valid]
+        se = fit.std_error.reshape(reps, 2)[valid]
+        yield (est[:, 0], se[:, 0], est[:, 1], se[:, 1]), reps - int(valid.sum())
 
 
 def _run_study(config: SimulationConfig, want_rates: bool) -> StudyResult:
@@ -206,7 +291,7 @@ def _run_study(config: SimulationConfig, want_rates: bool) -> StudyResult:
     # at larger alpha simply skip the inversion summaries
     want_kmax = config.alpha < 0.5
     indices = range(len(config.theta2_grid))
-    estimates, drops = zip(*(_estimate_grid_point(config, gi) for gi in indices))
+    estimates, drops = zip(*_grid_point_estimates(config))
 
     # the whole study is tested in one batch per kappa; replicates of grid
     # point gi are rows bounds[gi]:bounds[gi + 1]
@@ -243,9 +328,8 @@ def _run_study(config: SimulationConfig, want_rates: bool) -> StudyResult:
                 )
             )
         if kmax is not None:
-            quantile_map[theta2] = {
-                q: float(np.quantile(kmax[lo:hi], q)) for q in _KMAX_QUANTILES
-            }
+            quantiles = np.quantile(kmax[lo:hi], _KMAX_QUANTILES).tolist()
+            quantile_map[theta2] = dict(zip(_KMAX_QUANTILES, quantiles))
     return StudyResult(
         config=config,
         rates=tuple(rates),

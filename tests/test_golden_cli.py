@@ -34,6 +34,12 @@ SIMULATE = [
     "--theta2-step", "0.5", "--n", "30", "--reps", "12", "--kappas", "2", "4",
     "--alpha", "0.05", "--seed", "3", "--output", "{out}/study",
 ]
+# a seed of two 32-bit words (4294967301 = 2**32 + 5) seeds every stream
+SIMULATE_WIDE_SEED = [
+    "simulate", "--theta1", "0.8", "--theta2-min", "-1", "--theta2-max", "1",
+    "--theta2-step", "1", "--n", "5", "30", "--reps", "6", "--kappas", "1.5", "3",
+    "--alpha", "0.1", "--seed", "4294967301", "--output", "{out}/wide",
+]
 
 # (argv, output files); "{golden}" is the input directory and "{out}" the
 # output directory.  A single-output command writes to "{out}/<file>".
@@ -67,6 +73,10 @@ CASES = {
     "kappa_max": (["kappa-max", PAIRS, "--alpha", "0.1"], ["kappa_max.csv"]),
     "simulate": (SIMULATE, ["study_n30_rates.csv", "study_n30_kappa_max.csv",
                             "study_config.json"]),
+    "simulate_wide_seed": (SIMULATE_WIDE_SEED, [
+        "wide_n5_rates.csv", "wide_n5_kappa_max.csv", "wide_n30_rates.csv",
+        "wide_n30_kappa_max.csv", "wide_config.json",
+    ]),
 }
 
 # output file -> columns holding kappa_max values (compared to KAPPA_TOL)
@@ -75,6 +85,8 @@ KAPPA_COLUMNS = {
     "scan_rd.json": {"kappa_max"},
     "kappa_max.csv": {"kappa_max"},
     "study_n30_kappa_max.csv": {"q10", "q50", "q90"},
+    "wide_n5_kappa_max.csv": {"q10", "q50", "q90"},
+    "wide_n30_kappa_max.csv": {"q10", "q50", "q90"},
 }
 
 

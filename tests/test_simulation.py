@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qualint.distributions import chi2_1_tail
 from qualint.estimators import Sample2D, ols_slope
@@ -15,7 +17,9 @@ from qualint.inference import rd_null_tail
 from qualint.simulation import (
     EmpiricalTail,
     SimulationConfig,
-    _estimate_grid_point,
+    _grid_point_estimates,
+    _StateWords,
+    _stream_words,
     generate_dataset,
     mc_null_oracle,
     run_kappa_max_study,
@@ -60,6 +64,12 @@ class TestSimulationConfig:
             small_config(seed=-1)
         with pytest.raises(ValueError):
             small_config(seed=2**64)
+
+    def test_stream_indices_stay_below_two_to_the_32(self):
+        # each index is one 32-bit word of the stream's seed entropy
+        assert small_config(replications=2**32 - 1).replications == 2**32 - 1
+        with pytest.raises(ValueError, match=r"2\*\*32"):
+            small_config(replications=2**32)
 
 
 class TestGenerateDataset:
@@ -157,8 +167,9 @@ class TestRejectionStudy:
         # replicate r of grid point g is ols_slope(generate_dataset(...)) on
         # default_rng([seed, g, r]), group 1 drawn before group 2
         cfg = small_config(theta2_grid=(0.0, -0.7), n=20, replications=7)
+        grid_points = _grid_point_estimates(cfg)
         for g, theta2 in enumerate(cfg.theta2_grid):
-            (est1, se1, est2, se2), dropped = _estimate_grid_point(cfg, g)
+            (est1, se1, est2, se2), dropped = next(grid_points)
             assert dropped == 0
             for r in range(cfg.replications):
                 rng = np.random.default_rng([cfg.seed, g, r])
@@ -166,6 +177,53 @@ class TestRejectionStudy:
                 fit2 = ols_slope(generate_dataset(theta2, cfg.n, rng))
                 assert (est1[r], se1[r]) == (fit1.estimate, fit1.std_error)
                 assert (est2[r], se2[r]) == (fit2.estimate, fit2.std_error)
+
+    @staticmethod
+    def assert_streams_match_default_rng(cfg, indices):
+        words = _stream_words(cfg)
+        for g, r in indices:
+            got = np.random.PCG64(_StateWords(words[g, r])).state
+            want = np.random.default_rng([cfg.seed, g, r]).bit_generator.state
+            assert got == want, (cfg.seed, g, r)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_stream_states_equal_default_rng(self, seed):
+        # this fails loudly if numpy ever changes how SeedSequence hashes
+        cfg = small_config(theta2_grid=(0.0, 0.5, 1.0), replications=5, seed=seed)
+        ends = ((0, 1, 2), (0, 1, 4))
+        self.assert_streams_match_default_rng(
+            cfg, [(g, r) for g in ends[0] for r in ends[1]]
+        )
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        grid_size=st.integers(1, 4),
+        replications=st.integers(1, 6),
+    )
+    def test_stream_states_equal_default_rng_for_any_seed(self, seed, grid_size, replications):
+        cfg = small_config(
+            theta2_grid=tuple(range(grid_size)), replications=replications, seed=seed
+        )
+        self.assert_streams_match_default_rng(
+            cfg, [(g, r) for g in range(grid_size) for r in range(replications)]
+        )
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([1.0, 1.25, 2.0]),
+                st.floats(1.0, 1e300),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_one_quantile_call_equals_scalar_calls(self, values):
+        # study quantiles come from one call; the golden pin checks them to 1e-6 only
+        block = np.array(values)
+        together = np.quantile(block, (0.10, 0.50, 0.90))
+        apart = np.array([np.quantile(block, q) for q in (0.10, 0.50, 0.90)])
+        assert together.tobytes() == apart.tobytes()
 
     def test_single_replicate_rates_are_indicator(self):
         res = run_rejection_study(small_config(replications=1))
