@@ -21,6 +21,14 @@ the command rounded to those digits first (_g10s), so re-parsing our own
 output reproduces them exactly.  Exit codes: 0 success, 1 runtime/numerical
 failure, 2 usage or validation failure.  Input CSV is comma-separated UTF-8
 with a mandatory header row.
+
+Tables move as columns.  The readers convert each value column in one pass
+and read row by row only to word an error.  A command sorts its rows once
+with np.lexsort, names entering as code-point ranks: scan by (p_adjusted,
+id), network by (p_adjusted, feature_a, feature_b), kappa-max by
+(-kappa_max, id).  The CSV writer joins cells, and the csv module quotes
+each text cell holding a comma, quote, CR, LF or NUL.  JSON is strict: a
+number that is not finite after rounding is written as null.
 """
 
 from __future__ import annotations
@@ -28,9 +36,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import math
+import re
 import sys
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -65,26 +77,70 @@ class UsageError(ValueError):
 # serialization helpers
 # ---------------------------------------------------------------------------
 
-
-def _g10(value: float) -> float:
-    """Round to the 10-significant-digit float every output column carries."""
-    return float(f"{value:.10g}")
-
-
-def _g10s(values: np.ndarray) -> list[float]:
-    return [_g10(value) for value in values.tolist()]
+# the characters for which the csv module quotes a cell (or, for NUL before
+# Python 3.11, refuses it); a text cell holding none is written as it is
+_CSV_SPECIALS = re.compile('[,"\r\n\x00]')
 
 
-def _serialized(column: tuple, fmt: str):
-    """One table column under the 10-digit rule, typed by its first value:
-    floats become .10g text in CSV and the float that text reads back as in
-    JSON, bools true/false in CSV; str, int and None pass through."""
-    kind = type(column[0])
-    if kind is float:
-        return [f"{v:.10g}" for v in column] if fmt == "csv" else [_g10(v) for v in column]
-    if kind is bool and fmt == "csv":
-        return ["true" if v else "false" for v in column]
-    return column
+def _g10s(values: np.ndarray) -> np.ndarray:
+    """A column rounded to the floats its 10-digit text reads back as."""
+    return np.array([float(f"{value:.10g}") for value in values.tolist()], dtype=float)
+
+
+def _json_g10(value: float) -> float | None:
+    """A number rounded to the float its 10-digit text reads back as; null
+    when that is not finite, as strict JSON has no Infinity or NaN."""
+    value = float(f"{value:.10g}")
+    return value if math.isfinite(value) else None
+
+
+def _csv_text(cells: list[str]) -> list[str]:
+    """Text cells as CSV: the csv module quotes each cell holding a special."""
+    if not _CSV_SPECIALS.search("".join(cells)):
+        return cells
+    return [_csv_quoted(cell) if _CSV_SPECIALS.search(cell) else cell for cell in cells]
+
+
+def _csv_quoted(cell: str) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow((cell,))
+    return out.getvalue()[:-1]
+
+
+def _serialized(column, fmt: str) -> list:
+    """One table column under the 10-digit rule.  Numeric columns are arrays:
+    floats become .10g text in CSV and, in JSON, the float that text reads
+    back as (null if not finite); bools become true/false in CSV.  Text
+    columns are lists, CSV-quoted; a list of None is blank in CSV."""
+    if isinstance(column, np.ndarray):
+        values = column.tolist()
+        if column.dtype.kind == "f":
+            return [f"{v:.10g}" for v in values] if fmt == "csv" else list(map(_json_g10, values))
+        if fmt == "json":
+            return values
+        if column.dtype.kind == "b":
+            return ["true" if v else "false" for v in values]
+        return list(map(str, values))
+    if fmt == "json":
+        return column
+    return [""] * len(column) if column and column[0] is None else _csv_text(column)
+
+
+def _ordered(columns, order: np.ndarray) -> list:
+    """Every column (array or list) in the given row order."""
+    rows = order.tolist()
+    return [
+        column[order] if isinstance(column, np.ndarray) else [column[i] for i in rows]
+        for column in columns
+    ]
+
+
+def _ranks(names: list[str] | tuple[str, ...]) -> np.ndarray:
+    """The position of each of the distinct names in code-point order: a
+    string sort key enters np.lexsort as these integers."""
+    ranks = np.empty(len(names), dtype=np.intp)
+    ranks[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    return ranks
 
 
 def _output(path: str | None):
@@ -95,44 +151,56 @@ def _output(path: str | None):
 
 
 def _write_json(out, payload: dict) -> None:
-    json.dump(payload, out, indent=2, sort_keys=True)
+    json.dump(payload, out, indent=2, sort_keys=True, allow_nan=False)
     out.write("\n")
 
 
 def _write_table(
-    out, fmt: str, fieldnames, rows, summary: dict | None = None, footer: str | None = None
+    out, fmt: str, fieldnames, columns, summary: dict | None = None, footer: str | None = None
 ) -> None:
-    """Rows (values in fieldnames order), each column serialized once, as CSV
-    with an optional footer line or as JSON {"results": [...], "summary": ...}."""
-    rows = zip(*(_serialized(column, fmt) for column in zip(*rows)))
+    """Columns (in fieldnames order), each serialized once, as CSV with an
+    optional footer line or as JSON {"results": [...], "summary": ...}."""
+    cells = [_serialized(column, fmt) for column in columns]
     if fmt == "json":
-        payload: dict = {"results": [dict(zip(fieldnames, row)) for row in rows]}
+        payload: dict = {"results": [dict(zip(fieldnames, row)) for row in zip(*cells)]}
         if summary is not None:
             payload["summary"] = summary
         _write_json(out, payload)
         return
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(fieldnames)
-    writer.writerows(rows)
+    lines = [",".join(_csv_text(list(fieldnames))), *map(",".join, zip(*cells))]
     if footer is not None:
-        out.write(footer + "\n")
+        lines.append(footer)
+    out.write("\n".join(lines) + "\n")
 
 
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _bonferroni(p_raw: list[float], adjust: str) -> list[float]:
-    """Adjusted p-values from the serialized raw ones; m counts the tested rows."""
+def _bonferroni(p_raw: np.ndarray, adjust: str) -> np.ndarray:
+    """Adjusted p-values from the serialized raw ones; m counts the tested rows.
+    fmin keeps the rule of min(1.0, m * p), which adjusts a NaN to 1."""
     if adjust == "none":
         return p_raw
-    m = len(p_raw)
-    return [_g10(min(1.0, m * p)) for p in p_raw]
+    return _g10s(np.fmin(1.0, len(p_raw) * p_raw))
 
 
 # ---------------------------------------------------------------------------
-# pair CSV input
+# CSV input
 # ---------------------------------------------------------------------------
+
+
+def _open_input(path: str):
+    try:
+        return open(path, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+
+
+def _floats(cells, shape: tuple[int, int]) -> np.ndarray:
+    """Text cells, in row-major order, as a float array of the given shape,
+    converted by float() in one pass: ValueError at the first it refuses."""
+    return np.fromiter(map(float, cells), float, shape[0] * shape[1]).reshape(shape)
 
 
 def _read_pairs(path: str, strict: bool) -> tuple[list[str], PairBatch]:
@@ -143,15 +211,8 @@ def _read_pairs(path: str, strict: bool) -> tuple[list[str], PairBatch]:
     valid row.  Invalid rows are skipped with one warning each, in line
     order; in strict mode they fail the run, every bad line listed.
     """
-    try:
-        handle = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
-    problems: list[tuple[int, str]] = []
-    ids: list[str] = []
-    lines: list[int] = []
-    values: list[list[float]] = []
-    with handle:
+    width = len(_PAIR_FIELDS)
+    with _open_input(path) as handle:
         reader = csv.reader(handle)
         header = tuple(next(reader, ()))
         if header != _PAIR_FIELDS:
@@ -159,24 +220,38 @@ def _read_pairs(path: str, strict: bool) -> tuple[list[str], PairBatch]:
                 f"{path}: expected header {','.join(_PAIR_FIELDS)}, "
                 f"got {','.join(header) if header else '(none)'}"
             )
+        rows, lines = [], []
         for row in reader:
-            if not row:  # a blank line
-                continue
-            line_no = reader.line_num
+            if row:  # a blank line is skipped
+                rows.append(row)
+                lines.append(reader.line_num)
+    problems: list[tuple[int, str]] = []
+    try:  # whole columns; a failure leaves the wording to the rows below
+        if min(map(len, rows), default=width) < width:
+            raise ValueError
+        ids = [row[0].strip() for row in rows]
+        if not all(ids):
+            raise ValueError
+        values = chain.from_iterable(map(itemgetter(c), rows) for c in range(1, width))
+        columns = _floats(values, (width - 1, len(rows)))
+    except ValueError:
+        ids, parsed_lines, values = [], [], []
+        for line_no, row in zip(lines, rows):
             try:
-                if len(row) < len(_PAIR_FIELDS):
-                    raise ValueError(f"expected {len(_PAIR_FIELDS)} cells, got {len(row)}")
-                parsed = [float(cell) for cell in row[1 : len(_PAIR_FIELDS)]]
+                if len(row) < width:
+                    raise ValueError(f"expected {width} cells, got {len(row)}")
+                parsed = [float(cell) for cell in row[1:width]]
                 if not row[0].strip():
                     raise ValueError("id must be nonempty")
             except ValueError as exc:
                 problems.append((line_no, str(exc)))
                 continue
             ids.append(row[0].strip())
-            lines.append(line_no)
+            parsed_lines.append(line_no)
             values.append(parsed)
+        lines = parsed_lines
+        columns = np.array(values, dtype=float).reshape(-1, width - 1).T
 
-    columns = np.array(values, dtype=float).reshape(-1, 4).T
     is_se = [name.startswith("se") for name in _PAIR_FIELDS[1:]]
     bad = np.array([~_valid(column, se) for column, se in zip(columns, is_se)])
     invalid = bad.any(axis=0)
@@ -222,14 +297,14 @@ def _cmd_test(args) -> int:
     result = _run_pair_test(pair, args.kind, args.kappa, args.alpha)
     payload = {
         "kind": args.kind,
-        "statistic": _g10(result.statistic),
-        "p_value": _g10(result.p_value),
-        "components": {k: _g10(v) for k, v in result.components.items()},
+        "statistic": _json_g10(result.statistic),
+        "p_value": _json_g10(result.p_value),
+        "components": {k: _json_g10(v) for k, v in result.components.items()},
         "rejected": result.rejected,
-        "alpha": _g10(result.alpha),
+        "alpha": _json_g10(result.alpha),
     }
     if args.kind != "gs":
-        payload["kappa"] = _g10(args.kappa)
+        payload["kappa"] = _json_g10(args.kappa)
     with _output(args.output) as out:
         _write_json(out, payload)
     return 0
@@ -248,17 +323,14 @@ def _cmd_scan(args) -> int:
     p_raw = _g10s(outcome.p_value)
     p_adjusted = _bonferroni(p_raw, args.adjust)
     if args.kind == "rd":
-        bounds = kappa_max(batch, args.alpha).kappa_max.tolist()
+        bounds = kappa_max(batch, args.alpha).kappa_max
     else:
         bounds = [None] * len(ids)
-    rejected = [p < args.alpha for p in p_adjusted]
-    rows = sorted(
-        zip(ids, outcome.statistic.tolist(), p_raw, p_adjusted, bounds, rejected),
-        key=lambda row: (row[3], row[0]),
-    )
+    columns = (ids, outcome.statistic, p_raw, p_adjusted, bounds, p_adjusted < args.alpha)
+    columns = _ordered(columns, np.lexsort((_ranks(ids), p_adjusted)))
     fieldnames = ("id", "statistic", "p_raw", "p_adjusted", "kappa_max", "rejected")
     with _output(args.output) as out:
-        _write_table(out, args.format, fieldnames, rows, summary={"tested": len(ids)})
+        _write_table(out, args.format, fieldnames, columns, summary={"tested": len(ids)})
     return 0
 
 
@@ -268,11 +340,9 @@ def _cmd_scan(args) -> int:
 
 
 def _read_matrix(path: str) -> tuple[tuple[str, ...], np.ndarray]:
-    try:
-        handle = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
-    with handle:
+    """The feature names and the sample-by-feature values of a matrix CSV.
+    Every row must hold one finite value per feature."""
+    with _open_input(path) as handle:
         reader = csv.reader(handle)
         try:
             header = tuple(name.strip() for name in next(reader))
@@ -282,22 +352,31 @@ def _read_matrix(path: str) -> tuple[tuple[str, ...], np.ndarray]:
             raise UsageError(f"{path}: need at least two named feature columns")
         if len(set(header)) != len(header):
             raise UsageError(f"{path}: duplicate feature names")
-        rows = []
+        rows, lines = [], []
         for row in reader:
-            line_no = reader.line_num
+            rows.append(row)
+            lines.append(reader.line_num)
+    try:  # whole columns; a failure leaves the wording to the rows below
+        if any(len(row) != len(header) for row in rows):
+            raise ValueError
+        data = _floats(chain.from_iterable(rows), (len(rows), len(header)))
+    except ValueError:
+        for line_no, row in zip(lines, rows):
             if len(row) != len(header):
                 raise UsageError(
                     f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
-                )
+                ) from None
             try:
-                rows.append([float(cell) for cell in row])
+                [float(cell) for cell in row]
             except ValueError as exc:
                 raise UsageError(f"{path}:{line_no}: {exc}") from exc
     if len(rows) < 3:
         raise UsageError(f"{path}: need at least 3 sample rows, got {len(rows)}")
-    data = np.asarray(rows, dtype=float)
-    if not np.isfinite(data).all():
-        raise UsageError(f"{path}: non-finite values present")
+    bad = ~np.isfinite(data)
+    if bad.any():  # the first in line order, then feature order
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        problem = _rule_violation(header[j], data[i, j], se=False)
+        raise UsageError(f"{path}:{lines[i]}: {problem}")
     return header, data
 
 
@@ -330,22 +409,18 @@ def _cmd_network(args) -> int:
     )
     p_raw = _g10s(outcome.p_value)
     p_adjusted = _bonferroni(p_raw, args.adjust)
-    rejected = sum(p < args.alpha for p in p_adjusted)
+    rejected = int(np.count_nonzero(p_adjusted < args.alpha))
     # the group with the larger |r|; 0 on an exact tie
     stronger = np.select([np.abs(r1) > np.abs(r2), np.abs(r2) > np.abs(r1)], [1, 2], 0)
-    edges = sorted(
-        zip(
-            [features[a] for a in first[kept].tolist()],
-            [features[b] for b in second[kept].tolist()],
-            r1.tolist(),
-            r2.tolist(),
-            outcome.statistic.tolist(),
-            p_raw,
-            p_adjusted,
-            stronger.tolist(),
-        ),
-        key=lambda edge: (edge[6], edge[0], edge[1]),
-    )
+    ranks = _ranks(features)
+    a, b = first[kept], second[kept]
+    order = np.lexsort((ranks[b], ranks[a], p_adjusted))
+    a, b = a[order].tolist(), b[order].tolist()
+    edges = [
+        [features[i] for i in a],
+        [features[i] for i in b],
+        *_ordered((r1, r2, outcome.statistic, p_raw, p_adjusted, stronger), order),
+    ]
 
     summary = {
         "features": p,
@@ -389,9 +464,8 @@ def _cmd_power(args) -> int:
     c2 = np.tile(c2_grid, c1_grid.size)
     alt = LocalAlternative(c1, c2, args.sigma1, args.sigma2, args.lam)
     powers = power_fn(alt, args.kappa, args.alpha)
-    rows = zip(c1.tolist(), c2.tolist(), powers.tolist())
     with _output(args.output) as out:
-        _write_table(out, args.format, ("c1", "c2", "power"), rows)
+        _write_table(out, args.format, ("c1", "c2", "power"), (c1, c2, powers))
     return 0
 
 
@@ -422,21 +496,25 @@ def _cmd_simulate(args) -> int:
             seed=args.seed,
         )
         result = run_rejection_study(config)
+        cells = result.rates
         rates = [
-            (cell.theta2, cell.kappa, cell.test, cell.rejection_rate, cell.mc_std_error)
-            for cell in result.rates
+            np.array([cell.theta2 for cell in cells]),
+            np.array([cell.kappa for cell in cells]),
+            [cell.test for cell in cells],
+            np.array([cell.rejection_rate for cell in cells]),
+            np.array([cell.mc_std_error for cell in cells]),
         ]
         tables = [("rates", ("theta2", "kappa", "test", "rejection_rate", "mc_se"), rates)]
         if result.kappa_max_quantiles:
-            quantiles = [
+            quantiles = np.array([
                 (theta2, qs[0.10], qs[0.50], qs[0.90])
                 for theta2, qs in result.kappa_max_quantiles.items()
-            ]
-            tables.append(("kappa_max", ("theta2", "q10", "q50", "q90"), quantiles))
-        for name, fieldnames, rows in tables:
+            ])
+            tables.append(("kappa_max", ("theta2", "q10", "q50", "q90"), quantiles.T))
+        for name, fieldnames, columns in tables:
             written.append(f"{prefix}_n{n}_{name}.csv")
             with _output(written[-1]) as out:
-                _write_table(out, "csv", fieldnames, rows)
+                _write_table(out, "csv", fieldnames, columns)
     written.append(f"{prefix}_config.json")
     with _output(written[-1]) as out:
         _write_json(
@@ -461,7 +539,7 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _context_p_values(batch: PairBatch, alpha: float) -> dict[str, list[float]]:
+def _context_p_values(batch: PairBatch, alpha: float) -> dict[str, np.ndarray]:
     """Every row's rd p-value at each context kappa, keyed by the kappa as printed."""
     return {f"{k:.10g}": _g10s(rd_test(batch, k, alpha).p_value) for k in _CONTEXT_KAPPAS}
 
@@ -478,17 +556,14 @@ def _cmd_kappa_max(args) -> int:
         roots = None
         if summary.roots is not None:
             pi1, pi2 = summary.roots
-            roots = {
-                "normal_boundary": _g10(pi1),
-                "zero_point": None if math.isinf(pi2) else _g10(pi2),
-            }
+            roots = {"normal_boundary": _json_g10(pi1), "zero_point": _json_g10(pi2)}
         context = _context_p_values(batch, args.alpha)
         payload = {
-            "kappa_max": _g10(summary.kappa_max),
-            "alpha": _g10(args.alpha),
+            "kappa_max": _json_g10(summary.kappa_max),
+            "alpha": _json_g10(args.alpha),
             "binding_root": summary.binding_root,
             "roots": roots,
-            "p_values": {k: p for k, (p,) in context.items()},
+            "p_values": {k: _json_g10(p) for k, (p,) in context.items()},
         }
         with _output(args.output) as out:
             _write_json(out, payload)
@@ -497,13 +572,12 @@ def _cmd_kappa_max(args) -> int:
     ids, batch = _read_pairs(args.input, args.strict)
     summaries = kappa_max(batch, args.alpha)
     context = _context_p_values(batch, args.alpha)
-    rows = sorted(
-        zip(ids, _g10s(summaries.kappa_max), summaries.binding_root.tolist(), *context.values()),
-        key=lambda row: (-row[1], row[0]),
-    )
+    bounds = _g10s(summaries.kappa_max)
+    columns = (ids, bounds, summaries.binding_root.tolist(), *context.values())
+    columns = _ordered(columns, np.lexsort((_ranks(ids), -bounds)))
     fieldnames = ("id", "kappa_max", "binding_root", *(f"p_rd_{k}" for k in context))
     with _output(args.output) as out:
-        _write_table(out, args.format, fieldnames, rows)
+        _write_table(out, args.format, fieldnames, columns)
     return 0
 
 

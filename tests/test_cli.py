@@ -7,16 +7,23 @@ column carries 10 significant digits, and re-parsing our own output
 reproduces the adjustment and rejection decisions exactly.
 """
 
+import contextlib
 import csv
 import io
 import json
 import math
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from qualint.cli import main
+from qualint.cli import UsageError, _read_pairs, _write_table, main
+from qualint.inference import PairBatch, _rule_violation, _valid
 
 # Reference panel of two-group estimates with published ratio bounds; the
 # same rows back the library-level checks in test_inference.py.
@@ -55,6 +62,15 @@ def write_matrix(path, names, data):
 def parse_csv(text):
     body = [line for line in text.strip().splitlines() if not line.startswith("#")]
     return list(csv.DictReader(io.StringIO("\n".join(body))))
+
+
+def strict_json(text):
+    """Parse JSON the way strict parsers do: no Infinity, -Infinity or NaN."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def parse_footer(text):
@@ -402,15 +418,64 @@ def test_sort_keys_read_the_rounded_column(tmp_path, capsys):
 def test_column_no_decision_reads_keeps_its_digits_past_the_rounded_range(tmp_path, capsys):
     # kappa_max = 1.7976931346e308 is finite but its 10-digit text reads back
     # as inf: scan's kappa_max column, read by no decision, prints the text
-    # in CSV; JSON carries the float the text reads back as
+    # in CSV; JSON carries the float the text reads back as, and strict JSON
+    # writes that inf as null
     pairs = tmp_path / "edge.csv"
     pairs.write_text("id,est1,se1,est2,se2\nc,1.7976931346e300,1e-299,1e-8,1e-299\n")
     code = main(["scan", str(pairs), "--kind", "rd", "--alpha", "0.1"])
     (row,) = parse_csv(capsys.readouterr().out)
     assert code == 0 and row["kappa_max"] == "1.797693135e+308"
     code = main(["scan", str(pairs), "--kind", "rd", "--alpha", "0.1", "--format", "json"])
-    (result,) = json.loads(capsys.readouterr().out)["results"]
-    assert code == 0 and result["kappa_max"] == math.inf
+    (result,) = strict_json(capsys.readouterr().out)["results"]
+    assert code == 0 and result["kappa_max"] is None
+
+
+WIDE = ["--est1", "1e300", "--se1", "1e-299", "--est2", "1", "--se2", "1e-299"]
+
+
+@pytest.mark.parametrize(
+    "argv, path, expected",
+    [
+        # est1 / se1 = 1e599: the statistic is +inf
+        (["test", "--kind", "rd", *WIDE], ["statistic"], None),
+        (["test", "--kind", "omnibus", *WIDE], ["statistic"], None),
+        (["test", "--kind", "rd", *WIDE], ["p_value"], 0.0),
+        (["kappa-max", *WIDE], ["kappa_max"], 1e300),
+        # kappa_max of 1.7976931346e308 rounds to the 10-digit text
+        # 1.797693135e+308, which reads back as inf
+        (["kappa-max", "--est1", "1.7976931346e300", "--se1", "1e-299", "--est2", "1e-8",
+          "--se2", "1e-299", "--alpha", "0.1"], ["kappa_max"], None),
+        (["kappa-max", "--est1", "1.7976931346e300", "--se1", "1e-299", "--est2", "1e-8",
+          "--se2", "1e-299", "--alpha", "0.1"], ["roots", "normal_boundary"], None),
+    ],
+)
+def test_json_writes_non_finite_numbers_as_null(capsys, argv, path, expected):
+    code = main(argv)
+    payload = strict_json(capsys.readouterr().out)
+    assert code == 0
+    for key in path:
+        payload = payload[key]
+    assert payload == (None if expected is None else pytest.approx(expected))
+
+
+@pytest.mark.parametrize("command", ["scan", "kappa-max"])
+def test_json_tables_write_non_finite_numbers_as_null(tmp_path, capsys, command):
+    pairs = tmp_path / "wide.csv"
+    pairs.write_text(
+        "id,est1,se1,est2,se2\n"
+        "b,1e300,1e-299,1.0,1e-299\n"
+        "c,1.7976931346e300,1e-299,1e-8,1e-299\n"
+        "a,1.34,0.32,-0.09,0.33\n"
+    )
+    code = main([command, str(pairs), "--alpha", "0.1", "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    rows = {row["id"]: row for row in strict_json(captured.out)["results"]}
+    assert rows["c"]["kappa_max"] is None
+    assert rows["a"]["kappa_max"] == pytest.approx(1.91, abs=0.1)
+    if command == "scan":
+        assert rows["b"]["statistic"] is None and rows["c"]["statistic"] is None
+        assert rows["b"]["p_raw"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +652,30 @@ class TestNetworkCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "g1.csv:3" in err
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1,2\n2,inf\n3,4\n4,1\n", "3: b must be finite, got inf"),
+            ("1,2\nnan,1\n3,4\n4,1\n", "3: a must be finite, got nan"),
+            ("1,2\n2,1\n3,4\n4,-inf\n", "5: b must be finite, got -inf"),
+            # the first bad cell in line order names the problem
+            ("1,2\n2,1\n3,nan\n-inf,1\n", "4: b must be finite, got nan"),
+            # a quoted cell spanning a blank line: lines count file lines
+            ('1,"2\n\n"\n2,1\n3,4\ninf,1\n', "7: a must be finite, got inf"),
+            # a blank line outside quotes is a row of no cells
+            ("1,2\n\n3,4\n4,inf\n", "3: expected 2 cells, got 0"),
+        ],
+        ids=["inf", "nan", "-inf", "first", "after-quoted-blank-line", "blank-line"],
+    )
+    def test_non_finite_cell_is_named_by_line_and_feature(self, tmp_path, capsys, body, message):
+        m1, m2 = tmp_path / "g1.csv", tmp_path / "g2.csv"
+        m1.write_text("a,b\n" + body)
+        write_matrix(m2, ["a", "b"], np.random.default_rng(0).standard_normal((5, 2)))
+        code = main(["network", str(m1), str(m2)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {m1}:{message}\n"
 
     def test_json_format_carries_summary(self, tmp_path, capsys):
         rng = np.random.default_rng(6)
@@ -874,6 +963,319 @@ class TestKappaMaxCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "kappa-max needs" in err
+
+
+# ---------------------------------------------------------------------------
+# text cells: quoting and order of ids and feature names
+# ---------------------------------------------------------------------------
+
+# ids holding the CSV specials (comma, quote, LF, CR), padding the reader
+# strips, and non-ASCII text; several rows tie on p_adjusted = 1
+HOSTILE_PAIRS = (
+    "id,est1,se1,est2,se2\n"
+    '"a,b",-0.06,0.31,-1.66,0.68\n'
+    '"say ""hi""",1.34,0.32,-0.09,0.33\n'
+    '"line\nbreak",-1.05,0.24,0.04,0.36\n'
+    '"carriage\rreturn",1.13,0.28,0.14,0.32\n'
+    "  padded id  ,1.13,0.36,-0.10,0.37\n"
+    '" quoted pad ",-0.36,0.09,0.00,0.17\n'
+    "naïve β,-0.87,0.27,0.03,0.35\n"
+    '"ünï,""q""",-0.52,0.13,-0.07,0.19\n'
+)
+HOSTILE_FEATURES = '"gene,1","gene ""2""","gène\n3", spaced ,"cr\rfour"\n'
+HOSTILE_MATRIX1 = (
+    "0.1,1.2,-0.3,0.8,2.1\n1.4,2.2,0.5,-0.6,1.9\n-0.7,0.3,-1.1,1.5,0.2\n"
+    "2.0,2.9,0.9,0.1,-0.4\n0.6,1.1,-0.2,-1.3,0.7\n-1.2,-0.5,-1.8,0.4,1.1\n"
+)
+HOSTILE_MATRIX2 = (
+    "0.3,-1.0,0.7,0.2,1.4\n-0.9,0.8,0.1,1.6,-0.3\n1.7,-1.4,-0.6,0.9,0.5\n"
+    "0.2,0.1,1.2,-0.8,2.2\n-1.5,1.9,-0.4,0.3,-1.0\n0.8,-0.2,0.6,-1.1,0.9\n"
+)
+HOSTILE_OUTPUTS = {
+    "scan": (
+        "id,statistic,p_raw,p_adjusted,kappa_max,rejected\n"
+        '"say ""hi""",2.044355946,0.04091839601,0.3273471681,1.919381639,false\n'
+        '"a,b",1.905832484,0.05667194291,0.4533755433,2.064880609,false\n'
+        '"line\nbreak",1.675321172,0.09387123351,0.7509698681,1.530934266,false\n'
+        "carriage\rreturn,1.655576227,0.09780766784,0.7824613427,1.510013719,false\n"
+        "naïve β,1.397452261,0.162277613,1,1.224675935,false\n"
+        "padded id,1.481409119,0.1384975861,1,1.319999958,false\n"
+        "quoted pad,1.331280471,0.1830967416,1,1.173550075,false\n"
+        '"ünï,""q""",1.324824228,0.185229457,1,1.212566311,false\n'
+    ),
+    "kappa-max": (
+        "id,kappa_max,binding_root,p_rd_1.5,p_rd_2,p_rd_4\n"
+        '"a,b",2.064880609,normal_boundary,0.05667194291,0.09422543559,0.3153344498\n'
+        '"say ""hi""",1.919381639,normal_boundary,0.04091839601,0.1137657098,0.4705865166\n'
+        '"line\nbreak",1.530934266,normal_boundary,0.09387123351,0.2012186742,0.5420961708\n'
+        "carriage\rreturn,1.510013719,normal_boundary,0.09780766784,0.2236911815,"
+        "0.6635437084\n"
+        "padded id,1.319999958,normal_boundary,0.1384975861,0.2584257587,0.6317476427\n"
+        "naïve β,1.224675935,normal_boundary,0.162277613,0.2803131223,0.5988734707\n"
+        '"ünï,""q""",1.212566311,normal_boundary,0.185229457,0.3440649524,0.755596436\n'
+        "quoted pad,1.173550075,normal_boundary,0.1830967416,0.3060383071,0.5996979845\n"
+    ),
+    "network": (
+        "feature_a,feature_b,r1,r2,statistic,p_raw,p_adjusted,stronger_group\n"
+        '"gene,1","gène\n3",0.9876799145,0.06512303596,1.459350165,0.144468755,'
+        "0.144468755,1\n"
+        '"gene ""2""","gène\n3",0.992200073,-0.1424060154,1.297679038,0.1943976499,'
+        "0.1943976499,1\n"
+        '"gène\n3",cr\rfour,-0.1062514785,0.8118603661,1.050280074,0.2935893637,'
+        "0.2935893637,2\n"
+        "spaced,cr\rfour,-0.1055438503,-0.5936482874,0.658849783,0.5099922354,"
+        "0.5099922354,2\n"
+        '"gene ""2""",cr\rfour,-0.1506936712,-0.6216432935,0.6097721045,0.5420127827,'
+        "0.5420127827,2\n"
+        '"gene,1",cr\rfour,-0.1730219285,0.5747156307,0.4819771365,0.6298221882,'
+        "0.6298221882,2\n"
+        '"gene ""2""",spaced,-0.3789244094,0.08073062479,0.3674391082,0.7132915045,'
+        "0.7132915045,1\n"
+        '"gene,1",spaced,-0.5255065863,-0.2476267505,0.2383703419,0.8115938683,'
+        "0.8115938683,1\n"
+        '"gene,1","gene ""2""",0.9845462891,-0.92225729,-4.318018234,1,1,1\n'
+        '"gène\n3",spaced,-0.4543474683,-0.6476318461,-0.06267922627,1,1,2\n'
+        "# features=5 pairs=10 tested=10 skipped=0 rejected=3\n"
+    ),
+}
+# scan --format json on the same rows: (id, statistic, p_raw, p_adjusted, kappa_max)
+HOSTILE_SCAN_JSON = [
+    ('say "hi"', 2.044355946, 0.04091839601, 0.3273471681, 1.919381639),
+    ("a,b", 1.905832484, 0.05667194291, 0.4533755433, 2.064880609),
+    ("line\nbreak", 1.675321172, 0.09387123351, 0.7509698681, 1.530934266),
+    ("carriage\rreturn", 1.655576227, 0.09780766784, 0.7824613427, 1.510013719),
+    ("naïve β", 1.397452261, 0.162277613, 1.0, 1.224675935),
+    ("padded id", 1.481409119, 0.1384975861, 1.0, 1.319999958),
+    ("quoted pad", 1.331280471, 0.1830967416, 1.0, 1.173550075),
+    ('ünï,"q"', 1.324824228, 0.185229457, 1.0, 1.212566311),
+]
+
+
+def test_hostile_text_cells_are_quoted_and_ordered_exactly(tmp_path, capsys):
+    # byte-exact: the writer's quoting is the csv module's, and string sort
+    # keys order by code point, ties on p_adjusted broken by the id
+    for name, text in (
+        ("pairs.csv", HOSTILE_PAIRS),
+        ("m1.csv", HOSTILE_FEATURES + HOSTILE_MATRIX1),
+        ("m2.csv", HOSTILE_FEATURES + HOSTILE_MATRIX2),
+    ):
+        (tmp_path / name).write_text(text, encoding="utf-8", newline="")
+    pairs = str(tmp_path / "pairs.csv")
+    argvs = {
+        "scan": ["scan", pairs, "--kind", "rd", "--kappa", "1.5", "--alpha", "0.1"],
+        "kappa-max": ["kappa-max", pairs, "--alpha", "0.1"],
+        "network": ["network", str(tmp_path / "m1.csv"), str(tmp_path / "m2.csv"),
+                    "--kappa", "1.5", "--alpha", "0.5", "--adjust", "none"],
+    }
+    for command, argv in argvs.items():
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, ""), command
+        assert captured.out == HOSTILE_OUTPUTS[command], command
+    code = main([*argvs["scan"], "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    fields = ("id", "statistic", "p_raw", "p_adjusted", "kappa_max")
+    results = [{**dict(zip(fields, row)), "rejected": False} for row in HOSTILE_SCAN_JSON]
+    expected = {"results": results, "summary": {"tested": len(results)}}
+    assert captured.out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# columnar table path: properties against the row-at-a-time forms it replaced
+# ---------------------------------------------------------------------------
+
+PAIR_FIELDS = ("id", "est1", "se1", "est2", "se2")
+# the CSV specials, padding, non-ASCII text and NUL
+TEXT = st.text(alphabet=',"\r\n \x00aAé', max_size=5)
+FLOAT_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                     math.inf, -math.inf, math.nan]),
+)
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def table_columns(draw):
+    """(columns as the writer takes them, the cells csv.writer is given)."""
+    rows = draw(st.integers(0, 5))
+    columns, cells = [], []
+    for kind in draw(st.lists(st.sampled_from(["text", "float", "bool", "int", "blank"]),
+                              min_size=2, max_size=5)):
+        if kind == "text":
+            column = draw(st.lists(TEXT, min_size=rows, max_size=rows))
+            columns.append(column)
+            cells.append(column)
+        elif kind == "float":
+            column = np.array(draw(st.lists(FLOAT_CELLS, min_size=rows, max_size=rows)), float)
+            columns.append(column)
+            cells.append([f"{v:.10g}" for v in column.tolist()])
+        elif kind == "bool":
+            column = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), bool)
+            columns.append(column)
+            cells.append(["true" if v else "false" for v in column.tolist()])
+        elif kind == "int":
+            column = np.array(draw(st.lists(st.integers(-3, 3), min_size=rows, max_size=rows)))
+            columns.append(column)
+            cells.append([str(v) for v in column.tolist()])
+        else:
+            columns.append([None] * rows)
+            cells.append([None] * rows)
+    fieldnames = draw(st.lists(TEXT, min_size=len(columns), max_size=len(columns)))
+    return fieldnames, columns, cells
+
+
+@given(table_columns())
+def test_table_writer_matches_csv_writer(table):
+    # every table has two or more columns: csv.writer quotes an empty
+    # single-cell row, which no table writes
+    fieldnames, columns, cells = table
+    expected = io.StringIO()
+    try:
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(fieldnames)
+        writer.writerows(zip(*cells))
+    except csv.Error:  # NUL before Python 3.11: csv refuses, and so must the writer
+        with pytest.raises(csv.Error):
+            _write_table(io.StringIO(), "csv", fieldnames, columns)
+        return
+    out = io.StringIO()
+    _write_table(out, "csv", fieldnames, columns)
+    assert out.getvalue() == expected.getvalue()
+
+
+# csv reads NUL from Python 3.11 on
+ID_ALPHABET = "aAé\x00" if sys.version_info >= (3, 11) else "aAé"
+IDS = st.text(alphabet=ID_ALPHABET, min_size=1, max_size=3)
+# repeated values make ties in p_adjusted (and in kappa_max)
+TIED_VALUES = [(1.0, 0.5, 0.2, 0.5), (-1.0, 0.4, 2.0, 0.3), (0.5, 1.0, 0.5, 1.0), (3.0, 0.2, 0.1, 0.3)]
+
+
+@settings(max_examples=40)
+@given(st.lists(st.tuples(IDS, st.sampled_from(TIED_VALUES)), min_size=1, max_size=8,
+                unique_by=lambda row: row[0]))
+def test_command_order_is_the_tuple_order(rows):
+    # ids that differ by case or by a trailing NUL, on tied sort keys
+    with tempfile.TemporaryDirectory() as tmp:
+        pairs = Path(tmp) / "pairs.csv"
+        with open(pairs, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([PAIR_FIELDS, *((row_id, *values) for row_id, values in rows)])
+        for command, key in (
+            (["scan", "--kind", "rd"], lambda row: (row["p_adjusted"], row["id"])),
+            (["scan", "--kind", "gs", "--adjust", "none"], lambda row: (row["p_adjusted"], row["id"])),
+            (["kappa-max"], lambda row: (-row["kappa_max"], row["id"])),
+        ):
+            code, out, _ = run_cli([command[0], str(pairs), *command[1:], "--alpha", "0.1",
+                                    "--format", "json"])
+            results = strict_json(out)["results"]
+            assert code == 0 and len(results) == len(rows)
+            assert results == sorted(results, key=key)
+
+
+@settings(max_examples=40)
+@given(st.lists(IDS, min_size=3, max_size=5, unique=True), st.integers(0, 2**32 - 1))
+def test_network_order_is_the_tuple_order(names, seed):
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "g1.csv", Path(tmp) / "g2.csv"]
+        for path in paths:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh).writerows([names, *rng.standard_normal((6, len(names))).tolist()])
+        code, out, _ = run_cli(["network", *map(str, paths), "--format", "json"])
+    results = strict_json(out)["results"]
+    assert code == 0 and len(results) == len(names) * (len(names) - 1) // 2
+    assert results == sorted(
+        results, key=lambda row: (row["p_adjusted"], row["feature_a"], row["feature_b"])
+    )
+
+
+def reference_read_pairs(path):
+    """The row-at-a-time pair reader the columnar one replaced: the ids and
+    batch of the valid rows, and the problem lines in the order reported."""
+    problems, ids, lines, values = [], [], [], []
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        assert tuple(next(reader)) == PAIR_FIELDS
+        for row in reader:
+            if not row:
+                continue
+            line_no = reader.line_num
+            try:
+                if len(row) < 5:
+                    raise ValueError(f"expected 5 cells, got {len(row)}")
+                parsed = [float(cell) for cell in row[1:5]]
+                if not row[0].strip():
+                    raise ValueError("id must be nonempty")
+            except ValueError as exc:
+                problems.append((line_no, str(exc)))
+                continue
+            ids.append(row[0].strip())
+            lines.append(line_no)
+            values.append(parsed)
+    columns = np.array(values, dtype=float).reshape(-1, 4).T
+    is_se = [False, True, False, True]
+    bad = np.array([~_valid(column, se) for column, se in zip(columns, is_se)])
+    invalid = bad.any(axis=0)
+    for i in np.flatnonzero(invalid).tolist():
+        c = int(np.argmax(bad[:, i]))
+        problems.append((lines[i], _rule_violation(PAIR_FIELDS[1 + c], columns[c, i], is_se[c])))
+    keep, seen = [], set()
+    for i in np.flatnonzero(~invalid).tolist():
+        if ids[i] in seen:
+            problems.append((lines[i], f"duplicate id {ids[i]!r}"))
+        else:
+            seen.add(ids[i])
+            keep.append(i)
+    problems.sort(key=lambda problem: problem[0])
+    listed = [f"{path}:{line_no}: {text}" for line_no, text in problems]
+    return [ids[i] for i in keep], PairBatch(*columns[:, keep]), listed
+
+
+VALUE_CELLS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1_0", " 2.5 ", "", "x", "0", "-0.0", "1e-310",
+                     "-0.5", "0.25", "1e300", "  7 "]),
+    st.floats().map(repr),
+)
+ID_CELLS = st.sampled_from(["a", "b", " a ", "", "  ", "multi\nline", "x\n\ny", "c,d", 'q"q'])
+# a row is a blank line (None) or an id and zero to five value cells
+PAIR_ROWS = st.lists(
+    st.one_of(st.none(), st.tuples(ID_CELLS, st.lists(VALUE_CELLS, max_size=5))), max_size=8
+)
+
+
+@given(PAIR_ROWS)
+def test_pair_reader_matches_the_row_reader(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "pairs.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(PAIR_FIELDS)
+            for row in rows:
+                if row is None:
+                    fh.write("\n")
+                else:
+                    writer.writerow([row[0], *row[1]])
+        expected_ids, expected, listed = reference_read_pairs(path)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            ids, batch = _read_pairs(path, strict=False)
+        assert ids == expected_ids
+        for name in PAIR_FIELDS[1:]:  # bit for bit
+            assert getattr(batch, name).tobytes() == getattr(expected, name).tobytes()
+        assert err.getvalue().splitlines() == [f"warning: skipping {line}" for line in listed]
+        if listed:
+            with pytest.raises(UsageError) as info:
+                _read_pairs(path, strict=True)
+            assert str(info.value) == "invalid rows:\n  " + "\n  ".join(listed)
+        else:
+            assert _read_pairs(path, strict=True)[0] == ids
 
 
 # ---------------------------------------------------------------------------
