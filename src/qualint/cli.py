@@ -26,9 +26,11 @@ Tables move as columns.  The readers convert each value column in one pass
 and read row by row only to word an error.  A command sorts its rows once
 with np.lexsort, names entering as code-point ranks: scan by (p_adjusted,
 id), network by (p_adjusted, feature_a, feature_b), kappa-max by
-(-kappa_max, id).  The CSV writer joins cells, and the csv module quotes
-each text cell holding a comma, quote, CR, LF or NUL.  JSON is strict: a
-number that is not finite after rounding is written as null.
+(-kappa_max, id).  The CSV writer joins cells and quotes each text cell
+holding a comma, quote, CR or LF, doubling its quotes; any other cell, NUL
+included, is written as it is, so the bytes do not depend on the Python
+version.  JSON is strict: a number that is not finite after rounding is
+written as null.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
+import dataclasses
 import json
 import math
 import re
@@ -48,10 +50,12 @@ import numpy as np
 
 from qualint.estimators import FeatureMatrix, pearson
 from qualint.inference import (
+    _KAPPA_MAX_ALPHA,
     EstimatePair,
     LocalAlternative,
     PairBatch,
     SubgroupEstimate,
+    _check_alpha,
     _rule_violation,
     _valid,
     gail_simon_test,
@@ -77,9 +81,9 @@ class UsageError(ValueError):
 # serialization helpers
 # ---------------------------------------------------------------------------
 
-# the characters for which the csv module quotes a cell (or, for NUL before
-# Python 3.11, refuses it); a text cell holding none is written as it is
-_CSV_SPECIALS = re.compile('[,"\r\n\x00]')
+# a text cell holding one of these is quoted, its quotes doubled; any other
+# cell, NUL included, is written as it is, the same bytes on every Python
+_CSV_SPECIALS = re.compile('[,"\r\n]')
 
 
 def _g10s(values: np.ndarray) -> np.ndarray:
@@ -95,16 +99,13 @@ def _json_g10(value: float) -> float | None:
 
 
 def _csv_text(cells: list[str]) -> list[str]:
-    """Text cells as CSV: the csv module quotes each cell holding a special."""
+    """Text cells as CSV: each cell holding a special is quoted."""
     if not _CSV_SPECIALS.search("".join(cells)):
         return cells
-    return [_csv_quoted(cell) if _CSV_SPECIALS.search(cell) else cell for cell in cells]
-
-
-def _csv_quoted(cell: str) -> str:
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow((cell,))
-    return out.getvalue()[:-1]
+    return [
+        '"' + cell.replace('"', '""') + '"' if _CSV_SPECIALS.search(cell) else cell
+        for cell in cells
+    ]
 
 
 def _serialized(column, fmt: str) -> list:
@@ -190,11 +191,20 @@ def _bonferroni(p_raw: np.ndarray, adjust: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _open_input(path: str):
+@contextlib.contextmanager
+def _csv_rows(path: str):
+    """A csv.reader over the file; a file that cannot be opened, or a csv
+    error such as a cell past the field limit, is a usage error."""
     try:
-        return open(path, encoding="utf-8", newline="")
+        handle = open(path, encoding="utf-8", newline="")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    with handle:
+        reader = csv.reader(handle)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise UsageError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _floats(cells, shape: tuple[int, int]) -> np.ndarray:
@@ -212,8 +222,7 @@ def _read_pairs(path: str, strict: bool) -> tuple[list[str], PairBatch]:
     order; in strict mode they fail the run, every bad line listed.
     """
     width = len(_PAIR_FIELDS)
-    with _open_input(path) as handle:
-        reader = csv.reader(handle)
+    with _csv_rows(path) as reader:
         header = tuple(next(reader, ()))
         if header != _PAIR_FIELDS:
             raise UsageError(
@@ -316,8 +325,8 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    if args.kind == "rd" and not args.alpha < 0.5:
-        raise UsageError("rd scans report kappa_max, which requires --alpha < 0.5")
+    if args.kind == "rd":  # rd scans report kappa_max: check its alpha before reading
+        _check_alpha(args.alpha, upper=_KAPPA_MAX_ALPHA)
     ids, batch = _read_pairs(args.input, args.strict)
     outcome = _run_pair_test(batch, args.kind, args.kappa, args.alpha)
     p_raw = _g10s(outcome.p_value)
@@ -342,8 +351,7 @@ def _cmd_scan(args) -> int:
 def _read_matrix(path: str) -> tuple[tuple[str, ...], np.ndarray]:
     """The feature names and the sample-by-feature values of a matrix CSV.
     Every row must hold one finite value per feature."""
-    with _open_input(path) as handle:
-        reader = csv.reader(handle)
+    with _csv_rows(path) as reader:
         try:
             header = tuple(name.strip() for name in next(reader))
         except StopIteration:
@@ -388,9 +396,6 @@ def _cmd_network(args) -> int:
             "feature columns differ between matrices "
             f"({args.matrix1} vs {args.matrix2})"
         )
-    p = len(features)
-    total_pairs = p * (p - 1) // 2
-
     matrix1, matrix2 = FeatureMatrix(data1), FeatureMatrix(data2)
     fit1, fit2 = pearson(matrix1), pearson(matrix2)
     first, second = matrix1.pairs()
@@ -400,10 +405,9 @@ def _cmd_network(args) -> int:
     for k in np.flatnonzero(~kept).tolist():
         reason = fit1.reason(k) if not ok1[k] else fit2.reason(k)
         _warn(f"skipping pair ({features[first[k]]}, {features[second[k]]}): {reason}")
-    skipped = total_pairs - int(kept.sum())
+    skipped = len(matrix1) - int(kept.sum())
 
     r1, r2 = fit1.estimate[kept], fit2.estimate[kept]
-    m = len(r1)
     outcome = rd_test(
         PairBatch(r1, fit1.std_error[kept], r2, fit2.std_error[kept]), args.kappa, args.alpha
     )
@@ -423,9 +427,9 @@ def _cmd_network(args) -> int:
     ]
 
     summary = {
-        "features": p,
-        "pairs": total_pairs,
-        "tested": m,
+        "features": len(features),
+        "pairs": len(matrix1),
+        "tested": len(r1),
         "skipped": skipped,
         "rejected": rejected,
     }
@@ -439,10 +443,7 @@ def _cmd_network(args) -> int:
         "p_adjusted",
         "stronger_group",
     )
-    footer = (
-        f"# features={p} pairs={total_pairs} tested={m} "
-        f"skipped={skipped} rejected={rejected}"
-    )
+    footer = "# " + " ".join(f"{key}={value}" for key, value in summary.items())
     with _output(args.output) as out:
         _write_table(out, args.format, fieldnames, edges, summary=summary, footer=footer)
     return 0
@@ -517,18 +518,7 @@ def _cmd_simulate(args) -> int:
                 _write_table(out, "csv", fieldnames, columns)
     written.append(f"{prefix}_config.json")
     with _output(written[-1]) as out:
-        _write_json(
-            out,
-            {
-                "theta1": args.theta1,
-                "theta2_grid": list(grid),
-                "n": list(args.n),
-                "replications": args.reps,
-                "kappas": list(args.kappas),
-                "alpha": args.alpha,
-                "seed": args.seed,
-            },
-        )
+        _write_json(out, {**dataclasses.asdict(config), "n": list(args.n)})
     for path in written:
         print(path)
     return 0

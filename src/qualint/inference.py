@@ -105,6 +105,8 @@ _KAPPA_TOL = 1e-6
 _KAPPA_SOLVER_TOL = 1e-3 * _KAPPA_TOL
 # The omnibus zero-point quantile search starts just above 0 and doubles from 1.
 _QUANTILE_LO = 1e-12
+# kappa_max inverts the rd test at alpha below this only
+_KAPPA_MAX_ALPHA = 0.5
 
 _BINDING_ROOTS = ("normal_boundary", "none")
 _BATCH_FIELDS = ("est1", "se1", "est2", "se2")
@@ -198,10 +200,10 @@ def _rows(x1, se1, x2, se2) -> _Rows:
     """Estimates and standard errors rescaled together, exactly, by the power
     of two that puts max(se1, se2) in [0.5, 1).  An estimate more than about
     1e308 times that standard error rescales to its limit, +-inf."""
-    scale = np.ldexp(1.0, -np.frexp(np.maximum(se1, se2))[1])
-    s1, s2 = se1 * scale, se2 * scale
+    exponent = -np.frexp(np.maximum(se1, se2))[1]
+    s1, s2 = np.ldexp(se1, exponent), np.ldexp(se2, exponent)
     with np.errstate(over="ignore"):
-        x1, x2 = x1 * scale, x2 * scale
+        x1, x2 = np.ldexp(x1, exponent), np.ldexp(x2, exponent)
     return _Rows(x1, x2, s1, s2, s1 * s1, s2 * s2)
 
 
@@ -462,7 +464,8 @@ def _local_rows(alt: LocalAlternative) -> _Rows:
 
 def _contrast(x1, x2, v1, v2, m, s):
     """(x1 - kappa x2) / sqrt(v1 + kappa^2 v2): a standardized contrast."""
-    return (x1 * s - m * x2) / np.sqrt(v1 * (s * s) + (m * m) * v2)
+    with np.errstate(over="ignore"):  # +-inf past the float range
+        return (x1 * s - m * x2) / np.sqrt(v1 * (s * s) + (m * m) * v2)
 
 
 def _rd_stat(a1, a2, v1, v2, m, s):
@@ -490,16 +493,21 @@ def _rd_nu(v1, v2, m, s):
     return np.maximum(-1.0, np.minimum(1.0, nu1)), np.maximum(-1.0, np.minimum(1.0, nu2))
 
 
-def _diagonal_tail(t, rho):
-    """P(X > t, Y > t) for unit normals with correlation rho; 0 at t = +inf,
-    a statistic past the float range."""
-    infinite = t == math.inf
-    t = np.where(infinite, 0.0, t)
-    return np.where(infinite, 0.0, bvn_upper_tail(t, t, rho))
+def _orthant_tail(h, k, rho):
+    """P(X > h, Y > k) for unit normals with correlation rho.  A threshold
+    at +-inf, from a statistic or contrast past the float range, is the
+    limit: 0 at +inf, the other margin's tail at -inf."""
+    infinite = np.isinf(h) | np.isinf(k)
+    if not infinite.any():
+        return bvn_upper_tail(h, k, rho)
+    margin = ndtr(-np.where(h == -math.inf, k, h))
+    limit = np.where((h == math.inf) | (k == math.inf), 0.0, margin)
+    finite = bvn_upper_tail(np.where(infinite, 0.0, h), np.where(infinite, 0.0, k), rho)
+    return np.where(infinite, limit, finite)
 
 
 def _rd_zero_tail(t, nu1, nu2):
-    both = _diagonal_tail(t, np.stack([nu1, nu2]))  # one call for both pairs
+    both = _orthant_tail(t, t, np.stack([nu1, nu2]))  # one call for both pairs
     return np.minimum(1.0, 2.0 * (both[0] + both[1]))
 
 
@@ -695,10 +703,10 @@ def _rd_power(rows: _Rows, kappa: float, alpha: float):
     c21 = _contrast(x2, x1, v2, v1, m, s)
     c22 = _contrast(x2, -x1, v2, v1, m, s)
     power = (
-        bvn_upper_tail(t_star - c11, t_star - c12, nu1)
-        + bvn_upper_tail(t_star + c11, t_star + c12, nu1)
-        + bvn_upper_tail(t_star - c21, t_star - c22, nu2)
-        + bvn_upper_tail(t_star + c21, t_star + c22, nu2)
+        _orthant_tail(t_star - c11, t_star - c12, nu1)
+        + _orthant_tail(t_star + c11, t_star + c12, nu1)
+        + _orthant_tail(t_star - c21, t_star - c22, nu2)
+        + _orthant_tail(t_star + c21, t_star + c22, nu2)
     )
     power = np.minimum(1.0, power)
     return power if power.ndim else float(power)
@@ -760,7 +768,7 @@ def omnibus_statistic(pair: EstimatePair | PairBatch, kappa: float):
 
 
 def _omnibus_zero_tail(root_t, nu):
-    return np.minimum(1.0, 2.0 * _diagonal_tail(root_t, nu))
+    return np.minimum(1.0, 2.0 * _orthant_tail(root_t, root_t, nu))
 
 
 def omnibus_null_tail(t: float, kappa: float, se1: float, se2: float) -> float:
@@ -841,7 +849,7 @@ def omnibus_local_power(alt: LocalAlternative, kappa: float, alpha: float):
     s_star = max(std_normal_quantile(1.0 - alpha), _omnibus_zero_point_quantile(nu, alpha))
     c1 = _contrast(x1, x2, v1, v2, m, s)
     c2 = -_contrast(x2, x1, v2, v1, m, s)
-    power = bvn_upper_tail(s_star - c1, s_star - c2, nu) + bvn_upper_tail(
+    power = _orthant_tail(s_star - c1, s_star - c2, nu) + _orthant_tail(
         s_star + c1, s_star + c2, nu
     )
     power = np.minimum(1.0, power)
@@ -873,7 +881,7 @@ def kappa_max(pair: EstimatePair | PairBatch, alpha: float):
     to a cap of 1e9, +inf past it) only when ``roots`` is read.  A PairBatch
     gives a KappaMaxBatch.
     """
-    _check_alpha(alpha, upper=0.5)
+    _check_alpha(alpha, upper=_KAPPA_MAX_ALPHA)
     batch = _as_batch(pair)
     rejecting = _rd_boundary(batch.scaled, _KAPPA_PROBE)[1] < alpha
     x1, se1, x2, se2 = (getattr(batch, name)[rejecting] for name in _BATCH_FIELDS)

@@ -45,9 +45,11 @@ from typing import Iterator, Mapping
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from qualint.estimators import Sample2D, SampleBatch, ols_slope
+from qualint.estimators import Sample2D, SampleBatch, _require_size, ols_slope
 from qualint.inference import (
+    _KAPPA_MAX_ALPHA,
     PairBatch,
+    _check_alpha,
     _check_input,
     _check_kappa,
     kappa_max,
@@ -99,25 +101,22 @@ class SimulationConfig:
         object.__setattr__(self, "replications", int(self.replications))
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "seed", int(self.seed))
-        if not math.isfinite(self.theta1):
-            raise ValueError("theta1 must be finite")
+        _check_input("theta1", self.theta1, se=False)
         if not self.theta2_grid:
             raise ValueError("theta2_grid must be nonempty")
         if not all(math.isfinite(v) for v in self.theta2_grid):
             raise ValueError("theta2_grid must be finite")
-        if self.n < 3:
-            raise ValueError(f"n must be >= 3, got {self.n}")
+        _require_size(self.n)
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         # a stream's grid and replicate indices are one 32-bit seed word each
         if self.replications >= 2**32 or len(self.theta2_grid) >= 2**32:
             raise ValueError("replications and the theta2 grid length must be < 2**32")
-        if not self.kappas or not all(
-            math.isfinite(k) and k > 1.0 for k in self.kappas
-        ):
-            raise ValueError("kappas must be a nonempty tuple of values > 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not self.kappas:
+            raise ValueError("kappas must be nonempty")
+        for kappa in self.kappas:
+            _check_kappa(kappa, strict=True)
+        _check_alpha(self.alpha)
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -171,19 +170,10 @@ def generate_dataset(theta: float, n: int, rng_stream: np.random.Generator) -> S
     Consumes exactly 2n variates from the stream: the x block first, then
     the noise block.
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    x, y = np.empty(n), np.empty(n)
-    _draw(theta, rng_stream, x, y)
-    return Sample2D(x, y)
-
-
-def _draw(theta: float, rng_stream: np.random.Generator, x: np.ndarray, y: np.ndarray) -> None:
-    """Fill the 1-D arrays x and y with one sample of the model: the x block
-    is drawn first, then the noise block."""
-    rng_stream.standard_normal(out=x)
-    rng_stream.standard_normal(out=y)
+    _require_size(n)
+    x, y = rng_stream.standard_normal((2, n))
     y += theta * x  # y = theta x + eps
+    return Sample2D(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +277,9 @@ def _grid_point_estimates(
 
 
 def _run_study(config: SimulationConfig, want_rates: bool) -> StudyResult:
-    # kappa_max inversion is defined for alpha < 1/2 only; rate-only studies
-    # at larger alpha simply skip the inversion summaries
-    want_kmax = config.alpha < 0.5
+    # kappa_max is defined for alpha below _KAPPA_MAX_ALPHA only; rate-only
+    # studies at larger alpha simply skip the inversion summaries
+    want_kmax = config.alpha < _KAPPA_MAX_ALPHA
     indices = range(len(config.theta2_grid))
     estimates, drops = zip(*_grid_point_estimates(config))
 
@@ -350,8 +340,7 @@ def run_rejection_study(config: SimulationConfig) -> StudyResult:
 
 def run_kappa_max_study(config: SimulationConfig) -> StudyResult:
     """Empirical 0.10/0.50/0.90 quantiles of kappa_max per theta2 grid point."""
-    if not config.alpha < 0.5:
-        raise ValueError("kappa_max studies require alpha < 0.5")
+    _check_alpha(config.alpha, upper=_KAPPA_MAX_ALPHA)
     return _run_study(config, want_rates=False)
 
 

@@ -320,7 +320,7 @@ class TestScanCommand:
         write_pairs(pairs, TABLE_ROWS[:1])
         code, _, err = self.scan(capsys, ["scan", str(pairs), "--alpha", "0.6"])
         assert code == 2
-        assert "alpha" in err
+        assert err == "error: alpha must lie in (0, 0.5), got 0.6\n"
 
     def test_json_format(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.csv"
@@ -384,6 +384,31 @@ def test_kappa_max_past_1e9_is_written_not_fatal(tmp_path, capsys, command):
     assert sorted(rows) == ["a", "b", "c"]
     assert float(rows["b"]["kappa_max"]) == pytest.approx(6.08e9, rel=1e-3)
     assert float(rows["c"]["kappa_max"]) == 1.0
+
+
+BIG_CELL = "x" * 200_000
+
+
+@pytest.mark.parametrize(
+    "command, text, line",
+    [
+        ("scan", f"id,est1,se1,est2,se2\na,1,1,1,1\n{BIG_CELL},1,1,1,1\n", 3),
+        ("kappa-max", f"id,est1,se1,est2,se2\n{BIG_CELL},1,1,1,1\n", 2),
+        ("network", f"a,b\n1,2\n{BIG_CELL},1\n3,4\n", 3),
+        ("network", f"a,{BIG_CELL}\n1,2\n2,1\n3,4\n", 1),
+    ],
+    ids=["scan", "kappa-max", "network-cell", "network-header"],
+)
+def test_cell_past_the_csv_field_limit_is_usage_error(tmp_path, capsys, command, text, line):
+    # csv.reader refuses a field longer than 131072 characters; the run
+    # ended with an uncaught csv.Error traceback
+    path = tmp_path / "big.csv"
+    path.write_text(text)
+    inputs = [str(path)] * (2 if command == "network" else 1)
+    code = main([command, *inputs])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {path}:{line}: field larger than field limit (131072)\n"
 
 
 def test_estimate_past_the_float_range_is_written_not_fatal(tmp_path, capsys):
@@ -755,6 +780,25 @@ class TestPowerCommand:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["rd", "omnibus"])
+    def test_power_at_both_ends_of_the_float_range(self, capsys, kind):
+        # subnormal sigma: the rescale factor overflowed to inf; an effect
+        # 1e310 times its sigma: the orthant thresholds were infinite; both
+        # exited 2
+        def power(*flags):
+            code = main(["power", "--kind", kind, "--c1-steps", "1", "--c2-steps", "1", *flags])
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (0, "")
+            (row,) = parse_csv(captured.out)
+            return float(row["power"])
+
+        unit = power("--c1-min=1", "--c1-max=1", "--c2-min=-3", "--c2-max=-3")
+        subnormal = power("--sigma1", "1e-310", "--sigma2", "1e-310", "--c1-min=1e-310",
+                          "--c1-max=1e-310", "--c2-min=-3e-310", "--c2-max=-3e-310")
+        assert subnormal == pytest.approx(unit, abs=1e-9)
+        assert power("--sigma1", "1e-10", "--sigma2", "1e-10", "--c1-min", "1e300",
+                     "--c1-max", "1e300") == 1.0
+
     def test_unbalanced_lambda_accepted(self, capsys):
         code = main(
             ["power", "--c1-steps", "1", "--c2-steps", "1", "--lambda", "0.25"]
@@ -997,7 +1041,7 @@ HOSTILE_OUTPUTS = {
         '"say ""hi""",2.044355946,0.04091839601,0.3273471681,1.919381639,false\n'
         '"a,b",1.905832484,0.05667194291,0.4533755433,2.064880609,false\n'
         '"line\nbreak",1.675321172,0.09387123351,0.7509698681,1.530934266,false\n'
-        "carriage\rreturn,1.655576227,0.09780766784,0.7824613427,1.510013719,false\n"
+        '"carriage\rreturn",1.655576227,0.09780766784,0.7824613427,1.510013719,false\n'
         "naïve β,1.397452261,0.162277613,1,1.224675935,false\n"
         "padded id,1.481409119,0.1384975861,1,1.319999958,false\n"
         "quoted pad,1.331280471,0.1830967416,1,1.173550075,false\n"
@@ -1008,7 +1052,7 @@ HOSTILE_OUTPUTS = {
         '"a,b",2.064880609,normal_boundary,0.05667194291,0.09422543559,0.3153344498\n'
         '"say ""hi""",1.919381639,normal_boundary,0.04091839601,0.1137657098,0.4705865166\n'
         '"line\nbreak",1.530934266,normal_boundary,0.09387123351,0.2012186742,0.5420961708\n'
-        "carriage\rreturn,1.510013719,normal_boundary,0.09780766784,0.2236911815,"
+        '"carriage\rreturn",1.510013719,normal_boundary,0.09780766784,0.2236911815,'
         "0.6635437084\n"
         "padded id,1.319999958,normal_boundary,0.1384975861,0.2584257587,0.6317476427\n"
         "naïve β,1.224675935,normal_boundary,0.162277613,0.2803131223,0.5988734707\n"
@@ -1021,13 +1065,13 @@ HOSTILE_OUTPUTS = {
         "0.144468755,1\n"
         '"gene ""2""","gène\n3",0.992200073,-0.1424060154,1.297679038,0.1943976499,'
         "0.1943976499,1\n"
-        '"gène\n3",cr\rfour,-0.1062514785,0.8118603661,1.050280074,0.2935893637,'
+        '"gène\n3","cr\rfour",-0.1062514785,0.8118603661,1.050280074,0.2935893637,'
         "0.2935893637,2\n"
-        "spaced,cr\rfour,-0.1055438503,-0.5936482874,0.658849783,0.5099922354,"
+        'spaced,"cr\rfour",-0.1055438503,-0.5936482874,0.658849783,0.5099922354,'
         "0.5099922354,2\n"
-        '"gene ""2""",cr\rfour,-0.1506936712,-0.6216432935,0.6097721045,0.5420127827,'
+        '"gene ""2""","cr\rfour",-0.1506936712,-0.6216432935,0.6097721045,0.5420127827,'
         "0.5420127827,2\n"
-        '"gene,1",cr\rfour,-0.1730219285,0.5747156307,0.4819771365,0.6298221882,'
+        '"gene,1","cr\rfour",-0.1730219285,0.5747156307,0.4819771365,0.6298221882,'
         "0.6298221882,2\n"
         '"gene ""2""",spaced,-0.3789244094,0.08073062479,0.3674391082,0.7132915045,'
         "0.7132915045,1\n"
@@ -1052,8 +1096,9 @@ HOSTILE_SCAN_JSON = [
 
 
 def test_hostile_text_cells_are_quoted_and_ordered_exactly(tmp_path, capsys):
-    # byte-exact: the writer's quoting is the csv module's, and string sort
-    # keys order by code point, ties on p_adjusted broken by the id
+    # byte-exact on every Python: a cell holding a comma, quote, CR or LF is
+    # quoted, and string sort keys order by code point, ties on p_adjusted
+    # broken by the id
     for name, text in (
         ("pairs.csv", HOSTILE_PAIRS),
         ("m1.csv", HOSTILE_FEATURES + HOSTILE_MATRIX1),
@@ -1086,8 +1131,10 @@ def test_hostile_text_cells_are_quoted_and_ordered_exactly(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 PAIR_FIELDS = ("id", "est1", "se1", "est2", "se2")
+# csv writes and reads NUL from Python 3.11 on
+NUL = "\x00" if sys.version_info >= (3, 11) else ""
 # the CSV specials, padding, non-ASCII text and NUL
-TEXT = st.text(alphabet=',"\r\n \x00aAé', max_size=5)
+TEXT = st.text(alphabet=',"\r\n \taAé€' + NUL, max_size=5)
 FLOAT_CELLS = st.one_of(
     st.floats(),
     st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
@@ -1132,28 +1179,35 @@ def table_columns(draw):
     return fieldnames, columns, cells
 
 
+def csv_cell(cell):
+    """A cell as csv.writer quotes it mid-row.  The CRLF terminator makes
+    every Python quote CR and LF, and mid-row an empty cell is not quoted."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\r\n").writerow(["x", cell, "x"])
+    return out.getvalue()[2:-4]
+
+
 @given(table_columns())
 def test_table_writer_matches_csv_writer(table):
-    # every table has two or more columns: csv.writer quotes an empty
-    # single-cell row, which no table writes
     fieldnames, columns, cells = table
-    expected = io.StringIO()
-    try:
-        writer = csv.writer(expected, lineterminator="\n")
-        writer.writerow(fieldnames)
-        writer.writerows(zip(*cells))
-    except csv.Error:  # NUL before Python 3.11: csv refuses, and so must the writer
-        with pytest.raises(csv.Error):
-            _write_table(io.StringIO(), "csv", fieldnames, columns)
-        return
+    rows = [fieldnames, *zip(*cells)]
     out = io.StringIO()
     _write_table(out, "csv", fieldnames, columns)
-    assert out.getvalue() == expected.getvalue()
+    assert out.getvalue() == "".join(",".join(map(csv_cell, row)) + "\n" for row in rows)
 
 
-# csv reads NUL from Python 3.11 on
-ID_ALPHABET = "aAé\x00" if sys.version_info >= (3, 11) else "aAé"
-IDS = st.text(alphabet=ID_ALPHABET, min_size=1, max_size=3)
+@given(st.integers(2, 4).flatmap(
+    lambda width: st.lists(st.lists(TEXT, min_size=width, max_size=width), min_size=1, max_size=5)
+))
+def test_csv_reader_reads_the_written_cells_back(table):
+    fieldnames, *rows = table
+    columns = [[row[c] for row in rows] for c in range(len(fieldnames))]
+    out = io.StringIO()
+    _write_table(out, "csv", fieldnames, columns)
+    assert list(csv.reader(io.StringIO(out.getvalue(), newline=""))) == table
+
+
+IDS = st.text(alphabet="aAé" + NUL, min_size=1, max_size=3)
 # repeated values make ties in p_adjusted (and in kappa_max)
 TIED_VALUES = [(1.0, 0.5, 0.2, 0.5), (-1.0, 0.4, 2.0, 0.3), (0.5, 1.0, 0.5, 1.0), (3.0, 0.2, 0.1, 0.3)]
 

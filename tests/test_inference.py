@@ -756,14 +756,36 @@ class TestFloatRange:
 
     def test_local_power_is_exact_under_power_of_two_sigma_scaling(self):
         # sqrt(lam) sigma below 1e-300 used to fail the rd null quantile's
-        # input check, while the omnibus power had no such check
-        f = 2.0**-1000
+        # input check, while the omnibus power had no such check; at 2**-1030
+        # sigma is subnormal, its rescale factor overflowed, and only the
+        # bits sigma loses on the way there may move the power
         c1 = np.linspace(-6.0, 6.0, 7)
         c2 = -0.5 * c1
         for power in (rd_local_power, omnibus_local_power):
             base = power(LocalAlternative(c1, c2, 0.7, 1.3, 0.4), 2.0, 0.05)
-            tiny = power(LocalAlternative(c1 * f, c2 * f, 0.7 * f, 1.3 * f, 0.4), 2.0, 0.05)
-            assert tiny.tolist() == base.tolist()
+            for exponent in (-1030, -1000, -500, 500, 1000):
+                f = 2.0**exponent
+                scaled = power(LocalAlternative(c1 * f, c2 * f, 0.7 * f, 1.3 * f, 0.4), 2.0, 0.05)
+                if exponent < -1000:
+                    np.testing.assert_allclose(scaled, base, rtol=0.0, atol=1e-12)
+                else:
+                    assert scaled.tolist() == base.tolist()
+
+    def test_local_power_past_the_float_range_is_its_limit(self):
+        # an effect about 1e310 times its sigma rescales to +-inf, or only a
+        # contrast passes the float range; the orthant thresholds were then
+        # infinite and bvn_upper_tail refused them
+        for c1, c2, sigma, kappa, limits in (
+            (1e300, -6.0, 1e-10, 2.0, (1.0, 1.0)),
+            (-1e300, -6.0, 1e-10, 2.0, (1.0, 1.0)),
+            # equal magnitudes lie inside the rd null; opposite signs are a
+            # crossover, and equal signs at ratio 1 < kappa are no alternative
+            (5e307, -5e307, 0.3, 1.5, (0.0, 1.0)),
+            (5e307, 5e307, 0.3, 1.5, (0.0, 0.0)),
+        ):
+            alt = LocalAlternative(np.array([c1]), np.array([c2]), sigma, sigma, 0.5)
+            for power, limit in zip((rd_local_power, omnibus_local_power), limits):
+                assert power(alt, kappa, 0.05).tolist() == [limit]
 
     def test_omnibus_collapses_to_gail_simon_at_huge_kappa(self):
         for e1, s1, e2, s2 in OPPOSITE_SIGN_PAIRS:

@@ -48,22 +48,21 @@ class TestSimulationConfig:
         assert cfg.kappas == (2.0, 4.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            small_config(theta2_grid=())
-        with pytest.raises(ValueError):
-            small_config(n=2)
-        with pytest.raises(ValueError):
-            small_config(replications=0)
-        with pytest.raises(ValueError):
-            small_config(kappas=(1.0,))
-        with pytest.raises(ValueError):
-            small_config(kappas=())
-        with pytest.raises(ValueError):
-            small_config(alpha=0.0)
-        with pytest.raises(ValueError):
-            small_config(seed=-1)
-        with pytest.raises(ValueError):
-            small_config(seed=2**64)
+        # the core's checks word every rule the core owns
+        for overrides, message in (
+            ({"theta1": math.inf}, "theta1 must be finite, got inf"),
+            ({"theta2_grid": ()}, "theta2_grid must be nonempty"),
+            ({"n": 2}, "need at least 3 pairs, got 2"),
+            ({"replications": 0}, "replications must be >= 1, got 0"),
+            ({"kappas": (1.0,)}, "kappa must be > 1, got 1.0"),
+            ({"kappas": (2.0, math.inf)}, "kappa must be finite, got inf"),
+            ({"kappas": ()}, "kappas must be nonempty"),
+            ({"alpha": 0.0}, r"alpha must lie in \(0, 1\), got 0.0"),
+            ({"seed": -1}, "seed must fit in 64 unsigned bits"),
+            ({"seed": 2**64}, "seed must fit in 64 unsigned bits"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                small_config(**overrides)
 
     def test_stream_indices_stay_below_two_to_the_32(self):
         # each index is one 32-bit word of the stream's seed entropy
@@ -96,7 +95,7 @@ class TestGenerateDataset:
     def test_returns_validated_sample(self):
         ds = generate_dataset(0.3, 10, np.random.default_rng(3))
         assert isinstance(ds, Sample2D) and len(ds) == 10
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least 3 pairs, got 2"):
             generate_dataset(0.3, 2, np.random.default_rng(3))
 
 
@@ -284,5 +283,5 @@ class TestKappaMaxStudy:
         assert set(res.kappa_max_quantiles) == {0.0, 0.5}
 
     def test_alpha_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 0.5\), got 0.5"):
             run_kappa_max_study(small_config(alpha=0.5))
