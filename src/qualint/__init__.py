@@ -19,13 +19,9 @@ from qualint.inference import (
     kappa_max,
     omnibus_local_power,
     omnibus_null_tail,
-    omnibus_region_contains_alternative,
     omnibus_statistic,
     omnibus_test,
-    pn_region_contains_alternative,
     rd_local_power,
-    rd_null_nu,
-    rd_null_quantile,
     rd_null_tail,
     rd_power_approx,
     rd_statistic,
@@ -74,14 +70,10 @@ __all__ = [
     "ols_slope",
     "omnibus_local_power",
     "omnibus_null_tail",
-    "omnibus_region_contains_alternative",
     "omnibus_statistic",
     "omnibus_test",
     "pearson",
-    "pn_region_contains_alternative",
     "rd_local_power",
-    "rd_null_nu",
-    "rd_null_quantile",
     "rd_null_tail",
     "rd_power_approx",
     "rd_statistic",

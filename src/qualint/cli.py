@@ -65,7 +65,7 @@ from qualint.inference import (
     rd_local_power,
     rd_test,
 )
-from qualint.simulation import SimulationConfig, run_rejection_study
+from qualint.simulation import _STREAM_INDEX_LIMIT, SimulationConfig, run_rejection_study
 
 __all__ = ["main"]
 
@@ -401,10 +401,11 @@ def _cmd_network(args) -> int:
     first, second = matrix1.pairs()
     ok1 = fit1.ok
     kept = ok1 & fit2.ok
-    # per-pair order and wording: group 1 is checked before group 2
+    # per-pair order: group 1 is checked before group 2
     for k in np.flatnonzero(~kept).tolist():
-        reason = fit1.reason(k) if not ok1[k] else fit2.reason(k)
-        _warn(f"skipping pair ({features[first[k]]}, {features[second[k]]}): {reason}")
+        names = (features[first[k]], features[second[k]])
+        reason = (fit1 if not ok1[k] else fit2).reason(k, names)
+        _warn(f"skipping pair ({names[0]}, {names[1]}): {reason}")
     skipped = len(matrix1) - int(kept.sum())
 
     r1, r2 = fit1.estimate[kept], fit2.estimate[kept]
@@ -476,9 +477,15 @@ def _cmd_power(args) -> int:
 
 
 def _theta2_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
+    """lo, lo + step, ..., hi, its arguments checked before any point is built."""
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise UsageError("--theta2-min, --theta2-max and --theta2-step must be finite")
     if step <= 0 or hi < lo:
         raise UsageError("need --theta2-max >= --theta2-min and --theta2-step > 0")
-    count = int(round((hi - lo) / step)) + 1
+    # (hi - lo) / step is inf past the float range
+    count = round(min((hi - lo) / step, _STREAM_INDEX_LIMIT)) + 1
+    if count >= _STREAM_INDEX_LIMIT:
+        raise UsageError("the theta2 grid must hold fewer than 2**32 points")
     return tuple(round(lo + k * step, 10) for k in range(count))
 
 

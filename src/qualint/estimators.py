@@ -182,8 +182,13 @@ class EstimateBatch:
     def ok(self) -> np.ndarray:
         return self.code == _OK
 
-    def reason(self, row: int) -> str | None:
+    def reason(self, row: int, names: tuple[str, str] | None = None) -> str | None:
+        """Why row ``row`` is degenerate, or None.  ``names`` are the names
+        of its (x, y) features when the row is their correlation; a constant
+        feature is then named instead of called x or y."""
         code = int(self.code[row])
+        if names is not None and code in (_X_CONSTANT, _Y_CONSTANT):
+            return f"{names[code == _Y_CONSTANT]} is constant; correlation is undefined"
         if code == _R_ONE:
             return _REASONS[code].format(abs(float(self.estimate[row])))
         if code == _SE_RULE:

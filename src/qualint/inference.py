@@ -15,9 +15,12 @@ with standard errors, this module provides:
 Every null hypothesis here is composite, so p-values are supremum p-values:
 the largest tail probability of the statistic over the null region.  Each
 supremum is attained either at a boundary point far from the origin (a
-normal tail) or at the origin itself (a bivariate-normal tail mixture); the
-reported p-value is the maximum of the two components, and both are recorded
-on the result.
+normal tail) or at the origin itself (a bivariate-normal tail mixture), and
+both components are recorded on the result.  The omnibus p-value is the
+larger of the two.  For the relative-difference test the zero-point tail
+never exceeds the boundary tail (see kappa_max), so its p-value is the
+boundary tail, and its zero-point component is a diagnostic computed only
+when the components are read.
 
 Conventions (uniform across the module):
 
@@ -53,7 +56,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -78,13 +82,9 @@ __all__ = [
     "kappa_max",
     "omnibus_local_power",
     "omnibus_null_tail",
-    "omnibus_region_contains_alternative",
     "omnibus_statistic",
     "omnibus_test",
-    "pn_region_contains_alternative",
     "rd_local_power",
-    "rd_null_nu",
-    "rd_null_quantile",
     "rd_null_tail",
     "rd_power_approx",
     "rd_statistic",
@@ -283,16 +283,22 @@ class TestBatch:
     """Outcomes of one test on every row of a PairBatch, as arrays.
 
     p_value is the elementwise maximum of the components and rejected is
-    p_value < alpha.  ``batch[i]`` is the TestResult of row i.
+    p_value < alpha.  ``components`` is a read-only mapping built on its
+    first read, so a caller of p_value and rejected alone never evaluates a
+    diagnostic tail.  ``batch[i]`` is the TestResult of row i.
     """
 
     statistic: np.ndarray
     p_value: np.ndarray
-    components: Mapping[str, np.ndarray]
     rejected: np.ndarray
     alpha: float
+    _components: Callable[[], dict[str, np.ndarray]] = field(repr=False)
 
     __test__ = False
+
+    @functools.cached_property
+    def components(self) -> Mapping[str, np.ndarray]:
+        return MappingProxyType(self._components())
 
     def __len__(self) -> int:
         return int(self.statistic.shape[0])
@@ -428,9 +434,10 @@ def _per_row(pair, values: np.ndarray):
     return values if isinstance(pair, PairBatch) else values[0].item()
 
 
-def _tested(pair, statistic, components: dict[str, np.ndarray], alpha: float):
-    p_value = functools.reduce(np.maximum, components.values())
-    batch = TestBatch(statistic, p_value, components, p_value < alpha, float(alpha))
+def _tested(pair, statistic, p_value, components: Callable[[], dict], alpha: float):
+    """The test's outcome; ``components`` builds the component columns, whose
+    maximum is p_value, when they are first read."""
+    batch = TestBatch(statistic, p_value, p_value < alpha, float(alpha), components)
     return batch if isinstance(pair, PairBatch) else batch[0]
 
 
@@ -511,26 +518,11 @@ def _rd_zero_tail(t, nu1, nu2):
     return np.minimum(1.0, 2.0 * (both[0] + both[1]))
 
 
-def _rd_zero_tail_limit(nu1, nu2):
-    """Continuous t -> 0+ limit of the zero-point tail: 1 + (asin nu1 + asin nu2)/pi."""
-    return np.minimum(1.0, np.maximum(0.0, 1.0 + (np.arcsin(nu1) + np.arcsin(nu2)) / np.pi))
-
-
 def _rd_boundary(rows: _Rows, kappa):
     """(statistic, normal_boundary) of the rd test per row."""
     m, s = _kappa_split(kappa)
     t = _rd_stat(np.abs(rows.x1), np.abs(rows.x2), rows.v1, rows.v2, m, s)
     return t, np.where(t > 0.0, np.minimum(1.0, 2.0 * ndtr(-t)), 1.0)
-
-
-def _rd_components(rows: _Rows, kappa):
-    """(statistic, normal_boundary, zero_point) of the rd test per row."""
-    t, boundary = _rd_boundary(rows, kappa)
-    nu1, nu2 = _rd_nu(rows.v1, rows.v2, *_kappa_split(kappa))
-    outside = t > 0.0
-    zero_point = np.ones_like(t)
-    zero_point[outside] = _rd_zero_tail(t[outside], nu1[outside], nu2[outside])
-    return t, boundary, zero_point
 
 
 def _omnibus_region(x1, x2, m, s):
@@ -571,16 +563,6 @@ def _opposite_signs(x1, x2):
     return ((x1 > 0.0) & (x2 < 0.0)) | ((x1 < 0.0) & (x2 > 0.0))
 
 
-def pn_region_contains_alternative(pair: EstimatePair | PairBatch):
-    """True iff the two estimates have strictly opposite signs.
-
-    Zero lies in the null region, so a zero estimate never lands in the
-    crossover alternative.  A batch gives one flag per row.
-    """
-    batch = _as_batch(pair)
-    return _per_row(pair, _opposite_signs(batch.est1, batch.est2))
-
-
 def gail_simon_test(pair: EstimatePair | PairBatch, alpha: float):
     """Crossover likelihood-ratio test (Gail & Simon).
 
@@ -596,7 +578,7 @@ def gail_simon_test(pair: EstimatePair | PairBatch, alpha: float):
         squares = np.minimum(z1 * z1, z2 * z2)
     statistic = np.where(_opposite_signs(rows.x1, rows.x2), squares, 0.0)
     p = np.where(statistic > 0.0, 0.5 * chi2_1_tail(statistic), 1.0)
-    return _tested(pair, statistic, {"half_chi2": p}, alpha)
+    return _tested(pair, statistic, p, lambda: {"half_chi2": p}, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -621,20 +603,16 @@ def rd_statistic(pair: EstimatePair | PairBatch, kappa: float):
     return _per_row(pair, t)
 
 
-def rd_null_nu(kappa: float, se1: float, se2: float) -> tuple[float, float]:
-    """Correlations (nu1, nu2) of the two zero-point limit pairs.
-
-    nu1 = (se1^2 - kappa^2 se2^2) / (se1^2 + kappa^2 se2^2) and nu2 is the
-    group-swapped analogue.  Only the ratio of the squared standard errors
-    matters, so any common scale cancels.  For kappa > 1 at most one of the
-    two can be positive.
-    """
+def _null_variances(t: float, kappa: float, se1: float, se2: float):
+    """(v1, v2, m, s) of a zero-point null tail at t > 0, its arguments
+    checked: the squared standard errors rescaled together and kappa split."""
+    if not t > 0.0:
+        raise ValueError(f"tail characterized for t > 0 only, got t={t!r}")
     _check_kappa(kappa)
     _check_input("se1", se1, se=True)
     _check_input("se2", se2, se=True)
     rows = _rows(0.0, se1, 0.0, se2)
-    nu1, nu2 = _rd_nu(rows.v1, rows.v2, *_kappa_split(kappa))
-    return (float(nu1), float(nu2))
+    return (rows.v1, rows.v2, *_kappa_split(kappa))
 
 
 def rd_null_tail(t: float, kappa: float, se1: float, se2: float) -> float:
@@ -643,45 +621,44 @@ def rd_null_tail(t: float, kappa: float, se1: float, se2: float) -> float:
     At the origin of the null region both absolute estimates fold, and the
     statistic's limit exceeds t exactly on four symmetric orthant events:
     the tail is 2*[P(W11>t, W12>t) + P(W21>t, W22>t)] with each pair unit
-    bivariate normal and correlations from rd_null_nu.
+    bivariate normal.  The correlations are
+    nu1 = (se1^2 - kappa^2 se2^2) / (se1^2 + kappa^2 se2^2) and its
+    group-swapped analogue nu2; only the ratio of the squared standard
+    errors matters, and for kappa > 1 at most one of the two is positive.
     """
-    if not t > 0.0:
-        raise ValueError(f"tail characterized for t > 0 only, got t={t!r}")
-    nu1, nu2 = rd_null_nu(kappa, se1, se2)
-    return float(_rd_zero_tail(t, nu1, nu2))
+    return float(_rd_zero_tail(t, *_rd_nu(*_null_variances(t, kappa, se1, se2))))
 
 
 def rd_test(pair: EstimatePair | PairBatch, kappa: float, alpha: float):
     """Relative-difference test of max|theta| <= kappa * min|theta|.
 
-    The supremum p-value is the larger of two components, both recorded:
+    Components recorded on the result:
 
     * ``normal_boundary`` - the two-sided tail min(1, 2(1 - Phi(t))) from
       null boundary points away from the origin;
     * ``zero_point`` - the folded bivariate tail from the origin
-      (rd_null_tail).
+      (rd_null_tail), computed when the components are first read.
 
-    A statistic t <= 0 places the estimates inside the null region and the
-    p-value is 1.  A PairBatch gives a TestBatch.
+    The supremum p-value is the larger of the two, which is always the
+    boundary tail: the zero-point tail never exceeds it (see kappa_max), so
+    the test and kappa_max decide by the one rule in _rd_boundary.  The
+    zero-point column is recorded as at most the boundary tail, which moves
+    only subnormal values.  A statistic t <= 0 places the estimates inside
+    the null region and the p-value is 1.  A PairBatch gives a TestBatch.
     """
     _check_kappa(kappa, strict=True)
     _check_alpha(alpha)
-    t, boundary, zero_point = _rd_components(_as_batch(pair).scaled, kappa)
-    return _tested(pair, t, {"normal_boundary": boundary, "zero_point": zero_point}, alpha)
+    rows = _as_batch(pair).scaled
+    t, boundary = _rd_boundary(rows, kappa)
 
+    def components():
+        outside = t > 0.0
+        nu1, nu2 = _rd_nu(rows.v1[outside], rows.v2[outside], *_kappa_split(kappa))
+        zero_point = boundary.copy()  # 1 inside the null region
+        zero_point[outside] = np.minimum(boundary[outside], _rd_zero_tail(t[outside], nu1, nu2))
+        return {"normal_boundary": boundary, "zero_point": zero_point}
 
-def rd_null_quantile(kappa: float, se1: float, se2: float, alpha: float) -> float:
-    """1 - alpha null quantile of the relative-difference statistic.
-
-    The larger of the two component quantiles, which is always the normal
-    point Phi^{-1}(1 - alpha/2): the zero-point tail never exceeds the
-    boundary tail (see kappa_max).  The standard errors are only checked.
-    """
-    _check_kappa(kappa, strict=True)
-    _check_alpha(alpha, upper=0.5)
-    _check_input("se1", se1, se=True)
-    _check_input("se2", se2, se=True)
-    return std_normal_quantile(1.0 - alpha / 2.0)
+    return _tested(pair, t, boundary, components, alpha)
 
 
 def _rd_power(rows: _Rows, kappa: float, alpha: float):
@@ -691,7 +668,8 @@ def _rd_power(rows: _Rows, kappa: float, alpha: float):
     errors (se1, se2), the statistic exceeds the null quantile t* exactly
     when one of four bivariate-normal pairs lands beyond (t*, t*) or beyond
     (-t*, -t*); the lower quadrants reduce to upper tails with negated
-    means.  t* is rd_null_quantile, the normal point Phi^{-1}(1 - alpha/2).
+    means.  t* is the test's 1 - alpha null quantile, the normal point
+    Phi^{-1}(1 - alpha/2), since the test decides by its boundary tail.
     The effects may be arrays (one alternative per element).
     """
     x1, x2, v1, v2 = rows.x1, rows.x2, rows.v1, rows.v2
@@ -743,25 +721,15 @@ def rd_power_approx(pair_truth: EstimatePair, kappa: float, alpha: float) -> flo
 # ---------------------------------------------------------------------------
 
 
-def omnibus_region_contains_alternative(pair: EstimatePair | PairBatch, kappa: float):
-    """True iff the estimates land in the omnibus alternative region.
-
-    The region unions four cones: the larger effect is positive and more
-    than kappa times the other, or negative and more than kappa times in the
-    negative direction, for either group.  Opposite-sign pairs always
-    qualify.  A batch gives one flag per row.
-    """
-    _check_kappa(kappa)
-    rows = _as_batch(pair).scaled
-    return _per_row(pair, _omnibus_region(rows.x1, rows.x2, *_kappa_split(kappa)))
-
-
 def omnibus_statistic(pair: EstimatePair | PairBatch, kappa: float):
     """Omnibus likelihood-ratio statistic.
 
     min{ (th1 - kappa*th2)^2 / (se1^2 + kappa^2 se2^2),
          (kappa*th1 - th2)^2 / (kappa^2 se1^2 + se2^2) } inside the
-    alternative region, 0 outside.
+    alternative region, 0 outside.  The region unions four cones: the larger
+    effect is positive and more than kappa times the other, or negative and
+    more than kappa times in the negative direction, for either group;
+    opposite-sign pairs always qualify.
     """
     _check_kappa(kappa)
     return _per_row(pair, _omnibus_stat(_as_batch(pair).scaled, *_kappa_split(kappa)))
@@ -779,13 +747,7 @@ def omnibus_null_tail(t: float, kappa: float, se1: float, se2: float) -> float:
     (kappa^2 se1^2 + se2^2)).  At kappa = 1 the correlation degenerates to 1
     and the tail collapses to the chi-squared_1 tail.
     """
-    if not t > 0.0:
-        raise ValueError(f"tail characterized for t > 0 only, got t={t!r}")
-    _check_kappa(kappa)
-    _check_input("se1", se1, se=True)
-    _check_input("se2", se2, se=True)
-    rows = _rows(0.0, se1, 0.0, se2)
-    nu = _omnibus_nu(rows.v1, rows.v2, *_kappa_split(kappa))
+    nu = _omnibus_nu(*_null_variances(t, kappa, se1, se2))
     return float(_omnibus_zero_tail(math.sqrt(t), nu))
 
 
@@ -813,7 +775,8 @@ def omnibus_test(pair: EstimatePair | PairBatch, kappa: float, alpha: float):
     root_t = np.sqrt(t[outside])
     nu = _omnibus_nu(rows.v1[outside], rows.v2[outside], m, s)
     zero_point[outside] = _omnibus_zero_tail(root_t, nu)
-    return _tested(pair, t, {"normal_boundary": boundary, "zero_point": zero_point}, alpha)
+    components = {"normal_boundary": boundary, "zero_point": zero_point}
+    return _tested(pair, t, np.maximum(boundary, zero_point), lambda: components, alpha)
 
 
 def _omnibus_zero_point_quantile(nu, alpha: float) -> float:
@@ -866,7 +829,7 @@ def kappa_max(pair: EstimatePair | PairBatch, alpha: float):
 
     The test rejects until its boundary tail climbs to alpha at pi_1 or its
     zero-point tail does at pi_2.  For kappa >= 1 and t > 0, nu1 <= -nu2
-    (rd_null_nu) and P(X > t, Y > t; rho) grows with rho (Slepian), so the
+    (rd_null_tail) and P(X > t, Y > t; rho) grows with rho (Slepian), so the
     zero-point tail is at most the boundary tail min(1, 2 Phi(-t)) and
     kappa_max = pi_1 <= pi_2.  pi_1 solves t(kappa) = z = Phi^{-1}(1 - alpha/2):
     with a, s_a the larger |estimate| and its standard error and b, s_b the
@@ -876,10 +839,10 @@ def kappa_max(pair: EstimatePair | PairBatch, alpha: float):
     underflow where s_b^2 would.  The ratios are taken on the unscaled
     columns, where no estimate overflows.  No cap: pi_1 is +inf only past
     the float range.  If kappa = 1 + 1e-9 does not reject, kappa_max is 1
-    and no root binds; the boundary tail alone decides this, since the
-    zero-point tail never exceeds it.  pi_2 is searched for (doubling from 2
-    to a cap of 1e9, +inf past it) only when ``roots`` is read.  A PairBatch
-    gives a KappaMaxBatch.
+    and no root binds; the boundary tail alone decides this, as it decides
+    rd_test, since the zero-point tail never exceeds it.  pi_2 is searched
+    for (doubling from 2 to a cap of 1e9, +inf past it) only when ``roots``
+    is read.  A PairBatch gives a KappaMaxBatch.
     """
     _check_alpha(alpha, upper=_KAPPA_MAX_ALPHA)
     batch = _as_batch(pair)
@@ -905,13 +868,11 @@ def _zero_point_root(rows: _Rows, alpha: float) -> np.ndarray:
     a1, a2, v1, v2 = np.abs(rows.x1), np.abs(rows.x2), rows.v1, rows.v2
 
     def excess(kappa, sel):
+        # a row inside the null region (t <= 0) takes the tail's t -> 0+
+        # limit, which the on-axis branch of the kernel gives at t = 0
         m, s = _kappa_split(kappa)
         t = _rd_stat(a1[sel], a2[sel], v1[sel], v2[sel], m, s)
-        nu1, nu2 = _rd_nu(v1[sel], v2[sel], m, s)
-        tail = _rd_zero_tail_limit(nu1, nu2)
-        folded = t > 0.0
-        tail[folded] = _rd_zero_tail(t[folded], nu1[folded], nu2[folded])
-        return tail - alpha
+        return _rd_zero_tail(np.maximum(t, 0.0), *_rd_nu(v1[sel], v2[sel], m, s)) - alpha
 
-    at_probe = _rd_components(rows, _KAPPA_PROBE)[2] - alpha
+    at_probe = excess(_KAPPA_PROBE, slice(None))
     return first_crossing(excess, _KAPPA_PROBE, at_probe, 2.0, _KAPPA_CAP, _KAPPA_SOLVER_TOL)

@@ -72,6 +72,9 @@ __all__ = [
 
 _KMAX_QUANTILES = (0.10, 0.50, 0.90)
 _TEST_KINDS = ("rd", "omnibus")
+# a stream's grid and replicate indices are one 32-bit seed word each, so
+# the grid length and the replications must stay below this
+_STREAM_INDEX_LIMIT = 2**32
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +112,7 @@ class SimulationConfig:
         _require_size(self.n)
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
-        # a stream's grid and replicate indices are one 32-bit seed word each
-        if self.replications >= 2**32 or len(self.theta2_grid) >= 2**32:
+        if max(self.replications, len(self.theta2_grid)) >= _STREAM_INDEX_LIMIT:
             raise ValueError("replications and the theta2 grid length must be < 2**32")
         if not self.kappas:
             raise ValueError("kappas must be nonempty")

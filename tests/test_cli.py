@@ -602,13 +602,13 @@ class TestNetworkCommand:
             (1, lambda d: -d[:, 0], {("a", "k"): "|r| = 1 leaves a degenerate standard error"}),
             # constant in group 2 only: k is y in (a, k) and x in (k, b)
             (2, lambda d: np.full(d.shape[0], 7.0), {
-                ("a", "k"): "y is constant; correlation is undefined",
-                ("k", "b"): "x is constant; no slope or correlation exists",
+                ("a", "k"): "k is constant; correlation is undefined",
+                ("k", "b"): "k is constant; correlation is undefined",
             }),
             # a constant whose mean is inexact is skipped in both positions too
             (1, lambda d: np.full(d.shape[0], 0.1), {
-                ("a", "k"): "y is constant; correlation is undefined",
-                ("k", "b"): "x is constant; no slope or correlation exists",
+                ("a", "k"): "k is constant; correlation is undefined",
+                ("k", "b"): "k is constant; correlation is undefined",
             }),
         ],
         ids=["duplicate", "negated-duplicate", "constant-in-group-2", "inexact-constant"],
@@ -916,6 +916,21 @@ class TestSimulateCommand:
         code = main(["simulate", "--theta2-min", "1", "--theta2-max", "0"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--theta2-max", "inf"], "must be finite"),
+            (["--theta2-max", "nan"], "must be finite"),
+            # 2e300 points: refused before any is built
+            (["--theta2-step", "1e-300"], "fewer than 2**32 points"),
+        ],
+        ids=["infinite-max", "nan-max", "tiny-step"],
+    )
+    def test_unbuildable_grid_is_usage_error(self, capsys, flags, message):
+        code = main(["simulate", *flags])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,11 @@ class TestBatches:
         ]
         y_batch = pearson(SampleBatch(data[:, [0]].T, data[:, [1]].T))
         assert y_batch.reason(0) == "y is constant; correlation is undefined"
+        # named features: the constant one is named in either position
+        assert [batch.reason(k, names) for k, names in ((0, ("a", "k")), (2, ("k", "b")))] == [
+            "k is constant; correlation is undefined",
+            "k is constant; correlation is undefined",
+        ]
 
     def test_batch_shapes_are_validated(self):
         with pytest.raises(EstimationError):

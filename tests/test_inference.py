@@ -21,20 +21,20 @@ from qualint.inference import (
     EstimatePair,
     KappaMaxResult,
     LocalAlternative,
+    PairBatch,
     SubgroupEstimate,
     TestResult,
+    _kappa_split,
     _omnibus_zero_point_quantile,
+    _rd_nu,
+    _rows,
     gail_simon_test,
     kappa_max,
     omnibus_local_power,
     omnibus_null_tail,
-    omnibus_region_contains_alternative,
     omnibus_statistic,
     omnibus_test,
-    pn_region_contains_alternative,
     rd_local_power,
-    rd_null_nu,
-    rd_null_quantile,
     rd_null_tail,
     rd_power_approx,
     rd_statistic,
@@ -65,6 +65,14 @@ OMNI_LOCAL_POWER_PIN = 0.9999999998518088611076
 
 def pair(e1, s1, e2, s2):
     return EstimatePair(SubgroupEstimate(e1, s1), SubgroupEstimate(e2, s2))
+
+
+def pair_with_statistic(t, kappa, ratio):
+    """A pair whose rd statistic at kappa is t and whose se2 / se1 is ratio:
+    |est1| - kappa |est2| = t hypot(se1, kappa se2), with the standard
+    errors scaled so that hypot is 1."""
+    d = math.hypot(1.0, kappa * ratio)
+    return pair(1.0 + t, 1.0 / d, 1.0 / kappa, ratio / d)
 
 
 def random_pairs(rng, count, se_low=0.05, se_high=2.0):
@@ -152,11 +160,16 @@ class TestDomainTypes:
 
 class TestCrossover:
     def test_region_predicate(self):
-        assert pn_region_contains_alternative(pair(2, 1, -1, 1))
-        assert pn_region_contains_alternative(pair(-1, 1, 2, 1))
-        assert not pn_region_contains_alternative(pair(2, 1, 1, 1))
-        assert not pn_region_contains_alternative(pair(0, 1, 3, 1))
-        assert not pn_region_contains_alternative(pair(-2, 1, -3, 1))
+        # the crossover alternative is where the statistic is positive:
+        # strictly opposite signs, so a zero estimate lies in the null
+        def crossover(p):
+            return gail_simon_test(p, 0.05).statistic > 0.0
+
+        assert crossover(pair(2, 1, -1, 1))
+        assert crossover(pair(-1, 1, 2, 1))
+        assert not crossover(pair(2, 1, 1, 1))
+        assert not crossover(pair(0, 1, 3, 1))
+        assert not crossover(pair(-2, 1, -3, 1))
 
     def test_opposite_signs_example(self):
         res = gail_simon_test(pair(2, 1, -2, 1), 0.05)
@@ -231,6 +244,13 @@ class TestRdStatistic:
         assert all(v > 0 for v in values)
 
 
+def rd_null_nu(kappa, se1, se2):
+    """(nu1, nu2) of the rd zero-point limit pairs, from the core's rescaled rows."""
+    rows = _rows(0.0, se1, 0.0, se2)
+    nu1, nu2 = _rd_nu(rows.v1, rows.v2, *_kappa_split(kappa))
+    return (float(nu1), float(nu2))
+
+
 class TestRdNullNu:
     def test_examples(self):
         assert rd_null_nu(1.0, 0.7, 0.7) == (0.0, 0.0)
@@ -256,10 +276,11 @@ class TestRdNullNu:
             assert -1.0 <= nu1 <= 1.0 and -1.0 <= nu2 <= 1.0
             # at most one of the two can be positive once kappa > 1
             assert not (nu1 > 0.0 and nu2 > 0.0)
+        # the tail that reads these correlations checks their arguments
         with pytest.raises(ValueError):
-            rd_null_nu(2.0, 0.0, 1.0)
+            rd_null_tail(1.0, 2.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            rd_null_nu(0.5, 1.0, 1.0)
+            rd_null_tail(1.0, 0.5, 1.0, 1.0)
 
     def test_nu2_negates_at_equal_se(self):
         # at se1 = se2 both correlations coincide: (1-k^2)/(1+k^2)
@@ -326,6 +347,25 @@ class TestRdTest:
         with pytest.raises(ValueError):
             rd_test(pair(1, 1, 0, 1), 1.0, 0.05)
 
+    def test_batch_decides_without_the_zero_point_tail(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("zero-point tail evaluated")
+
+        monkeypatch.setattr("qualint.inference._rd_zero_tail", refuse)
+        batch = PairBatch.from_rows(
+            [(1.0, 0.2, 0.0, 0.2), (0.5, 0.2, 0.5, 0.2), (1.3, 0.4, -0.2, 0.3)]
+        )
+        res = rd_test(batch, 2.0, 0.05)
+        assert res.statistic.tolist() == rd_statistic(batch, 2.0).tolist()
+        assert res.p_value[0] == pytest.approx(RD_EXAMPLE_BOUNDARY, abs=1e-14)
+        assert res.p_value[1] == 1.0
+        assert res.rejected.tolist() == [True, False, False]
+        # kappa_max's probe reads the same boundary rule
+        bounds = kappa_max(batch, 0.10)
+        assert bounds.binding_root.tolist() == ["normal_boundary", "none", "normal_boundary"]
+        with pytest.raises(AssertionError, match="zero-point tail evaluated"):
+            res.components
+
     def test_p_value_nondecreasing_in_kappa(self):
         rng = np.random.default_rng(21)
         for p in random_pairs(rng, 25):
@@ -334,9 +374,20 @@ class TestRdTest:
 
 
 class TestRdNullQuantile:
+    """The 1 - alpha null quantile of the rd statistic is the normal point
+    z = Phi^{-1}(1 - alpha/2): the test rejects just past z and not just
+    short of it, since the zero-point tail never binds
+    (TestZeroPointTailNeverBinds)."""
+
+    @staticmethod
+    def rejects(t, kappa, ratio, alpha):
+        return rd_test(pair_with_statistic(t, kappa, ratio), kappa, alpha).rejected
+
     def test_normal_point_dominates(self):
-        q = rd_null_quantile(2.0, 1.0, 1.0, 0.05)
-        assert q == pytest.approx(Z975, abs=1e-9)
+        z = std_normal_quantile(0.975)
+        assert z == pytest.approx(Z975, abs=1e-9)
+        assert self.rejects(z + 1e-9, 2.0, 1.0, 0.05)
+        assert not self.rejects(z - 1e-9, 2.0, 1.0, 0.05)
 
     def test_zero_point_root_self_consistent(self):
         # the oracle's zero-point root is where the tail falls to alpha, and
@@ -345,32 +396,36 @@ class TestRdNullQuantile:
             0.05, abs=1e-8
         )
         assert RD_ZERO_QUANTILE_K2 < Z975
-        assert rd_null_quantile(2.0, 1.0, 1.0, 0.05) == std_normal_quantile(0.975)
+        assert not self.rejects(RD_ZERO_QUANTILE_K2 + 1e-9, 2.0, 1.0, 0.05)
 
     def test_zero_point_root_degenerate_when_mass_small(self):
         # huge kappa: both correlations approach -1 and the 0+ mass
         # collapses below alpha; the quantile is the normal point
         assert rd_null_tail(1e-12, 1e8, 1.0, 1.0) < 0.05
-        assert rd_null_quantile(1e8, 1.0, 1.0, 0.05) == std_normal_quantile(0.975)
-        assert rd_null_quantile(1e8, 1.0, 1.0, 0.05) == pytest.approx(Z975, abs=1e-9)
+        z = std_normal_quantile(0.975)
+        assert self.rejects(z + 1e-9, 1e8, 1.0, 0.05)
+        assert not self.rejects(z - 1e-9, 1e8, 1.0, 0.05)
 
     def test_never_below_normal_point(self):
         for k in (1.5, 2.0, 4.0):
             for r in (0.5, 1.0, 2.0):
                 for a in (0.01, 0.05, 0.2):
-                    z = rd_null_quantile(k, r, 1.0, a)
-                    assert z >= Z975 - 1e-9 or a != 0.05
+                    z = std_normal_quantile(1.0 - a / 2.0)
                     assert rd_null_tail(z + 1e-9, k, r, 1.0) <= a + 1e-9
+                    assert self.rejects(z + 1e-9, k, 1.0 / r, a)
+                    assert not self.rejects(z - 1e-9, k, 1.0 / r, a)
 
     def test_domains(self):
+        # the power at the null quantile checks kappa and alpha, the null
+        # tail the standard errors
         with pytest.raises(ValueError):
-            rd_null_quantile(2.0, 1.0, 1.0, 0.5)
+            rd_power_approx(pair(1.0, 1.0, 0.0, 1.0), 2.0, 0.5)
         with pytest.raises(ValueError):
-            rd_null_quantile(1.0, 1.0, 1.0, 0.05)
+            rd_power_approx(pair(1.0, 1.0, 0.0, 1.0), 1.0, 0.05)
         with pytest.raises(ValueError):
-            rd_null_quantile(2.0, 0.0, 1.0, 0.05)
+            rd_null_tail(1.0, 2.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            rd_null_quantile(2.0, 1.0, math.inf, 0.05)
+            rd_null_tail(1.0, 2.0, 1.0, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +500,16 @@ class TestRdPower:
 
 class TestOmnibusRegionAndStatistic:
     def test_region_examples(self):
-        assert omnibus_region_contains_alternative(pair(1, 1, -1, 1), 2.0)
-        assert not omnibus_region_contains_alternative(pair(1, 1, 0.8, 1), 2.0)
-        assert omnibus_region_contains_alternative(pair(1, 1, 0.4, 1), 2.0)
+        # the alternative region is where the statistic is positive
+        def alternative(p):
+            return omnibus_statistic(p, 2.0) > 0.0
+
+        assert alternative(pair(1, 1, -1, 1))
+        assert not alternative(pair(1, 1, 0.8, 1))
+        assert alternative(pair(1, 1, 0.4, 1))
         # mirrored clauses
-        assert omnibus_region_contains_alternative(pair(-1, 1, -0.4, 1), 2.0)
-        assert omnibus_region_contains_alternative(pair(0.4, 1, 1, 1), 2.0)
+        assert alternative(pair(-1, 1, -0.4, 1))
+        assert alternative(pair(0.4, 1, 1, 1))
 
     def test_statistic_outside_region_is_zero(self):
         assert omnibus_statistic(pair(1, 1, 0.8, 1), 2.0) == 0.0
@@ -654,7 +713,12 @@ class TestKappaMax:
         assert res.roots is not None and math.isinf(res.roots[1])
 
     def test_inversion_consistency(self):
-        for name, e1, s1, e2, s2, _ in TABLE_ROWS:
+        rows = [row[:5] for row in TABLE_ROWS] + [
+            (f"{values} * 2**{exponent}", *(v * 2.0**exponent for v in values))
+            for values in FLOAT_RANGE_PAIRS
+            for exponent in (-900, 900)
+        ]
+        for name, e1, s1, e2, s2 in rows:
             res = kappa_max(pair(e1, s1, e2, s2), 0.10)
             if res.kappa_max <= 1.0 + 1e-6:
                 continue
@@ -689,7 +753,12 @@ class TestZeroPointTailNeverBinds:
         boundary = min(1.0, 2.0 * float(ndtr(-t)))
         assert rd_null_tail(t, kappa, 1.0, ratio) <= boundary + 1e-14
         if kappa > 1.0:
-            assert rd_null_quantile(kappa, 1.0, ratio, 0.10) == Z95_FLOAT
+            # the test's p-value is its boundary tail, which bounds the
+            # recorded zero-point tail
+            res = rd_test(pair_with_statistic(t, kappa, ratio), kappa, 0.10)
+            assert res.p_value == res.components["normal_boundary"]
+            assert res.components["zero_point"] <= res.components["normal_boundary"]
+            assert res.p_value == max(res.components.values())
 
     @given(kappa=log_uniform(0.0, 12.0), ratio=log_uniform(-150.0, 150.0))
     def test_kappa_max_is_the_boundary_root(self, kappa, ratio):
