@@ -39,6 +39,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -51,6 +52,7 @@ import numpy as np
 from qualint.estimators import FeatureMatrix, pearson
 from qualint.inference import (
     _KAPPA_MAX_ALPHA,
+    _SE_ROWS,
     EstimatePair,
     LocalAlternative,
     PairBatch,
@@ -261,12 +263,12 @@ def _read_pairs(path: str, strict: bool) -> tuple[list[str], PairBatch]:
         lines = parsed_lines
         columns = np.array(values, dtype=float).reshape(-1, width - 1).T
 
-    is_se = [name.startswith("se") for name in _PAIR_FIELDS[1:]]
-    bad = np.array([~_valid(column, se) for column, se in zip(columns, is_se)])
+    bad = ~_valid(columns, _SE_ROWS)
     invalid = bad.any(axis=0)
     for i in np.flatnonzero(invalid).tolist():
         c = int(np.argmax(bad[:, i]))  # the first bad value names the problem
-        problems.append((lines[i], _rule_violation(_PAIR_FIELDS[1 + c], columns[c, i], is_se[c])))
+        text = _rule_violation(_PAIR_FIELDS[1 + c], columns[c, i], _SE_ROWS[c, 0])
+        problems.append((lines[i], text))
     keep: list[int] = []
     seen: set[str] = set()
     for i in np.flatnonzero(~invalid).tolist():
@@ -599,6 +601,7 @@ _SHARED_FLAGS = {
 }
 
 
+@functools.cache  # built on first use and reused: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qualint",

@@ -10,7 +10,8 @@ probabilities.
 The tail kernels evaluate whole arrays elementwise (scalar arguments give a
 float back), and ``first_crossing`` solves one root per row for a whole
 batch of monotone functions, so callers pay the Python overhead once per
-batch rather than once per element.
+batch rather than once per element.  The tails return their limits at
++-inf arguments, so no caller special-cases them, and refuse NaN.
 """
 
 from __future__ import annotations
@@ -120,7 +121,9 @@ def bvn_upper_tail(a, b, rho):
     the Owen decomposition below is good to ~1e-14).
 
     Arguments broadcast against each other and are evaluated elementwise;
-    when all three are scalars the result is a float.
+    when all three are scalars the result is a float.  A threshold at +-inf
+    gives the limit 1 - Phi(max(a, b)): 0 when either is +inf, the other's
+    tail when one is -inf.  NaN thresholds and |rho| > 1 are domain errors.
 
     Computed as Phi2(-a, -b, rho) - the lower CDF at the reflected point -
     which avoids subtracting near-equal one-dimensional tails.  Correlations
@@ -132,20 +135,22 @@ def bvn_upper_tail(a, b, rho):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("bvn_upper_tail requires finite thresholds")
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise ValueError("bvn_upper_tail requires non-NaN thresholds")
     if not (np.abs(rho) <= 1.0).all():
         raise ValueError("bvn_upper_tail requires -1 <= rho <= 1")
     positive = rho >= 1.0 - _DEGENERATE_RHO_TOL
     negative = rho <= -1.0 + _DEGENERATE_RHO_TOL
     independent = rho == 0.0
-    if not (positive | negative | independent).any():
+    infinite = np.isinf(a) | np.isinf(b)
+    if not (positive | negative | independent | infinite).any():
         p = _phi2(-a, -b, rho)
-    else:
-        p = _phi2(-a, -b, np.where(positive | negative, 0.0, rho))
+    else:  # a pair with an infinite threshold gives _phi2 zeros, then takes its limit
+        h, k = np.where(infinite, 0.0, -a), np.where(infinite, 0.0, -b)
+        p = _phi2(h, k, np.where(positive | negative, 0.0, rho))
         p = np.where(independent, ndtr(-a) * ndtr(-b), p)
-        p = np.where(positive, ndtr(-np.maximum(a, b)), p)
         p = np.where(negative, np.maximum(0.0, ndtr(-b) - ndtr(a)), p)
+        p = np.where(positive | infinite, ndtr(-np.maximum(a, b)), p)
     return p if p.ndim else float(p)
 
 

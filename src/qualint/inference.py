@@ -110,6 +110,8 @@ _KAPPA_MAX_ALPHA = 0.5
 
 _BINDING_ROOTS = ("normal_boundary", "none")
 _BATCH_FIELDS = ("est1", "se1", "est2", "se2")
+# which rows of an (est1, se1, est2, se2) stack hold standard errors
+_SE_ROWS = np.array([[False], [True], [False], [True]])
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +119,12 @@ _BATCH_FIELDS = ("est1", "se1", "est2", "se2")
 # ---------------------------------------------------------------------------
 
 
-def _valid(values, se: bool) -> np.ndarray:
+def _valid(values, se) -> np.ndarray:
     """The one rule for valid inputs, entry by entry: an estimate must be
-    finite, a standard error (``se``) finite and > _SE_FLOOR."""
+    finite, a standard error finite and > _SE_FLOOR.  ``se`` marks the
+    standard errors: a bool, or a mask such as _SE_ROWS."""
     values = np.asarray(values, dtype=float)
-    valid = np.isfinite(values)
-    return valid & (values > _SE_FLOOR) if se else valid
+    return np.isfinite(values) & ((values > _SE_FLOOR) | np.logical_not(se))
 
 
 def _rule_violation(name: str, value: float, se: bool) -> str:
@@ -225,21 +227,19 @@ class PairBatch:
     scaled: _Rows = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        columns = [np.array(getattr(self, name), dtype=float) for name in _BATCH_FIELDS]
-        shape = np.broadcast_shapes(*(column.shape for column in columns))
-        if len(shape) != 1:
+        fields = (getattr(self, name) for name in _BATCH_FIELDS)
+        stack = np.array(np.broadcast_arrays(*fields), dtype=float)  # one row per field
+        if stack.ndim != 2:
             raise ValueError("PairBatch columns must be one-dimensional")
-        for name, column in zip(_BATCH_FIELDS, columns):
-            if column.shape != shape:
-                column = np.full(shape, column)
-            column.setflags(write=False)
+        valid = _valid(stack, _SE_ROWS)
+        if not valid.all():  # the first bad field, then its first bad row
+            i, row = np.unravel_index(np.argmin(valid), valid.shape)
+            name = f"{_BATCH_FIELDS[i]}[{row}]"
+            raise ValueError(_rule_violation(name, stack[i, row], _SE_ROWS[i, 0]))
+        stack.setflags(write=False)
+        for name, column in zip(_BATCH_FIELDS, stack):
             object.__setattr__(self, name, column)
-            se = name.startswith("se")
-            valid = _valid(column, se)
-            if not valid.all():
-                row = int(np.argmin(valid))
-                raise ValueError(_rule_violation(f"{name}[{row}]", column[row], se))
-        object.__setattr__(self, "scaled", _rows(self.est1, self.se1, self.est2, self.se2))
+        object.__setattr__(self, "scaled", _rows(*stack))
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[float, float, float, float]]) -> "PairBatch":
@@ -500,27 +500,13 @@ def _rd_nu(v1, v2, m, s):
     return np.maximum(-1.0, np.minimum(1.0, nu1)), np.maximum(-1.0, np.minimum(1.0, nu2))
 
 
-def _orthant_tail(h, k, rho):
-    """P(X > h, Y > k) for unit normals with correlation rho.  A threshold
-    at +-inf, from a statistic or contrast past the float range, is the
-    limit: 0 at +inf, the other margin's tail at -inf."""
-    infinite = np.isinf(h) | np.isinf(k)
-    if not infinite.any():
-        return bvn_upper_tail(h, k, rho)
-    margin = ndtr(-np.where(h == -math.inf, k, h))
-    limit = np.where((h == math.inf) | (k == math.inf), 0.0, margin)
-    finite = bvn_upper_tail(np.where(infinite, 0.0, h), np.where(infinite, 0.0, k), rho)
-    return np.where(infinite, limit, finite)
-
-
 def _rd_zero_tail(t, nu1, nu2):
-    both = _orthant_tail(t, t, np.stack([nu1, nu2]))  # one call for both pairs
+    both = bvn_upper_tail(t, t, np.stack([nu1, nu2]))  # one call for both pairs
     return np.minimum(1.0, 2.0 * (both[0] + both[1]))
 
 
-def _rd_boundary(rows: _Rows, kappa):
-    """(statistic, normal_boundary) of the rd test per row."""
-    m, s = _kappa_split(kappa)
+def _rd_boundary(rows: _Rows, m, s):
+    """(statistic, normal_boundary) of the rd test per row, kappa = m / s."""
     t = _rd_stat(np.abs(rows.x1), np.abs(rows.x2), rows.v1, rows.v2, m, s)
     return t, np.where(t > 0.0, np.minimum(1.0, 2.0 * ndtr(-t)), 1.0)
 
@@ -649,11 +635,12 @@ def rd_test(pair: EstimatePair | PairBatch, kappa: float, alpha: float):
     _check_kappa(kappa, strict=True)
     _check_alpha(alpha)
     rows = _as_batch(pair).scaled
-    t, boundary = _rd_boundary(rows, kappa)
+    m, s = _kappa_split(kappa)
+    t, boundary = _rd_boundary(rows, m, s)
 
     def components():
         outside = t > 0.0
-        nu1, nu2 = _rd_nu(rows.v1[outside], rows.v2[outside], *_kappa_split(kappa))
+        nu1, nu2 = _rd_nu(rows.v1[outside], rows.v2[outside], m, s)
         zero_point = boundary.copy()  # 1 inside the null region
         zero_point[outside] = np.minimum(boundary[outside], _rd_zero_tail(t[outside], nu1, nu2))
         return {"normal_boundary": boundary, "zero_point": zero_point}
@@ -681,10 +668,10 @@ def _rd_power(rows: _Rows, kappa: float, alpha: float):
     c21 = _contrast(x2, x1, v2, v1, m, s)
     c22 = _contrast(x2, -x1, v2, v1, m, s)
     power = (
-        _orthant_tail(t_star - c11, t_star - c12, nu1)
-        + _orthant_tail(t_star + c11, t_star + c12, nu1)
-        + _orthant_tail(t_star - c21, t_star - c22, nu2)
-        + _orthant_tail(t_star + c21, t_star + c22, nu2)
+        bvn_upper_tail(t_star - c11, t_star - c12, nu1)
+        + bvn_upper_tail(t_star + c11, t_star + c12, nu1)
+        + bvn_upper_tail(t_star - c21, t_star - c22, nu2)
+        + bvn_upper_tail(t_star + c21, t_star + c22, nu2)
     )
     power = np.minimum(1.0, power)
     return power if power.ndim else float(power)
@@ -736,7 +723,7 @@ def omnibus_statistic(pair: EstimatePair | PairBatch, kappa: float):
 
 
 def _omnibus_zero_tail(root_t, nu):
-    return np.minimum(1.0, 2.0 * _orthant_tail(root_t, root_t, nu))
+    return np.minimum(1.0, 2.0 * bvn_upper_tail(root_t, root_t, nu))
 
 
 def omnibus_null_tail(t: float, kappa: float, se1: float, se2: float) -> float:
@@ -812,7 +799,7 @@ def omnibus_local_power(alt: LocalAlternative, kappa: float, alpha: float):
     s_star = max(std_normal_quantile(1.0 - alpha), _omnibus_zero_point_quantile(nu, alpha))
     c1 = _contrast(x1, x2, v1, v2, m, s)
     c2 = -_contrast(x2, x1, v2, v1, m, s)
-    power = _orthant_tail(s_star - c1, s_star - c2, nu) + _orthant_tail(
+    power = bvn_upper_tail(s_star - c1, s_star - c2, nu) + bvn_upper_tail(
         s_star + c1, s_star + c2, nu
     )
     power = np.minimum(1.0, power)
@@ -846,7 +833,7 @@ def kappa_max(pair: EstimatePair | PairBatch, alpha: float):
     """
     _check_alpha(alpha, upper=_KAPPA_MAX_ALPHA)
     batch = _as_batch(pair)
-    rejecting = _rd_boundary(batch.scaled, _KAPPA_PROBE)[1] < alpha
+    rejecting = _rd_boundary(batch.scaled, *_kappa_split(_KAPPA_PROBE))[1] < alpha
     x1, se1, x2, se2 = (getattr(batch, name)[rejecting] for name in _BATCH_FIELDS)
     z = std_normal_quantile(1.0 - alpha / 2.0)
     first = np.abs(x1) >= np.abs(x2)

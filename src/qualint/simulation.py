@@ -109,6 +109,8 @@ class SimulationConfig:
             raise ValueError("theta2_grid must be nonempty")
         if not all(math.isfinite(v) for v in self.theta2_grid):
             raise ValueError("theta2_grid must be finite")
+        if len(set(self.theta2_grid)) != len(self.theta2_grid):  # results are keyed by theta2
+            raise ValueError("theta2_grid must not repeat a value")
         _require_size(self.n)
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")

@@ -220,6 +220,11 @@ def test_batch_validation_names_the_bad_row():
         PairBatch.from_rows([(1.0, 0.5, 0.2, 0.3), (1.0, 0.5, 0.2, 0.0)])
     with pytest.raises(ValueError, match=r"est1\[0\]"):
         PairBatch.from_rows([(math.nan, 0.5, 0.2, 0.3)])
+    # the first bad field is named, then that field's first bad row
+    rows = [(1.0, 0.5, 0.2, 0.0), (1.0, 0.5, 0.2, 0.3), (1.0, 0.5, 0.2, 0.3),
+            (math.inf, 0.5, 0.2, 0.3)]
+    with pytest.raises(ValueError, match=r"^est1\[3\] must be finite, got inf$"):
+        PairBatch.from_rows(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from qualint.cli import UsageError, _read_pairs, _write_table, main
+from qualint.cli import UsageError, _build_parser, _read_pairs, _write_table, main
 from qualint.inference import PairBatch, _rule_violation, _valid
 
 # Reference panel of two-group estimates with published ratio bounds; the
@@ -924,11 +924,15 @@ class TestSimulateCommand:
             (["--theta2-max", "nan"], "must be finite"),
             # 2e300 points: refused before any is built
             (["--theta2-step", "1e-300"], "fewer than 2**32 points"),
+            # points rounded to 10 decimals: six 0.0 and five 1e-10
+            (["--theta2-min", "0", "--theta2-max", "1e-10", "--theta2-step", "1e-11",
+              "--n", "10", "--reps", "3", "--kappas", "2"],
+             "error: theta2_grid must not repeat a value"),
         ],
-        ids=["infinite-max", "nan-max", "tiny-step"],
+        ids=["infinite-max", "nan-max", "tiny-step", "repeated-point"],
     )
-    def test_unbuildable_grid_is_usage_error(self, capsys, flags, message):
-        code = main(["simulate", *flags])
+    def test_unbuildable_grid_is_usage_error(self, capsys, tmp_path, flags, message):
+        code = main(["simulate", *flags, "--output", str(tmp_path / "study")])
         assert code == 2
         assert message in capsys.readouterr().err
 
@@ -1377,6 +1381,25 @@ class TestMain:
         out = capsys.readouterr().out
         assert code == 0
         assert out.startswith(f"usage: qualint {command}")
+
+    def test_successive_calls_match_fresh_calls(self, tmp_path):
+        # the parser is built once per process and reused by every call
+        commands = [
+            ["test", "--est1", "1.3", "--se1", "0.4", "--est2", "0.2", "--se2", "0.3"],
+            ["power", "--c1-steps", "2", "--c2-steps", "3", "--format", "json"],
+            ["kappa-max", "--est1", "1.3", "--se1", "0.4", "--est2", "0.2", "--se2", "0.3"],
+        ]
+        fresh = []
+        for argv in commands:
+            _build_parser.cache_clear()
+            fresh.append(run_cli(argv))
+        assert _build_parser() is _build_parser()
+        # simulate reads the list defaults of --n and --kappas
+        study = ["simulate", "--reps", "2", "--theta2-step", "1", "--output", str(tmp_path / "s")]
+        assert run_cli(study)[0] == 0
+        assert [run_cli(argv) for argv in commands] == fresh
+        defaults = _build_parser().parse_args(["simulate"])
+        assert defaults.n == [50, 100] and defaults.kappas == [2.0, 4.0]
 
     SIMULATE = ["simulate", "--n", "10", "--reps", "2", "--theta2-step", "1", "--output"]
 

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from qualint.distributions import (
     bvn_upper_tail,
@@ -198,6 +199,29 @@ class TestBvnUpperTail:
         with pytest.raises(ValueError):
             bvn_upper_tail(math.nan, 0.0, 0.5)
         with pytest.raises(ValueError):
-            bvn_upper_tail(0.0, math.inf, 0.5)
+            bvn_upper_tail(0.0, [1.0, math.nan], 0.5)
         with pytest.raises(ValueError):
             bvn_upper_tail(0.0, 0.0, 1.5)
+        with pytest.raises(ValueError):
+            bvn_upper_tail(math.inf, 0.0, math.nan)
+
+    @pytest.mark.parametrize("rho", [-1.0, -0.5, 0.0, 0.5, 1.0])
+    def test_infinite_thresholds_give_the_limits(self, rho):
+        # +inf: the event is empty; -inf: the other margin's tail, exactly
+        for x in (-40.0, -2.5, -1e-300, 0.0, 0.7, 3.0, 40.0):
+            for first, second in ((math.inf, x), (x, math.inf)):
+                got = bvn_upper_tail(first, second, rho)
+                assert type(got) is float and got == 0.0
+            for first, second in ((-math.inf, x), (x, -math.inf)):
+                got = bvn_upper_tail(first, second, rho)
+                assert type(got) is float and got == ndtr(-x)
+        assert bvn_upper_tail(-math.inf, -math.inf, rho) == 1.0
+        assert bvn_upper_tail(math.inf, -math.inf, rho) == 0.0
+        assert bvn_upper_tail(-math.inf, math.inf, rho) == 0.0
+        # arrays broadcast, finite entries keep the finite-threshold value
+        a = np.array([[-math.inf], [0.3], [math.inf]])
+        b = np.array([1.2, -math.inf])
+        got = bvn_upper_tail(a, b, rho)
+        assert got.shape == (3, 2)
+        want = [[ndtr(-1.2), 1.0], [bvn_upper_tail(0.3, 1.2, rho), ndtr(-0.3)], [0.0, 0.0]]
+        np.testing.assert_array_equal(got, want)

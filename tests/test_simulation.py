@@ -52,6 +52,7 @@ class TestSimulationConfig:
         for overrides, message in (
             ({"theta1": math.inf}, "theta1 must be finite, got inf"),
             ({"theta2_grid": ()}, "theta2_grid must be nonempty"),
+            ({"theta2_grid": (0.0, 0.5, 0.0)}, "theta2_grid must not repeat a value"),
             ({"n": 2}, "need at least 3 pairs, got 2"),
             ({"replications": 0}, "replications must be >= 1, got 0"),
             ({"kappas": (1.0,)}, "kappa must be > 1, got 1.0"),
