@@ -60,12 +60,12 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from qualint.distributions import (
     bvn_upper_tail,
     chi2_1_tail,
     first_crossing,
+    ndtr,
     std_normal_quantile,
 )
 
@@ -96,15 +96,13 @@ __all__ = [
 _SE_FLOOR = 1e-300
 
 # _KAPPA_PROBE is the point deciding whether any kappa > 1 rejects;
-# _KAPPA_CAP bounds the doubling searches for zero-point roots.
+# _KAPPA_CAP bounds the doubling search for the pi_2 root.
 _KAPPA_PROBE = 1.0 + 1e-9
 _KAPPA_CAP = 1e9
 _KAPPA_TOL = 1e-6
 # pi_2 is solved this much tighter than _KAPPA_TOL, so it stays within
 # _KAPPA_TOL of any solver that meets _KAPPA_TOL.
 _KAPPA_SOLVER_TOL = 1e-3 * _KAPPA_TOL
-# The omnibus zero-point quantile search starts just above 0 and doubles from 1.
-_QUANTILE_LO = 1e-12
 # kappa_max inverts the rd test at alpha below this only
 _KAPPA_MAX_ALPHA = 0.5
 
@@ -453,13 +451,26 @@ def _kappa_split(kappa):
     return m, np.ldexp(1.0, -exponent)
 
 
-def _local_rows(alt: LocalAlternative) -> _Rows:
-    """The sqrt(n)-scaled alternative as rescaled rows: effects
+def _power_rows(x1, se1, x2, se2):
+    """(rows, shrink): the rows of true effects x1, x2 with standard errors
+    se1, se2, their estimates first divided by 2^shrink (an integer >= 0 per
+    row, 0 unless an effect would pass the float range once rescaled), so
+    no rescaled estimate is infinite.  Contrasts are linear in the
+    estimates, so ldexp(contrast of the rows, shrink) is the contrast of the
+    true effects, +-inf only where it passes the float range."""
+    excess = (np.frexp(np.maximum(np.abs(x1), np.abs(x2)))[1]
+              - np.frexp(np.maximum(se1, se2))[1] - 1020)
+    shrink = np.maximum(0, excess)
+    return _rows(np.ldexp(x1, -shrink), se1, np.ldexp(x2, -shrink), se2), shrink
+
+
+def _local_rows(alt: LocalAlternative):
+    """The sqrt(n)-scaled alternative as _power_rows: effects
     sqrt(1-lam) c1 and sqrt(lam) c2, with standard errors sqrt(1-lam) sigma1
     and sqrt(lam) sigma2."""
     w1 = math.sqrt(1.0 - alt.lam)
     w2 = math.sqrt(alt.lam)
-    return _rows(
+    return _power_rows(
         np.multiply(w1, alt.c1), w1 * alt.sigma1, np.multiply(w2, alt.c2), w2 * alt.sigma2
     )
 
@@ -648,7 +659,13 @@ def rd_test(pair: EstimatePair | PairBatch, kappa: float, alpha: float):
     return _tested(pair, t, boundary, components, alpha)
 
 
-def _rd_power(rows: _Rows, kappa: float, alpha: float):
+def _unshrunk(contrasts, shrink):
+    """Contrasts of _power_rows rows times 2^shrink: those of the true effects."""
+    with np.errstate(over="ignore"):  # +-inf past the float range
+        return np.ldexp(contrasts, shrink)
+
+
+def _rd_power(rows: _Rows, shrink, kappa: float, alpha: float):
     """Four-orthant rejection probability of the relative-difference test.
 
     Under an alternative with true effects (x1, x2) and per-group standard
@@ -657,23 +674,21 @@ def _rd_power(rows: _Rows, kappa: float, alpha: float):
     (-t*, -t*); the lower quadrants reduce to upper tails with negated
     means.  t* is the test's 1 - alpha null quantile, the normal point
     Phi^{-1}(1 - alpha/2), since the test decides by its boundary tail.
-    The effects may be arrays (one alternative per element).
+    The effects may be arrays (one alternative per element); ``rows`` and
+    ``shrink`` come from _power_rows, and one kernel call evaluates all
+    four orthants.
     """
     x1, x2, v1, v2 = rows.x1, rows.x2, rows.v1, rows.v2
     m, s = _kappa_split(kappa)
-    nu1, nu2 = _rd_nu(v1, v2, m, s)
     t_star = std_normal_quantile(1.0 - alpha / 2.0)
-    c11 = _contrast(x1, x2, v1, v2, m, s)
-    c12 = _contrast(x1, -x2, v1, v2, m, s)
-    c21 = _contrast(x2, x1, v2, v1, m, s)
-    c22 = _contrast(x2, -x1, v2, v1, m, s)
-    power = (
-        bvn_upper_tail(t_star - c11, t_star - c12, nu1)
-        + bvn_upper_tail(t_star + c11, t_star + c12, nu1)
-        + bvn_upper_tail(t_star - c21, t_star - c22, nu2)
-        + bvn_upper_tail(t_star + c21, t_star + c22, nu2)
-    )
-    power = np.minimum(1.0, power)
+    c11, c12, c21, c22, shrink, nu1, nu2 = np.broadcast_arrays(
+        _contrast(x1, x2, v1, v2, m, s), _contrast(x1, -x2, v1, v2, m, s),
+        _contrast(x2, x1, v2, v1, m, s), _contrast(x2, -x1, v2, v1, m, s),
+        shrink, *_rd_nu(v1, v2, m, s))
+    first = _unshrunk(np.stack([c11, -c11, c21, -c21]), shrink)
+    second = _unshrunk(np.stack([c12, -c12, c22, -c22]), shrink)
+    tails = bvn_upper_tail(t_star - first, t_star - second, np.stack([nu1, nu1, nu2, nu2]))
+    power = np.minimum(1.0, tails[0] + tails[1] + tails[2] + tails[3])
     return power if power.ndim else float(power)
 
 
@@ -687,7 +702,7 @@ def rd_local_power(alt: LocalAlternative, kappa: float, alpha: float):
     """
     _check_kappa(kappa, strict=True)
     _check_alpha(alpha, upper=0.5)
-    return _rd_power(_local_rows(alt), kappa, alpha)
+    return _rd_power(*_local_rows(alt), kappa, alpha)
 
 
 def rd_power_approx(pair_truth: EstimatePair, kappa: float, alpha: float) -> float:
@@ -700,7 +715,8 @@ def rd_power_approx(pair_truth: EstimatePair, kappa: float, alpha: float) -> flo
     _check_kappa(kappa, strict=True)
     _check_alpha(alpha, upper=0.5)
     g1, g2 = pair_truth.group1, pair_truth.group2
-    return _rd_power(_rows(g1.estimate, g1.std_error, g2.estimate, g2.std_error), kappa, alpha)
+    rows, shrink = _power_rows(g1.estimate, g1.std_error, g2.estimate, g2.std_error)
+    return _rd_power(rows, shrink, kappa, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -766,21 +782,24 @@ def omnibus_test(pair: EstimatePair | PairBatch, kappa: float, alpha: float):
     return _tested(pair, t, np.maximum(boundary, zero_point), lambda: components, alpha)
 
 
-def _omnibus_zero_point_quantile(nu, alpha: float) -> float:
-    """Root s of 2 P(V1>s, V2>s) = alpha on the sqrt-statistic scale, for
-    the zero-point correlation nu.
+def _omnibus_threshold(nu, alpha: float) -> float:
+    """Rejection threshold of the omnibus test on the sqrt-statistic scale,
+    for the zero-point correlation nu: the larger of the one-sided normal
+    point z = Phi^{-1}(1 - alpha) and the root s of 2 P(V1>s, V2>s) = alpha.
 
-    The limit as s -> 0+ is 1/2 + asin(nu)/pi >= 1/2 > alpha, so a positive
-    root exists; 0.0 when the tail at s = 1e-12 is already <= alpha.
+    The tail decreases in s, so the threshold is z when the tail at z is
+    at most alpha, and no root is searched for.  Otherwise the root lies in
+    (z, Phi^{-1}(1 - alpha/2)], since 2 P(V1>s, V2>s) <= 2 Phi(-s), which is
+    alpha at the upper end; the search may double once past it, which
+    covers the rounding of that bound.
     """
     excess = lambda q, rows: np.reshape(alpha - _omnibus_zero_tail(q, nu), 1)  # one row
-    at_lo = excess(_QUANTILE_LO, None)
-    if at_lo[0] >= 0.0:
-        return 0.0
-    root = first_crossing(excess, _QUANTILE_LO, at_lo, 1.0, _KAPPA_CAP)[0]
-    if math.isinf(root):  # pragma: no cover - tails decay like a Gaussian
-        raise ArithmeticError("zero-point quantile search failed to bracket")
-    return float(root)
+    z = std_normal_quantile(1.0 - alpha)
+    at_z = excess(z, None)
+    if at_z[0] >= 0.0:
+        return z
+    upper = std_normal_quantile(1.0 - alpha / 2.0)
+    return float(first_crossing(excess, z, at_z, upper, 2.0 * upper)[0])
 
 
 def omnibus_local_power(alt: LocalAlternative, kappa: float, alpha: float):
@@ -793,16 +812,16 @@ def omnibus_local_power(alt: LocalAlternative, kappa: float, alpha: float):
     """
     _check_kappa(kappa, strict=True)
     _check_alpha(alpha, upper=0.5)
-    x1, x2, _, _, v1, v2 = _local_rows(alt)
+    (x1, x2, _, _, v1, v2), shrink = _local_rows(alt)
     m, s = _kappa_split(kappa)
     nu = _omnibus_nu(v1, v2, m, s)
-    s_star = max(std_normal_quantile(1.0 - alpha), _omnibus_zero_point_quantile(nu, alpha))
+    s_star = _omnibus_threshold(nu, alpha)
     c1 = _contrast(x1, x2, v1, v2, m, s)
     c2 = -_contrast(x2, x1, v2, v1, m, s)
-    power = bvn_upper_tail(s_star - c1, s_star - c2, nu) + bvn_upper_tail(
-        s_star + c1, s_star + c2, nu
-    )
-    power = np.minimum(1.0, power)
+    first = _unshrunk(np.stack([c1, -c1]), shrink)
+    second = _unshrunk(np.stack([c2, -c2]), shrink)
+    tails = bvn_upper_tail(s_star - first, s_star - second, nu)  # both orthants in one call
+    power = np.minimum(1.0, tails[0] + tails[1])
     return power if power.ndim else float(power)
 
 

@@ -784,20 +784,24 @@ class TestPowerCommand:
     def test_power_at_both_ends_of_the_float_range(self, capsys, kind):
         # subnormal sigma: the rescale factor overflowed to inf; an effect
         # 1e310 times its sigma: the orthant thresholds were infinite; both
+        # effects 1e500 sigmas: the contrasts were inf - inf = NaN; all three
         # exited 2
-        def power(*flags):
+        def powers(*flags):
             code = main(["power", "--kind", kind, "--c1-steps", "1", "--c2-steps", "1", *flags])
             captured = capsys.readouterr()
             assert (code, captured.err) == (0, "")
-            (row,) = parse_csv(captured.out)
-            return float(row["power"])
+            return [float(row["power"]) for row in parse_csv(captured.out)]
 
-        unit = power("--c1-min=1", "--c1-max=1", "--c2-min=-3", "--c2-max=-3")
-        subnormal = power("--sigma1", "1e-310", "--sigma2", "1e-310", "--c1-min=1e-310",
-                          "--c1-max=1e-310", "--c2-min=-3e-310", "--c2-max=-3e-310")
+        unit = powers("--c1-min=1", "--c1-max=1", "--c2-min=-3", "--c2-max=-3")
+        subnormal = powers("--sigma1", "1e-310", "--sigma2", "1e-310", "--c1-min=1e-310",
+                           "--c1-max=1e-310", "--c2-min=-3e-310", "--c2-max=-3e-310")
         assert subnormal == pytest.approx(unit, abs=1e-9)
-        assert power("--sigma1", "1e-10", "--sigma2", "1e-10", "--c1-min", "1e300",
-                     "--c1-max", "1e300") == 1.0
+        assert powers("--sigma1", "1e-10", "--sigma2", "1e-10", "--c1-min", "1e300",
+                      "--c1-max", "1e300") == [1.0]
+        # ratio 1 is inside the kappa = 2 null, ratio 1.7e8 far outside it
+        assert powers("--c1-min", "1e300", "--c1-max", "1.7e308", "--c2-min", "1e300",
+                      "--c2-max", "1.7e308", "--c1-steps", "2", "--c2-steps", "2",
+                      "--sigma1", "1e-200", "--sigma2", "1e-200") == [0.0, 1.0, 1.0, 0.0]
 
     def test_unbalanced_lambda_accepted(self, capsys):
         code = main(

@@ -17,6 +17,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -25,6 +27,7 @@ import pytest
 from qualint.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 EXPECTED = GOLDEN / "expected"
 KAPPA_TOL = 1e-6
 
@@ -156,6 +159,24 @@ def test_cli_output_matches_golden(name, tmp_path):
         compare = _compare_json if output.endswith(".json") else _compare_csv
         problems = compare(got.decode("utf-8"), want.decode("utf-8"), columns)
         assert not problems, f"{output}: " + "; ".join(problems[:5])
+
+
+def test_cli_runs_without_scipy():
+    # the runtime needs numpy only: neither importing the CLI nor running the
+    # golden test_rd case may load scipy, which the test extra installs for
+    # the reference values
+    script = (
+        "import sys\n"
+        "import qualint.cli\n"
+        "assert 'scipy' not in sys.modules, 'import qualint.cli loaded scipy'\n"
+        f"code = qualint.cli.main({CASES['test_rd'][0]!r})\n"
+        "assert code == 0, code\n"
+        "assert 'scipy' not in sys.modules, 'main() loaded scipy'\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 if __name__ == "__main__":

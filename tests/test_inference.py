@@ -25,7 +25,7 @@ from qualint.inference import (
     SubgroupEstimate,
     TestResult,
     _kappa_split,
-    _omnibus_zero_point_quantile,
+    _omnibus_threshold,
     _rd_nu,
     _rows,
     gail_simon_test,
@@ -600,7 +600,7 @@ class TestOmnibusPower:
 
     def test_zero_point_quantile_binds_near_kappa_one(self):
         # at equal standard errors the zero-point correlation is 2 kappa / (1 + kappa^2)
-        root = _omnibus_zero_point_quantile(2.2 / 2.21, 0.05)
+        root = _omnibus_threshold(2.2 / 2.21, 0.05)
         assert root == pytest.approx(OMNI_ZERO_QUANTILE_K110, abs=1e-8)
         assert root > Z95
         # when the zero-point root binds, size at the origin is exactly alpha
