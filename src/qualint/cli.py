@@ -14,21 +14,31 @@ computation, input validation included, belongs to the numeric core.  Each
 subcommand accepts only the flags it reads, so any other flag is a usage
 error.
 
-Conventions shared by every command: numeric output is serialized with 10
-significant digits by the table writer, which formats each value once, and
-decisions (Bonferroni adjustment, rejection flags, sort order) read columns
-the command rounded to those digits first (_g10s), so re-parsing our own
-output reproduces them exactly.  Exit codes: 0 success, 1 runtime/numerical
-failure, 2 usage or validation failure.  Input CSV is comma-separated UTF-8
-with a mandatory header row.
+Conventions shared by every command: numeric output carries 10
+significant digits.  Exit codes: 0 success, 1 runtime/numerical failure, 2
+usage or validation failure.  Input CSV is comma-separated UTF-8 with a
+mandatory header row; a file that is not UTF-8 is a usage error naming it.
 
-Tables move as columns.  The readers convert each value column in one pass
-and read row by row only to word an error.  A command sorts its rows once
-with np.lexsort, names entering as code-point ranks: scan by (p_adjusted,
-id), network by (p_adjusted, feature_a, feature_b), kappa-max by
-(-kappa_max, id).  The CSV writer joins cells and quotes each text cell
-holding a comma, quote, CR or LF, doubling its quotes; any other cell, NUL
-included, is written as it is, so the bytes do not depend on the Python
+Read rule.  A reader reads its file as one string.  Text with no quote, no
+NUL and no line longer than csv's field limit is split into lines at CR, LF
+and CRLF only, and into cells at commas: the records csv.reader would give,
+a blank line an empty record, each numbered by its line.  Any other text
+goes through csv.reader.  Either way the records feed one conversion, which
+converts each value column in one float() pass and reads row by row only to
+word an error.
+
+Format-once rule.  Tables move as columns, and each number crosses to text
+once.  A decision column (p_raw and p_adjusted; kappa-max's kappa_max and
+p_rd_*) is formatted to 10 digits in one pass and read back (_g10s):
+decisions (Bonferroni adjustment, rejection flags, sort order) read those
+floats, so re-parsing our own output reproduces them exactly, and the CSV
+writer writes the kept text.  Every other float is formatted by the writer,
+which converts a whole CSV body in one % pass over a row template.  A
+command sorts its rows once with np.lexsort, names entering as code-point
+ranks: scan by (p_adjusted, id), network by (p_adjusted, feature_a,
+feature_b), kappa-max by (-kappa_max, id).  The CSV writer quotes each text
+cell holding a comma, quote, CR or LF, doubling its quotes; any other cell,
+NUL included, is written as it is, so the bytes do not depend on the Python
 version.  JSON is strict: a number that is not finite after rounding is
 written as null.
 """
@@ -40,12 +50,14 @@ import contextlib
 import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import re
 import sys
 from itertools import chain
 from operator import itemgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -86,11 +98,28 @@ class UsageError(ValueError):
 # a text cell holding one of these is quoted, its quotes doubled; any other
 # cell, NUL included, is written as it is, the same bytes on every Python
 _CSV_SPECIALS = re.compile('[,"\r\n]')
+_BOOL_TEXT = ("false", "true")
 
 
-def _g10s(values: np.ndarray) -> np.ndarray:
-    """A column rounded to the floats its 10-digit text reads back as."""
-    return np.array([float(f"{value:.10g}") for value in values.tolist()], dtype=float)
+class _G10(NamedTuple):
+    """A float column rounded to 10 significant digits, formatted once: the
+    floats its text reads back as, which decisions read, and the text the
+    CSV writer writes."""
+
+    values: np.ndarray
+    text: list[str]
+
+
+def _g10s(values: np.ndarray) -> _G10:
+    """A column formatted in one pass and read back once.  Text whose
+    rounding passes the float range reads back as +-inf and is kept as that,
+    so the CSV cell is the rounded value's own text."""
+    n = len(values)
+    text = ("%.10g\n" * n % tuple(values.tolist())).split("\n")[:-1]
+    rounded = np.fromiter(map(float, text), float, n)
+    for i in np.flatnonzero(np.isinf(rounded) & np.isfinite(values)).tolist():
+        text[i] = "inf" if rounded[i] > 0.0 else "-inf"
+    return _G10(rounded, text)
 
 
 def _json_g10(value: float) -> float | None:
@@ -110,32 +139,47 @@ def _csv_text(cells: list[str]) -> list[str]:
     ]
 
 
-def _serialized(column, fmt: str) -> list:
-    """One table column under the 10-digit rule.  Numeric columns are arrays:
-    floats become .10g text in CSV and, in JSON, the float that text reads
-    back as (null if not finite); bools become true/false in CSV.  Text
-    columns are lists, CSV-quoted; a list of None is blank in CSV."""
-    if isinstance(column, np.ndarray):
-        values = column.tolist()
-        if column.dtype.kind == "f":
-            return [f"{v:.10g}" for v in values] if fmt == "csv" else list(map(_json_g10, values))
-        if fmt == "json":
-            return values
-        if column.dtype.kind == "b":
-            return ["true" if v else "false" for v in values]
-        return list(map(str, values))
-    if fmt == "json":
+def _json_cells(column) -> list:
+    """One table column as JSON values: a float becomes the float its 10-digit
+    text reads back as (null if not finite); text and None stay as they are."""
+    if isinstance(column, _G10):
+        column = column.values
+    if not isinstance(column, np.ndarray):
         return column
-    return [""] * len(column) if column and column[0] is None else _csv_text(column)
+    values = column.tolist()
+    return list(map(_json_g10, values)) if column.dtype.kind == "f" else values
+
+
+def _csv_cells(column) -> tuple[str, list | None]:
+    """One table column as CSV: its conversion in the row template and the
+    values it converts.  Floats convert by %.10g, ints by %d; kept 10-digit
+    text, true/false and CSV-quoted text enter as %s; a list of None is
+    blank and converts nothing."""
+    if isinstance(column, _G10):
+        return "%s", column.text
+    if isinstance(column, np.ndarray):
+        kind = column.dtype.kind
+        if kind == "b":
+            return "%s", list(map(_BOOL_TEXT.__getitem__, column.tolist()))
+        return ("%.10g" if kind == "f" else "%d"), column.tolist()
+    if column and column[0] is None:
+        return "", None
+    return "%s", _csv_text(column)
 
 
 def _ordered(columns, order: np.ndarray) -> list:
-    """Every column (array or list) in the given row order."""
+    """Every column (array, kept text or list) in the given row order."""
     rows = order.tolist()
-    return [
-        column[order] if isinstance(column, np.ndarray) else [column[i] for i in rows]
-        for column in columns
-    ]
+    ordered = []
+    for column in columns:
+        if isinstance(column, _G10):
+            column = _G10(column.values[order], list(map(column.text.__getitem__, rows)))
+        elif isinstance(column, np.ndarray):
+            column = column[order]
+        else:
+            column = list(map(column.__getitem__, rows))
+        ordered.append(column)
+    return ordered
 
 
 def _ranks(names: list[str] | tuple[str, ...]) -> np.ndarray:
@@ -161,31 +205,38 @@ def _write_json(out, payload: dict) -> None:
 def _write_table(
     out, fmt: str, fieldnames, columns, summary: dict | None = None, footer: str | None = None
 ) -> None:
-    """Columns (in fieldnames order), each serialized once, as CSV with an
-    optional footer line or as JSON {"results": [...], "summary": ...}."""
-    cells = [_serialized(column, fmt) for column in columns]
+    """Columns (in fieldnames order) as CSV with an optional footer line, the
+    body converted in one % pass over a row template, or as JSON
+    {"results": [...], "summary": ...}."""
     if fmt == "json":
+        cells = map(_json_cells, columns)
         payload: dict = {"results": [dict(zip(fieldnames, row)) for row in zip(*cells)]}
         if summary is not None:
             payload["summary"] = summary
         _write_json(out, payload)
         return
-    lines = [",".join(_csv_text(list(fieldnames))), *map(",".join, zip(*cells))]
-    if footer is not None:
-        lines.append(footer)
-    out.write("\n".join(lines) + "\n")
+    conversions, cells = zip(*map(_csv_cells, columns))
+    cells = [column for column in cells if column is not None]
+    width = len(cells)
+    rows = len(cells[0]) if cells else len(columns[0])
+    flat = [None] * (rows * width)  # row-major: cell c of row r at r * width + c
+    for c, column in enumerate(cells):
+        flat[c::width] = column
+    header = ",".join(_csv_text(list(fieldnames)))
+    body = (",".join(conversions) + "\n") * rows % tuple(flat)
+    out.write(header + "\n" + body + ("" if footer is None else footer + "\n"))
 
 
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _bonferroni(p_raw: np.ndarray, adjust: str) -> np.ndarray:
+def _bonferroni(p_raw: _G10, adjust: str) -> _G10:
     """Adjusted p-values from the serialized raw ones; m counts the tested rows.
     fmin keeps the rule of min(1.0, m * p), which adjusts a NaN to 1."""
     if adjust == "none":
         return p_raw
-    return _g10s(np.fmin(1.0, len(p_raw) * p_raw))
+    return _g10s(np.fmin(1.0, len(p_raw.values) * p_raw.values))
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +244,46 @@ def _bonferroni(p_raw: np.ndarray, adjust: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@contextlib.contextmanager
-def _csv_rows(path: str):
-    """A csv.reader over the file; a file that cannot be opened, or a csv
-    error such as a cell past the field limit, is a usage error."""
+def _read_text(path: str) -> str:
+    """The file's text; a file that cannot be opened or read is a usage
+    error, and so is one that is not UTF-8, named by its path."""
     try:
-        handle = open(path, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8", newline="") as handle:
+            return handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: {exc}") from None
+
+
+def _read_csv(path: str, read_header: Callable[[list[str] | None], object]) -> tuple:
+    """(read_header(header record), the later records, the line each ends
+    on) of a CSV file, by the read rule.  read_header gets None for a file
+    without records and runs before any later record is read, so its error
+    comes before a csv error further down.  Lines end at CR, LF and CRLF
+    only, never where str.splitlines also splits.  A csv.reader error, such
+    as a cell past the field limit or NUL before Python 3.11, is a usage
+    error.
+    """
+    text = _read_text(path)
+    lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
+    if not lines[-1]:  # the last line's terminator, or an empty file
+        lines.pop()
+    long_line = max(map(len, lines), default=0) > csv.field_size_limit()
+    if '"' in text or "\x00" in text or long_line:
+        reader = csv.reader(io.StringIO(text, newline=""))
         try:
-            yield reader
+            header = read_header(next(reader, None))
+            records, line_nos = [], []
+            for record in reader:
+                records.append(record)
+                line_nos.append(reader.line_num)
         except csv.Error as exc:
             raise UsageError(f"{path}:{reader.line_num}: {exc}") from None
+        return header, records, line_nos
+    records = [line.split(",") if line else [] for line in lines]
+    header = read_header(records[0] if records else None)
+    return header, records[1:], range(2, len(records) + 1)
 
 
 def _floats(cells, shape: tuple[int, int]) -> np.ndarray:
@@ -224,18 +301,19 @@ def _read_pairs(path: str, strict: bool) -> tuple[list[str], PairBatch]:
     order; in strict mode they fail the run, every bad line listed.
     """
     width = len(_PAIR_FIELDS)
-    with _csv_rows(path) as reader:
-        header = tuple(next(reader, ()))
+
+    def check_header(record):
+        header = tuple(record or ())
         if header != _PAIR_FIELDS:
             raise UsageError(
                 f"{path}: expected header {','.join(_PAIR_FIELDS)}, "
                 f"got {','.join(header) if header else '(none)'}"
             )
-        rows, lines = [], []
-        for row in reader:
-            if row:  # a blank line is skipped
-                rows.append(row)
-                lines.append(reader.line_num)
+
+    _, rows, lines = _read_csv(path, check_header)
+    if [] in rows:  # a blank line is skipped
+        kept = [i for i, row in enumerate(rows) if row]
+        rows, lines = [rows[i] for i in kept], [lines[i] for i in kept]
     problems: list[tuple[int, str]] = []
     try:  # whole columns; a failure leaves the wording to the rows below
         if min(map(len, rows), default=width) < width:
@@ -269,14 +347,17 @@ def _read_pairs(path: str, strict: bool) -> tuple[list[str], PairBatch]:
         c = int(np.argmax(bad[:, i]))  # the first bad value names the problem
         text = _rule_violation(_PAIR_FIELDS[1 + c], columns[c, i], _SE_ROWS[c, 0])
         problems.append((lines[i], text))
-    keep: list[int] = []
-    seen: set[str] = set()
-    for i in np.flatnonzero(~invalid).tolist():
-        if ids[i] in seen:
-            problems.append((lines[i], f"duplicate id {ids[i]!r}"))
-        else:
-            seen.add(ids[i])
-            keep.append(i)
+    keep = np.flatnonzero(~invalid).tolist()
+    if len(set(map(ids.__getitem__, keep))) < len(keep):  # an id repeats: its first row keeps it
+        seen: set[str] = set()
+        unique = []
+        for i in keep:
+            if ids[i] in seen:
+                problems.append((lines[i], f"duplicate id {ids[i]!r}"))
+            else:
+                seen.add(ids[i])
+                unique.append(i)
+        keep = unique
 
     if problems:
         problems.sort(key=lambda problem: problem[0])
@@ -285,7 +366,7 @@ def _read_pairs(path: str, strict: bool) -> tuple[list[str], PairBatch]:
             raise UsageError("invalid rows:\n  " + "\n  ".join(listed))
         for problem in listed:
             _warn(f"skipping {problem}")
-    return [ids[i] for i in keep], PairBatch(*columns[:, keep])
+    return list(map(ids.__getitem__, keep)), PairBatch(*columns[:, keep])
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +418,9 @@ def _cmd_scan(args) -> int:
         bounds = kappa_max(batch, args.alpha).kappa_max
     else:
         bounds = [None] * len(ids)
-    columns = (ids, outcome.statistic, p_raw, p_adjusted, bounds, p_adjusted < args.alpha)
-    columns = _ordered(columns, np.lexsort((_ranks(ids), p_adjusted)))
+    rejected = p_adjusted.values < args.alpha
+    columns = (ids, outcome.statistic, p_raw, p_adjusted, bounds, rejected)
+    columns = _ordered(columns, np.lexsort((_ranks(ids), p_adjusted.values)))
     fieldnames = ("id", "statistic", "p_raw", "p_adjusted", "kappa_max", "rejected")
     with _output(args.output) as out:
         _write_table(out, args.format, fieldnames, columns, summary={"tested": len(ids)})
@@ -353,19 +435,18 @@ def _cmd_scan(args) -> int:
 def _read_matrix(path: str) -> tuple[tuple[str, ...], np.ndarray]:
     """The feature names and the sample-by-feature values of a matrix CSV.
     Every row must hold one finite value per feature."""
-    with _csv_rows(path) as reader:
-        try:
-            header = tuple(name.strip() for name in next(reader))
-        except StopIteration:
-            raise UsageError(f"{path}: empty file") from None
+
+    def read_header(record):
+        if record is None:
+            raise UsageError(f"{path}: empty file")
+        header = tuple(name.strip() for name in record)
         if len(header) < 2 or any(not name for name in header):
             raise UsageError(f"{path}: need at least two named feature columns")
         if len(set(header)) != len(header):
             raise UsageError(f"{path}: duplicate feature names")
-        rows, lines = [], []
-        for row in reader:
-            rows.append(row)
-            lines.append(reader.line_num)
+        return header
+
+    header, rows, lines = _read_csv(path, read_header)
     try:  # whole columns; a failure leaves the wording to the rows below
         if any(len(row) != len(header) for row in rows):
             raise ValueError
@@ -416,12 +497,12 @@ def _cmd_network(args) -> int:
     )
     p_raw = _g10s(outcome.p_value)
     p_adjusted = _bonferroni(p_raw, args.adjust)
-    rejected = int(np.count_nonzero(p_adjusted < args.alpha))
+    rejected = int(np.count_nonzero(p_adjusted.values < args.alpha))
     # the group with the larger |r|; 0 on an exact tie
     stronger = np.select([np.abs(r1) > np.abs(r2), np.abs(r2) > np.abs(r1)], [1, 2], 0)
     ranks = _ranks(features)
     a, b = first[kept], second[kept]
-    order = np.lexsort((ranks[b], ranks[a], p_adjusted))
+    order = np.lexsort((ranks[b], ranks[a], p_adjusted.values))
     a, b = a[order].tolist(), b[order].tolist()
     edges = [
         [features[i] for i in a],
@@ -538,7 +619,7 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _context_p_values(batch: PairBatch, alpha: float) -> dict[str, np.ndarray]:
+def _context_p_values(batch: PairBatch, alpha: float) -> dict[str, _G10]:
     """Every row's rd p-value at each context kappa, keyed by the kappa as printed."""
     return {f"{k:.10g}": _g10s(rd_test(batch, k, alpha).p_value) for k in _CONTEXT_KAPPAS}
 
@@ -562,7 +643,7 @@ def _cmd_kappa_max(args) -> int:
             "alpha": _json_g10(args.alpha),
             "binding_root": summary.binding_root,
             "roots": roots,
-            "p_values": {k: _json_g10(p) for k, (p,) in context.items()},
+            "p_values": {k: _json_g10(p.values[0]) for k, p in context.items()},
         }
         with _output(args.output) as out:
             _write_json(out, payload)
@@ -573,7 +654,7 @@ def _cmd_kappa_max(args) -> int:
     context = _context_p_values(batch, args.alpha)
     bounds = _g10s(summaries.kappa_max)
     columns = (ids, bounds, summaries.binding_root.tolist(), *context.values())
-    columns = _ordered(columns, np.lexsort((_ranks(ids), -bounds)))
+    columns = _ordered(columns, np.lexsort((_ranks(ids), -bounds.values)))
     fieldnames = ("id", "kappa_max", "binding_root", *(f"p_rd_{k}" for k in context))
     with _output(args.output) as out:
         _write_table(out, args.format, fieldnames, columns)

@@ -185,12 +185,13 @@ class EstimatePair:
 class _Rows(NamedTuple):
     """Batch rows rescaled so the larger standard error lies in [0.5, 1)."""
 
-    x1: np.ndarray  # estimates
+    x1: np.ndarray  # estimates, divided by 2^shrink
     x2: np.ndarray
     se1: np.ndarray
     se2: np.ndarray
     v1: np.ndarray  # squared standard errors
     v2: np.ndarray
+    shrink: np.ndarray  # integer >= 0 per row, 0 unless an estimate passes 2^1020
 
     def take(self, index) -> "_Rows":
         return _Rows(*(column[index] for column in self))
@@ -198,13 +199,24 @@ class _Rows(NamedTuple):
 
 def _rows(x1, se1, x2, se2) -> _Rows:
     """Estimates and standard errors rescaled together, exactly, by the power
-    of two that puts max(se1, se2) in [0.5, 1).  An estimate more than about
-    1e308 times that standard error rescales to its limit, +-inf."""
+    of two that puts max(se1, se2) in [0.5, 1).  A row whose estimates would
+    pass 2^1020 once rescaled has them divided by a further 2^shrink, so no
+    rescaled estimate is infinite.  Contrasts are linear in the estimates
+    and squared statistics quadratic, so _unshrunk by shrink (2 shrink for a
+    square) turns one of the rows into that of the inputs, +-inf only past
+    the float range; where shrink is 0 the bits are those of the plain
+    formula."""
     exponent = -np.frexp(np.maximum(se1, se2))[1]
+    shrink = np.maximum(0, np.frexp(np.maximum(np.abs(x1), np.abs(x2)))[1] + exponent - 1020)
     s1, s2 = np.ldexp(se1, exponent), np.ldexp(se2, exponent)
-    with np.errstate(over="ignore"):
-        x1, x2 = np.ldexp(x1, exponent), np.ldexp(x2, exponent)
-    return _Rows(x1, x2, s1, s2, s1 * s1, s2 * s2)
+    x1, x2 = np.ldexp(x1, exponent - shrink), np.ldexp(x2, exponent - shrink)
+    return _Rows(x1, x2, s1, s2, s1 * s1, s2 * s2, shrink)
+
+
+def _unshrunk(values, shrink):
+    """Values of _rows rows times 2^shrink: those of the unshrunk inputs."""
+    with np.errstate(over="ignore"):  # +-inf past the float range
+        return np.ldexp(values, shrink)
 
 
 @dataclass(frozen=True, eq=False)
@@ -451,26 +463,13 @@ def _kappa_split(kappa):
     return m, np.ldexp(1.0, -exponent)
 
 
-def _power_rows(x1, se1, x2, se2):
-    """(rows, shrink): the rows of true effects x1, x2 with standard errors
-    se1, se2, their estimates first divided by 2^shrink (an integer >= 0 per
-    row, 0 unless an effect would pass the float range once rescaled), so
-    no rescaled estimate is infinite.  Contrasts are linear in the
-    estimates, so ldexp(contrast of the rows, shrink) is the contrast of the
-    true effects, +-inf only where it passes the float range."""
-    excess = (np.frexp(np.maximum(np.abs(x1), np.abs(x2)))[1]
-              - np.frexp(np.maximum(se1, se2))[1] - 1020)
-    shrink = np.maximum(0, excess)
-    return _rows(np.ldexp(x1, -shrink), se1, np.ldexp(x2, -shrink), se2), shrink
-
-
-def _local_rows(alt: LocalAlternative):
-    """The sqrt(n)-scaled alternative as _power_rows: effects
+def _local_rows(alt: LocalAlternative) -> _Rows:
+    """The sqrt(n)-scaled alternative as _rows: true effects
     sqrt(1-lam) c1 and sqrt(lam) c2, with standard errors sqrt(1-lam) sigma1
     and sqrt(lam) sigma2."""
     w1 = math.sqrt(1.0 - alt.lam)
     w2 = math.sqrt(alt.lam)
-    return _power_rows(
+    return _rows(
         np.multiply(w1, alt.c1), w1 * alt.sigma1, np.multiply(w2, alt.c2), w2 * alt.sigma2
     )
 
@@ -486,11 +485,12 @@ def _contrast(x1, x2, v1, v2, m, s):
         return (x1 * s - m * x2) / np.sqrt(v1 * (s * s) + (m * m) * v2)
 
 
-def _rd_stat(a1, a2, v1, v2, m, s):
-    """Relative-difference statistic from absolute estimates a1, a2: the
-    contrast of the larger against the smaller, or on exact ties the smaller
-    of both assignments' contrasts.  Only these are evaluated, so the
-    discarded assignment of a lopsided row cannot overflow."""
+def _rd_stat(rows: _Rows, m, s):
+    """Relative-difference statistic of the rows: the contrast of the larger
+    absolute estimate against the smaller, or on exact ties the smaller of
+    both assignments' contrasts.  Only these are evaluated, so the discarded
+    assignment of a lopsided row cannot overflow."""
+    a1, a2, v1, v2 = np.abs(rows.x1), np.abs(rows.x2), rows.v1, rows.v2
     first = a1 >= a2
     a_max, a_min = np.where(first, a1, a2), np.where(first, a2, a1)
     v_max, v_min = np.where(first, v1, v2), np.where(first, v2, v1)
@@ -499,7 +499,7 @@ def _rd_stat(a1, a2, v1, v2, m, s):
     if tie.any():  # a tie's other assignment only swaps the variances
         t = np.minimum(t, _contrast(a_max, a_min, np.where(tie, v_min, v_max),
                                     np.where(tie, v_max, v_min), m, s))
-    return t
+    return _unshrunk(t, rows.shrink)
 
 
 def _rd_nu(v1, v2, m, s):
@@ -518,7 +518,7 @@ def _rd_zero_tail(t, nu1, nu2):
 
 def _rd_boundary(rows: _Rows, m, s):
     """(statistic, normal_boundary) of the rd test per row, kappa = m / s."""
-    t = _rd_stat(np.abs(rows.x1), np.abs(rows.x2), rows.v1, rows.v2, m, s)
+    t = _rd_stat(rows, m, s)
     return t, np.where(t > 0.0, np.minimum(1.0, 2.0 * ndtr(-t)), 1.0)
 
 
@@ -541,7 +541,8 @@ def _omnibus_stat(rows: _Rows, m, s):
     with np.errstate(over="ignore"):  # +inf past the float range
         q1 = d1 * d1 / (v1 * s2 + m2 * v2)
         q2 = d2 * d2 / (m2 * v1 + v2 * s2)
-    return np.where(_omnibus_region(x1, x2, m, s), np.minimum(q1, q2), 0.0)
+    q = _unshrunk(np.minimum(q1, q2), 2 * rows.shrink)
+    return np.where(_omnibus_region(x1, x2, m, s), q, 0.0)
 
 
 def _omnibus_nu(v1, v2, m, s):
@@ -572,7 +573,7 @@ def gail_simon_test(pair: EstimatePair | PairBatch, alpha: float):
     with np.errstate(over="ignore"):  # +inf past the float range
         z1 = rows.x1 / rows.se1
         z2 = rows.x2 / rows.se2
-        squares = np.minimum(z1 * z1, z2 * z2)
+        squares = _unshrunk(np.minimum(z1 * z1, z2 * z2), 2 * rows.shrink)
     statistic = np.where(_opposite_signs(rows.x1, rows.x2), squares, 0.0)
     p = np.where(statistic > 0.0, 0.5 * chi2_1_tail(statistic), 1.0)
     return _tested(pair, statistic, p, lambda: {"half_chi2": p}, alpha)
@@ -595,8 +596,7 @@ def rd_statistic(pair: EstimatePair | PairBatch, kappa: float):
     event has measure zero).
     """
     _check_kappa(kappa)
-    rows = _as_batch(pair).scaled
-    t = _rd_stat(np.abs(rows.x1), np.abs(rows.x2), rows.v1, rows.v2, *_kappa_split(kappa))
+    t = _rd_stat(_as_batch(pair).scaled, *_kappa_split(kappa))
     return _per_row(pair, t)
 
 
@@ -659,13 +659,7 @@ def rd_test(pair: EstimatePair | PairBatch, kappa: float, alpha: float):
     return _tested(pair, t, boundary, components, alpha)
 
 
-def _unshrunk(contrasts, shrink):
-    """Contrasts of _power_rows rows times 2^shrink: those of the true effects."""
-    with np.errstate(over="ignore"):  # +-inf past the float range
-        return np.ldexp(contrasts, shrink)
-
-
-def _rd_power(rows: _Rows, shrink, kappa: float, alpha: float):
+def _rd_power(rows: _Rows, kappa: float, alpha: float):
     """Four-orthant rejection probability of the relative-difference test.
 
     Under an alternative with true effects (x1, x2) and per-group standard
@@ -674,9 +668,8 @@ def _rd_power(rows: _Rows, shrink, kappa: float, alpha: float):
     (-t*, -t*); the lower quadrants reduce to upper tails with negated
     means.  t* is the test's 1 - alpha null quantile, the normal point
     Phi^{-1}(1 - alpha/2), since the test decides by its boundary tail.
-    The effects may be arrays (one alternative per element); ``rows`` and
-    ``shrink`` come from _power_rows, and one kernel call evaluates all
-    four orthants.
+    The effects may be arrays (one alternative per element), rescaled by
+    _rows, and one kernel call evaluates all four orthants.
     """
     x1, x2, v1, v2 = rows.x1, rows.x2, rows.v1, rows.v2
     m, s = _kappa_split(kappa)
@@ -684,7 +677,7 @@ def _rd_power(rows: _Rows, shrink, kappa: float, alpha: float):
     c11, c12, c21, c22, shrink, nu1, nu2 = np.broadcast_arrays(
         _contrast(x1, x2, v1, v2, m, s), _contrast(x1, -x2, v1, v2, m, s),
         _contrast(x2, x1, v2, v1, m, s), _contrast(x2, -x1, v2, v1, m, s),
-        shrink, *_rd_nu(v1, v2, m, s))
+        rows.shrink, *_rd_nu(v1, v2, m, s))
     first = _unshrunk(np.stack([c11, -c11, c21, -c21]), shrink)
     second = _unshrunk(np.stack([c12, -c12, c22, -c22]), shrink)
     tails = bvn_upper_tail(t_star - first, t_star - second, np.stack([nu1, nu1, nu2, nu2]))
@@ -702,7 +695,7 @@ def rd_local_power(alt: LocalAlternative, kappa: float, alpha: float):
     """
     _check_kappa(kappa, strict=True)
     _check_alpha(alpha, upper=0.5)
-    return _rd_power(*_local_rows(alt), kappa, alpha)
+    return _rd_power(_local_rows(alt), kappa, alpha)
 
 
 def rd_power_approx(pair_truth: EstimatePair, kappa: float, alpha: float) -> float:
@@ -715,8 +708,7 @@ def rd_power_approx(pair_truth: EstimatePair, kappa: float, alpha: float) -> flo
     _check_kappa(kappa, strict=True)
     _check_alpha(alpha, upper=0.5)
     g1, g2 = pair_truth.group1, pair_truth.group2
-    rows, shrink = _power_rows(g1.estimate, g1.std_error, g2.estimate, g2.std_error)
-    return _rd_power(rows, shrink, kappa, alpha)
+    return _rd_power(_rows(g1.estimate, g1.std_error, g2.estimate, g2.std_error), kappa, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +804,7 @@ def omnibus_local_power(alt: LocalAlternative, kappa: float, alpha: float):
     """
     _check_kappa(kappa, strict=True)
     _check_alpha(alpha, upper=0.5)
-    (x1, x2, _, _, v1, v2), shrink = _local_rows(alt)
+    x1, x2, _, _, v1, v2, shrink = _local_rows(alt)
     m, s = _kappa_split(kappa)
     nu = _omnibus_nu(v1, v2, m, s)
     s_star = _omnibus_threshold(nu, alpha)
@@ -871,14 +863,14 @@ def kappa_max(pair: EstimatePair | PairBatch, alpha: float):
 
 def _zero_point_root(rows: _Rows, alpha: float) -> np.ndarray:
     """pi_2 of rows that reject at the probe kappa."""
-    a1, a2, v1, v2 = np.abs(rows.x1), np.abs(rows.x2), rows.v1, rows.v2
 
     def excess(kappa, sel):
         # a row inside the null region (t <= 0) takes the tail's t -> 0+
         # limit, which the on-axis branch of the kernel gives at t = 0
         m, s = _kappa_split(kappa)
-        t = _rd_stat(a1[sel], a2[sel], v1[sel], v2[sel], m, s)
-        return _rd_zero_tail(np.maximum(t, 0.0), *_rd_nu(v1[sel], v2[sel], m, s)) - alpha
+        some = rows.take(sel)
+        t = _rd_stat(some, m, s)
+        return _rd_zero_tail(np.maximum(t, 0.0), *_rd_nu(some.v1, some.v2, m, s)) - alpha
 
     at_probe = excess(_KAPPA_PROBE, slice(None))
     return first_crossing(excess, _KAPPA_PROBE, at_probe, 2.0, _KAPPA_CAP, _KAPPA_SOLVER_TOL)

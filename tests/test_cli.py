@@ -12,9 +12,12 @@ import csv
 import io
 import json
 import math
+import re
+import struct
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +25,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from qualint.cli import UsageError, _build_parser, _read_pairs, _write_table, main
+from qualint.cli import (
+    UsageError,
+    _build_parser,
+    _g10s,
+    _read_matrix,
+    _read_pairs,
+    _write_table,
+    main,
+)
 from qualint.inference import PairBatch, _rule_violation, _valid
 
 # Reference panel of two-group estimates with published ratio bounds; the
@@ -409,6 +420,43 @@ def test_cell_past_the_csv_field_limit_is_usage_error(tmp_path, capsys, command,
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {path}:{line}: field larger than field limit (131072)\n"
+
+
+@pytest.mark.parametrize(
+    "command, bad", [("scan", 0), ("kappa-max", 0), ("network", 0), ("network", 1)],
+    ids=["scan", "kappa-max", "network-matrix1", "network-matrix2"],
+)
+def test_input_that_is_not_utf8_is_usage_error_naming_its_file(tmp_path, capsys, command, bad):
+    # the decode error was printed without the path, so a network run did
+    # not say which of its two matrices failed
+    if command == "network":
+        texts = [b"a,b\n1,2\n2,1\n3,4\n", b"a,b\n1,2\n2,1\n3,4\n"]
+        texts[bad] = b"a,b\n1,2\n2,1\n3,\xe9\n"
+    else:
+        texts = [b"id,est1,se1,est2,se2\na\xe9,1,1,1,1\n"]
+    paths = [tmp_path / f"in{i}.csv" for i in range(len(texts))]
+    for path, text in zip(paths, texts):
+        path.write_bytes(text)
+    code = main([command, *map(str, paths)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    position = texts[bad].index(b"\xe9")
+    assert captured.err == (
+        f"error: {paths[bad]}: 'utf-8' codec can't decode byte 0xe9 in position {position}: "
+        "invalid continuation byte\n"
+    )
+
+
+def test_kappa_max_csv_prints_inf_where_rounding_passes_the_float_range(tmp_path, capsys):
+    # kappa_max = 1.7976931346e308 is finite, but its 10-digit text reads back
+    # as inf, and kappa-max decides its order by that: the CSV prints inf
+    pairs = tmp_path / "edge.csv"
+    pairs.write_text("id,est1,se1,est2,se2\nc,1.7976931346e300,1e-299,1e-8,1e-299\n"
+                     "a,1.34,0.32,-0.09,0.33\n")
+    code = main(["kappa-max", str(pairs), "--alpha", "0.1"])
+    rows = parse_csv(capsys.readouterr().out)
+    assert code == 0 and [row["id"] for row in rows] == ["c", "a"]
+    assert rows[0]["kappa_max"] == "inf" and rows[1]["kappa_max"] == "1.919381639"
 
 
 def test_estimate_past_the_float_range_is_written_not_fatal(tmp_path, capsys):
@@ -1315,34 +1363,65 @@ def reference_read_pairs(path):
     return [ids[i] for i in keep], PairBatch(*columns[:, keep]), listed
 
 
+# characters str.splitlines ends a line at; neither csv.reader nor qualint does
+ODD_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 VALUE_CELLS = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "1_0", " 2.5 ", "", "x", "0", "-0.0", "1e-310",
-                     "-0.5", "0.25", "1e300", "  7 "]),
+                     "-0.5", "0.25", "1e300", "  7 ", "\x0c2\x85", "3\u2028", "4\v5"]),
     st.floats().map(repr),
 )
-ID_CELLS = st.sampled_from(["a", "b", " a ", "", "  ", "multi\nline", "x\n\ny", "c,d", 'q"q'])
-# a row is a blank line (None) or an id and zero to five value cells
-PAIR_ROWS = st.lists(
-    st.one_of(st.none(), st.tuples(ID_CELLS, st.lists(VALUE_CELLS, max_size=5))), max_size=8
-)
+# ids that need no quotes, then ids that do
+PLAIN_IDS = ["a", "b", " a ", "", "  ", "c" + ODD_BREAKS, "\x85", "d\u2029e" + NUL]
+QUOTED_IDS = ["multi\nline", "x\n\ny", "c,d", 'q"q', "cr\rid"]
+TERMINATORS = st.sampled_from(["\n", "\r", "\r\n"])
 
 
-@given(PAIR_ROWS)
-def test_pair_reader_matches_the_row_reader(rows):
+def csv_line(cells):
+    """Cells as one CSV record, quoted as csv.writer quotes them."""
+    return ",".join('"' + c.replace('"', '""') + '"' if re.search('[,"\r\n]', c) else c
+                    for c in cells)
+
+
+@st.composite
+def csv_texts(draw, records):
+    """The text of a CSV file of the drawn records (None is a blank line),
+    each line ended by a drawn terminator, the last one maybe by none."""
+    text = "".join(("" if record is None else csv_line(record)) + draw(TERMINATORS)
+                   for record in draw(records))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+# a row is a blank line (None) or an id and zero to five value cells; half
+# the files draw no quoted id, so both of the reader's tokenizers run
+PAIR_TEXTS = csv_texts(st.booleans().flatmap(lambda quoted: st.lists(
+    st.one_of(st.none(), st.tuples(st.sampled_from(PLAIN_IDS + QUOTED_IDS * quoted),
+                                   st.lists(VALUE_CELLS, max_size=5))),
+    max_size=8,
+)).map(lambda rows: [PAIR_FIELDS, *(row and [row[0], *row[1]] for row in rows)]))
+
+
+def read_with_csv_reader_count(read, path):
+    """read(path) and the number of csv.reader objects it made."""
+    with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
+        result = read(path)
+    return result, reader.call_count
+
+
+def takes_csv_reader(text):
+    return '"' in text or "\x00" in text
+
+
+@given(PAIR_TEXTS)
+def test_pair_reader_matches_the_row_reader(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "pairs.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(PAIR_FIELDS)
-            for row in rows:
-                if row is None:
-                    fh.write("\n")
-                else:
-                    writer.writerow([row[0], *row[1]])
+        Path(path).write_text(text, encoding="utf-8", newline="")
         expected_ids, expected, listed = reference_read_pairs(path)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            ids, batch = _read_pairs(path, strict=False)
+            (ids, batch), readers = read_with_csv_reader_count(
+                lambda p: _read_pairs(p, strict=False), path)
+        assert readers == takes_csv_reader(text)
         assert ids == expected_ids
         for name in PAIR_FIELDS[1:]:  # bit for bit
             assert getattr(batch, name).tobytes() == getattr(expected, name).tobytes()
@@ -1353,6 +1432,90 @@ def test_pair_reader_matches_the_row_reader(rows):
             assert str(info.value) == "invalid rows:\n  " + "\n  ".join(listed)
         else:
             assert _read_pairs(path, strict=True)[0] == ids
+
+
+def reference_read_matrix(path):
+    """The row-at-a-time matrix reader: (names, values) or the error text."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            return f"{path}: empty file"
+        header = tuple(name.strip() for name in header)
+        if len(header) < 2 or not all(header):
+            return f"{path}: need at least two named feature columns"
+        if len(set(header)) != len(header):
+            return f"{path}: duplicate feature names"
+        rows, lines = [], []
+        for row in reader:
+            if len(row) != len(header):
+                return f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(row)}"
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError as exc:
+                return f"{path}:{reader.line_num}: {exc}"
+            lines.append(reader.line_num)
+    if len(rows) < 3:
+        return f"{path}: need at least 3 sample rows, got {len(rows)}"
+    for line_no, row in zip(lines, rows):
+        for name, value in zip(header, row):
+            if not math.isfinite(value):
+                return f"{path}:{line_no}: {_rule_violation(name, value, False)}"
+    return header, np.array(rows, dtype=float)
+
+
+FEATURES = ["g1", "g2", " g3 ", "\x1cg\x85", "g\u2028"]
+
+
+@st.composite
+def matrix_records(draw):
+    """A header and rows: mostly a well-formed matrix, else any cells."""
+    if draw(st.booleans()):
+        names = draw(st.lists(st.sampled_from(FEATURES + QUOTED_IDS), min_size=2, max_size=4,
+                              unique=True))
+        cells = st.floats(-5.0, 5.0).map(repr)
+        row = st.lists(cells, min_size=len(names), max_size=len(names))
+        return [names, *draw(st.lists(row, min_size=2, max_size=6))]
+    names = draw(st.lists(st.sampled_from(FEATURES + PLAIN_IDS), min_size=1, max_size=4))
+    row = st.lists(VALUE_CELLS, min_size=len(names) - 1, max_size=len(names) + 1)
+    return [names, *draw(st.lists(st.one_of(st.none(), row), max_size=6))]
+
+
+@given(csv_texts(matrix_records()))
+def test_matrix_reader_matches_the_row_reader(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "matrix.csv")
+        Path(path).write_text(text, encoding="utf-8", newline="")
+        expected = reference_read_matrix(path)
+
+        def read(p):
+            try:
+                return _read_matrix(p)
+            except UsageError as exc:
+                return str(exc)
+
+        got, readers = read_with_csv_reader_count(read, path)
+    assert readers == takes_csv_reader(text)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert got[0] == expected[0] and got[1].tobytes() == expected[1].tobytes()
+
+
+@given(st.lists(st.one_of(FLOAT_CELLS, st.floats(1.79769313e308, 1.7976931348623157e308),
+                          st.floats(-1.7976931348623157e308, -1.79769313e308)), max_size=8))
+def test_decision_columns_are_formatted_once(values):
+    # the kept text is the 10-digit text of the rounded float, and that float
+    # is what the text reads back as: the text of the value itself, except
+    # where 10-digit rounding passes the float range and reads back as inf
+    column = np.array(values, dtype=float)
+    rounded = _g10s(column)
+    assert len(rounded.text) == len(values)
+    for value, back, text in zip(values, rounded.values.tolist(), rounded.text):
+        assert struct.pack("<d", back) == struct.pack("<d", float(f"{value:.10g}"))
+        assert text == f"{back:.10g}"
+        if math.isfinite(back) or not math.isfinite(value):
+            assert text == f"{value:.10g}"
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,9 +94,9 @@ KAPPA_COLUMNS = {
 }
 
 
-def run_case(name: str, out_dir: Path) -> None:
+def run_case(name: str, out_dir: Path, golden: Path = GOLDEN) -> None:
     argv, outputs = CASES[name]
-    argv = [a.format(golden=GOLDEN, out=out_dir) for a in argv]
+    argv = [a.format(golden=golden, out=out_dir) for a in argv]
     if "--output" not in argv:
         argv += ["--output", str(out_dir / outputs[0])]
     code = main(argv)
@@ -146,11 +147,9 @@ def _compare_json(got: str, want: str, columns: set[str]) -> list[str]:
     return problems
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name, tmp_path):
-    run_case(name, tmp_path)
+def assert_matches_golden(name: str, out_dir: Path) -> None:
     for output in CASES[name][1]:
-        got = (tmp_path / output).read_bytes()
+        got = (out_dir / output).read_bytes()
         want = (EXPECTED / output).read_bytes()
         columns = KAPPA_COLUMNS.get(output)
         if columns is None:
@@ -159,6 +158,34 @@ def test_cli_output_matches_golden(name, tmp_path):
         compare = _compare_json if output.endswith(".json") else _compare_csv
         problems = compare(got.decode("utf-8"), want.decode("utf-8"), columns)
         assert not problems, f"{output}: " + "; ".join(problems[:5])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, tmp_path):
+    run_case(name, tmp_path)
+    assert_matches_golden(name, tmp_path)
+
+
+# the golden pair file with CRLF or CR line ends, or with every id quoted,
+# holds the same rows: the outputs match the same expected files
+PAIR_VARIANTS = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "cr": lambda text: text.replace("\n", "\r"),
+    "quoted_ids": lambda text: re.sub(r"(?m)^(\w+),(?=[-\d])", r'"\1",', text),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(PAIR_VARIANTS))
+@pytest.mark.parametrize(
+    "name", [name for name in sorted(CASES) if name.startswith("scan_") or name == "kappa_max"]
+)
+def test_pair_file_variants_match_golden(name, variant, tmp_path):
+    text = (GOLDEN / "pairs.csv").read_text(encoding="utf-8")
+    changed = PAIR_VARIANTS[variant](text)
+    assert changed != text
+    (tmp_path / "pairs.csv").write_text(changed, encoding="utf-8", newline="")
+    run_case(name, tmp_path, golden=tmp_path)
+    assert_matches_golden(name, tmp_path)
 
 
 def test_cli_runs_without_scipy():

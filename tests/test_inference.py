@@ -67,6 +67,15 @@ def pair(e1, s1, e2, s2):
     return EstimatePair(SubgroupEstimate(e1, s1), SubgroupEstimate(e2, s2))
 
 
+def draws_rejected(test, th1, se1, th2, se2, kappa, alpha):
+    """The test's rejection flags on every draw, from one batch call; the
+    first 200 rows are checked against scalar calls."""
+    outcome = test(PairBatch(th1, se1, th2, se2), kappa, alpha)
+    for i in range(200):
+        assert outcome[i] == test(pair(th1[i], se1, th2[i], se2), kappa, alpha)
+    return outcome.rejected
+
+
 def pair_with_statistic(t, kappa, ratio):
     """A pair whose rd statistic at kappa is t and whose se2 / se1 is ratio:
     |est1| - kappa |est2| = t hypot(se1, kappa se2), with the standard
@@ -465,12 +474,8 @@ class TestRdPower:
         rng = np.random.default_rng(2024)
         th1 = rng.normal(w1 * alt.c1, w1 * alt.sigma1, size=n_draws)
         th2 = rng.normal(w2 * alt.c2, w2 * alt.sigma2, size=n_draws)
-        rate = np.mean(
-            [
-                rd_test(pair(a, w1 * alt.sigma1, b, w2 * alt.sigma2), kappa, alpha).rejected
-                for a, b in zip(th1, th2)
-            ]
-        )
+        rate = np.mean(draws_rejected(rd_test, th1, w1 * alt.sigma1, th2, w2 * alt.sigma2,
+                                      kappa, alpha))
         analytic = rd_local_power(alt, kappa, alpha)
         mc_se = math.sqrt(analytic * (1 - analytic) / n_draws)
         assert abs(rate - analytic) <= 3 * mc_se
@@ -621,14 +626,8 @@ class TestOmnibusPower:
         rng = np.random.default_rng(515)
         th1 = rng.normal(w1 * alt.c1, w1 * alt.sigma1, size=n_draws)
         th2 = rng.normal(w2 * alt.c2, w2 * alt.sigma2, size=n_draws)
-        rate = np.mean(
-            [
-                omnibus_test(
-                    pair(a, w1 * alt.sigma1, b, w2 * alt.sigma2), kappa, alpha
-                ).rejected
-                for a, b in zip(th1, th2)
-            ]
-        )
+        rate = np.mean(draws_rejected(omnibus_test, th1, w1 * alt.sigma1, th2, w2 * alt.sigma2,
+                                      kappa, alpha))
         analytic = omnibus_local_power(alt, kappa, alpha)
         # analytic power is ~1 here; allow an absolute floor on the band
         band = max(3 * math.sqrt(analytic * (1 - analytic) / n_draws), 3e-4)
@@ -896,6 +895,33 @@ class TestFloatRange:
         res = kappa_max(p, 0.10)
         assert res.kappa_max == pytest.approx(1e300, rel=1e-9)
         assert res.roots == (res.kappa_max, math.inf)
+
+    @pytest.mark.filterwarnings("error")
+    def test_both_estimates_past_the_float_range_of_their_standard_errors(self):
+        # both rescaled estimates were +inf: inf - inf made the rd statistic
+        # NaN (p = 1), emptied the omnibus region (p = 1), and kappa_max read
+        # 1 with no binding root, where the ratio of the estimates is 10
+        for e2 in (1e299, -1e299):
+            p = pair(1e300, 1e-299, e2, 1e-299)
+            for test in (rd_test, omnibus_test):
+                res = test(p, 2.0, 0.05)
+                assert res.statistic == math.inf and res.p_value == 0.0 and res.rejected
+            res = kappa_max(p, 0.10)
+            assert res.kappa_max == pytest.approx(10.0, rel=1e-9)
+            assert res.binding_root == "normal_boundary"
+        assert gail_simon_test(pair(1e300, 1e-299, -1e299, 1e-299), 0.05).p_value == 0.0
+
+    def test_estimates_shrunk_past_2_to_the_1020_keep_their_bits(self):
+        # rows are shrunk only where an estimate would pass 2**1020 once
+        # rescaled, and a shrunk row's statistic is scaled back exactly
+        for e1, s1, e2, s2 in FLOAT_RANGE_PAIRS:
+            assert _rows(e1, s1, e2, s2).shrink == 0
+        g = 2.0**1018
+        for e1, s1, e2, s2 in [(5.0, 0.3, 1.0, 0.6), (-1.0, 0.7, 7.0, 0.2)]:
+            assert _rows(e1 * g, s1, e2 * g, s2).shrink == 1  # |estimate| 2**1020 to 2**1021
+            for kappa in (1.5, 4.0):
+                t = rd_statistic(pair(e1, s1, e2, s2), kappa)
+                assert rd_statistic(pair(e1 * g, s1, e2 * g, s2), kappa) == math.ldexp(t, 1018)
 
     def test_squared_statistics_past_the_float_range_are_inf(self):
         # the squares overflowed in a multiply
