@@ -26,6 +26,11 @@ before centering, and the slope and its SE are scaled back.  Results are
 the same as without the scaling wherever the unscaled sums of squares
 neither overflow nor underflow; at extreme scales, where they would, the
 scaled sums stay in range.
+
+One range pass serves each row: its max hi and min lo.  max(hi, -lo) is
+its largest |value| exactly, and so gives the scaling exponent; that peak
+is finite only if every value is, since a NaN propagates through both;
+and the row is constant where hi == lo.
 """
 
 from __future__ import annotations
@@ -216,13 +221,19 @@ class _Sums(NamedTuple):
     y_constant: np.ndarray  # by range, as for x: an inexact mean leaves Syy > 0
 
 
-def _scaled_deviations(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _scaled_deviations(rows: np.ndarray):
     """Deviations of each row from its mean, after scaling the row exactly by
-    the power of two that puts its largest |value| in [0.5, 1); and the
-    exponents of those powers."""
-    exponent = np.frexp(np.abs(rows).max(axis=-1))[1]
+    the power of two that puts its largest |value| in [0.5, 1); the exponents
+    of those powers; and which rows are finite and which constant, all from
+    one max and one min per row (see the module docstring).
+    """
+    hi, lo = rows.max(axis=-1), rows.min(axis=-1)
+    peak = np.maximum(hi, -lo)
+    exponent = np.frexp(peak)[1]
     scaled = np.ldexp(rows, -exponent[..., None])
-    return scaled - scaled.mean(axis=-1, keepdims=True), exponent
+    # the sum over the count is np.mean's own arithmetic, without its wrapper
+    mean = scaled.sum(axis=-1, keepdims=True) / rows.shape[-1]
+    return scaled - mean, exponent, np.isfinite(peak), hi == lo
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -238,21 +249,15 @@ def _data_codes(finite: np.ndarray, x_constant: np.ndarray) -> np.ndarray:
     return np.where(finite, np.where(x_constant, _X_CONSTANT, _OK), _NON_FINITE)
 
 
-def _is_constant(rows: np.ndarray) -> np.ndarray:
-    return rows.max(axis=-1) == rows.min(axis=-1)
-
-
 def _sums(sample: Sample2D | SampleBatch | FeatureMatrix) -> _Sums:
     # non-finite rows are flagged by code; their arithmetic is discarded
     with np.errstate(invalid="ignore"):
         if isinstance(sample, FeatureMatrix):
             columns = sample.columns
-            dev, exponent = _scaled_deviations(columns)
+            dev, exponent, finite, constant = _scaled_deviations(columns)
             squares = _dot(dev, dev)
             cross = np.concatenate([_dot(dev[i + 1 :], dev[i]) for i in range(len(dev) - 1)])
             first, second = sample.pairs()
-            finite = np.isfinite(columns).all(axis=1)
-            constant = _is_constant(columns)
             code = _data_codes(finite[first] & finite[second], constant[first])
             return _Sums(
                 columns.shape[1],
@@ -264,13 +269,10 @@ def _sums(sample: Sample2D | SampleBatch | FeatureMatrix) -> _Sums:
                 constant[second],
             )
         x, y = np.atleast_2d(sample.x), np.atleast_2d(sample.y)
-        dx, ex = _scaled_deviations(x)
-        dy, ey = _scaled_deviations(y)
-        finite = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
-        code = _data_codes(finite, _is_constant(x))
-        return _Sums(
-            x.shape[1], _dot(dx, dx), _dot(dx, dy), _dot(dy, dy), ey - ex, code, _is_constant(y)
-        )
+        dx, ex, x_finite, x_constant = _scaled_deviations(x)
+        dy, ey, y_finite, y_constant = _scaled_deviations(y)
+        code = _data_codes(x_finite & y_finite, x_constant)
+        return _Sums(x.shape[1], _dot(dx, dx), _dot(dx, dy), _dot(dy, dy), ey - ex, code, y_constant)
 
 
 def _result(sample, batch: EstimateBatch) -> SubgroupEstimate | EstimateBatch:

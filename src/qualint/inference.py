@@ -46,7 +46,9 @@ rescaled by the power of two that puts the larger standard error in
 [0.5, 1).  Both rescalings are exact in binary floating point and every
 formula is a ratio invariant under them, so ordinary inputs give the same
 bits as the plain formulas, while standard errors near 1e-300 or kappa
-near 1e300 no longer underflow or overflow.
+near 1e300 no longer underflow or overflow.  A contrast's variance that
+still falls below the normal range (past kappa = 2^510, with a standard
+error near 1/kappa) is taken by hypot of its unsquared terms.
 
 All operations are pure functions; nothing retains state between calls.
 """
@@ -189,8 +191,6 @@ class _Rows(NamedTuple):
     x2: np.ndarray
     se1: np.ndarray
     se2: np.ndarray
-    v1: np.ndarray  # squared standard errors
-    v2: np.ndarray
     shrink: np.ndarray  # integer >= 0 per row, 0 unless an estimate passes 2^1020
 
     def take(self, index) -> "_Rows":
@@ -210,7 +210,7 @@ def _rows(x1, se1, x2, se2) -> _Rows:
     shrink = np.maximum(0, np.frexp(np.maximum(np.abs(x1), np.abs(x2)))[1] + exponent - 1020)
     s1, s2 = np.ldexp(se1, exponent), np.ldexp(se2, exponent)
     x1, x2 = np.ldexp(x1, exponent - shrink), np.ldexp(x2, exponent - shrink)
-    return _Rows(x1, x2, s1, s2, s1 * s1, s2 * s2, shrink)
+    return _Rows(x1, x2, s1, s2, shrink)
 
 
 def _unshrunk(values, shrink):
@@ -457,7 +457,9 @@ def _kappa_split(kappa):
     Formulas below multiply through by s: with kappa written as m / s,
     x1 - kappa x2 becomes x1 s - m x2 and v1 + kappa^2 v2 becomes
     v1 s^2 + m^2 v2.  The scaling is exact, so each ratio keeps the bits of
-    the plain formula, and no term overflows however large kappa is.
+    the plain formula, and no term overflows however large kappa is.  Past
+    kappa = 2^510, s^2 and a small v can underflow; _variance marks the
+    sums that fall below the normal range, and _root takes those by hypot.
     """
     m, exponent = np.frexp(kappa)
     return m, np.ldexp(1.0, -exponent)
@@ -479,10 +481,46 @@ def _local_rows(alt: LocalAlternative) -> _Rows:
 # ---------------------------------------------------------------------------
 
 
-def _contrast(x1, x2, v1, v2, m, s):
-    """(x1 - kappa x2) / sqrt(v1 + kappa^2 v2): a standardized contrast."""
+_TINY = np.finfo(float).tiny  # the smallest normal float
+
+
+def _variance(se_a, se_b, c, d):
+    """The variance v = (c se_a)^2 + (d se_b)^2 of a contrast whose terms
+    are scaled by kappa's factors c and d, and the rows where it is low.
+
+    v is summed as v_a c^2 + d^2 v_b with v = se^2, the rounding that gives
+    the statistics their bits.  Only past kappa = 2^510 can it fall below
+    the normal range, losing bits or all of them; ``low`` marks those rows
+    (None when there are none), where _root takes hypot instead.
+    """
+    v = (se_a * se_a) * (c * c) + (d * d) * (se_b * se_b)
+    low = v < _TINY
+    return v, (low if low.any() else None)
+
+
+def _root(v, low, se_a, se_b, c, d):
+    """sqrt(v) of a _variance, or on its low rows hypot(c se_a, d se_b),
+    which keeps the bits v lost and is never 0."""
+    root = np.sqrt(v)
+    return root if low is None else np.where(low, np.hypot(se_a * c, se_b * d), root)
+
+
+def _contrast(x1, x2, se1, se2, m, s):
+    """(x1 - kappa x2) / sqrt(se1^2 + kappa^2 se2^2): a standardized contrast."""
+    v, low = _variance(se1, se2, s, m)
     with np.errstate(over="ignore"):  # +-inf past the float range
-        return (x1 * s - m * x2) / np.sqrt(v1 * (s * s) + (m * m) * v2)
+        return (x1 * s - m * x2) / _root(v, low, se1, se2, s, m)
+
+
+def _square_contrast(diff, se_a, se_b, c, d):
+    """diff^2 / ((c se_a)^2 + (d se_b)^2) for the scaled difference diff."""
+    v, low = _variance(se_a, se_b, c, d)
+    if low is None:
+        with np.errstate(over="ignore"):  # +inf past the float range
+            return diff * diff / v
+    root = _root(v, low, se_a, se_b, c, d)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # low rows replaced
+        return np.where(low, (diff / root) ** 2, diff * diff / v)
 
 
 def _rd_stat(rows: _Rows, m, s):
@@ -490,25 +528,34 @@ def _rd_stat(rows: _Rows, m, s):
     absolute estimate against the smaller, or on exact ties the smaller of
     both assignments' contrasts.  Only these are evaluated, so the discarded
     assignment of a lopsided row cannot overflow."""
-    a1, a2, v1, v2 = np.abs(rows.x1), np.abs(rows.x2), rows.v1, rows.v2
+    a1, a2, se1, se2 = np.abs(rows.x1), np.abs(rows.x2), rows.se1, rows.se2
     first = a1 >= a2
     a_max, a_min = np.where(first, a1, a2), np.where(first, a2, a1)
-    v_max, v_min = np.where(first, v1, v2), np.where(first, v2, v1)
-    t = _contrast(a_max, a_min, v_max, v_min, m, s)
+    se_max, se_min = np.where(first, se1, se2), np.where(first, se2, se1)
+    t = _contrast(a_max, a_min, se_max, se_min, m, s)
     tie = a1 == a2
-    if tie.any():  # a tie's other assignment only swaps the variances
-        t = np.minimum(t, _contrast(a_max, a_min, np.where(tie, v_min, v_max),
-                                    np.where(tie, v_max, v_min), m, s))
+    if tie.any():  # a tie's other assignment only swaps the standard errors
+        t = np.minimum(t, _contrast(a_max, a_min, np.where(tie, se_min, se_max),
+                                    np.where(tie, se_max, se_min), m, s))
     return _unshrunk(t, rows.shrink)
 
 
-def _rd_nu(v1, v2, m, s):
-    s2 = s * s
-    k2v1 = (m * m) * v1
-    k2v2 = (m * m) * v2
-    nu1 = (v1 * s2 - k2v2) / (v1 * s2 + k2v2)
-    nu2 = (v2 * s2 - k2v1) / (k2v1 + v2 * s2)
-    return np.maximum(-1.0, np.minimum(1.0, nu1)), np.maximum(-1.0, np.minimum(1.0, nu2))
+def _difference_ratio(se_a, se_b, c, d):
+    """((c se_a)^2 - (d se_b)^2) / ((c se_a)^2 + (d se_b)^2), in [-1, 1]."""
+    v, low = _variance(se_a, se_b, c, d)
+    difference = (se_a * se_a) * (c * c) - (d * d) * (se_b * se_b)
+    if low is None:
+        ratio = difference / v
+    else:
+        root = _root(v, low, se_a, se_b, c, d)
+        ua, ub = se_a * c / root, se_b * d / root
+        with np.errstate(divide="ignore", invalid="ignore"):  # low rows replaced
+            ratio = np.where(low, (ua - ub) * (ua + ub), difference / v)
+    return np.maximum(-1.0, np.minimum(1.0, ratio))
+
+
+def _rd_nu(se1, se2, m, s):
+    return _difference_ratio(se1, se2, s, m), _difference_ratio(se2, se1, s, m)
 
 
 def _rd_zero_tail(t, nu1, nu2):
@@ -534,21 +581,24 @@ def _omnibus_region(x1, x2, m, s):
 
 
 def _omnibus_stat(rows: _Rows, m, s):
-    x1, x2, v1, v2 = rows.x1, rows.x2, rows.v1, rows.v2
-    s2, m2 = s * s, m * m
-    d1 = x1 * s - m * x2
-    d2 = m * x1 - x2 * s
-    with np.errstate(over="ignore"):  # +inf past the float range
-        q1 = d1 * d1 / (v1 * s2 + m2 * v2)
-        q2 = d2 * d2 / (m2 * v1 + v2 * s2)
+    x1, x2, se1, se2 = rows.x1, rows.x2, rows.se1, rows.se2
+    q1 = _square_contrast(x1 * s - m * x2, se1, se2, s, m)
+    q2 = _square_contrast(m * x1 - x2 * s, se1, se2, m, s)
     q = _unshrunk(np.minimum(q1, q2), 2 * rows.shrink)
     return np.where(_omnibus_region(x1, x2, m, s), q, 0.0)
 
 
-def _omnibus_nu(v1, v2, m, s):
+def _omnibus_nu(se1, se2, m, s):
     """Correlation of the omnibus zero-point limit pair; always in (0, 1]."""
-    s2, m2 = s * s, m * m
-    nu = m * ((v1 + v2) * s) / np.sqrt((v1 * s2 + m2 * v2) * (m2 * v1 + v2 * s2))
+    va, low_a = _variance(se1, se2, s, m)
+    vb, low_b = _variance(se1, se2, m, s)
+    product = va * vb
+    root = np.sqrt(product)
+    low = product < _TINY  # va or vb low, or their product has lost bits
+    if low.any():
+        roots = _root(va, low_a, se1, se2, s, m) * _root(vb, low_b, se1, se2, m, s)
+        root = np.where(low, roots, root)
+    nu = m * ((se1 * se1 + se2 * se2) * s) / root
     return np.maximum(0.0, np.minimum(1.0, nu))
 
 
@@ -600,16 +650,16 @@ def rd_statistic(pair: EstimatePair | PairBatch, kappa: float):
     return _per_row(pair, t)
 
 
-def _null_variances(t: float, kappa: float, se1: float, se2: float):
-    """(v1, v2, m, s) of a zero-point null tail at t > 0, its arguments
-    checked: the squared standard errors rescaled together and kappa split."""
+def _null_scales(t: float, kappa: float, se1: float, se2: float):
+    """(se1, se2, m, s) of a zero-point null tail at t > 0, its arguments
+    checked: the standard errors rescaled together and kappa split."""
     if not t > 0.0:
         raise ValueError(f"tail characterized for t > 0 only, got t={t!r}")
     _check_kappa(kappa)
     _check_input("se1", se1, se=True)
     _check_input("se2", se2, se=True)
     rows = _rows(0.0, se1, 0.0, se2)
-    return (rows.v1, rows.v2, *_kappa_split(kappa))
+    return (rows.se1, rows.se2, *_kappa_split(kappa))
 
 
 def rd_null_tail(t: float, kappa: float, se1: float, se2: float) -> float:
@@ -623,7 +673,7 @@ def rd_null_tail(t: float, kappa: float, se1: float, se2: float) -> float:
     group-swapped analogue nu2; only the ratio of the squared standard
     errors matters, and for kappa > 1 at most one of the two is positive.
     """
-    return float(_rd_zero_tail(t, *_rd_nu(*_null_variances(t, kappa, se1, se2))))
+    return float(_rd_zero_tail(t, *_rd_nu(*_null_scales(t, kappa, se1, se2))))
 
 
 def rd_test(pair: EstimatePair | PairBatch, kappa: float, alpha: float):
@@ -651,7 +701,7 @@ def rd_test(pair: EstimatePair | PairBatch, kappa: float, alpha: float):
 
     def components():
         outside = t > 0.0
-        nu1, nu2 = _rd_nu(rows.v1[outside], rows.v2[outside], m, s)
+        nu1, nu2 = _rd_nu(rows.se1[outside], rows.se2[outside], m, s)
         zero_point = boundary.copy()  # 1 inside the null region
         zero_point[outside] = np.minimum(boundary[outside], _rd_zero_tail(t[outside], nu1, nu2))
         return {"normal_boundary": boundary, "zero_point": zero_point}
@@ -671,13 +721,13 @@ def _rd_power(rows: _Rows, kappa: float, alpha: float):
     The effects may be arrays (one alternative per element), rescaled by
     _rows, and one kernel call evaluates all four orthants.
     """
-    x1, x2, v1, v2 = rows.x1, rows.x2, rows.v1, rows.v2
+    x1, x2, se1, se2 = rows.x1, rows.x2, rows.se1, rows.se2
     m, s = _kappa_split(kappa)
     t_star = std_normal_quantile(1.0 - alpha / 2.0)
     c11, c12, c21, c22, shrink, nu1, nu2 = np.broadcast_arrays(
-        _contrast(x1, x2, v1, v2, m, s), _contrast(x1, -x2, v1, v2, m, s),
-        _contrast(x2, x1, v2, v1, m, s), _contrast(x2, -x1, v2, v1, m, s),
-        rows.shrink, *_rd_nu(v1, v2, m, s))
+        _contrast(x1, x2, se1, se2, m, s), _contrast(x1, -x2, se1, se2, m, s),
+        _contrast(x2, x1, se2, se1, m, s), _contrast(x2, -x1, se2, se1, m, s),
+        rows.shrink, *_rd_nu(se1, se2, m, s))
     first = _unshrunk(np.stack([c11, -c11, c21, -c21]), shrink)
     second = _unshrunk(np.stack([c12, -c12, c22, -c22]), shrink)
     tails = bvn_upper_tail(t_star - first, t_star - second, np.stack([nu1, nu1, nu2, nu2]))
@@ -742,7 +792,7 @@ def omnibus_null_tail(t: float, kappa: float, se1: float, se2: float) -> float:
     (kappa^2 se1^2 + se2^2)).  At kappa = 1 the correlation degenerates to 1
     and the tail collapses to the chi-squared_1 tail.
     """
-    nu = _omnibus_nu(*_null_variances(t, kappa, se1, se2))
+    nu = _omnibus_nu(*_null_scales(t, kappa, se1, se2))
     return float(_omnibus_zero_tail(math.sqrt(t), nu))
 
 
@@ -768,7 +818,7 @@ def omnibus_test(pair: EstimatePair | PairBatch, kappa: float, alpha: float):
     boundary = np.where(outside, 0.5 * chi2_1_tail(t), 1.0)
     zero_point = np.ones_like(t)
     root_t = np.sqrt(t[outside])
-    nu = _omnibus_nu(rows.v1[outside], rows.v2[outside], m, s)
+    nu = _omnibus_nu(rows.se1[outside], rows.se2[outside], m, s)
     zero_point[outside] = _omnibus_zero_tail(root_t, nu)
     components = {"normal_boundary": boundary, "zero_point": zero_point}
     return _tested(pair, t, np.maximum(boundary, zero_point), lambda: components, alpha)
@@ -804,12 +854,12 @@ def omnibus_local_power(alt: LocalAlternative, kappa: float, alpha: float):
     """
     _check_kappa(kappa, strict=True)
     _check_alpha(alpha, upper=0.5)
-    x1, x2, _, _, v1, v2, shrink = _local_rows(alt)
+    x1, x2, se1, se2, shrink = _local_rows(alt)
     m, s = _kappa_split(kappa)
-    nu = _omnibus_nu(v1, v2, m, s)
+    nu = _omnibus_nu(se1, se2, m, s)
     s_star = _omnibus_threshold(nu, alpha)
-    c1 = _contrast(x1, x2, v1, v2, m, s)
-    c2 = -_contrast(x2, x1, v2, v1, m, s)
+    c1 = _contrast(x1, x2, se1, se2, m, s)
+    c2 = -_contrast(x2, x1, se2, se1, m, s)
     first = _unshrunk(np.stack([c1, -c1]), shrink)
     second = _unshrunk(np.stack([c2, -c2]), shrink)
     tails = bvn_upper_tail(s_star - first, s_star - second, nu)  # both orthants in one call
@@ -870,7 +920,7 @@ def _zero_point_root(rows: _Rows, alpha: float) -> np.ndarray:
         m, s = _kappa_split(kappa)
         some = rows.take(sel)
         t = _rd_stat(some, m, s)
-        return _rd_zero_tail(np.maximum(t, 0.0), *_rd_nu(some.v1, some.v2, m, s)) - alpha
+        return _rd_zero_tail(np.maximum(t, 0.0), *_rd_nu(some.se1, some.se2, m, s)) - alpha
 
     at_probe = excess(_KAPPA_PROBE, slice(None))
     return first_crossing(excess, _KAPPA_PROBE, at_probe, 2.0, _KAPPA_CAP, _KAPPA_SOLVER_TOL)

@@ -7,7 +7,12 @@ slopes by OLS, and runs the relative-difference and omnibus tests at each
 configured kappa, plus the kappa_max inversion.  Each grid point's
 replicates are drawn into one block and all their slopes fitted in one
 call; the tests and the inversion then run once per kappa on the whole
-study's estimates as one batch.
+study's estimates as one batch.  The summaries are taken once per study
+too: each (kappa, test) column of rejection flags is counted per grid
+point by one segmented sum (``np.add.reduceat`` over the grid points that
+kept a replicate), and the kappa_max quantiles of all grid points with the
+same replicate count come from one ``np.quantile`` call on their
+(points, replicates) block.
 
 Reproducibility contract: the stream for replicate r of grid point g is
 ``numpy.random.default_rng([seed, g, r])``; the group-1 sample is drawn
@@ -284,36 +289,44 @@ def _run_study(config: SimulationConfig, want_rates: bool) -> StudyResult:
     # kappa_max is defined for alpha below _KAPPA_MAX_ALPHA only; rate-only
     # studies at larger alpha simply skip the inversion summaries
     want_kmax = config.alpha < _KAPPA_MAX_ALPHA
-    indices = range(len(config.theta2_grid))
     estimates, drops = zip(*_grid_point_estimates(config))
 
     # the whole study is tested in one batch per kappa; replicates of grid
-    # point gi are rows bounds[gi]:bounds[gi + 1]
+    # point gi are rows starts[gi]:starts[gi] + counts[gi]
     batch = PairBatch(*(np.concatenate(column) for column in zip(*estimates)))
-    bounds = np.cumsum([0] + [len(est1) for est1, *_ in estimates]).tolist()
-    rejected = {}
+    counts = np.array([len(est1) for est1, *_ in estimates])
+    starts = np.cumsum(counts) - counts
+    # summaries cover the points with replicates; reduceat would give an
+    # empty segment the value at its start instead of 0
+    kept = np.flatnonzero(counts)
+    rejection_counts = {}
     if want_rates:
         for kappa in config.kappas:
-            rejected[(kappa, "rd")] = rd_test(batch, kappa, config.alpha).rejected
-            rejected[(kappa, "omnibus")] = omnibus_test(batch, kappa, config.alpha).rejected
-    kmax = kappa_max(batch, config.alpha).kappa_max if want_kmax else None
+            for test, run in (("rd", rd_test), ("omnibus", omnibus_test)):
+                rejected = run(batch, kappa, config.alpha).rejected
+                rejection_counts[(kappa, test)] = np.add.reduceat(
+                    rejected, starts[kept], dtype=np.intp
+                ).tolist()
+    quantiles = np.full((len(counts), len(_KMAX_QUANTILES)), np.nan)
+    if want_kmax:
+        kmax = kappa_max(batch, config.alpha).kappa_max
+        # one call per distinct replicate count, on a (points, count) block
+        for count in np.unique(counts[kept]).tolist():
+            points = np.flatnonzero(counts == count)
+            block = kmax[starts[points, None] + np.arange(count)]
+            quantiles[points] = np.quantile(block, _KMAX_QUANTILES, axis=1).T
 
+    grid = config.theta2_grid
     rates: list[RateCell] = []
     quantile_map: dict[float, dict[float, float]] = {}
-    dropped: dict[float, int] = {}
-    for gi in indices:
-        theta2 = config.theta2_grid[gi]
-        lo, hi = bounds[gi], bounds[gi + 1]
-        valid = hi - lo
-        if drops[gi]:
-            dropped[theta2] = drops[gi]
-        if valid == 0:
-            continue
-        for (kappa, test), flags in rejected.items():
-            p_hat = int(flags[lo:hi].sum()) / valid
+    for slot, (gi, valid, values) in enumerate(
+        zip(kept.tolist(), counts[kept].tolist(), quantiles[kept].tolist())
+    ):
+        for (kappa, test), per_point in rejection_counts.items():
+            p_hat = per_point[slot] / valid
             rates.append(
                 RateCell(
-                    theta2=theta2,
+                    theta2=grid[gi],
                     kappa=kappa,
                     test=test,
                     rejection_rate=p_hat,
@@ -321,14 +334,13 @@ def _run_study(config: SimulationConfig, want_rates: bool) -> StudyResult:
                     replicates=valid,
                 )
             )
-        if kmax is not None:
-            quantiles = np.quantile(kmax[lo:hi], _KMAX_QUANTILES).tolist()
-            quantile_map[theta2] = dict(zip(_KMAX_QUANTILES, quantiles))
+        if want_kmax:
+            quantile_map[grid[gi]] = dict(zip(_KMAX_QUANTILES, values))
     return StudyResult(
         config=config,
         rates=tuple(rates),
         kappa_max_quantiles=quantile_map,
-        dropped=dropped,
+        dropped={grid[gi]: drop for gi, drop in enumerate(drops) if drop},
     )
 
 

@@ -7,10 +7,14 @@ implementations built on numpy's lstsq/corrcoef.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from qualint import estimators
 from qualint.estimators import (
     EstimationError,
     FeatureMatrix,
@@ -292,3 +296,67 @@ class TestBatches:
             FeatureMatrix(np.zeros((5, 1)))
         with pytest.raises(EstimationError):
             FeatureMatrix(np.zeros((2, 3)))
+
+
+def multi_pass_deviations(rows):
+    """The range pass written as separate passes: largest |value|, all
+    finite, max == min."""
+    exponent = np.frexp(np.abs(rows).max(axis=-1))[1]
+    scaled = np.ldexp(rows, -exponent[..., None])
+    finite = np.isfinite(rows).all(axis=-1)
+    constant = rows.max(axis=-1) == rows.min(axis=-1)
+    return scaled - scaled.mean(axis=-1, keepdims=True), exponent, finite, constant
+
+
+SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1.0]
+
+
+@st.composite
+def sample_rows(draw, size):
+    """One row of a sample: arbitrary, special or constant values scaled by
+    2^-1074 to 2^1000 (a product past the float range is +-inf)."""
+    kind = draw(st.sampled_from(["mixed", "constant", "zeros"]))
+    value = st.one_of(st.floats(-8.0, 8.0), st.sampled_from(SPECIAL))
+    values = draw(st.lists(value, min_size=size, max_size=size))
+    if kind == "constant":
+        values = [values[0]] * size
+    elif kind == "zeros":
+        values = [0.0] * size
+    exponent = draw(st.sampled_from([-1074, -1000, -30, 0, 30, 1000]))
+    with np.errstate(over="ignore"):
+        return np.ldexp(values, exponent)
+
+
+@st.composite
+def sample_stacks(draw):
+    count, size = draw(st.integers(1, 4)), draw(st.integers(3, 7))
+    rows = st.lists(sample_rows(size), min_size=count, max_size=count)
+    return np.array(draw(rows)), np.array(draw(rows))
+
+
+class TestRangePass:
+    """One max and one min per row give the scaling exponent, finiteness
+    and constancy; estimates must keep the bits of separate passes."""
+
+    @staticmethod
+    def outcomes(x, y):
+        found = []
+        for estimator in (ols_slope, pearson):
+            for batch in (estimator(SampleBatch(x, y)),
+                          estimator(FeatureMatrix(np.concatenate([x, y]).T))):
+                found.append((batch.estimate.tobytes(), batch.std_error.tobytes(),
+                              batch.code.tolist()))
+            try:
+                fit = estimator(Sample2D(x[0], y[0]))
+                found.append((fit.estimate.hex(), fit.std_error.hex()))
+            except EstimationError as exc:
+                found.append(str(exc))
+        return found
+
+    @given(sample_stacks())
+    def test_fused_pass_matches_separate_passes(self, stacks):
+        x, y = stacks
+        fused = self.outcomes(x, y)
+        with mock.patch.object(estimators, "_scaled_deviations", multi_pass_deviations):
+            separate = self.outcomes(x, y)
+        assert fused == separate

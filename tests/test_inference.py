@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from qualint.distributions import chi2_1_tail, std_normal_quantile
+from qualint.distributions import bvn_upper_tail, chi2_1_tail, std_normal_quantile
 from qualint.inference import (
     EstimatePair,
     KappaMaxResult,
@@ -256,7 +256,7 @@ class TestRdStatistic:
 def rd_null_nu(kappa, se1, se2):
     """(nu1, nu2) of the rd zero-point limit pairs, from the core's rescaled rows."""
     rows = _rows(0.0, se1, 0.0, se2)
-    nu1, nu2 = _rd_nu(rows.v1, rows.v2, *_kappa_split(kappa))
+    nu1, nu2 = _rd_nu(rows.se1, rows.se2, *_kappa_split(kappa))
     return (float(nu1), float(nu2))
 
 
@@ -931,6 +931,31 @@ class TestFloatRange:
         assert res.statistic == 1.0 and res.p_value == 0.5 * chi2_1_tail(1.0)
         res = gail_simon_test(pair(1e200, 1.0, -1e200, 1.0), 0.05)
         assert res.statistic == math.inf and res.p_value == 0.0
+
+    def test_variance_whose_squares_underflow_at_huge_kappa(self):
+        # se2^2 and (s se1)^2 underflow at kappa = 1e200, so se1^2 s^2 +
+        # m^2 se2^2 was 0: a divide by zero, and an rd statistic of -inf
+        p = pair(1.0, 0.5, 1.0, 1e-200)
+        assert rd_statistic(p, 1e200) == pytest.approx((1.0 - 1e200) / math.sqrt(1.25), rel=1e-14)
+        assert omnibus_statistic(p, 1e200) == 0.0
+        for test in (rd_test, omnibus_test):
+            res = test(p, 1e200, 0.05)
+            assert res.p_value == 1.0 and not res.rejected
+            assert res.components == {"normal_boundary": 1.0, "zero_point": 1.0}
+        assert kappa_max(p, 0.05).kappa_max == 1.0
+        # outside the null the zero-point correlations read the same
+        # variances: nu1 = (0.25 - 1) / 1.25 and nu2 -> -1 for rd, and
+        # 0.25 / sqrt(1.25 * 0.25) for the omnibus pair
+        q = pair(1.0, 0.5, 1e-201, 1e-200)
+        t = 0.9 / math.sqrt(1.25)
+        res = rd_test(q, 1e200, 0.05)
+        assert res.statistic == pytest.approx(t, rel=1e-14)
+        zero_point = 2.0 * float(bvn_upper_tail(t, t, -0.6))
+        assert res.components["zero_point"] == pytest.approx(zero_point, rel=1e-12)
+        res = omnibus_test(q, 1e200, 0.05)
+        assert res.statistic == pytest.approx(t * t, rel=1e-14)
+        zero_point = 2.0 * float(bvn_upper_tail(t, t, 1.0 / math.sqrt(5.0)))
+        assert res.components["zero_point"] == pytest.approx(zero_point, rel=1e-12)
 
     def test_zero_point_tails_vanish_at_infinity(self):
         assert rd_null_tail(math.inf, 2.0, 0.3, 0.7) == 0.0

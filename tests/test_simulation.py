@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qualint import simulation
 from qualint.distributions import chi2_1_tail
 from qualint.estimators import Sample2D, ols_slope
-from qualint.inference import rd_null_tail
+from qualint.inference import PairBatch, kappa_max, omnibus_test, rd_null_tail, rd_test
 from qualint.simulation import (
     EmpiricalTail,
+    RateCell,
     SimulationConfig,
     _grid_point_estimates,
     _StateWords,
@@ -224,6 +226,71 @@ class TestRejectionStudy:
         together = np.quantile(block, (0.10, 0.50, 0.90))
         apart = np.array([np.quantile(block, q) for q in (0.10, 0.50, 0.90)])
         assert together.tobytes() == apart.tobytes()
+
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda count: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.sampled_from([1.0, 1.25, 2.0, math.inf]),
+                        st.floats(1.0, 1e300),
+                    ),
+                    min_size=count,
+                    max_size=count,
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    def test_one_block_quantile_call_equals_per_row_calls(self, rows):
+        # a study takes the quantiles of every grid point with the same
+        # replicate count in one axis=1 call; each row must keep its bits
+        block = np.array(rows)
+        with np.errstate(invalid="ignore"):  # inf - inf between tied infinities
+            together = np.quantile(block, (0.10, 0.50, 0.90), axis=1).T
+            apart = np.array([np.quantile(row, (0.10, 0.50, 0.90)) for row in block])
+        assert together.tobytes() == apart.tobytes()
+
+    def test_ragged_summaries_match_a_per_point_reference(self, monkeypatch):
+        # replicates kept per grid point: none, one, and two points sharing
+        # a count, so rates are summed over ragged segments around an empty
+        # one and quantiles come from blocks of several sizes
+        keep = {0: [], 1: [3], 2: [0, 2, 4, 5, 6], 4: [1, 2, 3, 5, 6]}
+        cfg = small_config(
+            theta2_grid=(-1.0, -0.5, 0.0, 0.5, 1.0), n=20, replications=7, kappas=(1.5, 3.0)
+        )
+        points = []
+
+        def ragged(config):
+            for gi, (columns, dropped) in enumerate(_grid_point_estimates(config)):
+                rows = keep.get(gi, list(range(len(columns[0]))))
+                points.append(tuple(column[rows] for column in columns))
+                yield points[-1], dropped + len(columns[0]) - len(rows)
+
+        monkeypatch.setattr(simulation, "_grid_point_estimates", ragged)
+        res = run_rejection_study(cfg)
+
+        rates, quantiles, dropped = [], {}, {}
+        for theta2, columns in zip(cfg.theta2_grid, points):
+            valid = len(columns[0])
+            if valid < cfg.replications:
+                dropped[theta2] = cfg.replications - valid
+            if valid == 0:
+                continue
+            batch = PairBatch(*columns)
+            for kappa in cfg.kappas:
+                for test, run in (("rd", rd_test), ("omnibus", omnibus_test)):
+                    p_hat = int(run(batch, kappa, cfg.alpha).rejected.sum()) / valid
+                    se = math.sqrt(p_hat * (1.0 - p_hat) / valid)
+                    rates.append(RateCell(theta2, kappa, test, p_hat, se, valid))
+            kmax = kappa_max(batch, cfg.alpha).kappa_max
+            quantiles[theta2] = {q: float(np.quantile(kmax, q)) for q in (0.10, 0.50, 0.90)}
+        assert dropped == {-1.0: 7, -0.5: 6, 0.0: 2, 1.0: 2}
+        assert res.rates == tuple(rates)
+        assert res.dropped == dropped
+        assert list(res.kappa_max_quantiles.items()) == list(quantiles.items())
+        assert {cell.replicates for cell in res.rates} == {1, 5, 7}
 
     def test_single_replicate_rates_are_indicator(self):
         res = run_rejection_study(small_config(replications=1))
