@@ -575,7 +575,7 @@ def _theta2_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
 def _cmd_simulate(args) -> int:
     grid = _theta2_grid(args.theta2_min, args.theta2_max, args.theta2_step)
     prefix = args.output or "study"
-    written = []
+    tables = []  # (path, fieldnames, columns) of every study, written once all have run
     for n in args.n:
         config = SimulationConfig(
             theta1=args.theta1,
@@ -595,22 +595,24 @@ def _cmd_simulate(args) -> int:
             np.array([cell.rejection_rate for cell in cells]),
             np.array([cell.mc_std_error for cell in cells]),
         ]
-        tables = [("rates", ("theta2", "kappa", "test", "rejection_rate", "mc_se"), rates)]
+        tables.append((f"{prefix}_n{n}_rates.csv",
+                       ("theta2", "kappa", "test", "rejection_rate", "mc_se"), rates))
         if result.kappa_max_quantiles:
             quantiles = np.array([
                 (theta2, qs[0.10], qs[0.50], qs[0.90])
                 for theta2, qs in result.kappa_max_quantiles.items()
             ])
-            tables.append(("kappa_max", ("theta2", "q10", "q50", "q90"), quantiles.T))
-        for name, fieldnames, columns in tables:
-            written.append(f"{prefix}_n{n}_{name}.csv")
-            with _output(written[-1]) as out:
-                _write_table(out, "csv", fieldnames, columns)
-    written.append(f"{prefix}_config.json")
-    with _output(written[-1]) as out:
+            tables.append((f"{prefix}_n{n}_kappa_max.csv",
+                           ("theta2", "q10", "q50", "q90"), quantiles.T))
+    for path, fieldnames, columns in tables:
+        with _output(path) as out:
+            _write_table(out, "csv", fieldnames, columns)
+    config_path = f"{prefix}_config.json"
+    with _output(config_path) as out:
         _write_json(out, {**dataclasses.asdict(config), "n": list(args.n)})
-    for path in written:
+    for path, *_ in tables:
         print(path)
+    print(config_path)
     return 0
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "chi2_1_tail",
     "first_crossing",
     "ndtr",
-    "std_normal_cdf",
     "std_normal_quantile",
 ]
 
@@ -190,16 +189,6 @@ def ndtr(x):
     m = _gaussian(xa, m / np.where(tail, xa, 1.0))
     p = np.where(x < 0.0, m, 1.0 - m).reshape(shape)
     return p if p.ndim else float(p)
-
-
-def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF Phi(x) of one finite x (``ndtr``).
-
-    Non-finite input is a domain error.
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"std_normal_cdf requires finite x, got {x!r}")
-    return ndtr(x)
 
 
 def std_normal_quantile(p: float) -> float:

@@ -38,17 +38,19 @@ Conventions (uniform across the module):
 
 Array-first core: every test, statistic and kappa_max accepts either one
 EstimatePair or a PairBatch of many rows, and a batch call returns arrays
-(TestBatch, KappaMaxBatch).  The single-pair call is the size-1 batch, so
-both go through the same code and row i of a batch result equals the
-single-pair result for row i.  The core evaluates every formula on rows
+(TestBatch, KappaMaxBatch).  The single-pair call is the size-1 batch and
+returns its row 0 (TestResult, KappaMaxResult), so both go through the
+same code and row i of a batch result equals the single-pair result for
+row i.  A row reads its diagnostic fields from its batch, which computes
+them only when first read.  The core evaluates every formula on rows
 rescaled by the power of two that puts the larger standard error in
 [0.5, 1), and with kappa split into a power of two times a mantissa in
 [0.5, 1).  Both rescalings are exact in binary floating point and every
 formula is a ratio invariant under them, so ordinary inputs give the same
 bits as the plain formulas, while standard errors near 1e-300 or kappa
-near 1e300 no longer underflow or overflow.  A contrast's variance that
-still falls below the normal range (past kappa = 2^510, with a standard
-error near 1/kappa) is taken by hypot of its unsquared terms.
+near 1e300 no longer underflow or overflow.  A contrast's variance that still falls
+below the normal range (past kappa = 2^510, with a standard error near
+1/kappa) is taken by hypot of its unsquared terms.
 
 All operations are pure functions; nothing retains state between calls.
 """
@@ -108,7 +110,6 @@ _KAPPA_SOLVER_TOL = 1e-3 * _KAPPA_TOL
 # kappa_max inverts the rd test at alpha below this only
 _KAPPA_MAX_ALPHA = 0.5
 
-_BINDING_ROOTS = ("normal_boundary", "none")
 _BATCH_FIELDS = ("est1", "se1", "est2", "se2")
 # which rows of an (est1, se1, est2, se2) stack hold standard errors
 _SE_ROWS = np.array([[False], [True], [False], [True]])
@@ -171,17 +172,11 @@ class EstimatePair:
 
     group1: SubgroupEstimate
     group2: SubgroupEstimate
-    labels: tuple[str, str] | None = None
 
     def __post_init__(self) -> None:
         for g in (self.group1, self.group2):
             if not isinstance(g, SubgroupEstimate):
                 raise TypeError(f"group members must be SubgroupEstimate, got {g!r}")
-        if self.labels is not None:
-            labels = tuple(str(s) for s in self.labels)
-            if len(labels) != 2:
-                raise ValueError("labels must hold exactly two strings")
-            object.__setattr__(self, "labels", labels)
 
 
 class _Rows(NamedTuple):
@@ -262,30 +257,26 @@ class PairBatch:
 
 @dataclass(frozen=True)
 class TestResult:
-    """Outcome of one test: statistic, component tails, supremum p-value.
+    """Outcome of one test on one pair: row ``_row`` of the TestBatch
+    ``_batch``, which holds p_value = max(components) and
+    rejected = p_value < alpha.
 
-    Invariants: p_value equals the maximum of the recorded components, and
-    rejected holds exactly when p_value < alpha.
+    Equality compares the scalar fields.  ``components`` is read from the
+    batch, so its diagnostic tails are computed only when read.
     """
 
     statistic: float
     p_value: float
-    components: Mapping[str, float]
     rejected: bool
     alpha: float
+    _batch: TestBatch = field(compare=False, repr=False)
+    _row: int = field(compare=False, repr=False)
 
     __test__ = False  # keep pytest from collecting this despite the name
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", dict(self.components))
-        if not self.components:
-            raise ValueError("at least one tail component is required")
-        if not 0.0 <= self.p_value <= 1.0:
-            raise ValueError(f"p_value must be in [0, 1], got {self.p_value!r}")
-        if self.p_value != max(self.components.values()):
-            raise ValueError("p_value must equal the largest recorded component")
-        if self.rejected != (self.p_value < self.alpha):
-            raise ValueError("rejected flag inconsistent with p_value and alpha")
+    @property
+    def components(self) -> dict[str, float]:
+        return {k: float(v[self._row]) for k, v in self._batch.components.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,45 +298,46 @@ class TestBatch:
     __test__ = False
 
     @functools.cached_property
+    def _component_columns(self) -> dict[str, np.ndarray]:
+        return self._components()  # cached as a plain dict, which pickles
+
+    @property
     def components(self) -> Mapping[str, np.ndarray]:
-        return MappingProxyType(self._components())
+        return MappingProxyType(self._component_columns)
 
     def __len__(self) -> int:
         return int(self.statistic.shape[0])
 
     def __getitem__(self, index: int) -> TestResult:
-        return TestResult(
-            statistic=float(self.statistic[index]),
-            p_value=float(self.p_value[index]),
-            components={k: float(v[index]) for k, v in self.components.items()},
-            rejected=bool(self.rejected[index]),
-            alpha=self.alpha,
-        )
+        return TestResult(float(self.statistic[index]), float(self.p_value[index]),
+                          bool(self.rejected[index]), self.alpha, self, index)
 
 
 @dataclass(frozen=True)
 class KappaMaxResult:
-    """Inverted-test summary: the largest kappa at which rejection holds.
+    """Inverted-test summary of one pair: the largest kappa at which
+    rejection holds, row ``_row`` of the KappaMaxBatch ``_batch``.
 
     ``binding_root`` is ``normal_boundary`` when kappa_max is pi_1, the
     boundary tail's root (the zero-point root pi_2 never binds; see
     kappa_max), or ``none`` when no kappa > 1 rejects (then kappa_max = 1 by
-    convention).  ``roots`` holds (pi_1, pi_2) when some kappa > 1 rejects;
-    pi_2 is +inf when the zero-point tail never climbs back to alpha.
+    convention).  ``roots`` is (pi_1, pi_2) when some kappa > 1 rejects and
+    None otherwise; pi_2 is +inf when the zero-point tail never climbs back
+    to alpha, and is searched for only when ``roots`` is read.  Equality
+    compares the scalar fields.
     """
 
     kappa_max: float
     alpha: float
     binding_root: str
-    roots: tuple[float, float] | None = None
+    _batch: KappaMaxBatch = field(compare=False, repr=False)
+    _row: int = field(compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.binding_root not in _BINDING_ROOTS:
-            raise ValueError(f"unknown binding_root {self.binding_root!r}")
-        if self.binding_root == "none" and self.kappa_max != 1.0:
-            raise ValueError("kappa_max must be 1 when no root binds")
-        if self.roots is not None and self.kappa_max != min(self.roots):
-            raise ValueError("kappa_max must equal min(roots) when roots are present")
+    @property
+    def roots(self) -> tuple[float, float] | None:
+        if self.binding_root == "none":
+            return None
+        return tuple(self._batch.roots[self._row].tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,10 +370,7 @@ class KappaMaxBatch:
 
     def __getitem__(self, index: int) -> KappaMaxResult:
         binding = str(self.binding_root[index])
-        roots = None
-        if binding != "none":
-            roots = (float(self.roots[index, 0]), float(self.roots[index, 1]))
-        return KappaMaxResult(float(self.kappa_max[index]), self.alpha, binding, roots)
+        return KappaMaxResult(float(self.kappa_max[index]), self.alpha, binding, self, index)
 
 
 @dataclass(frozen=True)
@@ -626,7 +615,7 @@ def gail_simon_test(pair: EstimatePair | PairBatch, alpha: float):
         squares = _unshrunk(np.minimum(z1 * z1, z2 * z2), 2 * rows.shrink)
     statistic = np.where(_opposite_signs(rows.x1, rows.x2), squares, 0.0)
     p = np.where(statistic > 0.0, 0.5 * chi2_1_tail(statistic), 1.0)
-    return _tested(pair, statistic, p, lambda: {"half_chi2": p}, alpha)
+    return _tested(pair, statistic, p, functools.partial(dict, half_chi2=p), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -698,15 +687,17 @@ def rd_test(pair: EstimatePair | PairBatch, kappa: float, alpha: float):
     rows = _as_batch(pair).scaled
     m, s = _kappa_split(kappa)
     t, boundary = _rd_boundary(rows, m, s)
-
-    def components():
-        outside = t > 0.0
-        nu1, nu2 = _rd_nu(rows.se1[outside], rows.se2[outside], m, s)
-        zero_point = boundary.copy()  # 1 inside the null region
-        zero_point[outside] = np.minimum(boundary[outside], _rd_zero_tail(t[outside], nu1, nu2))
-        return {"normal_boundary": boundary, "zero_point": zero_point}
-
+    components = functools.partial(_rd_components, rows, m, s, t, boundary)
     return _tested(pair, t, boundary, components, alpha)
+
+
+def _rd_components(rows: _Rows, m, s, t, boundary) -> dict[str, np.ndarray]:
+    """rd_test's component columns, the zero-point tail at most the boundary's."""
+    outside = t > 0.0
+    nu1, nu2 = _rd_nu(rows.se1[outside], rows.se2[outside], m, s)
+    zero_point = boundary.copy()  # 1 inside the null region
+    zero_point[outside] = np.minimum(boundary[outside], _rd_zero_tail(t[outside], nu1, nu2))
+    return {"normal_boundary": boundary, "zero_point": zero_point}
 
 
 def _rd_power(rows: _Rows, kappa: float, alpha: float):
@@ -821,7 +812,7 @@ def omnibus_test(pair: EstimatePair | PairBatch, kappa: float, alpha: float):
     nu = _omnibus_nu(rows.se1[outside], rows.se2[outside], m, s)
     zero_point[outside] = _omnibus_zero_tail(root_t, nu)
     components = {"normal_boundary": boundary, "zero_point": zero_point}
-    return _tested(pair, t, np.maximum(boundary, zero_point), lambda: components, alpha)
+    return _tested(pair, t, np.maximum(boundary, zero_point), components.copy, alpha)
 
 
 def _omnibus_threshold(nu, alpha: float) -> float:

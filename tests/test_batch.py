@@ -10,11 +10,13 @@ frozen here as the reference the batched solver must stay within 1e-6 of.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
+from qualint import inference
 from qualint.distributions import first_crossing
 from qualint.inference import (
     EstimatePair,
@@ -120,7 +122,9 @@ def test_tests_match_size_one_calls(batch, kappa):
         whole = test(batch, kappa, ALPHA)
         assert len(whole) == len(PANEL)
         for i, row in enumerate(PANEL):
-            assert whole[i] == test(pair(*row[:4]), kappa, ALPHA)
+            single = test(pair(*row[:4]), kappa, ALPHA)
+            assert whole[i] == single
+            assert whole[i].components == single.components
     whole_rd = rd_statistic(batch, kappa)
     whole_omnibus = omnibus_statistic(batch, kappa)
     for i, row in enumerate(PANEL):
@@ -131,13 +135,16 @@ def test_tests_match_size_one_calls(batch, kappa):
 def test_gail_simon_matches_size_one_calls(batch):
     whole = gail_simon_test(batch, ALPHA)
     for i, row in enumerate(PANEL):
-        assert whole[i] == gail_simon_test(pair(*row[:4]), ALPHA)
+        single = gail_simon_test(pair(*row[:4]), ALPHA)
+        assert whole[i] == single
+        assert whole[i].components == single.components
 
 
 def test_kappa_max_matches_size_one_calls(batch, bounds):
     for i, row in enumerate(PANEL):
         single = kappa_max(pair(*row[:4]), ALPHA)
-        assert bounds[i] == single  # kappa_max, binding_root and roots
+        assert bounds[i] == single  # kappa_max, alpha and binding_root
+        assert bounds[i].roots == single.roots
         assert single.kappa_max == bounds.kappa_max[i]
 
 
@@ -173,19 +180,35 @@ def test_boundary_root_past_the_cap_is_finite_on_both_paths(bounds):
     rows = [row[:4] for row in PANEL[:5]] + [NEVER_REACHES_ALPHA]
     whole = kappa_max(PairBatch.from_rows(rows), ALPHA)
     assert whole[5] == single
+    assert whole[5].roots == single.roots
     assert whole.kappa_max[:5].tolist() == bounds.kappa_max[:5].tolist()
 
 
 def test_kappa_max_evaluates_no_bivariate_tail_unless_roots_are_read(batch, bounds, monkeypatch):
     # the zero-point tail never exceeds the boundary tail, so the boundary
-    # tail alone decides which rows reject at the probe kappa
-    def refuse(*args):
-        raise AssertionError("bvn_upper_tail evaluated")
+    # tail alone decides which rows reject at the probe kappa, and a
+    # single-pair result is a row of its batch, reading nothing it is not asked
+    calls = []
+    tail = inference.bvn_upper_tail
 
-    monkeypatch.setattr("qualint.inference.bvn_upper_tail", refuse)
+    def counted(*args):
+        calls.append(args)
+        return tail(*args)
+
+    monkeypatch.setattr(inference, "bvn_upper_tail", counted)
     fresh = kappa_max(batch, ALPHA)
     assert fresh.kappa_max.tolist() == bounds.kappa_max.tolist()
     assert fresh.binding_root.tolist() == bounds.binding_root.tolist()
+    single = kappa_max(pair(*PANEL[0][:4]), ALPHA)
+    assert single.kappa_max == bounds.kappa_max[0]
+    tested = rd_test(pair(*PANEL[0][:4]), 2.0, ALPHA)
+    assert (tested.p_value, tested.rejected) == (rd_test(batch, 2.0, ALPHA).p_value[0], True)
+    assert not calls
+    assert single.roots == tuple(bounds.roots[0])
+    assert calls
+    calls.clear()
+    assert tested.p_value == max(tested.components.values())
+    assert calls
 
 
 def test_closed_form_matches_a_search_of_the_boundary_tail(batch, bounds):
@@ -207,6 +230,44 @@ def test_closed_form_matches_a_search_of_the_boundary_tail(batch, bounds):
         boundary_excess, lo, boundary_excess(lo, np.arange(rows.size)), 2.0, 1e9, 1e-12
     )
     assert np.all(np.abs(bounds.kappa_max[rows] - searched) <= 1e-11 * searched)
+
+
+# each kind of result: how it is computed, and the field it computes on read
+LAZY_RUNS = {
+    "rd": (lambda p: rd_test(p, 2.0, ALPHA), "components"),
+    "omnibus": (lambda p: omnibus_test(p, 2.0, ALPHA), "components"),
+    "gs": (lambda p: gail_simon_test(p, ALPHA), "components"),
+    "kappa_max": (lambda p: kappa_max(p, ALPHA), "roots"),
+}
+
+
+def snapshot(result, lazy):
+    """Every field of a result or batch, its lazy field read."""
+    if lazy == "roots":
+        roots = result.roots
+        return {"kappa_max": result.kappa_max, "alpha": result.alpha,
+                "binding_root": result.binding_root,
+                "roots": None if roots is None else np.asarray(roots)}
+    return {"statistic": result.statistic, "p_value": result.p_value,
+            "rejected": result.rejected, "alpha": result.alpha, **result.components}
+
+
+@pytest.mark.parametrize("kind", sorted(LAZY_RUNS))
+def test_results_pickle_before_and_after_their_lazy_read(batch, kind):
+    run, lazy = LAZY_RUNS[kind]
+    # a rejecting row, a row that does not reject, and the whole panel
+    for result in (run(pair(*PANEL[0][:4])), run(pair(*PANEL[2][:4])), run(batch)):
+        unread = pickle.loads(pickle.dumps(result))
+        want = snapshot(result, lazy)
+        read = pickle.loads(pickle.dumps(result))
+        for copy in (unread, read):
+            got = snapshot(copy, lazy)
+            assert got.keys() == want.keys()
+            for name, value in want.items():
+                if value is None:
+                    assert got[name] is None
+                else:
+                    np.testing.assert_array_equal(got[name], value)
 
 
 def test_empty_batch():

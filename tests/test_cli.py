@@ -964,6 +964,15 @@ class TestSimulateCommand:
         config = json.loads((tmp_path / "multi_config.json").read_text())
         assert config["n"] == [10, 20]
 
+    def test_failing_study_leaves_no_output(self, tmp_path, capsys):
+        # the n = 2 study fails (an OLS slope needs 3 pairs) after the n = 30
+        # study has run: no file of either is written
+        code = main(["simulate", "--n", "30", "2", "--reps", "5", "--theta2-step", "0.5",
+                     "--output", str(tmp_path / "s")])
+        assert code == 2
+        assert "need at least 3 pairs" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_grid_is_usage_error(self, capsys):
         code = main(["simulate", "--theta2-min", "1", "--theta2-max", "0"])
         capsys.readouterr()

@@ -75,6 +75,9 @@ CASES = {
     "power_omnibus_k11": (["power", "--kind", "omnibus", "--kappa", "1.1", "--c1-steps", "5",
                            "--c2-steps", "5"], ["power_omnibus_k11.csv"]),
     "kappa_max": (["kappa-max", PAIRS, "--alpha", "0.1"], ["kappa_max.csv"]),
+    # one pair whose zero-point root pi_2 is finite
+    "kappa_max_pair": (["kappa-max", "--est1", "1.3", "--se1", "0.4", "--est2", "0.2",
+                        "--se2", "0.3", "--alpha", "0.05"], ["kappa_max_pair.json"]),
     "simulate": (SIMULATE, ["study_n30_rates.csv", "study_n30_kappa_max.csv",
                             "study_config.json"]),
     "simulate_wide_seed": (SIMULATE_WIDE_SEED, [
@@ -88,6 +91,7 @@ KAPPA_COLUMNS = {
     "scan_rd.csv": {"kappa_max"},
     "scan_rd.json": {"kappa_max"},
     "kappa_max.csv": {"kappa_max"},
+    "kappa_max_pair.json": {"kappa_max", "roots"},
     "study_n30_kappa_max.csv": {"q10", "q50", "q90"},
     "wide_n5_kappa_max.csv": {"q10", "q50", "q90"},
     "wide_n30_kappa_max.csv": {"q10", "q50", "q90"},
@@ -127,8 +131,19 @@ def _compare_csv(got: str, want: str, columns: set[str]) -> list[str]:
     return problems
 
 
+def _close_json(got, want) -> bool:
+    """kappa_max values, or objects of them, equal to KAPPA_TOL."""
+    if isinstance(want, dict):
+        return isinstance(got, dict) and set(got) == set(want) and all(
+            _close_json(got[key], value) for key, value in want.items()
+        )
+    return _close(repr(got), repr(want))
+
+
 def _compare_json(got: str, want: str, columns: set[str]) -> list[str]:
     g, w = json.loads(got), json.loads(want)
+    if "results" not in w:  # one object: compared as a table of one result
+        g, w = {"results": [g]}, {"results": [w]}
     problems = []
     if {k: v for k, v in g.items() if k != "results"} != {
         k: v for k, v in w.items() if k != "results"
@@ -141,7 +156,7 @@ def _compare_json(got: str, want: str, columns: set[str]) -> list[str]:
             problems.append(f"result {i}: keys differ")
             continue
         for key in wr:
-            ok = _close(repr(gr[key]), repr(wr[key])) if key in columns else gr[key] == wr[key]
+            ok = _close_json(gr[key], wr[key]) if key in columns else gr[key] == wr[key]
             if not ok:
                 problems.append(f"result {i} {key}: {gr[key]!r} != {wr[key]!r}")
     return problems

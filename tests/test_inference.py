@@ -19,11 +19,9 @@ from scipy.special import ndtr
 from qualint.distributions import bvn_upper_tail, chi2_1_tail, std_normal_quantile
 from qualint.inference import (
     EstimatePair,
-    KappaMaxResult,
     LocalAlternative,
     PairBatch,
     SubgroupEstimate,
-    TestResult,
     _kappa_split,
     _omnibus_threshold,
     _rd_nu,
@@ -72,7 +70,9 @@ def draws_rejected(test, th1, se1, th2, se2, kappa, alpha):
     first 200 rows are checked against scalar calls."""
     outcome = test(PairBatch(th1, se1, th2, se2), kappa, alpha)
     for i in range(200):
-        assert outcome[i] == test(pair(th1[i], se1, th2[i], se2), kappa, alpha)
+        single = test(pair(th1[i], se1, th2[i], se2), kappa, alpha)
+        assert outcome[i] == single
+        assert outcome[i].components == single.components
     return outcome.rejected
 
 
@@ -119,37 +119,11 @@ class TestDomainTypes:
             SubgroupEstimate(0.5, 0.1, sample_size=0)
 
     def test_estimate_pair_labels(self):
-        p = EstimatePair(
-            SubgroupEstimate(1, 1), SubgroupEstimate(2, 1), labels=["a", "b"]
-        )
-        assert p.labels == ("a", "b")
-        with pytest.raises(ValueError):
-            EstimatePair(
-                SubgroupEstimate(1, 1), SubgroupEstimate(2, 1), labels=("only",)
-            )
+        # a pair holds its two groups and nothing else: no labels field
+        with pytest.raises(TypeError):
+            EstimatePair(SubgroupEstimate(1, 1), SubgroupEstimate(2, 1), labels=("a", "b"))
         with pytest.raises(TypeError):
             EstimatePair(SubgroupEstimate(1, 1), (2.0, 1.0))
-
-    def test_test_result_invariants_enforced(self):
-        comps = {"normal_boundary": 0.04, "zero_point": 0.01}
-        ok = TestResult(1.5, 0.04, comps, True, 0.05)
-        assert ok.p_value == max(ok.components.values())
-        with pytest.raises(ValueError):
-            TestResult(1.5, 0.01, comps, True, 0.05)  # p below max component
-        with pytest.raises(ValueError):
-            TestResult(1.5, 0.04, comps, False, 0.05)  # flag contradicts p < alpha
-        with pytest.raises(ValueError):
-            TestResult(1.5, 0.04, {}, True, 0.05)
-
-    def test_kappa_max_result_invariants_enforced(self):
-        KappaMaxResult(1.0, 0.05, "none")
-        KappaMaxResult(1.7, 0.05, "normal_boundary", roots=(1.7, math.inf))
-        with pytest.raises(ValueError):
-            KappaMaxResult(1.7, 0.05, "none")
-        with pytest.raises(ValueError):
-            KappaMaxResult(1.7, 0.05, "normal_boundary", roots=(1.8, 2.0))
-        with pytest.raises(ValueError):
-            KappaMaxResult(1.7, 0.05, "whatever", roots=(1.7, 2.0))
 
     def test_local_alternative_validation(self):
         LocalAlternative(1.0, -1.0, 1.0, 2.0, 0.3)
@@ -548,10 +522,8 @@ class TestOmnibusNullTail:
         )
 
     def test_large_kappa_factorizes(self):
-        from qualint.distributions import std_normal_cdf
-
         t = 2.3
-        expected = 2.0 * std_normal_cdf(-math.sqrt(t)) ** 2
+        expected = 2.0 * ndtr(-math.sqrt(t)) ** 2
         assert omnibus_null_tail(t, 1e8, 1.0, 1.0) == pytest.approx(
             expected, rel=1e-6
         )
@@ -776,6 +748,43 @@ class TestZeroPointTailNeverBinds:
         assert pi1 == pytest.approx(kappa, rel=1e-9)
 
 
+@st.composite
+def float_range_pairs(draw):
+    """Estimates (signed, or 0) and standard errors log-uniform in
+    1e-150..1e150: each drawn on its own, or a common scale times factors
+    within 1e3 of it, so that ordinary ratios are drawn at every scale."""
+    if draw(st.booleans()):
+        values = [draw(log_uniform(-150.0, 150.0)) for _ in range(4)]
+    else:
+        scale = draw(log_uniform(-150.0, 150.0))
+        values = [min(1e150, max(1e-150, scale * draw(log_uniform(-3.0, 3.0))))
+                  for _ in range(4)]
+    signs = [draw(st.sampled_from((-1.0, 0.0, 1.0))) for _ in range(2)]
+    return pair(signs[0] * values[0], values[1], signs[1] * values[2], values[3])
+
+
+class TestInvariantSweep:
+    """The result invariants over the float range: every p-value is the
+    largest of its components and decides, and kappa_max is the first of
+    its roots."""
+
+    @given(p=float_range_pairs(), kappa=log_uniform(0.0, 12.0).filter(lambda k: k > 1.0),
+           alpha=st.floats(1e-6, 0.5, exclude_max=True))
+    def test_p_value_is_the_largest_component_and_decides(self, p, kappa, alpha):
+        for res in (rd_test(p, kappa, alpha), omnibus_test(p, kappa, alpha),
+                    gail_simon_test(p, alpha)):
+            assert res.p_value == max(res.components.values())
+            assert res.rejected == (res.p_value < alpha)
+
+    @given(p=float_range_pairs(), alpha=st.floats(1e-6, 0.5, exclude_max=True))
+    def test_kappa_max_is_its_first_root(self, p, alpha):
+        res = kappa_max(p, alpha)
+        if res.binding_root == "none":
+            assert res.kappa_max == 1.0 and res.roots is None
+        else:
+            assert res.roots[0] == res.kappa_max <= res.roots[1]
+
+
 # ---------------------------------------------------------------------------
 # extreme scales of the standard errors and of kappa
 # ---------------------------------------------------------------------------
@@ -804,10 +813,13 @@ class TestFloatRange:
             base = pair(e1, s1, e2, s2)
             tiny = pair(e1 * f, s1 * f, e2 * f, s2 * f)
             for kappa in (1.5, 4.0):
-                assert rd_test(tiny, kappa, 0.05) == rd_test(base, kappa, 0.05)
-                assert omnibus_test(tiny, kappa, 0.05) == omnibus_test(base, kappa, 0.05)
-            assert gail_simon_test(tiny, 0.05) == gail_simon_test(base, 0.05)
-            assert kappa_max(tiny, 0.10) == kappa_max(base, 0.10)
+                for test in (rd_test, omnibus_test):
+                    small, unit = test(tiny, kappa, 0.05), test(base, kappa, 0.05)
+                    assert small == unit and small.components == unit.components
+            small, unit = gail_simon_test(tiny, 0.05), gail_simon_test(base, 0.05)
+            assert small == unit and small.components == unit.components
+            small, unit = kappa_max(tiny, 0.10), kappa_max(base, 0.10)
+            assert small == unit and small.roots == unit.roots
 
     def test_tiny_standard_errors_match_unit_scale(self):
         c = 1e-250
