@@ -12,7 +12,8 @@ kappa-max  effect-ratio summary for a pair or a CSV of pairs
 This module parses arguments and input files and formats results; every
 computation, input validation included, belongs to the numeric core.  Each
 subcommand accepts only the flags it reads, so any other flag is a usage
-error.
+error.  network imports qualint.estimators and simulate qualint.simulation
+when they run, so no other command's cold start loads them.
 
 Conventions shared by every command: numeric output carries 10
 significant digits.  Exit codes: 0 success, 1 runtime/numerical failure, 2
@@ -61,7 +62,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from qualint.estimators import FeatureMatrix, pearson
 from qualint.inference import (
     _KAPPA_MAX_ALPHA,
     _SE_ROWS,
@@ -79,7 +79,6 @@ from qualint.inference import (
     rd_local_power,
     rd_test,
 )
-from qualint.simulation import _STREAM_INDEX_LIMIT, SimulationConfig, run_rejection_study
 
 __all__ = ["main"]
 
@@ -472,6 +471,8 @@ def _read_matrix(path: str) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def _cmd_network(args) -> int:
+    from qualint.estimators import FeatureMatrix, pearson
+
     features, data1 = _read_matrix(args.matrix1)
     features2, data2 = _read_matrix(args.matrix2)
     if features != features2:
@@ -561,6 +562,8 @@ def _cmd_power(args) -> int:
 
 def _theta2_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
     """lo, lo + step, ..., hi, its arguments checked before any point is built."""
+    from qualint.simulation import _STREAM_INDEX_LIMIT
+
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise UsageError("--theta2-min, --theta2-max and --theta2-step must be finite")
     if step <= 0 or hi < lo:
@@ -573,6 +576,8 @@ def _theta2_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
 
 
 def _cmd_simulate(args) -> int:
+    from qualint.simulation import SimulationConfig, run_rejection_study
+
     grid = _theta2_grid(args.theta2_min, args.theta2_max, args.theta2_step)
     prefix = args.output or "study"
     tables = []  # (path, fieldnames, columns) of every study, written once all have run

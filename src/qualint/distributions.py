@@ -16,6 +16,8 @@ computes them with numpy and the standard library alone:
   algorithm, absolute error about 1e-15 (the budget is 1e-14), and in the
   upper tail Owen's (1956) decomposition written as a sum of positive
   integrals, which keeps about 1e-13 relative accuracy down to 1e-300.
+  Their Gauss-Legendre and Gauss-Laguerre node tables are frozen
+  constants, as in Genz's own code, so importing the module computes none.
 
 The tail kernels evaluate whole arrays elementwise (scalar arguments give a
 float back), and ``first_crossing`` solves one root per row for a whole
@@ -31,8 +33,6 @@ from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
-from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "bvn_upper_tail",
@@ -142,8 +142,39 @@ _PHI_TAIL = len(_PHI_PIECES) - 1
 
 _STANDARD_NORMAL = NormalDist()
 
+# Gauss-Legendre rules on (-1, 1), frozen as constants as in Genz's own code:
+# the positive nodes of each symmetric rule, ascending, and their weights,
+# keyed by the number of points.  _legendre(n) gives the bits of numpy's
+# leggauss(n).
+_LEGENDRE_HALVES = {
+    6: ([0.2386191860831969, 0.6612093864662645, 0.9324695142031519],
+        [0.46791393457269104, 0.3607615730481387, 0.17132449237917027]),
+    12: ([0.1252334085114689, 0.3678314989981802, 0.5873179542866175, 0.7699026741943047,
+          0.9041172563704748, 0.9815606342467192],
+         [0.2491470458134027, 0.2334925365383546, 0.20316742672306573, 0.16007832854334642,
+          0.10693932599531907, 0.04717533638651141]),
+    16: ([0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+          0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499],
+         [0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+          0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+          0.062253523938647456, 0.027152459411754176]),
+    20: ([0.07652652113349734, 0.22778585114164507, 0.37370608871541955,
+          0.5108670019508271, 0.636053680726515, 0.7463319064601508, 0.8391169718222188,
+          0.912234428251326, 0.9639719272779138, 0.993128599185095],
+         [0.15275338713072628, 0.14917298647260424, 0.1420961093183824, 0.1316886384491769,
+          0.1181945319615186, 0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+          0.040601429800386446, 0.017614007139150893]),
+}
+
+
+def _legendre(n):
+    """The n-point Gauss-Legendre nodes, ascending, and weights."""
+    x, w = map(np.array, _LEGENDRE_HALVES[n])
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+
+
 # Genz's rule: Gauss-Legendre nodes, mapped to (0, 2), by |rho| regime.
-_GENZ_NODES = [(1.0 + x, w) for x, w in map(leggauss, (6, 12, 20))]
+_GENZ_NODES = [(1.0 + x, w) for x, w in map(_legendre, (6, 12, 20))]
 # |rho| below each bound takes the nodes of that index; from 0.925 on the
 # kernel integrates Genz's asymptotic expansion with the 20 nodes instead.
 _GENZ_REGIMES = np.array([0.3, 0.75, 0.925])
@@ -154,8 +185,19 @@ _GENZ_REGIMES = np.array([0.3, 0.75, 0.925])
 # integrand's singularity lies 18 or more from 0, so 16 nodes reach 2e-15).
 _DEEP = 5.0
 _OWEN_SPLIT = 6.0
-_OWEN_NEAR = leggauss(16)
-_OWEN_FAR = laggauss(16)
+_OWEN_NEAR = _legendre(16)
+# the 16-point Gauss-Laguerre nodes and weights, frozen: numpy's laggauss(16)
+_OWEN_FAR = tuple(map(np.array, (
+    [0.08764941047892776, 0.4626963289150804, 1.1410577748312265, 2.1292836450983805,
+     3.4370866338932067, 5.078018614549768, 7.070338535048234, 9.438314336391938,
+     12.21422336886616, 15.441527368781617, 19.180156856753136, 23.515905693991908,
+     28.57872974288214, 34.58339870228662, 41.94045264768833, 51.70116033954332],
+    [0.2061517149578049, 0.3310578549508783, 0.2657957776442144, 0.13629693429637874,
+     0.04732892869412563, 0.011299900080339598, 0.0018490709435263271,
+     0.0002042719153082809, 1.4844586873981502e-05, 6.828319330871331e-07,
+     1.8810248410797222e-08, 2.862350242973897e-10, 2.1270790332241214e-12,
+     6.29796700251788e-15, 5.050473700035608e-18, 4.161462370372851e-22],
+)))
 
 
 def _gaussian(x, m):

@@ -608,12 +608,15 @@ def gail_simon_test(pair: EstimatePair | PairBatch, alpha: float):
     (1/2) P(chi-squared_1 > t) for t > 0 and 1 at t = 0.
     """
     _check_alpha(alpha)
-    rows = _as_batch(pair).scaled
+    batch = _as_batch(pair)
+    # each group's z from its own columns: a rescaling shared by both groups
+    # would underflow the smaller group to 0 / 0 once its SE is 2^-1074 of
+    # the other's
     with np.errstate(over="ignore"):  # +inf past the float range
-        z1 = rows.x1 / rows.se1
-        z2 = rows.x2 / rows.se2
-        squares = _unshrunk(np.minimum(z1 * z1, z2 * z2), 2 * rows.shrink)
-    statistic = np.where(_opposite_signs(rows.x1, rows.x2), squares, 0.0)
+        z1 = batch.est1 / batch.se1
+        z2 = batch.est2 / batch.se2
+        squares = np.minimum(z1 * z1, z2 * z2)
+    statistic = np.where(_opposite_signs(batch.est1, batch.est2), squares, 0.0)
     p = np.where(statistic > 0.0, 0.5 * chi2_1_tail(statistic), 1.0)
     return _tested(pair, statistic, p, functools.partial(dict, half_chi2=p), alpha)
 

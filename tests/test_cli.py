@@ -140,6 +140,16 @@ class TestTestCommand:
         assert payload["components"] == {"half_chi2": payload["p_value"]}
         assert "kappa" not in payload
 
+    def test_gs_groups_on_scales_1e599_apart(self, capsys):
+        # z1 = -0.1 and z2 = 1: a rescaling shared by both groups underflowed
+        # group 1 to 0 / 0 and printed statistic 0, p 1
+        code = main(["test", "--kind", "gs", "--est1=-1e-300", "--se1", "1e-299",
+                     "--est2", "1e300", "--se2", "1e300"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["statistic"] == 0.01
+        assert payload["p_value"] == 0.4601721627  # Phi(-0.1)
+
     def test_missing_flag_is_usage_error(self, capsys):
         code = main(["test", "--kind", "rd", "--est1", "1", "--se1", "0.3", "--est2", "-1"])
         capsys.readouterr()

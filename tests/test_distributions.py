@@ -175,6 +175,20 @@ class TestChi2Tail:
 
 
 class TestBvnUpperTail:
+    def test_frozen_node_tables_are_numpys(self):
+        # the kernel ships its quadrature rules as constants; they hold the
+        # bits numpy.polynomial computes
+        from numpy.polynomial.laguerre import laggauss
+        from numpy.polynomial.legendre import leggauss
+
+        from qualint.distributions import _OWEN_FAR, _legendre
+
+        for n in (6, 12, 16, 20):
+            for frozen, computed in zip(_legendre(n), leggauss(n)):
+                assert np.array_equal(frozen, computed), n
+        for frozen, computed in zip(_OWEN_FAR, laggauss(16)):
+            assert np.array_equal(frozen, computed)
+
     def test_independence_factorization(self):
         got = bvn_upper_tail(1.0, 0.5, 0.0)
         want = (1.0 - ndtr(1.0)) * (1.0 - ndtr(0.5))

@@ -98,12 +98,16 @@ KAPPA_COLUMNS = {
 }
 
 
-def run_case(name: str, out_dir: Path, golden: Path = GOLDEN) -> None:
+def case_argv(name: str, out_dir: Path, golden: Path = GOLDEN) -> list[str]:
     argv, outputs = CASES[name]
     argv = [a.format(golden=golden, out=out_dir) for a in argv]
     if "--output" not in argv:
         argv += ["--output", str(out_dir / outputs[0])]
-    code = main(argv)
+    return argv
+
+
+def run_case(name: str, out_dir: Path, golden: Path = GOLDEN) -> None:
+    code = main(case_argv(name, out_dir, golden))
     assert code == 0, f"{name}: exit {code}"
 
 
@@ -203,17 +207,34 @@ def test_pair_file_variants_match_golden(name, variant, tmp_path):
     assert_matches_golden(name, tmp_path)
 
 
-def test_cli_runs_without_scipy():
-    # the runtime needs numpy only: neither importing the CLI nor running the
-    # golden test_rd case may load scipy, which the test extra installs for
-    # the reference values
+# modules that only network (qualint.estimators) or simulate (the rest)
+# runs; no other command may load them
+DEFERRED = ("qualint.estimators", "qualint.simulation", "numpy.random", "numpy.polynomial")
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # the runtime needs numpy only: neither importing the CLI nor running a
+    # golden case may load scipy, which the test extra installs for the
+    # reference values; and a command loads only the modules it runs
+    light = [case_argv(name, tmp_path) for name in sorted(CASES)
+             if name.startswith(("test_", "scan_", "power_", "kappa_max"))]
     script = (
         "import sys\n"
+        f"deferred = set({DEFERRED!r})\n"
         "import qualint.cli\n"
         "assert 'scipy' not in sys.modules, 'import qualint.cli loaded scipy'\n"
-        f"code = qualint.cli.main({CASES['test_rd'][0]!r})\n"
-        "assert code == 0, code\n"
+        "assert not deferred & set(sys.modules), sorted(deferred & set(sys.modules))\n"
+        f"for argv in {light!r}:\n"
+        "    assert qualint.cli.main(argv) == 0, argv\n"
         "assert 'scipy' not in sys.modules, 'main() loaded scipy'\n"
+        "assert not deferred & set(sys.modules), sorted(deferred & set(sys.modules))\n"
+        f"assert qualint.cli.main({case_argv('network', tmp_path)!r}) == 0\n"
+        "assert deferred & set(sys.modules) == {'qualint.estimators'}\n"
+        # every public name imports from the package and is listed by dir()
+        "import qualint\n"
+        "names = {}\n"
+        "exec('from qualint import *', names)\n"
+        "assert set(qualint.__all__) <= set(names) and set(qualint.__all__) <= set(dir(qualint))\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
@@ -763,26 +763,95 @@ def float_range_pairs(draw):
     return pair(signs[0] * values[0], values[1], signs[1] * values[2], values[3])
 
 
+def group_scaled(p, f1, f2):
+    """p with group 1's estimate and SE times f1 and group 2's times f2."""
+    g1, g2 = p.group1, p.group2
+    return pair(g1.estimate * f1, g1.std_error * f1, g2.estimate * f2, g2.std_error * f2)
+
+
+def three_tests(p, kappa, alpha):
+    return rd_test(p, kappa, alpha), omnibus_test(p, kappa, alpha), gail_simon_test(p, alpha)
+
+
+SWEEP_KAPPAS = log_uniform(0.0, 12.0).filter(lambda k: k > 1.0)
+SWEEP_ALPHAS = st.floats(1e-6, 0.5, exclude_max=True)
+SIGNED_ESTIMATES = st.tuples(st.sampled_from((-1.0, 0.0, 1.0)), log_uniform(-3.0, 3.0)).map(
+    lambda drawn: drawn[0] * drawn[1])
+
+
+@pytest.mark.filterwarnings("error")
 class TestInvariantSweep:
     """The result invariants over the float range: every p-value is the
     largest of its components and decides, and kappa_max is the first of
-    its roots."""
+    its roots; the tests are invariant under scaling and under exchange and
+    sign symmetries, the rd p-value grows with kappa, and kappa_max is where
+    rd_test stops rejecting."""
 
-    @given(p=float_range_pairs(), kappa=log_uniform(0.0, 12.0).filter(lambda k: k > 1.0),
-           alpha=st.floats(1e-6, 0.5, exclude_max=True))
+    @given(p=float_range_pairs(), kappa=SWEEP_KAPPAS, alpha=SWEEP_ALPHAS)
     def test_p_value_is_the_largest_component_and_decides(self, p, kappa, alpha):
         for res in (rd_test(p, kappa, alpha), omnibus_test(p, kappa, alpha),
                     gail_simon_test(p, alpha)):
             assert res.p_value == max(res.components.values())
             assert res.rejected == (res.p_value < alpha)
 
-    @given(p=float_range_pairs(), alpha=st.floats(1e-6, 0.5, exclude_max=True))
+    @given(p=float_range_pairs(), alpha=SWEEP_ALPHAS)
     def test_kappa_max_is_its_first_root(self, p, alpha):
         res = kappa_max(p, alpha)
         if res.binding_root == "none":
             assert res.kappa_max == 1.0 and res.roots is None
         else:
             assert res.roots[0] == res.kappa_max <= res.roots[1]
+
+    @given(p=float_range_pairs(), kappa=SWEEP_KAPPAS, alpha=SWEEP_ALPHAS,
+           exponent=st.integers(-465, 465), factor=log_uniform(-140.0, 140.0))
+    def test_tests_are_invariant_under_a_common_scale(self, p, kappa, alpha, exponent, factor):
+        # a power of two scales every estimate and SE exactly; any other
+        # factor rounds them, which may move p by a few ulp
+        base = three_tests(p, kappa, alpha)
+        exact = group_scaled(p, 2.0**exponent, 2.0**exponent)
+        assert three_tests(exact, kappa, alpha) == base
+        assert kappa_max(exact, alpha) == kappa_max(p, alpha)
+        near = three_tests(group_scaled(p, factor, factor), kappa, alpha)
+        for got, want in zip(near, base):
+            assert got.p_value == pytest.approx(want.p_value, rel=1e-12, abs=0.0)
+
+    @example(e1=-0.1, s1=1.0, e2=1.0, s2=1.0, k1=-993, k2=996)
+    @given(e1=SIGNED_ESTIMATES, e2=SIGNED_ESTIMATES, s1=st.floats(0.5, 2.0),
+           s2=st.floats(0.5, 2.0), k1=st.integers(-996, 996), k2=st.integers(-996, 996))
+    def test_gail_simon_is_invariant_under_scaling_each_group(self, e1, s1, e2, s2, k1, k2):
+        # each group by its own power of two, 1e-300..1e300: z1 and z2 do
+        # not move, however far apart the two groups' scales lie
+        base = pair(e1, s1, e2, s2)
+        assert gail_simon_test(group_scaled(base, 2.0**k1, 2.0**k2), 0.05) == gail_simon_test(
+            base, 0.05)
+
+    @given(p=float_range_pairs(), kappa=SWEEP_KAPPAS, alpha=SWEEP_ALPHAS)
+    def test_exchange_and_sign_symmetry(self, p, kappa, alpha):
+        e1, s1 = p.group1.estimate, p.group1.std_error
+        e2, s2 = p.group2.estimate, p.group2.std_error
+        base = three_tests(p, kappa, alpha)
+        assert three_tests(pair(e2, s2, e1, s1), kappa, alpha) == base
+        assert three_tests(pair(-e1, s1, -e2, s2), kappa, alpha) == base
+        # the magnitude-ratio test ignores every sign pattern
+        assert rd_test(pair(-e1, s1, e2, s2), kappa, alpha) == base[0]
+        bound = kappa_max(p, alpha)
+        for other in (pair(e2, s2, e1, s1), pair(-e1, s1, e2, s2), pair(e1, s1, -e2, s2)):
+            assert kappa_max(other, alpha) == bound
+
+    @given(p=float_range_pairs(), kappas=st.tuples(SWEEP_KAPPAS, SWEEP_KAPPAS),
+           alpha=SWEEP_ALPHAS)
+    def test_rd_p_value_nondecreasing_in_kappa(self, p, kappas, alpha):
+        low, high = sorted(kappas)
+        assert rd_test(p, low, alpha).p_value <= rd_test(p, high, alpha).p_value
+
+    @given(p=float_range_pairs(), alpha=SWEEP_ALPHAS)
+    def test_rd_test_rejects_up_to_kappa_max(self, p, alpha):
+        bound = kappa_max(p, alpha).kappa_max
+        below, above = bound * (1.0 - 1e-6), bound * (1.0 + 1e-6)
+        if below > 1.0:
+            assert rd_test(p, below, alpha).rejected
+        if math.isfinite(above):
+            assert not rd_test(p, above, alpha).rejected
 
 
 # ---------------------------------------------------------------------------
