@@ -37,11 +37,10 @@ from qualint.inference import (
 # the deferred names and their modules: simulation imports numpy.random,
 # which a command that runs no study need not pay for
 _DEFERRED = {
-    **dict.fromkeys(("EstimateBatch", "EstimationError", "FeatureMatrix", "Sample2D",
-                     "SampleBatch", "ols_slope", "pearson"), "qualint.estimators"),
-    **dict.fromkeys(("EmpiricalTail", "SimulationConfig", "StudyResult", "generate_dataset",
-                     "mc_null_oracle", "run_kappa_max_study", "run_rejection_study"),
-                    "qualint.simulation"),
+    **dict.fromkeys(("EstimateBatch", "EstimationError", "FeatureMatrix", "SampleBatch",
+                     "ols_slope", "pearson"), "qualint.estimators"),
+    **dict.fromkeys(("EmpiricalTail", "SimulationConfig", "StudyResult", "mc_null_oracle",
+                     "run_rejection_study"), "qualint.simulation"),
 }
 
 
@@ -67,7 +66,6 @@ __all__ = [
     "KappaMaxResult",
     "LocalAlternative",
     "PairBatch",
-    "Sample2D",
     "SampleBatch",
     "SimulationConfig",
     "StudyResult",
@@ -75,7 +73,6 @@ __all__ = [
     "TestBatch",
     "TestResult",
     "gail_simon_test",
-    "generate_dataset",
     "kappa_max",
     "mc_null_oracle",
     "ols_slope",
@@ -89,7 +86,6 @@ __all__ = [
     "rd_power_approx",
     "rd_statistic",
     "rd_test",
-    "run_kappa_max_study",
     "run_rejection_study",
 ]
 

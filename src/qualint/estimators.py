@@ -9,17 +9,16 @@ after centering and scaling:
 * :func:`pearson` - product-moment correlation with the large-sample
   standard error (1 - r^2) / sqrt(n).
 
-Each accepts one :class:`Sample2D` and returns a
-:class:`~qualint.inference.SubgroupEstimate`, or many samples at once and
-returns an :class:`EstimateBatch`: a :class:`SampleBatch` of equal-size
-samples stacked as rows, or a :class:`FeatureMatrix`, whose every feature
-pair is one sample.  The single sample is the size-1 case of the same code.
+Each takes many samples at once and returns an :class:`EstimateBatch`,
+one estimate per sample: a :class:`SampleBatch` of equal-size samples
+stacked as rows, or a :class:`FeatureMatrix`, whose every feature pair is
+one sample.  One sample is a one-row SampleBatch, its estimate row 0.
 
 Degenerate samples (non-finite values, zero spread in a needed
 coordinate, or a perfect linear fit that would zero out the standard
-error) raise :class:`EstimationError` for a single sample instead of
-emitting an estimate the tests cannot standardize; in a batch they are
-reported per row.  Fewer than three points is an error either way.
+error) are not errors: they are coded per row, and ``reason(i)`` says why
+row i yields no estimate the tests can standardize.  Fewer than three
+points, or arrays of the wrong shape, raise :class:`EstimationError`.
 
 Every row is scaled exactly by the power of two of its largest |value|
 before centering, and the slope and its SE are scaled back.  Results are
@@ -41,13 +40,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qualint.inference import SubgroupEstimate, _rule_violation, _valid
+from qualint.inference import _rule_violation, _valid
 
 __all__ = [
     "EstimateBatch",
     "EstimationError",
     "FeatureMatrix",
-    "Sample2D",
     "SampleBatch",
     "ols_slope",
     "pearson",
@@ -74,42 +72,6 @@ class EstimationError(ValueError):
 def _require_size(n: int) -> None:
     if n < 3:
         raise EstimationError(f"need at least 3 pairs, got {n}")
-
-
-@dataclass(frozen=True, eq=False)
-class Sample2D:
-    """One sub-population's paired observations, validated on construction.
-
-    Arrays are coerced to 1-D float64.  Requirements: equal lengths, at
-    least three pairs (the slope standard error spends two degrees of
-    freedom), all values finite, and non-constant x.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if x.ndim != 1 or y.ndim != 1:
-            raise EstimationError("x and y must be one-dimensional")
-        if x.shape[0] != y.shape[0]:
-            raise EstimationError(
-                f"x and y lengths differ: {x.shape[0]} vs {y.shape[0]}"
-            )
-        _require_size(x.shape[0])
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise EstimationError(_REASONS[_NON_FINITE])
-        if np.ptp(x) == 0.0:
-            raise EstimationError(_REASONS[_X_CONSTANT])
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def __len__(self) -> int:
-        return int(self.x.shape[0])
-
-    def __repr__(self) -> str:
-        return f"Sample2D(n={len(self)})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,13 +136,12 @@ class EstimateBatch:
     """One estimate per row of a SampleBatch or pair of a FeatureMatrix.
 
     ``ok`` marks the rows with a usable estimate; ``reason(i)`` says why row
-    i is degenerate, in the words a single-sample call raises, or returns
-    None.  ``estimate`` and ``std_error`` carry no meaning on degenerate rows.
+    i is degenerate, or returns None.  ``estimate`` and ``std_error`` carry
+    no meaning on degenerate rows.
     """
 
     estimate: np.ndarray
     std_error: np.ndarray
-    sample_size: int
     code: np.ndarray
 
     @property
@@ -249,7 +210,7 @@ def _data_codes(finite: np.ndarray, x_constant: np.ndarray) -> np.ndarray:
     return np.where(finite, np.where(x_constant, _X_CONSTANT, _OK), _NON_FINITE)
 
 
-def _sums(sample: Sample2D | SampleBatch | FeatureMatrix) -> _Sums:
+def _sums(sample: SampleBatch | FeatureMatrix) -> _Sums:
     # non-finite rows are flagged by code; their arithmetic is discarded
     with np.errstate(invalid="ignore"):
         if isinstance(sample, FeatureMatrix):
@@ -268,37 +229,20 @@ def _sums(sample: Sample2D | SampleBatch | FeatureMatrix) -> _Sums:
                 code,
                 constant[second],
             )
-        x, y = np.atleast_2d(sample.x), np.atleast_2d(sample.y)
-        dx, ex, x_finite, x_constant = _scaled_deviations(x)
-        dy, ey, y_finite, y_constant = _scaled_deviations(y)
+        dx, ex, x_finite, x_constant = _scaled_deviations(sample.x)
+        dy, ey, y_finite, y_constant = _scaled_deviations(sample.y)
         code = _data_codes(x_finite & y_finite, x_constant)
-        return _Sums(x.shape[1], _dot(dx, dx), _dot(dx, dy), _dot(dy, dy), ey - ex, code, y_constant)
+        n = dx.shape[1]
+        return _Sums(n, _dot(dx, dx), _dot(dx, dy), _dot(dy, dy), ey - ex, code, y_constant)
 
 
-def _result(sample, batch: EstimateBatch) -> SubgroupEstimate | EstimateBatch:
-    """The batch for a batch input; for one Sample2D its only estimate."""
-    if not isinstance(sample, Sample2D):
-        return batch
-    reason = batch.reason(0)
-    if reason is not None:
-        raise EstimationError(reason)
-    return SubgroupEstimate(
-        estimate=float(batch.estimate[0]),
-        std_error=float(batch.std_error[0]),
-        sample_size=batch.sample_size,
-    )
-
-
-def ols_slope(
-    sample: Sample2D | SampleBatch | FeatureMatrix,
-) -> SubgroupEstimate | EstimateBatch:
+def ols_slope(sample: SampleBatch | FeatureMatrix) -> EstimateBatch:
     """Least-squares slope of y on x with its classical standard error.
 
     slope = Sxy / Sxx; se = sqrt((RSS / (n - 2)) / Sxx) with
     RSS = Syy - Sxy^2 / Sxx.  A perfect fit (zero residual variance) leaves
     nothing to standardize against, and a standard error the tests do not
-    accept (finite and > 1e-300) is no better: EstimationError for a
-    Sample2D, a degenerate row in the EstimateBatch of a batch.
+    accept (finite and > 1e-300) is no better: either is a degenerate row.
     """
     s = _sums(sample)
     # degenerate rows are flagged by code, not by floating-point warnings
@@ -310,18 +254,14 @@ def ols_slope(
         fit = np.isfinite(se) & (se > 0.0)
     usable = np.where(_valid(se, se=True), _OK, _SE_RULE)
     code = np.where(s.code != _OK, s.code, np.where(fit, usable, _PERFECT_FIT))
-    return _result(sample, EstimateBatch(slope, se, s.n, code))
+    return EstimateBatch(slope, se, code)
 
 
-def pearson(
-    sample: Sample2D | SampleBatch | FeatureMatrix,
-) -> SubgroupEstimate | EstimateBatch:
+def pearson(sample: SampleBatch | FeatureMatrix) -> EstimateBatch:
     """Product-moment correlation with the large-sample standard error.
 
     r = Sxy / sqrt(Sxx Syy); se = (1 - r^2) / sqrt(n).  Constant y or a
-    numerically perfect correlation (|r| >= 1) is degenerate:
-    EstimationError for a Sample2D, a degenerate row in the EstimateBatch
-    of a batch.
+    numerically perfect correlation (|r| >= 1) is a degenerate row.
     """
     s = _sums(sample)
     with np.errstate(all="ignore"):
@@ -330,4 +270,4 @@ def pearson(
         code = np.select(
             [s.code != _OK, s.y_constant, np.abs(r) >= 1.0], [s.code, _Y_CONSTANT, _R_ONE], _OK
         )
-    return _result(sample, EstimateBatch(r, se, s.n, code))
+    return EstimateBatch(r, se, code)

@@ -24,8 +24,12 @@ when the components are read.
 
 Conventions (uniform across the module):
 
-* A non-positive statistic means the estimate pair sits inside (or on the
-  boundary of) the null region; the p-value is then 1.
+* A pair inside (or on the boundary of) the null region has p-value 1.
+  The relative-difference statistic is then non-positive.  The Gail-Simon
+  and omnibus statistics are squares, 0 off the alternative region, and
+  their p-values follow the region rather than the statistic: a pair in
+  the region whose statistic underflows to 0 gets the t -> 0+ limit of
+  its p-value, not 1.
 * The boundary component of the relative-difference family is the
   two-sided tail min(1, 2(1 - Phi(t))); the omnibus boundary component is
   the one-sided 1 - Phi(sqrt(t)).  The kappa_max inversion, the null
@@ -33,8 +37,7 @@ Conventions (uniform across the module):
   rejection decisions and inverted roots agree to tolerance.
 * All formulas depend on (sigma_g, n_g) only through se_g = sigma_g /
   sqrt(n_g) and on scale-free ratios thereof, so the API takes per-group
-  (estimate, std_error) pairs; sample sizes are carried as optional
-  metadata.
+  (estimate, std_error) pairs and no sample sizes.
 
 Array-first core: every test, statistic and kappa_max accepts either one
 EstimatePair or a PairBatch of many rows, and a batch call returns arrays
@@ -149,21 +152,17 @@ class SubgroupEstimate:
     """One sub-population's estimated association with its standard error.
 
     ``std_error`` is sigma_g / sqrt(n_g) in asymptotic terms; it must be
-    finite and strictly positive (above 1e-300).  ``sample_size`` is
-    optional metadata and takes no part in any formula.
+    finite and strictly positive (above 1e-300).
     """
 
     estimate: float
     std_error: float
-    sample_size: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "estimate", float(self.estimate))
         object.__setattr__(self, "std_error", float(self.std_error))
         _check_input("estimate", self.estimate, se=False)
         _check_input("std_error", self.std_error, se=True)
-        if self.sample_size is not None and int(self.sample_size) < 1:
-            raise ValueError(f"sample_size must be positive, got {self.sample_size!r}")
 
 
 @dataclass(frozen=True)
@@ -570,11 +569,13 @@ def _omnibus_region(x1, x2, m, s):
 
 
 def _omnibus_stat(rows: _Rows, m, s):
+    """The omnibus statistic of the rows and their alternative-region mask."""
     x1, x2, se1, se2 = rows.x1, rows.x2, rows.se1, rows.se2
     q1 = _square_contrast(x1 * s - m * x2, se1, se2, s, m)
     q2 = _square_contrast(m * x1 - x2 * s, se1, se2, m, s)
     q = _unshrunk(np.minimum(q1, q2), 2 * rows.shrink)
-    return np.where(_omnibus_region(x1, x2, m, s), q, 0.0)
+    region = _omnibus_region(x1, x2, m, s)
+    return np.where(region, q, 0.0), region
 
 
 def _omnibus_nu(se1, se2, m, s):
@@ -605,7 +606,8 @@ def gail_simon_test(pair: EstimatePair | PairBatch, alpha: float):
 
     The statistic is the smaller squared standardized estimate when the
     signs strictly oppose, and 0 otherwise; the supremum p-value is
-    (1/2) P(chi-squared_1 > t) for t > 0 and 1 at t = 0.
+    (1/2) P(chi-squared_1 > t) when they oppose, also where t underflows
+    to 0, and 1 otherwise.
     """
     _check_alpha(alpha)
     batch = _as_batch(pair)
@@ -616,8 +618,9 @@ def gail_simon_test(pair: EstimatePair | PairBatch, alpha: float):
         z1 = batch.est1 / batch.se1
         z2 = batch.est2 / batch.se2
         squares = np.minimum(z1 * z1, z2 * z2)
-    statistic = np.where(_opposite_signs(batch.est1, batch.est2), squares, 0.0)
-    p = np.where(statistic > 0.0, 0.5 * chi2_1_tail(statistic), 1.0)
+    crossed = _opposite_signs(batch.est1, batch.est2)
+    statistic = np.where(crossed, squares, 0.0)
+    p = np.where(crossed, 0.5 * chi2_1_tail(statistic), 1.0)
     return _tested(pair, statistic, p, functools.partial(dict, half_chi2=p), alpha)
 
 
@@ -771,7 +774,7 @@ def omnibus_statistic(pair: EstimatePair | PairBatch, kappa: float):
     opposite-sign pairs always qualify.
     """
     _check_kappa(kappa)
-    return _per_row(pair, _omnibus_stat(_as_batch(pair).scaled, *_kappa_split(kappa)))
+    return _per_row(pair, _omnibus_stat(_as_batch(pair).scaled, *_kappa_split(kappa))[0])
 
 
 def _omnibus_zero_tail(root_t, nu):
@@ -799,21 +802,20 @@ def omnibus_test(pair: EstimatePair | PairBatch, kappa: float, alpha: float):
       = 1 - Phi(sqrt(t)), the supremum over non-origin null points;
     * ``zero_point`` - omnibus_null_tail(t).
 
-    A zero statistic (estimates outside the alternative region) yields
-    p-value 1.  For very large kappa the p-value converges to the
+    Estimates outside the alternative region (statistic 0) yield p-value
+    1; inside it, a statistic that underflows to 0 yields the components'
+    t -> 0+ limits.  For very large kappa the p-value converges to the
     Gail-Simon p-value.  A PairBatch gives a TestBatch.
     """
     _check_kappa(kappa, strict=True)
     _check_alpha(alpha)
     rows = _as_batch(pair).scaled
     m, s = _kappa_split(kappa)
-    t = _omnibus_stat(rows, m, s)
-    outside = t > 0.0
-    boundary = np.where(outside, 0.5 * chi2_1_tail(t), 1.0)
+    t, region = _omnibus_stat(rows, m, s)
+    boundary = np.where(region, 0.5 * chi2_1_tail(t), 1.0)
     zero_point = np.ones_like(t)
-    root_t = np.sqrt(t[outside])
-    nu = _omnibus_nu(rows.se1[outside], rows.se2[outside], m, s)
-    zero_point[outside] = _omnibus_zero_tail(root_t, nu)
+    nu = _omnibus_nu(rows.se1[region], rows.se2[region], m, s)
+    zero_point[region] = _omnibus_zero_tail(np.sqrt(t[region]), nu)
     components = {"normal_boundary": boundary, "zero_point": zero_point}
     return _tested(pair, t, np.maximum(boundary, zero_point), components.copy, alpha)
 

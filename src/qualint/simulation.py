@@ -15,10 +15,10 @@ same replicate count come from one ``np.quantile`` call on their
 (points, replicates) block.
 
 Reproducibility contract: the stream for replicate r of grid point g is
-``numpy.random.default_rng([seed, g, r])``; the group-1 sample is drawn
-before the group-2 sample from that stream, each exactly as
-``generate_dataset`` draws it.  Results are therefore bit-identical for a
-given config.
+``numpy.random.default_rng([seed, g, r])``.  From it the group-1 sample is
+drawn before the group-2 sample, each as an x block of n standard normals
+and then a noise block eps of n more, with y = theta * x + eps.  Results
+are therefore bit-identical for a given config.
 
 The streams are not built by ``default_rng``, whose SeedSequence hashing
 costs more than a replicate's draws.  One vectorised pass of numpy's
@@ -50,7 +50,7 @@ from typing import Iterator, Mapping
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from qualint.estimators import Sample2D, SampleBatch, _require_size, ols_slope
+from qualint.estimators import SampleBatch, _require_size, ols_slope
 from qualint.inference import (
     _KAPPA_MAX_ALPHA,
     PairBatch,
@@ -69,9 +69,7 @@ __all__ = [
     "RateCell",
     "SimulationConfig",
     "StudyResult",
-    "generate_dataset",
     "mc_null_oracle",
-    "run_kappa_max_study",
     "run_rejection_study",
 ]
 
@@ -148,7 +146,7 @@ class StudyResult:
 
     ``rates`` is ordered by (grid position, kappa position, test kind).
     ``kappa_max_quantiles`` maps theta2 -> {0.1: v, 0.5: v, 0.9: v}; it is
-    empty when the study did not compute the inversion.  ``dropped`` counts
+    empty when alpha >= 1/2, outside the inversion's domain.  ``dropped`` counts
     discarded replicates per theta2 (degenerate estimation).
     """
 
@@ -166,23 +164,6 @@ class StudyResult:
             ):
                 return cell
         raise KeyError(f"no rate cell for theta2={theta2}, kappa={kappa}, {test!r}")
-
-
-# ---------------------------------------------------------------------------
-# data generation
-# ---------------------------------------------------------------------------
-
-
-def generate_dataset(theta: float, n: int, rng_stream: np.random.Generator) -> Sample2D:
-    """Draw n pairs from the linear model Y = theta X + eps, X, eps ~ N(0,1).
-
-    Consumes exactly 2n variates from the stream: the x block first, then
-    the noise block.
-    """
-    _require_size(n)
-    x, y = rng_stream.standard_normal((2, n))
-    y += theta * x  # y = theta x + eps
-    return Sample2D(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +266,13 @@ def _grid_point_estimates(
         yield (est[:, 0], se[:, 0], est[:, 1], se[:, 1]), reps - int(valid.sum())
 
 
-def _run_study(config: SimulationConfig, want_rates: bool) -> StudyResult:
-    # kappa_max is defined for alpha below _KAPPA_MAX_ALPHA only; rate-only
-    # studies at larger alpha simply skip the inversion summaries
-    want_kmax = config.alpha < _KAPPA_MAX_ALPHA
+def run_rejection_study(config: SimulationConfig) -> StudyResult:
+    """Rejection-rate curves for both tests at every configured kappa.
+
+    Also accumulates kappa_max values per replicate (when alpha < 1/2, the
+    inversion's domain), so the result carries quantile summaries alongside
+    the rates.  Deterministic in config alone.
+    """
     estimates, drops = zip(*_grid_point_estimates(config))
 
     # the whole study is tested in one batch per kappa; replicates of grid
@@ -300,13 +284,13 @@ def _run_study(config: SimulationConfig, want_rates: bool) -> StudyResult:
     # empty segment the value at its start instead of 0
     kept = np.flatnonzero(counts)
     rejection_counts = {}
-    if want_rates:
-        for kappa in config.kappas:
-            for test, run in (("rd", rd_test), ("omnibus", omnibus_test)):
-                rejected = run(batch, kappa, config.alpha).rejected
-                rejection_counts[(kappa, test)] = np.add.reduceat(
-                    rejected, starts[kept], dtype=np.intp
-                ).tolist()
+    for kappa in config.kappas:
+        for test, run in (("rd", rd_test), ("omnibus", omnibus_test)):
+            rejected = run(batch, kappa, config.alpha).rejected
+            rejection_counts[(kappa, test)] = np.add.reduceat(
+                rejected, starts[kept], dtype=np.intp
+            ).tolist()
+    want_kmax = config.alpha < _KAPPA_MAX_ALPHA
     quantiles = np.full((len(counts), len(_KMAX_QUANTILES)), np.nan)
     if want_kmax:
         kmax = kappa_max(batch, config.alpha).kappa_max
@@ -342,22 +326,6 @@ def _run_study(config: SimulationConfig, want_rates: bool) -> StudyResult:
         kappa_max_quantiles=quantile_map,
         dropped={grid[gi]: drop for gi, drop in enumerate(drops) if drop},
     )
-
-
-def run_rejection_study(config: SimulationConfig) -> StudyResult:
-    """Rejection-rate curves for both tests at every configured kappa.
-
-    Also accumulates kappa_max values per replicate (when alpha < 1/2, the
-    inversion's domain), so the result carries quantile summaries alongside
-    the rates.  Deterministic in config alone.
-    """
-    return _run_study(config, want_rates=True)
-
-
-def run_kappa_max_study(config: SimulationConfig) -> StudyResult:
-    """Empirical 0.10/0.50/0.90 quantiles of kappa_max per theta2 grid point."""
-    _check_alpha(config.alpha, upper=_KAPPA_MAX_ALPHA)
-    return _run_study(config, want_rates=False)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,17 @@ def parse_footer(text):
 
 
 class TestTestCommand:
+    def test_gs_underflowed_statistic_still_rejects(self, capsys):
+        # the squared z of 1e-200 underflows to 0, that of 1e-150 does not
+        decided = []
+        for est1 in ("1e-200", "1e-150"):
+            argv = ["test", "--kind", "gs", "--est1", est1, "--se1", "1", "--est2", "-1",
+                    "--se2", "1", "--alpha", "0.6"]
+            assert main(argv) == 0
+            payload = json.loads(capsys.readouterr().out)
+            decided.append((payload["p_value"], payload["rejected"]))
+        assert decided == [(0.5, True)] * 2
+
     def test_rd_json_payload(self, capsys):
         code = main(
             [
@@ -194,6 +205,21 @@ class TestScanCommand:
         code = main(argv)
         captured = capsys.readouterr()
         return code, captured.out, captured.err
+
+    def test_omnibus_underflowed_statistic_still_rejects(self, tmp_path, capsys):
+        # at 2e-200 the statistic underflows to 0, at 2e-150 it does not;
+        # the pair lies in the alternative region either way
+        decided = []
+        for exponent in ("200", "150"):
+            pairs = tmp_path / f"pairs{exponent}.csv"
+            pairs.write_text(f"id,est1,se1,est2,se2\na,2e-{exponent},1,-1e-{exponent},1\n")
+            argv = ["scan", str(pairs), "--kind", "omnibus", "--kappa", "2", "--alpha", "0.9",
+                    "--adjust", "none"]
+            code, out, _ = self.scan(capsys, argv)
+            assert code == 0
+            (row,) = parse_csv(out)
+            decided.append((row["p_raw"], row["rejected"]))
+        assert decided == [("0.7951672353", "true")] * 2
 
     def test_reference_panel_ratio_bounds(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.csv"

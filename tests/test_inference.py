@@ -101,8 +101,8 @@ def random_pairs(rng, count, se_low=0.05, se_high=2.0):
 
 class TestDomainTypes:
     def test_subgroup_estimate_validation(self):
-        good = SubgroupEstimate(0.5, 0.1, sample_size=20)
-        assert good.estimate == 0.5 and good.sample_size == 20
+        good = SubgroupEstimate(0.5, 0.1)
+        assert good.estimate == 0.5 and good.std_error == 0.1
         with pytest.raises(ValueError):
             SubgroupEstimate(math.nan, 0.1)
         with pytest.raises(ValueError):
@@ -115,8 +115,6 @@ class TestDomainTypes:
             SubgroupEstimate(0.5, 1e-301)
         with pytest.raises(ValueError):
             SubgroupEstimate(0.5, math.inf)
-        with pytest.raises(ValueError):
-            SubgroupEstimate(0.5, 0.1, sample_size=0)
 
     def test_estimate_pair_labels(self):
         # a pair holds its two groups and nothing else: no labels field
@@ -143,8 +141,9 @@ class TestDomainTypes:
 
 class TestCrossover:
     def test_region_predicate(self):
-        # the crossover alternative is where the statistic is positive:
-        # strictly opposite signs, so a zero estimate lies in the null
+        # the crossover alternative is strictly opposite signs, where the
+        # statistic is positive unless it underflows; a zero estimate lies
+        # in the null
         def crossover(p):
             return gail_simon_test(p, 0.05).statistic > 0.0
 
@@ -166,6 +165,13 @@ class TestCrossover:
         assert res.statistic == 0.0
         assert res.p_value == 1.0
         assert not res.rejected
+
+    def test_underflowed_statistic_keeps_the_crossover_p_value(self):
+        # z1^2 underflows to 0 at 1e-200 but not at 1e-150; both pairs cross
+        # over, so both take the t -> 0+ limit 1/2 of (1/2) P(chi2_1 > t)
+        results = [gail_simon_test(pair(e, 1, -1, 1), 0.6) for e in (1e-200, 1e-150)]
+        assert [res.statistic for res in results] == [0.0, 1e-150 * 1e-150]
+        assert [(res.p_value, res.rejected) for res in results] == [(0.5, True)] * 2
 
     def test_smaller_standardized_estimate_wins(self):
         res = gail_simon_test(pair(1, 0.5, -3, 1), 0.05)
@@ -551,6 +557,18 @@ class TestOmnibusTest:
         assert res.statistic == 0.0
         assert res.p_value == 1.0
         assert not res.rejected
+
+    def test_underflowed_statistic_keeps_the_region_p_value(self):
+        # the statistic underflows to 0 at 2e-200 but not at 2e-150; both
+        # pairs lie in the alternative region, so both p-values are the
+        # t -> 0+ limit 2 P(V1 > 0, V2 > 0) = 1/2 + asin(nu) / pi, nu = 0.8
+        limit = 0.5 + math.asin(0.8) / math.pi
+        results = [omnibus_test(pair(2 * e, 1, -e, 1), 2.0, 0.9) for e in (1e-200, 1e-150)]
+        assert [res.statistic == 0.0 for res in results] == [True, False]
+        for res in results:
+            assert res.p_value == pytest.approx(limit, rel=1e-10)
+            assert res.rejected
+        assert results[0].p_value == pytest.approx(results[1].p_value, rel=1e-10)
 
     def test_collapse_to_crossover_test(self):
         rng = np.random.default_rng(77)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from qualint import simulation
 from qualint.distributions import chi2_1_tail
-from qualint.estimators import Sample2D, ols_slope
+from qualint.estimators import SampleBatch, ols_slope
 from qualint.inference import PairBatch, kappa_max, omnibus_test, rd_null_tail, rd_test
 from qualint.simulation import (
     EmpiricalTail,
@@ -22,9 +22,7 @@ from qualint.simulation import (
     _grid_point_estimates,
     _StateWords,
     _stream_words,
-    generate_dataset,
     mc_null_oracle,
-    run_kappa_max_study,
     run_rejection_study,
 )
 
@@ -72,34 +70,6 @@ class TestSimulationConfig:
         assert small_config(replications=2**32 - 1).replications == 2**32 - 1
         with pytest.raises(ValueError, match=r"2\*\*32"):
             small_config(replications=2**32)
-
-
-class TestGenerateDataset:
-    def test_deterministic_given_stream_seed(self):
-        a = generate_dataset(0.7, 50, np.random.default_rng(99))
-        b = generate_dataset(0.7, 50, np.random.default_rng(99))
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-        # the x block is drawn first, then the noise block
-        rng = np.random.default_rng(99)
-        x = rng.standard_normal(50)
-        assert np.array_equal(a.x, x)
-        assert np.array_equal(a.y, 0.7 * x + rng.standard_normal(50))
-
-    def test_null_model_has_no_correlation(self):
-        ds = generate_dataset(0.0, 100_000, np.random.default_rng(1))
-        r = float(np.corrcoef(ds.x, ds.y)[0, 1])
-        assert abs(r) < 4.0 / math.sqrt(100_000)
-
-    def test_slope_recovers_theta(self):
-        ds = generate_dataset(1.0, 100_000, np.random.default_rng(2))
-        est = ols_slope(ds)
-        assert abs(est.estimate - 1.0) < 4.0 * est.std_error
-
-    def test_returns_validated_sample(self):
-        ds = generate_dataset(0.3, 10, np.random.default_rng(3))
-        assert isinstance(ds, Sample2D) and len(ds) == 10
-        with pytest.raises(ValueError, match="need at least 3 pairs, got 2"):
-            generate_dataset(0.3, 2, np.random.default_rng(3))
 
 
 class TestEmpiricalTail:
@@ -166,8 +136,8 @@ class TestRejectionStudy:
         assert run_rejection_study(cfg) == run_rejection_study(cfg) == run_rejection_study(cfg)
 
     def test_replicates_follow_the_stream_contract(self):
-        # replicate r of grid point g is ols_slope(generate_dataset(...)) on
-        # default_rng([seed, g, r]), group 1 drawn before group 2
+        # replicate r of grid point g draws from default_rng([seed, g, r]),
+        # group 1 before group 2, each an x block then a noise block
         cfg = small_config(theta2_grid=(0.0, -0.7), n=20, replications=7)
         grid_points = _grid_point_estimates(cfg)
         for g, theta2 in enumerate(cfg.theta2_grid):
@@ -175,10 +145,22 @@ class TestRejectionStudy:
             assert dropped == 0
             for r in range(cfg.replications):
                 rng = np.random.default_rng([cfg.seed, g, r])
-                fit1 = ols_slope(generate_dataset(cfg.theta1, cfg.n, rng))
-                fit2 = ols_slope(generate_dataset(theta2, cfg.n, rng))
-                assert (est1[r], se1[r]) == (fit1.estimate, fit1.std_error)
-                assert (est2[r], se2[r]) == (fit2.estimate, fit2.std_error)
+                fits = []
+                for theta in (cfg.theta1, theta2):
+                    x, y = rng.standard_normal((2, cfg.n))
+                    y += theta * x  # y = theta x + eps
+                    fit = ols_slope(SampleBatch([x], [y]))
+                    fits.append((fit.estimate[0], fit.std_error[0]))
+                assert [(est1[r], se1[r]), (est2[r], se2[r])] == fits
+
+    def test_replicate_slopes_recover_theta(self):
+        # the null model theta = 0 included
+        cfg = small_config(theta2_grid=(0.0, -0.7), n=2_000, replications=20)
+        for theta2, ((est1, se1, est2, se2), _) in zip(
+            cfg.theta2_grid, _grid_point_estimates(cfg)
+        ):
+            for est, se, theta in ((est1, se1, cfg.theta1), (est2, se2, theta2)):
+                assert abs(est.mean() - theta) < 4.0 * se.mean() / math.sqrt(len(est))
 
     @staticmethod
     def assert_streams_match_default_rng(cfg, indices):
@@ -334,22 +316,13 @@ class TestRejectionStudy:
             assert qs[0.10] <= qs[0.50] <= qs[0.90]
             assert qs[0.10] >= 1.0
 
+    def test_no_kappa_max_quantiles_at_alpha_half_or_more(self):
+        # the inversion is defined for alpha < 1/2 only; the rates still are
+        res = run_rejection_study(small_config(alpha=0.5, replications=10))
+        assert res.kappa_max_quantiles == {}
+        assert len(res.rates) == 4
+
     def test_rate_lookup_missing_cell(self):
         res = run_rejection_study(small_config(replications=10))
         with pytest.raises(KeyError):
             res.rate(0.0, 3.0, "rd")
-
-
-class TestKappaMaxStudy:
-    def test_deterministic(self):
-        cfg = small_config(theta2_grid=(0.5,), replications=60)
-        assert run_kappa_max_study(cfg) == run_kappa_max_study(cfg)
-
-    def test_rates_left_empty(self):
-        res = run_kappa_max_study(small_config(replications=20))
-        assert res.rates == ()
-        assert set(res.kappa_max_quantiles) == {0.0, 0.5}
-
-    def test_alpha_domain(self):
-        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 0.5\), got 0.5"):
-            run_kappa_max_study(small_config(alpha=0.5))
