@@ -29,6 +29,18 @@ def one(x, y):
     return SampleBatch([x], [y])
 
 
+class TestSample2D:
+    """One (x, y) sample, held as a one-row SampleBatch."""
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(EstimationError):
+            one([1, 2, 3], [1, 2])
+        with pytest.raises(EstimationError):
+            one([[1, 2], [3, 4]], [1, 2])
+        with pytest.raises(EstimationError):
+            one([1, 2], [1, 2])
+
+
 class TestOlsSlope:
     def test_closed_form_example(self):
         est = ols_slope(one([-1, 0, 1], [-1, 0, 2]))

@@ -72,6 +72,39 @@ class TestSimulationConfig:
             small_config(replications=2**32)
 
 
+class TestGenerateDataset:
+    """The engine's per-replicate datasets: y = theta x + eps, n pairs per group."""
+
+    @staticmethod
+    def slopes():
+        # 20 replicates of 5,000 pairs: 100,000 pairs per group
+        cfg = small_config(theta2_grid=(0.0,), n=5_000, replications=20)
+        ((est1, se1, est2, se2), dropped), = _grid_point_estimates(cfg)
+        assert dropped == 0
+        return cfg, (est1, se1), (est2, se2)
+
+    def test_deterministic_given_stream_seed(self):
+        cfg = small_config(theta2_grid=(0.0, -0.7), n=20, replications=7)
+        runs = [list(_grid_point_estimates(cfg)) for _ in range(2)]
+        for (a, dropped_a), (b, dropped_b) in zip(*runs):
+            assert dropped_a == dropped_b
+            assert all(np.array_equal(u, v) for u, v in zip(a, b))
+        # another seed is another set of streams
+        (other, _), _ = _grid_point_estimates(small_config(
+            theta2_grid=(0.0, -0.7), n=20, replications=7, seed=cfg.seed + 1))
+        assert not np.array_equal(runs[0][0][0][0], other[0])
+
+    def test_null_model_has_no_correlation(self):
+        # group 2 at theta2 = 0: the slope of y on x is centred on 0
+        _, _, (est, se) = self.slopes()
+        assert abs(est.mean()) < 4.0 * se.mean() / math.sqrt(len(est))
+
+    def test_slope_recovers_theta(self):
+        cfg, (est, se), _ = self.slopes()
+        assert cfg.theta1 == 1.0
+        assert abs(est.mean() - 1.0) < 4.0 * se.mean() / math.sqrt(len(est))
+
+
 class TestEmpiricalTail:
     def test_exceedance_counts_strictly_above(self):
         tail = EmpiricalTail(np.array([3.0, 1.0, 2.0]))
@@ -152,15 +185,6 @@ class TestRejectionStudy:
                     fit = ols_slope(SampleBatch([x], [y]))
                     fits.append((fit.estimate[0], fit.std_error[0]))
                 assert [(est1[r], se1[r]), (est2[r], se2[r])] == fits
-
-    def test_replicate_slopes_recover_theta(self):
-        # the null model theta = 0 included
-        cfg = small_config(theta2_grid=(0.0, -0.7), n=2_000, replications=20)
-        for theta2, ((est1, se1, est2, se2), _) in zip(
-            cfg.theta2_grid, _grid_point_estimates(cfg)
-        ):
-            for est, se, theta in ((est1, se1, cfg.theta1), (est2, se2, theta2)):
-                assert abs(est.mean() - theta) < 4.0 * se.mean() / math.sqrt(len(est))
 
     @staticmethod
     def assert_streams_match_default_rng(cfg, indices):
@@ -326,3 +350,13 @@ class TestRejectionStudy:
         res = run_rejection_study(small_config(replications=10))
         with pytest.raises(KeyError):
             res.rate(0.0, 3.0, "rd")
+
+
+class TestKappaMaxStudy:
+    """The kappa_max quantiles that run_rejection_study carries."""
+
+    def test_deterministic(self):
+        cfg = small_config(theta2_grid=(0.5,), replications=60)
+        quantiles = run_rejection_study(cfg).kappa_max_quantiles
+        assert set(quantiles) == {0.5}
+        assert quantiles == run_rejection_study(cfg).kappa_max_quantiles
