@@ -786,12 +786,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (None, 0) else int(exc.code)
     try:
         return args.handler(args)
+    except ArithmeticError as exc:  # a kernel's domain error included
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:  # UsageError and EstimationError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 1

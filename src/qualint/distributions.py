@@ -44,6 +44,13 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
+
+class _DomainError(ValueError, ArithmeticError):
+    """A kernel argument outside the kernel's domain.  A ValueError to a
+    library caller; to the CLI, whose validators accepted its inputs before
+    any kernel ran, a numerical failure."""
+
+
 # |rho| within this distance of 1 is collapsed onto the exactly-degenerate
 # line, where the tail has a closed form.
 _DEGENERATE_RHO_TOL = 1e-12
@@ -236,7 +243,7 @@ def ndtr(x):
 def std_normal_quantile(p: float) -> float:
     """Inverse standard normal CDF on the open interval (0, 1) (AS 241)."""
     if not 0.0 < p < 1.0:
-        raise ValueError(f"std_normal_quantile requires 0 < p < 1, got {p!r}")
+        raise _DomainError(f"std_normal_quantile requires 0 < p < 1, got {p!r}")
     return _STANDARD_NORMAL.inv_cdf(p)
 
 
@@ -248,7 +255,7 @@ def chi2_1_tail(t):
     """
     t = np.asarray(t, dtype=float)
     if np.isnan(t).any():
-        raise ValueError("chi2_1_tail requires a non-NaN argument")
+        raise _DomainError("chi2_1_tail requires a non-NaN argument")
     inside = t <= 0.0
     tail = np.where(inside, 1.0, 2.0 * ndtr(-np.sqrt(np.where(inside, 0.0, t))))
     return tail if tail.ndim else float(tail)
@@ -397,10 +404,10 @@ def bvn_upper_tail(a, b, rho):
     ab = np.stack([a.reshape(-1), b.reshape(-1)])
     rho = rho.reshape(-1)
     if np.isnan(ab).any():
-        raise ValueError("bvn_upper_tail requires non-NaN thresholds")
+        raise _DomainError("bvn_upper_tail requires non-NaN thresholds")
     size = np.abs(rho)
     if not (size <= 1.0).all():
-        raise ValueError("bvn_upper_tail requires -1 <= rho <= 1")
+        raise _DomainError("bvn_upper_tail requires -1 <= rho <= 1")
     # Phi(-a) and Phi(-b) in one call; the zero-point tails have a = b
     tail_a, tail_b = (ndtr(-ab[0]),) * 2 if np.array_equal(ab[0], ab[1]) else ndtr(-ab)
     # 0-2: Genz's integral with 6, 12 or 20 nodes; 3: Genz for |rho| >= 0.925;

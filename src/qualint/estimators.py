@@ -29,7 +29,8 @@ scaled sums stay in range.
 One range pass serves each row: its max hi and min lo.  max(hi, -lo) is
 its largest |value| exactly, and so gives the scaling exponent; that peak
 is finite only if every value is, since a NaN propagates through both;
-and the row is constant where hi == lo.
+and the row is constant where hi == lo.  The scaled rows are a new array,
+centered in place, so the estimators never write into the caller's arrays.
 """
 
 from __future__ import annotations
@@ -193,8 +194,8 @@ def _scaled_deviations(rows: np.ndarray):
     exponent = np.frexp(peak)[1]
     scaled = np.ldexp(rows, -exponent[..., None])
     # the sum over the count is np.mean's own arithmetic, without its wrapper
-    mean = scaled.sum(axis=-1, keepdims=True) / rows.shape[-1]
-    return scaled - mean, exponent, np.isfinite(peak), hi == lo
+    scaled -= scaled.sum(axis=-1, keepdims=True) / rows.shape[-1]
+    return scaled, exponent, np.isfinite(peak), hi == lo
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -4,9 +4,13 @@ The synthetic model is linear: X ~ N(0, 1), Y = theta * X + eps with
 eps ~ N(0, 1).  A study draws, for every (theta2 grid point, replicate),
 one sample per group (group 1 at theta1, group 2 at theta2), estimates the
 slopes by OLS, and runs the relative-difference and omnibus tests at each
-configured kappa, plus the kappa_max inversion.  Each grid point's
-replicates are drawn into one block and all their slopes fitted in one
-call; the tests and the inversion then run once per kappa on the whole
+configured kappa, plus the kappa_max inversion.  Whole grid points are
+drawn and fitted in blocks: as many as fit in ``_BLOCK_VALUES`` = 2**16
+sample values (x and noise of both groups of every replicate), and at
+least one, so a grid point past the budget is a block of its own.  All
+slopes of a block are fitted in one call, and each replicate's fit does
+not depend on the rows beside it, so results do not depend on the block
+size.  The tests and the inversion then run once per kappa on the whole
 study's estimates as one batch.  The summaries are taken once per study
 too: each (kappa, test) column of rejection flags is counted per grid
 point by one segmented sum (``np.add.reduceat`` over the grid points that
@@ -78,6 +82,8 @@ _TEST_KINDS = ("rd", "omnibus")
 # a stream's grid and replicate indices are one 32-bit seed word each, so
 # the grid length and the replications must stay below this
 _STREAM_INDEX_LIMIT = 2**32
+# see the module docstring: sample values per block of whole grid points
+_BLOCK_VALUES = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -250,20 +256,28 @@ def _grid_point_estimates(
     its valid replicates, in replicate order, and the number of replicates
     dropped for degenerate estimation."""
     reps, n = config.replications, config.n
+    grid = config.theta2_grid
     words = _stream_words(config)
+    points = min(max(1, _BLOCK_VALUES // (4 * reps * n)), len(grid))
     # per replicate: group-1 x, group-1 noise, group-2 x, group-2 noise;
-    # reused across grid points, since the fit keeps no view of it
-    block = np.empty((reps, 4, n))
-    x, y = block[:, 0::2], block[:, 1::2]
-    for grid_index, theta2 in enumerate(config.theta2_grid):
-        for draws, state in zip(block, words[grid_index]):
-            np.random.Generator(np.random.PCG64(_StateWords(state))).standard_normal(out=draws)
-        y += np.array([[config.theta1], [theta2]]) * x  # y = theta x + eps
+    # reused across blocks, since the fit keeps no view of it
+    block = np.empty((points, reps, 4, n))
+    for first in range(0, len(grid), points):
+        thetas = grid[first : first + points]
+        draws = block[: len(thetas)]
+        states = words[first : first + len(thetas)].reshape(-1, 4)
+        for row, state in zip(draws.reshape(-1, 4, n), states):
+            np.random.Generator(np.random.PCG64(_StateWords(state))).standard_normal(out=row)
+        x, y = draws[:, :, 0::2], draws[:, :, 1::2]
+        theta = np.array([[config.theta1, theta2] for theta2 in thetas])
+        y += theta[:, None, :, None] * x  # y = theta x + eps
         fit = ols_slope(SampleBatch(x.reshape(-1, n), y.reshape(-1, n)))
-        valid = fit.ok.reshape(reps, 2).all(axis=1)
-        est = fit.estimate.reshape(reps, 2)[valid]
-        se = fit.std_error.reshape(reps, 2)[valid]
-        yield (est[:, 0], se[:, 0], est[:, 1], se[:, 1]), reps - int(valid.sum())
+        valid = fit.ok.reshape(-1, reps, 2).all(axis=2)
+        est = fit.estimate.reshape(-1, reps, 2)
+        se = fit.std_error.reshape(-1, reps, 2)
+        for keep, e, s in zip(valid, est, se):
+            e, s = e[keep], s[keep]
+            yield (e[:, 0], s[:, 0], e[:, 1], s[:, 1]), reps - int(keep.sum())
 
 
 def run_rejection_study(config: SimulationConfig) -> StudyResult:

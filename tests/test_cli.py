@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from qualint import inference
 from qualint.cli import (
     UsageError,
     _build_parser,
@@ -34,6 +35,7 @@ from qualint.cli import (
     _write_table,
     main,
 )
+from qualint.distributions import chi2_1_tail
 from qualint.inference import PairBatch, _rule_violation, _valid
 
 # Reference panel of two-group estimates with published ratio bounds; the
@@ -1644,3 +1646,26 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in err
+
+    def test_kernel_domain_error_is_a_numerical_failure(self, capsys, monkeypatch):
+        # the validators accepted the input, so a kernel that refuses the
+        # statistic it is handed is a numerical failure (1), not usage (2)
+        argv = ["scan", str(Path(__file__).parent / "golden" / "pairs.csv"),
+                "--kind", "omnibus", "--kappa", "1.5", "--alpha", "0.1"]
+        statistic = inference._omnibus_stat
+
+        def nan_statistic(rows, m, s):
+            t, region = statistic(rows, m, s)
+            return np.full_like(t, np.nan), region
+
+        monkeypatch.setattr(inference, "_omnibus_stat", nan_statistic)
+        code = main(argv)
+        assert (code, capsys.readouterr().err) == (
+            1, "numerical failure: chi2_1_tail requires a non-NaN argument\n"
+        )
+        # a validator's error still exits 2
+        code = main([*argv[:-3], "0.5", *argv[-2:]])
+        assert (code, capsys.readouterr().err) == (2, "error: kappa must be > 1, got 0.5\n")
+        # and library callers still get a ValueError
+        with pytest.raises(ValueError, match="^chi2_1_tail requires a non-NaN argument$"):
+            chi2_1_tail(math.nan)

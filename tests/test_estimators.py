@@ -358,3 +358,25 @@ class TestRangePass:
         with mock.patch.object(estimators, "_scaled_deviations", multi_pass_deviations):
             separate = self.outcomes(x, y)
         assert fused == separate
+
+
+class TestInputsUntouched:
+    """The estimators centre private copies; the caller's arrays keep their bytes."""
+
+    def test_estimators_never_write_into_the_callers_arrays(self):
+        rng = np.random.default_rng(19)
+        # replicate rows of x, noise, x, noise, as the study engine draws them;
+        # its x and y are strided views of that block
+        block = rng.standard_normal((6, 4, 30)) * 1e3 + 7.0
+        x, y = block[:, 0::2].reshape(-1, 30), block[:, 1::2].reshape(-1, 30)
+        assert np.shares_memory(x, block) and not x.flags.c_contiguous
+        data = rng.standard_normal((40, 5)) - 3.0
+        samples = [SampleBatch(x, y), SampleBatch(x.copy(), y.copy()), FeatureMatrix(data),
+                   FeatureMatrix(block[:, 1])]
+        assert samples[0].x is x and samples[2].data is data
+        arrays = [block, data, *(a for s in samples for a in vars(s).values())]
+        before = [a.tobytes() for a in arrays]
+        for estimator in (ols_slope, pearson):
+            for sample in samples:
+                estimator(sample)
+            assert [a.tobytes() for a in arrays] == before

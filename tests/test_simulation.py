@@ -4,6 +4,8 @@ Statistical checks run at reduced replicate counts with generous bands so
 the suite stays fast; the full-scale bounds live in the acceptance tests.
 """
 
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qualint import simulation
+from qualint.cli import main
 from qualint.distributions import chi2_1_tail
 from qualint.estimators import SampleBatch, ols_slope
 from qualint.inference import PairBatch, kappa_max, omnibus_test, rd_null_tail, rd_test
@@ -297,6 +300,67 @@ class TestRejectionStudy:
         assert res.dropped == dropped
         assert list(res.kappa_max_quantiles.items()) == list(quantiles.items())
         assert {cell.replicates for cell in res.rates} == {1, 5, 7}
+
+    @staticmethod
+    def per_point_reference(cfg):
+        # each grid point drawn from its default_rng streams and fitted alone
+        for g, theta2 in enumerate(cfg.theta2_grid):
+            draws = np.array([
+                np.random.default_rng([cfg.seed, g, r]).standard_normal((4, cfg.n))
+                for r in range(cfg.replications)
+            ])
+            x, y = draws[:, 0::2], draws[:, 1::2]
+            y += np.array([[cfg.theta1], [theta2]]) * x
+            fit = ols_slope(SampleBatch(x.reshape(-1, cfg.n), y.reshape(-1, cfg.n)))
+            valid = fit.ok.reshape(-1, 2).all(axis=1)
+            est, se = (v.reshape(-1, 2)[valid] for v in (fit.estimate, fit.std_error))
+            yield (est[:, 0], se[:, 0], est[:, 1], se[:, 1]), cfg.replications - int(valid.sum())
+
+    @staticmethod
+    def as_bytes(grid_points):
+        return [([c.tobytes() for c in columns], dropped) for columns, dropped in grid_points]
+
+    @pytest.mark.parametrize(
+        "overrides, points_per_block",
+        [
+            # one point per block; 2, 2 and a 1-point last block; one block
+            (dict(theta2_grid=(-1.0, -0.5, 0.0, 0.5, 1.0), n=20, replications=7), (1, 2, 5)),
+            # a grid point of 400,000 values, past the default budget
+            (dict(theta2_grid=(0.0, -0.7), n=5_000, replications=20), (1, None)),
+        ],
+        ids=["five-points", "point-past-budget"],
+    )
+    def test_results_do_not_depend_on_the_block_size(
+        self, monkeypatch, overrides, points_per_block
+    ):
+        cfg = small_config(kappas=(1.5, 3.0), **overrides)
+        want = self.as_bytes(self.per_point_reference(cfg))
+        studies = []
+        for points in points_per_block:
+            if points is not None:  # None keeps the default budget
+                budget = points * 4 * cfg.replications * cfg.n
+                monkeypatch.setattr(simulation, "_BLOCK_VALUES", budget)
+            assert self.as_bytes(_grid_point_estimates(cfg)) == want
+            studies.append(run_rejection_study(cfg))
+        assert all(study == studies[0] for study in studies)
+
+    def test_two_n_study_does_not_depend_on_the_block_size(self, monkeypatch, tmp_path):
+        # the CLI runs one study per n, each through its own blocks
+        argv = ["simulate", "--theta1", "0.8", "--theta2-min", "-1", "--theta2-max", "1",
+                "--theta2-step", "0.5", "--n", "5", "30", "--reps", "6", "--kappas", "1.5",
+                "--alpha", "0.1", "--seed", "4294967301"]
+        outputs = []
+        # one point per block; 2 points per block at n = 30 and the whole
+        # grid at n = 5; the whole grid
+        for budget in (1, 2 * 4 * 6 * 30, 5 * 4 * 6 * 30):
+            monkeypatch.setattr(simulation, "_BLOCK_VALUES", budget)
+            out = tmp_path / str(budget)
+            out.mkdir()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([*argv, "--output", str(out / "study")]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) == 5
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_single_replicate_rates_are_indicator(self):
         res = run_rejection_study(small_config(replications=1))
