@@ -7,41 +7,25 @@ merely in magnitude.
 
 Importing the package loads ``inference`` and ``distributions``, which
 every command runs; ``estimators`` and ``simulation`` load when one of
-their names is first read.
+their names is first read.  Each module's ``__all__`` is its list of
+public names, and the package exports exactly their union.
 """
 
 from importlib import import_module
 
-from qualint.inference import (
-    EstimatePair,
-    KappaMaxBatch,
-    KappaMaxResult,
-    LocalAlternative,
-    PairBatch,
-    SubgroupEstimate,
-    TestBatch,
-    TestResult,
-    gail_simon_test,
-    kappa_max,
-    omnibus_local_power,
-    omnibus_null_tail,
-    omnibus_statistic,
-    omnibus_test,
-    rd_local_power,
-    rd_null_tail,
-    rd_power_approx,
-    rd_statistic,
-    rd_test,
-)
+from qualint import inference
+from qualint.inference import *  # the names of inference.__all__
 
 # the deferred names and their modules: simulation imports numpy.random,
 # which a command that runs no study need not pay for
 _DEFERRED = {
     **dict.fromkeys(("EstimateBatch", "EstimationError", "FeatureMatrix", "SampleBatch",
                      "ols_slope", "pearson"), "qualint.estimators"),
-    **dict.fromkeys(("EmpiricalTail", "SimulationConfig", "StudyResult", "mc_null_oracle",
-                     "run_rejection_study"), "qualint.simulation"),
+    **dict.fromkeys(("EmpiricalTail", "RateCell", "SimulationConfig", "StudyResult",
+                     "mc_null_oracle", "run_rejection_study"), "qualint.simulation"),
 }
+
+__all__ = [*inference.__all__, *_DEFERRED]
 
 
 def __getattr__(name: str):
@@ -55,38 +39,5 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted({*globals(), *_DEFERRED})
 
-
-__all__ = [
-    "EmpiricalTail",
-    "EstimateBatch",
-    "EstimatePair",
-    "EstimationError",
-    "FeatureMatrix",
-    "KappaMaxBatch",
-    "KappaMaxResult",
-    "LocalAlternative",
-    "PairBatch",
-    "SampleBatch",
-    "SimulationConfig",
-    "StudyResult",
-    "SubgroupEstimate",
-    "TestBatch",
-    "TestResult",
-    "gail_simon_test",
-    "kappa_max",
-    "mc_null_oracle",
-    "ols_slope",
-    "omnibus_local_power",
-    "omnibus_null_tail",
-    "omnibus_statistic",
-    "omnibus_test",
-    "pearson",
-    "rd_local_power",
-    "rd_null_tail",
-    "rd_power_approx",
-    "rd_statistic",
-    "rd_test",
-    "run_rejection_study",
-]
 
 __version__ = "0.1.0"

@@ -24,9 +24,12 @@ Read rule.  A reader reads its file as one string.  Text with no quote, no
 NUL and no line longer than csv's field limit is split into lines at CR, LF
 and CRLF only, and into cells at commas: the records csv.reader would give,
 a blank line an empty record, each numbered by its line.  Any other text
-goes through csv.reader.  Either way the records feed one conversion, which
-converts each value column in one float() pass and reads row by row only to
-word an error.
+goes through csv.reader.  Either way both readers feed their records to one
+conversion (_value_columns), which converts the value columns in one
+float() pass and reads row by row only to word a bad row: too few cells,
+not exactly the header's width (a matrix), or the message float() gives.
+The pair reader then skips or lists its bad rows; the matrix reader stops
+at the first.
 
 Format-once rule.  Tables move as columns, and each number crosses to text
 once.  A decision column (p_raw and p_adjusted; kappa-max's kappa_max and
@@ -285,10 +288,41 @@ def _read_csv(path: str, read_header: Callable[[list[str] | None], object]) -> t
     return header, records[1:], range(2, len(records) + 1)
 
 
-def _floats(cells, shape: tuple[int, int]) -> np.ndarray:
-    """Text cells, in row-major order, as a float array of the given shape,
-    converted by float() in one pass: ValueError at the first it refuses."""
-    return np.fromiter(map(float, cells), float, shape[0] * shape[1]).reshape(shape)
+def _value_columns(rows: list, lines, values: range, exact: bool) -> tuple:
+    """(cells `values` of the records as float columns, the records that
+    convert, their lines, the others' problems as (line, text)).  The
+    columns go through float() in one pass; a failure reads row by row to
+    word each bad row: too few cells for values.stop (if exact, not exactly
+    that many), or the message float() gives for its first bad cell."""
+    width = values.stop
+
+    def misfit(cells: int) -> bool:
+        return cells < width or exact and cells > width
+
+    try:
+        if any(map(misfit, set(map(len, rows)))):
+            raise ValueError
+        size = len(values) * len(rows)
+        if exact and not values.start:  # the records are the value rows: one run
+            data = np.fromiter(map(float, chain.from_iterable(rows)), float, size)
+            return data.reshape(len(rows), len(values)).T, rows, lines, []
+        cells = chain.from_iterable(map(itemgetter(c), rows) for c in values)
+        columns = np.fromiter(map(float, cells), float, size)
+        return columns.reshape(len(values), len(rows)), rows, lines, []
+    except ValueError:
+        pass
+    kept, kept_lines, problems = [], [], []
+    for line_no, row in zip(lines, rows):
+        try:
+            if misfit(len(row)):
+                raise ValueError(f"expected {width} cells, got {len(row)}")
+            list(map(float, row[values.start : width]))
+        except ValueError as exc:
+            problems.append((line_no, str(exc)))
+            continue
+        kept.append(row)
+        kept_lines.append(line_no)
+    return (*_value_columns(kept, kept_lines, values, exact)[:3], problems)
 
 
 def _read_pairs(path: str, strict: bool) -> tuple[list[str], PairBatch]:
@@ -313,36 +347,16 @@ def _read_pairs(path: str, strict: bool) -> tuple[list[str], PairBatch]:
     if [] in rows:  # a blank line is skipped
         kept = [i for i, row in enumerate(rows) if row]
         rows, lines = [rows[i] for i in kept], [lines[i] for i in kept]
-    problems: list[tuple[int, str]] = []
-    try:  # whole columns; a failure leaves the wording to the rows below
-        if min(map(len, rows), default=width) < width:
-            raise ValueError
-        ids = [row[0].strip() for row in rows]
-        if not all(ids):
-            raise ValueError
-        values = chain.from_iterable(map(itemgetter(c), rows) for c in range(1, width))
-        columns = _floats(values, (width - 1, len(rows)))
-    except ValueError:
-        ids, parsed_lines, values = [], [], []
-        for line_no, row in zip(lines, rows):
-            try:
-                if len(row) < width:
-                    raise ValueError(f"expected {width} cells, got {len(row)}")
-                parsed = [float(cell) for cell in row[1:width]]
-                if not row[0].strip():
-                    raise ValueError("id must be nonempty")
-            except ValueError as exc:
-                problems.append((line_no, str(exc)))
-                continue
-            ids.append(row[0].strip())
-            parsed_lines.append(line_no)
-            values.append(parsed)
-        lines = parsed_lines
-        columns = np.array(values, dtype=float).reshape(-1, width - 1).T
-
+    columns, rows, lines, problems = _value_columns(rows, lines, range(1, width), exact=False)
+    ids = [row[0].strip() for row in rows]
     bad = ~_valid(columns, _SE_ROWS)
     invalid = bad.any(axis=0)
+    if "" in ids:
+        invalid |= np.array(ids) == ""
     for i in np.flatnonzero(invalid).tolist():
+        if not ids[i]:  # an empty id comes before its values
+            problems.append((lines[i], "id must be nonempty"))
+            continue
         c = int(np.argmax(bad[:, i]))  # the first bad value names the problem
         text = _rule_violation(_PAIR_FIELDS[1 + c], columns[c, i], _SE_ROWS[c, 0])
         problems.append((lines[i], text))
@@ -446,22 +460,12 @@ def _read_matrix(path: str) -> tuple[tuple[str, ...], np.ndarray]:
         return header
 
     header, rows, lines = _read_csv(path, read_header)
-    try:  # whole columns; a failure leaves the wording to the rows below
-        if any(len(row) != len(header) for row in rows):
-            raise ValueError
-        data = _floats(chain.from_iterable(rows), (len(rows), len(header)))
-    except ValueError:
-        for line_no, row in zip(lines, rows):
-            if len(row) != len(header):
-                raise UsageError(
-                    f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
-                ) from None
-            try:
-                [float(cell) for cell in row]
-            except ValueError as exc:
-                raise UsageError(f"{path}:{line_no}: {exc}") from exc
+    columns, _, _, problems = _value_columns(rows, lines, range(len(header)), exact=True)
+    if problems:  # the first bad row fails the run
+        raise UsageError(f"{path}:{problems[0][0]}: {problems[0][1]}")
     if len(rows) < 3:
         raise UsageError(f"{path}: need at least 3 sample rows, got {len(rows)}")
+    data = columns.T
     bad = ~np.isfinite(data)
     if bad.any():  # the first in line order, then feature order
         i, j = np.unravel_index(np.argmax(bad), bad.shape)
@@ -592,6 +596,9 @@ def _cmd_simulate(args) -> int:
             seed=args.seed,
         )
         result = run_rejection_study(config)
+        for theta2, drop in result.dropped.items():
+            _warn(f"n={n}, theta2={theta2:.10g}: {drop} of {args.reps} replicates dropped "
+                  "(degenerate estimation)")
         cells = result.rates
         rates = [
             np.array([cell.theta2 for cell in cells]),
@@ -686,6 +693,7 @@ _SHARED_FLAGS = {
         "action": "store_true",
         "help": "fail on invalid input rows instead of skipping with a warning",
     },
+    "--adjust": {"choices": ("bonferroni", "none"), "default": "bonferroni"},
 }
 
 
@@ -708,30 +716,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_test = command("test", _cmd_test, "test one estimate pair", "--alpha", "--kappa", "--output")
     p_test.add_argument("--kind", choices=("rd", "omnibus", "gs"), default="rd")
-    p_test.add_argument("--est1", type=float, required=True)
-    p_test.add_argument("--se1", type=float, required=True)
-    p_test.add_argument("--est2", type=float, required=True)
-    p_test.add_argument("--se2", type=float, required=True)
+    for field in _PAIR_FIELDS[1:]:
+        p_test.add_argument(f"--{field}", type=float, required=True)
 
     p_scan = command(
         "scan", _cmd_scan, "scan a CSV of estimate pairs",
-        "--alpha", "--kappa", "--output", "--format", "--strict",
+        "--alpha", "--kappa", "--output", "--format", "--strict", "--adjust",
     )
     p_scan.add_argument("input", help="CSV with header id,est1,se1,est2,se2")
     p_scan.add_argument("--kind", choices=("rd", "omnibus", "gs"), default="rd")
-    p_scan.add_argument(
-        "--adjust", choices=("bonferroni", "none"), default="bonferroni"
-    )
 
     p_net = command(
         "network", _cmd_network, "differential-correlation edge scan",
-        "--alpha", "--kappa", "--output", "--format",
+        "--alpha", "--kappa", "--output", "--format", "--adjust",
     )
     p_net.add_argument("matrix1", help="group-1 matrix CSV (features in header)")
     p_net.add_argument("matrix2", help="group-2 matrix CSV (same features)")
-    p_net.add_argument(
-        "--adjust", choices=("bonferroni", "none"), default="bonferroni"
-    )
 
     p_power = command(
         "power", _cmd_power, "local asymptotic power grid",
@@ -770,10 +770,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--alpha", "--output", "--format", "--strict",
     )
     p_km.add_argument("input", nargs="?", help="optional CSV of estimate pairs")
-    p_km.add_argument("--est1", type=float)
-    p_km.add_argument("--se1", type=float)
-    p_km.add_argument("--est2", type=float)
-    p_km.add_argument("--se2", type=float)
+    for field in _PAIR_FIELDS[1:]:
+        p_km.add_argument(f"--{field}", type=float)
 
     return parser
 

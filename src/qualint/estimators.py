@@ -213,7 +213,7 @@ def _data_codes(finite: np.ndarray, x_constant: np.ndarray) -> np.ndarray:
 
 def _sums(sample: SampleBatch | FeatureMatrix) -> _Sums:
     # non-finite rows are flagged by code; their arithmetic is discarded
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         if isinstance(sample, FeatureMatrix):
             columns = sample.columns
             dev, exponent, finite, constant = _scaled_deviations(columns)

@@ -270,7 +270,9 @@ def _grid_point_estimates(
             np.random.Generator(np.random.PCG64(_StateWords(state))).standard_normal(out=row)
         x, y = draws[:, :, 0::2], draws[:, :, 1::2]
         theta = np.array([[config.theta1, theta2] for theta2 in thetas])
-        y += theta[:, None, :, None] * x  # y = theta x + eps
+        # y = theta x + eps; a y past the float range is flagged by ols_slope
+        with np.errstate(over="ignore"):
+            y += theta[:, None, :, None] * x
         fit = ols_slope(SampleBatch(x.reshape(-1, n), y.reshape(-1, n)))
         valid = fit.ok.reshape(-1, reps, 2).all(axis=2)
         est = fit.estimate.reshape(-1, reps, 2)
@@ -278,6 +280,18 @@ def _grid_point_estimates(
         for keep, e, s in zip(valid, est, se):
             e, s = e[keep], s[keep]
             yield (e[:, 0], s[:, 0], e[:, 1], s[:, 1]), reps - int(keep.sum())
+
+
+def _kappa_max_quantiles(block: np.ndarray, q) -> np.ndarray:
+    """The q-quantiles of each row of a block of values in [1, +inf].  Linear
+    interpolation gives NaN only toward +inf (inf - inf, or 0 * inf at an
+    integral index); there the higher order statistic is the limit."""
+    with np.errstate(invalid="ignore"):
+        values = np.quantile(block, q, axis=1).T
+    nan = np.isnan(values)
+    if nan.any():
+        values[nan] = np.quantile(block, q, axis=1, method="higher").T[nan]
+    return values
 
 
 def run_rejection_study(config: SimulationConfig) -> StudyResult:
@@ -312,7 +326,7 @@ def run_rejection_study(config: SimulationConfig) -> StudyResult:
         for count in np.unique(counts[kept]).tolist():
             points = np.flatnonzero(counts == count)
             block = kmax[starts[points, None] + np.arange(count)]
-            quantiles[points] = np.quantile(block, _KMAX_QUANTILES, axis=1).T
+            quantiles[points] = _kappa_max_quantiles(block, _KMAX_QUANTILES)
 
     grid = config.theta2_grid
     rates: list[RateCell] = []

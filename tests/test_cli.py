@@ -1002,6 +1002,28 @@ class TestSimulateCommand:
         config = json.loads((tmp_path / "multi_config.json").read_text())
         assert config["n"] == [10, 20]
 
+    def test_dropped_replicates_are_reported(self, tmp_path, capsys):
+        # at theta1 = 5e307 some y pass the float range: 31 of 50 replicates
+        # are dropped, and 10 of the 19 kept have kappa_max = +inf, so q50
+        # and q90 read inf, not NaN; numpy warnings fail the suite, and the
+        # run raises none.  A study that drops nothing warns nothing.
+        code = main([*self.ARGS, "--output", str(tmp_path / "quiet")])
+        assert code == 0 and capsys.readouterr().err == ""
+        prefix = tmp_path / "far"
+        code = main(["simulate", "--theta1", "5e307", "--theta2-min", "0", "--theta2-max", "0",
+                     "--theta2-step", "1", "--n", "100", "--reps", "50", "--kappas", "2",
+                     "--alpha", "0.05", "--seed", "1", "--output", str(prefix)])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert err == (
+            "warning: n=100, theta2=0: 31 of 50 replicates dropped (degenerate estimation)\n"
+        )
+        assert out.split() == [f"{prefix}{suffix}" for suffix in
+                               ("_n100_rates.csv", "_n100_kappa_max.csv", "_config.json")]
+        assert (tmp_path / "far_n100_kappa_max.csv").read_text() == (
+            "theta2,q10,q50,q90\n0,1.377375237e+308,inf,inf\n"
+        )
+
     def test_failing_study_leaves_no_output(self, tmp_path, capsys):
         # the n = 2 study fails (an OLS slope needs 3 pairs) after the n = 30
         # study has run: no file of either is written

@@ -21,14 +21,18 @@ import os
 import re
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
+import qualint
 from qualint.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-SRC = Path(__file__).resolve().parents[1] / "src"
+# where the qualint under test was imported from (src/, or an installed
+# copy), so that a subprocess runs the same copy
+IMPORT_ROOT = Path(qualint.__file__).resolve().parents[1]
 EXPECTED = GOLDEN / "expected"
 KAPPA_TOL = 1e-6
 
@@ -205,6 +209,21 @@ def test_pair_file_variants_match_golden(name, variant, tmp_path):
     (tmp_path / "pairs.csv").write_text(changed, encoding="utf-8", newline="")
     run_case(name, tmp_path, golden=tmp_path)
     assert_matches_golden(name, tmp_path)
+    # and the very bytes of the LF file's run, kappa_max columns included
+    (tmp_path / "lf").mkdir()
+    run_case(name, tmp_path / "lf")
+    for output in CASES[name][1]:
+        assert (tmp_path / output).read_bytes() == (tmp_path / "lf" / output).read_bytes()
+
+
+def test_package_exports_the_union_of_the_module_lists():
+    # each module's __all__ lists its public names once; the package exports
+    # their union, and each deferred name loads from the module listing it
+    modules = [import_module(f"qualint.{name}") for name in ("inference", "estimators",
+                                                              "simulation")]
+    assert sorted(qualint.__all__) == sorted(set().union(*(m.__all__ for m in modules)))
+    for name, module in qualint._DEFERRED.items():
+        assert name in import_module(module).__all__, (name, module)
 
 
 # modules that only network (qualint.estimators) or simulate (the rest)
@@ -236,7 +255,7 @@ def test_cli_runs_without_scipy(tmp_path):
         "exec('from qualint import *', names)\n"
         "assert set(qualint.__all__) <= set(names) and set(qualint.__all__) <= set(dir(qualint))\n"
     )
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [str(IMPORT_ROOT), os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert result.returncode == 0, result.stderr

@@ -261,6 +261,38 @@ class TestRejectionStudy:
             apart = np.array([np.quantile(row, (0.10, 0.50, 0.90)) for row in block])
         assert together.tobytes() == apart.tobytes()
 
+    def test_quantiles_beside_infinity_take_the_order_statistic(self):
+        # linear interpolation gives 2 + 0 * inf = NaN at the integral index
+        # beside +inf, and inf - inf past it
+        block = np.array([[1.0, 2.0, math.inf], [1.0, 2.0, 3.0]])
+        got = simulation._kappa_max_quantiles(block, (0.5, 0.75))
+        assert got.tolist() == [[2.0, math.inf], [2.0, 2.5]]
+
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda count: st.lists(
+                st.lists(
+                    st.one_of(st.sampled_from([1.0, 2.0, math.inf]), st.floats(1.0, 1e300)),
+                    min_size=count,
+                    max_size=count,
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+    )
+    def test_study_quantiles_are_linear_wherever_that_is_defined(self, rows):
+        # the study's quantiles keep np.quantile's bits where it is not NaN,
+        # and lie between the lower and higher order statistics everywhere
+        block, q = np.array(rows), (0.10, 0.50, 0.90)
+        got = simulation._kappa_max_quantiles(block, q)
+        with np.errstate(invalid="ignore"):
+            linear = np.quantile(block, q, axis=1).T
+        defined = ~np.isnan(linear)
+        assert got[defined].tobytes() == linear[defined].tobytes()
+        assert (np.quantile(block, q, axis=1, method="lower").T <= got).all()
+        assert (got <= np.quantile(block, q, axis=1, method="higher").T).all()
+
     def test_ragged_summaries_match_a_per_point_reference(self, monkeypatch):
         # replicates kept per grid point: none, one, and two points sharing
         # a count, so rates are summed over ragged segments around an empty
