@@ -68,10 +68,8 @@ import numpy as np
 from qualint.inference import (
     _KAPPA_MAX_ALPHA,
     _SE_ROWS,
-    EstimatePair,
     LocalAlternative,
     PairBatch,
-    SubgroupEstimate,
     _check_alpha,
     _rule_violation,
     _valid,
@@ -387,19 +385,27 @@ def _read_pairs(path: str, strict: bool) -> tuple[list[str], PairBatch]:
 # ---------------------------------------------------------------------------
 
 
-def _run_pair_test(pair: EstimatePair | PairBatch, kind: str, kappa: float, alpha: float):
+def _flag_pair(args) -> PairBatch:
+    """The one-row batch of --est1/--se1/--est2/--se2; the first value that
+    breaks the core's input rule is named by its flag."""
+    values = [getattr(args, field) for field in _PAIR_FIELDS[1:]]
+    bad = ~_valid(values, _SE_ROWS[:, 0])
+    if bad.any():
+        c = int(np.argmax(bad))
+        raise UsageError(_rule_violation(f"--{_PAIR_FIELDS[1 + c]}", values[c], _SE_ROWS[c, 0]))
+    return PairBatch.from_rows([values])
+
+
+def _run_pair_test(batch: PairBatch, kind: str, kappa: float, alpha: float):
     if kind == "rd":
-        return rd_test(pair, kappa, alpha)
+        return rd_test(batch, kappa, alpha)
     if kind == "omnibus":
-        return omnibus_test(pair, kappa, alpha)
-    return gail_simon_test(pair, alpha)
+        return omnibus_test(batch, kappa, alpha)
+    return gail_simon_test(batch, alpha)
 
 
 def _cmd_test(args) -> int:
-    pair = EstimatePair(
-        SubgroupEstimate(args.est1, args.se1), SubgroupEstimate(args.est2, args.se2)
-    )
-    result = _run_pair_test(pair, args.kind, args.kappa, args.alpha)
+    result = _run_pair_test(_flag_pair(args), args.kind, args.kappa, args.alpha)[0]
     payload = {
         "kind": args.kind,
         "statistic": _json_g10(result.statistic),
@@ -645,7 +651,7 @@ def _cmd_kappa_max(args) -> int:
                 "kappa-max needs either an input CSV or all of "
                 "--est1/--se1/--est2/--se2"
             )
-        batch = PairBatch.from_rows([(args.est1, args.se1, args.est2, args.se2)])
+        batch = _flag_pair(args)
         summary = kappa_max(batch, args.alpha)[0]
         roots = None
         if summary.roots is not None:

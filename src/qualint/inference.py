@@ -39,21 +39,22 @@ Conventions (uniform across the module):
   sqrt(n_g) and on scale-free ratios thereof, so the API takes per-group
   (estimate, std_error) pairs and no sample sizes.
 
-Array-first core: every test, statistic and kappa_max accepts either one
-EstimatePair or a PairBatch of many rows, and a batch call returns arrays
-(TestBatch, KappaMaxBatch).  The single-pair call is the size-1 batch and
-returns its row 0 (TestResult, KappaMaxResult), so both go through the
-same code and row i of a batch result equals the single-pair result for
-row i.  A row reads its diagnostic fields from its batch, which computes
-them only when first read.  The core evaluates every formula on rows
-rescaled by the power of two that puts the larger standard error in
-[0.5, 1), and with kappa split into a power of two times a mantissa in
-[0.5, 1).  Both rescalings are exact in binary floating point and every
-formula is a ratio invariant under them, so ordinary inputs give the same
-bits as the plain formulas, while standard errors near 1e-300 or kappa
-near 1e300 no longer underflow or overflow.  A contrast's variance that still falls
-below the normal range (past kappa = 2^510, with a standard error near
-1/kappa) is taken by hypot of its unsquared terms.
+Array-first core: every test, statistic, kappa_max and rd_power_approx
+takes a PairBatch, one row per pair, and returns its batch form (TestBatch,
+KappaMaxBatch, or an array with one entry per row).  One pair is the
+one-row batch PairBatch.from_rows([(est1, se1, est2, se2)]), and its
+result is row 0, so row i of a batch result equals the result of the
+one-row batch of row i.  A row (TestResult, KappaMaxResult) reads its
+diagnostic fields from its batch, which computes them only when first
+read.  The core evaluates every formula on rows rescaled by the power of
+two that puts the larger standard error in [0.5, 1), and with kappa split
+into a power of two times a mantissa in [0.5, 1).  Both rescalings are
+exact in binary floating point and every formula is a ratio invariant
+under them, so ordinary inputs give the same bits as the plain formulas,
+while standard errors near 1e-300 or kappa near 1e300 no longer underflow
+or overflow.  A contrast's variance that still falls below the normal
+range (past kappa = 2^510, with a standard error near 1/kappa) is taken by
+hypot of its unsquared terms.
 
 All operations are pure functions; nothing retains state between calls.
 """
@@ -77,12 +78,10 @@ from qualint.distributions import (
 )
 
 __all__ = [
-    "EstimatePair",
     "KappaMaxBatch",
     "KappaMaxResult",
     "LocalAlternative",
     "PairBatch",
-    "SubgroupEstimate",
     "TestBatch",
     "TestResult",
     "gail_simon_test",
@@ -147,37 +146,6 @@ def _check_input(name: str, value: float, se: bool) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubgroupEstimate:
-    """One sub-population's estimated association with its standard error.
-
-    ``std_error`` is sigma_g / sqrt(n_g) in asymptotic terms; it must be
-    finite and strictly positive (above 1e-300).
-    """
-
-    estimate: float
-    std_error: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "estimate", float(self.estimate))
-        object.__setattr__(self, "std_error", float(self.std_error))
-        _check_input("estimate", self.estimate, se=False)
-        _check_input("std_error", self.std_error, se=True)
-
-
-@dataclass(frozen=True)
-class EstimatePair:
-    """The two-group input to every test: (theta_hat_1, theta_hat_2) + SEs."""
-
-    group1: SubgroupEstimate
-    group2: SubgroupEstimate
-
-    def __post_init__(self) -> None:
-        for g in (self.group1, self.group2):
-            if not isinstance(g, SubgroupEstimate):
-                raise TypeError(f"group members must be SubgroupEstimate, got {g!r}")
-
-
 class _Rows(NamedTuple):
     """Batch rows rescaled so the larger standard error lies in [0.5, 1)."""
 
@@ -215,13 +183,13 @@ def _unshrunk(values, shrink):
 
 @dataclass(frozen=True, eq=False)
 class PairBatch:
-    """Many two-group inputs as columns: the batch form of EstimatePair.
+    """Two-group inputs as columns: the one input of every test,
+    statistic, kappa_max and rd_power_approx.
 
     ``est1``, ``se1``, ``est2`` and ``se2`` are equal-length 1-D float
-    arrays (scalars broadcast), validated row by row exactly as
-    SubgroupEstimate validates one group.  Every test, statistic and
-    kappa_max accepts a PairBatch wherever it accepts an EstimatePair and
-    then returns arrays, one entry per row.
+    arrays (scalars broadcast), validated row by row: an estimate must be
+    finite, a standard error finite and > 1e-300; the first bad value is
+    named by field and row, as in ``se1[0]``.  One pair is a one-row batch.
     """
 
     est1: np.ndarray
@@ -418,25 +386,10 @@ def _check_kappa(kappa: float, strict: bool = False) -> None:
         raise ValueError(f"kappa must be {'>' if strict else '>='} 1, got {kappa!r}")
 
 
-def _as_batch(pair: EstimatePair | PairBatch) -> PairBatch:
-    if isinstance(pair, PairBatch):
-        return pair
-    if isinstance(pair, EstimatePair):
-        g1, g2 = pair.group1, pair.group2
-        return PairBatch([g1.estimate], [g1.std_error], [g2.estimate], [g2.std_error])
-    raise TypeError(f"expected an EstimatePair or a PairBatch, got {type(pair).__name__}")
-
-
-def _per_row(pair, values: np.ndarray):
-    """A float for a single pair, the array for a batch."""
-    return values if isinstance(pair, PairBatch) else values[0].item()
-
-
-def _tested(pair, statistic, p_value, components: Callable[[], dict], alpha: float):
+def _tested(statistic, p_value, components: Callable[[], dict], alpha: float) -> TestBatch:
     """The test's outcome; ``components`` builds the component columns, whose
     maximum is p_value, when they are first read."""
-    batch = TestBatch(statistic, p_value, p_value < alpha, float(alpha), components)
-    return batch if isinstance(pair, PairBatch) else batch[0]
+    return TestBatch(statistic, p_value, p_value < alpha, float(alpha), components)
 
 
 def _kappa_split(kappa):
@@ -589,6 +542,10 @@ def _omnibus_nu(se1, se2, m, s):
         roots = _root(va, low_a, se1, se2, s, m) * _root(vb, low_b, se1, se2, m, s)
         root = np.where(low, roots, root)
     nu = m * ((se1 * se1 + se2 * se2) * s) / root
+    # the zero-point tail is ill-conditioned in nu near 1, so past 1/2 nu is
+    # 1 - u^2 / (1 + nu) with u^2 = 1 - nu^2, which has no cancellation
+    u = (se1 * se2) * ((m - s) * (m + s)) / root
+    nu = np.where(nu > 0.5, 1.0 - u * u / (1.0 + nu), nu)
     return np.maximum(0.0, np.minimum(1.0, nu))
 
 
@@ -601,7 +558,7 @@ def _opposite_signs(x1, x2):
     return ((x1 > 0.0) & (x2 < 0.0)) | ((x1 < 0.0) & (x2 > 0.0))
 
 
-def gail_simon_test(pair: EstimatePair | PairBatch, alpha: float):
+def gail_simon_test(batch: PairBatch, alpha: float) -> TestBatch:
     """Crossover likelihood-ratio test (Gail & Simon).
 
     The statistic is the smaller squared standardized estimate when the
@@ -610,7 +567,6 @@ def gail_simon_test(pair: EstimatePair | PairBatch, alpha: float):
     to 0, and 1 otherwise.
     """
     _check_alpha(alpha)
-    batch = _as_batch(pair)
     # each group's z from its own columns: a rescaling shared by both groups
     # would underflow the smaller group to 0 / 0 once its SE is 2^-1074 of
     # the other's
@@ -621,7 +577,7 @@ def gail_simon_test(pair: EstimatePair | PairBatch, alpha: float):
     crossed = _opposite_signs(batch.est1, batch.est2)
     statistic = np.where(crossed, squares, 0.0)
     p = np.where(crossed, 0.5 * chi2_1_tail(statistic), 1.0)
-    return _tested(pair, statistic, p, functools.partial(dict, half_chi2=p), alpha)
+    return _tested(statistic, p, functools.partial(dict, half_chi2=p), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +585,7 @@ def gail_simon_test(pair: EstimatePair | PairBatch, alpha: float):
 # ---------------------------------------------------------------------------
 
 
-def rd_statistic(pair: EstimatePair | PairBatch, kappa: float):
+def rd_statistic(batch: PairBatch, kappa: float) -> np.ndarray:
     """Signed root statistic for the bounded-ratio null max|th| <= kappa*min|th|.
 
     With theta_hat_max / theta_hat_min the larger / smaller absolute
@@ -641,8 +597,7 @@ def rd_statistic(pair: EstimatePair | PairBatch, kappa: float):
     event has measure zero).
     """
     _check_kappa(kappa)
-    t = _rd_stat(_as_batch(pair).scaled, *_kappa_split(kappa))
-    return _per_row(pair, t)
+    return _rd_stat(batch.scaled, *_kappa_split(kappa))
 
 
 def _null_scales(t: float, kappa: float, se1: float, se2: float):
@@ -671,7 +626,7 @@ def rd_null_tail(t: float, kappa: float, se1: float, se2: float) -> float:
     return float(_rd_zero_tail(t, *_rd_nu(*_null_scales(t, kappa, se1, se2))))
 
 
-def rd_test(pair: EstimatePair | PairBatch, kappa: float, alpha: float):
+def rd_test(batch: PairBatch, kappa: float, alpha: float) -> TestBatch:
     """Relative-difference test of max|theta| <= kappa * min|theta|.
 
     Components recorded on the result:
@@ -686,15 +641,15 @@ def rd_test(pair: EstimatePair | PairBatch, kappa: float, alpha: float):
     the test and kappa_max decide by the one rule in _rd_boundary.  The
     zero-point column is recorded as at most the boundary tail, which moves
     only subnormal values.  A statistic t <= 0 places the estimates inside
-    the null region and the p-value is 1.  A PairBatch gives a TestBatch.
+    the null region and the p-value is 1.
     """
     _check_kappa(kappa, strict=True)
     _check_alpha(alpha)
-    rows = _as_batch(pair).scaled
+    rows = batch.scaled
     m, s = _kappa_split(kappa)
     t, boundary = _rd_boundary(rows, m, s)
     components = functools.partial(_rd_components, rows, m, s, t, boundary)
-    return _tested(pair, t, boundary, components, alpha)
+    return _tested(t, boundary, components, alpha)
 
 
 def _rd_components(rows: _Rows, m, s, t, boundary) -> dict[str, np.ndarray]:
@@ -745,17 +700,17 @@ def rd_local_power(alt: LocalAlternative, kappa: float, alpha: float):
     return _rd_power(_local_rows(alt), kappa, alpha)
 
 
-def rd_power_approx(pair_truth: EstimatePair, kappa: float, alpha: float) -> float:
-    """Finite-sample power approximation at true effects held in ``pair_truth``.
+def rd_power_approx(truth: PairBatch, kappa: float, alpha: float) -> np.ndarray:
+    """Finite-sample power approximation at the true effects of each row.
 
-    The estimate slots carry the *true* per-group effects and the std_error
-    slots their anticipated standard errors; scaling all four numbers by a
-    common positive constant leaves the result unchanged.
+    The estimate columns carry the *true* per-group effects and the
+    standard-error columns their anticipated standard errors; scaling all
+    four numbers of a row by a common positive constant leaves its power
+    unchanged.
     """
     _check_kappa(kappa, strict=True)
     _check_alpha(alpha, upper=0.5)
-    g1, g2 = pair_truth.group1, pair_truth.group2
-    return _rd_power(_rows(g1.estimate, g1.std_error, g2.estimate, g2.std_error), kappa, alpha)
+    return _rd_power(truth.scaled, kappa, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +718,7 @@ def rd_power_approx(pair_truth: EstimatePair, kappa: float, alpha: float) -> flo
 # ---------------------------------------------------------------------------
 
 
-def omnibus_statistic(pair: EstimatePair | PairBatch, kappa: float):
+def omnibus_statistic(batch: PairBatch, kappa: float) -> np.ndarray:
     """Omnibus likelihood-ratio statistic.
 
     min{ (th1 - kappa*th2)^2 / (se1^2 + kappa^2 se2^2),
@@ -774,7 +729,7 @@ def omnibus_statistic(pair: EstimatePair | PairBatch, kappa: float):
     opposite-sign pairs always qualify.
     """
     _check_kappa(kappa)
-    return _per_row(pair, _omnibus_stat(_as_batch(pair).scaled, *_kappa_split(kappa))[0])
+    return _omnibus_stat(batch.scaled, *_kappa_split(kappa))[0]
 
 
 def _omnibus_zero_tail(root_t, nu):
@@ -793,7 +748,7 @@ def omnibus_null_tail(t: float, kappa: float, se1: float, se2: float) -> float:
     return float(_omnibus_zero_tail(math.sqrt(t), nu))
 
 
-def omnibus_test(pair: EstimatePair | PairBatch, kappa: float, alpha: float):
+def omnibus_test(batch: PairBatch, kappa: float, alpha: float) -> TestBatch:
     """Omnibus test: crossover or same-sign ratio beyond kappa.
 
     Components recorded on the result:
@@ -805,11 +760,11 @@ def omnibus_test(pair: EstimatePair | PairBatch, kappa: float, alpha: float):
     Estimates outside the alternative region (statistic 0) yield p-value
     1; inside it, a statistic that underflows to 0 yields the components'
     t -> 0+ limits.  For very large kappa the p-value converges to the
-    Gail-Simon p-value.  A PairBatch gives a TestBatch.
+    Gail-Simon p-value.
     """
     _check_kappa(kappa, strict=True)
     _check_alpha(alpha)
-    rows = _as_batch(pair).scaled
+    rows = batch.scaled
     m, s = _kappa_split(kappa)
     t, region = _omnibus_stat(rows, m, s)
     boundary = np.where(region, 0.5 * chi2_1_tail(t), 1.0)
@@ -817,7 +772,7 @@ def omnibus_test(pair: EstimatePair | PairBatch, kappa: float, alpha: float):
     nu = _omnibus_nu(rows.se1[region], rows.se2[region], m, s)
     zero_point[region] = _omnibus_zero_tail(np.sqrt(t[region]), nu)
     components = {"normal_boundary": boundary, "zero_point": zero_point}
-    return _tested(pair, t, np.maximum(boundary, zero_point), components.copy, alpha)
+    return _tested(t, np.maximum(boundary, zero_point), components.copy, alpha)
 
 
 def _omnibus_threshold(nu, alpha: float) -> float:
@@ -868,7 +823,7 @@ def omnibus_local_power(alt: LocalAlternative, kappa: float, alpha: float):
 # ---------------------------------------------------------------------------
 
 
-def kappa_max(pair: EstimatePair | PairBatch, alpha: float):
+def kappa_max(batch: PairBatch, alpha: float) -> KappaMaxBatch:
     """Largest kappa > 1 at which the relative-difference test rejects.
 
     The test rejects until its boundary tail climbs to alpha at pi_1 or its
@@ -886,10 +841,9 @@ def kappa_max(pair: EstimatePair | PairBatch, alpha: float):
     and no root binds; the boundary tail alone decides this, as it decides
     rd_test, since the zero-point tail never exceeds it.  pi_2 is searched
     for (doubling from 2 to a cap of 1e9, +inf past it) only when ``roots``
-    is read.  A PairBatch gives a KappaMaxBatch.
+    is read.
     """
     _check_alpha(alpha, upper=_KAPPA_MAX_ALPHA)
-    batch = _as_batch(pair)
     rejecting = _rd_boundary(batch.scaled, *_kappa_split(_KAPPA_PROBE))[1] < alpha
     x1, se1, x2, se2 = (getattr(batch, name)[rejecting] for name in _BATCH_FIELDS)
     z = std_normal_quantile(1.0 - alpha / 2.0)
@@ -903,8 +857,7 @@ def kappa_max(pair: EstimatePair | PairBatch, alpha: float):
     with np.errstate(divide="ignore", over="ignore"):  # +inf past the float range
         kmax[rejecting] = k / (r + np.hypot(f * np.sqrt(k), r * e))
     binding = np.where(rejecting, "normal_boundary", "none")
-    result = KappaMaxBatch(kmax, float(alpha), binding, batch.scaled.take(rejecting))
-    return result if isinstance(pair, PairBatch) else result[0]
+    return KappaMaxBatch(kmax, float(alpha), binding, batch.scaled.take(rejecting))
 
 
 def _zero_point_root(rows: _Rows, alpha: float) -> np.ndarray:

@@ -16,9 +16,8 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES
 from qualint import (
-    EstimatePair,
+    PairBatch,
     SimulationConfig,
-    SubgroupEstimate,
     gail_simon_test,
     kappa_max,
     mc_null_oracle,
@@ -59,8 +58,8 @@ def _verdict(number: int, passed: bool, detail: str) -> None:
     assert passed, line
 
 
-def _pair(e1, s1, e2, s2) -> EstimatePair:
-    return EstimatePair(SubgroupEstimate(e1, s1), SubgroupEstimate(e2, s2))
+def _pair(e1, s1, e2, s2) -> PairBatch:
+    return PairBatch.from_rows([(e1, s1, e2, s2)])
 
 
 def _study(n: int) -> tuple:
@@ -91,7 +90,7 @@ def study_n50():
 def test_criterion_1_reference_panel_reproduction():
     start = time.perf_counter()
     computed = {
-        name: kappa_max(_pair(e1, s1, e2, s2), 0.10).kappa_max
+        name: kappa_max(_pair(e1, s1, e2, s2), 0.10)[0].kappa_max
         for name, e1, s1, e2, s2, _ in TABLE_ROWS
     }
     elapsed = time.perf_counter() - start
@@ -201,7 +200,7 @@ def test_criterion_5_analytic_vs_mc_power(study_n100):
     # model standard errors: slope of Y = theta X + noise with unit-variance
     # X and noise has SE ~ 1/sqrt(n) = 0.1 at n = 100
     truth = _pair(1.0, 0.1, 0.0, 0.1)
-    analytic = rd_power_approx(truth, 2.0, ALPHA)
+    analytic = rd_power_approx(truth, 2.0, ALPHA)[0]
     empirical = result.rate(0.0, 2.0, "rd").rejection_rate
     gap = abs(analytic - empirical)
     passed = gap <= 0.05
@@ -235,8 +234,8 @@ def test_criterion_7_large_kappa_collapse():
         if rng.random() < 0.5:
             e1, e2 = e2, e1
         pair = _pair(e1, rng.uniform(0.05, 1.0), e2, rng.uniform(0.05, 1.0))
-        omnibus_p = omnibus_test(pair, 1e6, ALPHA).p_value
-        classical_p = gail_simon_test(pair, ALPHA).p_value
+        omnibus_p = omnibus_test(pair, 1e6, ALPHA)[0].p_value
+        classical_p = gail_simon_test(pair, ALPHA)[0].p_value
         worst = max(worst, abs(omnibus_p - classical_p))
     passed = worst <= 1e-4
     _verdict(
@@ -264,62 +263,63 @@ def test_criterion_8_property_suites():
     for pair in pairs(25):
         for c in (0.1, 3.7):
             scaled = _pair(
-                c * pair.group1.estimate,
-                c * pair.group1.std_error,
-                c * pair.group2.estimate,
-                c * pair.group2.std_error,
+                c * pair.est1[0],
+                c * pair.se1[0],
+                c * pair.est2[0],
+                c * pair.se2[0],
             )
             for kappa in (1.5, 3.0):
                 if abs(
-                    rd_test(pair, kappa, ALPHA).p_value
-                    - rd_test(scaled, kappa, ALPHA).p_value
+                    rd_test(pair, kappa, ALPHA)[0].p_value
+                    - rd_test(scaled, kappa, ALPHA)[0].p_value
                 ) > 1e-10 or abs(
-                    omnibus_test(pair, kappa, ALPHA).p_value
-                    - omnibus_test(scaled, kappa, ALPHA).p_value
+                    omnibus_test(pair, kappa, ALPHA)[0].p_value
+                    - omnibus_test(scaled, kappa, ALPHA)[0].p_value
                 ) > 1e-10:
                     failures.append("scale invariance")
-            if abs(kappa_max(pair, 0.10).kappa_max - kappa_max(scaled, 0.10).kappa_max) > 1e-5:
+            if abs(kappa_max(pair, 0.10)[0].kappa_max
+                   - kappa_max(scaled, 0.10)[0].kappa_max) > 1e-5:
                 failures.append("scale invariance (inversion)")
 
     # group exchange and sign symmetries
     for pair in pairs(25):
         swapped = _pair(
-            pair.group2.estimate,
-            pair.group2.std_error,
-            pair.group1.estimate,
-            pair.group1.std_error,
+            pair.est2[0],
+            pair.se2[0],
+            pair.est1[0],
+            pair.se1[0],
         )
         flipped = _pair(
-            -pair.group1.estimate,
-            pair.group1.std_error,
-            -pair.group2.estimate,
-            pair.group2.std_error,
+            -pair.est1[0],
+            pair.se1[0],
+            -pair.est2[0],
+            pair.se2[0],
         )
         one_flipped = _pair(
-            -pair.group1.estimate,
-            pair.group1.std_error,
-            pair.group2.estimate,
-            pair.group2.std_error,
+            -pair.est1[0],
+            pair.se1[0],
+            pair.est2[0],
+            pair.se2[0],
         )
         for kappa in (1.5, 3.0):
-            base_rd = rd_test(pair, kappa, ALPHA).p_value
-            if abs(base_rd - rd_test(swapped, kappa, ALPHA).p_value) > 1e-12:
+            base_rd = rd_test(pair, kappa, ALPHA)[0].p_value
+            if abs(base_rd - rd_test(swapped, kappa, ALPHA)[0].p_value) > 1e-12:
                 failures.append("rd exchange symmetry")
             # the magnitude-ratio test ignores every sign pattern
             if (
-                abs(base_rd - rd_test(flipped, kappa, ALPHA).p_value) > 1e-12
-                or abs(base_rd - rd_test(one_flipped, kappa, ALPHA).p_value) > 1e-12
+                abs(base_rd - rd_test(flipped, kappa, ALPHA)[0].p_value) > 1e-12
+                or abs(base_rd - rd_test(one_flipped, kappa, ALPHA)[0].p_value) > 1e-12
             ):
                 failures.append("rd sign symmetry")
-            base_omni = omnibus_test(pair, kappa, ALPHA).p_value
-            if abs(base_omni - omnibus_test(swapped, kappa, ALPHA).p_value) > 1e-12:
+            base_omni = omnibus_test(pair, kappa, ALPHA)[0].p_value
+            if abs(base_omni - omnibus_test(swapped, kappa, ALPHA)[0].p_value) > 1e-12:
                 failures.append("omnibus exchange symmetry")
-            if abs(base_omni - omnibus_test(flipped, kappa, ALPHA).p_value) > 1e-12:
+            if abs(base_omni - omnibus_test(flipped, kappa, ALPHA)[0].p_value) > 1e-12:
                 failures.append("omnibus global sign symmetry")
         if (
             abs(
-                gail_simon_test(pair, ALPHA).p_value
-                - gail_simon_test(swapped, ALPHA).p_value
+                gail_simon_test(pair, ALPHA)[0].p_value
+                - gail_simon_test(swapped, ALPHA)[0].p_value
             )
             > 1e-12
         ):
@@ -329,18 +329,18 @@ def test_criterion_8_property_suites():
     # invariant; it is what makes the inversion well defined)
     kappa_grid = (1.000000001, 1.3, 2.0, 3.5, 8.0)
     for pair in pairs(25):
-        values = [rd_test(pair, k, ALPHA).p_value for k in kappa_grid]
+        values = [rd_test(pair, k, ALPHA)[0].p_value for k in kappa_grid]
         if any(b < a - 1e-12 for a, b in zip(values, values[1:])):
             failures.append("rd p monotone in kappa")
 
     # test-inversion consistency: reject just below kappa_max, accept just above
     for name, e1, s1, e2, s2, _ in TABLE_ROWS:
         pair = _pair(e1, s1, e2, s2)
-        bound = kappa_max(pair, 0.10).kappa_max
+        bound = kappa_max(pair, 0.10)[0].kappa_max
         if bound <= 1.0 + 1e-6:
             continue
-        below = rd_test(pair, bound * (1 - 1e-3), 0.10).p_value
-        above = rd_test(pair, bound * (1 + 1e-3), 0.10).p_value
+        below = rd_test(pair, bound * (1 - 1e-3), 0.10)[0].p_value
+        above = rd_test(pair, bound * (1 + 1e-3), 0.10)[0].p_value
         if not (below < 0.10 <= above):
             failures.append(f"inversion consistency ({name})")
 

@@ -11,6 +11,7 @@ frozen here as the reference the batched solver must stay within 1e-6 of.
 
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -19,13 +20,12 @@ from scipy.special import ndtr, ndtri
 from qualint import inference
 from qualint.distributions import first_crossing
 from qualint.inference import (
-    EstimatePair,
     PairBatch,
-    SubgroupEstimate,
     gail_simon_test,
     kappa_max,
     omnibus_statistic,
     omnibus_test,
+    rd_power_approx,
     rd_statistic,
     rd_test,
 )
@@ -88,7 +88,7 @@ NEVER_REACHES_ALPHA = (10.0, 1.0, 0.0, 1e-9)
 
 
 def pair(e1, s1, e2, s2):
-    return EstimatePair(SubgroupEstimate(e1, s1), SubgroupEstimate(e2, s2))
+    return PairBatch.from_rows([(e1, s1, e2, s2)])
 
 
 @pytest.fixture(scope="module")
@@ -122,27 +122,30 @@ def test_tests_match_size_one_calls(batch, kappa):
         whole = test(batch, kappa, ALPHA)
         assert len(whole) == len(PANEL)
         for i, row in enumerate(PANEL):
-            single = test(pair(*row[:4]), kappa, ALPHA)
+            single = test(pair(*row[:4]), kappa, ALPHA)[0]
             assert whole[i] == single
             assert whole[i].components == single.components
     whole_rd = rd_statistic(batch, kappa)
     whole_omnibus = omnibus_statistic(batch, kappa)
+    whole_power = rd_power_approx(batch, kappa, ALPHA)
+    assert whole_power.shape == (len(PANEL),)
     for i, row in enumerate(PANEL):
-        assert whole_rd[i] == rd_statistic(pair(*row[:4]), kappa)
-        assert whole_omnibus[i] == omnibus_statistic(pair(*row[:4]), kappa)
+        assert whole_rd[i] == rd_statistic(pair(*row[:4]), kappa)[0]
+        assert whole_omnibus[i] == omnibus_statistic(pair(*row[:4]), kappa)[0]
+        assert whole_power[i] == rd_power_approx(pair(*row[:4]), kappa, ALPHA)[0]
 
 
 def test_gail_simon_matches_size_one_calls(batch):
     whole = gail_simon_test(batch, ALPHA)
     for i, row in enumerate(PANEL):
-        single = gail_simon_test(pair(*row[:4]), ALPHA)
+        single = gail_simon_test(pair(*row[:4]), ALPHA)[0]
         assert whole[i] == single
         assert whole[i].components == single.components
 
 
 def test_kappa_max_matches_size_one_calls(batch, bounds):
     for i, row in enumerate(PANEL):
-        single = kappa_max(pair(*row[:4]), ALPHA)
+        single = kappa_max(pair(*row[:4]), ALPHA)[0]
         assert bounds[i] == single  # kappa_max, alpha and binding_root
         assert bounds[i].roots == single.roots
         assert single.kappa_max == bounds.kappa_max[i]
@@ -164,19 +167,19 @@ def test_rd_test_rejects_exactly_below_kappa_max(bounds):
         bound = bounds.kappa_max[i]
         if bound <= 1.001:
             continue
-        assert rd_test(pair(*row[:4]), bound * (1 - 1e-5), ALPHA).rejected, row
-        assert not rd_test(pair(*row[:4]), bound * (1 + 1e-5), ALPHA).rejected, row
+        assert rd_test(pair(*row[:4]), bound * (1 - 1e-5), ALPHA)[0].rejected, row
+        assert not rd_test(pair(*row[:4]), bound * (1 + 1e-5), ALPHA)[0].rejected, row
 
 
 def test_boundary_root_past_the_cap_is_finite_on_both_paths(bounds):
     z = float(ndtri(1.0 - ALPHA / 2.0))
     expected = 1e9 * math.sqrt((10.0 / z) ** 2 - 1.0)
-    single = kappa_max(pair(*NEVER_REACHES_ALPHA), ALPHA)
+    single = kappa_max(pair(*NEVER_REACHES_ALPHA), ALPHA)[0]
     assert single.kappa_max == pytest.approx(expected, rel=1e-12)
     assert single.binding_root == "normal_boundary"
     assert single.roots == (single.kappa_max, math.inf)
-    assert rd_test(pair(*NEVER_REACHES_ALPHA), expected * (1 - 1e-6), ALPHA).rejected
-    assert not rd_test(pair(*NEVER_REACHES_ALPHA), expected * (1 + 1e-6), ALPHA).rejected
+    assert rd_test(pair(*NEVER_REACHES_ALPHA), expected * (1 - 1e-6), ALPHA)[0].rejected
+    assert not rd_test(pair(*NEVER_REACHES_ALPHA), expected * (1 + 1e-6), ALPHA)[0].rejected
     rows = [row[:4] for row in PANEL[:5]] + [NEVER_REACHES_ALPHA]
     whole = kappa_max(PairBatch.from_rows(rows), ALPHA)
     assert whole[5] == single
@@ -199,9 +202,9 @@ def test_kappa_max_evaluates_no_bivariate_tail_unless_roots_are_read(batch, boun
     fresh = kappa_max(batch, ALPHA)
     assert fresh.kappa_max.tolist() == bounds.kappa_max.tolist()
     assert fresh.binding_root.tolist() == bounds.binding_root.tolist()
-    single = kappa_max(pair(*PANEL[0][:4]), ALPHA)
+    single = kappa_max(pair(*PANEL[0][:4]), ALPHA)[0]
     assert single.kappa_max == bounds.kappa_max[0]
-    tested = rd_test(pair(*PANEL[0][:4]), 2.0, ALPHA)
+    tested = rd_test(pair(*PANEL[0][:4]), 2.0, ALPHA)[0]
     assert (tested.p_value, tested.rejected) == (rd_test(batch, 2.0, ALPHA).p_value[0], True)
     assert not calls
     assert single.roots == tuple(bounds.roots[0])
@@ -256,7 +259,7 @@ def snapshot(result, lazy):
 def test_results_pickle_before_and_after_their_lazy_read(batch, kind):
     run, lazy = LAZY_RUNS[kind]
     # a rejecting row, a row that does not reject, and the whole panel
-    for result in (run(pair(*PANEL[0][:4])), run(pair(*PANEL[2][:4])), run(batch)):
+    for result in (run(pair(*PANEL[0][:4]))[0], run(pair(*PANEL[2][:4]))[0], run(batch)):
         unread = pickle.loads(pickle.dumps(result))
         want = snapshot(result, lazy)
         read = pickle.loads(pickle.dumps(result))
@@ -286,6 +289,17 @@ def test_batch_validation_names_the_bad_row():
             (math.inf, 0.5, 0.2, 0.3)]
     with pytest.raises(ValueError, match=r"^est1\[3\] must be finite, got inf$"):
         PairBatch.from_rows(rows)
+    # one pair is a one-row batch, its bad value named as row 0
+    for row, message in [
+        ((math.nan, 0.1, 0.2, 0.3), "est1[0] must be finite, got nan"),
+        ((math.inf, 0.1, 0.2, 0.3), "est1[0] must be finite, got inf"),
+        ((0.5, 0.0, 0.2, 0.3), "se1[0] must be finite and > 1e-300, got 0.0"),
+        ((0.5, -0.1, 0.2, 0.3), "se1[0] must be finite and > 1e-300, got -0.1"),
+        ((0.5, 1e-301, 0.2, 0.3), "se1[0] must be finite and > 1e-300, got 1e-301"),
+        ((0.5, math.inf, 0.2, 0.3), "se1[0] must be finite and > 1e-300, got inf"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PairBatch.from_rows([row])
 
 
 # ---------------------------------------------------------------------------
@@ -352,5 +366,5 @@ def test_coinciding_tails_report_pi_2_equal_to_pi_1():
     # se2 is so small that nu1 rounds to 1 and nu2 to -1, where the
     # zero-point tail equals the boundary tail; the pi_2 search then lands a
     # rounding error below the closed-form pi_1 on this row
-    res = kappa_max(pair(3.0, 1.0, 1.0, 1e-8), ALPHA)
+    res = kappa_max(pair(3.0, 1.0, 1.0, 1e-8), ALPHA)[0]
     assert res.roots == (res.kappa_max, res.kappa_max)

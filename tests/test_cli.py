@@ -197,6 +197,24 @@ class TestTestCommand:
         assert payload["rejected"] is True
 
 
+@pytest.mark.parametrize(
+    "flag, value, rule",
+    [("--est1", "nan", "finite"), ("--se1", "0", "finite and > 1e-300"),
+     ("--est2", "inf", "finite"), ("--se2", "1e-310", "finite and > 1e-300")],
+    ids=["est1", "se1", "est2", "se2"],
+)
+def test_bad_pair_flag_is_named_by_its_flag(capsys, flag, value, rule):
+    # test and kappa-max build their one-row batch alike, so both name a
+    # value that breaks the core's input rule by its flag
+    flags = {"--est1": "1", "--se1": "0.3", "--est2": "-1", "--se2": "0.5", flag: value}
+    argv = [cell for item in flags.items() for cell in item]
+    expected = f"error: {flag} must be {rule}, got {float(value)!r}\n"
+    for command in ("test", "kappa-max"):
+        code = main([command, *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", expected)
+
+
 # ---------------------------------------------------------------------------
 # scan subcommand
 # ---------------------------------------------------------------------------

@@ -18,10 +18,8 @@ from scipy.special import ndtr
 
 from qualint.distributions import bvn_upper_tail, chi2_1_tail, std_normal_quantile
 from qualint.inference import (
-    EstimatePair,
     LocalAlternative,
     PairBatch,
-    SubgroupEstimate,
     _kappa_split,
     _omnibus_threshold,
     _rd_nu,
@@ -62,7 +60,7 @@ OMNI_LOCAL_POWER_PIN = 0.9999999998518088611076
 
 
 def pair(e1, s1, e2, s2):
-    return EstimatePair(SubgroupEstimate(e1, s1), SubgroupEstimate(e2, s2))
+    return PairBatch.from_rows([(e1, s1, e2, s2)])
 
 
 def draws_rejected(test, th1, se1, th2, se2, kappa, alpha):
@@ -70,7 +68,7 @@ def draws_rejected(test, th1, se1, th2, se2, kappa, alpha):
     first 200 rows are checked against scalar calls."""
     outcome = test(PairBatch(th1, se1, th2, se2), kappa, alpha)
     for i in range(200):
-        single = test(pair(th1[i], se1, th2[i], se2), kappa, alpha)
+        single = test(pair(th1[i], se1, th2[i], se2), kappa, alpha)[0]
         assert outcome[i] == single
         assert outcome[i].components == single.components
     return outcome.rejected
@@ -100,29 +98,6 @@ def random_pairs(rng, count, se_low=0.05, se_high=2.0):
 
 
 class TestDomainTypes:
-    def test_subgroup_estimate_validation(self):
-        good = SubgroupEstimate(0.5, 0.1)
-        assert good.estimate == 0.5 and good.std_error == 0.1
-        with pytest.raises(ValueError):
-            SubgroupEstimate(math.nan, 0.1)
-        with pytest.raises(ValueError):
-            SubgroupEstimate(math.inf, 0.1)
-        with pytest.raises(ValueError):
-            SubgroupEstimate(0.5, 0.0)
-        with pytest.raises(ValueError):
-            SubgroupEstimate(0.5, -0.1)
-        with pytest.raises(ValueError):
-            SubgroupEstimate(0.5, 1e-301)
-        with pytest.raises(ValueError):
-            SubgroupEstimate(0.5, math.inf)
-
-    def test_estimate_pair_labels(self):
-        # a pair holds its two groups and nothing else: no labels field
-        with pytest.raises(TypeError):
-            EstimatePair(SubgroupEstimate(1, 1), SubgroupEstimate(2, 1), labels=("a", "b"))
-        with pytest.raises(TypeError):
-            EstimatePair(SubgroupEstimate(1, 1), (2.0, 1.0))
-
     def test_local_alternative_validation(self):
         LocalAlternative(1.0, -1.0, 1.0, 2.0, 0.3)
         for lam in (0.0, 1.0, -0.1, 1.1):
@@ -145,7 +120,7 @@ class TestCrossover:
         # statistic is positive unless it underflows; a zero estimate lies
         # in the null
         def crossover(p):
-            return gail_simon_test(p, 0.05).statistic > 0.0
+            return gail_simon_test(p, 0.05)[0].statistic > 0.0
 
         assert crossover(pair(2, 1, -1, 1))
         assert crossover(pair(-1, 1, 2, 1))
@@ -154,14 +129,14 @@ class TestCrossover:
         assert not crossover(pair(-2, 1, -3, 1))
 
     def test_opposite_signs_example(self):
-        res = gail_simon_test(pair(2, 1, -2, 1), 0.05)
+        res = gail_simon_test(pair(2, 1, -2, 1), 0.05)[0]
         assert res.statistic == 4.0
         assert res.p_value == pytest.approx(GS_P_AT_STAT4, abs=1e-14)
         assert res.rejected
         assert set(res.components) == {"half_chi2"}
 
     def test_same_sign_is_null(self):
-        res = gail_simon_test(pair(2, 1, 1, 1), 0.05)
+        res = gail_simon_test(pair(2, 1, 1, 1), 0.05)[0]
         assert res.statistic == 0.0
         assert res.p_value == 1.0
         assert not res.rejected
@@ -169,12 +144,12 @@ class TestCrossover:
     def test_underflowed_statistic_keeps_the_crossover_p_value(self):
         # z1^2 underflows to 0 at 1e-200 but not at 1e-150; both pairs cross
         # over, so both take the t -> 0+ limit 1/2 of (1/2) P(chi2_1 > t)
-        results = [gail_simon_test(pair(e, 1, -1, 1), 0.6) for e in (1e-200, 1e-150)]
+        results = [gail_simon_test(pair(e, 1, -1, 1), 0.6)[0] for e in (1e-200, 1e-150)]
         assert [res.statistic for res in results] == [0.0, 1e-150 * 1e-150]
         assert [(res.p_value, res.rejected) for res in results] == [(0.5, True)] * 2
 
     def test_smaller_standardized_estimate_wins(self):
-        res = gail_simon_test(pair(1, 0.5, -3, 1), 0.05)
+        res = gail_simon_test(pair(1, 0.5, -3, 1), 0.05)[0]
         assert res.statistic == pytest.approx(4.0, abs=1e-12)
         assert res.p_value == pytest.approx(GS_P_AT_STAT4, abs=1e-14)
 
@@ -192,25 +167,25 @@ class TestCrossover:
 
 class TestRdStatistic:
     def test_closed_form_example(self):
-        t = rd_statistic(pair(1.0, 0.2, 0.3, 0.2), 2.0)
+        t = rd_statistic(pair(1.0, 0.2, 0.3, 0.2), 2.0)[0]
         assert t == pytest.approx(0.4 / math.sqrt(0.2), abs=1e-9)
 
     def test_zero_pair(self):
-        assert rd_statistic(pair(0.0, 1.0, 0.0, 2.0), 3.0) == 0.0
+        assert rd_statistic(pair(0.0, 1.0, 0.0, 2.0), 3.0)[0] == 0.0
 
     def test_depends_only_on_absolute_estimates(self):
-        t_pos = rd_statistic(pair(1.0, 0.2, 0.3, 0.2), 2.0)
-        t_mix = rd_statistic(pair(0.3, 0.2, -1.0, 0.2), 2.0)
+        t_pos = rd_statistic(pair(1.0, 0.2, 0.3, 0.2), 2.0)[0]
+        t_mix = rd_statistic(pair(0.3, 0.2, -1.0, 0.2), 2.0)[0]
         assert t_pos == t_mix
 
     def test_tie_takes_smaller_assignment(self):
         # |estimates| tie at 1; the two assignments give -1/sqrt(1.09) and
         # -1/sqrt(0.61); the smaller (more negative) one must be returned.
-        t = rd_statistic(pair(1.0, 0.3, -1.0, 0.5), 2.0)
+        t = rd_statistic(pair(1.0, 0.3, -1.0, 0.5), 2.0)[0]
         assert t == pytest.approx(-1.0 / math.sqrt(0.61), abs=1e-12)
 
     def test_kappa_one_is_fold_distance(self):
-        t = rd_statistic(pair(1.0, 0.5, -0.2, 0.5), 1.0)
+        t = rd_statistic(pair(1.0, 0.5, -0.2, 0.5), 1.0)[0]
         assert t == pytest.approx(0.8 / math.sqrt(0.5), abs=1e-12)
         assert t >= 0.0
 
@@ -223,12 +198,12 @@ class TestRdStatistic:
     def test_strictly_decreasing_in_kappa_when_min_positive(self):
         p = pair(1.3, 0.4, 0.5, 0.3)
         kappas = np.linspace(1.0, 8.0, 50)
-        values = [rd_statistic(p, k) for k in kappas]
+        values = [rd_statistic(p, k)[0] for k in kappas]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_nonincreasing_in_kappa_when_min_zero(self):
         p = pair(1.3, 0.4, 0.0, 0.3)
-        values = [rd_statistic(p, k) for k in np.linspace(1.0, 8.0, 50)]
+        values = [rd_statistic(p, k)[0] for k in np.linspace(1.0, 8.0, 50)]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert all(v > 0 for v in values)
 
@@ -309,7 +284,7 @@ class TestRdNullTail:
 
 class TestRdTest:
     def test_example_components(self):
-        res = rd_test(pair(1.0, 0.2, 0.0, 0.2), 2.0, 0.05)
+        res = rd_test(pair(1.0, 0.2, 0.0, 0.2), 2.0, 0.05)[0]
         assert res.statistic == pytest.approx(RD_EXAMPLE_STAT, abs=1e-12)
         assert res.components["normal_boundary"] == pytest.approx(
             RD_EXAMPLE_BOUNDARY, abs=1e-14
@@ -321,14 +296,14 @@ class TestRdTest:
         assert res.rejected
 
     def test_null_region_estimate(self):
-        res = rd_test(pair(0.5, 0.2, 0.5, 0.2), 2.0, 0.05)
+        res = rd_test(pair(0.5, 0.2, 0.5, 0.2), 2.0, 0.05)[0]
         assert res.statistic < 0.0
         assert res.p_value == 1.0
         assert res.components == {"normal_boundary": 1.0, "zero_point": 1.0}
         assert not res.rejected
 
     def test_degenerate_zero_pair(self):
-        res = rd_test(pair(0.0, 0.2, 0.0, 0.2), 2.0, 0.05)
+        res = rd_test(pair(0.0, 0.2, 0.0, 0.2), 2.0, 0.05)[0]
         assert res.statistic == 0.0
         assert res.p_value == 1.0
 
@@ -358,7 +333,7 @@ class TestRdTest:
     def test_p_value_nondecreasing_in_kappa(self):
         rng = np.random.default_rng(21)
         for p in random_pairs(rng, 25):
-            pvals = [rd_test(p, k, 0.05).p_value for k in (1.2, 1.5, 2, 3, 5, 8)]
+            pvals = [rd_test(p, k, 0.05)[0].p_value for k in (1.2, 1.5, 2, 3, 5, 8)]
             assert all(a <= b + 1e-12 for a, b in zip(pvals, pvals[1:]))
 
 
@@ -370,7 +345,7 @@ class TestRdNullQuantile:
 
     @staticmethod
     def rejects(t, kappa, ratio, alpha):
-        return rd_test(pair_with_statistic(t, kappa, ratio), kappa, alpha).rejected
+        return rd_test(pair_with_statistic(t, kappa, ratio), kappa, alpha)[0].rejected
 
     def test_normal_point_dominates(self):
         z = std_normal_quantile(0.975)
@@ -462,19 +437,19 @@ class TestRdPower:
 
     def test_power_approx_oracle_pin(self):
         p = pair(1.0, 0.1, 0.0, 0.1)
-        assert rd_power_approx(p, 2.0, 0.05) == pytest.approx(
+        assert rd_power_approx(p, 2.0, 0.05)[0] == pytest.approx(
             RD_POWER_APPROX_PIN, abs=1e-12
         )
 
     def test_power_approx_size_at_global_null(self):
-        assert rd_power_approx(pair(0.0, 0.3, 0.0, 0.4), 2.0, 0.05) <= 0.05 + 1e-12
+        assert rd_power_approx(pair(0.0, 0.3, 0.0, 0.4), 2.0, 0.05)[0] <= 0.05 + 1e-12
 
     def test_power_approx_scale_invariant(self):
-        base = rd_power_approx(pair(1.0, 0.25, -0.2, 0.3), 2.0, 0.05)
+        base = rd_power_approx(pair(1.0, 0.25, -0.2, 0.3), 2.0, 0.05)[0]
         for c in (1e-3, 7.3, 1e4):
             scaled = rd_power_approx(
                 pair(1.0 * c, 0.25 * c, -0.2 * c, 0.3 * c), 2.0, 0.05
-            )
+            )[0]
             assert scaled == pytest.approx(base, abs=1e-10)
 
 
@@ -487,7 +462,7 @@ class TestOmnibusRegionAndStatistic:
     def test_region_examples(self):
         # the alternative region is where the statistic is positive
         def alternative(p):
-            return omnibus_statistic(p, 2.0) > 0.0
+            return omnibus_statistic(p, 2.0)[0] > 0.0
 
         assert alternative(pair(1, 1, -1, 1))
         assert not alternative(pair(1, 1, 0.8, 1))
@@ -497,18 +472,18 @@ class TestOmnibusRegionAndStatistic:
         assert alternative(pair(0.4, 1, 1, 1))
 
     def test_statistic_outside_region_is_zero(self):
-        assert omnibus_statistic(pair(1, 1, 0.8, 1), 2.0) == 0.0
+        assert omnibus_statistic(pair(1, 1, 0.8, 1), 2.0)[0] == 0.0
 
     def test_statistic_examples(self):
-        assert omnibus_statistic(pair(2, 1, -2, 1), 2.0) == pytest.approx(
+        assert omnibus_statistic(pair(2, 1, -2, 1), 2.0)[0] == pytest.approx(
             7.2, abs=1e-12
         )
-        got = omnibus_statistic(pair(1, 0.5, 0.4, 0.5), 2.0)
+        got = omnibus_statistic(pair(1, 0.5, 0.4, 0.5), 2.0)[0]
         assert got == pytest.approx(0.032, abs=1e-15)
 
     def test_sign_flip_of_both_estimates(self):
-        a = omnibus_statistic(pair(1, 0.5, 0.4, 0.5), 2.0)
-        b = omnibus_statistic(pair(-1, 0.5, -0.4, 0.5), 2.0)
+        a = omnibus_statistic(pair(1, 0.5, 0.4, 0.5), 2.0)[0]
+        b = omnibus_statistic(pair(-1, 0.5, -0.4, 0.5), 2.0)[0]
         assert a == b
 
 
@@ -541,7 +516,7 @@ class TestOmnibusNullTail:
 
 class TestOmnibusTest:
     def test_example_components(self):
-        res = omnibus_test(pair(2, 1, -2, 1), 2.0, 0.05)
+        res = omnibus_test(pair(2, 1, -2, 1), 2.0, 0.05)[0]
         assert res.statistic == pytest.approx(7.2, abs=1e-12)
         assert res.components["normal_boundary"] == pytest.approx(
             OMNI_EXAMPLE_BOUNDARY, abs=1e-14
@@ -553,7 +528,7 @@ class TestOmnibusTest:
         assert res.rejected
 
     def test_null_region_estimate(self):
-        res = omnibus_test(pair(1, 1, 0.8, 1), 2.0, 0.05)
+        res = omnibus_test(pair(1, 1, 0.8, 1), 2.0, 0.05)[0]
         assert res.statistic == 0.0
         assert res.p_value == 1.0
         assert not res.rejected
@@ -563,7 +538,7 @@ class TestOmnibusTest:
         # pairs lie in the alternative region, so both p-values are the
         # t -> 0+ limit 2 P(V1 > 0, V2 > 0) = 1/2 + asin(nu) / pi, nu = 0.8
         limit = 0.5 + math.asin(0.8) / math.pi
-        results = [omnibus_test(pair(2 * e, 1, -e, 1), 2.0, 0.9) for e in (1e-200, 1e-150)]
+        results = [omnibus_test(pair(2 * e, 1, -e, 1), 2.0, 0.9)[0] for e in (1e-200, 1e-150)]
         assert [res.statistic == 0.0 for res in results] == [True, False]
         for res in results:
             assert res.p_value == pytest.approx(limit, rel=1e-10)
@@ -577,8 +552,8 @@ class TestOmnibusTest:
             e2 = -rng.uniform(0.1, 3.0)
             s1, s2 = rng.uniform(0.2, 1.5, size=2)
             p = pair(e1, s1, e2, s2)
-            big = omnibus_test(p, 1e6, 0.05).p_value
-            gs = gail_simon_test(p, 0.05).p_value
+            big = omnibus_test(p, 1e6, 0.05)[0].p_value
+            gs = gail_simon_test(p, 0.05)[0].p_value
             assert abs(big - gs) < 1e-4
 
 
@@ -677,12 +652,12 @@ def boundary_root_quadratic(e1, s1, e2, s2, alpha):
 class TestKappaMax:
     def test_table_rows_within_print_tolerance(self):
         for name, e1, s1, e2, s2, printed in TABLE_ROWS:
-            res = kappa_max(pair(e1, s1, e2, s2), 0.10)
+            res = kappa_max(pair(e1, s1, e2, s2), 0.10)[0]
             assert abs(res.kappa_max - printed) <= 0.1, name
 
     def test_matches_closed_form_boundary_root(self):
         for name, e1, s1, e2, s2, _ in TABLE_ROWS:
-            res = kappa_max(pair(e1, s1, e2, s2), 0.10)
+            res = kappa_max(pair(e1, s1, e2, s2), 0.10)[0]
             oracle = boundary_root_quadratic(e1, s1, e2, s2, 0.10)
             assert res.kappa_max == pytest.approx(oracle, abs=5e-6), name
             assert res.binding_root == "normal_boundary"
@@ -692,13 +667,13 @@ class TestKappaMax:
             assert pi2 > pi1  # the zero-point root never binds here
 
     def test_weak_pair_convention(self):
-        res = kappa_max(pair(0.1, 1.0, 0.1, 1.0), 0.10)
+        res = kappa_max(pair(0.1, 1.0, 0.1, 1.0), 0.10)[0]
         assert res.kappa_max == 1.0
         assert res.binding_root == "none"
         assert res.roots is None
 
     def test_zero_point_root_can_be_unbounded(self):
-        res = kappa_max(pair(-0.06, 0.31, -1.66, 0.68), 0.10)
+        res = kappa_max(pair(-0.06, 0.31, -1.66, 0.68), 0.10)[0]
         assert res.roots is not None and math.isinf(res.roots[1])
 
     def test_inversion_consistency(self):
@@ -708,18 +683,18 @@ class TestKappaMax:
             for exponent in (-900, 900)
         ]
         for name, e1, s1, e2, s2 in rows:
-            res = kappa_max(pair(e1, s1, e2, s2), 0.10)
+            res = kappa_max(pair(e1, s1, e2, s2), 0.10)[0]
             if res.kappa_max <= 1.0 + 1e-6:
                 continue
-            below = rd_test(pair(e1, s1, e2, s2), res.kappa_max - 1e-6, 0.10)
-            above = rd_test(pair(e1, s1, e2, s2), res.kappa_max + 1e-6, 0.10)
+            below = rd_test(pair(e1, s1, e2, s2), res.kappa_max - 1e-6, 0.10)[0]
+            above = rd_test(pair(e1, s1, e2, s2), res.kappa_max + 1e-6, 0.10)[0]
             assert below.rejected, name
             assert not above.rejected, name
 
     def test_tighter_alpha_shrinks_kappa_max(self):
         p = pair(-0.06, 0.31, -1.66, 0.68)
-        loose = kappa_max(p, 0.10).kappa_max
-        tight = kappa_max(p, 0.05).kappa_max
+        loose = kappa_max(p, 0.10)[0].kappa_max
+        tight = kappa_max(p, 0.05)[0].kappa_max
         assert tight <= loose
 
     def test_alpha_domain(self):
@@ -744,7 +719,7 @@ class TestZeroPointTailNeverBinds:
         if kappa > 1.0:
             # the test's p-value is its boundary tail, which bounds the
             # recorded zero-point tail
-            res = rd_test(pair_with_statistic(t, kappa, ratio), kappa, 0.10)
+            res = rd_test(pair_with_statistic(t, kappa, ratio), kappa, 0.10)[0]
             assert res.p_value == res.components["normal_boundary"]
             assert res.components["zero_point"] <= res.components["normal_boundary"]
             assert res.p_value == max(res.components.values())
@@ -755,7 +730,7 @@ class TestZeroPointTailNeverBinds:
         # oracle's squares in range: |est1| - kappa |est2| = z hypot(se1, kappa se2)
         d = math.hypot(1.0, kappa * ratio)
         e1, s1, e2, s2 = 1.0 + Z95_FLOAT, 1.0 / d, 1.0 / kappa, ratio / d
-        res = kappa_max(pair(e1, s1, e2, s2), 0.10)
+        res = kappa_max(pair(e1, s1, e2, s2), 0.10)[0]
         if res.binding_root == "none":  # the root sits at the probe kappa = 1 + 1e-9
             assert kappa <= 1.0 + 1e-8
             return
@@ -783,12 +758,12 @@ def float_range_pairs(draw):
 
 def group_scaled(p, f1, f2):
     """p with group 1's estimate and SE times f1 and group 2's times f2."""
-    g1, g2 = p.group1, p.group2
-    return pair(g1.estimate * f1, g1.std_error * f1, g2.estimate * f2, g2.std_error * f2)
+    return pair(p.est1[0] * f1, p.se1[0] * f1, p.est2[0] * f2, p.se2[0] * f2)
 
 
 def three_tests(p, kappa, alpha):
-    return rd_test(p, kappa, alpha), omnibus_test(p, kappa, alpha), gail_simon_test(p, alpha)
+    return (rd_test(p, kappa, alpha)[0], omnibus_test(p, kappa, alpha)[0],
+            gail_simon_test(p, alpha)[0])
 
 
 SWEEP_KAPPAS = log_uniform(0.0, 12.0).filter(lambda k: k > 1.0)
@@ -807,14 +782,14 @@ class TestInvariantSweep:
 
     @given(p=float_range_pairs(), kappa=SWEEP_KAPPAS, alpha=SWEEP_ALPHAS)
     def test_p_value_is_the_largest_component_and_decides(self, p, kappa, alpha):
-        for res in (rd_test(p, kappa, alpha), omnibus_test(p, kappa, alpha),
-                    gail_simon_test(p, alpha)):
+        for res in (rd_test(p, kappa, alpha)[0], omnibus_test(p, kappa, alpha)[0],
+                    gail_simon_test(p, alpha)[0]):
             assert res.p_value == max(res.components.values())
             assert res.rejected == (res.p_value < alpha)
 
     @given(p=float_range_pairs(), alpha=SWEEP_ALPHAS)
     def test_kappa_max_is_its_first_root(self, p, alpha):
-        res = kappa_max(p, alpha)
+        res = kappa_max(p, alpha)[0]
         if res.binding_root == "none":
             assert res.kappa_max == 1.0 and res.roots is None
         else:
@@ -828,48 +803,49 @@ class TestInvariantSweep:
         base = three_tests(p, kappa, alpha)
         exact = group_scaled(p, 2.0**exponent, 2.0**exponent)
         assert three_tests(exact, kappa, alpha) == base
-        assert kappa_max(exact, alpha) == kappa_max(p, alpha)
+        assert kappa_max(exact, alpha)[0] == kappa_max(p, alpha)[0]
         near = three_tests(group_scaled(p, factor, factor), kappa, alpha)
         for got, want in zip(near, base):
             assert got.p_value == pytest.approx(want.p_value, rel=1e-12, abs=0.0)
 
     @example(e1=-0.1, s1=1.0, e2=1.0, s2=1.0, k1=-993, k2=996)
     @given(e1=SIGNED_ESTIMATES, e2=SIGNED_ESTIMATES, s1=st.floats(0.5, 2.0),
-           s2=st.floats(0.5, 2.0), k1=st.integers(-996, 996), k2=st.integers(-996, 996))
+           s2=st.floats(0.5, 2.0), k1=st.integers(-995, 996), k2=st.integers(-995, 996))
     def test_gail_simon_is_invariant_under_scaling_each_group(self, e1, s1, e2, s2, k1, k2):
         # each group by its own power of two, 1e-300..1e300: z1 and z2 do
-        # not move, however far apart the two groups' scales lie
+        # not move, however far apart the two groups' scales lie (an SE of
+        # 0.5 * 2**-995 is the smallest drawn, above the 1e-300 floor)
         base = pair(e1, s1, e2, s2)
-        assert gail_simon_test(group_scaled(base, 2.0**k1, 2.0**k2), 0.05) == gail_simon_test(
-            base, 0.05)
+        scaled = group_scaled(base, 2.0**k1, 2.0**k2)
+        assert gail_simon_test(scaled, 0.05)[0] == gail_simon_test(base, 0.05)[0]
 
     @given(p=float_range_pairs(), kappa=SWEEP_KAPPAS, alpha=SWEEP_ALPHAS)
     def test_exchange_and_sign_symmetry(self, p, kappa, alpha):
-        e1, s1 = p.group1.estimate, p.group1.std_error
-        e2, s2 = p.group2.estimate, p.group2.std_error
+        e1, s1 = p.est1[0], p.se1[0]
+        e2, s2 = p.est2[0], p.se2[0]
         base = three_tests(p, kappa, alpha)
         assert three_tests(pair(e2, s2, e1, s1), kappa, alpha) == base
         assert three_tests(pair(-e1, s1, -e2, s2), kappa, alpha) == base
         # the magnitude-ratio test ignores every sign pattern
-        assert rd_test(pair(-e1, s1, e2, s2), kappa, alpha) == base[0]
-        bound = kappa_max(p, alpha)
+        assert rd_test(pair(-e1, s1, e2, s2), kappa, alpha)[0] == base[0]
+        bound = kappa_max(p, alpha)[0]
         for other in (pair(e2, s2, e1, s1), pair(-e1, s1, e2, s2), pair(e1, s1, -e2, s2)):
-            assert kappa_max(other, alpha) == bound
+            assert kappa_max(other, alpha)[0] == bound
 
     @given(p=float_range_pairs(), kappas=st.tuples(SWEEP_KAPPAS, SWEEP_KAPPAS),
            alpha=SWEEP_ALPHAS)
     def test_rd_p_value_nondecreasing_in_kappa(self, p, kappas, alpha):
         low, high = sorted(kappas)
-        assert rd_test(p, low, alpha).p_value <= rd_test(p, high, alpha).p_value
+        assert rd_test(p, low, alpha)[0].p_value <= rd_test(p, high, alpha)[0].p_value
 
     @given(p=float_range_pairs(), alpha=SWEEP_ALPHAS)
     def test_rd_test_rejects_up_to_kappa_max(self, p, alpha):
-        bound = kappa_max(p, alpha).kappa_max
+        bound = kappa_max(p, alpha)[0].kappa_max
         below, above = bound * (1.0 - 1e-6), bound * (1.0 + 1e-6)
         if below > 1.0:
-            assert rd_test(p, below, alpha).rejected
+            assert rd_test(p, below, alpha)[0].rejected
         if math.isfinite(above):
-            assert not rd_test(p, above, alpha).rejected
+            assert not rd_test(p, above, alpha)[0].rejected
 
 
 # ---------------------------------------------------------------------------
@@ -901,11 +877,11 @@ class TestFloatRange:
             tiny = pair(e1 * f, s1 * f, e2 * f, s2 * f)
             for kappa in (1.5, 4.0):
                 for test in (rd_test, omnibus_test):
-                    small, unit = test(tiny, kappa, 0.05), test(base, kappa, 0.05)
+                    small, unit = test(tiny, kappa, 0.05)[0], test(base, kappa, 0.05)[0]
                     assert small == unit and small.components == unit.components
-            small, unit = gail_simon_test(tiny, 0.05), gail_simon_test(base, 0.05)
+            small, unit = gail_simon_test(tiny, 0.05)[0], gail_simon_test(base, 0.05)[0]
             assert small == unit and small.components == unit.components
-            small, unit = kappa_max(tiny, 0.10), kappa_max(base, 0.10)
+            small, unit = kappa_max(tiny, 0.10)[0], kappa_max(base, 0.10)[0]
             assert small == unit and small.roots == unit.roots
 
     def test_tiny_standard_errors_match_unit_scale(self):
@@ -914,11 +890,11 @@ class TestFloatRange:
             base = pair(e1, s1, e2, s2)
             tiny = pair(e1 * c, s1 * c, e2 * c, s2 * c)
             for test in (rd_test, omnibus_test):
-                assert test(tiny, 2.0, 0.05).p_value == pytest.approx(
-                    test(base, 2.0, 0.05).p_value, abs=1e-12
+                assert test(tiny, 2.0, 0.05)[0].p_value == pytest.approx(
+                    test(base, 2.0, 0.05)[0].p_value, abs=1e-12
                 )
-            assert kappa_max(tiny, 0.10).kappa_max == pytest.approx(
-                kappa_max(base, 0.10).kappa_max, abs=1e-6
+            assert kappa_max(tiny, 0.10)[0].kappa_max == pytest.approx(
+                kappa_max(base, 0.10)[0].kappa_max, abs=1e-6
             )
 
     def test_local_power_is_exact_under_power_of_two_sigma_scaling(self):
@@ -957,28 +933,28 @@ class TestFloatRange:
     def test_omnibus_collapses_to_gail_simon_at_huge_kappa(self):
         for e1, s1, e2, s2 in OPPOSITE_SIGN_PAIRS:
             p = pair(e1, s1, e2, s2)
-            gs = gail_simon_test(p, 0.05).p_value
-            assert abs(omnibus_test(p, 1e200, 0.05).p_value - gs) <= 1e-12
+            gs = gail_simon_test(p, 0.05)[0].p_value
+            assert abs(omnibus_test(p, 1e200, 0.05)[0].p_value - gs) <= 1e-12
             # (t1 - kappa t2) ** 2 overflowed here
-            assert abs(omnibus_test(p, 1e160, 0.05).p_value - gs) <= 1e-12
+            assert abs(omnibus_test(p, 1e160, 0.05)[0].p_value - gs) <= 1e-12
 
     def test_lopsided_pair_evaluates_only_its_own_contrast(self):
         # the discarded assignment's contrast overflowed in a divide here
         p = pair(1e300, 1e-10, 1.0, 1.0)
-        assert rd_statistic(p, 1e9) == pytest.approx(1e291, rel=1e-12)
-        assert rd_test(p, 1e9, 0.05).rejected
-        res = kappa_max(p, 0.10)
+        assert rd_statistic(p, 1e9)[0] == pytest.approx(1e291, rel=1e-12)
+        assert rd_test(p, 1e9, 0.05)[0].rejected
+        res = kappa_max(p, 0.10)[0]
         assert res.kappa_max == pytest.approx(1e300 / (1.0 + Z95), rel=1e-12)
         assert res.roots == (res.kappa_max, math.inf)
 
     def test_kappa_max_past_the_float_range_is_inf(self):
         # the root is about 6e598; se2 underflows when rescaled to se1's scale
-        res = kappa_max(pair(1e300, 1e299, 0.0, 1e-299), 0.10)
+        res = kappa_max(pair(1e300, 1e299, 0.0, 1e-299), 0.10)[0]
         assert res.kappa_max == math.inf and res.binding_root == "normal_boundary"
 
     def test_huge_kappa_relative_difference(self):
         for e1, s1, e2, s2 in FLOAT_RANGE_PAIRS:
-            res = rd_test(pair(e1, s1, e2, s2), 1e200, 0.05)
+            res = rd_test(pair(e1, s1, e2, s2), 1e200, 0.05)[0]
             assert 0.0 <= res.p_value <= 1.0
             assert res.statistic <= 0.0 or min(abs(e1), abs(e2)) == 0.0
 
@@ -987,11 +963,11 @@ class TestFloatRange:
         # zero-point tails refused the infinite statistic
         p = pair(1e300, 1e-299, 1.0, 1e-299)
         for test in (rd_test, omnibus_test):
-            res = test(p, 1.5, 0.05)
+            res = test(p, 1.5, 0.05)[0]
             assert res.statistic == math.inf and res.p_value == 0.0
             assert res.components == {"normal_boundary": 0.0, "zero_point": 0.0}
-        assert gail_simon_test(p, 0.05).statistic == 0.0  # same signs
-        res = kappa_max(p, 0.10)
+        assert gail_simon_test(p, 0.05)[0].statistic == 0.0  # same signs
+        res = kappa_max(p, 0.10)[0]
         assert res.kappa_max == pytest.approx(1e300, rel=1e-9)
         assert res.roots == (res.kappa_max, math.inf)
 
@@ -1003,12 +979,12 @@ class TestFloatRange:
         for e2 in (1e299, -1e299):
             p = pair(1e300, 1e-299, e2, 1e-299)
             for test in (rd_test, omnibus_test):
-                res = test(p, 2.0, 0.05)
+                res = test(p, 2.0, 0.05)[0]
                 assert res.statistic == math.inf and res.p_value == 0.0 and res.rejected
-            res = kappa_max(p, 0.10)
+            res = kappa_max(p, 0.10)[0]
             assert res.kappa_max == pytest.approx(10.0, rel=1e-9)
             assert res.binding_root == "normal_boundary"
-        assert gail_simon_test(pair(1e300, 1e-299, -1e299, 1e-299), 0.05).p_value == 0.0
+        assert gail_simon_test(pair(1e300, 1e-299, -1e299, 1e-299), 0.05)[0].p_value == 0.0
 
     def test_estimates_shrunk_past_2_to_the_1020_keep_their_bits(self):
         # rows are shrunk only where an estimate would pass 2**1020 once
@@ -1019,39 +995,41 @@ class TestFloatRange:
         for e1, s1, e2, s2 in [(5.0, 0.3, 1.0, 0.6), (-1.0, 0.7, 7.0, 0.2)]:
             assert _rows(e1 * g, s1, e2 * g, s2).shrink == 1  # |estimate| 2**1020 to 2**1021
             for kappa in (1.5, 4.0):
-                t = rd_statistic(pair(e1, s1, e2, s2), kappa)
-                assert rd_statistic(pair(e1 * g, s1, e2 * g, s2), kappa) == math.ldexp(t, 1018)
+                t = rd_statistic(pair(e1, s1, e2, s2), kappa)[0]
+                shrunk = rd_statistic(pair(e1 * g, s1, e2 * g, s2), kappa)[0]
+                assert shrunk == math.ldexp(t, 1018)
 
     def test_squared_statistics_past_the_float_range_are_inf(self):
         # the squares overflowed in a multiply
-        res = omnibus_test(pair(1e300, 1e-10, 1.0, 1.0), 2.0, 0.05)
+        res = omnibus_test(pair(1e300, 1e-10, 1.0, 1.0), 2.0, 0.05)[0]
         assert res.statistic == math.inf and res.p_value == 0.0
-        res = gail_simon_test(pair(1e200, 1.0, -1.0, 1.0), 0.05)
+        res = gail_simon_test(pair(1e200, 1.0, -1.0, 1.0), 0.05)[0]
         assert res.statistic == 1.0 and res.p_value == 0.5 * chi2_1_tail(1.0)
-        res = gail_simon_test(pair(1e200, 1.0, -1e200, 1.0), 0.05)
+        res = gail_simon_test(pair(1e200, 1.0, -1e200, 1.0), 0.05)[0]
         assert res.statistic == math.inf and res.p_value == 0.0
 
     def test_variance_whose_squares_underflow_at_huge_kappa(self):
         # se2^2 and (s se1)^2 underflow at kappa = 1e200, so se1^2 s^2 +
         # m^2 se2^2 was 0: a divide by zero, and an rd statistic of -inf
         p = pair(1.0, 0.5, 1.0, 1e-200)
-        assert rd_statistic(p, 1e200) == pytest.approx((1.0 - 1e200) / math.sqrt(1.25), rel=1e-14)
-        assert omnibus_statistic(p, 1e200) == 0.0
+        t = rd_statistic(p, 1e200)[0]
+        assert t == pytest.approx((1.0 - 1e200) / math.sqrt(1.25), rel=1e-14)
+        assert omnibus_statistic(p, 1e200)[0] == 0.0
         for test in (rd_test, omnibus_test):
-            res = test(p, 1e200, 0.05)
+            res = test(p, 1e200, 0.05)[0]
             assert res.p_value == 1.0 and not res.rejected
             assert res.components == {"normal_boundary": 1.0, "zero_point": 1.0}
-        assert kappa_max(p, 0.05).kappa_max == 1.0
+        assert kappa_max(p, 0.05)[0].kappa_max == 1.0
         # outside the null the zero-point correlations read the same
         # variances: nu1 = (0.25 - 1) / 1.25 and nu2 -> -1 for rd, and
         # 0.25 / sqrt(1.25 * 0.25) for the omnibus pair
         q = pair(1.0, 0.5, 1e-201, 1e-200)
         t = 0.9 / math.sqrt(1.25)
-        res = rd_test(q, 1e200, 0.05)
+        res = rd_test(q, 1e200, 0.05)[0]
         assert res.statistic == pytest.approx(t, rel=1e-14)
         zero_point = 2.0 * float(bvn_upper_tail(t, t, -0.6))
         assert res.components["zero_point"] == pytest.approx(zero_point, rel=1e-12)
-        res = omnibus_test(q, 1e200, 0.05)
+        res = omnibus_test(q, 1e200, 0.05)[0]
         assert res.statistic == pytest.approx(t * t, rel=1e-14)
         zero_point = 2.0 * float(bvn_upper_tail(t, t, 1.0 / math.sqrt(5.0)))
         assert res.components["zero_point"] == pytest.approx(zero_point, rel=1e-12)
