@@ -11,7 +11,6 @@ frozen here as the reference the batched solver must stay within 1e-6 of.
 
 import math
 import pickle
-import re
 
 import numpy as np
 import pytest
@@ -289,17 +288,6 @@ def test_batch_validation_names_the_bad_row():
             (math.inf, 0.5, 0.2, 0.3)]
     with pytest.raises(ValueError, match=r"^est1\[3\] must be finite, got inf$"):
         PairBatch.from_rows(rows)
-    # one pair is a one-row batch, its bad value named as row 0
-    for row, message in [
-        ((math.nan, 0.1, 0.2, 0.3), "est1[0] must be finite, got nan"),
-        ((math.inf, 0.1, 0.2, 0.3), "est1[0] must be finite, got inf"),
-        ((0.5, 0.0, 0.2, 0.3), "se1[0] must be finite and > 1e-300, got 0.0"),
-        ((0.5, -0.1, 0.2, 0.3), "se1[0] must be finite and > 1e-300, got -0.1"),
-        ((0.5, 1e-301, 0.2, 0.3), "se1[0] must be finite and > 1e-300, got 1e-301"),
-        ((0.5, math.inf, 0.2, 0.3), "se1[0] must be finite and > 1e-300, got inf"),
-    ]:
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            PairBatch.from_rows([row])
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ quadratic in kappa.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -98,6 +99,21 @@ def random_pairs(rng, count, se_low=0.05, se_high=2.0):
 
 
 class TestDomainTypes:
+    def test_subgroup_estimate_validation(self):
+        # one pair is a one-row batch, its bad value named as row 0
+        good = PairBatch.from_rows([(0.5, 0.1, 0.2, 0.3)])
+        assert good.est1[0] == 0.5 and good.se1[0] == 0.1
+        for row, message in [
+            ((math.nan, 0.1, 0.2, 0.3), "est1[0] must be finite, got nan"),
+            ((math.inf, 0.1, 0.2, 0.3), "est1[0] must be finite, got inf"),
+            ((0.5, 0.0, 0.2, 0.3), "se1[0] must be finite and > 1e-300, got 0.0"),
+            ((0.5, -0.1, 0.2, 0.3), "se1[0] must be finite and > 1e-300, got -0.1"),
+            ((0.5, 1e-301, 0.2, 0.3), "se1[0] must be finite and > 1e-300, got 1e-301"),
+            ((0.5, math.inf, 0.2, 0.3), "se1[0] must be finite and > 1e-300, got inf"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                PairBatch.from_rows([row])
+
     def test_local_alternative_validation(self):
         LocalAlternative(1.0, -1.0, 1.0, 2.0, 0.3)
         for lam in (0.0, 1.0, -0.1, 1.1):
