@@ -653,16 +653,11 @@ def _cmd_kappa_max(args) -> int:
             )
         batch = _flag_pair(args)
         summary = kappa_max(batch, args.alpha)[0]
-        roots = None
-        if summary.roots is not None:
-            pi1, pi2 = summary.roots
-            roots = {"normal_boundary": _json_g10(pi1), "zero_point": _json_g10(pi2)}
         context = _context_p_values(batch, args.alpha)
         payload = {
             "kappa_max": _json_g10(summary.kappa_max),
             "alpha": _json_g10(args.alpha),
             "binding_root": summary.binding_root,
-            "roots": roots,
             "p_values": {k: _json_g10(p.values[0]) for k, p in context.items()},
         }
         with _output(args.output) as out:

@@ -1,4 +1,4 @@
-"""Normal / bivariate-normal tail kernels and a batched root finder, array-first.
+"""Normal / bivariate-normal tail kernels, array-first, and a scalar root finder.
 
 Every routine here is a pure function of its arguments, so the module is
 safe under unrestricted concurrent use.  The inference layer builds all of
@@ -20,10 +20,11 @@ computes them with numpy and the standard library alone:
   constants, as in Genz's own code, so importing the module computes none.
 
 The tail kernels evaluate whole arrays elementwise (scalar arguments give a
-float back), and ``first_crossing`` solves one root per row for a whole
-batch of monotone functions, so callers pay the Python overhead once per
-batch rather than once per element.  The tails return their limits at
-+-inf arguments, so no caller special-cases them, and refuse NaN.
+float back), so callers pay the Python overhead once per batch rather than
+once per element.  The tails return their limits at +-inf arguments, so no
+caller special-cases them, and refuse NaN.  ``first_crossing`` solves one
+scalar root in a bracket that doubles at most once: the omnibus test's
+zero-point threshold.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ _DEGENERATE_RHO_TOL = 1e-12
 # first_crossing stops refining a bracket once it is this many ulps wide.
 _ULPS = 4.0 * np.finfo(float).eps
 # A bracket that has not halved over this many steps is bisected, so the
-# width at least halves every _BISECT_WINDOW steps: a doubling bracket
-# (at most 2^28 wide) reaches a few ulps within about 160 steps.
+# width at least halves every _BISECT_WINDOW steps: a bracket inside
+# (0, 2 hi] reaches 4 eps hi within about 155 steps.
 _BISECT_WINDOW = 3
 _MAX_SOLVER_STEPS = 200
 
@@ -434,96 +435,53 @@ def bvn_upper_tail(a, b, rho):
     return p if p.ndim else float(p)
 
 
-def first_crossing(
-    f: Callable[[object, np.ndarray], np.ndarray],
-    lo: float,
-    f_lo: np.ndarray,
-    start: float,
-    cap: float,
-    tol: float = 0.0,
-) -> np.ndarray:
-    """First upward zero crossing past ``lo`` of many functions at once.
+def first_crossing(f: Callable[[float], float], lo: float, f_lo: float, hi: float) -> float:
+    """First upward zero crossing past ``lo`` of a continuous f with value
+    ``f_lo < 0`` at ``lo``, searched for up to 2 hi.
 
-    ``f(x, rows)`` returns the values of the functions of the given rows
-    at x, a scalar shared by those rows or one value per row.  Row i's
-    function must be continuous, with value ``f_lo[i] < 0`` at ``lo``.  The upper end
-    doubles through start, 2 start, 4 start, ... while it stays <= cap, for
-    all rows together; the first point where a row's function is >= 0
-    closes its bracket [previous point, that point] (a point where it is
-    exactly 0 is the root).  All brackets are then refined together by a
-    safeguarded Illinois solver to width ``tol + 4 eps |x|``, and the root
-    is known to lie within half that width of the returned value.  Rows
-    without a crossing at any point up to the cap get +inf.
+    f is evaluated at hi, then at 2 hi if it is still negative there; the
+    first of them where f >= 0 closes the bracket [previous point, that
+    point], and one where f is exactly 0 is the root.  When f is negative
+    at both the result is +inf.  The bracket is refined by safeguarded
+    Illinois steps: each evaluates the secant point and moves the end whose
+    sign it shares, and when the same end moves twice running the value
+    kept at the other end is halved, which keeps both ends converging.  A
+    secant point outside the open bracket, or a bracket that has not halved
+    over the last three steps, is replaced by the midpoint, so every iterate
+    stays inside the bracket and its width shrinks at least geometrically.
+    The search stops at width 4 eps |hi|, and the root lies within half
+    that width of the returned midpoint.
     """
-    f_lo = np.array(f_lo, dtype=float)
-    lo = np.full(f_lo.shape, float(lo))
-    roots = np.full(f_lo.shape, math.inf)
-    rows = np.arange(f_lo.size)
-    brackets = []
-    hi = float(start)
-    while hi <= cap and rows.size:
-        f_hi = f(hi, rows)
-        crossed = f_hi >= 0.0
-        if crossed.any():
-            exact = f_hi == 0.0
-            roots[rows[exact]] = hi
-            opened = crossed & ~exact
-            brackets.append((rows[opened], lo[opened], np.full(opened.sum(), hi),
-                             f_lo[opened], f_hi[opened]))
-            rows, f_hi = rows[~crossed], f_hi[~crossed]
-        lo, f_lo = np.full(rows.size, hi), f_hi
-        hi *= 2.0
-    if brackets:
-        b_rows, b_lo, b_hi, b_flo, b_fhi = (np.concatenate(p) for p in zip(*brackets))
-        roots[b_rows] = _illinois(f, b_rows, b_lo, b_hi, b_flo, b_fhi, tol)
-    return roots
-
-
-def _illinois(f, rows, lo, hi, f_lo, f_hi, tol):
-    """Roots of increasing functions on brackets with f_lo < 0 < f_hi, in bulk.
-
-    Each step evaluates the secant point of the bracket and moves the end
-    whose sign it shares.  When the same end moves twice running, the
-    value kept at the other end is halved (the Illinois rule), which keeps
-    both ends converging.  A secant point outside the open bracket, or a
-    bracket that has not halved over the last three steps, is replaced by
-    the midpoint, so every iterate stays inside the bracket and the width
-    shrinks at least geometrically.  Rows are independent: each row's
-    iterates do not depend on the other rows in the batch.
-    """
-    out = np.empty(rows.size)
-    live = np.arange(rows.size)
-    moved = np.zeros(rows.size)  # -1: lo moved last, +1: hi moved last
-    # bracket widths 3, 2 and 1 steps ago
-    widths = [np.full(rows.size, math.inf) for _ in range(_BISECT_WINDOW)]
+    for hi in (hi, 2.0 * hi):
+        f_hi = f(hi)
+        if f_hi >= 0.0:
+            break
+        lo, f_lo = hi, f_hi
+    else:
+        return math.inf
+    if f_hi == 0.0:
+        return hi
+    moved = 0.0  # -1: lo moved last, +1: hi moved last
+    widths = [math.inf] * _BISECT_WINDOW  # bracket widths 3, 2 and 1 steps ago
     for _ in range(_MAX_SOLVER_STEPS):
         width = hi - lo
-        finished = width <= tol + _ULPS * np.abs(hi)
-        x = np.where(finished, lo + 0.5 * width, lo - f_lo * (width / (f_hi - f_lo)))
-        if not finished.all():
-            bisect = ~((x > lo) & (x < hi)) | (width > 0.5 * widths[0])
-            x = np.where(bisect, lo + 0.5 * width, x)
-            fx = f(x, rows[live])
-            if np.isnan(fx).any():
-                raise ArithmeticError("root search: objective returned NaN")
-            below = fx < 0.0
-            above = fx > 0.0
-            finished |= ~(below | above)
-            f_hi = np.where(below & (moved < 0.0), 0.5 * f_hi, f_hi)
-            f_lo = np.where(above & (moved > 0.0), 0.5 * f_lo, f_lo)
-            lo = np.where(below, x, lo)
-            f_lo = np.where(below, fx, f_lo)
-            hi = np.where(above, x, hi)
-            f_hi = np.where(above, fx, f_hi)
-            moved = np.where(below, -1.0, np.where(above, 1.0, moved))
-            widths = widths[1:] + [width]
-        if finished.any():
-            out[live[finished]] = x[finished]
-            keep = ~finished
-            if not keep.any():
-                return out
-            live, lo, hi, f_lo, f_hi, moved = (
-                v[keep] for v in (live, lo, hi, f_lo, f_hi, moved)
-            )
-            widths = [w[keep] for w in widths]
+        if width <= _ULPS * abs(hi):
+            return lo + 0.5 * width
+        x = lo - f_lo * (width / (f_hi - f_lo))
+        if not lo < x < hi or width > 0.5 * widths[0]:
+            x = lo + 0.5 * width
+        fx = f(x)
+        if math.isnan(fx):
+            raise ArithmeticError("root search: objective returned NaN")
+        if fx < 0.0:
+            if moved < 0.0:
+                f_hi *= 0.5
+            lo, f_lo, moved = x, fx, -1.0
+        elif fx > 0.0:
+            if moved > 0.0:
+                f_lo *= 0.5
+            hi, f_hi, moved = x, fx, 1.0
+        else:
+            return x
+        widths = widths[1:] + [width]
     raise ArithmeticError("root search failed to converge")

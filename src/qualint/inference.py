@@ -44,17 +44,17 @@ takes a PairBatch, one row per pair, and returns its batch form (TestBatch,
 KappaMaxBatch, or an array with one entry per row).  One pair is the
 one-row batch PairBatch.from_rows([(est1, se1, est2, se2)]), and its
 result is row 0, so row i of a batch result equals the result of the
-one-row batch of row i.  A row (TestResult, KappaMaxResult) reads its
-diagnostic fields from its batch, which computes them only when first
-read.  The core evaluates every formula on rows rescaled by the power of
-two that puts the larger standard error in [0.5, 1), and with kappa split
-into a power of two times a mantissa in [0.5, 1).  Both rescalings are
-exact in binary floating point and every formula is a ratio invariant
-under them, so ordinary inputs give the same bits as the plain formulas,
-while standard errors near 1e-300 or kappa near 1e300 no longer underflow
-or overflow.  A contrast's variance that still falls below the normal
-range (past kappa = 2^510, with a standard error near 1/kappa) is taken by
-hypot of its unsquared terms.
+one-row batch of row i.  A TestResult reads its diagnostic components
+from its batch, which computes them only when first read.  The core
+evaluates every formula on rows rescaled by the power of two that puts
+the larger standard error in [0.5, 1), and with kappa split into a power
+of two times a mantissa in [0.5, 1).  Both rescalings are exact in binary
+floating point and every formula is a ratio invariant under them, so
+ordinary inputs give the same bits as the plain formulas, while standard
+errors near 1e-300 or kappa near 1e300 no longer underflow or overflow.
+A contrast's variance that still falls below the normal range (past
+kappa = 2^510, with a standard error near 1/kappa) is taken by hypot of
+its unsquared terms.
 
 All operations are pure functions; nothing retains state between calls.
 """
@@ -101,14 +101,8 @@ __all__ = [
 # (zero-variance) estimate; every formula divides by se-derived quantities.
 _SE_FLOOR = 1e-300
 
-# _KAPPA_PROBE is the point deciding whether any kappa > 1 rejects;
-# _KAPPA_CAP bounds the doubling search for the pi_2 root.
+# the point deciding whether any kappa > 1 rejects
 _KAPPA_PROBE = 1.0 + 1e-9
-_KAPPA_CAP = 1e9
-_KAPPA_TOL = 1e-6
-# pi_2 is solved this much tighter than _KAPPA_TOL, so it stays within
-# _KAPPA_TOL of any solver that meets _KAPPA_TOL.
-_KAPPA_SOLVER_TOL = 1e-3 * _KAPPA_TOL
 # kappa_max inverts the rd test at alpha below this only
 _KAPPA_MAX_ALPHA = 0.5
 
@@ -154,9 +148,6 @@ class _Rows(NamedTuple):
     se1: np.ndarray
     se2: np.ndarray
     shrink: np.ndarray  # integer >= 0 per row, 0 unless an estimate passes 2^1020
-
-    def take(self, index) -> "_Rows":
-        return _Rows(*(column[index] for column in self))
 
 
 def _rows(x1, se1, x2, se2) -> _Rows:
@@ -282,62 +273,34 @@ class TestBatch:
 
 @dataclass(frozen=True)
 class KappaMaxResult:
-    """Inverted-test summary of one pair: the largest kappa at which
-    rejection holds, row ``_row`` of the KappaMaxBatch ``_batch``.
+    """Inverted-test summary of one pair: the largest kappa at which the
+    relative-difference test rejects.
 
-    ``binding_root`` is ``normal_boundary`` when kappa_max is pi_1, the
-    boundary tail's root (the zero-point root pi_2 never binds; see
-    kappa_max), or ``none`` when no kappa > 1 rejects (then kappa_max = 1 by
-    convention).  ``roots`` is (pi_1, pi_2) when some kappa > 1 rejects and
-    None otherwise; pi_2 is +inf when the zero-point tail never climbs back
-    to alpha, and is searched for only when ``roots`` is read.  Equality
-    compares the scalar fields.
+    ``binding_root`` is ``normal_boundary`` when kappa_max is the boundary
+    tail's root (the zero-point tail never binds; see kappa_max), or
+    ``none`` when no kappa > 1 rejects (then kappa_max = 1 by convention).
     """
 
     kappa_max: float
     alpha: float
     binding_root: str
-    _batch: KappaMaxBatch = field(compare=False, repr=False)
-    _row: int = field(compare=False, repr=False)
-
-    @property
-    def roots(self) -> tuple[float, float] | None:
-        if self.binding_root == "none":
-            return None
-        return tuple(self._batch.roots[self._row].tolist())
 
 
 @dataclass(frozen=True, eq=False)
 class KappaMaxBatch:
-    """kappa_max of every row of a PairBatch, as arrays.
-
-    ``roots`` has one (pi_1, pi_2) row per input row, NaN where binding_root
-    is "none"; its pi_2 search runs on the first read.  ``batch[i]`` is the
-    KappaMaxResult of row i.
-    """
+    """kappa_max of every row of a PairBatch, as arrays; ``batch[i]`` is
+    the KappaMaxResult of row i."""
 
     kappa_max: np.ndarray
     alpha: float
     binding_root: np.ndarray
-    _rejecting: _Rows = field(repr=False)  # rows rejecting at the probe, rescaled
-
-    @functools.cached_property
-    def roots(self) -> np.ndarray:
-        rejecting = self.binding_root != "none"
-        pi1 = self.kappa_max[rejecting]
-        roots = np.full((len(self), 2), math.nan)
-        roots[rejecting, 0] = pi1
-        # pi_2 >= pi_1, but where nu1 or nu2 rounds to 1 the tails coincide
-        # and the search can land a rounding error below the closed form
-        roots[rejecting, 1] = np.maximum(pi1, _zero_point_root(self._rejecting, self.alpha))
-        return roots
 
     def __len__(self) -> int:
         return int(self.kappa_max.shape[0])
 
     def __getitem__(self, index: int) -> KappaMaxResult:
         binding = str(self.binding_root[index])
-        return KappaMaxResult(float(self.kappa_max[index]), self.alpha, binding, self, index)
+        return KappaMaxResult(float(self.kappa_max[index]), self.alpha, binding)
 
 
 @dataclass(frozen=True)
@@ -786,13 +749,12 @@ def _omnibus_threshold(nu, alpha: float) -> float:
     alpha at the upper end; the search may double once past it, which
     covers the rounding of that bound.
     """
-    excess = lambda q, rows: np.reshape(alpha - _omnibus_zero_tail(q, nu), 1)  # one row
+    excess = lambda q: alpha - _omnibus_zero_tail(q, nu)
     z = std_normal_quantile(1.0 - alpha)
-    at_z = excess(z, None)
-    if at_z[0] >= 0.0:
+    at_z = excess(z)
+    if at_z >= 0.0:
         return z
-    upper = std_normal_quantile(1.0 - alpha / 2.0)
-    return float(first_crossing(excess, z, at_z, upper, 2.0 * upper)[0])
+    return float(first_crossing(excess, z, at_z, std_normal_quantile(1.0 - alpha / 2.0)))
 
 
 def omnibus_local_power(alt: LocalAlternative, kappa: float, alpha: float):
@@ -829,8 +791,8 @@ def kappa_max(batch: PairBatch, alpha: float) -> KappaMaxBatch:
     The test rejects until its boundary tail climbs to alpha at pi_1 or its
     zero-point tail does at pi_2.  For kappa >= 1 and t > 0, nu1 <= -nu2
     (rd_null_tail) and P(X > t, Y > t; rho) grows with rho (Slepian), so the
-    zero-point tail is at most the boundary tail min(1, 2 Phi(-t)) and
-    kappa_max = pi_1 <= pi_2.  pi_1 solves t(kappa) = z = Phi^{-1}(1 - alpha/2):
+    zero-point tail is at most the boundary tail min(1, 2 Phi(-t)), so
+    pi_1 <= pi_2, kappa_max = pi_1, and pi_2 is never computed.  pi_1 solves t(kappa) = z = Phi^{-1}(1 - alpha/2):
     with a, s_a the larger |estimate| and its standard error and b, s_b the
     other's, pi_1 = k / (r + hypot(z (s_b/a) sqrt(k), r e)) for r = b/a,
     e = z s_a/a and k = (1 - e)(1 + e).  Rejecting at kappa = 1 keeps r, e
@@ -839,9 +801,7 @@ def kappa_max(batch: PairBatch, alpha: float) -> KappaMaxBatch:
     columns, where no estimate overflows.  No cap: pi_1 is +inf only past
     the float range.  If kappa = 1 + 1e-9 does not reject, kappa_max is 1
     and no root binds; the boundary tail alone decides this, as it decides
-    rd_test, since the zero-point tail never exceeds it.  pi_2 is searched
-    for (doubling from 2 to a cap of 1e9, +inf past it) only when ``roots``
-    is read.
+    rd_test, since the zero-point tail never exceeds it.
     """
     _check_alpha(alpha, upper=_KAPPA_MAX_ALPHA)
     rejecting = _rd_boundary(batch.scaled, *_kappa_split(_KAPPA_PROBE))[1] < alpha
@@ -857,19 +817,4 @@ def kappa_max(batch: PairBatch, alpha: float) -> KappaMaxBatch:
     with np.errstate(divide="ignore", over="ignore"):  # +inf past the float range
         kmax[rejecting] = k / (r + np.hypot(f * np.sqrt(k), r * e))
     binding = np.where(rejecting, "normal_boundary", "none")
-    return KappaMaxBatch(kmax, float(alpha), binding, batch.scaled.take(rejecting))
-
-
-def _zero_point_root(rows: _Rows, alpha: float) -> np.ndarray:
-    """pi_2 of rows that reject at the probe kappa."""
-
-    def excess(kappa, sel):
-        # a row inside the null region (t <= 0) takes the tail's t -> 0+
-        # limit, which the on-axis branch of the kernel gives at t = 0
-        m, s = _kappa_split(kappa)
-        some = rows.take(sel)
-        t = _rd_stat(some, m, s)
-        return _rd_zero_tail(np.maximum(t, 0.0), *_rd_nu(some.se1, some.se2, m, s)) - alpha
-
-    at_probe = excess(_KAPPA_PROBE, slice(None))
-    return first_crossing(excess, _KAPPA_PROBE, at_probe, 2.0, _KAPPA_CAP, _KAPPA_SOLVER_TOL)
+    return KappaMaxBatch(kmax, float(alpha), binding)

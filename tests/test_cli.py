@@ -574,8 +574,6 @@ WIDE = ["--est1", "1e300", "--se1", "1e-299", "--est2", "1", "--se2", "1e-299"]
         # 1.797693135e+308, which reads back as inf
         (["kappa-max", "--est1", "1.7976931346e300", "--se1", "1e-299", "--est2", "1e-8",
           "--se2", "1e-299", "--alpha", "0.1"], ["kappa_max"], None),
-        (["kappa-max", "--est1", "1.7976931346e300", "--se1", "1e-299", "--est2", "1e-8",
-          "--se2", "1e-299", "--alpha", "0.1"], ["roots", "normal_boundary"], None),
     ],
 )
 def test_json_writes_non_finite_numbers_as_null(capsys, argv, path, expected):
@@ -907,6 +905,17 @@ class TestPowerCommand:
                       "--c2-max", "1.7e308", "--c1-steps", "2", "--c2-steps", "2",
                       "--sigma1", "1e-200", "--sigma2", "1e-200") == [0.0, 1.0, 1.0, 0.0]
 
+    @pytest.mark.parametrize("flags", [["--sigma1", "1e9"], ["--kappa", "1.0000000000001"]])
+    def test_omnibus_threshold_at_an_exact_root(self, capsys, flags):
+        # nu rounds to 1, so the zero-point tail is exactly alpha at the first
+        # bracket end; the root search queued an empty bracket and exited 1
+        code = main(["power", "--kind", "omnibus", "--alpha", "0.45", "--c1-steps", "1",
+                     "--c2-steps", "1", *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        [row] = parse_csv(captured.out)
+        assert math.isfinite(float(row["power"]))
+
     def test_unbalanced_lambda_accepted(self, capsys):
         code = main(
             ["power", "--c1-steps", "1", "--c2-steps", "1", "--lambda", "0.25"]
@@ -1102,8 +1111,7 @@ class TestKappaMaxCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["kappa_max"] == pytest.approx(2.04, abs=0.1)
         assert payload["binding_root"] == "normal_boundary"
-        assert payload["roots"]["normal_boundary"] == payload["kappa_max"]
-        assert payload["roots"]["zero_point"] is None  # no finite crossing
+        assert "roots" not in payload
         assert set(payload["p_values"]) == {"1.5", "2", "4"}
         ordered = [payload["p_values"][k] for k in ("1.5", "2", "4")]
         assert ordered == sorted(ordered)  # p grows with the ratio bound
@@ -1116,7 +1124,6 @@ class TestKappaMaxCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["kappa_max"] == 1.0
         assert payload["binding_root"] == "none"
-        assert payload["roots"] is None
 
     def test_csv_mode_matches_published_bounds(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.csv"

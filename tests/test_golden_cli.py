@@ -79,7 +79,7 @@ CASES = {
     "power_omnibus_k11": (["power", "--kind", "omnibus", "--kappa", "1.1", "--c1-steps", "5",
                            "--c2-steps", "5"], ["power_omnibus_k11.csv"]),
     "kappa_max": (["kappa-max", PAIRS, "--alpha", "0.1"], ["kappa_max.csv"]),
-    # one pair whose zero-point root pi_2 is finite
+    # one pair, written as a JSON object
     "kappa_max_pair": (["kappa-max", "--est1", "1.3", "--se1", "0.4", "--est2", "0.2",
                         "--se2", "0.3", "--alpha", "0.05"], ["kappa_max_pair.json"]),
     "simulate": (SIMULATE, ["study_n30_rates.csv", "study_n30_kappa_max.csv",
@@ -95,7 +95,7 @@ KAPPA_COLUMNS = {
     "scan_rd.csv": {"kappa_max"},
     "scan_rd.json": {"kappa_max"},
     "kappa_max.csv": {"kappa_max"},
-    "kappa_max_pair.json": {"kappa_max", "roots"},
+    "kappa_max_pair.json": {"kappa_max"},
     "study_n30_kappa_max.csv": {"q10", "q50", "q90"},
     "wide_n5_kappa_max.csv": {"q10", "q50", "q90"},
     "wide_n30_kappa_max.csv": {"q10", "q50", "q90"},
