@@ -35,6 +35,8 @@ Conventions (uniform across the module):
   the one-sided 1 - Phi(sqrt(t)).  The kappa_max inversion, the null
   quantiles, and the power routines all use the same conventions, so
   rejection decisions and inverted roots agree to tolerance.
+* A normal point Phi^{-1}(1 - p) is computed as -Phi^{-1}(p), which keeps
+  its digits where 1 - p rounds to 1 (p below about 1e-16).
 * All formulas depend on (sigma_g, n_g) only through se_g = sigma_g /
   sqrt(n_g) and on scale-free ratios thereof, so the API takes per-group
   (estimate, std_error) pairs and no sample sizes.
@@ -638,7 +640,7 @@ def _rd_power(rows: _Rows, kappa: float, alpha: float):
     """
     x1, x2, se1, se2 = rows.x1, rows.x2, rows.se1, rows.se2
     m, s = _kappa_split(kappa)
-    t_star = std_normal_quantile(1.0 - alpha / 2.0)
+    t_star = -std_normal_quantile(alpha / 2.0)
     c11, c12, c21, c22, shrink, nu1, nu2 = np.broadcast_arrays(
         _contrast(x1, x2, se1, se2, m, s), _contrast(x1, -x2, se1, se2, m, s),
         _contrast(x2, x1, se2, se1, m, s), _contrast(x2, -x1, se2, se1, m, s),
@@ -750,11 +752,11 @@ def _omnibus_threshold(nu, alpha: float) -> float:
     covers the rounding of that bound.
     """
     excess = lambda q: alpha - _omnibus_zero_tail(q, nu)
-    z = std_normal_quantile(1.0 - alpha)
+    z = -std_normal_quantile(alpha)
     at_z = excess(z)
     if at_z >= 0.0:
         return z
-    return float(first_crossing(excess, z, at_z, std_normal_quantile(1.0 - alpha / 2.0)))
+    return float(first_crossing(excess, z, at_z, -std_normal_quantile(alpha / 2.0)))
 
 
 def omnibus_local_power(alt: LocalAlternative, kappa: float, alpha: float):
@@ -792,8 +794,8 @@ def kappa_max(batch: PairBatch, alpha: float) -> KappaMaxBatch:
     zero-point tail does at pi_2.  For kappa >= 1 and t > 0, nu1 <= -nu2
     (rd_null_tail) and P(X > t, Y > t; rho) grows with rho (Slepian), so the
     zero-point tail is at most the boundary tail min(1, 2 Phi(-t)), so
-    pi_1 <= pi_2, kappa_max = pi_1, and pi_2 is never computed.  pi_1 solves t(kappa) = z = Phi^{-1}(1 - alpha/2):
-    with a, s_a the larger |estimate| and its standard error and b, s_b the
+    pi_1 <= pi_2, kappa_max = pi_1, and pi_2 is never computed.  pi_1
+    solves t(kappa) = z = Phi^{-1}(1 - alpha/2): with a, s_a the larger |estimate| and its standard error and b, s_b the
     other's, pi_1 = k / (r + hypot(z (s_b/a) sqrt(k), r e)) for r = b/a,
     e = z s_a/a and k = (1 - e)(1 + e).  Rejecting at kappa = 1 keeps r, e
     and z s_b/a below 1, so no term is negative, and hypot does not
@@ -806,7 +808,7 @@ def kappa_max(batch: PairBatch, alpha: float) -> KappaMaxBatch:
     _check_alpha(alpha, upper=_KAPPA_MAX_ALPHA)
     rejecting = _rd_boundary(batch.scaled, *_kappa_split(_KAPPA_PROBE))[1] < alpha
     x1, se1, x2, se2 = (getattr(batch, name)[rejecting] for name in _BATCH_FIELDS)
-    z = std_normal_quantile(1.0 - alpha / 2.0)
+    z = -std_normal_quantile(alpha / 2.0)
     first = np.abs(x1) >= np.abs(x2)
     a = np.abs(np.where(first, x1, x2))
     r = np.abs(np.where(first, x2, x1)) / a

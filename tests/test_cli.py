@@ -585,6 +585,24 @@ def test_json_writes_non_finite_numbers_as_null(capsys, argv, path, expected):
     assert payload == (None if expected is None else pytest.approx(expected))
 
 
+@pytest.mark.parametrize("alpha", ["1e-16", "1e-17", "1e-300"])
+@pytest.mark.parametrize("argv", [
+    ["kappa-max", "--est1", "3", "--se1", "0.1", "--est2", "0.1", "--se2", "0.1"],
+    ["power", "--kind", "rd", "--c1-steps", "3", "--c2-steps", "3"],
+    ["power", "--kind", "omnibus", "--c1-steps", "3", "--c2-steps", "3"],
+    ["scan", "{pairs}", "--kind", "rd"],
+], ids=["kappa-max", "power-rd", "power-omnibus", "scan-rd"])
+def test_any_accepted_alpha_gives_a_result(tmp_path, capsys, argv, alpha):
+    # the normal points were Phi^-1(1 - alpha/2), and 1 - alpha/2 rounds to
+    # 1 below alpha = 1.1e-16, which the quantile refused
+    pairs = tmp_path / "pairs.csv"
+    write_pairs(pairs, TABLE_ROWS)
+    code = main([a.format(pairs=pairs) for a in argv] + ["--alpha", alpha])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert "nan" not in captured.out.lower()
+
+
 @pytest.mark.parametrize("command", ["scan", "kappa-max"])
 def test_json_tables_write_non_finite_numbers_as_null(tmp_path, capsys, command):
     pairs = tmp_path / "wide.csv"

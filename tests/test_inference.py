@@ -596,7 +596,7 @@ class TestOmnibusPower:
     def test_threshold_at_an_exact_root(self):
         # at nu = 1 the zero-point tail 2 Phi(-s) is exactly alpha at the
         # alpha/2 normal point, the first bracket end, which is the root
-        assert _omnibus_threshold(1.0, 0.45) == std_normal_quantile(1.0 - 0.45 / 2.0)
+        assert _omnibus_threshold(1.0, 0.45) == -std_normal_quantile(0.45 / 2.0)
 
     def test_monotone_in_c1_for_fixed_nonpositive_c2(self):
         powers = [
