@@ -59,8 +59,8 @@ _DEGENERATE_RHO_TOL = 1e-12
 # first_crossing stops refining a bracket once it is this many ulps wide.
 _ULPS = 4.0 * np.finfo(float).eps
 # A bracket that has not halved over this many steps is bisected, so the
-# width at least halves every _BISECT_WINDOW steps: a bracket inside
-# (0, 2 hi] reaches 4 eps hi within about 155 steps.
+# width at least halves every _BISECT_WINDOW steps: a bracket hi wide
+# reaches 4 eps hi within about 150 steps.
 _BISECT_WINDOW = 3
 _MAX_SOLVER_STEPS = 200
 

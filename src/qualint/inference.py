@@ -795,8 +795,9 @@ def kappa_max(batch: PairBatch, alpha: float) -> KappaMaxBatch:
     (rd_null_tail) and P(X > t, Y > t; rho) grows with rho (Slepian), so the
     zero-point tail is at most the boundary tail min(1, 2 Phi(-t)), so
     pi_1 <= pi_2, kappa_max = pi_1, and pi_2 is never computed.  pi_1
-    solves t(kappa) = z = Phi^{-1}(1 - alpha/2): with a, s_a the larger |estimate| and its standard error and b, s_b the
-    other's, pi_1 = k / (r + hypot(z (s_b/a) sqrt(k), r e)) for r = b/a,
+    solves t(kappa) = z = Phi^{-1}(1 - alpha/2): with a, s_a the larger
+    |estimate| and its standard error and b, s_b the other's,
+    pi_1 = k / (r + hypot(z (s_b/a) sqrt(k), r e)) for r = b/a,
     e = z s_a/a and k = (1 - e)(1 + e).  Rejecting at kappa = 1 keeps r, e
     and z s_b/a below 1, so no term is negative, and hypot does not
     underflow where s_b^2 would.  The ratios are taken on the unscaled

@@ -803,9 +803,10 @@ SIGNED_ESTIMATES = st.tuples(st.sampled_from((-1.0, 0.0, 1.0)), log_uniform(-3.0
 class TestInvariantSweep:
     """The result invariants over the float range: every p-value is the
     largest of its components and decides, and kappa_max is the first
-    root, where the zero-point tail is still below alpha; the tests are invariant under scaling and under exchange and
-    sign symmetries, the rd p-value grows with kappa, and kappa_max is where
-    rd_test stops rejecting."""
+    root, where the zero-point tail is still below alpha; the tests are
+    invariant under scaling and under exchange and sign symmetries, the rd
+    p-value grows with kappa, and kappa_max is where rd_test stops
+    rejecting."""
 
     @given(p=float_range_pairs(), kappa=SWEEP_KAPPAS, alpha=SWEEP_ALPHAS)
     def test_p_value_is_the_largest_component_and_decides(self, p, kappa, alpha):
