@@ -21,10 +21,14 @@ computes them with numpy and the standard library alone:
 
 The tail kernels evaluate whole arrays elementwise (scalar arguments give a
 float back), so callers pay the Python overhead once per batch rather than
-once per element.  The tails return their limits at +-inf arguments, so no
-caller special-cases them, and refuse NaN.  ``first_crossing`` solves one
-scalar root in a bracket that doubles at most once: the omnibus test's
-zero-point threshold.
+once per element.  Work that rows share is done once, with the bits each
+row would get alone: rows of one Genz regime that all have the same
+correlation, as a power grid's do, share its sines, and Owen's Legendre
+part is evaluated only on terms whose interval [y0, 6] has width.  The
+tails return their limits at +-inf arguments, so no caller special-cases
+them, and refuse NaN.  ``first_crossing`` solves one scalar root in a
+bracket that doubles at most once: the omnibus test's zero-point
+threshold.
 """
 
 from __future__ import annotations
@@ -267,6 +271,8 @@ def _genz_low(h, k, r, independent_part, regime):
     Phi(-h) Phi(-k) plus the integral over theta in (0, asin r) of
     exp((sin(theta) hk - (h^2 + k^2)/2) / cos^2(theta)) / (2 pi)."""
     x, w = _GENZ_NODES[regime]
+    if len(r) > 1 and (r == r[0]).all():  # one correlation, as in a power grid: its sines once
+        r = r[:1]
     asr = np.arcsin(r) / 2.0
     sn = np.sin(asr[:, None] * x)
     f = sn * (h * k)[:, None]  # exp((sn hk - hs) / (1 - sn^2)), in place
@@ -333,23 +339,26 @@ def _owen_upper(h, k, r, tail_h, tail_k):
     # exp(y0^2/2) integral_y0^inf exp(-y^2/2) / (c^2 + y^2) dy, the part below
     # y1 by Legendre nodes and the part above by Laguerre nodes in (y^2 - y1^2)/2
     y1 = np.maximum(y0, _OWEN_SPLIT)
-    c2 = (c * c)[:, None]
-    x, w = _OWEN_NEAR
-    half = (y1 - y0) / 2.0
-    t = half[:, None] * (1.0 + x)  # y - y0 at the Legendre nodes, then in place:
-    near = -0.5 * t  # exp(-(y^2 - y0^2)/2) / (c^2 + y^2) = exp(-t (y0 + t/2)) / ...
-    near -= y0[:, None]
-    near *= t
-    t += y0[:, None]
-    t *= t
-    t += c2
-    near = np.exp(near, out=near) / t
-    x, w_far = _OWEN_FAR
+    c2 = c * c
+    x, w = _OWEN_FAR
     yf = (y1 * y1)[:, None] + 2.0 * x  # y^2 at the Laguerre nodes, then in place:
-    far = yf + c2  # 1 / (y (c^2 + y^2))
+    far = yf + c2[:, None]  # 1 / (y (c^2 + y^2))
     far *= np.sqrt(yf, out=yf)
-    integral = (half * np.einsum("ij,j->i", near, w)
-                + np.exp((y0 - y1) * (0.5 * (y1 + y0))) * np.einsum("ij,j->i", 1.0 / far, w_far))
+    integral = np.exp((y0 - y1) * (0.5 * (y1 + y0))) * np.einsum("ij,j->i", 1.0 / far, w)
+    # the Legendre part only where [y0, y1] has width: elsewhere it adds +0.0
+    wide = np.flatnonzero(y0 < _OWEN_SPLIT)
+    start = y0[wide, None]
+    half = (_OWEN_SPLIT - start) / 2.0
+    x, w = _OWEN_NEAR
+    t = half * (1.0 + x)  # y - y0 at the Legendre nodes, then in place:
+    near = -0.5 * t  # exp(-(y^2 - y0^2)/2) / (c^2 + y^2) = exp(-t (y0 + t/2)) / ...
+    near -= start
+    near *= t
+    t += start
+    t *= t
+    t += c2[wide, None]
+    near = np.exp(near, out=near) / t
+    integral[wide] += half[:, 0] * np.einsum("ij,j->i", near, w)
     gauss = _gaussian(np.stack([c, np.minimum(y0, _FAR)]), 1.0)
     u = gauss[0] * gauss[1] * (c / _TWO_PI * integral)
     u = np.where(y >= 0.0, u, np.concatenate([tail_h, tail_k[other]]) - u)
@@ -393,7 +402,10 @@ def bvn_upper_tail(a, b, rho):
     large relative one, so those rows take Owen's decomposition as a sum of
     positive integrals (_owen_upper) instead, about 1e-13 relative down to
     the underflow threshold.  Each row's method and nodes depend on that row
-    alone, so row i of a batch equals the single-row call for row i.  Closed
+    alone, so row i of a batch equals the single-row call for row i.  When
+    every row of a Genz regime has the same rho, the sines of its angle
+    nodes are computed once for all of them; Owen's Legendre integral on
+    [y0, 6] is skipped where y0 >= 6, where it would add exactly +0.0.  Closed
     forms replace both at rho = 0, and at correlations within 1e-12 of +-1,
     which are treated as exactly degenerate:
 

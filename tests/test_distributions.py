@@ -223,13 +223,28 @@ class TestBvnUpperTail:
     def test_rows_equal_single_calls(self):
         # each row takes its method and nodes from its own values, whatever
         # the batch holds: every Genz regime, the upper-tail rows (both
-        # thresholds >= 0, one >= 5) and rows with a = b
+        # thresholds >= 0, one >= 5) and rows with a = b.  Batches that share
+        # one correlation (in Genz regime 0, 1 or 2) compute its sines once;
+        # two correlations in one regime take the per-row sines
         rng = np.random.default_rng(3)
         a, b = rng.uniform(-4.0, 12.0, (2, 300))
         b[::3] = a[::3]
-        rho = rng.uniform(-1.0, 1.0, 300)
-        batch = bvn_upper_tail(a, b, rho)
-        assert [bvn_upper_tail(*row) for row in zip(a, b, rho)] == batch.tolist()
+        two = np.where(np.arange(300) % 2 == 0, 0.4, -0.7)  # both |rho| in [0.3, 0.75)
+        for rho in (rng.uniform(-1.0, 1.0, 300), np.full(300, -0.2), np.full(300, 0.6),
+                    np.full(300, -0.9), two):
+            batch = bvn_upper_tail(a, b, rho)
+            assert [bvn_upper_tail(*row) for row in zip(a, b, rho)] == batch.tolist()
+
+    def test_upper_tail_rows_equal_single_calls_on_both_sides_of_the_split(self):
+        # Owen's terms with y0 = |b - rho a| / sqrt(1 - rho^2) below 6 have a
+        # Legendre part on [y0, 6]; from 6 on that part is empty and skipped
+        a = np.repeat(np.linspace(5.0, 9.0, 6), 8)
+        b = np.tile(np.linspace(0.0, 12.0, 8), 6)
+        for rho in (np.full(48, -0.6), np.full(48, 0.8), np.linspace(-0.95, 0.95, 48)):
+            y0 = np.abs(b - rho * a) / np.sqrt(1.0 - rho * rho)
+            assert (y0 < 6.0).any() and (y0 >= 6.0).any()
+            batch = bvn_upper_tail(a, b, rho)
+            assert [bvn_upper_tail(*row) for row in zip(a, b, rho)] == batch.tolist()
 
     def test_degenerate_positive(self):
         # rho = 1 means X = Y: tail is governed by the larger threshold
