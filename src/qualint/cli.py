@@ -36,15 +36,16 @@ once.  A decision column (p_raw and p_adjusted; kappa-max's kappa_max and
 p_rd_*) is formatted to 10 digits in one pass and read back (_g10s):
 decisions (Bonferroni adjustment, rejection flags, sort order) read those
 floats, so re-parsing our own output reproduces them exactly, and the CSV
-writer writes the kept text.  Every other float is formatted by the writer,
-which converts a whole CSV body in one % pass over a row template.  A
-command sorts its rows once with np.lexsort, names entering as code-point
-ranks: scan by (p_adjusted, id), network by (p_adjusted, feature_a,
-feature_b), kappa-max by (-kappa_max, id).  The CSV writer quotes each text
-cell holding a comma, quote, CR or LF, doubling its quotes; any other cell,
-NUL included, is written as it is, so the bytes do not depend on the Python
-version.  JSON is strict: a number that is not finite after rounding is
-written as null.
+writer writes the kept text.  A power grid's axes are formatted once per
+distinct value (_axis_cells) and their text repeated over the grid's cells.
+Every other float is formatted by the writer, which converts a whole CSV
+body in one % pass over a row template.  A command sorts its rows once
+with np.lexsort, names entering as code-point ranks: scan by (p_adjusted,
+id), network by (p_adjusted, feature_a, feature_b), kappa-max by
+(-kappa_max, id).  The CSV writer quotes each text cell holding a comma,
+quote, CR or LF, doubling its quotes; any other cell, NUL included, is
+written as it is, so the bytes do not depend on the Python version.  JSON
+is strict: a number that is not finite after rounding is written as null.
 """
 
 from __future__ import annotations
@@ -110,12 +111,17 @@ class _G10(NamedTuple):
     text: list[str]
 
 
+def _g10_text(values: np.ndarray) -> list[str]:
+    """Each value's 10-digit text, formatted in one % pass."""
+    return ("%.10g\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
+
+
 def _g10s(values: np.ndarray) -> _G10:
     """A column formatted in one pass and read back once.  Text whose
     rounding passes the float range reads back as +-inf and is kept as that,
     so the CSV cell is the rounded value's own text."""
     n = len(values)
-    text = ("%.10g\n" * n % tuple(values.tolist())).split("\n")[:-1]
+    text = _g10_text(values)
     rounded = np.fromiter(map(float, text), float, n)
     for i in np.flatnonzero(np.isinf(rounded) & np.isfinite(values)).tolist():
         text[i] = "inf" if rounded[i] > 0.0 else "-inf"
@@ -549,19 +555,42 @@ def _cmd_network(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _grid_axis(name: str, lo: float, hi: float, steps: int) -> np.ndarray:
+    """The axis --NAME-min .. --NAME-max in --NAME-steps points, its span
+    checked first: np.linspace forms hi - lo, which must be a finite float."""
+    if not math.isfinite(hi - lo):
+        raise UsageError(
+            f"--{name}-min and --{name}-max must be finite and less than the float range "
+            f"apart, got {lo!r} and {hi!r}"
+        )
+    return np.linspace(lo, hi, steps)
+
+
+def _axis_cells(grid: np.ndarray, repeat: int, tile: int) -> _G10:
+    """An axis as a table column: each value repeated, the whole tiled, and
+    each distinct value formatted once.  Not _g10s: text that reads back as
+    +-inf stays the rounded value's digits, as the writer would print them."""
+    text = _g10_text(grid)
+    values = np.fromiter(map(float, text), float, len(text))
+    return _G10(np.tile(np.repeat(values, repeat), tile),
+                [cell for cell in text for _ in range(repeat)] * tile)
+
+
 def _cmd_power(args) -> int:
     if args.c1_steps < 1 or args.c2_steps < 1:
         raise UsageError("power grids need at least one step per axis")
-    c1_grid = np.linspace(args.c1_min, args.c1_max, args.c1_steps)
-    c2_grid = np.linspace(args.c2_min, args.c2_max, args.c2_steps)
+    c1_grid = _grid_axis("c1", args.c1_min, args.c1_max, args.c1_steps)
+    c2_grid = _grid_axis("c2", args.c2_min, args.c2_max, args.c2_steps)
     power_fn = rd_local_power if args.kind == "rd" else omnibus_local_power
     # every (c1, c2) cell, c1 varying slowest
     c1 = np.repeat(c1_grid, c2_grid.size)
     c2 = np.tile(c2_grid, c1_grid.size)
     alt = LocalAlternative(c1, c2, args.sigma1, args.sigma2, args.lam)
     powers = power_fn(alt, args.kappa, args.alpha)
+    columns = (_axis_cells(c1_grid, c2_grid.size, 1), _axis_cells(c2_grid, 1, c1_grid.size),
+               powers)
     with _output(args.output) as out:
-        _write_table(out, args.format, ("c1", "c2", "power"), (c1, c2, powers))
+        _write_table(out, args.format, ("c1", "c2", "power"), columns)
     return 0
 
 

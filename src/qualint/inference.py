@@ -107,6 +107,9 @@ _SE_FLOOR = 1e-300
 _KAPPA_PROBE = 1.0 + 1e-9
 # kappa_max inverts the rd test at alpha below this only
 _KAPPA_MAX_ALPHA = 0.5
+# -Phi^-1(2^-1075) (tests/oracles/gen_inference_oracles.py): alpha/2 rounds
+# to 0 only at alpha = 2^-1074
+_SMALLEST_ALPHA_POINT = 38.48540833556734
 
 _BATCH_FIELDS = ("est1", "se1", "est2", "se2")
 # which rows of an (est1, se1, est2, se2) stack hold standard errors
@@ -342,6 +345,12 @@ class LocalAlternative:
 def _check_alpha(alpha: float, upper: float = 1.0) -> None:
     if not 0.0 < alpha < upper:
         raise ValueError(f"alpha must lie in (0, {upper:g}), got {alpha!r}")
+
+
+def _two_sided_point(alpha: float) -> float:
+    """The normal point -Phi^-1(alpha/2) = Phi^-1(1 - alpha/2), for any alpha > 0."""
+    half = alpha / 2.0
+    return -std_normal_quantile(half) if half > 0.0 else _SMALLEST_ALPHA_POINT
 
 
 def _check_kappa(kappa: float, strict: bool = False) -> None:
@@ -640,7 +649,7 @@ def _rd_power(rows: _Rows, kappa: float, alpha: float):
     """
     x1, x2, se1, se2 = rows.x1, rows.x2, rows.se1, rows.se2
     m, s = _kappa_split(kappa)
-    t_star = -std_normal_quantile(alpha / 2.0)
+    t_star = _two_sided_point(alpha)
     c11, c12, c21, c22, shrink, nu1, nu2 = np.broadcast_arrays(
         _contrast(x1, x2, se1, se2, m, s), _contrast(x1, -x2, se1, se2, m, s),
         _contrast(x2, x1, se2, se1, m, s), _contrast(x2, -x1, se2, se1, m, s),
@@ -648,7 +657,9 @@ def _rd_power(rows: _Rows, kappa: float, alpha: float):
     first = _unshrunk(np.stack([c11, -c11, c21, -c21]), shrink)
     second = _unshrunk(np.stack([c12, -c12, c22, -c22]), shrink)
     tails = bvn_upper_tail(t_star - first, t_star - second, np.stack([nu1, nu1, nu2, nu2]))
-    power = np.minimum(1.0, tails[0] + tails[1] + tails[2] + tails[3])
+    # each orthant pair summed first: a sign flip swaps within pairs, an
+    # exchange swaps the pairs, and neither moves a bit of the sum
+    power = np.minimum(1.0, (tails[0] + tails[1]) + (tails[2] + tails[3]))
     return power if power.ndim else float(power)
 
 
@@ -756,7 +767,7 @@ def _omnibus_threshold(nu, alpha: float) -> float:
     at_z = excess(z)
     if at_z >= 0.0:
         return z
-    return float(first_crossing(excess, z, at_z, -std_normal_quantile(alpha / 2.0)))
+    return float(first_crossing(excess, z, at_z, _two_sided_point(alpha)))
 
 
 def omnibus_local_power(alt: LocalAlternative, kappa: float, alpha: float):
@@ -809,7 +820,7 @@ def kappa_max(batch: PairBatch, alpha: float) -> KappaMaxBatch:
     _check_alpha(alpha, upper=_KAPPA_MAX_ALPHA)
     rejecting = _rd_boundary(batch.scaled, *_kappa_split(_KAPPA_PROBE))[1] < alpha
     x1, se1, x2, se2 = (getattr(batch, name)[rejecting] for name in _BATCH_FIELDS)
-    z = -std_normal_quantile(alpha / 2.0)
+    z = _two_sided_point(alpha)
     first = np.abs(x1) >= np.abs(x2)
     a = np.abs(np.where(first, x1, x2))
     r = np.abs(np.where(first, x2, x1)) / a

@@ -102,3 +102,7 @@ c = 18 / SQRT5
 nu = mp.mpf(4) / 5
 power = bvn_upper(Z95 - c, Z95 - c, nu) + bvn_upper(Z95 + c, Z95 + c, nu)
 fmt("OMNI_LOCAL_POWER_PIN", power)
+
+print("# --- src/qualint/inference.py: the normal point where alpha/2 rounds to 0 ---")
+tiny = mp.mpf(2) ** -1075
+fmt("_SMALLEST_ALPHA_POINT", mp.findroot(lambda z: mp.log(phi(-z) / tiny), 38.5))

@@ -585,7 +585,7 @@ def test_json_writes_non_finite_numbers_as_null(capsys, argv, path, expected):
     assert payload == (None if expected is None else pytest.approx(expected))
 
 
-@pytest.mark.parametrize("alpha", ["1e-16", "1e-17", "1e-300"])
+@pytest.mark.parametrize("alpha", ["1e-16", "1e-17", "1e-300", "5e-324", "1e-323"])
 @pytest.mark.parametrize("argv", [
     ["kappa-max", "--est1", "3", "--se1", "0.1", "--est2", "0.1", "--se2", "0.1"],
     ["power", "--kind", "rd", "--c1-steps", "3", "--c2-steps", "3"],
@@ -594,7 +594,8 @@ def test_json_writes_non_finite_numbers_as_null(capsys, argv, path, expected):
 ], ids=["kappa-max", "power-rd", "power-omnibus", "scan-rd"])
 def test_any_accepted_alpha_gives_a_result(tmp_path, capsys, argv, alpha):
     # the normal points were Phi^-1(1 - alpha/2), and 1 - alpha/2 rounds to
-    # 1 below alpha = 1.1e-16, which the quantile refused
+    # 1 below alpha = 1.1e-16, which the quantile refused; then -Phi^-1(alpha/2),
+    # and alpha/2 rounds to 0 at alpha = 5e-324
     pairs = tmp_path / "pairs.csv"
     write_pairs(pairs, TABLE_ROWS)
     code = main([a.format(pairs=pairs) for a in argv] + ["--alpha", alpha])
@@ -933,6 +934,34 @@ class TestPowerCommand:
         assert (code, captured.err) == (0, "")
         [row] = parse_csv(captured.out)
         assert math.isfinite(float(row["power"]))
+
+    @pytest.mark.parametrize("axis", ["c1", "c2"])
+    def test_axis_span_past_the_float_range_is_a_usage_error(self, capsys, axis):
+        # np.linspace formed max - min = inf, warned twice, and the command
+        # blamed the local effects
+        code = main(["power", f"--{axis}-min=-1.7976931348623157e308",
+                     f"--{axis}-max=1.7976931348623157e308", f"--{axis}-steps", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert f"--{axis}-min and --{axis}-max must be finite" in captured.err
+
+    @pytest.mark.parametrize("fmt, expected", [
+        ("csv", "c1,c2,power\n1.797693135e+308,-6,1\n1.797693135e+308,6,1\n"),
+        ("json", [None, None]),
+    ])
+    def test_axis_value_whose_text_reads_back_as_inf(self, capsys, fmt, expected):
+        # the CSV writes the rounded digits, strict JSON writes null
+        code = main(["power", "--c1-min=1.7976931348623157e308",
+                     "--c1-max=1.7976931348623157e308", "--c1-steps", "1", "--c2-steps", "2",
+                     "--format", fmt])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        if fmt == "json":
+            results = strict_json(captured.out)["results"]
+            assert [row["c1"] for row in results] == expected
+            assert [row["c2"] for row in results] == [-6.0, 6.0]
+        else:
+            assert captured.out == expected
 
     def test_unbalanced_lambda_accepted(self, capsys):
         code = main(

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri_exp
 
 from qualint.distributions import bvn_upper_tail, chi2_1_tail, std_normal_quantile
 from qualint.inference import (
@@ -25,6 +25,7 @@ from qualint.inference import (
     _omnibus_threshold,
     _rd_nu,
     _rows,
+    _two_sided_point,
     gail_simon_test,
     kappa_max,
     omnibus_local_power,
@@ -368,6 +369,13 @@ class TestRdNullQuantile:
         assert z == pytest.approx(Z975, abs=1e-9)
         assert self.rejects(z + 1e-9, 2.0, 1.0, 0.05)
         assert not self.rejects(z - 1e-9, 2.0, 1.0, 0.05)
+
+    def test_normal_point_at_every_alpha(self):
+        # alpha/2 rounds to 0 at the smallest alpha, 2^-1074; the reference
+        # takes log(alpha/2), which does not
+        for alpha in (0.05, 1e-16, 1e-300, 1e-323, 5e-324):
+            reference = -ndtri_exp(math.log(alpha) - math.log(2.0))
+            assert _two_sided_point(alpha) == pytest.approx(reference, rel=1e-14)
 
     def test_zero_point_root_self_consistent(self):
         # the oracle's zero-point root is where the tail falls to alpha, and
@@ -764,18 +772,38 @@ class TestZeroPointTailNeverBinds:
 
 
 @st.composite
-def float_range_pairs(draw):
+def float_range_pairs(draw, exponent=150.0):
     """Estimates (signed, or 0) and standard errors log-uniform in
-    1e-150..1e150: each drawn on its own, or a common scale times factors
-    within 1e3 of it, so that ordinary ratios are drawn at every scale."""
+    1e-150..1e150 (10^+-exponent): each drawn on its own, or a common scale
+    times factors within 1e3 of it, so that ordinary ratios are drawn at
+    every scale."""
     if draw(st.booleans()):
-        values = [draw(log_uniform(-150.0, 150.0)) for _ in range(4)]
+        values = [draw(log_uniform(-exponent, exponent)) for _ in range(4)]
     else:
-        scale = draw(log_uniform(-150.0, 150.0))
-        values = [min(1e150, max(1e-150, scale * draw(log_uniform(-3.0, 3.0))))
+        scale = draw(log_uniform(-exponent, exponent))
+        values = [min(10.0**exponent, max(10.0**-exponent, scale * draw(log_uniform(-3.0, 3.0))))
                   for _ in range(4)]
     signs = [draw(st.sampled_from((-1.0, 0.0, 1.0))) for _ in range(2)]
     return pair(signs[0] * values[0], values[1], signs[1] * values[2], values[3])
+
+
+# kappa up to 1e12, half the draws below 10, where every orthant of the rd
+# power can count
+POWER_KAPPAS = st.one_of(log_uniform(0.0, 1.0), log_uniform(0.0, 12.0)).filter(lambda k: k > 1.0)
+# effects in sigma units where the local powers lie strictly between 0 and 1
+ORDINARY_EFFECTS = np.random.default_rng(11).normal(scale=3.0, size=(2, 40))
+
+
+@st.composite
+def local_alternatives(draw):
+    """A grid of alternatives: effects and sigmas drawn as float_range_pairs
+    at 1e-100..1e100, lam in [0.01, 0.99], and beside the drawn effects 40
+    ordinary ones, ORDINARY_EFFECTS times the drawn sigmas."""
+    p = draw(float_range_pairs(100.0))
+    s1, s2 = p.se1[0], p.se2[0]
+    c1 = np.append(ORDINARY_EFFECTS[0] * s1, p.est1[0])
+    c2 = np.append(ORDINARY_EFFECTS[1] * s2, p.est2[0])
+    return LocalAlternative(c1, c2, s1, s2, draw(st.floats(0.01, 0.99)))
 
 
 def group_scaled(p, f1, f2):
@@ -874,6 +902,27 @@ class TestInvariantSweep:
             assert rd_test(p, below, alpha)[0].rejected
         if math.isfinite(above):
             assert not rd_test(p, above, alpha)[0].rejected
+
+
+@WARNINGS_AS_ERRORS
+class TestLocalPowerInvariants:
+    """The local powers over the float range: each is a probability, flipping
+    the sign of both effects keeps its bits (the orthants swap in pairs, and
+    the rd power sums each pair first), and exchanging the groups with lam
+    -> 1 - lam moves it only by the rounding of 1 - (1 - lam)."""
+
+    @given(alt=local_alternatives(), kappa=POWER_KAPPAS, alpha=SWEEP_ALPHAS)
+    def test_local_power_is_a_probability_with_sign_and_exchange_symmetry(
+        self, alt, kappa, alpha
+    ):
+        c1, c2, s1, s2, lam = alt.c1, alt.c2, alt.sigma1, alt.sigma2, alt.lam
+        for power in (rd_local_power, omnibus_local_power):
+            value = power(alt, kappa, alpha)
+            assert ((0.0 <= value) & (value <= 1.0)).all()
+            flipped = power(LocalAlternative(-c1, -c2, s1, s2, lam), kappa, alpha)
+            assert flipped.tolist() == value.tolist()
+            exchanged = power(LocalAlternative(c2, c1, s2, s1, 1.0 - lam), kappa, alpha)
+            np.testing.assert_allclose(exchanged, value, rtol=0.0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
