@@ -556,13 +556,11 @@ def _cmd_network(args) -> int:
 
 
 def _grid_axis(name: str, lo: float, hi: float, steps: int) -> np.ndarray:
-    """The axis --NAME-min .. --NAME-max in --NAME-steps points, its span
-    checked first: np.linspace forms hi - lo, which must be a finite float."""
+    """--NAME-min .. --NAME-max in --NAME-steps points.  np.linspace forms
+    hi - lo, so that span must be a finite float."""
     if not math.isfinite(hi - lo):
-        raise UsageError(
-            f"--{name}-min and --{name}-max must be finite and less than the float range "
-            f"apart, got {lo!r} and {hi!r}"
-        )
+        raise UsageError(f"--{name}-min and --{name}-max must be finite and less than the "
+                         f"float range apart, got {lo!r} and {hi!r}")
     return np.linspace(lo, hi, steps)
 
 

@@ -774,14 +774,15 @@ class TestZeroPointTailNeverBinds:
 @st.composite
 def float_range_pairs(draw, exponent=150.0):
     """Estimates (signed, or 0) and standard errors log-uniform in
-    1e-150..1e150 (10^+-exponent): each drawn on its own, or a common scale
-    times factors within 1e3 of it, so that ordinary ratios are drawn at
-    every scale."""
+    10^-exponent..10^exponent (1e-150..1e150 by default): each drawn on its
+    own, or a common scale times factors within 1e3 of it, so that ordinary
+    ratios are drawn at every scale."""
     if draw(st.booleans()):
         values = [draw(log_uniform(-exponent, exponent)) for _ in range(4)]
     else:
         scale = draw(log_uniform(-exponent, exponent))
-        values = [min(10.0**exponent, max(10.0**-exponent, scale * draw(log_uniform(-3.0, 3.0))))
+        bounds = 10.0**-exponent, 10.0**exponent
+        values = [min(bounds[1], max(bounds[0], scale * draw(log_uniform(-3.0, 3.0))))
                   for _ in range(4)]
     signs = [draw(st.sampled_from((-1.0, 0.0, 1.0))) for _ in range(2)]
     return pair(signs[0] * values[0], values[1], signs[1] * values[2], values[3])
