@@ -1,4 +1,4 @@
-"""Normal / bivariate-normal tail kernels, array-first, and a scalar root finder.
+"""Normal / bivariate-normal tail kernels, array-first.
 
 Every routine here is a pure function of its arguments, so the module is
 safe under unrestricted concurrent use.  The inference layer builds all of
@@ -26,23 +26,19 @@ row would get alone: rows of one Genz regime that all have the same
 correlation, as a power grid's do, share its sines, and Owen's Legendre
 part is evaluated only on terms whose interval [y0, 6] has width.  The
 tails return their limits at +-inf arguments, so no caller special-cases
-them, and refuse NaN.  ``first_crossing`` solves one scalar root in a
-bracket that doubles at most once: the omnibus test's zero-point
-threshold.
+them, and refuse NaN.
 """
 
 from __future__ import annotations
 
 import math
 from statistics import NormalDist
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "bvn_upper_tail",
     "chi2_1_tail",
-    "first_crossing",
     "ndtr",
     "std_normal_quantile",
 ]
@@ -60,14 +56,7 @@ class _DomainError(ValueError, ArithmeticError):
 # line, where the tail has a closed form.
 _DEGENERATE_RHO_TOL = 1e-12
 
-# first_crossing stops refining a bracket once it is this many ulps wide.
-_ULPS = 4.0 * np.finfo(float).eps
-# A bracket that has not halved over this many steps is bisected, so the
-# width at least halves every _BISECT_WINDOW steps: a bracket hi wide
-# reaches 4 eps hi within about 150 steps.
-_BISECT_WINDOW = 3
-_MAX_SOLVER_STEPS = 200
-
+_SUBNORMAL_EXPONENT = -1022.0 * math.log(2.0)  # exp(y) < 2^-1022 below it
 # Phi(-40) < 1e-349, so past +-40 both normal tails are at their limits in
 # double precision; ndtr and the Genz kernel work on arguments clipped there.
 _FAR = 40.0
@@ -215,9 +204,16 @@ _OWEN_FAR = tuple(map(np.array, (
 def _gaussian(x, m):
     """m exp(-x^2/2) for 0 <= x <= 40, with full relative accuracy: x is cut
     to 20 fraction bits, xh, so xh^2 / 2 is exact, and the rest of x^2 / 2,
-    d = (x - xh)(x + xh)/2 < 4e-5, enters through expm1."""
+    d = (x - xh)(x + xh)/2 < 4e-5, enters through expm1.  Where exp(-xh^2/2)
+    would fall below 2^-1022, it is taken as two normal halves
+    exp(-xh^2/4), so the product is rounded into the subnormal range once."""
     xh = np.trunc(x * 2.0**20) * 2.0**-20
-    return (m + m * np.expm1((xh - x) * (0.5 * (x + xh)))) * np.exp(-0.5 * (xh * xh))
+    m = m + m * np.expm1((xh - x) * (0.5 * (x + xh)))
+    exponent = -0.5 * (xh * xh)
+    if exponent.min(initial=0.0) >= _SUBNORMAL_EXPONENT:
+        return m * np.exp(exponent)
+    half = np.where(exponent < _SUBNORMAL_EXPONENT, 0.5 * exponent, 0.0)
+    return m * np.exp(exponent - half) * np.exp(half)
 
 
 def ndtr(x):
@@ -226,7 +222,9 @@ def ndtr(x):
     Phi(-|x|) = exp(-x^2/2) m(|x|) with m from the piecewise polynomials of
     _PHI_PIECES, and Phi(|x|) = 1 - Phi(-|x|).  The Gaussian factor loses
     nothing to the rounding of x^2 (_gaussian), so the lower tail stays
-    within a few ulp relative down to the underflow threshold.
+    within a few ulp relative down to the underflow threshold.  Past it,
+    where exp(-x^2/2) < 2^-1022 (x < -37.64), only the product of m and
+    two normal halves of the factor is rounded into the subnormal range.
     ndtr(-inf) = 0, ndtr(inf) = 1 and NaN gives NaN.
     """
     x = np.asarray(x, dtype=float)
@@ -445,55 +443,3 @@ def bvn_upper_tail(a, b, rho):
             p[rows] = _bvn_limits(h, k, r, tail_h, tail_k, infinite[rows])
     p = p.reshape(shape)
     return p if p.ndim else float(p)
-
-
-def first_crossing(f: Callable[[float], float], lo: float, f_lo: float, hi: float) -> float:
-    """First upward zero crossing past ``lo`` of a continuous f with value
-    ``f_lo < 0`` at ``lo``, searched for up to 2 hi.
-
-    f is evaluated at hi, then at 2 hi if it is still negative there; the
-    first of them where f >= 0 closes the bracket [previous point, that
-    point], and one where f is exactly 0 is the root.  When f is negative
-    at both the result is +inf.  The bracket is refined by safeguarded
-    Illinois steps: each evaluates the secant point and moves the end whose
-    sign it shares, and when the same end moves twice running the value
-    kept at the other end is halved, which keeps both ends converging.  A
-    secant point outside the open bracket, or a bracket that has not halved
-    over the last three steps, is replaced by the midpoint, so every iterate
-    stays inside the bracket and its width shrinks at least geometrically.
-    The search stops at width 4 eps |hi|, and the root lies within half
-    that width of the returned midpoint.
-    """
-    for hi in (hi, 2.0 * hi):
-        f_hi = f(hi)
-        if f_hi >= 0.0:
-            break
-        lo, f_lo = hi, f_hi
-    else:
-        return math.inf
-    if f_hi == 0.0:
-        return hi
-    moved = 0.0  # -1: lo moved last, +1: hi moved last
-    widths = [math.inf] * _BISECT_WINDOW  # bracket widths 3, 2 and 1 steps ago
-    for _ in range(_MAX_SOLVER_STEPS):
-        width = hi - lo
-        if width <= _ULPS * abs(hi):
-            return lo + 0.5 * width
-        x = lo - f_lo * (width / (f_hi - f_lo))
-        if not lo < x < hi or width > 0.5 * widths[0]:
-            x = lo + 0.5 * width
-        fx = f(x)
-        if math.isnan(fx):
-            raise ArithmeticError("root search: objective returned NaN")
-        if fx < 0.0:
-            if moved < 0.0:
-                f_hi *= 0.5
-            lo, f_lo, moved = x, fx, -1.0
-        elif fx > 0.0:
-            if moved > 0.0:
-                f_lo *= 0.5
-            hi, f_hi, moved = x, fx, 1.0
-        else:
-            return x
-        widths = widths[1:] + [width]
-    raise ArithmeticError("root search failed to converge")

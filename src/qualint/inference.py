@@ -74,7 +74,6 @@ import numpy as np
 from qualint.distributions import (
     bvn_upper_tail,
     chi2_1_tail,
-    first_crossing,
     ndtr,
     std_normal_quantile,
 )
@@ -110,6 +109,10 @@ _KAPPA_MAX_ALPHA = 0.5
 # -Phi^-1(2^-1075) (tests/oracles/gen_inference_oracles.py): alpha/2 rounds
 # to 0 only at alpha = 2^-1074
 _SMALLEST_ALPHA_POINT = 38.48540833556734
+# _omnibus_threshold stops on a Newton step under _STEP_ULPS s, and raises
+# after _THRESHOLD_STEPS tail evaluations
+_STEP_ULPS = 4.0 * np.finfo(float).eps
+_THRESHOLD_STEPS = 50
 
 _BATCH_FIELDS = ("est1", "se1", "est2", "se2")
 # which rows of an (est1, se1, est2, se2) stack hold standard errors
@@ -752,22 +755,33 @@ def omnibus_test(batch: PairBatch, kappa: float, alpha: float) -> TestBatch:
 
 
 def _omnibus_threshold(nu, alpha: float) -> float:
-    """Rejection threshold of the omnibus test on the sqrt-statistic scale,
-    for the zero-point correlation nu: the larger of the one-sided normal
-    point z = Phi^{-1}(1 - alpha) and the root s of 2 P(V1>s, V2>s) = alpha.
+    """Rejection threshold of the omnibus test on the sqrt-statistic scale:
+    the larger of z = -Phi^-1(alpha) and the root s* of g(s) = alpha, where
+    g(s) = 2 P(V1 > s, V2 > s; nu).
 
-    The tail decreases in s, so the threshold is z when the tail at z is
-    at most alpha, and no root is searched for.  Otherwise the root lies in
-    (z, Phi^{-1}(1 - alpha/2)], since 2 P(V1>s, V2>s) <= 2 Phi(-s), which is
-    alpha at the upper end; the search may double once past it, which
-    covers the rounding of that bound.
+    For s > 0, g decreases and is convex: with c = sqrt((1 - nu)/(1 + nu)),
+    g' = -4 phi(s) Phi(-c s) and g'' = 4 phi(s) (s Phi(-c s) + c phi(c s)).
+    So g(z) <= alpha gives z after one tail evaluation; otherwise each
+    Newton step from z lands on a tangent's zero, which convexity keeps at
+    or below s*, and the iterates climb monotonically to it.  Each iterate
+    is clamped to [z, -Phi^-1(alpha/2)], which holds s* since
+    g(s) <= 2 Phi(-s), and which bounds a step whose subnormal tails lost
+    its digits.  The search stops when g(s) <= alpha or a step is under
+    4 eps s.
     """
-    excess = lambda q: alpha - _omnibus_zero_tail(q, nu)
     z = -std_normal_quantile(alpha)
-    at_z = excess(z)
-    if at_z >= 0.0:
-        return z
-    return float(first_crossing(excess, z, at_z, _two_sided_point(alpha)))
+    upper = _two_sided_point(alpha)
+    c = math.sqrt((1.0 - nu) / (1.0 + nu))
+    s = z
+    for _ in range(_THRESHOLD_STEPS):
+        excess = float(_omnibus_zero_tail(s, nu)) - alpha
+        if excess <= 0.0:
+            return s
+        slope = math.sqrt(8.0 / math.pi) * math.exp(-0.5 * s * s) * ndtr(-c * s)  # -g'(s)
+        s, last = min(s + excess / slope, upper) if slope > 0.0 else upper, s
+        if s - last < _STEP_ULPS * s:
+            return s
+    raise ArithmeticError("omnibus threshold: Newton's method failed to converge")
 
 
 def omnibus_local_power(alt: LocalAlternative, kappa: float, alpha: float):

@@ -65,6 +65,31 @@ print("# --- omnibus zero-point quantile, kappa=1.1, se1=se2=1 => nu=220/221 ---
 nu11 = mp.mpf(220) / 221
 root = mp.findroot(lambda s: 2 * bvn_upper(s, s, nu11) - mp.mpf("0.05"), 1.9)
 fmt("OMNI_ZERO_QUANTILE_K110", root)
+# the threshold panel: the root s of 2 P(V1 > s, V2 > s; nu) = alpha where it
+# binds, i.e. exceeds z = -Phi^-1(alpha).  With x = s + t/s the conditional
+# integral is phi(s)/s times an integral in t of order 1, which mp.quad keeps
+# to 40 digits far in the tail (on x it lost 7e-5 relative at s = 21); it is
+# split on the scale of exp(-t) and where Phi's argument steps, for nu near 1
+print("OMNI_THRESHOLD_PANEL = [  # (nu, alpha, root)")
+for nu, nu_text in [(mp.mpf("0.5"), "0.5"), (mp.mpf("0.8"), "0.8"),
+                    (mp.mpf(220) / 221, "220 / 221"), (1 - mp.mpf("1e-9"), "1 - 1e-9")]:
+    s_nu = mp.sqrt(1 - nu * nu)
+
+    def zero_tail(s):
+        step = s * (s / nu - s)  # where nu (s + t/s) = s
+        cuts = sorted({c for c in (1, 4, 16, 64, step - 8 * s * s_nu, step, step + 8 * s * s_nu)
+                       if c > 0})
+        integrand = lambda t: mp.exp(-t - t * t / (2 * s * s)) * phi((nu * (s + t / s) - s) / s_nu)
+        return 2 * phi_pdf(s) / s * mp.quad(integrand, [0, *cuts, mp.inf])
+
+    for alpha in ("0.45", "0.05", "1e-6", "1e-100"):
+        with mp.workdps(200):  # 2 alpha - 1 keeps alpha's digits
+            z, upper = (+(-z_quantile(mp.mpf(alpha) / d)) for d in (1, 2))
+        if zero_tail(z) > mp.mpf(alpha):
+            root = mp.findroot(lambda s: mp.log(zero_tail(s) / mp.mpf(alpha)), (z, upper),
+                               solver="anderson")
+            print(f"    ({nu_text}, {alpha}, {mp.nstr(root, 22)}),")
+print("]")
 fmt("Z95", Z95)
 fmt("Z975", Z975)
 

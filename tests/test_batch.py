@@ -1,4 +1,4 @@
-"""Batch/size-1 parity of the array-first core, and the scalar root solver.
+"""Batch/size-1 parity of the array-first core.
 
 The panel mixes seeded rows (lopsided, one-group-null and near-equal pairs,
 log-uniform SEs) with hand-picked ones: exact ties |est1| = |est2|, zero
@@ -18,7 +18,6 @@ from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from qualint import inference
-from qualint.distributions import first_crossing
 from qualint.inference import (
     PairBatch,
     gail_simon_test,
@@ -158,6 +157,23 @@ def test_rd_test_rejects_exactly_below_kappa_max(bounds):
         assert not rd_test(pair(*row[:4]), bound * (1 + 1e-5), ALPHA)[0].rejected, row
 
 
+# pairs whose boundary tail 2 Phi(-t) is subnormal at kappa_max for the alphas
+# below; t moves enough per 1e-6 of kappa to cross a subnormal step even at
+# 1e-320, whose half is 1012 steps of 2^-1074
+SUBNORMAL_TAIL_PAIRS = [(100.0, 1.0, 0.1, 1.0), (100.0, 1.0, -20.0, 1.0),
+                        (1e6, 1e4, 2e5, 3e3), (80.0, 1.0, 0.0, 1.0)]
+
+
+@pytest.mark.parametrize("alpha", [5e-324, 1e-320, 1e-300])
+def test_rd_test_and_kappa_max_agree_where_the_tail_is_subnormal(alpha):
+    # ndtr rounded its Gaussian factor into the subnormal range before
+    # multiplying it, so at alpha = 2^-1074 the tail read 0 just below t = z
+    for row in SUBNORMAL_TAIL_PAIRS:
+        bound = kappa_max(pair(*row), alpha)[0].kappa_max
+        assert rd_test(pair(*row), bound * (1 - 1e-6), alpha)[0].rejected, row
+        assert not rd_test(pair(*row), bound * (1 + 1e-6), alpha)[0].rejected, row
+
+
 def test_boundary_root_past_the_cap_is_finite_on_both_paths(bounds):
     z = float(ndtri(1.0 - ALPHA / 2.0))
     expected = 1e9 * math.sqrt((10.0 / z) ** 2 - 1.0)
@@ -268,43 +284,3 @@ def test_batch_validation_names_the_bad_row():
             (math.inf, 0.5, 0.2, 0.3)]
     with pytest.raises(ValueError, match=r"^est1\[3\] must be finite, got inf$"):
         PairBatch.from_rows(rows)
-
-
-# ---------------------------------------------------------------------------
-# first_crossing: one doubling + safeguarded Illinois
-# ---------------------------------------------------------------------------
-
-EPS = np.finfo(float).eps
-
-
-def test_first_crossing_roots_and_cap():
-    linear = lambda target: lambda x: x - target
-    # a bracket end that is an exact root is returned as is
-    assert first_crossing(linear(2.0), 1.0, -1.0, 2.0) == 2.0
-    assert first_crossing(linear(4.0), 1.0, -3.0, 2.0) == 4.0
-    # f still negative at 2 hi: no crossing
-    assert math.isinf(first_crossing(linear(4.5), 1.0, -3.5, 2.0))
-    for target in (1.5, 3.7, 1.25e8):
-        got = first_crossing(linear(target), 1.0, 1.0 - target, 0.75 * target)
-        assert abs(got - target) <= 4 * EPS * target
-    # Phi(x) = 0.975, by inverting ndtr
-    quantile = lambda x: ndtr(x) - 0.975
-    got = first_crossing(quantile, 1.0, quantile(1.0), 2.0)
-    assert abs(got - ndtri(0.975)) <= 4 * EPS * got
-
-
-def test_first_crossing_stays_in_bracket_on_a_near_step():
-    # regula falsi alone crawls on this function; the bisection fallback
-    # bounds the work and every iterate stays inside the bracket
-    root = 2.345678
-    seen = []
-
-    def steep(x):
-        seen.append(x)
-        return np.arctan(1e8 * (x - root))
-
-    got = first_crossing(steep, 1.0, np.arctan(1e8 * (1.0 - root)), 2.0)
-    assert abs(got - root) <= 4 * EPS * root
-    assert seen[:2] == [2.0, 4.0]  # hi, then 2 hi
-    assert all(2.0 < x < 4.0 for x in seen[2:])
-    assert len(seen) < 150

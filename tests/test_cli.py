@@ -16,12 +16,13 @@ import re
 import struct
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
@@ -1657,6 +1658,61 @@ def test_decision_columns_are_formatted_once(values):
         assert text == f"{back:.10g}"
         if math.isfinite(back) or not math.isfinite(value):
             assert text == f"{value:.10g}"
+
+
+def log_uniform(low: float, high: float):
+    return st.floats(low, high).map(lambda e: 10.0 ** e)
+
+
+def signed(magnitudes):
+    return st.tuples(st.booleans(), magnitudes).map(lambda t: -t[1] if t[0] else t[1])
+
+
+# the flag-only subcommands' numbers, out to the SE floor 1e-300, which they refuse
+ESTIMATES = signed(log_uniform(-300.0, 300.0)) | st.just(0.0)
+SES = log_uniform(-300.0, 300.0)
+KAPPAS = log_uniform(-12.0, 300.0).map(lambda d: 1.0 + d)
+ALPHAS = log_uniform(-323.0, math.log10(0.49)) | st.just(5e-324)
+
+
+@st.composite
+def flag_only_argv(draw):
+    """argv of test (rd, omnibus, gs), kappa-max with pair flags or power
+    (rd, omnibus); every value is written --flag=value, so negative values
+    parse as values."""
+    command = draw(st.sampled_from(["test", "kappa-max", "power"]))
+    if command == "power":
+        flags = {"--kind": draw(st.sampled_from(["rd", "omnibus"]))}
+        for axis in ("c1", "c2"):
+            flags[f"--{axis}-min"], flags[f"--{axis}-max"] = draw(
+                st.tuples(ESTIMATES, ESTIMATES))
+            flags[f"--{axis}-steps"] = draw(st.integers(1, 3))
+        flags.update({"--sigma1": draw(SES), "--sigma2": draw(SES),
+                      "--lambda": draw(st.floats(1e-12, 1.0 - 1e-9))})
+    else:
+        flags = {f"--{field}": draw(SES if field.startswith("se") else ESTIMATES)
+                 for field in PAIR_FIELDS[1:]}
+        if command == "test":
+            flags["--kind"] = draw(st.sampled_from(["rd", "omnibus", "gs"]))
+    if flags.get("--kind") != "gs" and command != "kappa-max":
+        flags["--kappa"] = draw(KAPPAS)
+    flags["--alpha"] = draw(ALPHAS)
+    return [command, *(f"{flag}={value}" for flag, value in flags.items())]
+
+
+@settings(max_examples=300)
+@example(["power", "--kind", "omnibus", "--alpha", "5e-324", "--sigma2", "1e10",
+          "--c1-steps", "1", "--c2-steps", "1"])  # subnormal tails in the threshold search
+@given(flag_only_argv())
+def test_flag_only_commands_give_a_result_or_name_a_flag(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv)
+    if code == 0:
+        assert "nan" not in out.lower() and err == "", (argv, out, err)
+    else:
+        named = {arg.split("=")[0].lstrip("-") for arg in argv if arg.startswith("--")}
+        assert code == 2 and any(name in err for name in named), (argv, err)
 
 
 # ---------------------------------------------------------------------------

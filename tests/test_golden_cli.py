@@ -2,10 +2,9 @@
 
 Every subcommand runs on the small fixed inputs in tests/golden/ (a pair
 CSV and two sample-by-feature matrices) and each output file is compared
-with its copy in tests/golden/expected/.  Outputs must match byte for byte,
-except the kappa_max-valued columns, which may move by up to 1e-6 (the
-inversion's root tolerance) when the root solver changes.  The pair rows
-have no kappa_max near-ties, so the row order of sorted outputs is stable.
+with its copy in tests/golden/expected/.  Outputs must match byte for byte.
+The pair rows have no kappa_max near-ties, so the row order of sorted
+outputs is stable.
 
 Regenerate the expected files only for an intended change of output:
 
@@ -14,9 +13,6 @@ Regenerate the expected files only for an intended change of output:
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import os
 import re
 import subprocess
@@ -34,7 +30,6 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # copy), so that a subprocess runs the same copy
 IMPORT_ROOT = Path(qualint.__file__).resolve().parents[1]
 EXPECTED = GOLDEN / "expected"
-KAPPA_TOL = 1e-6
 
 PAIRS = "{golden}/pairs.csv"
 SIMULATE = [
@@ -90,18 +85,6 @@ CASES = {
     ]),
 }
 
-# output file -> columns holding kappa_max values (compared to KAPPA_TOL)
-KAPPA_COLUMNS = {
-    "scan_rd.csv": {"kappa_max"},
-    "scan_rd.json": {"kappa_max"},
-    "kappa_max.csv": {"kappa_max"},
-    "kappa_max_pair.json": {"kappa_max"},
-    "study_n30_kappa_max.csv": {"q10", "q50", "q90"},
-    "wide_n5_kappa_max.csv": {"q10", "q50", "q90"},
-    "wide_n30_kappa_max.csv": {"q10", "q50", "q90"},
-}
-
-
 def case_argv(name: str, out_dir: Path, golden: Path = GOLDEN) -> list[str]:
     argv, outputs = CASES[name]
     argv = [a.format(golden=golden, out=out_dir) for a in argv]
@@ -115,72 +98,10 @@ def run_case(name: str, out_dir: Path, golden: Path = GOLDEN) -> None:
     assert code == 0, f"{name}: exit {code}"
 
 
-def _close(got: str, want: str) -> bool:
-    if got == want:
-        return True
-    try:
-        return abs(float(got) - float(want)) <= KAPPA_TOL
-    except ValueError:
-        return False
-
-
-def _compare_csv(got: str, want: str, columns: set[str]) -> list[str]:
-    got_rows = list(csv.reader(io.StringIO(got)))
-    want_rows = list(csv.reader(io.StringIO(want)))
-    if len(got_rows) != len(want_rows) or got_rows[:1] != want_rows[:1]:
-        return [f"shape or header differs: {got_rows[:1]} vs {want_rows[:1]}"]
-    header = want_rows[0]
-    problems = []
-    for line, (g, w) in enumerate(zip(got_rows[1:], want_rows[1:]), start=2):
-        for name, gv, wv in zip(header, g, w):
-            ok = _close(gv, wv) if name in columns else gv == wv
-            if not ok or len(g) != len(w):
-                problems.append(f"line {line} {name}: {gv!r} != {wv!r}")
-    return problems
-
-
-def _close_json(got, want) -> bool:
-    """kappa_max values, or objects of them, equal to KAPPA_TOL."""
-    if isinstance(want, dict):
-        return isinstance(got, dict) and set(got) == set(want) and all(
-            _close_json(got[key], value) for key, value in want.items()
-        )
-    return _close(repr(got), repr(want))
-
-
-def _compare_json(got: str, want: str, columns: set[str]) -> list[str]:
-    g, w = json.loads(got), json.loads(want)
-    if "results" not in w:  # one object: compared as a table of one result
-        g, w = {"results": [g]}, {"results": [w]}
-    problems = []
-    if {k: v for k, v in g.items() if k != "results"} != {
-        k: v for k, v in w.items() if k != "results"
-    }:
-        problems.append("summary differs")
-    if len(g["results"]) != len(w["results"]):
-        return problems + ["result count differs"]
-    for i, (gr, wr) in enumerate(zip(g["results"], w["results"])):
-        if set(gr) != set(wr):
-            problems.append(f"result {i}: keys differ")
-            continue
-        for key in wr:
-            ok = _close_json(gr[key], wr[key]) if key in columns else gr[key] == wr[key]
-            if not ok:
-                problems.append(f"result {i} {key}: {gr[key]!r} != {wr[key]!r}")
-    return problems
-
-
 def assert_matches_golden(name: str, out_dir: Path) -> None:
     for output in CASES[name][1]:
         got = (out_dir / output).read_bytes()
-        want = (EXPECTED / output).read_bytes()
-        columns = KAPPA_COLUMNS.get(output)
-        if columns is None:
-            assert got == want, f"{output} differs from the golden copy"
-            continue
-        compare = _compare_json if output.endswith(".json") else _compare_csv
-        problems = compare(got.decode("utf-8"), want.decode("utf-8"), columns)
-        assert not problems, f"{output}: " + "; ".join(problems[:5])
+        assert got == (EXPECTED / output).read_bytes(), f"{output} differs from the golden copy"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -209,11 +130,6 @@ def test_pair_file_variants_match_golden(name, variant, tmp_path):
     (tmp_path / "pairs.csv").write_text(changed, encoding="utf-8", newline="")
     run_case(name, tmp_path, golden=tmp_path)
     assert_matches_golden(name, tmp_path)
-    # and the very bytes of the LF file's run, kappa_max columns included
-    (tmp_path / "lf").mkdir()
-    run_case(name, tmp_path / "lf")
-    for output in CASES[name][1]:
-        assert (tmp_path / output).read_bytes() == (tmp_path / "lf" / output).read_bytes()
 
 
 def test_package_exports_the_union_of_the_module_lists():

@@ -23,6 +23,7 @@ from qualint.inference import (
     PairBatch,
     _kappa_split,
     _omnibus_threshold,
+    _omnibus_zero_tail,
     _rd_nu,
     _rows,
     _two_sided_point,
@@ -53,6 +54,19 @@ OMNI_NULL_TAIL_T1 = 0.1952730381631155997241
 OMNI_EXAMPLE_BOUNDARY = 0.003645179045767820740716
 OMNI_EXAMPLE_ZERO_TAIL = 0.002340445124580732098325
 OMNI_ZERO_QUANTILE_K110 = 1.920589407282249775454
+# nu in {0.5, 0.8, 220/221, 1 - 1e-9} x alpha in {0.45, 0.05, 1e-6, 1e-100},
+# where the zero-point root binds
+OMNI_THRESHOLD_PANEL = [  # (nu, alpha, root)
+    (0.5, 0.45, 0.2954137413035517210974),
+    (0.8, 0.45, 0.4790933784136214496553),
+    (220 / 221, 0.45, 0.7169209499845390624297),
+    (220 / 221, 0.05, 1.920589407282249775454),
+    (220 / 221, 1e-6, 4.850075680172625704975),
+    (1 - 1e-9, 0.45, 0.7553971849990798749544),
+    (1 - 1e-9, 0.05, 1.959946142986953597042),
+    (1 - 1e-9, 1e-6, 4.891620633678891100932),
+    (1 - 1e-9, 1e-100, 21.30592222471923624418),
+]
 Z95 = 1.644853626951472714864
 Z975 = 1.959963984540054235525
 Z95_FLOAT = std_normal_quantile(0.95)
@@ -600,6 +614,21 @@ class TestOmnibusPower:
         # when the zero-point root binds, size at the origin is exactly alpha
         alt = LocalAlternative(0.0, 0.0, 1.0, 1.0, 0.5)
         assert omnibus_local_power(alt, 1.1, 0.05) == pytest.approx(0.05, abs=1e-8)
+
+    @pytest.mark.parametrize("nu, alpha, root", OMNI_THRESHOLD_PANEL)
+    def test_threshold_matches_the_oracle_in_few_tail_evaluations(self, nu, alpha, root,
+                                                                   monkeypatch):
+        calls = []
+
+        def counted(s, nu):
+            calls.append(s)
+            return _omnibus_zero_tail(s, nu)
+
+        monkeypatch.setattr("qualint.inference._omnibus_zero_tail", counted)
+        got = _omnibus_threshold(nu, alpha)
+        assert got == pytest.approx(root, rel=1e-11)
+        assert -std_normal_quantile(alpha) <= got <= _two_sided_point(alpha)
+        assert len(calls) <= 10
 
     def test_threshold_at_an_exact_root(self):
         # at nu = 1 the zero-point tail 2 Phi(-s) is exactly alpha at the
