@@ -53,7 +53,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -608,8 +607,12 @@ def _theta2_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
     # (hi - lo) / step is inf past the float range
     count = round(min((hi - lo) / step, _STREAM_INDEX_LIMIT)) + 1
     if count >= _STREAM_INDEX_LIMIT:
-        raise UsageError("the theta2 grid must hold fewer than 2**32 points")
-    return tuple(round(lo + k * step, 10) for k in range(count))
+        raise UsageError("the theta2 grid from --theta2-min to --theta2-max by --theta2-step "
+                         "must hold fewer than 2**32 points")
+    grid = tuple(round(lo + k * step, 10) for k in range(count))
+    if len(set(grid)) < count:  # a step under the rounding, or under lo's precision
+        raise UsageError("--theta2-step is too small: theta2 grid points repeat at 10 decimals")
+    return grid
 
 
 def _cmd_simulate(args) -> int:
@@ -643,18 +646,17 @@ def _cmd_simulate(args) -> int:
         tables.append((f"{prefix}_n{n}_rates.csv",
                        ("theta2", "kappa", "test", "rejection_rate", "mc_se"), rates))
         if result.kappa_max_quantiles:
-            quantiles = np.array([
-                (theta2, qs[0.10], qs[0.50], qs[0.90])
-                for theta2, qs in result.kappa_max_quantiles.items()
-            ])
+            quantiles = result.kappa_max_quantiles
+            levels = next(iter(quantiles.values()))
+            values = np.array([(theta2, *qs.values()) for theta2, qs in quantiles.items()]).T
             tables.append((f"{prefix}_n{n}_kappa_max.csv",
-                           ("theta2", "q10", "q50", "q90"), quantiles.T))
+                           ("theta2", *(f"q{100 * q:.0f}" for q in levels)), values))
     for path, fieldnames, columns in tables:
         with _output(path) as out:
             _write_table(out, "csv", fieldnames, columns)
     config_path = f"{prefix}_config.json"
     with _output(config_path) as out:
-        _write_json(out, {**dataclasses.asdict(config), "n": list(args.n)})
+        _write_json(out, {**vars(config), "n": list(args.n)})
     for path, *_ in tables:
         print(path)
     print(config_path)

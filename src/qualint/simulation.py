@@ -12,11 +12,11 @@ slopes of a block are fitted in one call, and each replicate's fit does
 not depend on the rows beside it, so results do not depend on the block
 size.  The tests and the inversion then run once per kappa on the whole
 study's estimates as one batch.  The summaries are taken once per study
-too: each (kappa, test) column of rejection flags is counted per grid
-point by one segmented sum (``np.add.reduceat`` over the grid points that
-kept a replicate), and the kappa_max quantiles of all grid points with the
-same replicate count come from one ``np.quantile`` call on their
-(points, replicates) block.
+too: each batch row is tagged once with its grid point, each (kappa,
+test) column of rejection flags is counted per grid point by one
+``np.bincount`` over the tags of its rejected rows, and the kappa_max
+quantiles of all grid points with the same replicate count come from one
+``np.quantile`` call on their (points, replicates) block.
 
 Reproducibility contract: the stream for replicate r of grid point g is
 ``numpy.random.default_rng([seed, g, r])``.  From it the group-1 sample is
@@ -303,39 +303,34 @@ def run_rejection_study(config: SimulationConfig) -> StudyResult:
     """
     estimates, drops = zip(*_grid_point_estimates(config))
 
-    # the whole study is tested in one batch per kappa; replicates of grid
-    # point gi are rows starts[gi]:starts[gi] + counts[gi]
+    # the whole study is tested in one batch per kappa; row i of the batch
+    # is a replicate of grid point point[i], each point's rows in one run
     batch = PairBatch(*(np.concatenate(column) for column in zip(*estimates)))
     counts = np.array([len(est1) for est1, *_ in estimates])
-    starts = np.cumsum(counts) - counts
-    # summaries cover the points with replicates; reduceat would give an
-    # empty segment the value at its start instead of 0
+    point = np.repeat(np.arange(len(counts)), counts)
+    # summaries cover the points that kept a replicate
     kept = np.flatnonzero(counts)
     rejection_counts = {}
     for kappa in config.kappas:
         for test, run in (("rd", rd_test), ("omnibus", omnibus_test)):
-            rejected = run(batch, kappa, config.alpha).rejected
-            rejection_counts[(kappa, test)] = np.add.reduceat(
-                rejected, starts[kept], dtype=np.intp
-            ).tolist()
+            rejected = point[run(batch, kappa, config.alpha).rejected]
+            rejection_counts[(kappa, test)] = np.bincount(rejected, minlength=len(counts)).tolist()
     want_kmax = config.alpha < _KAPPA_MAX_ALPHA
     quantiles = np.full((len(counts), len(_KMAX_QUANTILES)), np.nan)
     if want_kmax:
         kmax = kappa_max(batch, config.alpha).kappa_max
         # one call per distinct replicate count, on a (points, count) block
         for count in np.unique(counts[kept]).tolist():
-            points = np.flatnonzero(counts == count)
-            block = kmax[starts[points, None] + np.arange(count)]
-            quantiles[points] = _kappa_max_quantiles(block, _KMAX_QUANTILES)
+            same = counts == count
+            block = kmax[same[point]].reshape(-1, count)
+            quantiles[same] = _kappa_max_quantiles(block, _KMAX_QUANTILES)
 
     grid = config.theta2_grid
     rates: list[RateCell] = []
     quantile_map: dict[float, dict[float, float]] = {}
-    for slot, (gi, valid, values) in enumerate(
-        zip(kept.tolist(), counts[kept].tolist(), quantiles[kept].tolist())
-    ):
+    for gi, valid, values in zip(kept.tolist(), counts[kept].tolist(), quantiles[kept].tolist()):
         for (kappa, test), per_point in rejection_counts.items():
-            p_hat = per_point[slot] / valid
+            p_hat = per_point[gi] / valid
             rates.append(
                 RateCell(
                     theta2=grid[gi],

@@ -284,3 +284,5 @@ def test_batch_validation_names_the_bad_row():
             (math.inf, 0.5, 0.2, 0.3)]
     with pytest.raises(ValueError, match=r"^est1\[3\] must be finite, got inf$"):
         PairBatch.from_rows(rows)
+    with pytest.raises(ValueError, match="^PairBatch columns must be one-dimensional$"):
+        PairBatch(np.ones((2, 2)), 0.5, 0.2, 0.3)

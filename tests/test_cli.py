@@ -1123,7 +1123,7 @@ class TestSimulateCommand:
             # points rounded to 10 decimals: six 0.0 and five 1e-10
             (["--theta2-min", "0", "--theta2-max", "1e-10", "--theta2-step", "1e-11",
               "--n", "10", "--reps", "3", "--kappas", "2"],
-             "error: theta2_grid must not repeat a value"),
+             "error: --theta2-step is too small: theta2 grid points repeat at 10 decimals"),
         ],
         ids=["infinite-max", "nan-max", "tiny-step", "repeated-point"],
     )
@@ -1715,6 +1715,100 @@ def test_flag_only_commands_give_a_result_or_name_a_flag(argv):
         assert code == 2 and any(name in err for name in named), (argv, err)
 
 
+def matrix_text(names, draw):
+    """A matrix CSV of 3-8 rows: per column a scale 10**(-300..300) and a
+    kind, where near-constant columns vary by 1e-15 relative and a
+    collinear column is an affine map of an earlier one."""
+    rows = draw(st.integers(3, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal((rows, len(names)))
+    columns = []
+    for j in range(len(names)):
+        scale = 10.0 ** draw(st.floats(-300.0, 300.0))
+        kind = draw(st.sampled_from(["normal", "constant", "near-constant", "collinear"]))
+        if kind == "constant":
+            column = np.full(rows, z[0, j])
+        elif kind == "near-constant":
+            column = z[0, j] * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0, rows))
+        elif kind == "collinear" and j:
+            column = rng.uniform(-2.0, 2.0) * z[:, draw(st.integers(0, j - 1))] + rng.uniform()
+        else:
+            column = z[:, j]
+        columns.append(column * scale)
+    cells = np.column_stack(columns).tolist()
+    return "\n".join([",".join(names), *(",".join(map(repr, row)) for row in cells)])
+
+
+@st.composite
+def file_argv(draw):
+    """(argv with {tmp} for the scratch directory, {file name: text}) of
+    scan (rd, omnibus, gs; csv or json, to stdout or a file), network, or
+    simulate with a grid of at most 8 points; values as in flag_only_argv,
+    study values out to 1e308."""
+    command = draw(st.sampled_from(["scan", "network", "simulate"]))
+    flags, files = {"--alpha": draw(ALPHAS)}, {}
+    if command == "scan":
+        rows = draw(st.lists(st.tuples(ESTIMATES, SES, ESTIMATES, SES), min_size=1, max_size=6))
+        files["pairs.csv"] = "\n".join(
+            [",".join(PAIR_FIELDS), *(",".join([f"p{i}", *map(repr, row)])
+                                      for i, row in enumerate(rows))])
+        flags["--kind"] = draw(st.sampled_from(["rd", "omnibus", "gs"]))
+        flags["--format"] = draw(st.sampled_from(["csv", "json"]))
+        if draw(st.booleans()):
+            flags["--output"] = "{tmp}/out"
+        inputs = ["{tmp}/pairs.csv"]
+    elif command == "network":
+        names = [f"f{j}" for j in range(draw(st.integers(2, 5)))]
+        files["g1.csv"], files["g2.csv"] = matrix_text(names, draw), matrix_text(names, draw)
+        inputs = ["{tmp}/g1.csv", "{tmp}/g2.csv"]
+    else:
+        study_values = signed(log_uniform(-300.0, 308.0)) | st.just(0.0)
+        lo, hi = sorted(draw(st.tuples(study_values, study_values)))
+        points = draw(st.integers(1, 8))
+        flags.update({
+            "--theta1": draw(study_values),
+            "--theta2-min": lo,
+            "--theta2-max": hi,
+            # points - 1 steps across the span, or one step past it
+            "--theta2-step": ((hi - lo) / (points - 1) if points > 1 else 2.0 * (hi - lo)) or 1.0,
+            "--n": draw(st.integers(3, 12)),
+            "--reps": draw(st.integers(1, 4)),
+            "--kappas": draw(log_uniform(-12.0, 300.0).map(lambda d: 1.0 + d)),
+            "--seed": draw(st.integers(0, 2**64 - 1)),
+            "--output": "{tmp}/study",
+        })
+        inputs = []
+    if command != "simulate" and (command == "network" or flags["--kind"] != "gs"):
+        flags["--kappa"] = draw(KAPPAS)
+    return [command, *inputs, *(f"{flag}={value}" for flag, value in flags.items())], files
+
+
+@settings(max_examples=200)
+@given(file_argv())
+def test_file_commands_give_a_result_or_name_a_flag(case):
+    template, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            Path(tmp, name).write_text(text + "\n", encoding="utf-8")
+        argv = [arg.replace("{tmp}", tmp) for arg in template]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv)
+        written = {path.name: path.read_text(encoding="utf-8")
+                   for path in Path(tmp).iterdir() if path.name not in files}
+    if code == 0:
+        assert "nan" not in out.lower(), (argv, out)
+        assert not any("nan" in text.lower() for text in written.values()), (argv, written)
+    else:
+        # a flag as a word, so that --n is not named by every n in the text
+        flags = {arg.split("=")[0].lstrip("-") for arg in argv if arg.startswith("--")}
+        paths = [arg for arg in argv[1:] if not arg.startswith("--")]
+        assert code == 2 and (
+            any(re.search(rf"(?<!\w){flag}(?![\w-])", err) for flag in flags)
+            or any(path in err for path in paths)
+        ), (argv, err)
+
+
 # ---------------------------------------------------------------------------
 # top-level dispatch
 # ---------------------------------------------------------------------------
@@ -1796,6 +1890,32 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in err
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            # an input that cannot be read is a usage error naming it
+            (["scan", "{tmp}/missing/p.csv"], 2,
+             "error: cannot read {tmp}/missing/p.csv: "
+             "[Errno 2] No such file or directory: '{tmp}/missing/p.csv'"),
+            (["scan", "{tmp}"], 2, "error: cannot read {tmp}: [Errno 21] Is a directory: '{tmp}'"),
+            # an output that cannot be written is an i/o failure
+            (["scan", "{pairs}", "--output", "{tmp}/missing/out.csv"], 1,
+             "i/o failure: [Errno 2] No such file or directory: '{tmp}/missing/out.csv'"),
+            (["test", "--est1", "1", "--se1", "0.1", "--est2", "0.2", "--se2", "0.1",
+              "--output", "{tmp}"], 1, "i/o failure: [Errno 21] Is a directory: '{tmp}'"),
+            (["simulate", "--n", "10", "--reps", "2", "--theta2-step", "1",
+              "--output", "{tmp}/missing/st"], 1,
+             "i/o failure: [Errno 2] No such file or directory: '{tmp}/missing/st_n10_rates.csv'"),
+        ],
+        ids=["missing-input", "directory-input", "missing-output-directory",
+             "directory-output", "study-output-in-missing-directory"],
+    )
+    def test_unreadable_input_or_unwritable_output(self, tmp_path, capsys, argv, code, message):
+        pairs = tmp_path / "pairs.csv"
+        write_pairs(pairs, TABLE_ROWS[:2])
+        argv = [arg.format(pairs=pairs, tmp=tmp_path) for arg in argv]
+        assert (main(argv), capsys.readouterr().err) == (code, message.format(tmp=tmp_path) + "\n")
 
     def test_kernel_domain_error_is_a_numerical_failure(self, capsys, monkeypatch):
         # the validators accepted the input, so a kernel that refuses the

@@ -136,6 +136,9 @@ class TestDomainTypes:
                 LocalAlternative(1.0, -1.0, 1.0, 2.0, lam)
         with pytest.raises(ValueError):
             LocalAlternative(1.0, -1.0, 0.0, 2.0, 0.3)
+        for sigma2 in (0.0, -2.0, math.inf):
+            with pytest.raises(ValueError, match=f"^sigma2 must be positive, got {sigma2!r}$"):
+                LocalAlternative(1.0, -1.0, 1.0, sigma2, 0.3)
         with pytest.raises(ValueError):
             LocalAlternative(math.inf, -1.0, 1.0, 2.0, 0.3)
 

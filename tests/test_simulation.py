@@ -55,6 +55,8 @@ class TestSimulationConfig:
         for overrides, message in (
             ({"theta1": math.inf}, "theta1 must be finite, got inf"),
             ({"theta2_grid": ()}, "theta2_grid must be nonempty"),
+            ({"theta2_grid": (0.0, math.nan)}, "theta2_grid must be finite"),
+            ({"theta2_grid": (-math.inf, 0.0)}, "theta2_grid must be finite"),
             ({"theta2_grid": (0.0, 0.5, 0.0)}, "theta2_grid must not repeat a value"),
             ({"n": 2}, "need at least 3 pairs, got 2"),
             ({"replications": 0}, "replications must be >= 1, got 0"),
@@ -127,6 +129,7 @@ class TestEmpiricalTail:
         with pytest.raises(ValueError):
             tail.values[0] = 5.0
         assert tail.draws == 3
+        assert repr(tail) == "EmpiricalTail(draws=3)"
 
 
 class TestMcNullOracle:
