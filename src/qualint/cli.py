@@ -16,16 +16,19 @@ error.  network imports qualint.estimators and simulate qualint.simulation
 when they run, so no other command's cold start loads them.
 
 Conventions shared by every command: numeric output carries 10
-significant digits.  Exit codes: 0 success, 1 runtime/numerical failure, 2
-usage or validation failure.  Input CSV is comma-separated UTF-8 with a
-mandatory header row; a file that is not UTF-8 is a usage error naming it.
+significant digits.  Exit codes: 0 success, 1 runtime/numerical failure
+(running out of memory included), 2 usage or validation failure.  Input
+CSV is comma-separated UTF-8 with a mandatory header row; a file that is
+not UTF-8 is a usage error naming it.
 
 Read rule.  A reader reads its file as one string.  Text with no quote, no
 NUL and no line longer than csv's field limit is split into lines at CR, LF
-and CRLF only, and into cells at commas: the records csv.reader would give,
-a blank line an empty record, each numbered by its line.  Any other text
-goes through csv.reader.  Either way both readers feed their records to one
-conversion (_value_columns), which converts the value columns in one
+and CRLF only.  One np.loadtxt call reads their value cells where it reads
+what float() would (_loadtxt_columns): ASCII text without \\x1c-\\x1f,
+record lines and none blank, one row per line of the header's width.
+Otherwise the lines are split into cells at commas, a blank line an empty
+record, and any other text goes through csv.reader.  Those records go to
+one conversion (_value_columns), which converts the value columns in one
 float() pass and reads row by row only to word a bad row: too few cells,
 not exactly the header's width (a matrix), or the message float() gives.
 The pair reader then skips or lists its bad rows; the matrix reader stops
@@ -36,13 +39,15 @@ once.  A decision column (p_raw and p_adjusted; kappa-max's kappa_max and
 p_rd_*) is formatted to 10 digits in one pass and read back (_g10s):
 decisions (Bonferroni adjustment, rejection flags, sort order) read those
 floats, so re-parsing our own output reproduces them exactly, and the CSV
-writer writes the kept text.  A power grid's axes are formatted once per
+writer writes the kept text.  A value of exactly 1, where p-values and
+kappa_max are clamped, is given the text "1" and the float 1.0 without
+formatting or reading it.  A power grid's axes are formatted once per
 distinct value (_axis_cells) and their text repeated over the grid's cells.
-Every other float is formatted by the writer, which converts a whole CSV
-body in one % pass over a row template.  A command sorts its rows once
-with np.lexsort, names entering as code-point ranks: scan by (p_adjusted,
-id), network by (p_adjusted, feature_a, feature_b), kappa-max by
-(-kappa_max, id).  The CSV writer quotes each text cell holding a comma,
+Every other float is formatted by the writer, which converts a CSV body in
+one % pass over a row template per 2**16 rows.  A command sorts its rows
+once with np.lexsort, names entering as code-point ranks: scan by
+(p_adjusted, id), network by (p_adjusted, feature_a, feature_b), kappa-max
+by (-kappa_max, id).  The CSV writer quotes each text cell holding a comma,
 quote, CR or LF, doubling its quotes; any other cell, NUL included, is
 written as it is, so the bytes do not depend on the Python version.  JSON
 is strict: a number that is not finite after rounding is written as null.
@@ -99,6 +104,8 @@ class UsageError(ValueError):
 # cell, NUL included, is written as it is, the same bytes on every Python
 _CSV_SPECIALS = re.compile('[,"\r\n]')
 _BOOL_TEXT = ("false", "true")
+# rows a CSV body formats in one % pass: a bound on the text held at once
+_WRITE_ROWS = 2**16
 
 
 class _G10(NamedTuple):
@@ -116,12 +123,17 @@ def _g10_text(values: np.ndarray) -> list[str]:
 
 
 def _g10s(values: np.ndarray) -> _G10:
-    """A column formatted in one pass and read back once.  Text whose
-    rounding passes the float range reads back as +-inf and is kept as that,
-    so the CSV cell is the rounded value's own text."""
-    n = len(values)
-    text = _g10_text(values)
-    rounded = np.fromiter(map(float, text), float, n)
+    """A column formatted in one pass and read back once, but for its values
+    of exactly 1 (the clamp of p-values and kappa_max), which are "1" and 1.0.
+    Text whose rounding passes the float range reads back as +-inf and is
+    kept as that, so the CSV cell is the rounded value's own text."""
+    rest = np.flatnonzero(values != 1.0)
+    rest_text = _g10_text(values[rest])
+    rounded = np.ones(len(values))
+    rounded[rest] = np.fromiter(map(float, rest_text), float, len(rest))
+    text = ["1"] * len(values)
+    for i, cell in zip(rest.tolist(), rest_text):
+        text[i] = cell
     for i in np.flatnonzero(np.isinf(rounded) & np.isfinite(values)).tolist():
         text[i] = "inf" if rounded[i] > 0.0 else "-inf"
     return _G10(rounded, text)
@@ -155,7 +167,7 @@ def _json_cells(column) -> list:
     return list(map(_json_g10, values)) if column.dtype.kind == "f" else values
 
 
-def _csv_cells(column) -> tuple[str, list | None]:
+def _csv_cells(column) -> tuple[str, list | np.ndarray | None]:
     """One table column as CSV: its conversion in the row template and the
     values it converts.  Floats convert by %.10g, ints by %d; kept 10-digit
     text, true/false and CSV-quoted text enter as %s; a list of None is
@@ -166,7 +178,7 @@ def _csv_cells(column) -> tuple[str, list | None]:
         kind = column.dtype.kind
         if kind == "b":
             return "%s", list(map(_BOOL_TEXT.__getitem__, column.tolist()))
-        return ("%.10g" if kind == "f" else "%d"), column.tolist()
+        return ("%.10g" if kind == "f" else "%d"), column
     if column and column[0] is None:
         return "", None
     return "%s", _csv_text(column)
@@ -211,8 +223,8 @@ def _write_table(
     out, fmt: str, fieldnames, columns, summary: dict | None = None, footer: str | None = None
 ) -> None:
     """Columns (in fieldnames order) as CSV with an optional footer line, the
-    body converted in one % pass over a row template, or as JSON
-    {"results": [...], "summary": ...}."""
+    body converted by one % pass over a row template per _WRITE_ROWS rows,
+    or as JSON {"results": [...], "summary": ...}."""
     if fmt == "json":
         cells = map(_json_cells, columns)
         payload: dict = {"results": [dict(zip(fieldnames, row)) for row in zip(*cells)]}
@@ -224,12 +236,17 @@ def _write_table(
     cells = [column for column in cells if column is not None]
     width = len(cells)
     rows = len(cells[0]) if cells else len(columns[0])
-    flat = [None] * (rows * width)  # row-major: cell c of row r at r * width + c
-    for c, column in enumerate(cells):
-        flat[c::width] = column
-    header = ",".join(_csv_text(list(fieldnames)))
-    body = (",".join(conversions) + "\n") * rows % tuple(flat)
-    out.write(header + "\n" + body + ("" if footer is None else footer + "\n"))
+    template = ",".join(conversions) + "\n"
+    out.write(",".join(_csv_text(list(fieldnames))) + "\n")
+    for start in range(0, rows, _WRITE_ROWS):
+        stop = min(start + _WRITE_ROWS, rows)
+        flat = [None] * ((stop - start) * width)  # cell c of row r at r * width + c
+        for c, column in enumerate(cells):
+            part = column[start:stop]
+            flat[c::width] = part.tolist() if isinstance(part, np.ndarray) else part
+        out.write(template * (stop - start) % tuple(flat))
+    if footer is not None:
+        out.write(footer + "\n")
 
 
 def _warn(message: str) -> None:
@@ -261,14 +278,17 @@ def _read_text(path: str) -> str:
         raise UsageError(f"{path}: {exc}") from None
 
 
-def _read_csv(path: str, read_header: Callable[[list[str] | None], object]) -> tuple:
-    """(read_header(header record), the later records, the line each ends
-    on) of a CSV file, by the read rule.  read_header gets None for a file
-    without records and runs before any later record is read, so its error
-    comes before a csv error further down.  Lines end at CR, LF and CRLF
-    only, never where str.splitlines also splits.  A csv.reader error, such
-    as a cell past the field limit or NUL before Python 3.11, is a usage
-    error.
+def _read_csv(path: str, read_header: Callable[[list[str] | None], object], first: int,
+              exact: bool) -> tuple:
+    """(read_header(header record), the first cells, stripped, of the records
+    that convert (None if first is 0), their cells from first to the header's
+    width as float columns, their lines, and the other records' problems as
+    (line, text)), by the read rule.  read_header gets None for a file without records and runs
+    before any later record is read, so its error comes before a csv error
+    further down.  Lines end at CR, LF and CRLF only, never where
+    str.splitlines also splits.  A blank line is skipped, unless exact.  A
+    csv.reader error, such as a cell past the field limit or NUL before
+    Python 3.11, is a usage error.
     """
     text = _read_text(path)
     lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
@@ -278,17 +298,46 @@ def _read_csv(path: str, read_header: Callable[[list[str] | None], object]) -> t
     if '"' in text or "\x00" in text or long_line:
         reader = csv.reader(io.StringIO(text, newline=""))
         try:
-            header = read_header(next(reader, None))
+            record = next(reader, None)
+            header = read_header(record)
             records, line_nos = [], []
-            for record in reader:
-                records.append(record)
+            for row in reader:
+                records.append(row)
                 line_nos.append(reader.line_num)
         except csv.Error as exc:
             raise UsageError(f"{path}:{reader.line_num}: {exc}") from None
-        return header, records, line_nos
-    records = [line.split(",") if line else [] for line in lines]
-    header = read_header(records[0] if records else None)
-    return header, records[1:], range(2, len(records) + 1)
+    else:
+        record = lines[0].split(",") if lines else None
+        header = read_header(record)
+        body, line_nos = lines[1:], range(2, len(lines) + 1)
+        columns = _loadtxt_columns(text, body, range(first, len(record)), exact)
+        if columns is not None:
+            ids = [line.partition(",")[0].strip() for line in body] if first else None
+            return header, ids, columns, line_nos, []
+        records = [line.split(",") if line else [] for line in body]
+    if not exact and [] in records:  # a blank line is skipped
+        kept = [i for i, row in enumerate(records) if row]
+        records, line_nos = [records[i] for i in kept], [line_nos[i] for i in kept]
+    columns, rows, line_nos, problems = _value_columns(
+        records, line_nos, range(first, len(record)), exact)
+    return header, [row[0].strip() for row in rows] if first else None, columns, line_nos, problems
+
+
+def _loadtxt_columns(text: str, body: list[str], values: range, exact: bool):
+    """Cells `values` of the lines as float columns, read by one np.loadtxt
+    call, or None where it might read otherwise than float(): text not ASCII
+    or holding \\x1c-\\x1f (whitespace to loadtxt only), no line or a blank
+    one (loadtxt skips it), a cell it refuses, or not one row per line of
+    the values' width (if exact, a line of any other width)."""
+    if (not body or "" in body or not text.isascii()
+            or any(map(text.__contains__, "\x1c\x1d\x1e\x1f"))):
+        return None
+    try:
+        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2,
+                          usecols=None if exact else values)
+    except ValueError:
+        return None
+    return data.T if data.shape == (len(body), len(values)) else None
 
 
 def _value_columns(rows: list, lines, values: range, exact: bool) -> tuple:
@@ -336,7 +385,6 @@ def _read_pairs(path: str, strict: bool) -> tuple[list[str], PairBatch]:
     valid row.  Invalid rows are skipped with one warning each, in line
     order; in strict mode they fail the run, every bad line listed.
     """
-    width = len(_PAIR_FIELDS)
 
     def check_header(record):
         header = tuple(record or ())
@@ -346,12 +394,7 @@ def _read_pairs(path: str, strict: bool) -> tuple[list[str], PairBatch]:
                 f"got {','.join(header) if header else '(none)'}"
             )
 
-    _, rows, lines = _read_csv(path, check_header)
-    if [] in rows:  # a blank line is skipped
-        kept = [i for i, row in enumerate(rows) if row]
-        rows, lines = [rows[i] for i in kept], [lines[i] for i in kept]
-    columns, rows, lines, problems = _value_columns(rows, lines, range(1, width), exact=False)
-    ids = [row[0].strip() for row in rows]
+    _, ids, columns, lines, problems = _read_csv(path, check_header, 1, exact=False)
     bad = ~_valid(columns, _SE_ROWS)
     invalid = bad.any(axis=0)
     if "" in ids:
@@ -470,12 +513,11 @@ def _read_matrix(path: str) -> tuple[tuple[str, ...], np.ndarray]:
             raise UsageError(f"{path}: duplicate feature names")
         return header
 
-    header, rows, lines = _read_csv(path, read_header)
-    columns, _, _, problems = _value_columns(rows, lines, range(len(header)), exact=True)
+    header, _, columns, lines, problems = _read_csv(path, read_header, 0, exact=True)
     if problems:  # the first bad row fails the run
         raise UsageError(f"{path}:{problems[0][0]}: {problems[0][1]}")
-    if len(rows) < 3:
-        raise UsageError(f"{path}: need at least 3 sample rows, got {len(rows)}")
+    if columns.shape[1] < 3:
+        raise UsageError(f"{path}: need at least 3 sample rows, got {columns.shape[1]}")
     data = columns.T
     bad = ~np.isfinite(data)
     if bad.any():  # the first in line order, then feature order
@@ -822,6 +864,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's allocation failure included
+        print(f"memory failure: {args.command}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

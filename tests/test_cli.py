@@ -26,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from qualint import inference
+from qualint import cli, inference
 from qualint.cli import (
     UsageError,
     _build_parser,
@@ -1404,9 +1404,12 @@ def csv_cell(cell):
 def test_table_writer_matches_csv_writer(table):
     fieldnames, columns, cells = table
     rows = [fieldnames, *zip(*cells)]
-    out = io.StringIO()
-    _write_table(out, "csv", fieldnames, columns)
-    assert out.getvalue() == "".join(",".join(map(csv_cell, row)) + "\n" for row in rows)
+    expected = "".join(",".join(map(csv_cell, row)) + "\n" for row in rows)
+    for chunk in (cli._WRITE_ROWS, 2, 1):  # one % pass, then passes that split the body
+        out = io.StringIO()
+        with mock.patch.object(cli, "_WRITE_ROWS", chunk):
+            _write_table(out, "csv", fieldnames, columns)
+        assert out.getvalue() == expected
 
 
 @given(st.integers(2, 4).flatmap(
@@ -1510,6 +1513,9 @@ ODD_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 VALUE_CELLS = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "1_0", " 2.5 ", "", "x", "0", "-0.0", "1e-310",
                      "-0.5", "0.25", "1e300", "  7 ", "\x0c2\x85", "3\u2028", "4\v5"]),
+    # cells np.loadtxt and float() read differently: whitespace to loadtxt
+    # only (\x1c-\x1f), a non-ASCII digit, and text neither reads
+    st.sampled_from(["\x1c1", "2\x1f", "\uff11", "nan(1)", "1d2", "  "]),
     st.floats().map(repr),
 )
 # ids that need no quotes, then ids that do
@@ -1549,12 +1555,24 @@ def read_with_csv_reader_count(read, path):
     return result, reader.call_count
 
 
+def read_with_call_counts(read, path):
+    """read(path) and the number of np.loadtxt and float() calls it made."""
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt, \
+            mock.patch.object(cli, "float", wraps=float, create=True) as to_float:
+        result = read(path)
+    return result, loadtxt.call_count, to_float.call_count
+
+
 def takes_csv_reader(text):
     return '"' in text or "\x00" in text
 
 
 @given(PAIR_TEXTS)
 def test_pair_reader_matches_the_row_reader(text):
+    check_pair_reader(text)
+
+
+def check_pair_reader(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "pairs.csv")
         Path(path).write_text(text, encoding="utf-8", newline="")
@@ -1625,6 +1643,10 @@ def matrix_records(draw):
 
 @given(csv_texts(matrix_records()))
 def test_matrix_reader_matches_the_row_reader(text):
+    check_matrix_reader(text)
+
+
+def check_matrix_reader(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "matrix.csv")
         Path(path).write_text(text, encoding="utf-8", newline="")
@@ -1644,8 +1666,56 @@ def test_matrix_reader_matches_the_row_reader(text):
         assert got[0] == expected[0] and got[1].tobytes() == expected[1].tobytes()
 
 
+# body lines that both readers read: a pair file takes the first cell as id
+PLAIN_LINES = ["1,0.5,2,0.25,3", "2,-1.5,0.75,1e-3,4", "3,2.5,1,-0.5,0.5"]
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        [*PLAIN_LINES, "4,0.5,2,0.25"],
+        [*PLAIN_LINES, "4,0.5,2,0.25,3,7"],
+        [*PLAIN_LINES[:2], "  ", PLAIN_LINES[2]],
+        [*PLAIN_LINES[:2], "", PLAIN_LINES[2]],
+        [*PLAIN_LINES, "4,\x1c1,2,0.25,3"],
+        [*PLAIN_LINES, "4,0.5,2,0.25,3\x1f"],
+        [line.rpartition(",")[0] for line in PLAIN_LINES],
+    ],
+    ids=["three-commas", "five-commas", "whitespace-line", "blank-line", "x1c-cell", "x1f-cell",
+         "every-line-three-commas"],
+)
+@pytest.mark.parametrize("end", ["\n", ""], ids=["newline-ended", "no-final-newline"])
+def test_readers_match_the_row_readers_on_named_lines(lines, end):
+    body = "\n".join(lines) + end
+    check_pair_reader(",".join(PAIR_FIELDS) + "\n" + body)
+    check_matrix_reader("g1,g2,g3,g4,g5\n" + body)
+
+
+@pytest.mark.parametrize("end", ["\n", ""], ids=["newline-ended", "no-final-newline"])
+def test_plain_ascii_files_are_read_by_loadtxt(tmp_path, end):
+    # one np.loadtxt call and no float() per cell: a fallback that reads the
+    # same values would hide its cost from every equivalence test
+    pairs, matrix = tmp_path / "pairs.csv", tmp_path / "matrix.csv"
+    body = "\n".join(PLAIN_LINES) + end
+    pairs.write_text(",".join(PAIR_FIELDS) + "\n" + body, encoding="utf-8")
+    matrix.write_text("g1,g2,g3,g4,g5\n" + body, encoding="utf-8")
+    (ids, _), loadtxt, to_float = read_with_call_counts(lambda p: _read_pairs(p, True), pairs)
+    assert (ids, loadtxt, to_float) == (["1", "2", "3"], 1, 0)
+    (_, data), loadtxt, to_float = read_with_call_counts(_read_matrix, matrix)
+    assert (data.shape, loadtxt, to_float) == ((3, 5), 1, 0)
+    # a cell loadtxt would read and float() refuses never reaches loadtxt
+    pairs.write_text(",".join(PAIR_FIELDS) + "\n" + body.replace(",2,", ",\x1c2,"))
+    with mock.patch.object(np, "loadtxt") as loadtxt, \
+            pytest.raises(UsageError, match="could not convert string to float"):
+        _read_pairs(pairs, True)
+    assert loadtxt.call_count == 0
+
+
 @given(st.lists(st.one_of(FLOAT_CELLS, st.floats(1.79769313e308, 1.7976931348623157e308),
-                          st.floats(-1.7976931348623157e308, -1.79769313e308)), max_size=8))
+                          st.floats(-1.7976931348623157e308, -1.79769313e308), st.just(1.0)),
+               max_size=8))
+@example([1.0] * 4)  # every p-value at its clamp
+@example([0.5, 1.0 - 2.0**-53, 1.0 + 2.0**-52, -1.0])  # no value at it
 def test_decision_columns_are_formatted_once(values):
     # the kept text is the 10-digit text of the rounded float, and that float
     # is what the text reads back as: the text of the value itself, except
@@ -1916,6 +1986,29 @@ class TestMain:
         write_pairs(pairs, TABLE_ROWS[:2])
         argv = [arg.format(pairs=pairs, tmp=tmp_path) for arg in argv]
         assert (main(argv), capsys.readouterr().err) == (code, message.format(tmp=tmp_path) + "\n")
+
+    @pytest.mark.parametrize(
+        "argv, target, error, message",
+        [
+            (["power", "--c1-steps", "2", "--c2-steps", "2"], "rd_local_power",
+             MemoryError("Unable to allocate 74.5 GiB for an array"),
+             "memory failure: power: Unable to allocate 74.5 GiB for an array\n"),
+            (["scan", "{pairs}"], "_read_pairs", MemoryError(),
+             "memory failure: scan: out of memory\n"),
+        ],
+        ids=["with-message", "bare"],
+    )
+    def test_memory_error_is_a_runtime_failure(
+        self, tmp_path, capsys, monkeypatch, argv, target, error, message
+    ):
+        # the handler's callee raises as an allocation that fails would;
+        # nothing here asks for the memory
+        def out_of_memory(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, target, out_of_memory)
+        argv = [arg.format(pairs=tmp_path / "pairs.csv") for arg in argv]
+        assert (main(argv), capsys.readouterr()) == (1, ("", message))
 
     def test_kernel_domain_error_is_a_numerical_failure(self, capsys, monkeypatch):
         # the validators accepted the input, so a kernel that refuses the
