@@ -62,6 +62,7 @@ import functools
 import io
 import json
 import math
+import os
 import re
 import sys
 from itertools import chain
@@ -76,7 +77,9 @@ from qualint.inference import (
     LocalAlternative,
     PairBatch,
     _check_alpha,
+    _rd_boundary,
     _rule_violation,
+    _tiled,
     _valid,
     gail_simon_test,
     kappa_max,
@@ -638,9 +641,10 @@ def _cmd_power(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _theta2_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
-    """lo, lo + step, ..., hi, its arguments checked before any point is built."""
-    from qualint.simulation import _STREAM_INDEX_LIMIT
+def _theta2_grid(lo: float, hi: float, step: float, reps: int) -> tuple[float, ...]:
+    """lo, lo + step, ..., hi, its arguments checked before any point is built:
+    the grid of a study of reps replicates a point."""
+    from qualint.simulation import _STREAM_INDEX_LIMIT, _STUDY_REPLICATES_LIMIT
 
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise UsageError("--theta2-min, --theta2-max and --theta2-step must be finite")
@@ -651,6 +655,10 @@ def _theta2_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
     if count >= _STREAM_INDEX_LIMIT:
         raise UsageError("the theta2 grid from --theta2-min to --theta2-max by --theta2-step "
                          "must hold fewer than 2**32 points")
+    if count * max(reps, 1) > _STUDY_REPLICATES_LIMIT:
+        raise UsageError(f"--theta2-step and --reps ask for {count} theta2 grid points x "
+                         f"{reps} replicates; a study holds at most "
+                         f"{_STUDY_REPLICATES_LIMIT} replicates")
     grid = tuple(round(lo + k * step, 10) for k in range(count))
     if len(set(grid)) < count:  # a step under the rounding, or under lo's precision
         raise UsageError("--theta2-step is too small: theta2 grid points repeat at 10 decimals")
@@ -660,9 +668,9 @@ def _theta2_grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
 def _cmd_simulate(args) -> int:
     from qualint.simulation import SimulationConfig, run_rejection_study
 
-    grid = _theta2_grid(args.theta2_min, args.theta2_max, args.theta2_step)
+    grid = _theta2_grid(args.theta2_min, args.theta2_max, args.theta2_step, args.reps)
     prefix = args.output or "study"
-    tables = []  # (path, fieldnames, columns) of every study, written once all have run
+    files = []  # (path, write, *args) of every study, written once all have run
     for n in args.n:
         config = SimulationConfig(
             theta1=args.theta1,
@@ -685,24 +693,41 @@ def _cmd_simulate(args) -> int:
             np.array([cell.rejection_rate for cell in cells]),
             np.array([cell.mc_std_error for cell in cells]),
         ]
-        tables.append((f"{prefix}_n{n}_rates.csv",
-                       ("theta2", "kappa", "test", "rejection_rate", "mc_se"), rates))
+        files.append((f"{prefix}_n{n}_rates.csv", _write_table, "csv",
+                      ("theta2", "kappa", "test", "rejection_rate", "mc_se"), rates))
         if result.kappa_max_quantiles:
             quantiles = result.kappa_max_quantiles
             levels = next(iter(quantiles.values()))
             values = np.array([(theta2, *qs.values()) for theta2, qs in quantiles.items()]).T
-            tables.append((f"{prefix}_n{n}_kappa_max.csv",
-                           ("theta2", *(f"q{100 * q:.0f}" for q in levels)), values))
-    for path, fieldnames, columns in tables:
-        with _output(path) as out:
-            _write_table(out, "csv", fieldnames, columns)
-    config_path = f"{prefix}_config.json"
-    with _output(config_path) as out:
-        _write_json(out, {**vars(config), "n": list(args.n)})
-    for path, *_ in tables:
+            files.append((f"{prefix}_n{n}_kappa_max.csv", _write_table, "csv",
+                          ("theta2", *(f"q{100 * q:.0f}" for q in levels)), values))
+    files.append((f"{prefix}_config.json", _write_json, {**vars(config), "n": list(args.n)}))
+    _write_whole_set(files)
+    for path, *_ in files:
         print(path)
-    print(config_path)
     return 0
+
+
+def _write_whole_set(files) -> None:
+    """Call write(out, *args) for each (path, write, *args) of files on a
+    temporary file beside path, and rename them all into place once every
+    write is done: a failure leaves no temporary file, and no output of the
+    set (only a failing rename, after every write, can leave part of it)."""
+    temps = [f"{path}.{os.getpid()}-{i}.tmp" for i, (path, *_) in enumerate(files)]
+    try:
+        for temp, (path, write, *args) in zip(temps, files):
+            try:
+                out = open(temp, "w", encoding="utf-8", newline="")
+            except OSError as exc:  # worded with the path asked for
+                raise type(exc)(exc.errno, exc.strerror, path) from None
+            with out:
+                write(out, *args)
+        for temp, (path, *_) in zip(temps, files):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
 
 
 # ---------------------------------------------------------------------------
@@ -710,9 +735,11 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _context_p_values(batch: PairBatch, alpha: float) -> dict[str, _G10]:
-    """Every row's rd p-value at each context kappa, keyed by the kappa as printed."""
-    return {f"{k:.10g}": _g10s(rd_test(batch, k, alpha).p_value) for k in _CONTEXT_KAPPAS}
+def _context_p_values(batch: PairBatch) -> dict[str, _G10]:
+    """Every row's rd p-value at each context kappa, keyed by the kappa as
+    printed: rd_test's p-values, all kappas in one evaluation."""
+    p_values = _rd_boundary(*_tiled(batch, _CONTEXT_KAPPAS))[1].reshape(len(_CONTEXT_KAPPAS), -1)
+    return {f"{k:.10g}": _g10s(p) for k, p in zip(_CONTEXT_KAPPAS, p_values)}
 
 
 def _cmd_kappa_max(args) -> int:
@@ -724,7 +751,7 @@ def _cmd_kappa_max(args) -> int:
             )
         batch = _flag_pair(args)
         summary = kappa_max(batch, args.alpha)[0]
-        context = _context_p_values(batch, args.alpha)
+        context = _context_p_values(batch)
         payload = {
             "kappa_max": _json_g10(summary.kappa_max),
             "alpha": _json_g10(args.alpha),
@@ -737,7 +764,7 @@ def _cmd_kappa_max(args) -> int:
 
     ids, batch = _read_pairs(args.input, args.strict)
     summaries = kappa_max(batch, args.alpha)
-    context = _context_p_values(batch, args.alpha)
+    context = _context_p_values(batch)
     bounds = _g10s(summaries.kappa_max)
     columns = (ids, bounds, summaries.binding_root.tolist(), *context.values())
     columns = _ordered(columns, np.lexsort((_ranks(ids), -bounds.values)))

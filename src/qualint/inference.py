@@ -383,6 +383,13 @@ def _kappa_split(kappa):
     return m, np.ldexp(1.0, -exponent)
 
 
+def _tiled(batch: PairBatch, kappas) -> tuple[_Rows, np.ndarray, np.ndarray]:
+    """The batch's scaled rows once per kappa, in kappa order, and each
+    row's (m, s): every kappa is tested in one evaluation of a core."""
+    m, s = _kappa_split(np.repeat(kappas, len(batch)))
+    return _Rows(*(np.tile(column, len(kappas)) for column in batch.scaled)), m, s
+
+
 def _local_rows(alt: LocalAlternative) -> _Rows:
     """The sqrt(n)-scaled alternative as _rows: true effects
     sqrt(1-lam) c1 and sqrt(lam) c2, with standard errors sqrt(1-lam) sigma1
@@ -743,15 +750,20 @@ def omnibus_test(batch: PairBatch, kappa: float, alpha: float) -> TestBatch:
     """
     _check_kappa(kappa, strict=True)
     _check_alpha(alpha)
-    rows = batch.scaled
-    m, s = _kappa_split(kappa)
+    t, p_value, components = _omnibus_p(batch.scaled, *_kappa_split(kappa))
+    return _tested(t, p_value, components.copy, alpha)
+
+
+def _omnibus_p(rows: _Rows, m, s):
+    """(statistic, p-value, components) of the omnibus test per row, kappa = m / s."""
     t, region = _omnibus_stat(rows, m, s)
     boundary = np.where(region, 0.5 * chi2_1_tail(t), 1.0)
     zero_point = np.ones_like(t)
+    m, s = (np.broadcast_to(v, t.shape)[region] for v in (m, s))  # m and s may be per row
     nu = _omnibus_nu(rows.se1[region], rows.se2[region], m, s)
     zero_point[region] = _omnibus_zero_tail(np.sqrt(t[region]), nu)
     components = {"normal_boundary": boundary, "zero_point": zero_point}
-    return _tested(t, np.maximum(boundary, zero_point), components.copy, alpha)
+    return t, np.maximum(boundary, zero_point), components
 
 
 def _omnibus_threshold(nu, alpha: float) -> float:

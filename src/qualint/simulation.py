@@ -4,19 +4,26 @@ The synthetic model is linear: X ~ N(0, 1), Y = theta * X + eps with
 eps ~ N(0, 1).  A study draws, for every (theta2 grid point, replicate),
 one sample per group (group 1 at theta1, group 2 at theta2), estimates the
 slopes by OLS, and runs the relative-difference and omnibus tests at each
-configured kappa, plus the kappa_max inversion.  Whole grid points are
-drawn and fitted in blocks: as many as fit in ``_BLOCK_VALUES`` = 2**16
-sample values (x and noise of both groups of every replicate), and at
-least one, so a grid point past the budget is a block of its own.  All
-slopes of a block are fitted in one call, and each replicate's fit does
-not depend on the rows beside it, so results do not depend on the block
-size.  The tests and the inversion then run once per kappa on the whole
-study's estimates as one batch.  The summaries are taken once per study
-too: each batch row is tagged once with its grid point, each (kappa,
-test) column of rejection flags is counted per grid point by one
-``np.bincount`` over the tags of its rejected rows, and the kappa_max
-quantiles of all grid points with the same replicate count come from one
-``np.quantile`` call on their (points, replicates) block.
+configured kappa, plus the kappa_max inversion.  The study is kept as
+whole-study arrays: (grid points, replicates, 2) slopes and standard
+errors and a (grid points, replicates) mask of the usable replicates.
+They are filled block by block, a block being a range of replicates in
+(grid point, replicate) order, as many as fit in ``_BLOCK_VALUES`` = 2**16
+sample values (x and noise of both groups of each replicate), and at
+least one; so no block holds more than max(2**16, 4 n) values, and a grid
+point past the budget is split into replicate ranges.  All slopes of a
+block are fitted in one call, and each replicate's fit does not depend on
+the rows beside it, so results do not depend on the block size.  The
+usable replicates then form one batch, and each test runs once for all
+kappas: the batch's scaled rows are tiled once per kappa, each row with
+its own kappa, through the cores that rd_test and omnibus_test wrap, so
+each row keeps the bits of the per-kappa call.  The inversion runs once
+on the batch.  The summaries are taken once per study too: each batch row
+is tagged with its grid point, the rejection flags of each test are
+counted per (grid point, kappa) by one ``np.bincount`` over the tags of
+its rejected rows, and the kappa_max quantiles of all grid points with
+the same replicate count come from one ``np.quantile`` call on their
+(points, replicates) block.
 
 Reproducibility contract: the stream for replicate r of grid point g is
 ``numpy.random.default_rng([seed, g, r])``.  From it the group-1 sample is
@@ -27,9 +34,11 @@ are therefore bit-identical for a given config.
 The streams are not built by ``default_rng``, whose SeedSequence hashing
 costs more than a replicate's draws.  One vectorised pass of numpy's
 SeedSequence algorithm computes the seed-sequence words of every
-(g, r) of the study at once; numpy's own PCG64 seeding turns each
-replicate's words into its generator; one call draws the replicate's
-x, noise, x, noise blocks.  The contract is unchanged, and
+(g, r) of the study at once, each pool word's three mixes into the others
+in one operation; numpy's own PCG64 seeding turns each replicate's words
+into its generator, one words holder serving every PCG64 of a block in
+turn, since a PCG64 reads it only when it is built; one call draws the
+replicate's x, noise, x, noise blocks.  The contract is unchanged, and
 ``test_stream_states_equal_default_rng`` (tests/test_simulation.py)
 checks the generator states against ``default_rng``'s, so a numpy that
 hashes differently fails loudly rather than drifting silently.
@@ -49,7 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -61,11 +70,12 @@ from qualint.inference import (
     _check_alpha,
     _check_input,
     _check_kappa,
+    _omnibus_p,
+    _rd_boundary,
+    _tiled,
     kappa_max,
     omnibus_statistic,
-    omnibus_test,
     rd_statistic,
-    rd_test,
 )
 
 __all__ = [
@@ -82,7 +92,13 @@ _TEST_KINDS = ("rd", "omnibus")
 # a stream's grid and replicate indices are one 32-bit seed word each, so
 # the grid length and the replications must stay below this
 _STREAM_INDEX_LIMIT = 2**32
-# see the module docstring: sample values per block of whole grid points
+# the CLI refuses a study of more replicates (grid points x replications)
+# than this before it builds the grid.  The whole-study arrays take 65
+# bytes a replicate (slopes, standard errors, mask and stream words), and
+# a study peaks at about 1.3 KB a replicate with two kappas, 2 KB with
+# four: about 5.5 GB at two kappas at this bound
+_STUDY_REPLICATES_LIMIT = 2**22
+# see the module docstring: sample values per block of replicates
 _BLOCK_VALUES = 2**16
 
 
@@ -187,20 +203,21 @@ _MASK32 = 0xFFFFFFFF
 _XSHIFT = 16
 
 
-def _hash_steps(init: int, mult: int, count: int) -> list[tuple[np.uint64, np.uint64]]:
-    """(xor, multiplier) constants of count consecutive hash steps: a step
-    xors with the hash constant, advances it by mult, multiplies by it."""
+def _hash_steps(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, multiplier) constants of count consecutive hash steps, as
+    (count, 1, 1) arrays: a step xors with the hash constant, advances it
+    by mult, multiplies by it."""
     consts = [init]
     for _ in range(count):
         consts.append(consts[-1] * mult & _MASK32)
-    return [(np.uint64(c), np.uint64(d)) for c, d in zip(consts, consts[1:])]
+    return tuple(np.array(c, dtype=np.uint64).reshape(-1, 1, 1) for c in (consts[:-1], consts[1:]))
 
 
-_MIX_STEPS = _hash_steps(_INIT_A, _MULT_A, _POOL_SIZE**2)
-_OUTPUT_STEPS = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+_MIX_XOR, _MIX_MULT = _hash_steps(_INIT_A, _MULT_A, _POOL_SIZE**2)
+_OUTPUT_XOR, _OUTPUT_MULT = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
 
 
-def _hash(value: np.ndarray, xor_const: np.uint64, mult_const: np.uint64) -> np.ndarray:
+def _hash(value: np.ndarray, xor_const: np.ndarray, mult_const: np.ndarray) -> np.ndarray:
     value = (value ^ xor_const) * mult_const & _MASK32
     return value ^ (value >> _XSHIFT)
 
@@ -211,13 +228,13 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _stream_words(config: SimulationConfig) -> np.ndarray:
-    """(grid points, replications, 4) uint64 array whose [g, r] row is
-    ``SeedSequence([seed, g, r]).generate_state(4, np.uint64)``.
+    """C-contiguous (grid points, replications, 4) uint64 array whose
+    [g, r] row is ``SeedSequence([seed, g, r]).generate_state(4, np.uint64)``.
 
     The entropy words are the seed's 32-bit words, least significant first
     (one word for seed 0), then g, then r: at most four, one pool's worth,
     since the seed has at most two and the config keeps both indices below
-    2**32.
+    2**32.  Each pool word's hashes into the other three are one operation.
     """
     seed = config.seed
     seed_words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
@@ -225,22 +242,22 @@ def _stream_words(config: SimulationConfig) -> np.ndarray:
     entropy = [*seed_words, g, r] + [0] * (_POOL_SIZE - len(seed_words) - 2)
     # arrays throughout: uint64 arithmetic wraps silently on arrays only
     entropy = np.broadcast_arrays(*(np.asarray(word, dtype=np.uint64) for word in entropy))
-
-    steps = iter(_MIX_STEPS)
-    pool = [_hash(word, *next(steps)) for word in entropy]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(steps)))
-    state = [_hash(pool[i % _POOL_SIZE], *step) for i, step in enumerate(_OUTPUT_STEPS)]
+    pool = _hash(np.stack(entropy), _MIX_XOR[:_POOL_SIZE], _MIX_MULT[:_POOL_SIZE])
+    for src in range(_POOL_SIZE):  # src's mixes into the others take three steps
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        steps = slice(_POOL_SIZE + len(dst) * src, _POOL_SIZE + len(dst) * (src + 1))
+        pool[dst] = _mix(pool[dst], _hash(pool[src], _MIX_XOR[steps], _MIX_MULT[steps]))
+    state = _hash(pool[np.arange(2 * _POOL_SIZE) % _POOL_SIZE], _OUTPUT_XOR, _OUTPUT_MULT)
     # generate_state reads consecutive 32-bit words as little-endian uint64s
-    words = [state[i] | state[i + 1] << np.uint64(32) for i in range(0, len(state), 2)]
-    return np.stack(words, axis=-1)
+    words = state[0::2] | state[1::2] << np.uint64(32)
+    # a PCG64 reads a row's buffer as it is, so the rows must be contiguous
+    return np.ascontiguousarray(np.moveaxis(words, 0, -1))
 
 
 class _StateWords(ISeedSequence):
     """Hands a PCG64 its precomputed ``generate_state(4, np.uint64)``
-    words, so that numpy's own seeding turns them into the state."""
+    words, so that numpy's own seeding turns them into the state.  A PCG64
+    reads them once, when it is built, so one holder serves many in turn."""
 
     def __init__(self, words: np.ndarray) -> None:
         self.words = words
@@ -249,37 +266,38 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
-def _grid_point_estimates(
-    config: SimulationConfig,
-) -> Iterator[tuple[tuple[np.ndarray, ...], int]]:
-    """For each grid point in grid order: (est1, se1, est2, se2) arrays over
-    its valid replicates, in replicate order, and the number of replicates
-    dropped for degenerate estimation."""
+def _study_estimates(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(grid points, replications, 2) arrays of every replicate's slopes and
+    standard errors, group 1 then group 2, and the (grid points,
+    replications) mask of the replicates whose estimation did not degenerate."""
     reps, n = config.replications, config.n
-    grid = config.theta2_grid
-    words = _stream_words(config)
-    points = min(max(1, _BLOCK_VALUES // (4 * reps * n)), len(grid))
+    theta2 = np.array(config.theta2_grid)
+    words = _stream_words(config).reshape(-1, 4)  # replicate r of point g at g * reps + r
+    est, se = np.empty((2, len(words), 2))
+    ok = np.empty(len(words), dtype=bool)
+    size = min(max(1, _BLOCK_VALUES // (4 * n)), len(words))  # replicates per block
     # per replicate: group-1 x, group-1 noise, group-2 x, group-2 noise;
     # reused across blocks, since the fit keeps no view of it
-    block = np.empty((points, reps, 4, n))
-    for first in range(0, len(grid), points):
-        thetas = grid[first : first + points]
-        draws = block[: len(thetas)]
-        states = words[first : first + len(thetas)].reshape(-1, 4)
-        for row, state in zip(draws.reshape(-1, 4, n), states):
-            np.random.Generator(np.random.PCG64(_StateWords(state))).standard_normal(out=row)
-        x, y = draws[:, :, 0::2], draws[:, :, 1::2]
-        theta = np.array([[config.theta1, theta2] for theta2 in thetas])
+    block = np.empty((size, 4, n))
+    seeds = _StateWords(words[0])
+    for first in range(0, len(words), size):
+        last = min(first + size, len(words))
+        draws = block[: last - first]
+        for row, state in zip(draws, words[first:last]):
+            seeds.words = state
+            np.random.Generator(np.random.PCG64(seeds)).standard_normal(out=row)
+        x, y = draws[:, 0::2], draws[:, 1::2]
+        theta = np.full((last - first, 2, 1), config.theta1)
+        theta[:, 1, 0] = theta2[np.arange(first, last) // reps]
         # y = theta x + eps; a y past the float range is flagged by ols_slope
         with np.errstate(over="ignore"):
-            y += theta[:, None, :, None] * x
+            y += theta * x
         fit = ols_slope(SampleBatch(x.reshape(-1, n), y.reshape(-1, n)))
-        valid = fit.ok.reshape(-1, reps, 2).all(axis=2)
-        est = fit.estimate.reshape(-1, reps, 2)
-        se = fit.std_error.reshape(-1, reps, 2)
-        for keep, e, s in zip(valid, est, se):
-            e, s = e[keep], s[keep]
-            yield (e[:, 0], s[:, 0], e[:, 1], s[:, 1]), reps - int(keep.sum())
+        est[first:last] = fit.estimate.reshape(-1, 2)
+        se[first:last] = fit.std_error.reshape(-1, 2)
+        ok[first:last] = fit.ok.reshape(-1, 2).all(axis=1)
+    shape = (len(theta2), reps)
+    return est.reshape(*shape, 2), se.reshape(*shape, 2), ok.reshape(shape)
 
 
 def _kappa_max_quantiles(block: np.ndarray, q) -> np.ndarray:
@@ -301,20 +319,24 @@ def run_rejection_study(config: SimulationConfig) -> StudyResult:
     inversion's domain), so the result carries quantile summaries alongside
     the rates.  Deterministic in config alone.
     """
-    estimates, drops = zip(*_grid_point_estimates(config))
-
-    # the whole study is tested in one batch per kappa; row i of the batch
-    # is a replicate of grid point point[i], each point's rows in one run
-    batch = PairBatch(*(np.concatenate(column) for column in zip(*estimates)))
-    counts = np.array([len(est1) for est1, *_ in estimates])
-    point = np.repeat(np.arange(len(counts)), counts)
+    est, se, ok = _study_estimates(config)
+    counts = ok.sum(axis=1)
+    # the usable replicates as one batch; row i is a replicate of grid point point[i]
+    point = np.nonzero(ok)[0]
+    est, se = est[ok], se[ok]
+    batch = PairBatch(est[:, 0], se[:, 0], est[:, 1], se[:, 1])
+    kappas = list(dict.fromkeys(config.kappas))  # a repeated kappa is reported once
+    cells = [(kappa, test) for kappa in kappas for test in _TEST_KINDS]
+    # every kappa in one evaluation per test: tiled row k N + i is row i at
+    # kappas[k], tagged with its (grid point, kappa) position
+    rows, m, s = _tiled(batch, kappas)
+    tags = np.tile(point * len(kappas), len(kappas)) + np.repeat(range(len(kappas)), len(batch))
+    rejections = np.stack([
+        np.bincount(tags[p_value < config.alpha], minlength=len(counts) * len(kappas))
+        for p_value in (_rd_boundary(rows, m, s)[1], _omnibus_p(rows, m, s)[1])
+    ], axis=1).reshape(len(counts), len(cells)).tolist()
     # summaries cover the points that kept a replicate
     kept = np.flatnonzero(counts)
-    rejection_counts = {}
-    for kappa in config.kappas:
-        for test, run in (("rd", rd_test), ("omnibus", omnibus_test)):
-            rejected = point[run(batch, kappa, config.alpha).rejected]
-            rejection_counts[(kappa, test)] = np.bincount(rejected, minlength=len(counts)).tolist()
     want_kmax = config.alpha < _KAPPA_MAX_ALPHA
     quantiles = np.full((len(counts), len(_KMAX_QUANTILES)), np.nan)
     if want_kmax:
@@ -329,8 +351,8 @@ def run_rejection_study(config: SimulationConfig) -> StudyResult:
     rates: list[RateCell] = []
     quantile_map: dict[float, dict[float, float]] = {}
     for gi, valid, values in zip(kept.tolist(), counts[kept].tolist(), quantiles[kept].tolist()):
-        for (kappa, test), per_point in rejection_counts.items():
-            p_hat = per_point[gi] / valid
+        for (kappa, test), rejected in zip(cells, rejections[gi]):
+            p_hat = rejected / valid
             rates.append(
                 RateCell(
                     theta2=grid[gi],
@@ -347,7 +369,8 @@ def run_rejection_study(config: SimulationConfig) -> StudyResult:
         config=config,
         rates=tuple(rates),
         kappa_max_quantiles=quantile_map,
-        dropped={grid[gi]: drop for gi, drop in enumerate(drops) if drop},
+        dropped={grid[gi]: config.replications - count
+                 for gi, count in enumerate(counts.tolist()) if count < config.replications},
     )
 
 

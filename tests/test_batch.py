@@ -14,10 +14,12 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from qualint import inference
+from qualint import cli, inference
 from qualint.inference import (
     PairBatch,
     gail_simon_test,
@@ -286,3 +288,66 @@ def test_batch_validation_names_the_bad_row():
         PairBatch.from_rows(rows)
     with pytest.raises(ValueError, match="^PairBatch columns must be one-dimensional$"):
         PairBatch(np.ones((2, 2)), 0.5, 0.2, 0.3)
+
+
+# kappa up to 2**600: past 2**510 a contrast's variance can fall below the
+# normal range, which _variance marks low and _root takes by hypot
+TILED_KAPPAS = st.one_of(
+    st.sampled_from([1.5, 2.0, 4.0, 2.0**511, 2.0**600]),
+    st.floats(1.0, 2.0**600, exclude_min=True),
+)
+MAGNITUDES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-6, 1e6))
+STANDARD_ERRORS = st.one_of(
+    st.floats(1e-300, 1e-298, exclude_min=True),  # near the floor of the input rule
+    st.floats(1e-3, 1e3),
+)
+
+
+@st.composite
+def tiled_rows(draw, kappas):
+    """Pair rows with ties, zero estimates, rows on a region edge (one
+    estimate kappa times the other, for a drawn kappa), standard errors near
+    1e-300, and standard errors 2**-600 apart for the low-variance path."""
+    est1 = draw(st.sampled_from([-1.0, 1.0])) * draw(MAGNITUDES)
+    kind = draw(st.sampled_from(["free", "tie", "edge", "far"]))
+    if kind == "free":
+        est2 = draw(st.sampled_from([-1.0, 1.0])) * draw(MAGNITUDES)
+    else:
+        factor = {"tie": 1.0, "edge": draw(st.sampled_from(kappas)), "far": 1.0}[kind]
+        est2 = draw(st.sampled_from([-1.0, 1.0])) * est1 * factor
+    se1, se2 = draw(STANDARD_ERRORS), draw(STANDARD_ERRORS)
+    if kind == "far":
+        se2 = se1 * 2.0**-600 if se1 * 2.0**-600 > 1e-300 else se1
+    return est1, se1, est2, se2
+
+
+@st.composite
+def tiled_cases(draw):
+    kappas = draw(st.lists(TILED_KAPPAS, min_size=1, max_size=4))
+    rows = draw(st.lists(tiled_rows(kappas), min_size=1, max_size=8))
+    return rows, kappas, draw(st.sampled_from([5e-324, 1e-10, 0.05, 0.6]))
+
+
+@given(tiled_cases())
+@example(([(1.0, 1.0, 1e-200, 2.0**-600), (0.0, 0.5, 0.0, 1e-299), (3.0, 0.1, -3.0, 0.2),
+           (2.0**600, 1.0, 1.0, 2.0**-600)], [2.0**600, 2.0**511, 1.5], 0.05))
+def test_every_kappa_in_one_evaluation_equals_per_kappa_calls(case):
+    # a study tests all its kappas, and kappa-max its context kappas, on the
+    # batch's rows tiled once per kappa: each row keeps its bits
+    rows, kappas, alpha = case
+    batch = PairBatch.from_rows(rows)
+    tiled, m, s = inference._tiled(batch, kappas)
+    rd_t, rd_p = inference._rd_boundary(tiled, m, s)
+    omnibus_t, omnibus_p, _ = inference._omnibus_p(tiled, m, s)
+    for k, kappa in enumerate(kappas):
+        part = slice(k * len(batch), (k + 1) * len(batch))
+        for (t, p), result in (((rd_t, rd_p), rd_test(batch, kappa, alpha)),
+                               ((omnibus_t, omnibus_p), omnibus_test(batch, kappa, alpha))):
+            assert t[part].tobytes() == result.statistic.tobytes()
+            assert p[part].tobytes() == result.p_value.tobytes()
+            assert (p[part] < alpha).tolist() == result.rejected.tolist()
+    context = cli._context_p_values(batch)
+    assert list(context) == [f"{kappa:.10g}" for kappa in cli._CONTEXT_KAPPAS]
+    for kappa, got in zip(cli._CONTEXT_KAPPAS, context.values()):
+        want = cli._g10s(rd_test(batch, kappa, alpha).p_value)
+        assert (got.values.tobytes(), got.text) == (want.values.tobytes(), want.text)

@@ -12,10 +12,13 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import struct
+import subprocess
 import sys
 import tempfile
+import textwrap
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -1131,6 +1134,59 @@ class TestSimulateCommand:
         code = main(["simulate", *flags, "--output", str(tmp_path / "study")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_study_past_the_replicate_bound_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        # the bound, lowered here to 21 replicates, is checked before any
+        # grid point is built: 21 points x 1 replicate run, x 2 do not
+        from qualint import simulation
+
+        monkeypatch.setattr(simulation, "_STUDY_REPLICATES_LIMIT", 21)
+        argv = ["simulate", "--n", "10", "--kappas", "2", "--output", str(tmp_path / "s")]
+        assert run_cli([*argv, "--reps", "1"])[0] == 0
+        code, out, err = run_cli([*argv, "--reps", "2"])
+        assert (code, out) == (2, "")
+        assert err == ("error: --theta2-step and --reps ask for 21 theta2 grid points x 2 "
+                       "replicates; a study holds at most 21 replicates\n")
+
+    def test_oversized_study_is_refused_in_bounded_memory(self, tmp_path):
+        # 2e9 grid points x 1000 replicates, refused before the grid is
+        # built; the child may not map more than 1.5 GB, so a regression
+        # fails by exit 1 instead of asking this machine for the memory
+        child = textwrap.dedent(f"""
+            import resource, sys
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+            from qualint.cli import main
+            sys.exit(main(["simulate", "--theta2-step", "1e-9", "--reps", "1000",
+                           "--output", {str(tmp_path / "s")!r}]))
+        """)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: --theta2-step and --reps ask for 2000000001 ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_leaves_the_older_set(self, capsys, tmp_path, monkeypatch):
+        # the second file of the set fails to write: the run exits 1 and the
+        # set of an earlier run is left as it was, with no temporary file
+        prefix = tmp_path / "study"
+        self.run(capsys, prefix)
+        older = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert len(older) == 3
+        write_table, calls = cli._write_table, []
+
+        def failing_second_write(out, *args, **kwargs):
+            calls.append(out.name)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            write_table(out, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_write_table", failing_second_write)
+        code = main([*self.ARGS[:-1], "8", "--output", str(prefix)])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "", "i/o failure: [Errno 28] No space left on device\n")
+        assert len(calls) == 2 and not any(name.endswith(".csv") for name in calls)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == older
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,21 @@ from qualint.simulation import (
     EmpiricalTail,
     RateCell,
     SimulationConfig,
-    _grid_point_estimates,
     _StateWords,
     _stream_words,
+    _study_estimates,
     mc_null_oracle,
     run_rejection_study,
 )
+
+
+def grid_points(study):
+    """A study's (est, se, ok) arrays per grid point, in grid order: its
+    (est1, se1, est2, se2) columns over the usable replicates, in replicate
+    order, and the number of replicates dropped."""
+    for est, se, ok in zip(*study):
+        e, s = est[ok], se[ok]
+        yield (e[:, 0], s[:, 0], e[:, 1], s[:, 1]), len(ok) - int(ok.sum())
 
 
 def small_config(**overrides):
@@ -84,19 +93,19 @@ class TestGenerateDataset:
     def slopes():
         # 20 replicates of 5,000 pairs: 100,000 pairs per group
         cfg = small_config(theta2_grid=(0.0,), n=5_000, replications=20)
-        ((est1, se1, est2, se2), dropped), = _grid_point_estimates(cfg)
+        ((est1, se1, est2, se2), dropped), = grid_points(_study_estimates(cfg))
         assert dropped == 0
         return cfg, (est1, se1), (est2, se2)
 
     def test_deterministic_given_stream_seed(self):
         cfg = small_config(theta2_grid=(0.0, -0.7), n=20, replications=7)
-        runs = [list(_grid_point_estimates(cfg)) for _ in range(2)]
+        runs = [list(grid_points(_study_estimates(cfg))) for _ in range(2)]
         for (a, dropped_a), (b, dropped_b) in zip(*runs):
             assert dropped_a == dropped_b
             assert all(np.array_equal(u, v) for u, v in zip(a, b))
         # another seed is another set of streams
-        (other, _), _ = _grid_point_estimates(small_config(
-            theta2_grid=(0.0, -0.7), n=20, replications=7, seed=cfg.seed + 1))
+        (other, _), _ = grid_points(_study_estimates(small_config(
+            theta2_grid=(0.0, -0.7), n=20, replications=7, seed=cfg.seed + 1)))
         assert not np.array_equal(runs[0][0][0][0], other[0])
 
     def test_null_model_has_no_correlation(self):
@@ -178,9 +187,9 @@ class TestRejectionStudy:
         # replicate r of grid point g draws from default_rng([seed, g, r]),
         # group 1 before group 2, each an x block then a noise block
         cfg = small_config(theta2_grid=(0.0, -0.7), n=20, replications=7)
-        grid_points = _grid_point_estimates(cfg)
+        points = grid_points(_study_estimates(cfg))
         for g, theta2 in enumerate(cfg.theta2_grid):
-            (est1, se1, est2, se2), dropped = next(grid_points)
+            (est1, se1, est2, se2), dropped = next(points)
             assert dropped == 0
             for r in range(cfg.replications):
                 rng = np.random.default_rng([cfg.seed, g, r])
@@ -208,6 +217,27 @@ class TestRejectionStudy:
         self.assert_streams_match_default_rng(
             cfg, [(g, r) for g in ends[0] for r in ends[1]]
         )
+
+    def test_stream_words_are_c_contiguous(self):
+        # a PCG64 reads a row's buffer as it lies in memory, so a strided
+        # view would seed other streams than its indices say
+        words = _stream_words(small_config(theta2_grid=(0.0, 0.5, 1.0), replications=5))
+        assert words.shape == (3, 5, 4)
+        assert words.flags.c_contiguous
+
+    def test_one_holder_seeds_the_states_of_default_rng(self):
+        # a study hands every PCG64 of a block the same holder, its words
+        # replaced in turn: each generator reads them once, when it is built
+        cfg = small_config(theta2_grid=(0.0, 0.5, 1.0), replications=5, seed=2**63 + 7)
+        words = _stream_words(cfg)
+        holder = _StateWords(words[0, 0])
+        generators = {}
+        for g, r in np.ndindex(words.shape[:2]):
+            holder.words = words[g, r]
+            generators[g, r] = np.random.PCG64(holder)
+        for (g, r), generator in generators.items():
+            want = np.random.default_rng([cfg.seed, g, r]).bit_generator.state
+            assert generator.state == want, (g, r)
 
     @given(
         seed=st.integers(0, 2**64 - 1),
@@ -305,14 +335,16 @@ class TestRejectionStudy:
             theta2_grid=(-1.0, -0.5, 0.0, 0.5, 1.0), n=20, replications=7, kappas=(1.5, 3.0)
         )
         points = []
+        study = simulation._study_estimates
 
         def ragged(config):
-            for gi, (columns, dropped) in enumerate(_grid_point_estimates(config)):
-                rows = keep.get(gi, list(range(len(columns[0]))))
-                points.append(tuple(column[rows] for column in columns))
-                yield points[-1], dropped + len(columns[0]) - len(rows)
+            est, se, ok = study(config)
+            for gi, rows in keep.items():
+                ok[gi] = np.isin(np.arange(config.replications), rows) & ok[gi]
+            points.extend(columns for columns, _ in grid_points((est, se, ok)))
+            return est, se, ok
 
-        monkeypatch.setattr(simulation, "_grid_point_estimates", ragged)
+        monkeypatch.setattr(simulation, "_study_estimates", ragged)
         res = run_rejection_study(cfg)
 
         rates, quantiles, dropped = [], {}, {}
@@ -356,26 +388,36 @@ class TestRejectionStudy:
         return [([c.tobytes() for c in columns], dropped) for columns, dropped in grid_points]
 
     @pytest.mark.parametrize(
-        "overrides, points_per_block",
+        "overrides, replicates_per_block",
         [
-            # one point per block; 2, 2 and a 1-point last block; one block
-            (dict(theta2_grid=(-1.0, -0.5, 0.0, 0.5, 1.0), n=20, replications=7), (1, 2, 5)),
-            # a grid point of 400,000 values, past the default budget
-            (dict(theta2_grid=(0.0, -0.7), n=5_000, replications=20), (1, None)),
+            # one replicate per block; 3, so blocks split points and span
+            # their ends; one point per block; 2, 2 and a 1-point last
+            # block; one block
+            (dict(theta2_grid=(-1.0, -0.5, 0.0, 0.5, 1.0), n=20, replications=7),
+             (1, 3, 7, 14, 35)),
+            # a grid point of 400,000 values, past the default budget, which
+            # splits it into blocks of 3 replicates; one replicate, one point
+            (dict(theta2_grid=(0.0, -0.7), n=5_000, replications=20), (None, 1, 20)),
         ],
         ids=["five-points", "point-past-budget"],
     )
     def test_results_do_not_depend_on_the_block_size(
-        self, monkeypatch, overrides, points_per_block
+        self, monkeypatch, overrides, replicates_per_block
     ):
         cfg = small_config(kappas=(1.5, 3.0), **overrides)
         want = self.as_bytes(self.per_point_reference(cfg))
+        fitted = []  # sample values of each fitted block: x and y of both groups
+        fit = simulation.ols_slope
+        monkeypatch.setattr(simulation, "ols_slope",
+                            lambda sample: fitted.append(2 * sample.x.size) or fit(sample))
         studies = []
-        for points in points_per_block:
-            if points is not None:  # None keeps the default budget
-                budget = points * 4 * cfg.replications * cfg.n
-                monkeypatch.setattr(simulation, "_BLOCK_VALUES", budget)
-            assert self.as_bytes(_grid_point_estimates(cfg)) == want
+        for replicates in replicates_per_block:
+            if replicates is not None:  # None keeps the default budget
+                monkeypatch.setattr(simulation, "_BLOCK_VALUES", replicates * 4 * cfg.n)
+            fitted.clear()
+            assert self.as_bytes(grid_points(_study_estimates(cfg))) == want
+            # no block holds more than the budget, or one replicate past it
+            assert max(fitted) <= max(simulation._BLOCK_VALUES, 4 * cfg.n)
             studies.append(run_rejection_study(cfg))
         assert all(study == studies[0] for study in studies)
 
