@@ -28,11 +28,11 @@ what float() would (_loadtxt_columns): ASCII text without \\x1c-\\x1f,
 record lines and none blank, one row per line of the header's width.
 Otherwise the lines are split into cells at commas, a blank line an empty
 record, and any other text goes through csv.reader.  Those records go to
-one conversion (_value_columns), which converts the value columns in one
-float() pass and reads row by row only to word a bad row: too few cells,
-not exactly the header's width (a matrix), or the message float() gives.
-The pair reader then skips or lists its bad rows; the matrix reader stops
-at the first.
+one conversion (_value_columns), one float() pass row by row that converts
+each kept row once and words each bad row: too few cells, not exactly the
+header's width (a matrix), or the message float() gives.  A pair file's
+empty records are skipped.  The pair reader then skips or lists its bad
+rows; the matrix reader stops at the first.
 
 Format-once rule.  Tables move as columns, and each number crosses to text
 once.  A decision column (p_raw and p_adjusted; kappa-max's kappa_max and
@@ -65,8 +65,6 @@ import math
 import os
 import re
 import sys
-from itertools import chain
-from operator import itemgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -281,17 +279,16 @@ def _read_text(path: str) -> str:
         raise UsageError(f"{path}: {exc}") from None
 
 
-def _read_csv(path: str, read_header: Callable[[list[str] | None], object], first: int,
-              exact: bool) -> tuple:
+def _read_csv(path: str, read_header: Callable[[list[str] | None], object], first: int) -> tuple:
     """(read_header(header record), the first cells, stripped, of the records
-    that convert (None if first is 0), their cells from first to the header's
-    width as float columns, their lines, and the other records' problems as
-    (line, text)), by the read rule.  read_header gets None for a file without records and runs
-    before any later record is read, so its error comes before a csv error
-    further down.  Lines end at CR, LF and CRLF only, never where
-    str.splitlines also splits.  A blank line is skipped, unless exact.  A
-    csv.reader error, such as a cell past the field limit or NUL before
-    Python 3.11, is a usage error.
+    that convert (None if first is 0, a matrix), their cells from first to
+    the header's width as float columns, their lines, and the other records'
+    problems as (line, text)), by the read rule.  read_header gets None for a
+    file without records and runs before any later record is read, so its
+    error comes before a csv error further down.  Lines end at CR, LF and
+    CRLF only, never where str.splitlines also splits.  A csv.reader error,
+    such as a cell past the field limit or NUL before Python 3.11, is a
+    usage error.
     """
     text = _read_text(path)
     lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
@@ -313,71 +310,55 @@ def _read_csv(path: str, read_header: Callable[[list[str] | None], object], firs
         record = lines[0].split(",") if lines else None
         header = read_header(record)
         body, line_nos = lines[1:], range(2, len(lines) + 1)
-        columns = _loadtxt_columns(text, body, range(first, len(record)), exact)
+        columns = _loadtxt_columns(text, body, range(first, len(record)))
         if columns is not None:
             ids = [line.partition(",")[0].strip() for line in body] if first else None
             return header, ids, columns, line_nos, []
         records = [line.split(",") if line else [] for line in body]
-    if not exact and [] in records:  # a blank line is skipped
-        kept = [i for i, row in enumerate(records) if row]
-        records, line_nos = [records[i] for i in kept], [line_nos[i] for i in kept]
-    columns, rows, line_nos, problems = _value_columns(
-        records, line_nos, range(first, len(record)), exact)
+    columns, rows, line_nos, problems = _value_columns(records, line_nos, range(first, len(record)))
     return header, [row[0].strip() for row in rows] if first else None, columns, line_nos, problems
 
 
-def _loadtxt_columns(text: str, body: list[str], values: range, exact: bool):
+def _loadtxt_columns(text: str, body: list[str], values: range):
     """Cells `values` of the lines as float columns, read by one np.loadtxt
     call, or None where it might read otherwise than float(): text not ASCII
     or holding \\x1c-\\x1f (whitespace to loadtxt only), no line or a blank
     one (loadtxt skips it), a cell it refuses, or not one row per line of
-    the values' width (if exact, a line of any other width)."""
+    the values' width (a matrix, whose values start at cell 0: a line of
+    any other width)."""
     if (not body or "" in body or not text.isascii()
             or any(map(text.__contains__, "\x1c\x1d\x1e\x1f"))):
         return None
     try:
         data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2,
-                          usecols=None if exact else values)
+                          usecols=values if values.start else None)
     except ValueError:
         return None
     return data.T if data.shape == (len(body), len(values)) else None
 
 
-def _value_columns(rows: list, lines, values: range, exact: bool) -> tuple:
+def _value_columns(rows: list, lines, values: range) -> tuple:
     """(cells `values` of the records as float columns, the records that
-    convert, their lines, the others' problems as (line, text)).  The
-    columns go through float() in one pass; a failure reads row by row to
-    word each bad row: too few cells for values.stop (if exact, not exactly
-    that many), or the message float() gives for its first bad cell."""
-    width = values.stop
-
-    def misfit(cells: int) -> bool:
-        return cells < width or exact and cells > width
-
-    try:
-        if any(map(misfit, set(map(len, rows)))):
-            raise ValueError
-        size = len(values) * len(rows)
-        if exact and not values.start:  # the records are the value rows: one run
-            data = np.fromiter(map(float, chain.from_iterable(rows)), float, size)
-            return data.reshape(len(rows), len(values)).T, rows, lines, []
-        cells = chain.from_iterable(map(itemgetter(c), rows) for c in values)
-        columns = np.fromiter(map(float, cells), float, size)
-        return columns.reshape(len(values), len(rows)), rows, lines, []
-    except ValueError:
-        pass
-    kept, kept_lines, problems = [], [], []
+    convert, their lines, the others' problems as (line, text)), in one
+    float() pass, row by row.  A pair record of no cells (a blank line) is
+    skipped.  A bad record is worded: too few cells for values.stop (a
+    matrix, whose values start at cell 0: not exactly that many), or the
+    message float() gives for its first bad cell."""
+    width, matrix = values.stop, not values.start
+    cells, kept, kept_lines, problems = [], [], [], []
     for line_no, row in zip(lines, rows):
+        if not (row or matrix):
+            continue
         try:
-            if misfit(len(row)):
+            if len(row) < width or matrix and len(row) > width:
                 raise ValueError(f"expected {width} cells, got {len(row)}")
-            list(map(float, row[values.start : width]))
+            cells += tuple(map(float, row[values.start : width]))  # built whole before cells grows
         except ValueError as exc:
             problems.append((line_no, str(exc)))
             continue
         kept.append(row)
         kept_lines.append(line_no)
-    return (*_value_columns(kept, kept_lines, values, exact)[:3], problems)
+    return np.array(cells, float).reshape(len(kept), len(values)).T, kept, kept_lines, problems
 
 
 def _read_pairs(path: str, strict: bool) -> tuple[list[str], PairBatch]:
@@ -397,7 +378,7 @@ def _read_pairs(path: str, strict: bool) -> tuple[list[str], PairBatch]:
                 f"got {','.join(header) if header else '(none)'}"
             )
 
-    _, ids, columns, lines, problems = _read_csv(path, check_header, 1, exact=False)
+    _, ids, columns, lines, problems = _read_csv(path, check_header, 1)
     bad = ~_valid(columns, _SE_ROWS)
     invalid = bad.any(axis=0)
     if "" in ids:
@@ -516,7 +497,7 @@ def _read_matrix(path: str) -> tuple[tuple[str, ...], np.ndarray]:
             raise UsageError(f"{path}: duplicate feature names")
         return header
 
-    header, _, columns, lines, problems = _read_csv(path, read_header, 0, exact=True)
+    header, _, columns, lines, problems = _read_csv(path, read_header, 0)
     if problems:  # the first bad row fails the run
         raise UsageError(f"{path}:{problems[0][0]}: {problems[0][1]}")
     if columns.shape[1] < 3:
@@ -599,6 +580,11 @@ def _cmd_network(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# the most (c1, c2) cells a power grid holds: an rd grid's peak grows by
+# about 1.8 KB a cell, so this bound is about 7.6 GB
+_POWER_CELLS_LIMIT = 2**22
+
+
 def _grid_axis(name: str, lo: float, hi: float, steps: int) -> np.ndarray:
     """--NAME-min .. --NAME-max in --NAME-steps points.  np.linspace forms
     hi - lo, so that span must be a finite float."""
@@ -621,6 +607,9 @@ def _axis_cells(grid: np.ndarray, repeat: int, tile: int) -> _G10:
 def _cmd_power(args) -> int:
     if args.c1_steps < 1 or args.c2_steps < 1:
         raise UsageError("power grids need at least one step per axis")
+    if args.c1_steps * args.c2_steps > _POWER_CELLS_LIMIT:
+        raise UsageError(f"--c1-steps and --c2-steps ask for {args.c1_steps} x {args.c2_steps} "
+                         f"grid cells; a power grid holds at most {_POWER_CELLS_LIMIT} cells")
     c1_grid = _grid_axis("c1", args.c1_min, args.c1_max, args.c1_steps)
     c2_grid = _grid_axis("c2", args.c2_min, args.c2_max, args.c2_steps)
     power_fn = rd_local_power if args.kind == "rd" else omnibus_local_power

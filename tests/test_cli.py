@@ -975,6 +975,34 @@ class TestPowerCommand:
         assert code == 0
         assert len(parse_csv(out)) == 1
 
+    def test_grid_past_the_cell_bound_is_usage_error(self, monkeypatch):
+        # the bound, lowered here to 20 cells, is checked before either axis
+        # is built: 4 x 5 cells run, 3 x 7 do not
+        monkeypatch.setattr(cli, "_POWER_CELLS_LIMIT", 20)
+        code, out, _ = run_cli(["power", "--c1-steps", "4", "--c2-steps", "5"])
+        assert (code, len(parse_csv(out))) == (0, 20)
+        with mock.patch.object(cli, "_grid_axis") as grid_axis:
+            code, out, err = run_cli(["power", "--c1-steps", "3", "--c2-steps", "7"])
+        assert (code, out, grid_axis.call_count) == (2, "", 0)
+        assert err == ("error: --c1-steps and --c2-steps ask for 3 x 7 grid cells; "
+                       "a power grid holds at most 20 cells\n")
+
+    def test_oversized_grid_is_refused_in_bounded_memory(self):
+        # 1e10 cells, refused before an axis is built; the child may not map
+        # more than 1.5 GB, so a regression fails by exit 1 instead of asking
+        # this machine for the memory
+        child = textwrap.dedent("""
+            import resource, sys
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+            from qualint.cli import main
+            sys.exit(main(["power", "--c1-steps", "100000", "--c2-steps", "100000"]))
+        """)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: --c1-steps and --c2-steps ask for 100000 x 100000 ")
+
 
 # ---------------------------------------------------------------------------
 # simulate subcommand
@@ -1765,6 +1793,45 @@ def test_plain_ascii_files_are_read_by_loadtxt(tmp_path, end):
             pytest.raises(UsageError, match="could not convert string to float"):
         _read_pairs(pairs, True)
     assert loadtxt.call_count == 0
+
+
+def test_blank_line_keeps_a_plain_pair_file_from_loadtxt(tmp_path):
+    # np.loadtxt skips a blank line, so it would number the rows after it
+    # wrongly; the float() pass skips it too and reads the same rows
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    header = ",".join(PAIR_FIELDS) + "\n"
+    plain.write_text(header + "\n".join(PLAIN_LINES) + "\n", encoding="utf-8")
+    blank.write_text(header + "\n".join([*PLAIN_LINES[:2], "", PLAIN_LINES[2]]) + "\n",
+                     encoding="utf-8")
+    expected_ids, expected = _read_pairs(plain, True)
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        ids, batch = _read_pairs(blank, True)
+    assert (ids, loadtxt.call_count) == (expected_ids, 0)
+    for name in PAIR_FIELDS[1:]:
+        assert getattr(batch, name).tobytes() == getattr(expected, name).tobytes()
+
+
+def test_float_pass_converts_each_kept_row_once(tmp_path, monkeypatch, capsys):
+    # 100 good rows and one bad row: 4 float() calls a good row and one for
+    # the bad row's first cell.  A float subclass counts the calls, as numpy
+    # reads it as float64 where a mock is refused as a dtype.
+    calls = []
+
+    class CountingFloat(float):
+        def __new__(cls, *args):
+            calls.append(args)
+            return super().__new__(cls, *args)
+
+    pairs, rows = tmp_path / "pairs.csv", 100
+    good = [f"p{i},0.5,1,{i},2" for i in range(rows)]
+    pairs.write_text("\n".join([",".join(PAIR_FIELDS), *good, "bad,x,1,1,1"]) + "\n",
+                     encoding="utf-8")
+    monkeypatch.setattr(cli, "float", CountingFloat, raising=False)
+    ids, batch = _read_pairs(pairs, False)
+    assert ids == [f"p{i}" for i in range(rows)]
+    assert batch.est2.tobytes() == np.arange(rows, dtype=float).tobytes()
+    assert len(calls) <= 4 * rows + 1
+    assert capsys.readouterr().err.startswith(f"warning: skipping {pairs}:{rows + 2}: could not")
 
 
 @given(st.lists(st.one_of(FLOAT_CELLS, st.floats(1.79769313e308, 1.7976931348623157e308),
