@@ -44,10 +44,11 @@ kappa_max are clamped, is given the text "1" and the float 1.0 without
 formatting or reading it.  A power grid's axes are formatted once per
 distinct value (_axis_cells) and their text repeated over the grid's cells.
 Every other float is formatted by the writer, which converts a CSV body in
-one % pass over a row template per 2**16 rows.  A command sorts its rows
-once with np.lexsort, names entering as code-point ranks: scan by
+one % pass over a row template per 2**16 rows.  A command computes its row
+order once with np.lexsort, names entering as code-point ranks: scan by
 (p_adjusted, id), network by (p_adjusted, feature_a, feature_b), kappa-max
-by (-kappa_max, id).  The CSV writer quotes each text cell holding a comma,
+by (-kappa_max, id); the writer gathers each pass's rows (and the JSON
+rows) from the unsorted columns in that order.  The CSV writer quotes each text cell holding a comma,
 quote, CR or LF, doubling its quotes; any other cell, NUL included, is
 written as it is, so the bytes do not depend on the Python version.  JSON
 is strict: a number that is not finite after rounding is written as null.
@@ -171,33 +172,20 @@ def _json_cells(column) -> list:
 def _csv_cells(column) -> tuple[str, list | np.ndarray | None]:
     """One table column as CSV: its conversion in the row template and the
     values it converts.  Floats convert by %.10g, ints by %d; kept 10-digit
-    text, true/false and CSV-quoted text enter as %s; a list of None is
-    blank and converts nothing."""
+    text, true/false and CSV-quoted text (a list, or an array of objects)
+    enter as %s; a list of None is blank and converts nothing."""
     if isinstance(column, _G10):
         return "%s", column.text
     if isinstance(column, np.ndarray):
         kind = column.dtype.kind
         if kind == "b":
             return "%s", list(map(_BOOL_TEXT.__getitem__, column.tolist()))
+        if kind == "O":
+            return "%s", _csv_text(column)
         return ("%.10g" if kind == "f" else "%d"), column
     if column and column[0] is None:
         return "", None
     return "%s", _csv_text(column)
-
-
-def _ordered(columns, order: np.ndarray) -> list:
-    """Every column (array, kept text or list) in the given row order."""
-    rows = order.tolist()
-    ordered = []
-    for column in columns:
-        if isinstance(column, _G10):
-            column = _G10(column.values[order], list(map(column.text.__getitem__, rows)))
-        elif isinstance(column, np.ndarray):
-            column = column[order]
-        else:
-            column = list(map(column.__getitem__, rows))
-        ordered.append(column)
-    return ordered
 
 
 def _ranks(names: list[str] | tuple[str, ...]) -> np.ndarray:
@@ -220,14 +208,17 @@ def _write_json(out, payload: dict) -> None:
     out.write("\n")
 
 
-def _write_table(
-    out, fmt: str, fieldnames, columns, summary: dict | None = None, footer: str | None = None
-) -> None:
-    """Columns (in fieldnames order) as CSV with an optional footer line, the
-    body converted by one % pass over a row template per _WRITE_ROWS rows,
-    or as JSON {"results": [...], "summary": ...}."""
+def _write_table(out, fmt: str, fieldnames, columns, order: np.ndarray | None = None,
+                 summary: dict | None = None, footer: str | None = None) -> None:
+    """Columns (in fieldnames order), their rows in the given order or as
+    they are, as CSV with an optional footer line, the body gathered and
+    converted by one % pass over a row template per _WRITE_ROWS rows, or as
+    JSON {"results": [...], "summary": ...}."""
+    if order is None:  # a _G10's rows are those of its text
+        order = np.arange(len(getattr(columns[0], "text", columns[0])))
     if fmt == "json":
-        cells = map(_json_cells, columns)
+        rows = order.tolist()
+        cells = [list(map(column.__getitem__, rows)) for column in map(_json_cells, columns)]
         payload: dict = {"results": [dict(zip(fieldnames, row)) for row in zip(*cells)]}
         if summary is not None:
             payload["summary"] = summary
@@ -236,16 +227,16 @@ def _write_table(
     conversions, cells = zip(*map(_csv_cells, columns))
     cells = [column for column in cells if column is not None]
     width = len(cells)
-    rows = len(cells[0]) if cells else len(columns[0])
     template = ",".join(conversions) + "\n"
     out.write(",".join(_csv_text(list(fieldnames))) + "\n")
-    for start in range(0, rows, _WRITE_ROWS):
-        stop = min(start + _WRITE_ROWS, rows)
-        flat = [None] * ((stop - start) * width)  # cell c of row r at r * width + c
+    for start in range(0, len(order), _WRITE_ROWS):
+        rows = order[start : start + _WRITE_ROWS]
+        index = rows.tolist()
+        flat = [None] * (len(index) * width)  # cell c of row r at r * width + c
         for c, column in enumerate(cells):
-            part = column[start:stop]
-            flat[c::width] = part.tolist() if isinstance(part, np.ndarray) else part
-        out.write(template * (stop - start) % tuple(flat))
+            is_array = isinstance(column, np.ndarray)
+            flat[c::width] = column[rows].tolist() if is_array else list(map(column.__getitem__, index))
+        out.write(template * len(index) % tuple(flat))
     if footer is not None:
         out.write(footer + "\n")
 
@@ -465,16 +456,13 @@ def _cmd_scan(args) -> int:
     outcome = _run_pair_test(batch, args.kind, args.kappa, args.alpha)
     p_raw = _g10s(outcome.p_value)
     p_adjusted = _bonferroni(p_raw, args.adjust)
-    if args.kind == "rd":
-        bounds = kappa_max(batch, args.alpha).kappa_max
-    else:
-        bounds = [None] * len(ids)
+    bounds = kappa_max(batch, args.alpha).kappa_max if args.kind == "rd" else [None] * len(ids)
     rejected = p_adjusted.values < args.alpha
     columns = (ids, outcome.statistic, p_raw, p_adjusted, bounds, rejected)
-    columns = _ordered(columns, np.lexsort((_ranks(ids), p_adjusted.values)))
+    order = np.lexsort((_ranks(ids), p_adjusted.values))
     fieldnames = ("id", "statistic", "p_raw", "p_adjusted", "kappa_max", "rejected")
     with _output(args.output) as out:
-        _write_table(out, args.format, fieldnames, columns, summary={"tested": len(ids)})
+        _write_table(out, args.format, fieldnames, columns, order, summary={"tested": len(ids)})
     return 0
 
 
@@ -545,12 +533,8 @@ def _cmd_network(args) -> int:
     ranks = _ranks(features)
     a, b = first[kept], second[kept]
     order = np.lexsort((ranks[b], ranks[a], p_adjusted.values))
-    a, b = a[order].tolist(), b[order].tolist()
-    edges = [
-        [features[i] for i in a],
-        [features[i] for i in b],
-        *_ordered((r1, r2, outcome.statistic, p_raw, p_adjusted, stronger), order),
-    ]
+    labels = np.array(features, dtype=object)  # gathered by numpy, here and in the writer
+    edges = (labels[a], labels[b], r1, r2, outcome.statistic, p_raw, p_adjusted, stronger)
 
     summary = {
         "features": len(features),
@@ -571,7 +555,7 @@ def _cmd_network(args) -> int:
     )
     footer = "# " + " ".join(f"{key}={value}" for key, value in summary.items())
     with _output(args.output) as out:
-        _write_table(out, args.format, fieldnames, edges, summary=summary, footer=footer)
+        _write_table(out, args.format, fieldnames, edges, order, summary=summary, footer=footer)
     return 0
 
 
@@ -756,10 +740,10 @@ def _cmd_kappa_max(args) -> int:
     context = _context_p_values(batch)
     bounds = _g10s(summaries.kappa_max)
     columns = (ids, bounds, summaries.binding_root.tolist(), *context.values())
-    columns = _ordered(columns, np.lexsort((_ranks(ids), -bounds.values)))
+    order = np.lexsort((_ranks(ids), -bounds.values))
     fieldnames = ("id", "kappa_max", "binding_root", *(f"p_rd_{k}" for k in context))
     with _output(args.output) as out:
-        _write_table(out, args.format, fieldnames, columns)
+        _write_table(out, args.format, fieldnames, columns, order)
     return 0
 
 

@@ -138,7 +138,7 @@ _PHI_PIECES = np.array([
      -376.9952086677397, 41.88892315807923, -5.984134175474592, 1.1968268411741783,
      -0.3989422804014209, 0.3989422804014327],
 ])
-_PHI_COEFFICIENTS = _PHI_PIECES.T.copy()  # one row per power, for take(piece, axis=1)
+_PHI_COEFFICIENTS = _PHI_PIECES.T.copy()  # one row per power, for take(piece)
 _PHI_TAIL = len(_PHI_PIECES) - 1
 
 _STANDARD_NORMAL = NormalDist()
@@ -225,6 +225,7 @@ def ndtr(x):
     within a few ulp relative down to the underflow threshold.  Past it,
     where exp(-x^2/2) < 2^-1022 (x < -37.64), only the product of m and
     two normal halves of the factor is rounded into the subnormal range.
+    Horner's rule gathers one power's coefficients at a time, not all 14.
     ndtr(-inf) = 0, ndtr(inf) = 1 and NaN gives NaN.
     """
     x = np.asarray(x, dtype=float)
@@ -234,10 +235,9 @@ def ndtr(x):
     piece = np.fmin(2.0 * xa + 0.5, _PHI_TAIL).astype(np.intp)  # NaN: the tail row
     tail = piece == _PHI_TAIL
     u = np.where(tail, 1.0 / np.maximum(xa * xa, 1.0), xa - 0.5 * piece)
-    coefficients = _PHI_COEFFICIENTS.take(piece, axis=1)
-    m = coefficients[0]  # Horner's rule
-    for c in coefficients[1:]:
-        m = m * u + c
+    m = _PHI_COEFFICIENTS[0].take(piece)  # Horner's rule
+    for c in _PHI_COEFFICIENTS[1:]:
+        m = m * u + c.take(piece)
     m = _gaussian(xa, m / np.where(tail, xa, 1.0))
     p = np.where(x < 0.0, m, 1.0 - m).reshape(shape)
     return p if p.ndim else float(p)

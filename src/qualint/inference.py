@@ -494,24 +494,17 @@ def _rd_boundary(rows: _Rows, m, s):
     return t, np.where(t > 0.0, np.minimum(1.0, 2.0 * ndtr(-t)), 1.0)
 
 
-def _omnibus_region(x1, x2, m, s):
-    s1, s2 = x1 * s, x2 * s
-    k1, k2 = m * x1, m * x2  # kappa x scaled by s, like s1 and s2
-    return (
-        ((s1 > k2) & (x1 > 0.0))
-        | ((-s1 > -k2) & (x1 < 0.0))
-        | ((s2 > k1) & (x2 > 0.0))
-        | ((-s2 > -k1) & (x2 < 0.0))
-    )
-
-
 def _omnibus_stat(rows: _Rows, m, s):
-    """The omnibus statistic of the rows and their alternative-region mask."""
+    """The omnibus statistic of the rows and their alternative-region mask:
+    where x_i and its contrast c_i = m x_j - s x_i = s (kappa x_j - x_i) have
+    opposite strict signs, for i = 1 or 2.  No term overflows (|x| < 2^1020,
+    s <= 1/2, m < 1) and underflow is gradual, so each sign is exact."""
     x1, x2, se1, se2 = rows.x1, rows.x2, rows.se1, rows.se2
-    q1 = _square_contrast(x1 * s - m * x2, se1, se2, s, m)
-    q2 = _square_contrast(m * x1 - x2 * s, se1, se2, m, s)
+    c1, c2 = m * x2 - x1 * s, m * x1 - x2 * s
+    q1 = _square_contrast(c1, se1, se2, s, m)
+    q2 = _square_contrast(c2, se1, se2, m, s)
     q = _unshrunk(np.minimum(q1, q2), 2 * rows.shrink)
-    region = _omnibus_region(x1, x2, m, s)
+    region = _opposite_signs(x1, c1) | _opposite_signs(x2, c2)
     return np.where(region, q, 0.0), region
 
 

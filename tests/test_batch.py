@@ -11,6 +11,7 @@ stay within 1e-6 of.
 
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from qualint import cli, inference
+from qualint import cli, distributions, inference
 from qualint.inference import (
     PairBatch,
     gail_simon_test,
@@ -328,6 +329,19 @@ def tiled_cases(draw):
     return rows, kappas, draw(st.sampled_from([5e-324, 1e-10, 0.05, 0.6]))
 
 
+def four_cone_region(x1, x2, m, s):
+    """The omnibus alternative region as four cones, each compared in the
+    kappa-scaled products: the reference for the contrasts' signs."""
+    s1, s2 = x1 * s, x2 * s
+    k1, k2 = m * x1, m * x2
+    return (
+        ((s1 > k2) & (x1 > 0.0))
+        | ((-s1 > -k2) & (x1 < 0.0))
+        | ((s2 > k1) & (x2 > 0.0))
+        | ((-s2 > -k1) & (x2 < 0.0))
+    )
+
+
 @given(tiled_cases())
 @example(([(1.0, 1.0, 1e-200, 2.0**-600), (0.0, 0.5, 0.0, 1e-299), (3.0, 0.1, -3.0, 0.2),
            (2.0**600, 1.0, 1.0, 2.0**-600)], [2.0**600, 2.0**511, 1.5], 0.05))
@@ -346,8 +360,42 @@ def test_every_kappa_in_one_evaluation_equals_per_kappa_calls(case):
             assert t[part].tobytes() == result.statistic.tobytes()
             assert p[part].tobytes() == result.p_value.tobytes()
             assert (p[part] < alpha).tolist() == result.rejected.tolist()
+    # the region read off the contrasts' signs is the four cones, edge rows included
+    region = inference._omnibus_stat(tiled, m, s)[1]
+    assert region.tolist() == four_cone_region(tiled.x1, tiled.x2, m, s).tolist()
     context = cli._context_p_values(batch)
     assert list(context) == [f"{kappa:.10g}" for kappa in cli._CONTEXT_KAPPAS]
     for kappa, got in zip(cli._CONTEXT_KAPPAS, context.values()):
         want = cli._g10s(rd_test(batch, kappa, alpha).p_value)
         assert (got.values.tobytes(), got.text) == (want.values.tobytes(), want.text)
+
+
+# ---------------------------------------------------------------------------
+# memory of a pass: numpy reports its buffers to tracemalloc
+# ---------------------------------------------------------------------------
+
+MEMORY_ROWS = 100_000
+
+
+def traced_peak(call) -> int:
+    """The most bytes traced at once while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ndtr_holds_a_few_arrays_of_its_input():
+    # Horner's rule gathers one power's coefficients at a time; a table of
+    # every power's coefficients would be 14 x 8 bytes a value on its own
+    x = np.random.default_rng(3).normal(0.0, 10.0, MEMORY_ROWS)
+    assert traced_peak(lambda: distributions.ndtr(x)) <= 100 * MEMORY_ROWS
+
+
+def test_rd_test_holds_a_few_arrays_of_its_rows():
+    rng = np.random.default_rng(4)
+    batch = PairBatch(rng.normal(size=MEMORY_ROWS), rng.uniform(0.1, 1.0, MEMORY_ROWS),
+                      rng.normal(size=MEMORY_ROWS), rng.uniform(0.1, 1.0, MEMORY_ROWS))
+    assert traced_peak(lambda: rd_test(batch, 2.0, 0.05).p_value) <= 120 * MEMORY_ROWS

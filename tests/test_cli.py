@@ -1448,32 +1448,39 @@ def run_cli(argv):
 
 @st.composite
 def table_columns(draw):
-    """(columns as the writer takes them, the cells csv.writer is given)."""
+    """(columns as the writer takes them, the cells csv.writer is given, the
+    values json.dumps is given)."""
     rows = draw(st.integers(0, 5))
-    columns, cells = [], []
-    for kind in draw(st.lists(st.sampled_from(["text", "float", "bool", "int", "blank"]),
-                              min_size=2, max_size=5)):
-        if kind == "text":
+    columns, cells, values = [], [], []
+    kinds = ["text", "objects", "float", "bool", "int", "blank"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=2, max_size=5)):
+        if kind in ("text", "objects"):  # a list, or an array of str objects
             column = draw(st.lists(TEXT, min_size=rows, max_size=rows))
-            columns.append(column)
+            columns.append(column if kind == "text" else np.array(column, dtype=object))
             cells.append(column)
+            values.append(column)
         elif kind == "float":
             column = np.array(draw(st.lists(FLOAT_CELLS, min_size=rows, max_size=rows)), float)
             columns.append(column)
             cells.append([f"{v:.10g}" for v in column.tolist()])
+            rounded = [float(cell) for cell in cells[-1]]
+            values.append([v if math.isfinite(v) else None for v in rounded])
         elif kind == "bool":
             column = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), bool)
             columns.append(column)
             cells.append(["true" if v else "false" for v in column.tolist()])
+            values.append(column.tolist())
         elif kind == "int":
             column = np.array(draw(st.lists(st.integers(-3, 3), min_size=rows, max_size=rows)))
             columns.append(column)
             cells.append([str(v) for v in column.tolist()])
+            values.append(column.tolist())
         else:
             columns.append([None] * rows)
             cells.append([None] * rows)
+            values.append([None] * rows)
     fieldnames = draw(st.lists(TEXT, min_size=len(columns), max_size=len(columns)))
-    return fieldnames, columns, cells
+    return fieldnames, columns, cells, values
 
 
 def csv_cell(cell):
@@ -1484,16 +1491,28 @@ def csv_cell(cell):
     return out.getvalue()[2:-4]
 
 
-@given(table_columns())
-def test_table_writer_matches_csv_writer(table):
-    fieldnames, columns, cells = table
-    rows = [fieldnames, *zip(*cells)]
+@given(table_columns(), st.data())
+def test_table_writer_matches_csv_writer(table, data):
+    # the writer gathers the rows in the given order: the text is that of the
+    # permuted rows, from one % pass or from passes that split the body
+    fieldnames, columns, cells, values = table
+    order = np.array(data.draw(st.permutations(range(len(cells[0])))), dtype=np.intp)
+
+    def permuted(columns):
+        rows = list(zip(*columns))
+        return [rows[i] for i in order.tolist()]
+
+    rows = [fieldnames, *permuted(cells)]
     expected = "".join(",".join(map(csv_cell, row)) + "\n" for row in rows)
-    for chunk in (cli._WRITE_ROWS, 2, 1):  # one % pass, then passes that split the body
+    for chunk in (cli._WRITE_ROWS, 2, 1):
         out = io.StringIO()
         with mock.patch.object(cli, "_WRITE_ROWS", chunk):
-            _write_table(out, "csv", fieldnames, columns)
+            _write_table(out, "csv", fieldnames, columns, order)
         assert out.getvalue() == expected
+    out = io.StringIO()
+    _write_table(out, "json", fieldnames, columns, order)
+    results = [dict(zip(fieldnames, row)) for row in permuted(values)]
+    assert out.getvalue() == json.dumps({"results": results}, indent=2, sort_keys=True) + "\n"
 
 
 @given(st.integers(2, 4).flatmap(
