@@ -39,19 +39,21 @@ once.  A decision column (p_raw and p_adjusted; kappa-max's kappa_max and
 p_rd_*) is formatted to 10 digits in one pass and read back (_g10s):
 decisions (Bonferroni adjustment, rejection flags, sort order) read those
 floats, so re-parsing our own output reproduces them exactly, and the CSV
-writer writes the kept text.  A value of exactly 1, where p-values and
-kappa_max are clamped, is given the text "1" and the float 1.0 without
-formatting or reading it.  A power grid's axes are formatted once per
-distinct value (_axis_cells) and their text repeated over the grid's cells.
-Every other float is formatted by the writer, which converts a CSV body in
-one % pass over a row template per 2**16 rows.  A command computes its row
-order once with np.lexsort, names entering as code-point ranks: scan by
-(p_adjusted, id), network by (p_adjusted, feature_a, feature_b), kappa-max
-by (-kappa_max, id); the writer gathers each pass's rows (and the JSON
-rows) from the unsorted columns in that order.  The CSV writer quotes each text cell holding a comma,
-quote, CR or LF, doubling its quotes; any other cell, NUL included, is
-written as it is, so the bytes do not depend on the Python version.  JSON
-is strict: a number that is not finite after rounding is written as null.
+writer gathers the kept text, an array of str objects scattered once, by
+row index.  A value of exactly 1, where p-values and kappa_max are clamped,
+is given the text "1" and the float 1.0 without formatting or reading it.
+A power grid's axes are formatted once per distinct value (_axis_cells),
+their text repeated over the grid by np.repeat and np.tile; a bool column
+is one lookup of true/false.  Every other float is formatted by the writer,
+which converts a CSV body in one % pass over a row template per 2**16 rows.
+A command computes its row order once with np.lexsort, names entering as
+code-point ranks: scan by (p_adjusted, id), network by (p_adjusted,
+feature_a, feature_b), kappa-max by (-kappa_max, id); the writer gathers
+each pass's rows (and the JSON rows) from the unsorted columns in that
+order.  The CSV writer quotes each text cell holding a comma, quote, CR or
+LF, doubling its quotes; any other cell, NUL included, is written as it is,
+so the bytes do not depend on the Python version.  JSON is strict: a number
+that is not finite after rounding is written as null.
 """
 
 from __future__ import annotations
@@ -76,9 +78,9 @@ from qualint.inference import (
     LocalAlternative,
     PairBatch,
     _check_alpha,
+    _kappa_split,
     _rd_boundary,
     _rule_violation,
-    _tiled,
     _valid,
     gail_simon_test,
     kappa_max,
@@ -105,7 +107,7 @@ class UsageError(ValueError):
 # a text cell holding one of these is quoted, its quotes doubled; any other
 # cell, NUL included, is written as it is, the same bytes on every Python
 _CSV_SPECIALS = re.compile('[,"\r\n]')
-_BOOL_TEXT = ("false", "true")
+_BOOL_TEXT = np.array(("false", "true"), dtype=object)
 # rows a CSV body formats in one % pass: a bound on the text held at once
 _WRITE_ROWS = 2**16
 
@@ -113,10 +115,10 @@ _WRITE_ROWS = 2**16
 class _G10(NamedTuple):
     """A float column rounded to 10 significant digits, formatted once: the
     floats its text reads back as, which decisions read, and the text the
-    CSV writer writes."""
+    CSV writer writes, an array of str objects."""
 
     values: np.ndarray
-    text: list[str]
+    text: np.ndarray
 
 
 def _g10_text(values: np.ndarray) -> list[str]:
@@ -133,11 +135,11 @@ def _g10s(values: np.ndarray) -> _G10:
     rest_text = _g10_text(values[rest])
     rounded = np.ones(len(values))
     rounded[rest] = np.fromiter(map(float, rest_text), float, len(rest))
-    text = ["1"] * len(values)
-    for i, cell in zip(rest.tolist(), rest_text):
-        text[i] = cell
-    for i in np.flatnonzero(np.isinf(rounded) & np.isfinite(values)).tolist():
-        text[i] = "inf" if rounded[i] > 0.0 else "-inf"
+    text = np.empty(len(values), dtype=object)
+    text.fill("1")  # one shared str; np.full would convert it once per row
+    text[rest] = rest_text
+    past = np.isinf(rounded) & np.isfinite(values)
+    text[past] = _g10_text(rounded[past])
     return _G10(rounded, text)
 
 
@@ -179,7 +181,7 @@ def _csv_cells(column) -> tuple[str, list | np.ndarray | None]:
     if isinstance(column, np.ndarray):
         kind = column.dtype.kind
         if kind == "b":
-            return "%s", list(map(_BOOL_TEXT.__getitem__, column.tolist()))
+            return "%s", _BOOL_TEXT.take(column)
         if kind == "O":
             return "%s", _csv_text(column)
         return ("%.10g" if kind == "f" else "%d"), column
@@ -400,7 +402,8 @@ def _read_pairs(path: str, strict: bool) -> tuple[list[str], PairBatch]:
             raise UsageError("invalid rows:\n  " + "\n  ".join(listed))
         for problem in listed:
             _warn(f"skipping {problem}")
-    return list(map(ids.__getitem__, keep)), PairBatch(*columns[:, keep])
+        return list(map(ids.__getitem__, keep)), PairBatch(*columns[:, keep])
+    return ids, PairBatch(*columns)
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +531,8 @@ def _cmd_network(args) -> int:
     p_raw = _g10s(outcome.p_value)
     p_adjusted = _bonferroni(p_raw, args.adjust)
     rejected = int(np.count_nonzero(p_adjusted.values < args.alpha))
-    # the group with the larger |r|; 0 on an exact tie
-    stronger = np.select([np.abs(r1) > np.abs(r2), np.abs(r2) > np.abs(r1)], [1, 2], 0)
+    # the group with the larger |r|, 0 on an exact tie; no |r| is held through the write
+    stronger = np.where(np.abs(r1) > np.abs(r2), 1, np.where(np.abs(r2) > np.abs(r1), 2, 0))
     ranks = _ranks(features)
     a, b = first[kept], second[kept]
     order = np.lexsort((ranks[b], ranks[a], p_adjusted.values))
@@ -582,10 +585,9 @@ def _axis_cells(grid: np.ndarray, repeat: int, tile: int) -> _G10:
     """An axis as a table column: each value repeated, the whole tiled, and
     each distinct value formatted once.  Not _g10s: text that reads back as
     +-inf stays the rounded value's digits, as the writer would print them."""
-    text = _g10_text(grid)
+    text = np.array(_g10_text(grid), dtype=object)
     values = np.fromiter(map(float, text), float, len(text))
-    return _G10(np.tile(np.repeat(values, repeat), tile),
-                [cell for cell in text for _ in range(repeat)] * tile)
+    return _G10(np.tile(np.repeat(values, repeat), tile), np.tile(np.repeat(text, repeat), tile))
 
 
 def _cmd_power(args) -> int:
@@ -710,9 +712,9 @@ def _write_whole_set(files) -> None:
 
 def _context_p_values(batch: PairBatch) -> dict[str, _G10]:
     """Every row's rd p-value at each context kappa, keyed by the kappa as
-    printed: rd_test's p-values, all kappas in one evaluation."""
-    p_values = _rd_boundary(*_tiled(batch, _CONTEXT_KAPPAS))[1].reshape(len(_CONTEXT_KAPPAS), -1)
-    return {f"{k:.10g}": _g10s(p) for k, p in zip(_CONTEXT_KAPPAS, p_values)}
+    printed: rd_test's p-values, one evaluation of the rows per kappa."""
+    return {f"{k:.10g}": _g10s(_rd_boundary(batch.scaled, *_kappa_split(k))[1])
+            for k in _CONTEXT_KAPPAS}
 
 
 def _cmd_kappa_max(args) -> int:

@@ -31,6 +31,8 @@ its largest |value| exactly, and so gives the scaling exponent; that peak
 is finite only if every value is, since a NaN propagates through both;
 and the row is constant where hi == lo.  The scaled rows are a new array,
 centered in place, so the estimators never write into the caller's arrays.
+A FeatureMatrix's sums are one broadcast call of _dot, each entry one ddot
+of two rows, so a pair keeps the bits of its own SampleBatch row.
 """
 
 from __future__ import annotations
@@ -201,8 +203,9 @@ def _scaled_deviations(rows: np.ndarray):
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products over the last axis.
 
-    A stack of vector-vector products reproduces the 1-D ``a @ b`` bit for
-    bit; a matrix-vector or matrix-matrix product sums in another order.
+    A stack of vector-vector products, broadcast or not, is the 1-D ``a @ b``
+    bit for bit; a matrix-vector or matrix-matrix product (``dev @ dev.T``)
+    or einsum sums in another order.
     """
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
@@ -215,21 +218,13 @@ def _sums(sample: SampleBatch | FeatureMatrix) -> _Sums:
     # non-finite rows are flagged by code; their arithmetic is discarded
     with np.errstate(invalid="ignore", over="ignore"):
         if isinstance(sample, FeatureMatrix):
-            columns = sample.columns
-            dev, exponent, finite, constant = _scaled_deviations(columns)
-            squares = _dot(dev, dev)
-            cross = np.concatenate([_dot(dev[i + 1 :], dev[i]) for i in range(len(dev) - 1)])
+            dev, exponent, finite, constant = _scaled_deviations(sample.columns)
             first, second = sample.pairs()
+            grid = _dot(dev[None, :, :], dev[:, None, :])  # [i, j] = dev[j] . dev[i]
+            squares = grid.diagonal()
             code = _data_codes(finite[first] & finite[second], constant[first])
-            return _Sums(
-                columns.shape[1],
-                squares[first],
-                cross,
-                squares[second],
-                exponent[second] - exponent[first],
-                code,
-                constant[second],
-            )
+            return _Sums(dev.shape[1], squares[first], grid[first, second], squares[second],
+                         exponent[second] - exponent[first], code, constant[second])
         dx, ex, x_finite, x_constant = _scaled_deviations(sample.x)
         dy, ey, y_finite, y_constant = _scaled_deviations(sample.y)
         code = _data_codes(x_finite & y_finite, x_constant)
@@ -268,7 +263,6 @@ def pearson(sample: SampleBatch | FeatureMatrix) -> EstimateBatch:
     with np.errstate(all="ignore"):
         r = s.sxy / np.sqrt(s.sxx * s.syy)
         se = (1.0 - r * r) / math.sqrt(s.n)
-        code = np.select(
-            [s.code != _OK, s.y_constant, np.abs(r) >= 1.0], [s.code, _Y_CONSTANT, _R_ONE], _OK
-        )
+        code = np.where(s.code != _OK, s.code,
+                        np.where(s.y_constant, _Y_CONSTANT, np.where(np.abs(r) >= 1.0, _R_ONE, _OK)))
     return EstimateBatch(r, se, code)

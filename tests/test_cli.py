@@ -1452,17 +1452,19 @@ def table_columns(draw):
     values json.dumps is given)."""
     rows = draw(st.integers(0, 5))
     columns, cells, values = [], [], []
-    kinds = ["text", "objects", "float", "bool", "int", "blank"]
+    kinds = ["text", "objects", "float", "g10", "bool", "int", "blank"]
     for kind in draw(st.lists(st.sampled_from(kinds), min_size=2, max_size=5)):
         if kind in ("text", "objects"):  # a list, or an array of str objects
             column = draw(st.lists(TEXT, min_size=rows, max_size=rows))
             columns.append(column if kind == "text" else np.array(column, dtype=object))
             cells.append(column)
             values.append(column)
-        elif kind == "float":
+        elif kind in ("float", "g10"):  # formatted by the writer, or kept text of _g10s
             column = np.array(draw(st.lists(FLOAT_CELLS, min_size=rows, max_size=rows)), float)
-            columns.append(column)
-            cells.append([f"{v:.10g}" for v in column.tolist()])
+            columns.append(column if kind == "float" else _g10s(column))
+            text = [f"{v:.10g}" for v in column.tolist()]
+            # kept text is that of the rounded value: inf where rounding passes the range
+            cells.append(text if kind == "float" else [f"{float(cell):.10g}" for cell in text])
             rounded = [float(cell) for cell in cells[-1]]
             values.append([v if math.isfinite(v) else None for v in rounded])
         elif kind == "bool":
@@ -1853,19 +1855,35 @@ def test_float_pass_converts_each_kept_row_once(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith(f"warning: skipping {pairs}:{rows + 2}: could not")
 
 
+def g10s_by_rows(values):
+    """_g10s row by row, the reference for its one-pass form: (the bytes of
+    the values the text reads back as, the text)."""
+    rounded, text = [], []
+    for value in values.tolist():
+        cell = "1" if value == 1.0 else f"{value:.10g}"
+        back = float(cell)
+        if math.isinf(back) and math.isfinite(value):  # rounding passed the float range
+            cell = "inf" if back > 0.0 else "-inf"
+        rounded.append(back)
+        text.append(cell)
+    return np.array(rounded, float).tobytes(), text
+
+
 @given(st.lists(st.one_of(FLOAT_CELLS, st.floats(1.79769313e308, 1.7976931348623157e308),
                           st.floats(-1.7976931348623157e308, -1.79769313e308), st.just(1.0)),
                max_size=8))
 @example([1.0] * 4)  # every p-value at its clamp
 @example([0.5, 1.0 - 2.0**-53, 1.0 + 2.0**-52, -1.0])  # no value at it
+@example([1.7976931348623157e308, 1.0, -1.7976931348623157e308])  # text "inf", "1", "-inf"
 def test_decision_columns_are_formatted_once(values):
     # the kept text is the 10-digit text of the rounded float, and that float
     # is what the text reads back as: the text of the value itself, except
     # where 10-digit rounding passes the float range and reads back as inf
     column = np.array(values, dtype=float)
     rounded = _g10s(column)
-    assert len(rounded.text) == len(values)
-    for value, back, text in zip(values, rounded.values.tolist(), rounded.text):
+    assert rounded.text.dtype == object
+    assert (rounded.values.tobytes(), rounded.text.tolist()) == g10s_by_rows(column)
+    for value, back, text in zip(values, rounded.values.tolist(), rounded.text.tolist()):
         assert struct.pack("<d", back) == struct.pack("<d", float(f"{value:.10g}"))
         assert text == f"{back:.10g}"
         if math.isfinite(back) or not math.isfinite(value):

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qualint import estimators
@@ -358,6 +358,51 @@ class TestRangePass:
         with mock.patch.object(estimators, "_scaled_deviations", multi_pass_deviations):
             separate = self.outcomes(x, y)
         assert fused == separate
+
+
+@st.composite
+def feature_matrices(draw):
+    """A matrix of p >= 2 features: normal columns scaled by 2^-1000, 1 or
+    2^1000, whose sums of products depend on the order they are added in,
+    and the rows of sample_rows (NaN, +-inf, constant and zero columns)."""
+    n, p = draw(st.integers(3, 40)), draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    normal = st.sampled_from([-1000, 0, 1000]).map(lambda e: np.ldexp(rng.standard_normal(n), e))
+    return np.array(draw(st.lists(normal | sample_rows(n), min_size=p, max_size=p))).T
+
+
+def bits(*arrays):
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+def nan_as_one(array):
+    """The array with every NaN the same NaN: x . y and y . x of two NaN
+    rows of opposite sign differ in the sign of theirs."""
+    return np.where(np.isnan(array), np.nan, array)
+
+
+class TestFeatureMatrixSums:
+    """A FeatureMatrix's sums come from one broadcast kernel call over every
+    pair of features; each pair must keep the bits of its own ddot.  A
+    matrix product (dev @ dev.T, einsum) adds in another order and fails."""
+
+    @given(feature_matrices())
+    @example(np.random.default_rng(0).standard_normal((60, 5)))
+    def test_every_pair_keeps_the_bits_of_its_own_dot(self, data):
+        matrix = FeatureMatrix(data)
+        first, second = matrix.pairs()
+        sums = estimators._sums(matrix)
+        with np.errstate(all="ignore"):
+            dev = estimators._scaled_deviations(matrix.columns)[0]
+            for k, (i, j) in enumerate(zip(first.tolist(), second.tolist())):
+                want = [estimators._dot(dev[i], dev[i]), estimators._dot(dev[j], dev[i]),
+                        estimators._dot(dev[j], dev[j])]
+                assert bits(sums.sxx[k], sums.sxy[k], sums.syy[k]) == bits(*want)
+        got = pearson(matrix)
+        want = pearson(SampleBatch(data[:, first].T, data[:, second].T))
+        assert bits(*map(nan_as_one, (got.estimate, got.std_error))) == bits(
+            *map(nan_as_one, (want.estimate, want.std_error)))
+        assert got.code.tolist() == want.code.tolist()
 
 
 class TestInputsUntouched:
