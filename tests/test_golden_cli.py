@@ -84,6 +84,11 @@ CASES = {
         "wide_n30_kappa_max.csv", "wide_config.json",
     ]),
 }
+# the network, power and kappa-max tables as JSON
+CASES.update({
+    f"{name}_json": ([*CASES[name][0], "--format", "json"], [f"{name}.json"])
+    for name in ("network", "power_rd", "power_omnibus_k11", "kappa_max")
+})
 
 def case_argv(name: str, out_dir: Path, golden: Path = GOLDEN) -> list[str]:
     argv, outputs = CASES[name]
