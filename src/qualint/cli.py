@@ -44,16 +44,17 @@ row index.  A value of exactly 1, where p-values and kappa_max are clamped,
 is given the text "1" and the float 1.0 without formatting or reading it.
 A power grid's axes are formatted once per distinct value (_axis_cells),
 their text repeated over the grid by np.repeat and np.tile; a bool column
-is one lookup of true/false.  Every other float is formatted by the writer,
-which converts a CSV body in one % pass over a row template per 2**16 rows.
-A command computes its row order once with np.lexsort, names entering as
-code-point ranks: scan by (p_adjusted, id), network by (p_adjusted,
-feature_a, feature_b), kappa-max by (-kappa_max, id); the writer gathers
-each pass's rows (and the JSON rows) from the unsorted columns in that
-order.  The CSV writer quotes each text cell holding a comma, quote, CR or
-LF, doubling its quotes; any other cell, NUL included, is written as it is,
-so the bytes do not depend on the Python version.  JSON is strict: a number
-that is not finite after rounding is written as null.
+is one lookup of true/false.  A command computes its row order once with
+np.lexsort, names entering as code-point ranks: scan by (p_adjusted, id),
+network by (p_adjusted, feature_a, feature_b), kappa-max by (-kappa_max,
+id).  One writer serves CSV and JSON: per 2**16 rows it gathers the rows
+from the unsorted columns in that order and converts them in one % pass
+over a row template, formatting every other float there.  The CSV writer
+quotes each text cell holding a comma, quote, CR or LF, doubling its
+quotes; any other cell, NUL included, is written as it is, so the bytes do
+not depend on the Python version.  JSON has the bytes of json.dump(indent=2,
+sort_keys=True) and is strict: a float is the one its 10-digit text reads
+back as, or null where that is not finite.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ import math
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -121,9 +123,10 @@ class _G10(NamedTuple):
     text: np.ndarray
 
 
-def _g10_text(values: np.ndarray) -> list[str]:
-    """Each value's 10-digit text, formatted in one % pass."""
-    return ("%.10g\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
+def _g10_round(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Each value's 10-digit text, formatted in one % pass, and its floats."""
+    text = ("%.10g\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
+    return text, np.fromiter(map(float, text), float, len(text))
 
 
 def _g10s(values: np.ndarray) -> _G10:
@@ -132,22 +135,27 @@ def _g10s(values: np.ndarray) -> _G10:
     Text whose rounding passes the float range reads back as +-inf and is
     kept as that, so the CSV cell is the rounded value's own text."""
     rest = np.flatnonzero(values != 1.0)
-    rest_text = _g10_text(values[rest])
     rounded = np.ones(len(values))
-    rounded[rest] = np.fromiter(map(float, rest_text), float, len(rest))
+    rest_text, rounded[rest] = _g10_round(values[rest])
     text = np.empty(len(values), dtype=object)
     text.fill("1")  # one shared str; np.full would convert it once per row
     text[rest] = rest_text
     past = np.isinf(rounded) & np.isfinite(values)
-    text[past] = _g10_text(rounded[past])
+    text[past] = _g10_round(rounded[past])[0]
     return _G10(rounded, text)
 
 
+def _json_floats(rounded: np.ndarray, null="null") -> list:
+    """Rounded floats as JSON cells, null where not finite (strict JSON)."""
+    cells = rounded.tolist()
+    for i in np.flatnonzero(~np.isfinite(rounded)).tolist():
+        cells[i] = null
+    return cells
+
+
 def _json_g10(value: float) -> float | None:
-    """A number rounded to the float its 10-digit text reads back as; null
-    when that is not finite, as strict JSON has no Infinity or NaN."""
-    value = float(f"{value:.10g}")
-    return value if math.isfinite(value) else None
+    """A number rounded to 10 digits as a JSON value, None where not finite."""
+    return _json_floats(_g10_round(np.array([value]))[1], None)[0]
 
 
 def _csv_text(cells: list[str]) -> list[str]:
@@ -160,34 +168,37 @@ def _csv_text(cells: list[str]) -> list[str]:
     ]
 
 
-def _json_cells(column) -> list:
-    """One table column as JSON values: a float becomes the float its 10-digit
-    text reads back as (null if not finite); text and None stay as they are."""
-    if isinstance(column, _G10):
-        column = column.values
-    if not isinstance(column, np.ndarray):
-        return column
-    values = column.tolist()
-    return list(map(_json_g10, values)) if column.dtype.kind == "f" else values
+def _gather(values) -> Callable[[np.ndarray], list]:
+    """A chunk's cells: the values at its rows."""
+    if isinstance(values, np.ndarray):
+        return lambda rows: values[rows].tolist()
+    return lambda rows: list(map(values.__getitem__, rows.tolist()))
 
 
-def _csv_cells(column) -> tuple[str, list | np.ndarray | None]:
-    """One table column as CSV: its conversion in the row template and the
-    values it converts.  Floats convert by %.10g, ints by %d; kept 10-digit
-    text, true/false and CSV-quoted text (a list, or an array of objects)
-    enter as %s; a list of None is blank and converts nothing."""
+def _table_cells(column, fmt: str) -> tuple[str, Callable[[np.ndarray], list] | None]:
+    """One table column: its conversion in the row template and a chunk's
+    cells.  Ints enter by %d, kept text and true/false by %s; a CSV float by
+    %.10g, a JSON float by %s as its 10-digit float (a _G10's values) or
+    null; other text by %s, CSV-quoted or JSON-escaped; None as blank/null."""
     if isinstance(column, _G10):
-        return "%s", column.text
-    if isinstance(column, np.ndarray):
-        kind = column.dtype.kind
-        if kind == "b":
-            return "%s", _BOOL_TEXT.take(column)
-        if kind == "O":
-            return "%s", _csv_text(column)
-        return ("%.10g" if kind == "f" else "%d"), column
-    if column and column[0] is None:
-        return "", None
-    return "%s", _csv_text(column)
+        if fmt == "json":
+            return "%s", lambda rows: _json_floats(column.values[rows])
+        return "%s", _gather(column.text)
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
+    if kind == "b":
+        return "%s", _gather(_BOOL_TEXT.take(column))
+    if kind == "f":
+        if fmt == "json":
+            return "%s", lambda rows: _json_floats(_g10_round(column[rows])[1])
+        return "%.10g", _gather(column)
+    if kind != "O":
+        return "%d", _gather(column)
+    if len(column) and column[0] is None:
+        return ("null" if fmt == "json" else ""), None
+    if fmt == "json":
+        text = _gather(column)
+        return "%s", lambda rows: list(map(encode_basestring_ascii, text(rows)))
+    return "%s", _gather(_csv_text(column))
 
 
 def _ranks(names: list[str] | tuple[str, ...]) -> np.ndarray:
@@ -213,34 +224,38 @@ def _write_json(out, payload: dict) -> None:
 def _write_table(out, fmt: str, fieldnames, columns, order: np.ndarray | None = None,
                  summary: dict | None = None, footer: str | None = None) -> None:
     """Columns (in fieldnames order), their rows in the given order or as
-    they are, as CSV with an optional footer line, the body gathered and
-    converted by one % pass over a row template per _WRITE_ROWS rows, or as
-    JSON {"results": [...], "summary": ...}."""
+    they are, in one % pass over a row template per _WRITE_ROWS rows: CSV
+    with an optional footer line, or JSON {"results": [...], "summary": ...}
+    as json.dump(indent=2, sort_keys=True) writes it (a name's last column)."""
     if order is None:  # a _G10's rows are those of its text
         order = np.arange(len(getattr(columns[0], "text", columns[0])))
+    conversions, cells = zip(*(_table_cells(column, fmt) for column in columns))
     if fmt == "json":
-        rows = order.tolist()
-        cells = [list(map(column.__getitem__, rows)) for column in map(_json_cells, columns)]
-        payload: dict = {"results": [dict(zip(fieldnames, row)) for row in zip(*cells)]}
-        if summary is not None:
-            payload["summary"] = summary
-        _write_json(out, payload)
-        return
-    conversions, cells = zip(*map(_csv_cells, columns))
+        last = {name: c for c, name in enumerate(fieldnames)}
+        fields = [f"      {encode_basestring_ascii(name).replace('%', '%%')}: {conversions[c]}"
+                  for name, c in sorted(last.items())]
+        template = "    {\n" + ",\n".join(fields) + "\n    },\n"
+        cells = [cells[c] for _, c in sorted(last.items())]
+        payload = {"results": []} if summary is None else {"results": [], "summary": summary}
+        frame = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        head, tail = frame.split("[]", 1)  # "results" is the first key
+        head, tail = (head + "[\n", "\n  ]" + tail) if len(order) else (frame, "")
+    else:
+        template = ",".join(conversions) + "\n"
+        head = ",".join(_csv_text(list(fieldnames))) + "\n"
+        tail = "" if footer is None else footer + "\n"
     cells = [column for column in cells if column is not None]
     width = len(cells)
-    template = ",".join(conversions) + "\n"
-    out.write(",".join(_csv_text(list(fieldnames))) + "\n")
+    out.write(head)
     for start in range(0, len(order), _WRITE_ROWS):
         rows = order[start : start + _WRITE_ROWS]
-        index = rows.tolist()
-        flat = [None] * (len(index) * width)  # cell c of row r at r * width + c
+        flat = [None] * (len(rows) * width)  # cell c of row r at r * width + c
         for c, column in enumerate(cells):
-            is_array = isinstance(column, np.ndarray)
-            flat[c::width] = column[rows].tolist() if is_array else list(map(column.__getitem__, index))
-        out.write(template * len(index) % tuple(flat))
-    if footer is not None:
-        out.write(footer + "\n")
+            flat[c::width] = column(rows)
+        # JSON rows are separated by ",\n", which the last row drops
+        end = -2 if fmt == "json" and start + _WRITE_ROWS >= len(order) else None
+        out.write((template * len(rows))[:end] % tuple(flat))
+    out.write(tail)
 
 
 def _warn(message: str) -> None:
@@ -423,11 +438,9 @@ def _flag_pair(args) -> PairBatch:
 
 
 def _run_pair_test(batch: PairBatch, kind: str, kappa: float, alpha: float):
-    if kind == "rd":
-        return rd_test(batch, kappa, alpha)
-    if kind == "omnibus":
-        return omnibus_test(batch, kappa, alpha)
-    return gail_simon_test(batch, alpha)
+    if kind == "gs":
+        return gail_simon_test(batch, alpha)
+    return (rd_test if kind == "rd" else omnibus_test)(batch, kappa, alpha)
 
 
 def _cmd_test(args) -> int:
@@ -508,13 +521,11 @@ def _cmd_network(args) -> int:
     features, data1 = _read_matrix(args.matrix1)
     features2, data2 = _read_matrix(args.matrix2)
     if features != features2:
-        raise UsageError(
-            "feature columns differ between matrices "
-            f"({args.matrix1} vs {args.matrix2})"
-        )
-    matrix1, matrix2 = FeatureMatrix(data1), FeatureMatrix(data2)
-    fit1, fit2 = pearson(matrix1), pearson(matrix2)
-    first, second = matrix1.pairs()
+        raise UsageError("feature columns differ between matrices "
+                         f"({args.matrix1} vs {args.matrix2})")
+    matrix = FeatureMatrix(data1)  # group 2's matrix, and its pairs, go once fitted
+    fit1, fit2 = pearson(matrix), pearson(FeatureMatrix(data2))
+    first, second = matrix.pairs()
     ok1 = fit1.ok
     kept = ok1 & fit2.ok
     # per-pair order: group 1 is checked before group 2
@@ -522,12 +533,11 @@ def _cmd_network(args) -> int:
         names = (features[first[k]], features[second[k]])
         reason = (fit1 if not ok1[k] else fit2).reason(k, names)
         _warn(f"skipping pair ({names[0]}, {names[1]}): {reason}")
-    skipped = len(matrix1) - int(kept.sum())
+    skipped = len(matrix) - int(kept.sum())
 
     r1, r2 = fit1.estimate[kept], fit2.estimate[kept]
-    outcome = rd_test(
-        PairBatch(r1, fit1.std_error[kept], r2, fit2.std_error[kept]), args.kappa, args.alpha
-    )
+    outcome = rd_test(PairBatch(r1, fit1.std_error[kept], r2, fit2.std_error[kept]),
+                      args.kappa, args.alpha)  # the batch's standard errors go once tested
     p_raw = _g10s(outcome.p_value)
     p_adjusted = _bonferroni(p_raw, args.adjust)
     rejected = int(np.count_nonzero(p_adjusted.values < args.alpha))
@@ -539,23 +549,10 @@ def _cmd_network(args) -> int:
     labels = np.array(features, dtype=object)  # gathered by numpy, here and in the writer
     edges = (labels[a], labels[b], r1, r2, outcome.statistic, p_raw, p_adjusted, stronger)
 
-    summary = {
-        "features": len(features),
-        "pairs": len(matrix1),
-        "tested": len(r1),
-        "skipped": skipped,
-        "rejected": rejected,
-    }
-    fieldnames = (
-        "feature_a",
-        "feature_b",
-        "r1",
-        "r2",
-        "statistic",
-        "p_raw",
-        "p_adjusted",
-        "stronger_group",
-    )
+    summary = {"features": len(features), "pairs": len(matrix), "tested": len(r1),
+               "skipped": skipped, "rejected": rejected}
+    fieldnames = ("feature_a", "feature_b", "r1", "r2", "statistic", "p_raw", "p_adjusted",
+                  "stronger_group")
     footer = "# " + " ".join(f"{key}={value}" for key, value in summary.items())
     with _output(args.output) as out:
         _write_table(out, args.format, fieldnames, edges, order, summary=summary, footer=footer)
@@ -585,8 +582,8 @@ def _axis_cells(grid: np.ndarray, repeat: int, tile: int) -> _G10:
     """An axis as a table column: each value repeated, the whole tiled, and
     each distinct value formatted once.  Not _g10s: text that reads back as
     +-inf stays the rounded value's digits, as the writer would print them."""
-    text = np.array(_g10_text(grid), dtype=object)
-    values = np.fromiter(map(float, text), float, len(text))
+    text, values = _g10_round(grid)
+    text = np.array(text, dtype=object)
     return _G10(np.tile(np.repeat(values, repeat), tile), np.tile(np.repeat(text, repeat), tile))
 
 

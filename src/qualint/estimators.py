@@ -116,6 +116,7 @@ class FeatureMatrix:
 
     data: np.ndarray
     columns: np.ndarray = field(init=False, repr=False)
+    _pairs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=float)
@@ -124,14 +125,16 @@ class FeatureMatrix:
         _require_size(data.shape[0])
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "columns", np.ascontiguousarray(data.T))
+        pairs = np.array(np.triu_indices(data.shape[1], 1))  # formed once, read by every caller
+        pairs.flags.writeable = False
+        object.__setattr__(self, "_pairs", pairs)
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Feature indices (i, j) of every pair, i < j, in row-major order."""
-        return np.triu_indices(self.data.shape[1], 1)
+        """Feature indices (i, j) of every pair, i < j, in row-major order (read-only)."""
+        return tuple(self._pairs)
 
     def __len__(self) -> int:
-        p = self.data.shape[1]
-        return p * (p - 1) // 2
+        return self._pairs.shape[1]
 
 
 @dataclass(frozen=True, eq=False)

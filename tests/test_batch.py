@@ -12,6 +12,8 @@ stay within 1e-6 of.
 import math
 import pickle
 import tracemalloc
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -412,3 +414,25 @@ def test_context_p_values_hold_one_kappas_rows_at_a_time():
     # against 196 B with the three formatted columns kept)
     batch = memory_batch()
     assert traced_peak(lambda: cli._context_p_values(batch)) <= 250 * MEMORY_ROWS
+
+
+def test_json_table_holds_one_chunk_of_rows_at_a_time():
+    # network-shaped rows written as JSON to a sink that keeps nothing: one
+    # dict per row and the whole payload handed to json.dump held 504 B a row
+    rng = np.random.default_rng(5)
+    labels = np.array([f"g{j}" for j in range(1000)], dtype=object)
+    a, b = rng.integers(0, 1000, (2, MEMORY_ROWS))
+    r1, r2, statistic = rng.uniform(-1.0, 1.0, (3, MEMORY_ROWS))
+    p_raw = cli._g10s(rng.uniform(0.0, 1.0, MEMORY_ROWS))
+    edges = (labels[a], labels[b], r1, r2, statistic, p_raw, cli._bonferroni(p_raw, "bonferroni"),
+             rng.integers(0, 3, MEMORY_ROWS))
+    fieldnames = ("feature_a", "feature_b", "r1", "r2", "statistic", "p_raw", "p_adjusted",
+                  "stronger_group")
+    order = rng.permutation(MEMORY_ROWS)
+    sink = types.SimpleNamespace(write=len)  # counts each text and keeps nothing
+
+    def write():
+        cli._write_table(sink, "json", fieldnames, edges, order, summary={"tested": MEMORY_ROWS})
+
+    with mock.patch.object(cli, "_WRITE_ROWS", 4096):
+        assert traced_peak(write) <= 250 * MEMORY_ROWS

@@ -1430,8 +1430,8 @@ def test_hostile_text_cells_are_quoted_and_ordered_exactly(tmp_path, capsys):
 PAIR_FIELDS = ("id", "est1", "se1", "est2", "se2")
 # csv writes and reads NUL from Python 3.11 on
 NUL = "\x00" if sys.version_info >= (3, 11) else ""
-# the CSV specials, padding, non-ASCII text and NUL
-TEXT = st.text(alphabet=',"\r\n \taAé€' + NUL, max_size=5)
+# the CSV specials, padding, non-ASCII text, a % conversion mark and NUL
+TEXT = st.text(alphabet=',"\r\n \taAé€%' + NUL, max_size=5)
 FLOAT_CELLS = st.one_of(
     st.floats(),
     st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
@@ -1493,10 +1493,21 @@ def csv_cell(cell):
     return out.getvalue()[2:-4]
 
 
-@given(table_columns(), st.data())
-def test_table_writer_matches_csv_writer(table, data):
+# summaries: none, empty, or nested with non-ASCII keys and an empty list
+SUMMARY_KEYS = st.text(alphabet='aé€"%[]' + NUL, max_size=3)
+SUMMARIES = st.one_of(st.none(), st.just({}), st.dictionaries(
+    SUMMARY_KEYS,
+    st.one_of(st.integers(-3, 3), st.lists(st.integers(-3, 3), max_size=2),
+              st.dictionaries(SUMMARY_KEYS, st.integers(-3, 3), max_size=2)),
+    min_size=1, max_size=3,
+))
+
+
+@given(table_columns(), SUMMARIES, st.none() | TEXT, st.data())
+def test_table_writer_matches_csv_writer(table, summary, footer, data):
     # the writer gathers the rows in the given order: the text is that of the
-    # permuted rows, from one % pass or from passes that split the body
+    # permuted rows, from one % pass or from passes that split the body; CSV
+    # ends with the footer line and JSON holds the summary (and no footer)
     fieldnames, columns, cells, values = table
     order = np.array(data.draw(st.permutations(range(len(cells[0])))), dtype=np.intp)
 
@@ -1505,16 +1516,18 @@ def test_table_writer_matches_csv_writer(table, data):
         return [rows[i] for i in order.tolist()]
 
     rows = [fieldnames, *permuted(cells)]
-    expected = "".join(",".join(map(csv_cell, row)) + "\n" for row in rows)
-    for chunk in (cli._WRITE_ROWS, 2, 1):
-        out = io.StringIO()
-        with mock.patch.object(cli, "_WRITE_ROWS", chunk):
-            _write_table(out, "csv", fieldnames, columns, order)
-        assert out.getvalue() == expected
-    out = io.StringIO()
-    _write_table(out, "json", fieldnames, columns, order)
-    results = [dict(zip(fieldnames, row)) for row in permuted(values)]
-    assert out.getvalue() == json.dumps({"results": results}, indent=2, sort_keys=True) + "\n"
+    expected_csv = "".join(",".join(map(csv_cell, row)) + "\n" for row in rows)
+    expected_csv += "" if footer is None else footer + "\n"
+    payload = {"results": [dict(zip(fieldnames, row)) for row in permuted(values)]}
+    if summary is not None:
+        payload["summary"] = summary
+    expected_json = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    for fmt, expected in (("csv", expected_csv), ("json", expected_json)):
+        for chunk in (cli._WRITE_ROWS, 2, 1):
+            out = io.StringIO()
+            with mock.patch.object(cli, "_WRITE_ROWS", chunk):
+                _write_table(out, fmt, fieldnames, columns, order, summary, footer)
+            assert out.getvalue() == expected, (fmt, chunk)
 
 
 @given(st.integers(2, 4).flatmap(
