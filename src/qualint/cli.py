@@ -231,11 +231,11 @@ def _write_table(out, fmt: str, fieldnames, columns, order: np.ndarray | None = 
         order = np.arange(len(getattr(columns[0], "text", columns[0])))
     conversions, cells = zip(*(_table_cells(column, fmt) for column in columns))
     if fmt == "json":
-        last = {name: c for c, name in enumerate(fieldnames)}
+        keys = sorted({name: c for c, name in enumerate(fieldnames)}.items())
         fields = [f"      {encode_basestring_ascii(name).replace('%', '%%')}: {conversions[c]}"
-                  for name, c in sorted(last.items())]
+                  for name, c in keys]
         template = "    {\n" + ",\n".join(fields) + "\n    },\n"
-        cells = [cells[c] for _, c in sorted(last.items())]
+        cells = [cells[c] for _, c in keys]
         payload = {"results": []} if summary is None else {"results": [], "summary": summary}
         frame = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
         head, tail = frame.split("[]", 1)  # "results" is the first key
