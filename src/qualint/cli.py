@@ -80,8 +80,6 @@ from qualint.inference import (
     LocalAlternative,
     PairBatch,
     _check_alpha,
-    _kappa_split,
-    _rd_boundary,
     _rule_violation,
     _valid,
     gail_simon_test,
@@ -644,35 +642,20 @@ def _cmd_simulate(args) -> int:
     prefix = args.output or "study"
     files = []  # (path, write, *args) of every study, written once all have run
     for n in args.n:
-        config = SimulationConfig(
-            theta1=args.theta1,
-            theta2_grid=grid,
-            n=n,
-            replications=args.reps,
-            kappas=tuple(args.kappas),
-            alpha=args.alpha,
-            seed=args.seed,
-        )
+        config = SimulationConfig(theta1=args.theta1, theta2_grid=grid, n=n, replications=args.reps,
+                                  kappas=tuple(args.kappas), alpha=args.alpha, seed=args.seed)
         result = run_rejection_study(config)
         for theta2, drop in result.dropped.items():
             _warn(f"n={n}, theta2={theta2:.10g}: {drop} of {args.reps} replicates dropped "
                   "(degenerate estimation)")
-        cells = result.rates
-        rates = [
-            np.array([cell.theta2 for cell in cells]),
-            np.array([cell.kappa for cell in cells]),
-            [cell.test for cell in cells],
-            np.array([cell.rejection_rate for cell in cells]),
-            np.array([cell.mc_std_error for cell in cells]),
-        ]
+        rates = [result.rates[name] for name in
+                 ("theta2", "kappa", "test", "rejection_rate", "mc_std_error")]
         files.append((f"{prefix}_n{n}_rates.csv", _write_table, "csv",
                       ("theta2", "kappa", "test", "rejection_rate", "mc_se"), rates))
-        if result.kappa_max_quantiles:
-            quantiles = result.kappa_max_quantiles
-            levels = next(iter(quantiles.values()))
-            values = np.array([(theta2, *qs.values()) for theta2, qs in quantiles.items()]).T
+        quantiles = result.kappa_max_quantiles
+        if len(quantiles["theta2"]):
             files.append((f"{prefix}_n{n}_kappa_max.csv", _write_table, "csv",
-                          ("theta2", *(f"q{100 * q:.0f}" for q in levels)), values))
+                          tuple(quantiles), tuple(quantiles.values())))
     files.append((f"{prefix}_config.json", _write_json, {**vars(config), "n": list(args.n)}))
     _write_whole_set(files)
     for path, *_ in files:
@@ -707,11 +690,10 @@ def _write_whole_set(files) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _context_p_values(batch: PairBatch) -> dict[str, _G10]:
+def _context_p_values(batch: PairBatch, alpha: float) -> dict[str, _G10]:
     """Every row's rd p-value at each context kappa, keyed by the kappa as
-    printed: rd_test's p-values, one evaluation of the rows per kappa."""
-    return {f"{k:.10g}": _g10s(_rd_boundary(batch.scaled, *_kappa_split(k))[1])
-            for k in _CONTEXT_KAPPAS}
+    printed: one rd_test of the rows per kappa."""
+    return {f"{k:.10g}": _g10s(rd_test(batch, k, alpha).p_value) for k in _CONTEXT_KAPPAS}
 
 
 def _cmd_kappa_max(args) -> int:
@@ -723,7 +705,7 @@ def _cmd_kappa_max(args) -> int:
             )
         batch = _flag_pair(args)
         summary = kappa_max(batch, args.alpha)[0]
-        context = _context_p_values(batch)
+        context = _context_p_values(batch, args.alpha)
         payload = {
             "kappa_max": _json_g10(summary.kappa_max),
             "alpha": _json_g10(args.alpha),
@@ -736,7 +718,7 @@ def _cmd_kappa_max(args) -> int:
 
     ids, batch = _read_pairs(args.input, args.strict)
     summaries = kappa_max(batch, args.alpha)
-    context = _context_p_values(batch)
+    context = _context_p_values(batch, args.alpha)
     bounds = _g10s(summaries.kappa_max)
     columns = (ids, bounds, summaries.binding_root.tolist(), *context.values())
     order = np.lexsort((_ranks(ids), -bounds.values))

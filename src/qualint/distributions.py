@@ -180,11 +180,13 @@ _GENZ_NODES = [(1.0 + x, w) for x, w in map(_legendre, (6, 12, 20))]
 # kernel integrates Genz's asymptotic expansion with the 20 nodes instead.
 _GENZ_REGIMES = np.array([0.3, 0.75, 0.925])
 # Genz's error is absolute, so rows with both thresholds >= 0 and one of
-# them >= _DEEP, whose tails are below 3e-7, take _owen_upper instead; its
+# them >= _DEEP, whose tails are below 3e-7, take _owen_upper instead, as do
+# rho < 0 rows whose corner's squared Mahalanobis distance is >= _DEEP_DISTANCE; its
 # y integral is Gauss-Legendre on [y0, max(y0, 6)] (the fewest nodes that
 # kept 1e-13 relative against mpmath) and Gauss-Laguerre past it (its
 # integrand's singularity lies 18 or more from 0, so 16 nodes reach 2e-15).
 _DEEP = 5.0
+_DEEP_DISTANCE = 9.0
 _OWEN_SPLIT = 6.0
 _OWEN_NEAR = _legendre(16)
 # the 16-point Gauss-Laguerre nodes and weights, frozen: numpy's laggauss(16)
@@ -397,9 +399,13 @@ def bvn_upper_tail(a, b, rho):
     above that, an expansion in 1 - rho^2 with a 20-node correction.  The
     absolute error is about 1e-15.  Where both thresholds are >= 0 and one
     is >= 5 the tail is below 3e-7 and Genz's absolute error would be a
-    large relative one, so those rows take Owen's decomposition as a sum of
+    large relative one, and so it is where both are >= 0, rho < 0 and the
+    squared Mahalanobis distance (a^2 - 2 rho a b + b^2) / (1 - rho^2) of
+    the corner is >= 9; those rows take Owen's decomposition as a sum of
     positive integrals (_owen_upper) instead, about 1e-13 relative down to
-    the underflow threshold.  Each row's method and nodes depend on that row
+    the underflow threshold.  Rows with thresholds of mixed sign and
+    rho < 0 keep Genz's absolute contract only: (-0.5, 4.5, -0.9) gives 0,
+    where the tail is 1.4e-22.  Each row's method and nodes depend on that row
     alone, so row i of a batch equals the single-row call for row i.  When
     every row of a Genz regime has the same rho, the sines of its angle
     nodes are computed once for all of them; Owen's Legendre integral on
@@ -423,11 +429,14 @@ def bvn_upper_tail(a, b, rho):
     tail_a, tail_b = (ndtr(-ab[0]),) * 2 if np.array_equal(ab[0], ab[1]) else ndtr(-ab)
     # 0-2: Genz's integral with 6, 12 or 20 nodes; 3: Genz for |rho| >= 0.925;
     # 4: the upper tail by Owen; 5: the closed forms
+    h, k = np.minimum(_FAR, np.maximum(-_FAR, ab))
     regime = np.searchsorted(_GENZ_REGIMES, size, side="right")
-    regime[(np.minimum(ab[0], ab[1]) >= 0.0) & (np.maximum(ab[0], ab[1]) >= _DEEP)] = 4
+    with np.errstate(divide="ignore", invalid="ignore"):  # rho = +-1 takes the closed forms
+        distance = (h * h - 2.0 * rho * h * k + k * k) / ((1.0 - rho) * (1.0 + rho))
+    deep = (np.maximum(h, k) >= _DEEP) | (rho < 0.0) & (distance >= _DEEP_DISTANCE)
+    regime[(np.minimum(h, k) >= 0.0) & deep] = 4
     infinite = np.isinf(ab[0]) | np.isinf(ab[1])
     regime[(size >= 1.0 - _DEGENERATE_RHO_TOL) | (rho == 0.0) | infinite] = 5
-    h, k = np.minimum(_FAR, np.maximum(-_FAR, ab))
     columns = np.stack([h, k, rho, tail_a, tail_b])
     p = np.empty(rho.shape)
     for g in np.flatnonzero(np.bincount(regime, minlength=6)):

@@ -23,7 +23,9 @@ is tagged with its grid point, the rejection flags of each test are
 counted per (grid point, kappa) by one ``np.bincount`` over the tags of
 its rejected rows, and the kappa_max quantiles of all grid points with
 the same replicate count come from one ``np.quantile`` call on their
-(points, replicates) block.
+(points, replicates) block.  The result holds them as columns, the rates
+formed from the count table by array arithmetic and their theta2, kappa
+and test labels by np.repeat and np.tile; no object is built per cell.
 
 Reproducibility contract: the stream for replicate r of grid point g is
 ``numpy.random.default_rng([seed, g, r])``.  From it the group-1 sample is
@@ -162,30 +164,44 @@ class RateCell:
     replicates: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StudyResult:
-    """Long-format rejection rates plus per-theta2 kappa_max quantiles.
+    """Long-format rejection rates plus per-theta2 kappa_max quantiles, as
+    dicts of equal-length columns.
 
-    ``rates`` is ordered by (grid position, kappa position, test kind).
-    ``kappa_max_quantiles`` maps theta2 -> {0.1: v, 0.5: v, 0.9: v}; it is
-    empty when alpha >= 1/2, outside the inversion's domain.  ``dropped`` counts
-    discarded replicates per theta2 (degenerate estimation).
+    ``rates`` has RateCell's columns, test an object array of str, one row
+    per (grid point, kappa, test) in that order over the grid points that
+    kept a replicate; ``rate()`` returns one row as a RateCell.
+    ``kappa_max_quantiles`` has the columns theta2, q10, q50 and q90 over
+    the same points, and no rows when alpha >= 1/2, outside the inversion's
+    domain.  ``dropped`` counts discarded replicates per theta2 (degenerate
+    estimation).  Equality compares the columns by np.array_equal.
     """
 
     config: SimulationConfig
-    rates: tuple[RateCell, ...]
-    kappa_max_quantiles: Mapping[float, Mapping[float, float]]
+    rates: Mapping[str, np.ndarray]
+    kappa_max_quantiles: Mapping[str, np.ndarray]
     dropped: Mapping[float, int] = field(default_factory=dict)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StudyResult):
+            return NotImplemented
+        tables = ((self.rates, other.rates), (self.kappa_max_quantiles, other.kappa_max_quantiles))
+        return (self.config, self.dropped) == (other.config, other.dropped) and all(
+            list(mine) == list(theirs) and all(map(np.array_equal, mine.values(), theirs.values()))
+            for mine, theirs in tables)
+
     def rate(self, theta2: float, kappa: float, test: str) -> RateCell:
-        for cell in self.rates:
-            if (
-                cell.test == test
-                and math.isclose(cell.theta2, theta2, abs_tol=1e-12)
-                and math.isclose(cell.kappa, kappa, abs_tol=1e-12)
-            ):
-                return cell
-        raise KeyError(f"no rate cell for theta2={theta2}, kappa={kappa}, {test!r}")
+        """The first row of test whose theta2 and kappa are each
+        math.isclose(..., abs_tol=1e-12) to the ones given."""
+        match = self.rates["test"] == test
+        for column, value in ((self.rates["theta2"], float(theta2)),
+                              (self.rates["kappa"], float(kappa))):
+            tol = np.maximum(1e-9 * np.maximum(np.abs(column), abs(value)), 1e-12)
+            match &= (np.abs(column - value) <= tol) & math.isfinite(value)  # inf: close to no cell
+        if not match.any():
+            raise KeyError(f"no rate cell for theta2={theta2}, kappa={kappa}, {test!r}")
+        return RateCell(*(column.item(np.argmax(match)) for column in self.rates.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +342,7 @@ def run_rejection_study(config: SimulationConfig) -> StudyResult:
     est, se = est[ok], se[ok]
     batch = PairBatch(est[:, 0], se[:, 0], est[:, 1], se[:, 1])
     kappas = list(dict.fromkeys(config.kappas))  # a repeated kappa is reported once
-    cells = [(kappa, test) for kappa in kappas for test in _TEST_KINDS]
+    per_point = len(kappas) * len(_TEST_KINDS)  # rate rows of a grid point
     # every kappa in one evaluation per test: tiled row k N + i is row i at
     # kappas[k], tagged with its (grid point, kappa) position
     rows, m, s = _tiled(batch, kappas)
@@ -334,44 +350,35 @@ def run_rejection_study(config: SimulationConfig) -> StudyResult:
     rejections = np.stack([
         np.bincount(tags[p_value < config.alpha], minlength=len(counts) * len(kappas))
         for p_value in (_rd_boundary(rows, m, s)[1], _omnibus_p(rows, m, s)[1])
-    ], axis=1).reshape(len(counts), len(cells)).tolist()
-    # summaries cover the points that kept a replicate
+    ], axis=1).reshape(len(counts), per_point)
+    # summaries cover the points that kept a replicate, each a block of rate rows
     kept = np.flatnonzero(counts)
-    want_kmax = config.alpha < _KAPPA_MAX_ALPHA
-    quantiles = np.full((len(counts), len(_KMAX_QUANTILES)), np.nan)
-    if want_kmax:
+    theta2 = np.array(config.theta2_grid)[kept]
+    valid = np.repeat(counts[kept], per_point)
+    p_hat = rejections[kept].reshape(-1) / valid
+    rates = {
+        "theta2": np.repeat(theta2, per_point),
+        "kappa": np.tile(np.repeat(kappas, len(_TEST_KINDS)), len(kept)),
+        "test": np.tile(np.array(_TEST_KINDS, dtype=object), len(kept) * len(kappas)),
+        "rejection_rate": p_hat,
+        "mc_std_error": np.sqrt(p_hat * (1.0 - p_hat) / valid),
+        "replicates": valid,
+    }
+    quantiles = np.empty((len(kept), len(_KMAX_QUANTILES)))
+    if config.alpha >= _KAPPA_MAX_ALPHA:  # outside the inversion's domain: no rows
+        theta2, quantiles = theta2[:0], quantiles[:0]
+    elif len(kept):
         kmax = kappa_max(batch, config.alpha).kappa_max
         # one call per distinct replicate count, on a (points, count) block
         for count in np.unique(counts[kept]).tolist():
             same = counts == count
             block = kmax[same[point]].reshape(-1, count)
-            quantiles[same] = _kappa_max_quantiles(block, _KMAX_QUANTILES)
-
-    grid = config.theta2_grid
-    rates: list[RateCell] = []
-    quantile_map: dict[float, dict[float, float]] = {}
-    for gi, valid, values in zip(kept.tolist(), counts[kept].tolist(), quantiles[kept].tolist()):
-        for (kappa, test), rejected in zip(cells, rejections[gi]):
-            p_hat = rejected / valid
-            rates.append(
-                RateCell(
-                    theta2=grid[gi],
-                    kappa=kappa,
-                    test=test,
-                    rejection_rate=p_hat,
-                    mc_std_error=math.sqrt(p_hat * (1.0 - p_hat) / valid),
-                    replicates=valid,
-                )
-            )
-        if want_kmax:
-            quantile_map[grid[gi]] = dict(zip(_KMAX_QUANTILES, values))
-    return StudyResult(
-        config=config,
-        rates=tuple(rates),
-        kappa_max_quantiles=quantile_map,
-        dropped={grid[gi]: config.replications - count
-                 for gi, count in enumerate(counts.tolist()) if count < config.replications},
-    )
+            quantiles[same[kept]] = _kappa_max_quantiles(block, _KMAX_QUANTILES)
+    kappa_max_quantiles = {"theta2": theta2, **{
+        f"q{100 * q:.0f}": column for q, column in zip(_KMAX_QUANTILES, quantiles.T)}}
+    return StudyResult(config, rates, kappa_max_quantiles, {
+        config.theta2_grid[gi]: config.replications - count
+        for gi, count in enumerate(counts.tolist()) if count < config.replications})
 
 
 # ---------------------------------------------------------------------------

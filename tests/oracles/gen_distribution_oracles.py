@@ -13,6 +13,8 @@ with python3 tests/oracles/gen_distribution_oracles.py and paste the printed
 blocks over the constants in the test file if they ever need re-deriving.
 """
 
+import random
+
 import mpmath as mp
 
 mp.mp.dps = 40
@@ -103,6 +105,17 @@ BVN_POINTS = [
     ("6.0", "-6.0", "-0.97"),
 ]
 
+# Upper-quadrant rows with rho < 0, where Genz's terms of opposite sign
+# cancel: named points, then a seeded grid with h, k ~ U(0, 5) and
+# rho ~ U(-0.999, 0), each value cut to 4 decimals.
+_draw = random.Random(32)
+BVN_NEGATIVE_RHO_POINTS = [("3.92", "4.47", "-0.859"), ("2.0", "2.0", "-0.95"),
+                           ("0.7", "0.7", "-0.95")] + [
+    tuple(f"{v:.4f}" for v in (_draw.uniform(0, 5), _draw.uniform(0, 5),
+                               _draw.uniform(-0.999, 0)))
+    for _ in range(160)
+]
+
 print("PHI_ORACLE = {")
 for x in PHI_POINTS:
     print(f"    {x}: {mp.nstr(checked(phi, x), 22)},")
@@ -111,5 +124,11 @@ print("}")
 print()
 print("BVN_ORACLE = [")
 for a, b, rho in BVN_POINTS:
+    print(f"    ({a}, {b}, {rho}, {mp.nstr(checked(bvn_upper, a, b, rho), 22)}),")
+print("]")
+
+print()
+print("BVN_NEGATIVE_RHO_ORACLE = [")
+for a, b, rho in BVN_NEGATIVE_RHO_POINTS:
     print(f"    ({a}, {b}, {rho}, {mp.nstr(checked(bvn_upper, a, b, rho), 22)}),")
 print("]")

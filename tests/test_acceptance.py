@@ -214,8 +214,10 @@ def test_criterion_5_analytic_vs_mc_power(study_n100):
 
 def test_criterion_6_kappa_max_consistency(study_n100):
     result, _ = study_n100
-    q90_at_half = result.kappa_max_quantiles[0.5][0.90]
-    median_at_one = result.kappa_max_quantiles[1.0][0.50]
+    quantiles = result.kappa_max_quantiles
+    at = {theta2: i for i, theta2 in enumerate(quantiles["theta2"].tolist())}
+    q90_at_half = quantiles["q90"][at[0.5]]
+    median_at_one = quantiles["q50"][at[1.0]]
     passed = q90_at_half <= 2.25 and median_at_one == 1.0
     _verdict(
         6,

@@ -365,7 +365,7 @@ def test_every_kappa_in_one_evaluation_equals_per_kappa_calls(case):
     # the region read off the contrasts' signs is the four cones, edge rows included
     region = inference._omnibus_stat(tiled, m, s)[1]
     assert region.tolist() == four_cone_region(tiled.x1, tiled.x2, m, s).tolist()
-    context = cli._context_p_values(batch)
+    context = cli._context_p_values(batch, alpha)
     assert list(context) == [f"{kappa:.10g}" for kappa in cli._CONTEXT_KAPPAS]
     for kappa, got in zip(cli._CONTEXT_KAPPAS, context.values()):
         want = cli._g10s(rd_test(batch, kappa, alpha).p_value)
@@ -413,7 +413,7 @@ def test_context_p_values_hold_one_kappas_rows_at_a_time():
     # once per kappa held three times one pass's temporaries (402 B a row,
     # against 196 B with the three formatted columns kept)
     batch = memory_batch()
-    assert traced_peak(lambda: cli._context_p_values(batch)) <= 250 * MEMORY_ROWS
+    assert traced_peak(lambda: cli._context_p_values(batch, 0.05)) <= 250 * MEMORY_ROWS
 
 
 def test_json_table_holds_one_chunk_of_rows_at_a_time():

@@ -52,6 +52,11 @@ CASES = {
     "test_omnibus": (["test", "--kind", "omnibus", "--est1", "1.1", "--se1", "0.3",
                       "--est2", "-0.4", "--se2", "0.35", "--kappa", "1.5"],
                      ["test_omnibus.json"]),
+    # rho < 0 and both thresholds in [0, 5): the zero-point tail keeps its
+    # relative accuracy, far below the boundary tail that binds
+    "test_rd_deep_zero_point": (["test", "--kind", "rd", "--est1", "5.36846", "--se1", "0.510008",
+                                 "--est2", "-0.821089", "--se2", "0.33672", "--kappa", "2"],
+                                ["test_rd_deep_zero_point.json"]),
     "test_gs": (["test", "--kind", "gs", "--est1", "0.9", "--se1", "0.3", "--est2", "-0.7",
                  "--se2", "0.25"], ["test_gs.json"]),
     **{

@@ -7,6 +7,7 @@ the suite stays fast; the full-scale bounds live in the acceptance tests.
 import contextlib
 import io
 import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -363,10 +364,15 @@ class TestRejectionStudy:
             kmax = kappa_max(batch, cfg.alpha).kappa_max
             quantiles[theta2] = {q: float(np.quantile(kmax, q)) for q in (0.10, 0.50, 0.90)}
         assert dropped == {-1.0: 7, -0.5: 6, 0.0: 2, 1.0: 2}
-        assert res.rates == tuple(rates)
+        # the result's rows, read across its columns, are the reference cells
+        assert list(zip(*(c.tolist() for c in res.rates.values()))) == list(map(astuple, rates))
         assert res.dropped == dropped
-        assert list(res.kappa_max_quantiles.items()) == list(quantiles.items())
-        assert {cell.replicates for cell in res.rates} == {1, 5, 7}
+        got = res.kappa_max_quantiles
+        assert list(got) == ["theta2", "q10", "q50", "q90"]
+        assert got["theta2"].tolist() == list(quantiles)
+        assert np.column_stack(list(got.values())[1:]).tolist() == [
+            list(qs.values()) for qs in quantiles.values()]
+        assert set(res.rates["replicates"].tolist()) == {1, 5, 7}
 
     @staticmethod
     def per_point_reference(cfg):
@@ -441,17 +447,18 @@ class TestRejectionStudy:
 
     def test_single_replicate_rates_are_indicator(self):
         res = run_rejection_study(small_config(replications=1))
-        assert all(c.rejection_rate in (0.0, 1.0) for c in res.rates)
-        assert all(c.mc_std_error == 0.0 for c in res.rates)
+        assert set(res.rates["rejection_rate"].tolist()) <= {0.0, 1.0}
+        assert set(res.rates["mc_std_error"].tolist()) == {0.0}
 
     def test_mc_std_error_formula(self):
         res = run_rejection_study(small_config(replications=80))
-        for cell in res.rates:
-            expected = math.sqrt(
-                cell.rejection_rate * (1 - cell.rejection_rate) / cell.replicates
-            )
-            assert cell.mc_std_error == pytest.approx(expected, abs=1e-15)
-            assert cell.replicates == 80
+        rates = res.rates
+        for p_hat, se, replicates in zip(rates["rejection_rate"].tolist(),
+                                         rates["mc_std_error"].tolist(),
+                                         rates["replicates"].tolist()):
+            expected = math.sqrt(p_hat * (1 - p_hat) / replicates)
+            assert se == pytest.approx(expected, abs=1e-15)
+            assert replicates == 80
 
     def test_null_interior_rate_is_small(self):
         cfg = small_config(theta2_grid=(0.6,), n=100, replications=300)
@@ -475,22 +482,75 @@ class TestRejectionStudy:
 
     def test_carries_kappa_max_quantiles(self):
         res = run_rejection_study(small_config(replications=50))
-        assert set(res.kappa_max_quantiles) == {0.0, 0.5}
-        for qs in res.kappa_max_quantiles.values():
-            assert set(qs) == {0.10, 0.50, 0.90}
-            assert qs[0.10] <= qs[0.50] <= qs[0.90]
-            assert qs[0.10] >= 1.0
+        quantiles = res.kappa_max_quantiles
+        assert list(quantiles) == ["theta2", "q10", "q50", "q90"]
+        assert quantiles["theta2"].tolist() == [0.0, 0.5]
+        assert (quantiles["q10"] <= quantiles["q50"]).all()
+        assert (quantiles["q50"] <= quantiles["q90"]).all()
+        assert (quantiles["q10"] >= 1.0).all()
 
     def test_no_kappa_max_quantiles_at_alpha_half_or_more(self):
         # the inversion is defined for alpha < 1/2 only; the rates still are
         res = run_rejection_study(small_config(alpha=0.5, replications=10))
-        assert res.kappa_max_quantiles == {}
-        assert len(res.rates) == 4
+        assert list(res.kappa_max_quantiles) == ["theta2", "q10", "q50", "q90"]
+        assert all(len(column) == 0 for column in res.kappa_max_quantiles.values())
+        assert all(len(column) == 4 for column in res.rates.values())
 
     def test_rate_lookup_missing_cell(self):
         res = run_rejection_study(small_config(replications=10))
         with pytest.raises(KeyError):
             res.rate(0.0, 3.0, "rd")
+
+    @pytest.mark.parametrize(
+        "theta2, offset, found",
+        # math.isclose(..., abs_tol=1e-12): a relative 1e-9 at 0.5, 1e-12 at 0
+        [(0.5, 4e-10, True), (0.5, 6e-10, False), (0.0, 5e-13, True), (0.0, 2e-12, False)],
+    )
+    def test_rate_lookup_keeps_the_isclose_rule_at_its_edges(self, theta2, offset, found):
+        res = run_rejection_study(small_config(replications=10))
+        for query in (theta2 + offset, theta2 - offset):
+            if found:
+                cell = res.rate(query, 2.0, "omnibus")
+                assert (cell.theta2, cell.kappa, cell.test) == (theta2, 2.0, "omnibus")
+            else:
+                with pytest.raises(KeyError):
+                    res.rate(query, 2.0, "omnibus")
+        for query in (math.inf, math.nan):
+            with pytest.raises(KeyError):
+                res.rate(query, 2.0, "rd")
+
+    def test_study_builds_no_rate_cell(self, monkeypatch, tmp_path):
+        # the rates stay columns from the counts to the CLI's writer; a
+        # RateCell is built only as the row that rate() returns
+        cfg = small_config(replications=10)
+        want = run_rejection_study(cfg).rate(0.5, 2.0, "rd")
+
+        def refuse(*args):
+            raise AssertionError("a RateCell was built")
+
+        monkeypatch.setattr(simulation, "RateCell", refuse)
+        res = run_rejection_study(cfg)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--n", "10", "--reps", "3", "--theta2-step", "0.5",
+                         "--output", str(tmp_path / "study")]) == 0
+        with pytest.raises(AssertionError, match="RateCell"):
+            res.rate(0.5, 2.0, "rd")
+        monkeypatch.undo()
+        assert res.rate(0.5, 2.0, "rd") == want
+
+    def test_results_compare_column_by_column(self):
+        res = run_rejection_study(small_config(replications=10))
+        assert res == run_rejection_study(small_config(replications=10))
+        rates, quantiles = res.rates, res.kappa_max_quantiles
+        for changed in (
+            replace(res, rates={**rates, "replicates": rates["replicates"] + 1}),
+            replace(res, rates={name: column[:-1] for name, column in rates.items()}),
+            replace(res, kappa_max_quantiles={**quantiles, "q90": quantiles["q90"] + 1.0}),
+            replace(res, kappa_max_quantiles={}),
+            replace(res, dropped={0.5: 1}),
+        ):
+            assert res != changed
+        assert res != rates
 
 
 class TestKappaMaxStudy:
@@ -499,5 +559,6 @@ class TestKappaMaxStudy:
     def test_deterministic(self):
         cfg = small_config(theta2_grid=(0.5,), replications=60)
         quantiles = run_rejection_study(cfg).kappa_max_quantiles
-        assert set(quantiles) == {0.5}
-        assert quantiles == run_rejection_study(cfg).kappa_max_quantiles
+        assert quantiles["theta2"].tolist() == [0.5]
+        again = run_rejection_study(cfg).kappa_max_quantiles
+        assert all(quantiles[name].tobytes() == again[name].tobytes() for name in quantiles)
