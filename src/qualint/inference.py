@@ -383,13 +383,6 @@ def _kappa_split(kappa):
     return m, np.ldexp(1.0, -exponent)
 
 
-def _tiled(batch: PairBatch, kappas) -> tuple[_Rows, np.ndarray, np.ndarray]:
-    """The batch's scaled rows once per kappa, in kappa order, and each
-    row's (m, s): every kappa is tested in one evaluation of a core."""
-    m, s = _kappa_split(np.repeat(kappas, len(batch)))
-    return _Rows(*(np.tile(column, len(kappas)) for column in batch.scaled)), m, s
-
-
 def _local_rows(alt: LocalAlternative) -> _Rows:
     """The sqrt(n)-scaled alternative as _rows: true effects
     sqrt(1-lam) c1 and sqrt(lam) c2, with standard errors sqrt(1-lam) sigma1
@@ -435,6 +428,15 @@ def _contrast(x1, x2, se1, se2, m, s):
     v, low = _variance(se1, se2, s, m)
     with np.errstate(over="ignore"):  # +-inf past the float range
         return (x1 * s - m * x2) / _root(v, low, se1, se2, s, m)
+
+
+def _contrasts(x1, x2, se1, se2, m, s):
+    """(x1 - kappa x2, x1 + kappa x2) / sqrt(se1^2 + kappa^2 se2^2): both
+    standardized contrasts over one root, each with the bits of _contrast
+    (x1 s + m x2 is exactly x1 s - m (-x2))."""
+    root = _root(*_variance(se1, se2, s, m), se1, se2, s, m)
+    with np.errstate(over="ignore"):  # +-inf past the float range
+        return (x1 * s - m * x2) / root, (x1 * s + m * x2) / root
 
 
 def _square_contrast(diff, se_a, se_b, c, d):
@@ -654,8 +656,7 @@ def _rd_power(rows: _Rows, kappa: float, alpha: float):
     m, s = _kappa_split(kappa)
     t_star = _two_sided_point(alpha)
     c11, c12, c21, c22, shrink, nu1, nu2 = np.broadcast_arrays(
-        _contrast(x1, x2, se1, se2, m, s), _contrast(x1, -x2, se1, se2, m, s),
-        _contrast(x2, x1, se2, se1, m, s), _contrast(x2, -x1, se2, se1, m, s),
+        *_contrasts(x1, x2, se1, se2, m, s), *_contrasts(x2, x1, se2, se1, m, s),
         rows.shrink, *_rd_nu(se1, se2, m, s))
     first = _unshrunk(np.stack([c11, -c11, c21, -c21]), shrink)
     second = _unshrunk(np.stack([c12, -c12, c22, -c22]), shrink)
@@ -743,20 +744,15 @@ def omnibus_test(batch: PairBatch, kappa: float, alpha: float) -> TestBatch:
     """
     _check_kappa(kappa, strict=True)
     _check_alpha(alpha)
-    t, p_value, components = _omnibus_p(batch.scaled, *_kappa_split(kappa))
-    return _tested(t, p_value, components.copy, alpha)
-
-
-def _omnibus_p(rows: _Rows, m, s):
-    """(statistic, p-value, components) of the omnibus test per row, kappa = m / s."""
+    rows = batch.scaled
+    m, s = _kappa_split(kappa)
     t, region = _omnibus_stat(rows, m, s)
     boundary = np.where(region, 0.5 * chi2_1_tail(t), 1.0)
     zero_point = np.ones_like(t)
-    m, s = (np.broadcast_to(v, t.shape)[region] for v in (m, s))  # m and s may be per row
     nu = _omnibus_nu(rows.se1[region], rows.se2[region], m, s)
     zero_point[region] = _omnibus_zero_tail(np.sqrt(t[region]), nu)
     components = {"normal_boundary": boundary, "zero_point": zero_point}
-    return t, np.maximum(boundary, zero_point), components
+    return _tested(t, np.maximum(boundary, zero_point), components.copy, alpha)
 
 
 def _omnibus_threshold(nu, alpha: float) -> float:

@@ -14,18 +14,17 @@ least one; so no block holds more than max(2**16, 4 n) values, and a grid
 point past the budget is split into replicate ranges.  All slopes of a
 block are fitted in one call, and each replicate's fit does not depend on
 the rows beside it, so results do not depend on the block size.  The
-usable replicates then form one batch, and each test runs once for all
-kappas: the batch's scaled rows are tiled once per kappa, each row with
-its own kappa, through the cores that rd_test and omnibus_test wrap, so
-each row keeps the bits of the per-kappa call.  The inversion runs once
-on the batch.  The summaries are taken once per study too: each batch row
-is tagged with its grid point, the rejection flags of each test are
-counted per (grid point, kappa) by one ``np.bincount`` over the tags of
-its rejected rows, and the kappa_max quantiles of all grid points with
-the same replicate count come from one ``np.quantile`` call on their
-(points, replicates) block.  The result holds them as columns, the rates
-formed from the count table by array arithmetic and their theta2, kappa
-and test labels by np.repeat and np.tile; no object is built per cell.
+usable replicates then form one batch, on which rd_test and omnibus_test
+run once per distinct kappa, one kappa after another, so the study holds
+one kappa's rows at a time however many kappas it has.  The inversion runs
+once on the batch.  The summaries are taken once per study too: the
+rejections of each (kappa, test) are counted per grid point by one
+``np.bincount`` over the grid points of its rejected rows, and the
+kappa_max quantiles of all grid points with the same replicate count come
+from one ``np.quantile`` call on their (points, replicates) block.  The
+result holds them as columns, the rates formed from the count table by
+array arithmetic and their theta2, kappa and test labels by np.repeat and
+np.tile; no object is built per cell.
 
 Reproducibility contract: the stream for replicate r of grid point g is
 ``numpy.random.default_rng([seed, g, r])``.  From it the group-1 sample is
@@ -72,12 +71,11 @@ from qualint.inference import (
     _check_alpha,
     _check_input,
     _check_kappa,
-    _omnibus_p,
-    _rd_boundary,
-    _tiled,
     kappa_max,
     omnibus_statistic,
+    omnibus_test,
     rd_statistic,
+    rd_test,
 )
 
 __all__ = [
@@ -97,8 +95,8 @@ _STREAM_INDEX_LIMIT = 2**32
 # the CLI refuses a study of more replicates (grid points x replications)
 # than this before it builds the grid.  The whole-study arrays take 65
 # bytes a replicate (slopes, standard errors, mask and stream words), and
-# a study peaks at about 1.3 KB a replicate with two kappas, 2 KB with
-# four: about 5.5 GB at two kappas at this bound
+# a study's RSS grows by about 740 bytes a replicate whatever its kappa
+# count, the kappas being tested in turn: about 3.1 GB at this bound
 _STUDY_REPLICATES_LIMIT = 2**22
 # see the module docstring: sample values per block of replicates
 _BLOCK_VALUES = 2**16
@@ -343,14 +341,11 @@ def run_rejection_study(config: SimulationConfig) -> StudyResult:
     batch = PairBatch(est[:, 0], se[:, 0], est[:, 1], se[:, 1])
     kappas = list(dict.fromkeys(config.kappas))  # a repeated kappa is reported once
     per_point = len(kappas) * len(_TEST_KINDS)  # rate rows of a grid point
-    # every kappa in one evaluation per test: tiled row k N + i is row i at
-    # kappas[k], tagged with its (grid point, kappa) position
-    rows, m, s = _tiled(batch, kappas)
-    tags = np.tile(point * len(kappas), len(kappas)) + np.repeat(range(len(kappas)), len(batch))
+    # rejections per grid point, one column per (kappa, test) in that order
     rejections = np.stack([
-        np.bincount(tags[p_value < config.alpha], minlength=len(counts) * len(kappas))
-        for p_value in (_rd_boundary(rows, m, s)[1], _omnibus_p(rows, m, s)[1])
-    ], axis=1).reshape(len(counts), per_point)
+        np.bincount(point[test(batch, kappa, config.alpha).rejected], minlength=len(counts))
+        for kappa in kappas for test in (rd_test, omnibus_test)  # _TEST_KINDS order
+    ], axis=1)
     # summaries cover the points that kept a replicate, each a block of rate rows
     kept = np.flatnonzero(counts)
     theta2 = np.array(config.theta2_grid)[kept]

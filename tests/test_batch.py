@@ -33,6 +33,7 @@ from qualint.inference import (
     rd_statistic,
     rd_test,
 )
+from qualint.simulation import SimulationConfig, run_rejection_study
 
 ALPHA = 0.10
 
@@ -295,7 +296,7 @@ def test_batch_validation_names_the_bad_row():
 
 # kappa up to 2**600: past 2**510 a contrast's variance can fall below the
 # normal range, which _variance marks low and _root takes by hypot
-TILED_KAPPAS = st.one_of(
+DRAWN_KAPPAS = st.one_of(
     st.sampled_from([1.5, 2.0, 4.0, 2.0**511, 2.0**600]),
     st.floats(1.0, 2.0**600, exclude_min=True),
 )
@@ -307,7 +308,7 @@ STANDARD_ERRORS = st.one_of(
 
 
 @st.composite
-def tiled_rows(draw, kappas):
+def edge_rows(draw, kappas):
     """Pair rows with ties, zero estimates, rows on a region edge (one
     estimate kappa times the other, for a drawn kappa), standard errors near
     1e-300, and standard errors 2**-600 apart for the low-variance path."""
@@ -325,9 +326,9 @@ def tiled_rows(draw, kappas):
 
 
 @st.composite
-def tiled_cases(draw):
-    kappas = draw(st.lists(TILED_KAPPAS, min_size=1, max_size=4))
-    rows = draw(st.lists(tiled_rows(kappas), min_size=1, max_size=8))
+def kappa_cases(draw):
+    kappas = draw(st.lists(DRAWN_KAPPAS, min_size=1, max_size=4))
+    rows = draw(st.lists(edge_rows(kappas), min_size=1, max_size=8))
     return rows, kappas, draw(st.sampled_from([5e-324, 1e-10, 0.05, 0.6]))
 
 
@@ -344,27 +345,19 @@ def four_cone_region(x1, x2, m, s):
     )
 
 
-@given(tiled_cases())
+@given(kappa_cases())
 @example(([(1.0, 1.0, 1e-200, 2.0**-600), (0.0, 0.5, 0.0, 1e-299), (3.0, 0.1, -3.0, 0.2),
            (2.0**600, 1.0, 1.0, 2.0**-600)], [2.0**600, 2.0**511, 1.5], 0.05))
-def test_every_kappa_in_one_evaluation_equals_per_kappa_calls(case):
-    # a study tests all its kappas on the batch's rows tiled once per kappa,
-    # and kappa-max its context kappas one at a time: each row keeps its bits
+def test_region_is_four_cones_and_context_p_values_are_rd_tests(case):
+    # the region read off the contrasts' signs is the four cones, edge rows included
     rows, kappas, alpha = case
     batch = PairBatch.from_rows(rows)
-    tiled, m, s = inference._tiled(batch, kappas)
-    rd_t, rd_p = inference._rd_boundary(tiled, m, s)
-    omnibus_t, omnibus_p, _ = inference._omnibus_p(tiled, m, s)
-    for k, kappa in enumerate(kappas):
-        part = slice(k * len(batch), (k + 1) * len(batch))
-        for (t, p), result in (((rd_t, rd_p), rd_test(batch, kappa, alpha)),
-                               ((omnibus_t, omnibus_p), omnibus_test(batch, kappa, alpha))):
-            assert t[part].tobytes() == result.statistic.tobytes()
-            assert p[part].tobytes() == result.p_value.tobytes()
-            assert (p[part] < alpha).tolist() == result.rejected.tolist()
-    # the region read off the contrasts' signs is the four cones, edge rows included
-    region = inference._omnibus_stat(tiled, m, s)[1]
-    assert region.tolist() == four_cone_region(tiled.x1, tiled.x2, m, s).tolist()
+    for kappa in kappas:
+        m, s = inference._kappa_split(kappa)
+        region = inference._omnibus_stat(batch.scaled, m, s)[1]
+        assert region.tolist() == four_cone_region(batch.scaled.x1, batch.scaled.x2, m, s).tolist()
+    # kappa-max tests its context kappas one at a time: each column keeps the
+    # bits of its rd_test call
     context = cli._context_p_values(batch, alpha)
     assert list(context) == [f"{kappa:.10g}" for kappa in cli._CONTEXT_KAPPAS]
     for kappa, got in zip(cli._CONTEXT_KAPPAS, context.values()):
@@ -414,6 +407,15 @@ def test_context_p_values_hold_one_kappas_rows_at_a_time():
     # against 196 B with the three formatted columns kept)
     batch = memory_batch()
     assert traced_peak(lambda: cli._context_p_values(batch, 0.05)) <= 250 * MEMORY_ROWS
+
+
+def test_study_holds_one_kappas_rows_at_a_time():
+    # each kappa is tested in turn: the batch's rows tiled once per kappa
+    # held 1,588 B a replicate at four kappas, against 702 B at any count
+    config = SimulationConfig(theta1=0.5, theta2_grid=np.linspace(-1.0, 1.0, 21), n=3,
+                              replications=2000, kappas=(2.0, 4.0, 8.0, 16.0), alpha=0.05, seed=1)
+    replicates = len(config.theta2_grid) * config.replications
+    assert traced_peak(lambda: run_rejection_study(config)) <= 800 * replicates
 
 
 def test_json_table_holds_one_chunk_of_rows_at_a_time():
