@@ -612,16 +612,18 @@ def _cmd_power(args) -> int:
 
 
 def _theta2_grid(lo: float, hi: float, step: float, reps: int) -> tuple[float, ...]:
-    """lo, lo + step, ..., hi, its arguments checked before any point is built:
-    the grid of a study of reps replicates a point."""
+    """lo, lo + step, ... up to hi, its arguments checked before any point is
+    built: the grid of a study of reps replicates a point."""
     from qualint.simulation import _STREAM_INDEX_LIMIT, _STUDY_REPLICATES_LIMIT
 
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise UsageError("--theta2-min, --theta2-max and --theta2-step must be finite")
     if step <= 0 or hi < lo:
         raise UsageError("need --theta2-max >= --theta2-min and --theta2-step > 0")
-    # (hi - lo) / step is inf past the float range
-    count = round(min((hi - lo) / step, _STREAM_INDEX_LIMIT)) + 1
+    # up to the last point not past hi at 10 decimals, which keeps a quotient an
+    # ulp short of an integer; (hi - lo) / step is inf past the float range
+    count = math.floor(min((hi - lo) / step, _STREAM_INDEX_LIMIT)) + 1
+    count += round(lo + count * step, 10) <= hi
     if count >= _STREAM_INDEX_LIMIT:
         raise UsageError("the theta2 grid from --theta2-min to --theta2-max by --theta2-step "
                          "must hold fewer than 2**32 points")
@@ -641,7 +643,7 @@ def _cmd_simulate(args) -> int:
     grid = _theta2_grid(args.theta2_min, args.theta2_max, args.theta2_step, args.reps)
     prefix = args.output or "study"
     files = []  # (path, write, *args) of every study, written once all have run
-    for n in args.n:
+    for n in dict.fromkeys(args.n):  # a repeated n runs once
         config = SimulationConfig(theta1=args.theta1, theta2_grid=grid, n=n, replications=args.reps,
                                   kappas=tuple(args.kappas), alpha=args.alpha, seed=args.seed)
         result = run_rejection_study(config)

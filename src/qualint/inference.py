@@ -54,9 +54,9 @@ of two times a mantissa in [0.5, 1).  Both rescalings are exact in binary
 floating point and every formula is a ratio invariant under them, so
 ordinary inputs give the same bits as the plain formulas, while standard
 errors near 1e-300 or kappa near 1e300 no longer underflow or overflow.
-A contrast's variance that still falls below the normal range (past
-kappa = 2^510, with a standard error near 1/kappa) is taken by hypot of
-its unsquared terms.
+Where a contrast's variance still falls below the normal range (past
+kappa = 2^510, with a standard error near 1/kappa), its root is taken by
+hypot of the unsquared terms, in _variance alone.
 
 All operations are pure functions; nothing retains state between calls.
 """
@@ -377,7 +377,7 @@ def _kappa_split(kappa):
     v1 s^2 + m^2 v2.  The scaling is exact, so each ratio keeps the bits of
     the plain formula, and no term overflows however large kappa is.  Past
     kappa = 2^510, s^2 and a small v can underflow; _variance marks the
-    sums that fall below the normal range, and _root takes those by hypot.
+    sums that fall below the normal range and takes their roots by hypot.
     """
     m, exponent = np.frexp(kappa)
     return m, np.ldexp(1.0, -exponent)
@@ -403,49 +403,36 @@ _TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def _variance(se_a, se_b, c, d):
-    """The variance v = (c se_a)^2 + (d se_b)^2 of a contrast whose terms
-    are scaled by kappa's factors c and d, and the rows where it is low.
-
-    v is summed as v_a c^2 + d^2 v_b with v = se^2, the rounding that gives
-    the statistics their bits.  Only past kappa = 2^510 can it fall below
-    the normal range, losing bits or all of them; ``low`` marks those rows
-    (None when there are none), where _root takes hypot instead.
+    """(v, root, low) of a contrast whose terms kappa's factors c and d
+    scale: v = (c se_a)^2 + (d se_b)^2, summed as v_a c^2 + d^2 v_b with
+    v = se^2 (the rounding that gives the statistics their bits), and
+    root = sqrt(v).  Only past kappa = 2^510 can v fall below the normal
+    range, losing bits or all of them; ``low`` marks those rows (None when
+    there are none), whose root is hypot(c se_a, d se_b) instead: the one
+    low-variance rule, which keeps the bits v lost and is never 0.
     """
     v = (se_a * se_a) * (c * c) + (d * d) * (se_b * se_b)
-    low = v < _TINY
-    return v, (low if low.any() else None)
-
-
-def _root(v, low, se_a, se_b, c, d):
-    """sqrt(v) of a _variance, or on its low rows hypot(c se_a, d se_b),
-    which keeps the bits v lost and is never 0."""
     root = np.sqrt(v)
-    return root if low is None else np.where(low, np.hypot(se_a * c, se_b * d), root)
-
-
-def _contrast(x1, x2, se1, se2, m, s):
-    """(x1 - kappa x2) / sqrt(se1^2 + kappa^2 se2^2): a standardized contrast."""
-    v, low = _variance(se1, se2, s, m)
-    with np.errstate(over="ignore"):  # +-inf past the float range
-        return (x1 * s - m * x2) / _root(v, low, se1, se2, s, m)
+    low = v < _TINY
+    if not low.any():
+        return v, root, None
+    return v, np.where(low, np.hypot(se_a * c, se_b * d), root), low
 
 
 def _contrasts(x1, x2, se1, se2, m, s):
-    """(x1 - kappa x2, x1 + kappa x2) / sqrt(se1^2 + kappa^2 se2^2): both
-    standardized contrasts over one root, each with the bits of _contrast
-    (x1 s + m x2 is exactly x1 s - m (-x2))."""
-    root = _root(*_variance(se1, se2, s, m), se1, se2, s, m)
+    """(x1 - kappa x2, x1 + kappa x2) / sqrt(se1^2 + kappa^2 se2^2), standardized
+    over one root (x1 s + m x2 is exactly x1 s - m (-x2))."""
+    root = _variance(se1, se2, s, m)[1]
     with np.errstate(over="ignore"):  # +-inf past the float range
         return (x1 * s - m * x2) / root, (x1 * s + m * x2) / root
 
 
 def _square_contrast(diff, se_a, se_b, c, d):
     """diff^2 / ((c se_a)^2 + (d se_b)^2) for the scaled difference diff."""
-    v, low = _variance(se_a, se_b, c, d)
+    v, root, low = _variance(se_a, se_b, c, d)
     if low is None:
         with np.errstate(over="ignore"):  # +inf past the float range
             return diff * diff / v
-    root = _root(v, low, se_a, se_b, c, d)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # low rows replaced
         return np.where(low, (diff / root) ** 2, diff * diff / v)
 
@@ -459,22 +446,21 @@ def _rd_stat(rows: _Rows, m, s):
     first = a1 >= a2
     a_max, a_min = np.where(first, a1, a2), np.where(first, a2, a1)
     se_max, se_min = np.where(first, se1, se2), np.where(first, se2, se1)
-    t = _contrast(a_max, a_min, se_max, se_min, m, s)
+    t = _contrasts(a_max, a_min, se_max, se_min, m, s)[0]
     tie = a1 == a2
     if tie.any():  # a tie's other assignment only swaps the standard errors
-        t = np.minimum(t, _contrast(a_max, a_min, np.where(tie, se_min, se_max),
-                                    np.where(tie, se_max, se_min), m, s))
+        t = np.minimum(t, _contrasts(a_max, a_min, np.where(tie, se_min, se_max),
+                                     np.where(tie, se_max, se_min), m, s)[0])
     return _unshrunk(t, rows.shrink)
 
 
 def _difference_ratio(se_a, se_b, c, d):
     """((c se_a)^2 - (d se_b)^2) / ((c se_a)^2 + (d se_b)^2), in [-1, 1]."""
-    v, low = _variance(se_a, se_b, c, d)
+    v, root, low = _variance(se_a, se_b, c, d)
     difference = (se_a * se_a) * (c * c) - (d * d) * (se_b * se_b)
     if low is None:
         ratio = difference / v
     else:
-        root = _root(v, low, se_a, se_b, c, d)
         ua, ub = se_a * c / root, se_b * d / root
         with np.errstate(divide="ignore", invalid="ignore"):  # low rows replaced
             ratio = np.where(low, (ua - ub) * (ua + ub), difference / v)
@@ -512,14 +498,11 @@ def _omnibus_stat(rows: _Rows, m, s):
 
 def _omnibus_nu(se1, se2, m, s):
     """Correlation of the omnibus zero-point limit pair; always in (0, 1]."""
-    va, low_a = _variance(se1, se2, s, m)
-    vb, low_b = _variance(se1, se2, m, s)
+    va, root_a, _ = _variance(se1, se2, s, m)
+    vb, root_b, _ = _variance(se1, se2, m, s)
     product = va * vb
-    root = np.sqrt(product)
     low = product < _TINY  # va or vb low, or their product has lost bits
-    if low.any():
-        roots = _root(va, low_a, se1, se2, s, m) * _root(vb, low_b, se1, se2, m, s)
-        root = np.where(low, roots, root)
+    root = np.where(low, root_a * root_b, np.sqrt(product))
     nu = m * ((se1 * se1 + se2 * se2) * s) / root
     # the zero-point tail is ill-conditioned in nu near 1, so past 1/2 nu is
     # 1 - u^2 / (1 + nu) with u^2 = 1 - nu^2, which has no cancellation
@@ -799,8 +782,8 @@ def omnibus_local_power(alt: LocalAlternative, kappa: float, alpha: float):
     m, s = _kappa_split(kappa)
     nu = _omnibus_nu(se1, se2, m, s)
     s_star = _omnibus_threshold(nu, alpha)
-    c1 = _contrast(x1, x2, se1, se2, m, s)
-    c2 = -_contrast(x2, x1, se2, se1, m, s)
+    c1 = _contrasts(x1, x2, se1, se2, m, s)[0]
+    c2 = -_contrasts(x2, x1, se2, se1, m, s)[0]
     first = _unshrunk(np.stack([c1, -c1]), shrink)
     second = _unshrunk(np.stack([c2, -c2]), shrink)
     tails = bvn_upper_tail(s_star - first, s_star - second, nu)  # both orthants in one call

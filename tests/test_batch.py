@@ -295,7 +295,7 @@ def test_batch_validation_names_the_bad_row():
 
 
 # kappa up to 2**600: past 2**510 a contrast's variance can fall below the
-# normal range, which _variance marks low and _root takes by hypot
+# normal range, which _variance marks low and roots by hypot
 DRAWN_KAPPAS = st.one_of(
     st.sampled_from([1.5, 2.0, 4.0, 2.0**511, 2.0**600]),
     st.floats(1.0, 2.0**600, exclude_min=True),

@@ -1163,6 +1163,43 @@ class TestSimulateCommand:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "lo, hi, step, grid",
+        [
+            # a step that does not divide the span stops short of hi, where
+            # the grid ran on to 1.05 and 1.1
+            ("0", "1", "0.35", [0.0, 0.35, 0.7]),
+            ("-1", "1", "0.3", [-1.0, -0.7, -0.4, -0.1, 0.2, 0.5, 0.8]),
+            # 0.3 / 0.1 is an ulp short of 3: the grid still reaches hi
+            ("0", "0.3", "0.1", [0.0, 0.1, 0.2, 0.3]),
+        ],
+        ids=["0-to-1-by-0.35", "-1-to-1-by-0.3", "0-to-0.3-by-0.1"],
+    )
+    def test_grid_stops_at_theta2_max(self, tmp_path, lo, hi, step, grid):
+        prefix = tmp_path / "study"
+        code, _, err = run_cli(["simulate", "--theta2-min", lo, "--theta2-max", hi,
+                                "--theta2-step", step, "--n", "10", "--reps", "2",
+                                "--kappas", "2", "--output", str(prefix)])
+        assert (code, err) == (0, "")
+        config = json.loads((tmp_path / "study_config.json").read_text())
+        assert config["theta2_grid"] == grid
+
+    def test_repeated_sample_size_runs_once(self, tmp_path, monkeypatch):
+        # each distinct n is studied, written and printed once, in the order
+        # given; the config echo keeps --n as given
+        from qualint import simulation
+
+        study, runs = simulation.run_rejection_study, []
+        monkeypatch.setattr(simulation, "run_rejection_study",
+                            lambda config: runs.append(config.n) or study(config))
+        prefix = tmp_path / "s"
+        code, out, _ = run_cli([*self.ARGS, "--n", "20", "10", "20", "--output", str(prefix)])
+        assert code == 0 and runs == [20, 10]
+        assert out.split() == [f"{prefix}{suffix}" for suffix in (
+            "_n20_rates.csv", "_n20_kappa_max.csv", "_n10_rates.csv", "_n10_kappa_max.csv",
+            "_config.json")]
+        assert json.loads((tmp_path / "s_config.json").read_text())["n"] == [20, 10, 20]
+
     def test_study_past_the_replicate_bound_is_usage_error(self, capsys, tmp_path, monkeypatch):
         # the bound, lowered here to 21 replicates, is checked before any
         # grid point is built: 21 points x 1 replicate run, x 2 do not

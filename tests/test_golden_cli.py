@@ -6,9 +6,10 @@ with its copy in tests/golden/expected/.  Outputs must match byte for byte.
 The pair rows have no kappa_max near-ties, so the row order of sorted
 outputs is stable.
 
-Regenerate the expected files only for an intended change of output:
+Regenerate the expected files only for an intended change of output, and
+only those of the cases named (every case when none is named):
 
-    PYTHONPATH=src python3 tests/test_golden_cli.py
+    PYTHONPATH=src python3 tests/test_golden_cli.py [CASE ...]
 """
 
 from __future__ import annotations
@@ -78,6 +79,20 @@ CASES = {
     # at kappa = 1.1 the omnibus zero-point quantile, a root search, binds
     "power_omnibus_k11": (["power", "--kind", "omnibus", "--kappa", "1.1", "--c1-steps", "5",
                            "--c2-steps", "5"], ["power_omnibus_k11.csv"]),
+    # past kappa = 2^510 a contrast's variance falls below the normal range
+    # and its root is taken by hypot
+    **{
+        f"test_{kind}_low_variance": (["test", "--kind", kind, "--est1", "1", "--se1", "0.5",
+                                       "--est2", "1e-201", "--se2", "1e-200", "--kappa", "1e200"],
+                                      [f"test_{kind}_low_variance.json"])
+        for kind in ("rd", "omnibus")
+    },
+    **{
+        f"power_{kind}_low_variance": (["power", "--kind", kind, "--kappa", "1e200", "--sigma1",
+                                        "1", "--sigma2", "1e-200", "--c1-steps", "3",
+                                        "--c2-steps", "3"], [f"power_{kind}_low_variance.csv"])
+        for kind in ("rd", "omnibus")
+    },
     "kappa_max": (["kappa-max", PAIRS, "--alpha", "0.1"], ["kappa_max.csv"]),
     # one pair, written as a JSON object
     "kappa_max_pair": (["kappa-max", "--est1", "1.3", "--se1", "0.4", "--est2", "0.2",
@@ -188,8 +203,12 @@ def test_cli_runs_without_scipy(tmp_path):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or sorted(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown golden cases: {', '.join(unknown)}")
     EXPECTED.mkdir(exist_ok=True)
-    for case in sorted(CASES):
+    for case in names:
         run_case(case, EXPECTED)
-    print(f"wrote {sum(len(outputs) for _, outputs in CASES.values())} files to {EXPECTED}",
+    print(f"wrote {sum(len(CASES[case][1]) for case in names)} files to {EXPECTED}",
           file=sys.stderr)
