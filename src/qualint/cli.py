@@ -21,18 +21,17 @@ significant digits.  Exit codes: 0 success, 1 runtime/numerical failure
 CSV is comma-separated UTF-8 with a mandatory header row; a file that is
 not UTF-8 is a usage error naming it.
 
-Read rule.  A reader reads its file as one string.  Text with no quote, no
-NUL and no line longer than csv's field limit is split into lines at CR, LF
-and CRLF only.  One np.loadtxt call reads their value cells where it reads
-what float() would (_loadtxt_columns): ASCII text without \\x1c-\\x1f,
-record lines and none blank, one row per line of the header's width.
-Otherwise the lines are split into cells at commas, a blank line an empty
-record, and any other text goes through csv.reader.  Those records go to
-one conversion (_value_columns), one float() pass row by row that converts
-each kept row once and words each bad row: too few cells, not exactly the
-header's width (a matrix), or the message float() gives.  A pair file's
-empty records are skipped.  The pair reader then skips or lists its bad
-rows; the matrix reader stops at the first.
+Read rule.  A reader reads its file as one string and its records from one
+csv.reader, the header first: over the lines, split at CR, LF and CRLF only,
+if the text holds no quote, no NUL and no line past csv's field limit, else
+over the text.  One np.loadtxt call reads the value cells where it reads
+what float() would (_loadtxt_columns): ASCII lines without \\x1c-\\x1f,
+none blank, one row a line of the header's width.  Otherwise the records
+stream from the reader through one float() pass (_value_columns) that keeps
+each good row's id, floats and line and words each bad row: too few cells,
+not exactly the header's width (a matrix), or the message float() gives.  A
+pair file's blank lines are skipped.  The pair reader then skips or lists
+its bad rows; the matrix reader stops at the first.
 
 Format-once rule.  Tables move as columns, and each number crosses to text
 once.  A decision column (p_raw and p_adjusted; kappa-max's kappa_max and
@@ -69,6 +68,7 @@ import math
 import os
 import re
 import sys
+from array import array
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
@@ -286,43 +286,32 @@ def _read_text(path: str) -> str:
 
 
 def _read_csv(path: str, read_header: Callable[[list[str] | None], object], first: int) -> tuple:
-    """(read_header(header record), the first cells, stripped, of the records
-    that convert (None if first is 0, a matrix), their cells from first to
-    the header's width as float columns, their lines, and the other records'
-    problems as (line, text)), by the read rule.  read_header gets None for a
-    file without records and runs before any later record is read, so its
-    error comes before a csv error further down.  Lines end at CR, LF and
-    CRLF only, never where str.splitlines also splits.  A csv.reader error,
-    such as a cell past the field limit or NUL before Python 3.11, is a
-    usage error.
-    """
+    """read_header(header record), then _value_columns' results for cells
+    first to the header's width, by the read rule: lines end at CR, LF and
+    CRLF only, never where str.splitlines also splits.  read_header gets
+    None for a file without records, and its error comes before a csv error
+    further down.  A csv.reader error, such as a cell past the field limit
+    or NUL before Python 3.11, is a usage error."""
     text = _read_text(path)
     lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
     if not lines[-1]:  # the last line's terminator, or an empty file
         lines.pop()
     long_line = max(map(len, lines), default=0) > csv.field_size_limit()
-    if '"' in text or "\x00" in text or long_line:
-        reader = csv.reader(io.StringIO(text, newline=""))
-        try:
-            record = next(reader, None)
-            header = read_header(record)
-            records, line_nos = [], []
-            for row in reader:
-                records.append(row)
-                line_nos.append(reader.line_num)
-        except csv.Error as exc:
-            raise UsageError(f"{path}:{reader.line_num}: {exc}") from None
-    else:
-        record = lines[0].split(",") if lines else None
+    plain = not ('"' in text or "\x00" in text or long_line)  # its lines split at commas only
+    reader = csv.reader(lines if plain else io.StringIO(text, newline=""))
+    try:
+        record = next(reader, None)
         header = read_header(record)
-        body, line_nos = lines[1:], range(2, len(lines) + 1)
-        columns = _loadtxt_columns(text, body, range(first, len(record)))
-        if columns is not None:
-            ids = [line.partition(",")[0].strip() for line in body] if first else None
-            return header, ids, columns, line_nos, []
-        records = [line.split(",") if line else [] for line in body]
-    columns, rows, line_nos, problems = _value_columns(records, line_nos, range(first, len(record)))
-    return header, [row[0].strip() for row in rows] if first else None, columns, line_nos, problems
+        values = range(first, len(record))
+        if plain:
+            body = lines[1:]
+            columns = _loadtxt_columns(text, body, values)
+            if columns is not None:
+                ids = [line.partition(",")[0].strip() for line in body]
+                return header, ids, columns, range(2, len(lines) + 1), []
+        return (header, *_value_columns(reader, values))
+    except csv.Error as exc:
+        raise UsageError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _loadtxt_columns(text: str, body: list[str], values: range):
@@ -343,28 +332,28 @@ def _loadtxt_columns(text: str, body: list[str], values: range):
     return data.T if data.shape == (len(body), len(values)) else None
 
 
-def _value_columns(rows: list, lines, values: range) -> tuple:
-    """(cells `values` of the records as float columns, the records that
-    convert, their lines, the others' problems as (line, text)), in one
-    float() pass, row by row.  A pair record of no cells (a blank line) is
-    skipped.  A bad record is worded: too few cells for values.stop (a
-    matrix, whose values start at cell 0: not exactly that many), or the
-    message float() gives for its first bad cell."""
+def _value_columns(reader, values: range) -> tuple:
+    """(the first cell, stripped, of each record that converts, their cells
+    `values` as float columns, their lines, the others' problems as (line,
+    text)), in one float() pass over the reader's records, keeping only
+    those.  A pair record of no cells is skipped.  A bad record is worded:
+    too few cells for values.stop (a matrix, whose values start at cell 0:
+    not exactly that many), or the message float() gives for its first bad cell."""
     width, matrix = values.stop, not values.start
-    cells, kept, kept_lines, problems = [], [], [], []
-    for line_no, row in zip(lines, rows):
+    ids, cells, lines, problems = [], array("d"), array("q"), []
+    for row in reader:
         if not (row or matrix):
             continue
         try:
             if len(row) < width or matrix and len(row) > width:
                 raise ValueError(f"expected {width} cells, got {len(row)}")
-            cells += tuple(map(float, row[values.start : width]))  # built whole before cells grows
+            cells.fromlist([*map(float, row[values.start : width])])  # whole before cells grows
         except ValueError as exc:
-            problems.append((line_no, str(exc)))
+            problems.append((reader.line_num, str(exc)))
             continue
-        kept.append(row)
-        kept_lines.append(line_no)
-    return np.array(cells, float).reshape(len(kept), len(values)).T, kept, kept_lines, problems
+        ids.append(row[0].strip())
+        lines.append(reader.line_num)
+    return ids, np.frombuffer(cells).reshape(len(lines), len(values)).T, lines, problems
 
 
 def _read_pairs(path: str, strict: bool) -> tuple[list[str], PairBatch]:
@@ -621,9 +610,11 @@ def _theta2_grid(lo: float, hi: float, step: float, reps: int) -> tuple[float, .
     if step <= 0 or hi < lo:
         raise UsageError("need --theta2-max >= --theta2-min and --theta2-step > 0")
     # up to the last point not past hi at 10 decimals, which keeps a quotient an
-    # ulp short of an integer; (hi - lo) / step is inf past the float range
-    count = math.floor(min((hi - lo) / step, _STREAM_INDEX_LIMIT)) + 1
-    count += round(lo + count * step, 10) <= hi
+    # ulp short of an integer; formed on halves, which stay in the float range
+    # and, doubled, give (hi - lo) / step and lo + k * step in the normal range
+    half_lo, half_step = lo / 2, step / 2
+    count = math.floor(min((hi / 2 - half_lo) / step * 2, _STREAM_INDEX_LIMIT)) + 1
+    count += round(2 * (half_lo + count * half_step), 10) <= hi
     if count >= _STREAM_INDEX_LIMIT:
         raise UsageError("the theta2 grid from --theta2-min to --theta2-max by --theta2-step "
                          "must hold fewer than 2**32 points")
@@ -631,7 +622,7 @@ def _theta2_grid(lo: float, hi: float, step: float, reps: int) -> tuple[float, .
         raise UsageError(f"--theta2-step and --reps ask for {count} theta2 grid points x "
                          f"{reps} replicates; a study holds at most "
                          f"{_STUDY_REPLICATES_LIMIT} replicates")
-    grid = tuple(round(lo + k * step, 10) for k in range(count))
+    grid = tuple(round(2 * (half_lo + k * half_step), 10) for k in range(count))
     if len(set(grid)) < count:  # a step under the rounding, or under lo's precision
         raise UsageError("--theta2-step is too small: theta2 grid points repeat at 10 decimals")
     return grid
@@ -752,6 +743,13 @@ _SHARED_FLAGS = {
 }
 
 
+# a value, not a flag: every negative number float() reads (argparse's own
+# test takes -1e-3, -.5e1, -inf and -nan for flags)
+_DIGITS = r"\d(?:_?\d)*"
+_NEGATIVE_NUMBER = re.compile(rf"-(?:(?:(?:{_DIGITS})?\.{_DIGITS}|{_DIGITS}\.?)(?:e[-+]?{_DIGITS})?"
+                              r"|inf(?:inity)?|nan)\Z", re.IGNORECASE)
+
+
 @functools.cache  # built on first use and reused: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -759,11 +757,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Tests and summaries for qualitative interactions "
         "between two sub-populations.",
     )
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, handler, help: str, *flags: str) -> argparse.ArgumentParser:
         # no abbreviations: simulate would take --kappa for --kappas
         p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         for flag in flags:
             p.add_argument(flag, **_SHARED_FLAGS[flag])
         p.set_defaults(handler=handler)
