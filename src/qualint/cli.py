@@ -21,17 +21,17 @@ significant digits.  Exit codes: 0 success, 1 runtime/numerical failure
 CSV is comma-separated UTF-8 with a mandatory header row; a file that is
 not UTF-8 is a usage error naming it.
 
-Read rule.  A reader reads its file as one string and its records from one
-csv.reader, the header first: over the lines, split at CR, LF and CRLF only,
-if the text holds no quote, no NUL and no line past csv's field limit, else
-over the text.  One np.loadtxt call reads the value cells where it reads
-what float() would (_loadtxt_columns): ASCII lines without \\x1c-\\x1f,
-none blank, one row a line of the header's width.  Otherwise the records
-stream from the reader through one float() pass (_value_columns) that keeps
-each good row's id, floats and line and words each bad row: too few cells,
-not exactly the header's width (a matrix), or the message float() gives.  A
-pair file's blank lines are skipped.  The pair reader then skips or lists
-its bad rows; the matrix reader stops at the first.
+Read rule.  A reader reads its file as one string, split once into lines at
+CR, LF and CRLF only, each keeping its terminator, as open(newline="") splits
+them.  One csv.reader reads their records, the header first, and one
+np.loadtxt call the value cells of the lines after it where it reads what
+csv.reader and float() would (_loadtxt_columns): ASCII text without a quote,
+NUL or \\x1c-\\x1f, no line shorter than a row (a blank one) or past csv's
+field limit, one row a line of the header's width.  Otherwise the records
+stream through one float() pass (_value_columns) that keeps each good row's
+id, floats and line and words each bad row: too few cells, not exactly the
+header's width (a matrix), or what float() says.  Blank pair lines are
+skipped; the pair reader skips or lists bad rows; a bad matrix row fails.
 
 Format-once rule.  Tables move as columns, and each number crosses to text
 once.  A decision column (p_raw and p_adjusted; kappa-max's kappa_max and
@@ -62,7 +62,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import io
 import json
 import math
 import os
@@ -272,6 +271,9 @@ def _bonferroni(p_raw: _G10, adjust: str) -> _G10:
 # CSV input
 # ---------------------------------------------------------------------------
 
+_ODD_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines also splits at these
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")  # splits at CR, LF, CRLF only; 4x slower
+
 
 def _read_text(path: str) -> str:
     """The file's text; a file that cannot be opened or read is a usage
@@ -287,28 +289,24 @@ def _read_text(path: str) -> str:
 
 def _read_csv(path: str, read_header: Callable[[list[str] | None], object], first: int) -> tuple:
     """read_header(header record), then _value_columns' results for cells
-    first to the header's width, by the read rule: lines end at CR, LF and
-    CRLF only, never where str.splitlines also splits.  read_header gets
-    None for a file without records, and its error comes before a csv error
-    further down.  A csv.reader error, such as a cell past the field limit
-    or NUL before Python 3.11, is a usage error."""
+    first to the header's width, by the read rule (module docstring).
+    read_header gets None for a file without records, and its error comes
+    before a csv error further down.  A csv.reader error, such as a cell
+    past the field limit or NUL before Python 3.11, is a usage error."""
     text = _read_text(path)
-    lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
-    if not lines[-1]:  # the last line's terminator, or an empty file
-        lines.pop()
-    long_line = max(map(len, lines), default=0) > csv.field_size_limit()
-    plain = not ('"' in text or "\x00" in text or long_line)  # its lines split at commas only
-    reader = csv.reader(lines if plain else io.StringIO(text, newline=""))
+    odd = any(map(text.__contains__, _ODD_BREAKS))
+    lines = _LINE.findall(text) if odd else text.splitlines(True)
+    reader = csv.reader(lines)
     try:
         record = next(reader, None)
         header = read_header(record)
         values = range(first, len(record))
-        if plain:
-            body = lines[1:]
-            columns = _loadtxt_columns(text, body, values)
-            if columns is not None:
-                ids = [line.partition(",")[0].strip() for line in body]
-                return header, ids, columns, range(2, len(lines) + 1), []
+        body = lines[1:]
+        columns = _loadtxt_columns(text, body, values)
+        if columns is not None:
+            ids = [line.partition(",")[0].strip() for line in body]
+            return header, ids, columns, range(2, len(lines) + 1), []
+        del text, body  # the records stream from the lines alone
         return (header, *_value_columns(reader, values))
     except csv.Error as exc:
         raise UsageError(f"{path}:{reader.line_num}: {exc}") from None
@@ -316,13 +314,16 @@ def _read_csv(path: str, read_header: Callable[[list[str] | None], object], firs
 
 def _loadtxt_columns(text: str, body: list[str], values: range):
     """Cells `values` of the lines as float columns, read by one np.loadtxt
-    call, or None where it might read otherwise than float(): text not ASCII
-    or holding \\x1c-\\x1f (whitespace to loadtxt only), no line or a blank
-    one (loadtxt skips it), a cell it refuses, or not one row per line of
-    the values' width (a matrix, whose values start at cell 0: a line of
-    any other width)."""
-    if (not body or "" in body or not text.isascii()
-            or any(map(text.__contains__, "\x1c\x1d\x1e\x1f"))):
+    call, or None where it might read otherwise than csv.reader and float():
+    text not ASCII or holding a quote, NUL or \\x1c-\\x1f (csv's quoting and
+    NUL rule; whitespace to loadtxt only), no line, one too short for a row
+    (a blank one, which loadtxt skips) or past csv's field limit (csv.reader
+    may refuse a cell), a cell loadtxt refuses, or not one row per line of
+    the values' width (a matrix, whose values start at cell 0: any other width)."""
+    if not text.isascii() or any(map(text.__contains__, '"\x00\x1c\x1d\x1e\x1f')):
+        return None
+    lengths = set(map(len, body))  # a blank line ("\n", "\r\n" or "\r") is shorter than a row
+    if min(lengths, default=0) < 3 or max(lengths) > csv.field_size_limit():
         return None
     try:
         data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2,
@@ -690,12 +691,11 @@ def _context_p_values(batch: PairBatch, alpha: float) -> dict[str, _G10]:
 
 
 def _cmd_kappa_max(args) -> int:
+    flags = (args.est1, args.se1, args.est2, args.se2)
+    if flags.count(None) != (0 if args.input is None else 4):  # the flags or the CSV
+        raise UsageError("kappa-max needs either an input CSV or all of "
+                         "--est1/--se1/--est2/--se2, not both")
     if args.input is None:
-        if None in (args.est1, args.se1, args.est2, args.se2):
-            raise UsageError(
-                "kappa-max needs either an input CSV or all of "
-                "--est1/--se1/--est2/--se2"
-            )
         batch = _flag_pair(args)
         summary = kappa_max(batch, args.alpha)[0]
         context = _context_p_values(batch, args.alpha)

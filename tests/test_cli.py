@@ -487,17 +487,22 @@ def test_cell_past_the_csv_field_limit_is_usage_error(tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize(
-    "command, bad", [("scan", 0), ("kappa-max", 0), ("network", 0), ("network", 1)],
-    ids=["scan", "kappa-max", "network-matrix1", "network-matrix2"],
+    "command, bad, rows",
+    [("scan", 0, 0), ("kappa-max", 0, 0), ("network", 0, 0), ("network", 1, 0), ("scan", 0, 1000)],
+    ids=["scan", "kappa-max", "network-matrix1", "network-matrix2", "scan-past-8192-bytes"],
 )
-def test_input_that_is_not_utf8_is_usage_error_naming_its_file(tmp_path, capsys, command, bad):
+def test_input_that_is_not_utf8_is_usage_error_naming_its_file(tmp_path, capsys, command, bad,
+                                                               rows):
     # the decode error was printed without the path, so a network run did
-    # not say which of its two matrices failed
+    # not say which of its two matrices failed; its position counts from the
+    # file's first byte, not from that of a chunk the reader decoded
     if command == "network":
         texts = [b"a,b\n1,2\n2,1\n3,4\n", b"a,b\n1,2\n2,1\n3,4\n"]
         texts[bad] = b"a,b\n1,2\n2,1\n3,\xe9\n"
     else:
-        texts = [b"id,est1,se1,est2,se2\na\xe9,1,1,1,1\n"]
+        good = b"".join(b"p%d,1,1,1,1\n" % i for i in range(rows))
+        texts = [b"id,est1,se1,est2,se2\n" + good + b"a\xe9,1,1,1,1\n"]
+        assert (texts[0].index(b"\xe9") > 8192) == (rows > 0)
     paths = [tmp_path / f"in{i}.csv" for i in range(len(texts))]
     for path, text in zip(paths, texts):
         path.write_bytes(text)
@@ -1358,6 +1363,18 @@ class TestKappaMaxCommand:
         assert code == 2
         assert "kappa-max needs" in err
 
+    @pytest.mark.parametrize("flag", ["--est1", "--se1", "--est2", "--se2"])
+    def test_input_csv_with_a_pair_flag_is_usage_error(self, tmp_path, capsys, flag):
+        # the CSV was read and the flag silently ignored, with exit 0
+        pairs, out = tmp_path / "pairs.csv", tmp_path / "out.csv"
+        write_pairs(pairs, TABLE_ROWS)
+        code = main(["kappa-max", str(pairs), flag, "1", "--output", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            "error: kappa-max needs either an input CSV or all of "
+            "--est1/--se1/--est2/--se2, not both\n"
+        )
+
 
 # ---------------------------------------------------------------------------
 # text cells: quoting and order of ids and feature names
@@ -1866,10 +1883,18 @@ def test_plain_ascii_files_are_read_by_loadtxt(tmp_path, end):
     body = "\n".join(PLAIN_LINES) + end
     pairs.write_text(",".join(PAIR_FIELDS) + "\n" + body, encoding="utf-8")
     matrix.write_text("g1,g2,g3,g4,g5\n" + body, encoding="utf-8")
-    (ids, _), loadtxt, to_float = read_with_call_counts(lambda p: _read_pairs(p, True), pairs)
+    (ids, batch), loadtxt, to_float = read_with_call_counts(lambda p: _read_pairs(p, True), pairs)
     assert (ids, loadtxt, to_float) == (["1", "2", "3"], 1, 0)
     (_, data), loadtxt, to_float = read_with_call_counts(_read_matrix, matrix)
     assert (data.shape, loadtxt, to_float) == ((3, 5), 1, 0)
+    # CRLF and CR lines reach loadtxt too, each keeping its terminator
+    for newline in ("\r\n", "\r"):
+        text = (",".join(PAIR_FIELDS) + "\n" + body).replace("\n", newline)
+        pairs.write_text(text, encoding="utf-8", newline="")
+        (ids, got), loadtxt, to_float = read_with_call_counts(lambda p: _read_pairs(p, True), pairs)
+        assert (ids, loadtxt, to_float) == (["1", "2", "3"], 1, 0)
+        for name in PAIR_FIELDS[1:]:
+            assert getattr(got, name).tobytes() == getattr(batch, name).tobytes()
     # a cell loadtxt would read and float() refuses never reaches loadtxt
     pairs.write_text(",".join(PAIR_FIELDS) + "\n" + body.replace(",2,", ",\x1c2,"))
     with mock.patch.object(np, "loadtxt") as loadtxt, \
