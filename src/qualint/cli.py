@@ -21,17 +21,17 @@ significant digits.  Exit codes: 0 success, 1 runtime/numerical failure
 CSV is comma-separated UTF-8 with a mandatory header row; a file that is
 not UTF-8 is a usage error naming it.
 
-Read rule.  A reader reads its file as one string, split once into lines at
-CR, LF and CRLF only, each keeping its terminator, as open(newline="") splits
-them.  One csv.reader reads their records, the header first, and one
-np.loadtxt call the value cells of the lines after it where it reads what
-csv.reader and float() would (_loadtxt_columns): ASCII text without a quote,
-NUL or \\x1c-\\x1f, no line shorter than a row (a blank one) or past csv's
-field limit, one row a line of the header's width.  Otherwise the records
-stream through one float() pass (_value_columns) that keeps each good row's
-id, floats and line and words each bad row: too few cells, not exactly the
-header's width (a matrix), or what float() says.  Blank pair lines are
-skipped; the pair reader skips or lists bad rows; a bad matrix row fails.
+Read rule.  A reader reads its file as one string, splits it once into lines
+at CR, LF and CRLF only, each keeping its terminator (as open(newline="")
+does), and drops the string.  One csv.reader reads their records, the header
+first.  Where the string was plain (ASCII without a quote, NUL, \\v, \\f or
+\\x1c-\\x1f), no line is blank or past csv's field limit and each holds one
+row of the header's width, one np.loadtxt call reads the value cells of the
+lines after it (_loadtxt_columns).  Otherwise the records stream through one
+float() pass (_value_columns) that keeps each good row's id, floats and line
+and words each bad row: too few cells, not exactly the header's width (a
+matrix), or what float() says.  Blank pair lines are skipped; the pair
+reader skips or lists bad rows; a bad matrix row fails.
 
 Format-once rule.  Tables move as columns, and each number crosses to text
 once.  A decision column (p_raw and p_adjusted; kappa-max's kappa_max and
@@ -294,34 +294,30 @@ def _read_csv(path: str, read_header: Callable[[list[str] | None], object], firs
     before a csv error further down.  A csv.reader error, such as a cell
     past the field limit or NUL before Python 3.11, is a usage error."""
     text = _read_text(path)
-    odd = any(map(text.__contains__, _ODD_BREAKS))
+    # plain (read rule); \x1c-\x1f are whitespace to np.loadtxt, not to float()
+    plain = text.isascii() and not any(map(text.__contains__, '"\x00\v\f\x1c\x1d\x1e\x1f'))
+    odd = not plain and any(map(text.__contains__, _ODD_BREAKS))
     lines = _LINE.findall(text) if odd else text.splitlines(True)
+    del text  # the records come from the lines alone
     reader = csv.reader(lines)
     try:
         record = next(reader, None)
         header = read_header(record)
         values = range(first, len(record))
-        body = lines[1:]
-        columns = _loadtxt_columns(text, body, values)
+        columns = _loadtxt_columns(lines[1:], values) if plain else None
         if columns is not None:
-            ids = [line.partition(",")[0].strip() for line in body]
+            ids = [line.partition(",")[0].strip() for line in lines[1:]]
             return header, ids, columns, range(2, len(lines) + 1), []
-        del text, body  # the records stream from the lines alone
         return (header, *_value_columns(reader, values))
     except csv.Error as exc:
         raise UsageError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def _loadtxt_columns(text: str, body: list[str], values: range):
-    """Cells `values` of the lines as float columns, read by one np.loadtxt
-    call, or None where it might read otherwise than csv.reader and float():
-    text not ASCII or holding a quote, NUL or \\x1c-\\x1f (csv's quoting and
-    NUL rule; whitespace to loadtxt only), no line, one too short for a row
-    (a blank one, which loadtxt skips) or past csv's field limit (csv.reader
-    may refuse a cell), a cell loadtxt refuses, or not one row per line of
-    the values' width (a matrix, whose values start at cell 0: any other width)."""
-    if not text.isascii() or any(map(text.__contains__, '"\x00\x1c\x1d\x1e\x1f')):
-        return None
+def _loadtxt_columns(body: list[str], values: range):
+    """Cells `values` of plain lines (_read_csv) as float columns, read by one
+    np.loadtxt call, or None where it might read otherwise than csv.reader
+    and float(): no line, a blank one (loadtxt skips it), one past csv's field
+    limit (csv.reader may refuse it), a refused cell, or a row of another width."""
     lengths = set(map(len, body))  # a blank line ("\n", "\r\n" or "\r") is shorter than a row
     if min(lengths, default=0) < 3 or max(lengths) > csv.field_size_limit():
         return None
@@ -553,7 +549,7 @@ def _cmd_network(args) -> int:
 
 
 # the most (c1, c2) cells a power grid holds: an rd grid's peak grows by
-# about 1.8 KB a cell, so this bound is about 7.6 GB
+# about 1.53 KB a cell, so this bound is about 6.4 GB
 _POWER_CELLS_LIMIT = 2**22
 
 

@@ -344,21 +344,24 @@ def _owen_upper(h, k, r, tail_h, tail_k):
     yf = (y1 * y1)[:, None] + 2.0 * x  # y^2 at the Laguerre nodes, then in place:
     far = yf + c2[:, None]  # 1 / (y (c^2 + y^2))
     far *= np.sqrt(yf, out=yf)
-    integral = np.exp((y0 - y1) * (0.5 * (y1 + y0))) * np.einsum("ij,j->i", 1.0 / far, w)
+    integral = np.einsum("ij,j->i", np.divide(1.0, far, out=far), w)
+    del yf, far  # neither is held through the Legendre part
+    integral *= np.exp((y0 - y1) * (0.5 * (y1 + y0)))
     # the Legendre part only where [y0, y1] has width: elsewhere it adds +0.0
     wide = np.flatnonzero(y0 < _OWEN_SPLIT)
     start = y0[wide, None]
     half = (_OWEN_SPLIT - start) / 2.0
     x, w = _OWEN_NEAR
-    t = half * (1.0 + x)  # y - y0 at the Legendre nodes, then in place:
-    near = -0.5 * t  # exp(-(y^2 - y0^2)/2) / (c^2 + y^2) = exp(-t (y0 + t/2)) / ...
+    t = half * (1.0 + x)  # y - y0 at the Legendre nodes, then in place c^2 + y^2:
+    near = -0.5 * t  # exp(-(y^2 - y0^2)/2) / (c^2 + y^2) = exp(-t (y0 + t/2)) / t, into t
     near -= start
     near *= t
     t += start
     t *= t
     t += c2[wide, None]
-    near = np.exp(near, out=near) / t
-    integral[wide] += half[:, 0] * np.einsum("ij,j->i", near, w)
+    np.divide(np.exp(near, out=near), t, out=t)
+    integral[wide] += half[:, 0] * np.einsum("ij,j->i", t, w)
+    del t, near  # nor are these through the rest
     gauss = _gaussian(np.stack([c, np.minimum(y0, _FAR)]), 1.0)
     u = gauss[0] * gauss[1] * (c / _TWO_PI * integral)
     u = np.where(y >= 0.0, u, np.concatenate([tail_h, tail_k[other]]) - u)

@@ -54,9 +54,9 @@ __all__ = [
     "pearson",
 ]
 
-# degeneracy codes of EstimateBatch.code, indexing _REASONS; _SE_RULE marks
-# a standard error that is positive but breaks the core's input rule
-_OK, _NON_FINITE, _X_CONSTANT, _Y_CONSTANT, _R_ONE, _PERFECT_FIT, _SE_RULE = range(7)
+# degeneracy codes of EstimateBatch.code, indexing _REASONS; _SE_RULE marks a
+# positive standard error and _EST_RULE a slope that breaks the core's input rule
+_OK, _NON_FINITE, _X_CONSTANT, _Y_CONSTANT, _R_ONE, _PERFECT_FIT, _SE_RULE, _EST_RULE = range(8)
 _REASONS = (
     None,
     "sample contains non-finite values",
@@ -64,7 +64,7 @@ _REASONS = (
     "y is constant; correlation is undefined",
     "|r| = {:g} leaves a degenerate standard error",
     "residuals have zero variance (perfect fit); slope standard error is degenerate",
-    None,  # the core's wording, from _rule_violation
+    ("std_error", True), ("estimate", False),  # (field, se) of the core's rule
 )
 
 
@@ -163,8 +163,9 @@ class EstimateBatch:
             return f"{names[code == _Y_CONSTANT]} is constant; correlation is undefined"
         if code == _R_ONE:
             return _REASONS[code].format(abs(float(self.estimate[row])))
-        if code == _SE_RULE:
-            return _rule_violation("std_error", self.std_error[row], se=True)
+        if code in (_SE_RULE, _EST_RULE):
+            name, se = _REASONS[code]
+            return _rule_violation(name, getattr(self, name)[row], se)
         return _REASONS[code]
 
     def __len__(self) -> int:
@@ -240,8 +241,8 @@ def ols_slope(sample: SampleBatch | FeatureMatrix) -> EstimateBatch:
 
     slope = Sxy / Sxx; se = sqrt((RSS / (n - 2)) / Sxx) with
     RSS = Syy - Sxy^2 / Sxx.  A perfect fit (zero residual variance) leaves
-    nothing to standardize against, and a standard error the tests do not
-    accept (finite and > 1e-300) is no better: either is a degenerate row.
+    nothing to standardize against, and a slope or standard error the tests
+    do not accept (finite; finite and > 1e-300) is no better: a degenerate row.
     """
     s = _sums(sample)
     # degenerate rows are flagged by code, not by floating-point warnings
@@ -251,7 +252,7 @@ def ols_slope(sample: SampleBatch | FeatureMatrix) -> EstimateBatch:
         se = np.sqrt(np.maximum(rss, 0.0) / (s.n - 2) / s.sxx)
         slope, se = np.ldexp(slope, s.shift), np.ldexp(se, s.shift)
         fit = np.isfinite(se) & (se > 0.0)
-    usable = np.where(_valid(se, se=True), _OK, _SE_RULE)
+    usable = np.where(np.isfinite(slope), np.where(_valid(se, se=True), _OK, _SE_RULE), _EST_RULE)
     code = np.where(s.code != _OK, s.code, np.where(fit, usable, _PERFECT_FIT))
     return EstimateBatch(slope, se, code)
 

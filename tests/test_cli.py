@@ -1139,6 +1139,17 @@ class TestSimulateCommand:
             "theta2,q10,q50,q90\n0,1.377375237e+308,inf,inf\n"
         )
 
+    def test_overflowing_slope_drops_its_replicate(self, tmp_path, capsys):
+        # at theta1 = DBL_MAX and n = 3 some replicates' OLS slopes pass the
+        # float range with a finite SE: they are dropped, not a failed batch
+        code = main(["simulate", "--theta1", "1.7976931348623157e308", "--theta2-min", "0",
+                     "--theta2-max", "0", "--theta2-step", "1", "--n", "3", "--reps", "5000",
+                     "--kappas", "2", "--seed", "1", "--output", str(tmp_path / "s")])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "warning: n=3, theta2=0: 4582 of 5000 replicates dropped (degenerate estimation)\n"
+        )
+
     def test_failing_study_leaves_no_output(self, tmp_path, capsys):
         # the n = 2 study fails (an OLS slope needs 3 pairs) after the n = 30
         # study has run: no file of either is written

@@ -204,6 +204,13 @@ class TestExtremeScales:
         assert batch.ok.tolist() == [False, True]
         assert batch.reason(0) == rule + repr(float(batch.std_error[0]))
 
+    def test_slope_past_the_float_range_is_degenerate(self):
+        # the SE is finite, but the slope overflows: a row the tests refuse
+        batch = ols_slope(SampleBatch([[0, 1e-10, 2e-10]], [[0, 1e300 * (1 + 1e-5), 2e300]]))
+        assert math.isinf(batch.estimate[0]) and math.isfinite(batch.std_error[0])
+        assert batch.ok.tolist() == [False]
+        assert batch.reason(0) == "estimate must be finite, got inf"
+
 
 class TestBatches:
     """Row i of a batch is exactly row 0 of the one-row batch of sample i."""
