@@ -581,10 +581,8 @@ def _cmd_power(args) -> int:
     c2_grid = _grid_axis("c2", args.c2_min, args.c2_max, args.c2_steps)
     power_fn = rd_local_power if args.kind == "rd" else omnibus_local_power
     # every (c1, c2) cell, c1 varying slowest
-    c1 = np.repeat(c1_grid, c2_grid.size)
-    c2 = np.tile(c2_grid, c1_grid.size)
-    alt = LocalAlternative(c1, c2, args.sigma1, args.sigma2, args.lam)
-    powers = power_fn(alt, args.kappa, args.alpha)
+    alt = LocalAlternative(c1_grid[:, None], c2_grid, args.sigma1, args.sigma2, args.lam)
+    powers = power_fn(alt, args.kappa, args.alpha).ravel()
     columns = (_axis_cells(c1_grid, c2_grid.size, 1), _axis_cells(c2_grid, 1, c1_grid.size),
                powers)
     with _output(args.output) as out:
@@ -709,7 +707,7 @@ def _cmd_kappa_max(args) -> int:
     summaries = kappa_max(batch, args.alpha)
     context = _context_p_values(batch, args.alpha)
     bounds = _g10s(summaries.kappa_max)
-    columns = (ids, bounds, summaries.binding_root.tolist(), *context.values())
+    columns = (ids, bounds, summaries.binding_root, *context.values())
     order = np.lexsort((_ranks(ids), -bounds.values))
     fieldnames = ("id", "kappa_max", "binding_root", *(f"p_rd_{k}" for k in context))
     with _output(args.output) as out:

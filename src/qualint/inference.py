@@ -102,8 +102,10 @@ __all__ = [
 # (zero-variance) estimate; every formula divides by se-derived quantities.
 _SE_FLOOR = 1e-300
 
-# the point deciding whether any kappa > 1 rejects
+# rd_test's kappa deciding whether any kappa > 1 rejects: the least kappa_max
 _KAPPA_PROBE = 1.0 + 1e-9
+# binding_root labels, indexed by kappa_max > 1
+_BINDING_ROOTS = np.array(("none", "normal_boundary"), dtype=object)
 # kappa_max inverts the rd test at alpha below this only
 _KAPPA_MAX_ALPHA = 0.5
 # -Phi^-1(2^-1075) (tests/oracles/gen_inference_oracles.py): alpha/2 rounds
@@ -284,9 +286,9 @@ class KappaMaxResult:
     """Inverted-test summary of one pair: the largest kappa at which the
     relative-difference test rejects.
 
-    ``binding_root`` is ``normal_boundary`` when kappa_max is the boundary
-    tail's root (the zero-point tail never binds; see kappa_max), or
-    ``none`` when no kappa > 1 rejects (then kappa_max = 1 by convention).
+    ``binding_root``, read off kappa_max, is ``normal_boundary`` when it is
+    the boundary tail's root, above 1 (the zero-point tail never binds; see
+    kappa_max), or ``none`` when no kappa > 1 rejects and kappa_max = 1.
     """
 
     kappa_max: float
@@ -296,19 +298,22 @@ class KappaMaxResult:
 
 @dataclass(frozen=True, eq=False)
 class KappaMaxBatch:
-    """kappa_max of every row of a PairBatch, as arrays; ``batch[i]`` is
-    the KappaMaxResult of row i."""
+    """kappa_max of every row of a PairBatch, as an array, binding_root read
+    off it; ``batch[i]`` is the KappaMaxResult of row i."""
 
     kappa_max: np.ndarray
     alpha: float
-    binding_root: np.ndarray
+
+    @property
+    def binding_root(self) -> np.ndarray:
+        return _BINDING_ROOTS.take(self.kappa_max > 1.0)
 
     def __len__(self) -> int:
         return int(self.kappa_max.shape[0])
 
     def __getitem__(self, index: int) -> KappaMaxResult:
-        binding = str(self.binding_root[index])
-        return KappaMaxResult(float(self.kappa_max[index]), self.alpha, binding)
+        bound = float(self.kappa_max[index])
+        return KappaMaxResult(bound, self.alpha, _BINDING_ROOTS.take(bound > 1.0))
 
 
 @dataclass(frozen=True)
@@ -318,9 +323,9 @@ class LocalAlternative:
     ``lam`` is the limiting fraction of observations in group 1's complement,
     i.e. lam = lim n_1 / N, so group 1's effective standard error scales with
     sqrt(1 - lam) * sigma1 and group 2's with sqrt(lam) * sigma2.  (The name
-    avoids the reserved word ``lambda``.)  c1 and c2 may be equal-shape
-    arrays: a grid of alternatives sharing the nuisance parameters, whose
-    power functions then return one value per grid point.
+    avoids the reserved word ``lambda``.)  c1 and c2 may be arrays that
+    broadcast together: a grid of alternatives sharing the nuisance
+    parameters, whose power functions return one value per grid point.
     """
 
     c1: float
@@ -476,12 +481,6 @@ def _rd_zero_tail(t, nu1, nu2):
     return np.minimum(1.0, 2.0 * (both[0] + both[1]))
 
 
-def _rd_boundary(rows: _Rows, m, s):
-    """(statistic, normal_boundary) of the rd test per row, kappa = m / s."""
-    t = _rd_stat(rows, m, s)
-    return t, np.where(t > 0.0, np.minimum(1.0, 2.0 * ndtr(-t)), 1.0)
-
-
 def _omnibus_stat(rows: _Rows, m, s):
     """The omnibus statistic of the rows and their alternative-region mask:
     where x_i and its contrast c_i = m x_j - s x_i = s (kappa x_j - x_i) have
@@ -599,17 +598,17 @@ def rd_test(batch: PairBatch, kappa: float, alpha: float) -> TestBatch:
       (rd_null_tail), computed when the components are first read.
 
     The supremum p-value is the larger of the two, which is always the
-    boundary tail: the zero-point tail never exceeds it (see kappa_max), so
-    the test and kappa_max decide by the one rule in _rd_boundary.  The
-    zero-point column is recorded as at most the boundary tail, which moves
-    only subnormal values.  A statistic t <= 0 places the estimates inside
-    the null region and the p-value is 1.
+    boundary tail: the zero-point tail never exceeds it (see kappa_max,
+    which decides by this test).  The zero-point column is recorded as at
+    most the boundary tail, which moves only subnormal values.  A statistic
+    t <= 0 places the estimates inside the null region and the p-value is 1.
     """
     _check_kappa(kappa, strict=True)
     _check_alpha(alpha)
     rows = batch.scaled
     m, s = _kappa_split(kappa)
-    t, boundary = _rd_boundary(rows, m, s)
+    t = _rd_stat(rows, m, s)
+    boundary = np.where(t > 0.0, np.minimum(1.0, 2.0 * ndtr(-t)), 1.0)
     components = functools.partial(_rd_components, rows, m, s, t, boundary)
     return _tested(t, boundary, components, alpha)
 
@@ -807,16 +806,17 @@ def kappa_max(batch: PairBatch, alpha: float) -> KappaMaxBatch:
     solves t(kappa) = z = Phi^{-1}(1 - alpha/2): with a, s_a the larger
     |estimate| and its standard error and b, s_b the other's,
     pi_1 = k / (r + hypot(z (s_b/a) sqrt(k), r e)) for r = b/a,
-    e = z s_a/a and k = (1 - e)(1 + e).  Rejecting at kappa = 1 keeps r, e
-    and z s_b/a below 1, so no term is negative, and hypot does not
-    underflow where s_b^2 would.  The ratios are taken on the unscaled
-    columns, where no estimate overflows.  No cap: pi_1 is +inf only past
-    the float range.  If kappa = 1 + 1e-9 does not reject, kappa_max is 1
-    and no root binds; the boundary tail alone decides this, as it decides
-    rd_test, since the zero-point tail never exceeds it.
+    e = z s_a/a and k = (1 - e)(1 + e), on the unscaled columns, where no
+    estimate overflows; hypot does not underflow where s_b^2 would.  No
+    cap: pi_1 is +inf only past the float range.  A row has a root when
+    rd_test rejects it at kappa = 1 + 1e-9, and kappa_max = 1 otherwise.
+    Rejecting keeps r, e and z s_b/a below 1, but where a lies within a few
+    ulp of z s_a the rounded e can reach 1 and the root NaN or 0: each root
+    is raised to 1 + 1e-9, there only a lower bound, so kappa_max > 1 on
+    every rejecting row.
     """
     _check_alpha(alpha, upper=_KAPPA_MAX_ALPHA)
-    rejecting = _rd_boundary(batch.scaled, *_kappa_split(_KAPPA_PROBE))[1] < alpha
+    rejecting = rd_test(batch, _KAPPA_PROBE, alpha).rejected
     x1, se1, x2, se2 = (getattr(batch, name)[rejecting] for name in _BATCH_FIELDS)
     z = _two_sided_point(alpha)
     first = np.abs(x1) >= np.abs(x2)
@@ -826,7 +826,7 @@ def kappa_max(batch: PairBatch, alpha: float) -> KappaMaxBatch:
     k = (1.0 - e) * (1.0 + e)
     f = z * (np.where(first, se2, se1) / a)
     kmax = np.ones(len(batch))
-    with np.errstate(divide="ignore", over="ignore"):  # +inf past the float range
-        kmax[rejecting] = k / (r + np.hypot(f * np.sqrt(k), r * e))
-    binding = np.where(rejecting, "normal_boundary", "none")
-    return KappaMaxBatch(kmax, float(alpha), binding)
+    # +inf past the float range; a NaN root (k < 0, or 0 / 0) is one fmax replaces
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        kmax[rejecting] = np.fmax(k / (r + np.hypot(f * np.sqrt(k), r * e)), _KAPPA_PROBE)
+    return KappaMaxBatch(kmax, float(alpha))

@@ -401,6 +401,20 @@ def test_rd_test_holds_a_few_arrays_of_its_rows():
     assert traced_peak(lambda: rd_test(batch, 2.0, 0.05).p_value) <= 120 * MEMORY_ROWS
 
 
+def test_kept_kappa_max_holds_its_bounds_alone():
+    # binding_root is read off kappa_max when read; the labels stored as a
+    # <U15 column beside the bounds held 68 B a row
+    batch = memory_batch()
+    tracemalloc.start()
+    try:
+        kept = kappa_max(batch, 0.05)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 16 * MEMORY_ROWS
+    assert len(kept) == MEMORY_ROWS
+
+
 def test_context_p_values_hold_one_kappas_rows_at_a_time():
     # the three context kappas are tested one after another: the rows tiled
     # once per kappa held three times one pass's temporaries (402 B a row,

@@ -1368,6 +1368,28 @@ class TestKappaMaxCommand:
         assert float(row["kappa_max"]) == payload["kappa_max"]
         assert float(row["p_rd_2"]) == payload["p_values"]["2"]
 
+    # the larger estimate within an ulp of z se: each row rejects at the
+    # probe kappa 1 + 1e-9 at its alpha, where the closed-form root is NaN
+    # or 0 (the first two at alpha = 0.4999, the third at the second alpha)
+    @pytest.mark.parametrize("command", [["kappa-max"], ["scan", "--kind", "rd"]])
+    @pytest.mark.parametrize("alpha", ["0.4999", "0.0002854646921200725"])
+    def test_rows_at_the_probe_edge_get_the_probe_kappa(self, tmp_path, capsys, command, alpha):
+        pairs = tmp_path / "pairs.csv"
+        write_pairs(pairs, [
+            ("zero", "0.6746471018004875", "1", "0", "1e-200"),
+            ("tiny", "0.6746471018004875", "1", "1e-300", "1e-200"),
+            ("wide", "1.062547750696676e+46", "2.9286252003518044e+45",
+             "1.062547750696676e+16", "4.3126392994307884e-79"),
+        ])
+        code = main([*command, str(pairs), "--alpha", alpha])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        bounds = {row["id"]: row["kappa_max"] for row in parse_csv(out)}
+        edge = ("zero", "tiny") if alpha == "0.4999" else ("wide",)
+        for name, bound in bounds.items():
+            assert float(bound) >= 1.0, (name, bound)  # no nan, 0 or blank
+            assert (bound == "1.000000001") == (name in edge), (name, bound)
+
     def test_missing_inputs_is_usage_error(self, capsys):
         code = main(["kappa-max", "--est1", "1", "--se1", "0.5"])
         err = capsys.readouterr().err

@@ -97,6 +97,11 @@ CASES = {
     # one pair, written as a JSON object
     "kappa_max_pair": (["kappa-max", "--est1", "1.3", "--se1", "0.4", "--est2", "0.2",
                         "--se2", "0.3", "--alpha", "0.05"], ["kappa_max_pair.json"]),
+    # the larger estimate within an ulp of z se: the test rejects at the
+    # probe kappa 1 + 1e-9, where the closed-form root is 0 / 0
+    "kappa_max_probe_edge": (["kappa-max", "--est1", "0.6746471018004875", "--se1", "1",
+                              "--est2", "0", "--se2", "1e-200", "--alpha", "0.4999"],
+                             ["kappa_max_probe_edge.json"]),
     "simulate": (SIMULATE, ["study_n30_rates.csv", "study_n30_kappa_max.csv",
                             "study_config.json"]),
     "simulate_wide_seed": (SIMULATE_WIDE_SEED, [
