@@ -548,8 +548,9 @@ def _cmd_network(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# the most (c1, c2) cells a power grid holds: an rd grid's peak grows by
-# about 1.53 KB a cell, so this bound is about 6.4 GB
+# the most (c1, c2) cells a power grid holds: an unbalanced rd grid's peak
+# grows by about 1.53 KB a cell, so this bound is about 6.4 GB; a balanced
+# grid evaluates each mirrored pair of cells once and needs about half
 _POWER_CELLS_LIMIT = 2**22
 
 

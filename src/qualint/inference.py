@@ -399,6 +399,26 @@ def _local_rows(alt: LocalAlternative) -> _Rows:
     )
 
 
+def _local_power(power, alt: LocalAlternative, kappa: float, alpha: float):
+    """power(rows, kappa, alpha) of the alternative's _local_rows.  On a square
+    grid with se1 == se2 and x1 == x2.T, cell (j, i) is cell (i, j) with the
+    groups exchanged, which moves no bit of _rd_power or _omnibus_power: the
+    upper triangle is evaluated as one list of rows, and mirrored."""
+    _check_kappa(kappa, strict=True)
+    _check_alpha(alpha, upper=0.5)
+    rows = _local_rows(alt)
+    if rows.se1 == rows.se2:
+        x1, x2 = np.broadcast_arrays(rows.x1, rows.x2)
+        if x1.ndim == 2 and x1.shape[0] == x1.shape[1] and np.array_equal(x1, x2.T):
+            upper = np.triu_indices(len(x1))
+            half = power(rows._replace(x1=x1[upper], x2=x2[upper], shrink=rows.shrink[upper]),
+                         kappa, alpha)
+            grid = np.empty(x1.shape)
+            grid[upper] = grid[upper[::-1]] = half
+            return grid
+    return power(rows, kappa, alpha)
+
+
 # ---------------------------------------------------------------------------
 # core algebra (rescaled rows, kappa split by _kappa_split)
 # ---------------------------------------------------------------------------
@@ -655,11 +675,11 @@ def rd_local_power(alt: LocalAlternative, kappa: float, alpha: float):
     The sqrt(n)-scaled alternative enters only through the effective
     quantities sqrt(1-lam)*c1, sqrt(lam)*c2 and matching effective standard
     errors, so this delegates to the same shifted-orthant sum used by
-    rd_power_approx.  A grid of alternatives shares one null quantile.
+    rd_power_approx.  A grid of alternatives shares one null quantile.  A
+    square grid with sqrt(1-lam)*sigma1 == sqrt(lam)*sigma2 and sqrt(1-lam)*c1
+    == (sqrt(lam)*c2).T exactly evaluates only its upper triangle, mirrored.
     """
-    _check_kappa(kappa, strict=True)
-    _check_alpha(alpha, upper=0.5)
-    return _rd_power(_local_rows(alt), kappa, alpha)
+    return _local_power(_rd_power, alt, kappa, alpha)
 
 
 def rd_power_approx(truth: PairBatch, kappa: float, alpha: float) -> np.ndarray:
@@ -767,17 +787,11 @@ def _omnibus_threshold(nu, alpha: float) -> float:
     raise ArithmeticError("omnibus threshold: Newton's method failed to converge")
 
 
-def omnibus_local_power(alt: LocalAlternative, kappa: float, alpha: float):
-    """Local asymptotic power of the omnibus test at (c1, c2).
-
-    The rejection threshold on the sqrt-statistic scale is the larger of the
-    one-sided normal point Phi^{-1}(1 - alpha) and the zero-point root; the
-    power is the two-term shifted orthant sum P(V1>s*, V2>s*) +
-    P(V1<-s*, V2<-s*).  A grid of alternatives shares one threshold.
-    """
-    _check_kappa(kappa, strict=True)
-    _check_alpha(alpha, upper=0.5)
-    x1, x2, se1, se2, shrink = _local_rows(alt)
+def _omnibus_power(rows: _Rows, kappa: float, alpha: float):
+    """The omnibus power of the rows, both orthants in one kernel call.  An
+    exchange of groups at se1 == se2 maps each orthant onto the other with its
+    thresholds swapped, at nu >= 0, where bvn_upper_tail keeps its bits."""
+    x1, x2, se1, se2, shrink = rows
     m, s = _kappa_split(kappa)
     nu = _omnibus_nu(se1, se2, m, s)
     s_star = _omnibus_threshold(nu, alpha)
@@ -788,6 +802,19 @@ def omnibus_local_power(alt: LocalAlternative, kappa: float, alpha: float):
     tails = bvn_upper_tail(s_star - first, s_star - second, nu)  # both orthants in one call
     power = np.minimum(1.0, tails[0] + tails[1])
     return power if power.ndim else float(power)
+
+
+def omnibus_local_power(alt: LocalAlternative, kappa: float, alpha: float):
+    """Local asymptotic power of the omnibus test at (c1, c2).
+
+    The rejection threshold on the sqrt-statistic scale is the larger of the
+    one-sided normal point Phi^{-1}(1 - alpha) and the zero-point root; the
+    power is the two-term shifted orthant sum P(V1>s*, V2>s*) +
+    P(V1<-s*, V2<-s*).  A grid of alternatives shares one threshold.  A
+    square grid with sqrt(1-lam)*sigma1 == sqrt(lam)*sigma2 and sqrt(1-lam)*c1
+    == (sqrt(lam)*c2).T exactly evaluates only its upper triangle, mirrored.
+    """
+    return _local_power(_omnibus_power, alt, kappa, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.special import ndtr as scipy_ndtr
 from scipy.special import owens_t
 
@@ -342,6 +344,14 @@ class TestChi2Tail:
         assert chi2_1_tail(math.inf) == 0.0
 
 
+BVN_THRESHOLDS = st.one_of(
+    st.floats(-8.0, 8.0), st.floats(5.0, 42.0), st.floats(35.0, 39.0),
+    st.sampled_from([0.0, -0.0, 5.0, 40.0, math.inf, -math.inf]), st.floats(allow_nan=False))
+BVN_NONNEGATIVE_RHO = st.one_of(
+    st.floats(0.0, 1.0), st.floats(0.925, 1.0),
+    st.sampled_from([0.0, 0.3, 0.75, 0.925, 1.0 - 1e-12, 1.0]))
+
+
 class TestBvnUpperTail:
     def test_frozen_node_tables_are_numpys(self):
         # the kernel ships its quadrature rules as constants; they hold the
@@ -445,6 +455,24 @@ class TestBvnUpperTail:
             assert bvn_upper_tail(a, b, rho) == pytest.approx(
                 bvn_upper_tail(b, a, rho), abs=1e-13
             )
+
+    # thresholds through every method: Genz's rule, Owen's sums from 5 on,
+    # tails down to the subnormal range near 37-38, the +-40 clip, +-inf
+    # and the whole float range; correlations through every regime from 0
+    # to the degenerate line at 1
+    @given(st.lists(st.tuples(BVN_THRESHOLDS, BVN_THRESHOLDS, BVN_NONNEGATIVE_RHO),
+                    min_size=1, max_size=12), st.booleans())
+    @example([(37.5, 36.0, 0.9), (36.0, 37.5, 0.9), (38.0, 37.2, 0.99)], False)  # subnormal
+    @example([(5.0, 0.0, 0.0), (math.inf, 2.0, 0.5), (-math.inf, 40.5, 1.0),
+              (1e300, -1e300, 0.925)], True)
+    def test_exchange_symmetry_is_exact_at_nonnegative_rho(self, rows, shared):
+        # a balanced power grid mirrors each cell's tails onto its transpose's
+        # with the thresholds swapped, at rho >= 0: the bits must not move,
+        # also where a batch shares one correlation
+        a, b, rho = map(np.array, zip(*rows))
+        if shared:
+            rho[:] = rho[0]
+        assert bvn_upper_tail(a, b, rho).tolist() == bvn_upper_tail(b, a, rho).tolist()
 
     def test_monotone_in_rho(self):
         # Slepian: the joint upper tail grows with the correlation, also in

@@ -823,6 +823,8 @@ def float_range_pairs(draw, exponent=150.0):
 # kappa up to 1e12, half the draws below 10, where every orthant of the rd
 # power can count
 POWER_KAPPAS = st.one_of(log_uniform(0.0, 1.0), log_uniform(0.0, 12.0)).filter(lambda k: k > 1.0)
+# and up to 1e200, past kappa = 2^510
+BALANCED_KAPPAS = st.one_of(POWER_KAPPAS, log_uniform(0.0, 200.0).filter(lambda k: k > 1.0))
 # effects in sigma units where the local powers lie strictly between 0 and 1
 ORDINARY_EFFECTS = np.random.default_rng(11).normal(scale=3.0, size=(2, 40))
 
@@ -986,6 +988,39 @@ class TestLocalPowerInvariants:
             assert flipped.tolist() == value.tolist()
             exchanged = power(LocalAlternative(c2, c1, s2, s1, 1.0 - lam), kappa, alpha)
             np.testing.assert_allclose(exchanged, value, rtol=0.0, atol=1e-14)
+
+    @given(steps=st.integers(1, 16), ends=st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)),
+           scale=log_uniform(-300.0, 300.0), kappa=BALANCED_KAPPAS, alpha=SWEEP_ALPHAS)
+    @example(steps=1, ends=(0.0, 0.0), scale=1.0, kappa=2.0, alpha=0.05)
+    def test_balanced_grid_is_its_transpose_and_its_cells_as_rows(
+        self, steps, ends, scale, kappa, alpha
+    ):
+        # a balanced grid (equal sigmas, lam = 1/2, one axis for c1 and c2)
+        # evaluates its upper triangle and mirrors it; its cells as one flat
+        # list of rows take the general path, the reference
+        axis = np.linspace(*ends, steps) * scale
+        for power in (rd_local_power, omnibus_local_power):
+            grid = power(LocalAlternative(axis[:, None], axis, scale, scale, 0.5), kappa, alpha)
+            cells = power(LocalAlternative(np.repeat(axis, steps), np.tile(axis, steps),
+                                           scale, scale, 0.5), kappa, alpha)
+            assert grid.shape == (steps, steps)
+            assert grid.tolist() == grid.T.tolist()
+            assert grid.ravel().tolist() == cells.tolist()
+
+    def test_balanced_grid_evaluates_each_mirrored_pair_once(self, monkeypatch):
+        sizes = []
+
+        def counted(a, b, rho):
+            sizes.append(np.broadcast(a, b, rho).size)
+            return bvn_upper_tail(a, b, rho)
+
+        monkeypatch.setattr("qualint.inference.bvn_upper_tail", counted)
+        axis = np.linspace(-6.0, 6.0, 20)
+        for power, orthants in ((rd_local_power, 4), (omnibus_local_power, 2)):
+            # the 210 cells of the upper triangle when balanced, all 400 otherwise
+            for sigma1, cells in ((1.0, 210), (2.0, 400)):
+                power(LocalAlternative(axis[:, None], axis, sigma1, 1.0, 0.5), 2.0, 0.05)
+                assert sizes[-1] == orthants * cells
 
 
 # ---------------------------------------------------------------------------
