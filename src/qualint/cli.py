@@ -18,8 +18,8 @@ when they run, so no other command's cold start loads them.
 Conventions shared by every command: numeric output carries 10
 significant digits.  Exit codes: 0 success, 1 runtime/numerical failure
 (running out of memory included), 2 usage or validation failure.  Input
-CSV is comma-separated UTF-8 with a mandatory header row; a file that is
-not UTF-8 is a usage error naming it.
+CSV is comma-separated UTF-8 (a leading BOM dropped) with a mandatory header
+row, its names stripped; a file that is not UTF-8 is a usage error naming it.
 
 Read rule.  A reader reads its file as one string, splits it once into lines
 at CR, LF and CRLF only, each keeping its terminator (as open(newline="")
@@ -34,16 +34,18 @@ matrix), or what float() says.  Blank pair lines are skipped; the pair
 reader skips or lists bad rows; a bad matrix row fails.
 
 Format-once rule.  Tables move as columns, and each number crosses to text
-once.  A decision column (p_raw and p_adjusted; kappa-max's kappa_max and
-p_rd_*) is formatted to 10 digits in one pass and read back (_g10s):
-decisions (Bonferroni adjustment, rejection flags, sort order) read those
-floats, so re-parsing our own output reproduces them exactly, and the CSV
-writer gathers the kept text, an array of str objects scattered once, by
-row index.  A value of exactly 1, where p-values and kappa_max are clamped,
-is given the text "1" and the float 1.0 without formatting or reading it.
-A power grid's axes are formatted once per distinct value (_axis_cells),
-their text repeated over the grid by np.repeat and np.tile; a bool column
-is one lookup of true/false.  A command computes its row order once with
+once, by one rule: a CSV cell is the %.10g text of the value computed, and
+JSON and every decision (Bonferroni adjustment, rejection flags, sort order)
+read the float that text reads back as (JSON: null where not finite), so
+re-parsing our own output reproduces them exactly.  A decision column
+(p_raw, p_adjusted; kappa-max's kappa_max, p_rd_*) caches both, formatted
+in one pass and read back (_g10s); the CSV writer gathers its text, an
+array of str objects scattered once, by row index.  A value of exactly 1,
+where p-values and kappa_max are clamped, is given the text "1" and the
+float 1.0 without formatting or reading it.  A power grid's axes are
+formatted once per distinct value (_axis_cells), their text repeated over
+the grid by np.repeat and np.tile; a bool column is one lookup of
+true/false.  A command computes its row order once with
 np.lexsort, names entering as code-point ranks: scan by (p_adjusted, id),
 network by (p_adjusted, feature_a, feature_b), kappa-max by (-kappa_max,
 id).  One writer serves CSV and JSON: per 2**16 rows it gathers the rows
@@ -52,8 +54,7 @@ over a row template, formatting every other float there.  The CSV writer
 quotes each text cell holding a comma, quote, CR or LF, doubling its
 quotes; any other cell, NUL included, is written as it is, so the bytes do
 not depend on the Python version.  JSON has the bytes of json.dump(indent=2,
-sort_keys=True) and is strict: a float is the one its 10-digit text reads
-back as, or null where that is not finite.
+sort_keys=True) and is strict.
 """
 
 from __future__ import annotations
@@ -112,9 +113,9 @@ _WRITE_ROWS = 2**16
 
 
 class _G10(NamedTuple):
-    """A float column rounded to 10 significant digits, formatted once: the
-    floats its text reads back as, which decisions read, and the text the
-    CSV writer writes, an array of str objects."""
+    """A float column rounded to 10 significant digits, a cache of what the
+    writer makes of its raw floats: the floats its text reads back as, which
+    decisions read, and that text, an array of str objects."""
 
     values: np.ndarray
     text: np.ndarray
@@ -128,17 +129,14 @@ def _g10_round(values: np.ndarray) -> tuple[list[str], np.ndarray]:
 
 def _g10s(values: np.ndarray) -> _G10:
     """A column formatted in one pass and read back once, but for its values
-    of exactly 1 (the clamp of p-values and kappa_max), which are "1" and 1.0.
-    Text whose rounding passes the float range reads back as +-inf and is
-    kept as that, so the CSV cell is the rounded value's own text."""
+    of exactly 1 (the clamp of p-values and kappa_max), which are "1" and 1.0:
+    each value's %.10g text, and the float it reads back as (+-inf past the range)."""
     rest = np.flatnonzero(values != 1.0)
     rounded = np.ones(len(values))
     rest_text, rounded[rest] = _g10_round(values[rest])
     text = np.empty(len(values), dtype=object)
     text.fill("1")  # one shared str; np.full would convert it once per row
     text[rest] = rest_text
-    past = np.isinf(rounded) & np.isfinite(values)
-    text[past] = _g10_round(rounded[past])[0]
     return _G10(rounded, text)
 
 
@@ -276,20 +274,24 @@ _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")  # splits at CR, LF, CRLF o
 
 
 def _read_text(path: str) -> str:
-    """The file's text; a file that cannot be opened or read is a usage
-    error, and so is one that is not UTF-8, named by its path."""
+    """The file's text, a leading byte order mark dropped; a file that cannot
+    be opened or read, or is not UTF-8, is a usage error naming its path."""
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
+        return data.decode("utf-8-sig")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # placed from the first byte: the codec cut the BOM
+        at = len(data) - len(exc.object)
+        exc = UnicodeDecodeError(exc.encoding, data, exc.start + at, exc.end + at, exc.reason)
         raise UsageError(f"{path}: {exc}") from None
 
 
-def _read_csv(path: str, read_header: Callable[[list[str] | None], object], first: int) -> tuple:
-    """read_header(header record), then _value_columns' results for cells
-    first to the header's width, by the read rule (module docstring).
+def _read_csv(path: str, read_header: Callable[[tuple[str, ...] | None], object],
+              first: int) -> tuple:
+    """read_header(stripped header names), then _value_columns' results for
+    cells first to the header's width, by the read rule (module docstring).
     read_header gets None for a file without records, and its error comes
     before a csv error further down.  A csv.reader error, such as a cell
     past the field limit or NUL before Python 3.11, is a usage error."""
@@ -302,7 +304,7 @@ def _read_csv(path: str, read_header: Callable[[list[str] | None], object], firs
     reader = csv.reader(lines)
     try:
         record = next(reader, None)
-        header = read_header(record)
+        header = read_header(record and tuple(name.strip() for name in record))
         values = range(first, len(record))
         columns = _loadtxt_columns(lines[1:], values) if plain else None
         if columns is not None:
@@ -362,8 +364,7 @@ def _read_pairs(path: str, strict: bool) -> tuple[list[str], PairBatch]:
     order; in strict mode they fail the run, every bad line listed.
     """
 
-    def check_header(record):
-        header = tuple(record or ())
+    def check_header(header):
         if header != _PAIR_FIELDS:
             raise UsageError(
                 f"{path}: expected header {','.join(_PAIR_FIELDS)}, "
@@ -475,10 +476,9 @@ def _read_matrix(path: str) -> tuple[tuple[str, ...], np.ndarray]:
     """The feature names and the sample-by-feature values of a matrix CSV.
     Every row must hold one finite value per feature."""
 
-    def read_header(record):
-        if record is None:
+    def read_header(header):
+        if header is None:
             raise UsageError(f"{path}: empty file")
-        header = tuple(name.strip() for name in record)
         if len(header) < 2 or any(not name for name in header):
             raise UsageError(f"{path}: need at least two named feature columns")
         if len(set(header)) != len(header):
@@ -565,8 +565,7 @@ def _grid_axis(name: str, lo: float, hi: float, steps: int) -> np.ndarray:
 
 def _axis_cells(grid: np.ndarray, repeat: int, tile: int) -> _G10:
     """An axis as a table column: each value repeated, the whole tiled, and
-    each distinct value formatted once.  Not _g10s: text that reads back as
-    +-inf stays the rounded value's digits, as the writer would print them."""
+    each distinct value formatted once."""
     text, values = _g10_round(grid)
     text = np.array(text, dtype=object)
     return _G10(np.tile(np.repeat(values, repeat), tile), np.tile(np.repeat(text, repeat), tile))

@@ -389,6 +389,11 @@ class TestScanCommand:
         code, _, err = self.scan(capsys, ["scan", str(bad)])
         assert code == 2
         assert "expected header" in err
+        # names are stripped, as in a matrix header, before they are checked
+        bad.write_text("id, est1, se1, est2\nx,1,1,1\n")
+        assert self.scan(capsys, ["scan", str(bad)]) == (
+            2, "", f"error: {bad}: expected header id,est1,se1,est2,se2, got id,est1,se1,est2\n"
+        )
 
     def test_rd_scan_requires_small_alpha(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.csv"
@@ -516,16 +521,34 @@ def test_input_that_is_not_utf8_is_usage_error_naming_its_file(tmp_path, capsys,
     )
 
 
-def test_kappa_max_csv_prints_inf_where_rounding_passes_the_float_range(tmp_path, capsys):
+def test_bad_byte_behind_a_byte_order_mark_is_placed_from_the_first_byte(tmp_path, capsys):
+    # the codec cuts the BOM off before it decodes, which put the byte 3 short
+    text = b"\xef\xbb\xbfid,est1,se1,est2,se2\n" + b"p,1,1,1,1\n" * 1000 + b"a\xe9,1,1,1,1\n"
+    path = tmp_path / "bom.csv"
+    path.write_bytes(text)
+    assert (main(["scan", str(path)]), capsys.readouterr()) == (2, ("", (
+        f"error: {path}: 'utf-8' codec can't decode byte 0xe9 in position {text.index(0xe9)}: "
+        "invalid continuation byte\n"
+    )))
+
+
+@pytest.mark.parametrize("command", [["scan", "--kind", "rd"], ["kappa-max"]],
+                         ids=["scan", "kappa-max"])
+def test_kappa_max_past_the_rounded_range_keeps_its_digits(tmp_path, capsys, command):
     # kappa_max = 1.7976931346e308 is finite, but its 10-digit text reads back
-    # as inf, and kappa-max decides its order by that: the CSV prints inf
+    # as inf: the CSV cell is that text, as for every float, kappa-max sorts
+    # the row by the inf it reads back as, and strict JSON writes that as null.
+    # kappa-max's CSV printed inf here, a finite summary shown as infinite
     pairs = tmp_path / "edge.csv"
     pairs.write_text("id,est1,se1,est2,se2\nc,1.7976931346e300,1e-299,1e-8,1e-299\n"
                      "a,1.34,0.32,-0.09,0.33\n")
-    code = main(["kappa-max", str(pairs), "--alpha", "0.1"])
+    code = main([*command, str(pairs), "--alpha", "0.1"])
     rows = parse_csv(capsys.readouterr().out)
     assert code == 0 and [row["id"] for row in rows] == ["c", "a"]
-    assert rows[0]["kappa_max"] == "inf" and rows[1]["kappa_max"] == "1.919381639"
+    assert [row["kappa_max"] for row in rows] == ["1.797693135e+308", "1.919381639"]
+    code = main([*command, str(pairs), "--alpha", "0.1", "--format", "json"])
+    results = strict_json(capsys.readouterr().out)["results"]
+    assert code == 0 and [row["kappa_max"] for row in results] == [None, 1.919381639]
 
 
 def test_estimate_past_the_float_range_is_written_not_fatal(tmp_path, capsys):
@@ -555,21 +578,6 @@ def test_sort_keys_read_the_rounded_column(tmp_path, capsys):
     assert code == 0
     assert [row["id"] for row in rows] == ["a", "b"]
     assert rows[0]["p_raw"] == rows[1]["p_raw"] == f"{p_a:.10g}"
-
-
-def test_column_no_decision_reads_keeps_its_digits_past_the_rounded_range(tmp_path, capsys):
-    # kappa_max = 1.7976931346e308 is finite but its 10-digit text reads back
-    # as inf: scan's kappa_max column, read by no decision, prints the text
-    # in CSV; JSON carries the float the text reads back as, and strict JSON
-    # writes that inf as null
-    pairs = tmp_path / "edge.csv"
-    pairs.write_text("id,est1,se1,est2,se2\nc,1.7976931346e300,1e-299,1e-8,1e-299\n")
-    code = main(["scan", str(pairs), "--kind", "rd", "--alpha", "0.1"])
-    (row,) = parse_csv(capsys.readouterr().out)
-    assert code == 0 and row["kappa_max"] == "1.797693135e+308"
-    code = main(["scan", str(pairs), "--kind", "rd", "--alpha", "0.1", "--format", "json"])
-    (result,) = strict_json(capsys.readouterr().out)["results"]
-    assert code == 0 and result["kappa_max"] is None
 
 
 WIDE = ["--est1", "1e300", "--se1", "1e-299", "--est2", "1", "--se2", "1e-299"]
@@ -694,6 +702,21 @@ class TestNetworkCommand:
         assert code == 0
         adjusted = [float(row["p_adjusted"]) for row in parse_csv(out)]
         assert adjusted == sorted(adjusted)
+
+    def test_byte_order_mark_is_not_part_of_a_feature_name(self, tmp_path, capsys):
+        # a BOM, as Excel's "CSV UTF-8" starts a file with, was read as the
+        # start of the first feature's name
+        rng = np.random.default_rng(5)
+        m1, m2 = tmp_path / "g1.csv", tmp_path / "g2.csv"
+        write_matrix(m1, ["g1", "g2", "g3"], rng.standard_normal((10, 3)))
+        write_matrix(m2, ["g1", "g2", "g3"], rng.standard_normal((10, 3)))
+        m1.write_bytes(b"\xef\xbb\xbf" + m1.read_bytes())
+        code = main(["network", str(m1), str(m2)])
+        rows = parse_csv(capsys.readouterr().out)
+        assert code == 0
+        assert sorted((row["feature_a"], row["feature_b"]) for row in rows) == [
+            ("g1", "g2"), ("g1", "g3"), ("g2", "g3")
+        ]
 
     def test_column_mismatch_is_usage_error(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
@@ -1552,8 +1575,8 @@ def run_cli(argv):
 
 @st.composite
 def table_columns(draw):
-    """(columns as the writer takes them, the cells csv.writer is given, the
-    values json.dumps is given)."""
+    """(field names, columns as the writer takes them, the cells csv.writer
+    is given, the values json.dumps is given, the row order)."""
     rows = draw(st.integers(0, 5))
     columns, cells, values = [], [], []
     kinds = ["text", "objects", "float", "g10", "bool", "int", "blank"]
@@ -1566,11 +1589,8 @@ def table_columns(draw):
         elif kind in ("float", "g10"):  # formatted by the writer, or kept text of _g10s
             column = np.array(draw(st.lists(FLOAT_CELLS, min_size=rows, max_size=rows)), float)
             columns.append(column if kind == "float" else _g10s(column))
-            text = [f"{v:.10g}" for v in column.tolist()]
-            # kept text is that of the rounded value: inf where rounding passes the range
-            cells.append(text if kind == "float" else [f"{float(cell):.10g}" for cell in text])
-            rounded = [float(cell) for cell in cells[-1]]
-            values.append([v if math.isfinite(v) else None for v in rounded])
+            cells.append(g10_cells(column))
+            values.append(g10_values(column))
         elif kind == "bool":
             column = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), bool)
             columns.append(column)
@@ -1586,7 +1606,24 @@ def table_columns(draw):
             cells.append([None] * rows)
             values.append([None] * rows)
     fieldnames = draw(st.lists(TEXT, min_size=len(columns), max_size=len(columns)))
-    return fieldnames, columns, cells, values
+    order = np.array(draw(st.permutations(range(rows))), dtype=np.intp)
+    return fieldnames, columns, cells, values, order
+
+
+def g10_cells(column):
+    """A float column's CSV cells, a _G10's kept text or the writer's own:
+    the 10-digit text of each raw value."""
+    return [f"{v:.10g}" for v in column.tolist()]
+
+
+def g10_values(column):
+    """A float column's JSON values: the float each cell reads back as, None
+    where that is not finite."""
+    return [v if math.isfinite(v) else None for v in map(float, g10_cells(column))]
+
+
+# the largest double, whose 10-digit text 1.797693135e+308 reads back as inf
+BIGGEST = np.array([1.7976931348623157e308, -1.7976931348623157e308])
 
 
 def csv_cell(cell):
@@ -1607,13 +1644,17 @@ SUMMARIES = st.one_of(st.none(), st.just({}), st.dictionaries(
 ))
 
 
-@given(table_columns(), SUMMARIES, st.none() | TEXT, st.data())
-def test_table_writer_matches_csv_writer(table, summary, footer, data):
+@given(table_columns(), SUMMARIES, st.none() | TEXT)
+# a g10 column past the rounded range writes the digits of its raw floats,
+# as a float column does, and null in JSON
+@example((["g10", "float"], [_g10s(BIGGEST), BIGGEST], [g10_cells(BIGGEST)] * 2,
+          [g10_values(BIGGEST)] * 2, np.array([1, 0])), None, None)
+def test_table_writer_matches_csv_writer(table, summary, footer):
     # the writer gathers the rows in the given order: the text is that of the
     # permuted rows, from one % pass or from passes that split the body; CSV
-    # ends with the footer line and JSON holds the summary (and no footer)
-    fieldnames, columns, cells, values = table
-    order = np.array(data.draw(st.permutations(range(len(cells[0])))), dtype=np.intp)
+    # ends with the footer line and JSON holds the summary (and no footer).
+    # A _G10 column writes the bytes of its raw floats: its text is a cache
+    fieldnames, columns, cells, values, order = table
 
     def permuted(columns):
         rows = list(zip(*columns))
@@ -1982,10 +2023,7 @@ def g10s_by_rows(values):
     rounded, text = [], []
     for value in values.tolist():
         cell = "1" if value == 1.0 else f"{value:.10g}"
-        back = float(cell)
-        if math.isinf(back) and math.isfinite(value):  # rounding passed the float range
-            cell = "inf" if back > 0.0 else "-inf"
-        rounded.append(back)
+        rounded.append(float(cell))
         text.append(cell)
     return np.array(rounded, float).tobytes(), text
 
@@ -1995,20 +2033,17 @@ def g10s_by_rows(values):
                max_size=8))
 @example([1.0] * 4)  # every p-value at its clamp
 @example([0.5, 1.0 - 2.0**-53, 1.0 + 2.0**-52, -1.0])  # no value at it
-@example([1.7976931348623157e308, 1.0, -1.7976931348623157e308])  # text "inf", "1", "-inf"
+@example([1.7976931348623157e308, 1.0, -1.7976931348623157e308])  # reads back as inf, 1, -inf
 def test_decision_columns_are_formatted_once(values):
-    # the kept text is the 10-digit text of the rounded float, and that float
-    # is what the text reads back as: the text of the value itself, except
-    # where 10-digit rounding passes the float range and reads back as inf
+    # the kept text is the 10-digit text of the value, and the float is what
+    # that text reads back as: inf where 10-digit rounding passes the range
     column = np.array(values, dtype=float)
     rounded = _g10s(column)
     assert rounded.text.dtype == object
     assert (rounded.values.tobytes(), rounded.text.tolist()) == g10s_by_rows(column)
     for value, back, text in zip(values, rounded.values.tolist(), rounded.text.tolist()):
         assert struct.pack("<d", back) == struct.pack("<d", float(f"{value:.10g}"))
-        assert text == f"{back:.10g}"
-        if math.isfinite(back) or not math.isfinite(value):
-            assert text == f"{value:.10g}"
+        assert text == f"{value:.10g}"
 
 
 def log_uniform(low: float, high: float):
@@ -2365,3 +2400,14 @@ class TestMain:
         # and library callers still get a ValueError
         with pytest.raises(ValueError, match="^chi2_1_tail requires a non-NaN argument$"):
             chi2_1_tail(math.nan)
+
+    def test_threshold_search_that_does_not_converge_is_a_numerical_failure(
+        self, capsys, monkeypatch
+    ):
+        # at kappa = 1.1 the omnibus threshold is a Newton search past z,
+        # which one step does not finish
+        monkeypatch.setattr(inference, "_THRESHOLD_STEPS", 1)
+        code = main(["power", "--kind", "omnibus", "--kappa", "1.1"])
+        assert (code, capsys.readouterr()) == (
+            1, ("", "numerical failure: omnibus threshold: Newton's method failed to converge\n")
+        )

@@ -140,12 +140,16 @@ def test_cli_output_matches_golden(name, tmp_path):
     assert_matches_golden(name, tmp_path)
 
 
-# the golden pair file with CRLF or CR line ends, or with every id quoted,
-# holds the same rows: the outputs match the same expected files
+# the golden pair file with CRLF or CR line ends, with every id quoted,
+# behind a UTF-8 byte order mark (as Excel's "CSV UTF-8" writes) or with
+# spaces after the header's commas holds the same rows: the outputs match
+# the same expected files
 PAIR_VARIANTS = {
     "crlf": lambda text: text.replace("\n", "\r\n"),
     "cr": lambda text: text.replace("\n", "\r"),
     "quoted_ids": lambda text: re.sub(r"(?m)^(\w+),(?=[-\d])", r'"\1",', text),
+    "bom": lambda text: "\ufeff" + text,
+    "spaced_header": lambda text: text.replace(",", ", ", 4),
 }
 
 
@@ -170,6 +174,28 @@ def test_package_exports_the_union_of_the_module_lists():
     assert sorted(qualint.__all__) == sorted(set().union(*(m.__all__ for m in modules)))
     for name, module in qualint._DEFERRED.items():
         assert name in import_module(module).__all__, (name, module)
+
+
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    """script run by a fresh interpreter that imports the qualint under test."""
+    path = os.pathsep.join(filter(None, [str(IMPORT_ROOT), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+def test_dir_lists_every_public_name_and_loads_no_deferred_module():
+    # dir() of the package lists the deferred names without importing their
+    # modules, in a fresh interpreter as in this one
+    assert set(qualint.__all__) <= set(dir(qualint))
+    script = (
+        "import sys, qualint\n"
+        "names = dir(qualint)\n"
+        "assert set(qualint.__all__) <= set(names), sorted(set(qualint.__all__) - set(names))\n"
+        "loaded = {'qualint.estimators', 'qualint.simulation'} & set(sys.modules)\n"
+        "assert not loaded, sorted(loaded)\n"
+    )
+    result = run_fresh(script)
+    assert result.returncode == 0, result.stderr
 
 
 # modules that only network (qualint.estimators) or simulate (the rest)
@@ -201,9 +227,7 @@ def test_cli_runs_without_scipy(tmp_path):
         "exec('from qualint import *', names)\n"
         "assert set(qualint.__all__) <= set(names) and set(qualint.__all__) <= set(dir(qualint))\n"
     )
-    path = os.pathsep.join(filter(None, [str(IMPORT_ROOT), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    result = run_fresh(script)
     assert result.returncode == 0, result.stderr
 
 
