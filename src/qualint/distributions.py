@@ -38,7 +38,6 @@ import numpy as np
 
 __all__ = [
     "bvn_upper_tail",
-    "chi2_1_tail",
     "ndtr",
     "std_normal_quantile",
 ]
@@ -250,20 +249,6 @@ def std_normal_quantile(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise _DomainError(f"std_normal_quantile requires 0 < p < 1, got {p!r}")
     return _STANDARD_NORMAL.inv_cdf(p)
-
-
-def chi2_1_tail(t):
-    """Upper tail P(chi-squared_1 > t), composed exactly as 2(1 - Phi(sqrt(t))).
-
-    Elementwise over arrays; a scalar argument gives a float.  Returns 1 for
-    t <= 0 (the full mass) and 0 at t = +inf.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.isnan(t).any():
-        raise _DomainError("chi2_1_tail requires a non-NaN argument")
-    inside = t <= 0.0
-    tail = np.where(inside, 1.0, 2.0 * ndtr(-np.sqrt(np.where(inside, 0.0, t))))
-    return tail if tail.ndim else float(tail)
 
 
 def _genz_low(h, k, r, independent_part, regime):

@@ -73,7 +73,6 @@ import numpy as np
 
 from qualint.distributions import (
     bvn_upper_tail,
-    chi2_1_tail,
     ndtr,
     std_normal_quantile,
 )
@@ -544,8 +543,8 @@ def gail_simon_test(batch: PairBatch, alpha: float) -> TestBatch:
 
     The statistic is the smaller squared standardized estimate when the
     signs strictly oppose, and 0 otherwise; the supremum p-value is
-    (1/2) P(chi-squared_1 > t) when they oppose, also where t underflows
-    to 0, and 1 otherwise.
+    (1/2) P(chi-squared_1 > t) = Phi(-sqrt(t)) when they oppose, also where
+    t underflows to 0, and 1 otherwise.
     """
     _check_alpha(alpha)
     # each group's z from its own columns: a rescaling shared by both groups
@@ -557,7 +556,7 @@ def gail_simon_test(batch: PairBatch, alpha: float) -> TestBatch:
         squares = np.minimum(z1 * z1, z2 * z2)
     crossed = _opposite_signs(batch.est1, batch.est2)
     statistic = np.where(crossed, squares, 0.0)
-    p = np.where(crossed, 0.5 * chi2_1_tail(statistic), 1.0)
+    p = np.where(crossed, ndtr(-np.sqrt(statistic)), 1.0)
     return _tested(statistic, p, functools.partial(dict, half_chi2=p), alpha)
 
 
@@ -736,7 +735,7 @@ def omnibus_test(batch: PairBatch, kappa: float, alpha: float) -> TestBatch:
     Components recorded on the result:
 
     * ``normal_boundary`` - the boundary tail (1/2) P(chi-squared_1 > t)
-      = 1 - Phi(sqrt(t)), the supremum over non-origin null points;
+      = Phi(-sqrt(t)), the supremum over non-origin null points;
     * ``zero_point`` - omnibus_null_tail(t).
 
     Estimates outside the alternative region (statistic 0) yield p-value
@@ -749,10 +748,11 @@ def omnibus_test(batch: PairBatch, kappa: float, alpha: float) -> TestBatch:
     rows = batch.scaled
     m, s = _kappa_split(kappa)
     t, region = _omnibus_stat(rows, m, s)
-    boundary = np.where(region, 0.5 * chi2_1_tail(t), 1.0)
+    root_t = np.sqrt(t)
+    boundary = np.where(region, ndtr(-root_t), 1.0)
     zero_point = np.ones_like(t)
     nu = _omnibus_nu(rows.se1[region], rows.se2[region], m, s)
-    zero_point[region] = _omnibus_zero_tail(np.sqrt(t[region]), nu)
+    zero_point[region] = _omnibus_zero_tail(root_t[region], nu)
     components = {"normal_boundary": boundary, "zero_point": zero_point}
     return _tested(t, np.maximum(boundary, zero_point), components.copy, alpha)
 

@@ -39,7 +39,7 @@ from qualint.cli import (
     _write_table,
     main,
 )
-from qualint.distributions import chi2_1_tail
+from qualint.distributions import bvn_upper_tail
 from qualint.inference import PairBatch, _rule_violation, _valid
 
 # Reference panel of two-group estimates with published ratio bounds; the
@@ -2392,14 +2392,14 @@ class TestMain:
         monkeypatch.setattr(inference, "_omnibus_stat", nan_statistic)
         code = main(argv)
         assert (code, capsys.readouterr().err) == (
-            1, "numerical failure: chi2_1_tail requires a non-NaN argument\n"
+            1, "numerical failure: bvn_upper_tail requires non-NaN thresholds\n"
         )
         # a validator's error still exits 2
         code = main([*argv[:-3], "0.5", *argv[-2:]])
         assert (code, capsys.readouterr().err) == (2, "error: kappa must be > 1, got 0.5\n")
         # and library callers still get a ValueError
-        with pytest.raises(ValueError, match="^chi2_1_tail requires a non-NaN argument$"):
-            chi2_1_tail(math.nan)
+        with pytest.raises(ValueError, match="^bvn_upper_tail requires non-NaN thresholds$"):
+            bvn_upper_tail(math.nan, 0.0, 0.0)
 
     def test_threshold_search_that_does_not_converge_is_a_numerical_failure(
         self, capsys, monkeypatch

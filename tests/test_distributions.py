@@ -23,7 +23,6 @@ from scipy.special import owens_t
 
 from qualint.distributions import (
     bvn_upper_tail,
-    chi2_1_tail,
     ndtr,
     std_normal_quantile,
 )
@@ -323,25 +322,6 @@ class TestStdNormalQuantile:
     def test_domain(self, bad):
         with pytest.raises(ValueError):
             std_normal_quantile(bad)
-
-
-class TestChi2Tail:
-    def test_full_mass_at_zero(self):
-        assert chi2_1_tail(0.0) == 1.0
-        assert chi2_1_tail(-5.0) == 1.0
-
-    def test_oracle_values(self):
-        # 2*(1 - Phi(2)) and the 95% quantile, mpmath
-        assert chi2_1_tail(4.0) == pytest.approx(0.045500263896358414, abs=1e-12)
-        assert abs(chi2_1_tail(3.841459) - 0.05) < 1e-4
-
-    def test_composition_identity(self):
-        # exactly the composition 2*(1 - Phi(sqrt(t))), bit for bit
-        for t in [0.1, 0.5, 1.0, 2.0, 5.0, 17.3]:
-            assert chi2_1_tail(t) == 2.0 * ndtr(-math.sqrt(t))
-
-    def test_infinite(self):
-        assert chi2_1_tail(math.inf) == 0.0
 
 
 BVN_THRESHOLDS = st.one_of(

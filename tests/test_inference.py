@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from scipy.special import ndtr, ndtri_exp
+from scipy.special import chdtrc, ndtr, ndtri_exp
 
-from qualint.distributions import bvn_upper_tail, chi2_1_tail, std_normal_quantile
+from qualint import distributions
+from qualint.distributions import bvn_upper_tail, std_normal_quantile
 from qualint.inference import (
     LocalAlternative,
     PairBatch,
@@ -530,12 +531,10 @@ class TestOmnibusRegionAndStatistic:
 
 class TestOmnibusNullTail:
     def test_collapses_to_chi2_at_kappa_one(self):
-        from qualint.distributions import chi2_1_tail
-
         for t in (0.3, 1.0, 3.84, 7.2):
             for se1, se2 in [(1, 1), (0.4, 1.7)]:
                 assert omnibus_null_tail(t, 1.0, se1, se2) == pytest.approx(
-                    chi2_1_tail(t), abs=1e-14
+                    chdtrc(1, t), abs=1e-14
                 )
 
     def test_oracle_pin(self):
@@ -903,7 +902,7 @@ class TestInvariantSweep:
             assert res.rejected == (res.p_value < alpha)
 
     @probe_edge_examples()
-    @given(p=float_range_pairs(), alpha=SWEEP_ALPHAS)
+    @given(p=float_range_pairs(exponent=299.0), alpha=SWEEP_ALPHAS)
     def test_kappa_max_is_its_first_root(self, p, alpha):
         res = kappa_max(p, alpha)[0]
         assert res.kappa_max >= 1.0  # and so not NaN
@@ -937,7 +936,7 @@ class TestInvariantSweep:
         scaled = group_scaled(base, 2.0**k1, 2.0**k2)
         assert gail_simon_test(scaled, 0.05)[0] == gail_simon_test(base, 0.05)[0]
 
-    @given(p=float_range_pairs(), kappa=SWEEP_KAPPAS, alpha=SWEEP_ALPHAS)
+    @given(p=float_range_pairs(exponent=299.0), kappa=SWEEP_KAPPAS, alpha=SWEEP_ALPHAS)
     def test_exchange_and_sign_symmetry(self, p, kappa, alpha):
         e1, s1 = p.est1[0], p.se1[0]
         e2, s2 = p.est2[0], p.se2[0]
@@ -950,7 +949,21 @@ class TestInvariantSweep:
         for other in (pair(e2, s2, e1, s1), pair(-e1, s1, e2, s2), pair(e1, s1, -e2, s2)):
             assert kappa_max(other, alpha)[0] == bound
 
-    @given(p=float_range_pairs(), kappas=st.tuples(SWEEP_KAPPAS, SWEEP_KAPPAS),
+    # this property, not the statistic's, makes the kappas at which rd_test
+    # rejects an interval: the statistic rounds up with kappa on the last
+    # example (1.5e-322 at kappa = 2.5, 2.1e-322 at 10; p = 1 at both).  The
+    # others hold each PROBE_EDGE_ROWS row at the last double that rejects
+    # and the first that does not
+    @example(p=pair(*PROBE_EDGE_ROWS[0][:4]), alpha=PROBE_EDGE_ROWS[0][4],
+             kappas=(1.4901161193847656e192, 1.4901161193847658e192))
+    @example(p=pair(*PROBE_EDGE_ROWS[1][:4]), alpha=PROBE_EDGE_ROWS[1][4],
+             kappas=(1.4901161193847656e192, 1.4901161193847658e192))
+    @example(p=pair(*PROBE_EDGE_ROWS[2][:4]), alpha=PROBE_EDGE_ROWS[2][4],
+             kappas=(59651465046962.58, 59651465046962.586))
+    @example(p=pair(1.6369706224659162e-78, 1.0516878825563361e244,
+                    -1.5095594060018384e-81, 7.6679408109986775e239),
+             kappas=(2.5, 10.0), alpha=0.05)
+    @given(p=float_range_pairs(exponent=299.0), kappas=st.tuples(SWEEP_KAPPAS, SWEEP_KAPPAS),
            alpha=SWEEP_ALPHAS)
     def test_rd_p_value_nondecreasing_in_kappa(self, p, kappas, alpha):
         low, high = sorted(kappas)
@@ -959,10 +972,12 @@ class TestInvariantSweep:
     # on the edge rows kappa_max = 1 + 1e-9 is a lower bound only: rd_test
     # still rejects past it, and placing them needs a search of the test
     @probe_edge_examples(xfail_reason="kappa_max is the probe kappa, a lower bound")
-    @given(p=float_range_pairs(), alpha=SWEEP_ALPHAS)
+    @example(p=pair(0.0, 1e-212, -1e97, 1.0), alpha=0.25)  # kappa_max = inf
+    @given(p=float_range_pairs(exponent=299.0), alpha=SWEEP_ALPHAS)
     def test_rd_test_rejects_up_to_kappa_max(self, p, alpha):
         bound = kappa_max(p, alpha)[0].kappa_max
-        below, above = bound * (1.0 - 1e-6), bound * (1.0 + 1e-6)
+        # an infinite kappa_max rejects at every kappa, the largest double too
+        below, above = min(bound * (1.0 - 1e-6), np.finfo(float).max), bound * (1.0 + 1e-6)
         if below > 1.0:
             assert rd_test(p, below, alpha)[0].rejected
         if math.isfinite(above):
@@ -1177,7 +1192,7 @@ class TestFloatRange:
         res = omnibus_test(pair(1e300, 1e-10, 1.0, 1.0), 2.0, 0.05)[0]
         assert res.statistic == math.inf and res.p_value == 0.0
         res = gail_simon_test(pair(1e200, 1.0, -1.0, 1.0), 0.05)[0]
-        assert res.statistic == 1.0 and res.p_value == 0.5 * chi2_1_tail(1.0)
+        assert res.statistic == 1.0 and res.p_value == distributions.ndtr(-1.0)
         res = gail_simon_test(pair(1e200, 1.0, -1e200, 1.0), 0.05)[0]
         assert res.statistic == math.inf and res.p_value == 0.0
 
