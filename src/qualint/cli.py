@@ -37,23 +37,20 @@ Format-once rule.  Tables move as columns, and each number crosses to text
 once, by one rule: a CSV cell is the %.10g text of the value computed, and
 JSON and every decision (Bonferroni adjustment, rejection flags, sort order)
 read the float that text reads back as (JSON: null where not finite), so
-re-parsing our own output reproduces them exactly.  A decision column
-(p_raw, p_adjusted; kappa-max's kappa_max, p_rd_*) caches both, formatted
-in one pass and read back (_g10s); the CSV writer gathers its text, an
-array of str objects scattered once, by row index.  A value of exactly 1,
-where p-values and kappa_max are clamped, is given the text "1" and the
-float 1.0 without formatting or reading it.  A power grid's axes are
-formatted once per distinct value (_axis_cells), their text repeated over
-the grid by np.repeat and np.tile; a bool column is one lookup of
-true/false.  A command computes its row order once with
+re-parsing our own output reproduces them exactly.  A decision column is its
+raw floats; _g10 gives the floats their text reads back as, by arithmetic
+where a power of ten is exact and by one %/float() pass for the rest.  A
+power grid's CSV axes are formatted once per distinct value (_axis_cells),
+their text repeated over the grid by np.repeat and np.tile; a bool column is
+one lookup of true/false.  A command computes its row order once with
 np.lexsort, names entering as code-point ranks: scan by (p_adjusted, id),
 network by (p_adjusted, feature_a, feature_b), kappa-max by (-kappa_max,
 id).  One writer serves CSV and JSON: per 2**16 rows it gathers the rows
 from the unsorted columns in that order and converts them in one % pass
-over a row template, formatting every other float there.  The CSV writer
-quotes each text cell holding a comma, quote, CR or LF, doubling its
-quotes; any other cell, NUL included, is written as it is, so the bytes do
-not depend on the Python version.  JSON has the bytes of json.dump(indent=2,
+over a row template, formatting every float there.  The CSV writer quotes
+each text cell holding a comma, quote, CR or LF, doubling its quotes; any
+other cell, NUL included, is written as it is, so the bytes do not depend
+on the Python version.  JSON has the bytes of json.dump(indent=2,
 sort_keys=True) and is strict.
 """
 
@@ -70,7 +67,7 @@ import re
 import sys
 from array import array
 from json.encoder import encode_basestring_ascii
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -112,32 +109,33 @@ _BOOL_TEXT = np.array(("false", "true"), dtype=object)
 _WRITE_ROWS = 2**16
 
 
-class _G10(NamedTuple):
-    """A float column rounded to 10 significant digits, a cache of what the
-    writer makes of its raw floats: the floats its text reads back as, which
-    decisions read, and that text, an array of str objects."""
-
-    values: np.ndarray
-    text: np.ndarray
+# 10**j, exact in a double for j <= 22 (5**22 < 2**53); numpy's power may round
+_POW10 = np.array([float(10**j) for j in range(23)])
+_POW10.setflags(write=False)
 
 
-def _g10_round(values: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """Each value's 10-digit text, formatted in one % pass, and its floats."""
-    text = ("%.10g\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
-    return text, np.fromiter(map(float, text), float, len(text))
-
-
-def _g10s(values: np.ndarray) -> _G10:
-    """A column formatted in one pass and read back once, but for its values
-    of exactly 1 (the clamp of p-values and kappa_max), which are "1" and 1.0:
-    each value's %.10g text, and the float it reads back as (+-inf past the range)."""
-    rest = np.flatnonzero(values != 1.0)
-    rounded = np.ones(len(values))
-    rest_text, rounded[rest] = _g10_round(values[rest])
-    text = np.empty(len(values), dtype=object)
-    text.fill("1")  # one shared str; np.full would convert it once per row
-    text[rest] = rest_text
-    return _G10(rounded, text)
+def _g10(values: np.ndarray) -> np.ndarray:
+    """float("%.10g" % v) for each value v, +-inf past the range.  With
+    k = floor(log10|v|) - 9, M = rint(|v| * 10**-k) holds the 10 digits, and
+    M * 10**k, one correctly rounded operation where 10**|k| is exact
+    (Clinger's fast path), is the float their text reads back as.  Zero,
+    +-inf, NaN, |k| > 22 and a |v| * 10**-k within its rounding error of a
+    digit tie take one % pass and float()."""
+    magnitude = np.abs(values)
+    with np.errstate(all="ignore"):  # where 0, inf or NaN, the fallback's value is taken
+        k = np.floor(np.log10(magnitude)) - 9.0
+        fast = np.abs(k) <= 22.0  # so v is finite, nonzero and normal
+        k = np.where(fast, k, 0.0).astype(np.intp)
+        power, up = _POW10[np.abs(k)], k > 0
+        scaled = np.where(up, magnitude / power, magnitude * power)  # within 2**-20 of exact
+        digits = np.rint(scaled)
+        fast &= (scaled >= 1e9) & (scaled < 1e10) & (np.abs(scaled - digits) < 0.5 - 2.0**-19)
+        rounded = np.copysign(np.where(up, digits * power, digits / power), values)
+    rest = np.flatnonzero(~fast)
+    if len(rest):
+        text = "%.10g " * len(rest) % tuple(values[rest].tolist())
+        rounded[rest] = np.fromiter(map(float, text.split()), float, len(rest))
+    return rounded
 
 
 def _json_floats(rounded: np.ndarray, null="null") -> list:
@@ -150,12 +148,14 @@ def _json_floats(rounded: np.ndarray, null="null") -> list:
 
 def _json_g10(value: float) -> float | None:
     """A number rounded to 10 digits as a JSON value, None where not finite."""
-    return _json_floats(_g10_round(np.array([value]))[1], None)[0]
+    return _json_floats(_g10(np.array([value])), None)[0]
 
 
-def _csv_text(cells: list[str]) -> list[str]:
-    """Text cells as CSV: each cell holding a special is quoted."""
-    if not _CSV_SPECIALS.search("".join(cells)):
+def _csv_text(cells: list[str] | np.ndarray) -> list[str] | np.ndarray:
+    """Text cells, a list or an array of str objects, as CSV: each cell holding
+    a special is quoted.  An array is joined through tolist(), a C loop."""
+    joined = "".join(cells.tolist() if isinstance(cells, np.ndarray) else cells)
+    if not any(map(joined.__contains__, ',"\r\n')):
         return cells
     return [
         '"' + cell.replace('"', '""') + '"' if _CSV_SPECIALS.search(cell) else cell
@@ -172,19 +172,15 @@ def _gather(values) -> Callable[[np.ndarray], list]:
 
 def _table_cells(column, fmt: str) -> tuple[str, Callable[[np.ndarray], list] | None]:
     """One table column: its conversion in the row template and a chunk's
-    cells.  Ints enter by %d, kept text and true/false by %s; a CSV float by
-    %.10g, a JSON float by %s as its 10-digit float (a _G10's values) or
-    null; other text by %s, CSV-quoted or JSON-escaped; None as blank/null."""
-    if isinstance(column, _G10):
-        if fmt == "json":
-            return "%s", lambda rows: _json_floats(column.values[rows])
-        return "%s", _gather(column.text)
+    cells.  Ints enter by %d, true/false by %s; a CSV float by %.10g, a
+    JSON float by %s as its 10-digit float or null; text by %s, CSV-quoted
+    or JSON-escaped; None as blank/null."""
     kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
     if kind == "b":
         return "%s", _gather(_BOOL_TEXT.take(column))
     if kind == "f":
         if fmt == "json":
-            return "%s", lambda rows: _json_floats(_g10_round(column[rows])[1])
+            return "%s", lambda rows: _json_floats(_g10(column[rows]))
         return "%.10g", _gather(column)
     if kind != "O":
         return "%d", _gather(column)
@@ -222,8 +218,8 @@ def _write_table(out, fmt: str, fieldnames, columns, order: np.ndarray | None = 
     they are, in one % pass over a row template per _WRITE_ROWS rows: CSV
     with an optional footer line, or JSON {"results": [...], "summary": ...}
     as json.dump(indent=2, sort_keys=True) writes it (a name's last column)."""
-    if order is None:  # a _G10's rows are those of its text
-        order = np.arange(len(getattr(columns[0], "text", columns[0])))
+    if order is None:
+        order = np.arange(len(columns[0]))
     conversions, cells = zip(*(_table_cells(column, fmt) for column in columns))
     if fmt == "json":
         keys = sorted({name: c for c, name in enumerate(fieldnames)}.items())
@@ -257,12 +253,12 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _bonferroni(p_raw: _G10, adjust: str) -> _G10:
+def _bonferroni(p_raw: np.ndarray, adjust: str) -> np.ndarray:
     """Adjusted p-values from the serialized raw ones; m counts the tested rows.
     fmin keeps the rule of min(1.0, m * p), which adjusts a NaN to 1."""
     if adjust == "none":
         return p_raw
-    return _g10s(np.fmin(1.0, len(p_raw.values) * p_raw.values))
+    return np.fmin(1.0, len(p_raw) * _g10(p_raw))
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +451,11 @@ def _cmd_scan(args) -> int:
         _check_alpha(args.alpha, upper=_KAPPA_MAX_ALPHA)
     ids, batch = _read_pairs(args.input, args.strict)
     outcome = _run_pair_test(batch, args.kind, args.kappa, args.alpha)
-    p_raw = _g10s(outcome.p_value)
-    p_adjusted = _bonferroni(p_raw, args.adjust)
+    p_adjusted = _bonferroni(outcome.p_value, args.adjust)
     bounds = kappa_max(batch, args.alpha).kappa_max if args.kind == "rd" else [None] * len(ids)
-    rejected = p_adjusted.values < args.alpha
-    columns = (ids, outcome.statistic, p_raw, p_adjusted, bounds, rejected)
-    order = np.lexsort((_ranks(ids), p_adjusted.values))
+    decided = _g10(p_adjusted)
+    columns = (ids, outcome.statistic, outcome.p_value, p_adjusted, bounds, decided < args.alpha)
+    order = np.lexsort((_ranks(ids), decided))
     fieldnames = ("id", "statistic", "p_raw", "p_adjusted", "kappa_max", "rejected")
     with _output(args.output) as out:
         _write_table(out, args.format, fieldnames, columns, order, summary={"tested": len(ids)})
@@ -522,16 +517,17 @@ def _cmd_network(args) -> int:
     r1, r2 = fit1.estimate[kept], fit2.estimate[kept]
     outcome = rd_test(PairBatch(r1, fit1.std_error[kept], r2, fit2.std_error[kept]),
                       args.kappa, args.alpha)  # the batch's standard errors go once tested
-    p_raw = _g10s(outcome.p_value)
-    p_adjusted = _bonferroni(p_raw, args.adjust)
-    rejected = int(np.count_nonzero(p_adjusted.values < args.alpha))
+    p_adjusted = _bonferroni(outcome.p_value, args.adjust)
+    decided = _g10(p_adjusted)
+    rejected = int(np.count_nonzero(decided < args.alpha))
     # the group with the larger |r|, 0 on an exact tie; no |r| is held through the write
     stronger = np.where(np.abs(r1) > np.abs(r2), 1, np.where(np.abs(r2) > np.abs(r1), 2, 0))
     ranks = _ranks(features)
     a, b = first[kept], second[kept]
-    order = np.lexsort((ranks[b], ranks[a], p_adjusted.values))
+    order = np.lexsort((ranks[b], ranks[a], decided))
     labels = np.array(features, dtype=object)  # gathered by numpy, here and in the writer
-    edges = (labels[a], labels[b], r1, r2, outcome.statistic, p_raw, p_adjusted, stronger)
+    edges = (labels[a], labels[b], r1, r2, outcome.statistic, outcome.p_value, p_adjusted,
+             stronger)
 
     summary = {"features": len(features), "pairs": len(matrix), "tested": len(r1),
                "skipped": skipped, "rejected": rejected}
@@ -563,12 +559,12 @@ def _grid_axis(name: str, lo: float, hi: float, steps: int) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _axis_cells(grid: np.ndarray, repeat: int, tile: int) -> _G10:
-    """An axis as a table column: each value repeated, the whole tiled, and
-    each distinct value formatted once."""
-    text, values = _g10_round(grid)
-    text = np.array(text, dtype=object)
-    return _G10(np.tile(np.repeat(values, repeat), tile), np.tile(np.repeat(text, repeat), tile))
+def _axis_cells(grid: np.ndarray, repeat: int, tile: int, fmt: str) -> np.ndarray:
+    """An axis as a table column, each value repeated and the whole tiled: its
+    floats, or in CSV its text, each distinct value formatted once."""
+    if fmt == "csv":
+        grid = np.array(("%.10g " * len(grid) % tuple(grid.tolist())).split(), dtype=object)
+    return np.tile(np.repeat(grid, repeat), tile)
 
 
 def _cmd_power(args) -> int:
@@ -583,8 +579,8 @@ def _cmd_power(args) -> int:
     # every (c1, c2) cell, c1 varying slowest
     alt = LocalAlternative(c1_grid[:, None], c2_grid, args.sigma1, args.sigma2, args.lam)
     powers = power_fn(alt, args.kappa, args.alpha).ravel()
-    columns = (_axis_cells(c1_grid, c2_grid.size, 1), _axis_cells(c2_grid, 1, c1_grid.size),
-               powers)
+    columns = (_axis_cells(c1_grid, c2_grid.size, 1, args.format),
+               _axis_cells(c2_grid, 1, c1_grid.size, args.format), powers)
     with _output(args.output) as out:
         _write_table(out, args.format, ("c1", "c2", "power"), columns)
     return 0
@@ -678,10 +674,10 @@ def _write_whole_set(files) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _context_p_values(batch: PairBatch, alpha: float) -> dict[str, _G10]:
+def _context_p_values(batch: PairBatch, alpha: float) -> dict[str, np.ndarray]:
     """Every row's rd p-value at each context kappa, keyed by the kappa as
     printed: one rd_test of the rows per kappa."""
-    return {f"{k:.10g}": _g10s(rd_test(batch, k, alpha).p_value) for k in _CONTEXT_KAPPAS}
+    return {f"{k:.10g}": rd_test(batch, k, alpha).p_value for k in _CONTEXT_KAPPAS}
 
 
 def _cmd_kappa_max(args) -> int:
@@ -697,7 +693,7 @@ def _cmd_kappa_max(args) -> int:
             "kappa_max": _json_g10(summary.kappa_max),
             "alpha": _json_g10(args.alpha),
             "binding_root": summary.binding_root,
-            "p_values": {k: _json_g10(p.values[0]) for k, p in context.items()},
+            "p_values": {k: _json_g10(p[0]) for k, p in context.items()},
         }
         with _output(args.output) as out:
             _write_json(out, payload)
@@ -706,9 +702,8 @@ def _cmd_kappa_max(args) -> int:
     ids, batch = _read_pairs(args.input, args.strict)
     summaries = kappa_max(batch, args.alpha)
     context = _context_p_values(batch, args.alpha)
-    bounds = _g10s(summaries.kappa_max)
-    columns = (ids, bounds, summaries.binding_root, *context.values())
-    order = np.lexsort((_ranks(ids), -bounds.values))
+    columns = (ids, summaries.kappa_max, summaries.binding_root, *context.values())
+    order = np.lexsort((_ranks(ids), -_g10(summaries.kappa_max)))
     fieldnames = ("id", "kappa_max", "binding_root", *(f"p_rd_{k}" for k in context))
     with _output(args.output) as out:
         _write_table(out, args.format, fieldnames, columns, order)

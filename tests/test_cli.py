@@ -14,7 +14,6 @@ import json
 import math
 import os
 import re
-import struct
 import subprocess
 import sys
 import tempfile
@@ -33,7 +32,7 @@ from qualint import cli, inference
 from qualint.cli import (
     UsageError,
     _build_parser,
-    _g10s,
+    _g10,
     _read_matrix,
     _read_pairs,
     _write_table,
@@ -1579,16 +1578,16 @@ def table_columns(draw):
     is given, the values json.dumps is given, the row order)."""
     rows = draw(st.integers(0, 5))
     columns, cells, values = [], [], []
-    kinds = ["text", "objects", "float", "g10", "bool", "int", "blank"]
+    kinds = ["text", "objects", "float", "bool", "int", "blank"]
     for kind in draw(st.lists(st.sampled_from(kinds), min_size=2, max_size=5)):
         if kind in ("text", "objects"):  # a list, or an array of str objects
             column = draw(st.lists(TEXT, min_size=rows, max_size=rows))
             columns.append(column if kind == "text" else np.array(column, dtype=object))
             cells.append(column)
             values.append(column)
-        elif kind in ("float", "g10"):  # formatted by the writer, or kept text of _g10s
+        elif kind == "float":
             column = np.array(draw(st.lists(FLOAT_CELLS, min_size=rows, max_size=rows)), float)
-            columns.append(column if kind == "float" else _g10s(column))
+            columns.append(column)
             cells.append(g10_cells(column))
             values.append(g10_values(column))
         elif kind == "bool":
@@ -1611,8 +1610,7 @@ def table_columns(draw):
 
 
 def g10_cells(column):
-    """A float column's CSV cells, a _G10's kept text or the writer's own:
-    the 10-digit text of each raw value."""
+    """A float column's CSV cells: the 10-digit text of each raw value."""
     return [f"{v:.10g}" for v in column.tolist()]
 
 
@@ -1645,15 +1643,14 @@ SUMMARIES = st.one_of(st.none(), st.just({}), st.dictionaries(
 
 
 @given(table_columns(), SUMMARIES, st.none() | TEXT)
-# a g10 column past the rounded range writes the digits of its raw floats,
-# as a float column does, and null in JSON
-@example((["g10", "float"], [_g10s(BIGGEST), BIGGEST], [g10_cells(BIGGEST)] * 2,
-          [g10_values(BIGGEST)] * 2, np.array([1, 0])), None, None)
+# a float column past the rounded range writes the digits of its raw floats,
+# and null in JSON
+@example((["float"], [BIGGEST], [g10_cells(BIGGEST)], [g10_values(BIGGEST)], np.array([1, 0])),
+         None, None)
 def test_table_writer_matches_csv_writer(table, summary, footer):
     # the writer gathers the rows in the given order: the text is that of the
     # permuted rows, from one % pass or from passes that split the body; CSV
-    # ends with the footer line and JSON holds the summary (and no footer).
-    # A _G10 column writes the bytes of its raw floats: its text is a cache
+    # ends with the footer line and JSON holds the summary (and no footer)
     fieldnames, columns, cells, values, order = table
 
     def permuted(columns):
@@ -2017,33 +2014,29 @@ def test_float_pass_converts_each_kept_row_once(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith(f"warning: skipping {pairs}:{rows + 2}: could not")
 
 
-def g10s_by_rows(values):
-    """_g10s row by row, the reference for its one-pass form: (the bytes of
-    the values the text reads back as, the text)."""
-    rounded, text = [], []
-    for value in values.tolist():
-        cell = "1" if value == 1.0 else f"{value:.10g}"
-        rounded.append(float(cell))
-        text.append(cell)
-    return np.array(rounded, float).tobytes(), text
+# 10th-digit ties: doubles that are one (rounded half to even), and the
+# nearest doubles to decimal ones
+TIES = [1234567890.5, 1234567891.5, 12345678905.0, 99999999995.0, 1.0000000005, 2.5000000005,
+        1.2345678905e-5, 9.9999999995e21, 1.2345678905e22]
+# powers of ten at the ends of the arithmetic's exact range and past them
+POWERS = [1e-14, 1e-13, 1e-12, 1e-4, 1.0, 1e9, 1e10, 1e22, 1e31, 1e32, 1e33, 1e300]
 
 
-@given(st.lists(st.one_of(FLOAT_CELLS, st.floats(1.79769313e308, 1.7976931348623157e308),
-                          st.floats(-1.7976931348623157e308, -1.79769313e308), st.just(1.0)),
-               max_size=8))
-@example([1.0] * 4)  # every p-value at its clamp
-@example([0.5, 1.0 - 2.0**-53, 1.0 + 2.0**-52, -1.0])  # no value at it
-@example([1.7976931348623157e308, 1.0, -1.7976931348623157e308])  # reads back as inf, 1, -inf
-def test_decision_columns_are_formatted_once(values):
-    # the kept text is the 10-digit text of the value, and the float is what
-    # that text reads back as: inf where 10-digit rounding passes the range
-    column = np.array(values, dtype=float)
-    rounded = _g10s(column)
-    assert rounded.text.dtype == object
-    assert (rounded.values.tobytes(), rounded.text.tolist()) == g10s_by_rows(column)
-    for value, back, text in zip(values, rounded.values.tolist(), rounded.text.tolist()):
-        assert struct.pack("<d", back) == struct.pack("<d", float(f"{value:.10g}"))
-        assert text == f"{value:.10g}"
+@given(st.lists(st.one_of(st.floats(), FLOAT_CELLS, st.floats(1.79769313e308, math.inf),
+                          st.sampled_from(TIES + POWERS)), max_size=8))
+@example([*TIES, *POWERS])
+@example(list(np.nextafter(TIES + POWERS, -math.inf)) + list(np.nextafter(TIES + POWERS, math.inf)))
+@example([5e-324, 2.2250738585072014e-308, 0.0, -0.0, math.inf, -math.inf, math.nan])
+@example([1.7976931348623157e308, -1.7976931348623157e308, 1.7976931345e308])
+@example([1.0, 1.0 - 2.0**-53, 1.0 + 2.0**-52, -1.0])
+def test_g10_is_the_float_of_the_10_digit_text(values):
+    # bit for bit float(f"{v:.10g}"): inf where 10-digit rounding passes the
+    # range, and NaN where v is NaN
+    got = _g10(np.array(values, dtype=float))
+    want = np.array([float(f"{v:.10g}") for v in values], dtype=float)
+    nan = np.isnan(want)
+    assert np.isnan(got).tolist() == nan.tolist()
+    assert got[~nan].view(np.uint64).tolist() == want[~nan].view(np.uint64).tolist()
 
 
 def log_uniform(low: float, high: float):
